@@ -59,6 +59,11 @@ class ExperimentConfig:
             raise BadConfigError(f"unknown mode {self.mode!r}")
         if self.k_clusters < 1 or self.prompt_len < 1:
             raise BadConfigError("k_clusters and prompt_len must be >= 1")
+        if self.batch_human < 1 or self.batch_robot < 1 or self.batch_failure < 0:
+            raise BadConfigError(
+                "need batch_human >= 1, batch_robot >= 1 and batch_failure >= 0, got "
+                f"{self.batch_human} / {self.batch_robot} / {self.batch_failure}"
+            )
         if self.env_variant not in ("train", "shifted-color", "shifted-view", "shifted-arrangement"):
             raise BadConfigError(f"unknown env_variant {self.env_variant!r}")
         if self.plan_horizon % 4 != 0:

@@ -51,18 +51,24 @@ def similarity_matrix(a, b) -> np.ndarray:
     return a @ b.T
 
 
-def logsumexp(x) -> float:
-    """Stable log(sum(exp(x))) for a 1-d array."""
+def logsumexp(x):
+    """Stable log(sum(exp(x))) along the last axis.
+
+    A float for a 1-d array, one value per row for a matrix. Entries equal
+    to -inf drop out, so a -inf fill masks them; each row needs one finite
+    entry.
+    """
     x = np.asarray(x, dtype=np.float64)
-    m = np.max(x)
-    return float(m + np.log(np.sum(np.exp(x - m))))
+    m = np.max(x, axis=-1, keepdims=True)
+    out = m[..., 0] + np.log(np.sum(np.exp(x - m), axis=-1))
+    return float(out) if out.ndim == 0 else out
 
 
 def softmax(x) -> np.ndarray:
-    """Stable softmax of a 1-d array."""
+    """Stable softmax along the last axis; -inf entries get probability 0."""
     x = np.asarray(x, dtype=np.float64)
-    z = np.exp(x - np.max(x))
-    return z / np.sum(z)
+    z = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return z / np.sum(z, axis=-1, keepdims=True)
 
 
 def nce_term(sims, pos_index: int, tau: float) -> float:

@@ -12,7 +12,9 @@ read-only to enforce this).
 A failure prompt is a trainable (prompt_len, D) block per (task, cluster).
 Its feature is the token-mean of [prompt; task text] through a shared
 trainable linear map, then normalized, so the feature stays differentiable
-in the prompt while the text stays frozen.
+in the prompt while the text stays frozen. One composition serves any
+leading shape, so a training step composes (and backprops) the T*K
+contexts of all pooled tasks in one call.
 """
 
 from dataclasses import dataclass, field, fields
@@ -22,6 +24,7 @@ import numpy as np
 from .embeddings import l2_normalize
 from .errors import (
     BadClusterIndexError,
+    NonFiniteValueError,
     ShapeMismatchError,
     UnknownTaskError,
     ZeroVectorError,
@@ -90,7 +93,7 @@ def encode_clips_cached(clips: np.ndarray, params: VideoEncoderParams):
             f"({params.temporal_logits.shape[0]},{params.frame_proj.shape[0]})"
         )
     if not all(np.all(np.isfinite(a)) for a in params.arrays()):
-        raise ShapeMismatchError("encoder parameters contain non-finite values")
+        raise NonFiniteValueError("encoder parameters contain non-finite values")
 
     pre = clips @ params.frame_proj + params.frame_bias          # (N, L, H)
     hidden = np.tanh(pre)
@@ -235,12 +238,22 @@ def init_prompt_pool(
     return FailurePromptPool(prompts=prompts, proj=np.eye(embed_dim), bias=np.zeros(embed_dim))
 
 
-def zeros_like_pool(pool: FailurePromptPool) -> FailurePromptPool:
-    return FailurePromptPool(
-        prompts={t: np.zeros_like(p) for t, p in pool.prompts.items()},
-        proj=np.zeros_like(pool.proj),
-        bias=np.zeros_like(pool.bias),
-    )
+def _compose(prompts, texts, proj, bias):
+    """Features of [prompt; text] contexts for any leading shape.
+
+    prompts: (..., P, D); texts: (..., D), broadcast against the prompts'
+    leading shape.
+    Returns (..., D) unit features and the cache for the backward pass.
+    """
+    text_rows = np.broadcast_to(texts[..., None, :], prompts.shape[:-2] + (1, prompts.shape[-1]))
+    rows = np.concatenate([prompts, text_rows], axis=-2)
+    mean = rows.mean(axis=-2)
+    u = mean @ proj + bias
+    norm = np.linalg.norm(u, axis=-1)
+    if np.any(norm <= 1e-12):
+        raise ZeroVectorError("failure context collapsed to zero")
+    t_f = u / norm[..., None]
+    return t_f, (rows.shape[-2], mean, norm, t_f, proj)
 
 
 def compose_failure_context_cached(
@@ -252,16 +265,7 @@ def compose_failure_context_cached(
     block = pool.prompts[task_id]
     if not 0 <= k < block.shape[0]:
         raise BadClusterIndexError(f"cluster {k} outside [0, {block.shape[0]})")
-    text = table.text_embed(task_id)
-    rows = np.vstack([block[k], text[None, :]])
-    mean = rows.mean(axis=0)
-    u = mean @ pool.proj + pool.bias
-    norm = float(np.linalg.norm(u))
-    if norm <= 1e-12:
-        raise ZeroVectorError("failure context collapsed to zero")
-    t_f = u / norm
-    cache = (task_id, k, rows.shape[0], mean, u, norm, t_f, pool)
-    return t_f, cache
+    return _compose(block[k], table.text_embed(task_id), pool.proj, pool.bias)
 
 
 def compose_failure_context(
@@ -271,29 +275,40 @@ def compose_failure_context(
 
 
 def compose_failure_context_backward(cache, d_t: np.ndarray):
-    """Returns (d_prompt_block (prompt_len, D), d_proj, d_bias)."""
-    task_id, k, n_rows, mean, u, norm, t_f, pool = cache
+    """Returns (d_prompts (..., prompt_len, D), d_proj, d_bias).
+
+    The leading shape follows the cache: () for one context, (T, K) for
+    the stack failure_text_features composes for a list of tasks.
+    """
+    n_rows, mean, norm, t_f, proj = cache
     d_t = np.asarray(d_t, dtype=np.float64)
-    d_u = (d_t - t_f * float(t_f @ d_t)) / norm
-    d_bias = d_u
-    d_proj = np.outer(mean, d_u)
-    d_mean = pool.proj @ d_u
-    d_row = d_mean / n_rows
-    d_prompt = np.tile(d_row, (n_rows - 1, 1))
-    return d_prompt, d_proj, d_bias
+    d_u = (d_t - t_f * np.sum(t_f * d_t, axis=-1, keepdims=True)) / norm[..., None]
+    width = d_u.shape[-1]
+    d_bias = d_u.reshape(-1, width).sum(axis=0)
+    d_proj = mean.reshape(-1, width).T @ d_u.reshape(-1, width)
+    d_row = (d_u @ proj.T) / n_rows
+    d_prompts = np.repeat(d_row[..., None, :], n_rows - 1, axis=-2)
+    return d_prompts, d_proj, d_bias
 
 
-def failure_text_features(pool: FailurePromptPool, table: TaskTable, task_id: int):
-    """All K features for a task, as a (K, D) array plus per-k caches."""
-    if task_id not in pool.prompts:
-        raise UnknownTaskError(f"task {task_id} has no failure prompt pool")
-    k_total = pool.prompts[task_id].shape[0]
-    feats, caches = [], []
-    for k in range(k_total):
-        t_f, cache = compose_failure_context_cached(pool, table, task_id, k)
-        feats.append(t_f)
-        caches.append(cache)
-    return np.stack(feats), caches
+def failure_text_features(pool: FailurePromptPool, table: TaskTable, task_ids):
+    """Features of all K clusters of the given tasks, composed in one pass.
+
+    A list of T task ids gives a (T, K, D) array and one cache for the
+    whole stack; a single task id gives (K, D) and one cache per cluster.
+    """
+    ids = np.atleast_1d(task_ids).tolist()
+    for task in ids:
+        if task not in pool.prompts:
+            raise UnknownTaskError(f"task {task} has no failure prompt pool")
+    prompts = np.stack([pool.prompts[task] for task in ids])            # (T, K, P, D)
+    texts = np.stack([table.text_embed(task) for task in ids])[:, None]  # (T, 1, D)
+    feats, cache = _compose(prompts, texts, pool.proj, pool.bias)
+    if np.ndim(task_ids) == 0:
+        n_rows, mean, norm, t_f, proj = cache
+        per_k = [(n_rows, mean[0, k], norm[0, k], t_f[0, k], proj) for k in range(feats.shape[1])]
+        return feats[0], per_k
+    return feats, cache
 
 
 # --- parameter flattening (finite-difference checks, checkpoints) ---

@@ -1,26 +1,32 @@
 """Training objectives, each returning a scalar value plus gradients.
 
-Four losses over embedding batches:
+Each contrastive term is one logits matrix z (similarities / tau) and one
+row-wise max-subtracted log-softmax: row i contributes logsumexp(z_i)
+minus the mean of its positive logits. Its gradient with respect to the
+similarities is (softmax(z_i) - positive mask / #positives) / tau, which
+matmuls carry back to the embeddings. A logit that does not belong to a
+row's denominator is set to -inf, so the log-sum-exp and the softmax both
+skip it.
 
-* cross_domain_loss: supervised contrastive pull between same-task clips
-  across the human and robot domains. Each anchor averages -log softmax
-  ratios over its positive set (same task, either domain); the denominator
-  runs over the whole success batch. The anchor is included in its own
-  positive set and denominator by default; supcon-style self-exclusion is
-  available behind a flag.
-* video_text_loss: bidirectional InfoNCE between clip and task-text
-  embeddings. When failure-text features are supplied, the video->text
-  direction's denominator also includes them as negatives (text->video is
-  unchanged).
+* cross_domain_loss: supervised contrastive (SupCon) pull between same-task
+  clips across the human and robot domains: [B, B] logits with a
+  same-task positive mask. The anchor is included in its own positive set
+  and denominator by default; supcon-style self-exclusion masks the
+  diagonal.
+* video_text_loss: bidirectional clip<->text InfoNCE, positive on the
+  diagonal. When failure-text features are supplied, video->text logits
+  are [B, B + K]: the last K columns hold the row task's failure features,
+  masked past that task's own count, so a task without a prompt pool adds
+  no negatives. text->video is the transposed [B, B] matrix.
 * bce_loss: binary cross-entropy on sigmoid(v . t) over robot successes
   and failures.
-* failure_prompt_loss: pulls each failure clip toward its assigned
-  failure-text feature and away from the task's success text and the other
-  failure features.
+* failure_prompt_loss: [Bf, 1 + K] logits of each failure clip against
+  [task success text; task failure features]; the positive is the
+  feature at the clip's assigned cluster k*.
 
-All softmax ratios are wrapped in -log (InfoNCE convention) and computed
-via max-subtracted log-sum-exp. Gradients are hand-derived and covered by
-central-difference checks in the test suite.
+Per-task blocks arrive as task -> array dicts; each loss stacks the tasks
+its rows use and sums gradients back per task. Gradients are hand-derived
+and covered by central-difference checks in the test suite.
 """
 
 from dataclasses import dataclass, field
@@ -66,8 +72,7 @@ class Batch:
         self.fail_clusters = np.asarray(self.fail_clusters, dtype=np.int64)
         if self.videos.shape != self.texts.shape:
             raise ShapeMismatchError("videos and texts must have matching shape")
-        if not self.tau > 0:
-            raise NonPositiveTemperatureError(f"tau must be > 0, got {self.tau}")
+        _check_tau(self.tau)
 
     @property
     def size(self) -> int:
@@ -86,6 +91,44 @@ class Batch:
         return self.fail_videos.shape[0]
 
 
+def _check_tau(tau: float) -> None:
+    if not tau > 0:
+        raise NonPositiveTemperatureError(f"tau must be > 0, got {tau}")
+
+
+def _gather_blocks(blocks: dict, labels, width: int):
+    """Each row's task block from a task -> (K_t, D) dict, zero-padded.
+
+    Returns (tasks, rows, row_blocks (n, K, D), valid (n, K)): the distinct
+    tasks, each row's index into them, and which of the K slots are real.
+    """
+    tasks, rows = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    for task in tasks.tolist():
+        if task not in blocks:
+            raise MissingFailureTextsError(f"task {task} has no failure-text features")
+    arrays = [np.asarray(blocks[task], dtype=np.float64) for task in tasks.tolist()]
+    counts = np.array([len(a) for a in arrays], dtype=np.int64)
+    stack = np.zeros((len(arrays), counts.max(initial=0), width))
+    for j, a in enumerate(arrays):
+        stack[j, : len(a)] = a
+    return tasks, rows, stack[rows], np.arange(stack.shape[1]) < counts[rows, None]
+
+
+def _task_rows(vectors: dict, tasks, width: int) -> np.ndarray:
+    """(T, D) stack of one vector per task."""
+    return np.asarray([vectors[t] for t in tasks.tolist()], dtype=np.float64).reshape(len(tasks), width)
+
+
+def _scatter_blocks(tasks, rows, contrib, like: dict) -> dict:
+    """Sum per-row gradients (n, ...) into a task -> array dict shaped like `like`."""
+    summed = np.zeros((len(tasks),) + contrib.shape[1:])
+    np.add.at(summed, rows, contrib)
+    out = {t: np.zeros(np.shape(v)) for t, v in like.items()}
+    for j, task in enumerate(tasks.tolist()):
+        out[task] += summed[j, : len(out[task])]
+    return out
+
+
 def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
     """Supervised contrastive loss over the pooled success batch.
 
@@ -93,29 +136,21 @@ def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
     """
     videos = np.asarray(videos, dtype=np.float64)
     labels = np.asarray(labels)
-    if not tau > 0:
-        raise NonPositiveTemperatureError(f"tau must be > 0, got {tau}")
-    b = videos.shape[0]
+    _check_tau(tau)
     logits = (videos @ videos.T) / tau
-    grad_s = np.zeros((b, b))
-    total = 0.0
-    for i in range(b):
-        same = labels == labels[i]
-        keep = np.ones(b, dtype=bool)
-        if exclude_anchor:
-            same = same.copy()
-            same[i] = False
-            keep[i] = False
-        pos = np.flatnonzero(same)
-        if pos.size == 0:
-            raise EmptyPositiveSetError(f"anchor {i} has no positive sample")
-        denom_idx = np.flatnonzero(keep)
-        z = logits[i, denom_idx]
-        total += logsumexp(z) - float(np.mean(logits[i, pos]))
-        grad_s[i, denom_idx] += softmax(z) / tau
-        grad_s[i, pos] -= 1.0 / (tau * pos.size)
-    d_videos = (grad_s + grad_s.T) @ videos
-    return total, d_videos
+    pos = labels[:, None] == labels[None, :]
+    z = logits
+    if exclude_anchor:
+        np.fill_diagonal(pos, False)
+        z = logits.copy()
+        np.fill_diagonal(z, -np.inf)
+    n_pos = pos.sum(axis=1)
+    if np.any(n_pos == 0):
+        raise EmptyPositiveSetError(f"anchor {int(np.argmin(n_pos))} has no positive sample")
+    target = pos / n_pos[:, None]
+    total = float(np.sum(logsumexp(z) - np.sum(target * logits, axis=1)))
+    grad_s = (softmax(z) - target) / tau
+    return total, (grad_s + grad_s.T) @ videos
 
 
 def video_text_loss(videos, texts, labels, tau: float, failure_texts=None):
@@ -130,48 +165,25 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None):
     labels = np.asarray(labels)
     if videos.shape != texts.shape:
         raise ShapeMismatchError("one text embedding per video is required")
-    if not tau > 0:
-        raise NonPositiveTemperatureError(f"tau must be > 0, got {tau}")
+    _check_tau(tau)
     b = videos.shape[0]
-    sims = videos @ texts.T
-    d_videos = np.zeros_like(videos)
-    d_texts = np.zeros_like(texts)
-    d_fail = None
+    logits = (videos @ texts.T) / tau            # [i, j] = v_i . t_j / tau
+    z = logits
     if failure_texts is not None:
-        d_fail = {t: np.zeros_like(f) for t, f in failure_texts.items()}
-    total = 0.0
-    for i in range(b):
-        # video -> text, optionally with failure negatives for this task
-        z = sims[i] / tau
-        fail_block = None
-        if failure_texts is not None:
-            task = int(labels[i])
-            if task not in failure_texts:
-                raise MissingFailureTextsError(
-                    f"task {task} has no failure-text features"
-                )
-            fail_block = np.asarray(failure_texts[task], dtype=np.float64)
-            z = np.concatenate([z, (videos[i] @ fail_block.T) / tau])
-        total += logsumexp(z) - float(z[i])
-        coef = softmax(z)
-        coef[i] -= 1.0
-        d_videos[i] += (coef[:b] @ texts) / tau
-        d_texts += np.outer(coef[:b], videos[i]) / tau
-        if fail_block is not None:
-            d_videos[i] += (coef[b:] @ fail_block) / tau
-            d_fail[task] += np.outer(coef[b:], videos[i]) / tau
-
-        # text -> video
-        z2 = sims[:, i] / tau
-        total += logsumexp(z2) - float(z2[i])
-        coef2 = softmax(z2)
-        coef2[i] -= 1.0
-        d_texts[i] += (coef2 @ videos) / tau
-        d_videos += np.outer(coef2, texts[i]) / tau
-
-    grads = {"videos": d_videos, "texts": d_texts}
-    if d_fail is not None:
-        grads["fail_texts"] = d_fail
+        tasks, rows, blocks, valid = _gather_blocks(failure_texts, labels, videos.shape[1])
+        fail_logits = np.einsum("bd,bkd->bk", videos, blocks) / tau
+        z = np.concatenate([logits, np.where(valid, fail_logits, -np.inf)], axis=1)
+    total = float(np.sum(logsumexp(z) + logsumexp(logits.T)) - 2.0 * np.trace(logits))
+    p = softmax(z)
+    # d(loss)/d(v_i . t_j): video->text rows plus text->video columns
+    d_sims = (p[:, :b] + softmax(logits.T).T - 2.0 * np.eye(b)) / tau
+    grads = {"videos": d_sims @ texts, "texts": d_sims.T @ videos}
+    if failure_texts is not None:
+        d_fail = p[:, b:] / tau
+        grads["videos"] += np.einsum("bk,bkd->bd", d_fail, blocks)
+        grads["fail_texts"] = _scatter_blocks(
+            tasks, rows, d_fail[:, :, None] * videos[:, None, :], failure_texts
+        )
     return total, grads
 
 
@@ -213,36 +225,29 @@ def failure_prompt_loss(fail_videos, fail_labels, fail_clusters, task_texts, fai
     (D,)), and "fail_texts" (task -> (K, D)).
     """
     fail_videos = np.asarray(fail_videos, dtype=np.float64)
-    fail_labels = np.asarray(fail_labels)
-    fail_clusters = np.asarray(fail_clusters)
-    if not tau > 0:
-        raise NonPositiveTemperatureError(f"tau must be > 0, got {tau}")
-    d_videos = np.zeros_like(fail_videos)
-    d_task_texts = {t: np.zeros_like(v) for t, v in task_texts.items()}
-    d_fail = {t: np.zeros_like(f) for t, f in failure_texts.items()}
-    total = 0.0
-    for i in range(fail_videos.shape[0]):
-        task = int(fail_labels[i])
-        if task not in failure_texts:
-            raise MissingFailureTextsError(f"task {task} has no failure-text features")
-        block = np.asarray(failure_texts[task], dtype=np.float64)
-        k_star = int(fail_clusters[i])
-        if not 0 <= k_star < block.shape[0]:
-            raise BadClusterIndexError(f"k*={k_star} outside [0, {block.shape[0]})")
-        text = np.asarray(task_texts[task], dtype=np.float64)
-        v = fail_videos[i]
-        z = np.concatenate([[v @ text], v @ block.T]) / tau
-        pos = 1 + k_star
-        total += logsumexp(z) - float(z[pos])
-        coef = softmax(z)
-        coef[pos] -= 1.0
-        d_videos[i] += (coef[0] * text + coef[1:] @ block) / tau
-        d_task_texts[task] += coef[0] * v / tau
-        d_fail[task] += np.outer(coef[1:], v) / tau
+    fail_clusters = np.asarray(fail_clusters, dtype=np.int64)
+    _check_tau(tau)
+    n, d = fail_videos.shape
+    tasks, rows, blocks, valid = _gather_blocks(failure_texts, fail_labels, d)
+    k_rows = valid.sum(axis=1)
+    bad = (fail_clusters < 0) | (fail_clusters >= k_rows)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise BadClusterIndexError(f"k*={fail_clusters[i]} outside [0, {k_rows[i]})")
+    texts = _task_rows(task_texts, tasks, d)[rows]
+    fail_logits = np.where(valid, np.einsum("bd,bkd->bk", fail_videos, blocks), -np.inf)
+    z = np.concatenate([np.sum(fail_videos * texts, axis=1, keepdims=True), fail_logits], axis=1) / tau
+    idx, pos = np.arange(n), 1 + fail_clusters
+    total = float(np.sum(logsumexp(z)) - np.sum(z[idx, pos]))
+    coef = softmax(z)
+    coef[idx, pos] -= 1.0
+    coef /= tau
     return total, {
-        "fail_videos": d_videos,
-        "task_texts": d_task_texts,
-        "fail_texts": d_fail,
+        "fail_videos": coef[:, :1] * texts + np.einsum("bk,bkd->bd", coef[:, 1:], blocks),
+        "task_texts": _scatter_blocks(tasks, rows, coef[:, :1] * fail_videos, task_texts),
+        "fail_texts": _scatter_blocks(
+            tasks, rows, coef[:, 1:, None] * fail_videos[:, None, :], failure_texts
+        ),
     }
 
 
@@ -304,31 +309,27 @@ def total_loss(
     extra_val = 0.0
     if mode == "bce":
         robot = batch.domains == ROBOT
-        videos = np.concatenate([batch.videos[robot], batch.fail_videos])
-        texts = np.concatenate(
-            [batch.texts[robot]]
-            + ([np.stack([task_texts[int(t)] for t in batch.fail_labels])]
-               if batch.n_fail else [np.zeros((0, batch.videos.shape[1]))])
-        )
-        outcomes = np.concatenate([np.ones(int(robot.sum())), np.zeros(batch.n_fail)])
-        extra_val, bce_grads = bce_loss(videos, texts, outcomes)
         n_r = int(robot.sum())
+        d = batch.videos.shape[1]
+        tasks, rows = np.unique(batch.fail_labels, return_inverse=True)
+        fail_texts = _task_rows(task_texts, tasks, d)
+        videos = np.concatenate([batch.videos[robot], batch.fail_videos])
+        texts = np.concatenate([batch.texts[robot], fail_texts[rows]])
+        outcomes = np.concatenate([np.ones(n_r), np.zeros(batch.n_fail)])
+        extra_val, bce_grads = bce_loss(videos, texts, outcomes)
         d_videos = np.zeros_like(batch.videos)
         d_videos[robot] = bce_grads["videos"][:n_r]
         d_texts = np.zeros_like(batch.texts)
         d_texts[robot] = bce_grads["texts"][:n_r]
-        task_text_grads = {}
-        for j, t in enumerate(batch.fail_labels):
-            t = int(t)
-            cur = task_text_grads.setdefault(t, np.zeros(batch.videos.shape[1]))
-            task_text_grads[t] = cur + bce_grads["texts"][n_r + j]
         _accumulate(
             grads,
             {
                 "videos": d_videos,
                 "texts": d_texts,
                 "fail_videos": bce_grads["videos"][n_r:],
-                "task_texts": task_text_grads,
+                "task_texts": _scatter_blocks(
+                    tasks, rows, bce_grads["texts"][n_r:], dict(zip(tasks.tolist(), fail_texts))
+                ),
             },
             w_extra,
         )

@@ -1,9 +1,12 @@
 """Batch sampling and the training loop with end-of-epoch clustering.
 
-Per step: sample a stratified clip batch, encode, evaluate the mode's
-total loss, backprop by hand through the encoders, clip the global
-gradient norm, and apply plain gradient descent (prompts get their own
-learning rate). In failure-prompt mode, every epoch ends by re-embedding
+Per step: sample a stratified clip batch from arrays stacked once per
+run, encode, compose the failure features of every pooled task and
+cluster in one batched pass, evaluate the mode's total loss, backprop by
+hand through the encoders and, in one call, through the prompt
+composition, clip the global gradient norm, and apply plain gradient
+descent (prompts get their own learning rate). A non-finite loss stops
+training with NonFiniteValueError. In failure-prompt mode, every epoch ends by re-embedding
 all failure clips with the current encoder, re-clustering per task,
 aligning the clusters to the previous epoch, and refreshing pseudo-labels.
 
@@ -19,7 +22,7 @@ import numpy as np
 from . import clustering as cl, encoders as enc, losses
 from .config import ExperimentConfig
 from .datagen import Dataset
-from .errors import InsufficientStratumError, MissingFailureTextsError
+from .errors import InsufficientStratumError, NonFiniteValueError
 from .simworld import TASK_NAMES
 
 _STREAM_VIDEO, _STREAM_POOL, _STREAM_SAMPLER, _STREAM_CLUSTER = 1, 2, 3, 4
@@ -43,7 +46,7 @@ class ClipBatch:
 
 
 class _IndexedData:
-    """Dataset views the sampler draws from."""
+    """Dataset views the sampler draws from, stacked once per training run."""
 
     def __init__(self, dataset: Dataset, config: ExperimentConfig):
         human = dataset.subset("human")
@@ -56,6 +59,13 @@ class _IndexedData:
         for task in sorted({c.task_id for c in dataset.subset("robot", success=0)}):
             clips = dataset.subset("robot", task_id=task, success=0)
             self.fail_clips_by_task[task] = dataset.frames_array(clips)
+        # every failure clip as (task, index within task): the order the
+        # sampler's failure draws index
+        flat = [(t, i) for t in self.fail_tasks for i in range(len(self.fail_clips_by_task[t]))]
+        self.fail_task, self.fail_index = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+        self.fail_frames = np.concatenate(
+            [self.fail_clips_by_task[t] for t in self.fail_tasks]
+        ) if flat else np.zeros((0, config.clip_frames, config.frame_width))
 
     @property
     def fail_tasks(self):
@@ -79,49 +89,33 @@ def sample_batch(
         h_idx = rng.choice(n_h, size=config.batch_human, replace=False)
         r_idx = rng.choice(n_r, size=config.batch_robot, replace=False)
         labels = np.concatenate([data.human_labels[h_idx], data.robot_labels[r_idx]])
-        counts = {t: int(np.sum(labels == t)) for t in set(labels.tolist())}
-        if all(c >= 2 for c in counts.values()):
+        if not np.any(np.bincount(labels) == 1):
             break
     else:
         raise InsufficientStratumError("could not satisfy positive-set constraint")
 
     clips = np.concatenate([data.human_frames[h_idx], data.robot_frames[r_idx]])
-    domains = np.array([losses.HUMAN] * config.batch_human + [losses.ROBOT] * config.batch_robot)
+    domains = np.repeat([losses.HUMAN, losses.ROBOT], [config.batch_human, config.batch_robot])
 
     b_f = 0 if config.mode == "no_failure" else config.batch_failure
-    fail_clips, fail_labels, fail_clusters = [], [], []
+    picks = np.zeros(0, dtype=np.int64)
     if b_f:
-        tasks = data.fail_tasks
-        total = sum(len(data.fail_clips_by_task[t]) for t in tasks)
-        if total < b_f:
-            raise InsufficientStratumError(f"need {b_f} failure clips, have {total}")
-        flat = [(t, i) for t in tasks for i in range(len(data.fail_clips_by_task[t]))]
-        for pick in rng.choice(len(flat), size=b_f, replace=False):
-            task, i = flat[int(pick)]
-            fail_clips.append(data.fail_clips_by_task[task][i])
-            fail_labels.append(task)
-            plabels = pseudo_labels.get(task)
-            fail_clusters.append(int(plabels[i]) if plabels is not None else 0)
-    l, f = clips.shape[1], clips.shape[2]
+        if len(data.fail_task) < b_f:
+            raise InsufficientStratumError(f"need {b_f} failure clips, have {len(data.fail_task)}")
+        picks = rng.choice(len(data.fail_task), size=b_f, replace=False)
+    fail_labels = data.fail_task[picks]
+    fail_clusters = np.zeros(len(picks), dtype=np.int64)
+    for task, plabels in pseudo_labels.items():
+        hit = fail_labels == task
+        fail_clusters[hit] = plabels[data.fail_index[picks[hit]]]
     return ClipBatch(
         clips=clips,
         labels=labels,
         domains=domains,
-        fail_clips=np.array(fail_clips).reshape(len(fail_clips), l, f),
-        fail_labels=np.array(fail_labels, dtype=np.int64),
-        fail_clusters=np.array(fail_clusters, dtype=np.int64),
+        fail_clips=data.fail_frames[picks],
+        fail_labels=fail_labels,
+        fail_clusters=fail_clusters,
     )
-
-
-def _failure_text_bundle(params: ModelParams, config: ExperimentConfig):
-    """(K, D) features for pooled tasks, empty blocks for the rest."""
-    feats, caches = {}, {}
-    for task in params.table.task_ids():
-        if params.pool is not None and task in params.pool.prompts:
-            feats[task], caches[task] = enc.failure_text_features(params.pool, params.table, task)
-        else:
-            feats[task] = np.zeros((0, config.embed_dim))
-    return feats, caches
 
 
 def _global_grad_norm(arrays) -> float:
@@ -186,27 +180,30 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
 
     steps = config.steps_per_epoch or max(1, math.ceil(2 * len(data.human_labels) / config.batch_human))
     task_texts = {t: params.table.text_embed(t) for t in params.table.task_ids()}
+    # tasks without a prompt pool contribute no failure negatives
+    no_features = np.zeros((0, config.embed_dim))
 
     metrics = []
-    initial_loss = None
-    final_loss = None
     for epoch in range(config.epochs):
         sums = {}
         for _ in range(steps):
             batch = sample_batch(data, config, sampler_rng, pseudo_labels)
-            videos, video_cache = enc.encode_clips_cached(batch.clips, params.video)
-            if batch.fail_clips.shape[0]:
-                fail_videos, fail_cache = enc.encode_clips_cached(batch.fail_clips, params.video)
-            else:
-                fail_videos, fail_cache = np.zeros((0, config.embed_dim)), None
-            fail_texts, fail_caches = _failure_text_bundle(params, config)
+            # success and failure clips go through the encoder together
+            n_success = len(batch.labels)
+            videos, video_cache = enc.encode_clips_cached(
+                np.concatenate([batch.clips, batch.fail_clips]), params.video
+            )
+            fail_texts = dict.fromkeys(task_texts, no_features)
+            if params.pool is not None:
+                feats, pool_cache = enc.failure_text_features(params.pool, params.table, pooled_tasks)
+                fail_texts.update(zip(pooled_tasks, feats))
 
             emb_batch = losses.Batch(
-                videos=videos,
+                videos=videos[:n_success],
                 labels=batch.labels,
                 domains=batch.domains,
                 texts=np.stack([task_texts[int(t)] for t in batch.labels]),
-                fail_videos=fail_videos,
+                fail_videos=videos[n_success:],
                 fail_labels=batch.fail_labels,
                 fail_clusters=batch.fail_clusters,
                 tau=config.tau,
@@ -215,46 +212,32 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
                 emb_batch, task_texts, fail_texts,
                 mode=config.mode, exclude_anchor=config.exclude_anchor,
             )
-            if initial_loss is None:
-                initial_loss = value
-            final_loss = value
+            if not np.isfinite(value):
+                raise NonFiniteValueError(f"epoch {epoch}: total loss is {value}")
             for key, v in comps.items():
                 sums[key] = sums.get(key, 0.0) + v
 
             # backprop into the trainable parameters
-            video_grads = enc.encode_clips_backward(video_cache, grads["videos"])
-            if fail_cache is not None and "fail_videos" in grads:
-                extra = enc.encode_clips_backward(fail_cache, grads["fail_videos"])
-                for name in ("frame_proj", "frame_bias", "temporal_logits", "out_proj", "out_bias"):
-                    setattr(video_grads, name, getattr(video_grads, name) + getattr(extra, name))
-            pool_grads = None
-            if params.pool is not None and "fail_texts" in grads:
-                pool_grads = enc.zeros_like_pool(params.pool)
-                for task, block_grad in grads["fail_texts"].items():
-                    if task not in fail_caches:
-                        continue
-                    for k in range(block_grad.shape[0]):
-                        d_prompt, d_proj, d_bias = enc.compose_failure_context_backward(
-                            fail_caches[task][k], block_grad[k]
-                        )
-                        pool_grads.prompts[task][k] += d_prompt
-                        pool_grads.proj += d_proj
-                        pool_grads.bias += d_bias
+            d_fail_videos = grads.get("fail_videos", np.zeros_like(videos[n_success:]))
+            video_grads = enc.encode_clips_backward(
+                video_cache, np.concatenate([grads["videos"], d_fail_videos])
+            )
+            all_grads = list(video_grads.arrays())
+            if params.pool is not None:
+                d_feats = np.stack([grads["fail_texts"][t] for t in pooled_tasks])
+                d_prompts, d_proj, d_bias = enc.compose_failure_context_backward(pool_cache, d_feats)
+                all_grads += [d_proj, d_bias, d_prompts]
 
             # global norm clip, then per-group step
-            all_grads = list(video_grads.arrays())
-            if pool_grads is not None:
-                all_grads += [pool_grads.proj, pool_grads.bias]
-                all_grads += [pool_grads.prompts[t] for t in sorted(pool_grads.prompts)]
             norm = _global_grad_norm(all_grads)
             scale = min(1.0, config.grad_clip / norm) if norm > 0 else 1.0
-            for name in ("frame_proj", "frame_bias", "temporal_logits", "out_proj", "out_bias"):
-                getattr(params.video, name)[...] -= config.lr_encoder * scale * getattr(video_grads, name)
-            if pool_grads is not None:
-                params.pool.proj[...] -= config.lr_encoder * scale * pool_grads.proj
-                params.pool.bias[...] -= config.lr_encoder * scale * pool_grads.bias
-                for task in pool_grads.prompts:
-                    params.pool.prompts[task][...] -= config.lr_prompts * scale * pool_grads.prompts[task]
+            for param, grad in zip(params.video.arrays(), video_grads.arrays()):
+                param[...] -= config.lr_encoder * scale * grad
+            if params.pool is not None:
+                params.pool.proj[...] -= config.lr_encoder * scale * d_proj
+                params.pool.bias[...] -= config.lr_encoder * scale * d_bias
+                for task, d_prompt in zip(pooled_tasks, d_prompts):
+                    params.pool.prompts[task][...] -= config.lr_prompts * scale * d_prompt
 
         record = {"epoch": epoch, "steps": steps}
         for key in sorted(sums):
@@ -281,7 +264,6 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
             record["clusters"] = cluster_info
         metrics.append(record)
 
-    del initial_loss, final_loss
     return TrainResult(
         params=params,
         metrics=metrics,

@@ -1,0 +1,71 @@
+"""The finite-difference suite, and the batched prompt composition the
+training step uses in place of one composition per (task, cluster)."""
+
+import numpy as np
+import pytest
+
+from rewardlab import encoders as enc, gradcheck
+from rewardlab.embeddings import finite_diff_grad_check
+from rewardlab.errors import UnknownTaskError
+from rewardlab.simworld import TASK_NAMES
+
+TASKS = [4, 5, 6]
+D = 8
+
+
+@pytest.fixture
+def table():
+    return enc.TaskTable.build(TASK_NAMES, embed_dim=D, seed=0)
+
+
+@pytest.fixture
+def pool():
+    pool = enc.init_prompt_pool(TASKS, np.random.default_rng(1), k=3, embed_dim=D)
+    rng = np.random.default_rng(2)
+    pool.proj = pool.proj + 0.3 * rng.normal(size=(D, D))
+    pool.bias = 0.1 * rng.normal(size=D)
+    return pool
+
+
+def test_suite_max_relative_error():
+    worst = gradcheck.run_gradient_suite(n_batches=2)
+    assert sorted(worst) == sorted(gradcheck.SUITE)
+    for name, err in worst.items():
+        assert err < 1e-6, name
+
+
+def test_batched_composition_matches_per_context(pool, table):
+    feats, _ = enc.failure_text_features(pool, table, TASKS)
+    assert feats.shape == (len(TASKS), 3, D)
+    for j, task in enumerate(TASKS):
+        for k in range(3):
+            single = enc.compose_failure_context(pool, table, task, k)
+            assert np.max(np.abs(feats[j, k] - single)) <= 1e-12
+
+
+def test_batched_composition_unknown_task(pool, table):
+    with pytest.raises(UnknownTaskError):
+        enc.failure_text_features(pool, table, [4, 0])
+
+
+def test_batched_composition_backward_matches_central_differences(pool, table):
+    probe = np.random.default_rng(3).normal(size=(len(TASKS), 3, D))
+    templates = [pool.prompts[t] for t in TASKS] + [pool.proj, pool.bias]
+
+    def loss_of(vec):
+        saved = [a.copy() for a in templates]
+        for a, new in zip(templates, enc.unflatten_like(vec, templates)):
+            a[...] = new
+        try:
+            return float(np.sum(enc.failure_text_features(pool, table, TASKS)[0] * probe))
+        finally:
+            for a, old in zip(templates, saved):
+                a[...] = old
+
+    _, cache = enc.failure_text_features(pool, table, TASKS)
+    d_prompts, d_proj, d_bias = enc.compose_failure_context_backward(cache, probe)
+    assert d_prompts.shape == (len(TASKS),) + pool.prompts[4].shape
+    err = finite_diff_grad_check(
+        loss_of, enc.flatten_arrays(templates), enc.flatten_arrays(list(d_prompts) + [d_proj, d_bias])
+    )
+    assert err < 1e-6

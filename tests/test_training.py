@@ -1,0 +1,108 @@
+"""Batch-strata validation, typed non-finite failures, and the sampler's
+draws against a per-try, per-pick loop reference."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rewardlab import encoders as enc, evaluation, losses, simworld as sw, training
+from rewardlab.config import ExperimentConfig
+from rewardlab.errors import BadConfigError, InsufficientStratumError, NonFiniteValueError
+
+CONFIG = ExperimentConfig(
+    seed=5,
+    heldout_tasks=(sw.TASK_FAUCET,),
+    human_per_task=4,
+    robot_success_per_task=4,
+    robot_failure_per_task=5,
+    k_clusters=2,
+    batch_human=4,
+    batch_robot=4,
+    batch_failure=4,
+    epochs=1,
+    steps_per_epoch=2,
+)
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return evaluation.train_dataset_for(CONFIG)
+
+
+class TestBatchStrata:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_human", 0), ("batch_robot", 0), ("batch_failure", -1),
+    ])
+    def test_rejected(self, field, value):
+        with pytest.raises(BadConfigError):
+            ExperimentConfig(**{field: value})
+
+    def test_no_failure_rows_accepted(self, dataset):
+        config = replace(CONFIG, batch_failure=0)
+        result = training.train(config, dataset)
+        assert np.isfinite(result.final_loss)
+
+
+class TestNonFinite:
+    def test_encoder_parameters(self):
+        params = enc.init_video_encoder(np.random.default_rng(0))
+        params.out_bias[0] = np.nan
+        with pytest.raises(NonFiniteValueError):
+            enc.encode_clips_cached(np.zeros((1, 4, 16)), params)
+
+    def test_train_step_loss(self, dataset):
+        # at this temperature the logits overflow and the loss is NaN
+        config = replace(CONFIG, tau=1e-310)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValueError, match="total loss"):
+            training.train(config, dataset)
+
+
+def loop_sample_batch(data, config, rng, pseudo_labels):
+    """The sampler one try and one failure pick at a time."""
+    n_h, n_r = len(data.human_labels), len(data.robot_labels)
+    for _ in range(100):
+        h_idx = rng.choice(n_h, size=config.batch_human, replace=False)
+        r_idx = rng.choice(n_r, size=config.batch_robot, replace=False)
+        labels = np.concatenate([data.human_labels[h_idx], data.robot_labels[r_idx]])
+        counts = {t: int(np.sum(labels == t)) for t in set(labels.tolist())}
+        if all(c >= 2 for c in counts.values()):
+            break
+    else:
+        raise InsufficientStratumError("could not satisfy positive-set constraint")
+    clips = np.concatenate([data.human_frames[h_idx], data.robot_frames[r_idx]])
+    fail_clips, fail_labels, fail_clusters = [], [], []
+    if config.mode != "no_failure" and config.batch_failure:
+        flat = [(t, i) for t in data.fail_tasks for i in range(len(data.fail_clips_by_task[t]))]
+        for pick in rng.choice(len(flat), size=config.batch_failure, replace=False):
+            task, i = flat[int(pick)]
+            fail_clips.append(data.fail_clips_by_task[task][i])
+            fail_labels.append(task)
+            plabels = pseudo_labels.get(task)
+            fail_clusters.append(int(plabels[i]) if plabels is not None else 0)
+    return clips, labels, fail_clips, fail_labels, fail_clusters
+
+
+@pytest.mark.parametrize("mode", losses.MODES)
+def test_sampler_draws_match_loop_reference(dataset, mode):
+    config = replace(CONFIG, mode=mode)
+    data = training._IndexedData(dataset, config)
+    label_rng = np.random.default_rng(9)
+    pseudo_labels = {} if mode != "fvlc" else {
+        t: label_rng.integers(0, config.k_clusters, size=len(data.fail_clips_by_task[t]))
+        for t in data.fail_tasks
+    }
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for _ in range(50):
+        batch = training.sample_batch(data, config, rng, pseudo_labels)
+        clips, labels, fail_clips, fail_labels, fail_clusters = loop_sample_batch(
+            data, config, ref_rng, pseudo_labels
+        )
+        assert np.array_equal(batch.clips, clips)
+        assert np.array_equal(batch.labels, labels)
+        assert batch.domains.tolist() == [losses.HUMAN] * 4 + [losses.ROBOT] * 4
+        assert batch.fail_clips.shape == (len(fail_clips),) + clips.shape[1:]
+        assert np.array_equal(batch.fail_clips.reshape(-1), np.ravel(fail_clips))
+        assert batch.fail_labels.tolist() == fail_labels
+        assert batch.fail_clusters.tolist() == fail_clusters
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
