@@ -11,22 +11,39 @@ Failure archetypes:
   revert     - achieves the predicate mid-episode, then undoes it
   incomplete - makes contact but the predicate never holds
 
-Scripted policies add uniform action noise in [-noise, +noise]; if the
-draw violates the requested label the generator retries, halving the noise
-every few attempts, and the zero-noise script is correct by construction.
+Every clip has its own seed and its own Generator. An attempt draws the
+initial state from it, then the attempt's uniform action noise in
+[-level, +level] as one (H, 2) block (wander clips draw their random
+actions instead). The clip's label is checked against the simulator's
+predicate; a failed check retries the clip, halving the noise level every
+8 attempts and dropping it to zero from attempt 24 on, where the scripted
+controller is correct by construction. A human clip's camera offset and
+feature noise come from the same Generator after its successful attempt.
+
+Clips are rolled in lockstep: all clips of one (task, style) in a dataset
+advance together through `simworld.step_batch`, one row per pending clip,
+and the scripted controllers act on (n, 7) state arrays with per-clip
+phase arrays. A clip leaves the group once its label check passes. Each
+clip's draws stay in the order above, and the dynamics are elementwise,
+so a clip's rollout does not depend on which other clips share its group:
+`gen_success_trajectory` and `gen_failure_trajectory` are the same core
+at n = 1.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import render, simworld as sw
-from .errors import ArchetypeUnsupportedError, BadConfigError
+from .errors import ArchetypeUnsupportedError, BadConfigError, GenerationFailedError
 from .render import DomainShift
 
 ARCHETYPES = ("wander", "revert", "incomplete")
 FAILURE_SOURCES = ("random", "near_success")
 ACTION_NOISE = 0.03
+MAX_ATTEMPTS = 32
+ZERO_NOISE_ATTEMPT = 24   # attempts from this index on add no action noise
 _CLIP_STREAMS = {"human": 11, "robot_success": 12, "robot_failure": 13}
 
 # archetypes that cannot exist for a task: the faucet's displacement only
@@ -55,6 +72,10 @@ class LabeledClip:
 @dataclass
 class Dataset:
     clips: list
+    # (task_id, style) -> {"clips", "attempts", "zero_noise_clips"}: how many
+    # rollouts generation needed, and how many clips only passed their label
+    # check once the action noise had dropped to zero
+    retries: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.clips)
@@ -98,216 +119,189 @@ def _clip_seed(master: int, stream: int, task_id: int, index: int) -> int:
 
 # --- scripted controllers ---
 
-def _approach(state, target):
-    return (
-        float(np.clip(target[0] - state[sw.GX], -sw.VEL_LIMIT, sw.VEL_LIMIT)),
-        float(np.clip(target[1] - state[sw.GY], -sw.VEL_LIMIT, sw.VEL_LIMIT)),
-    )
+@dataclass
+class Phase:
+    """Per-clip controller memory, one row per clip of a lockstep group."""
+
+    mark: np.ndarray   # (n,) bool: latched once the controller's trigger event happened
+    n: np.ndarray      # (n,) int: leg counter (drawer revert, cup carry) or shoves (poke)
+    cup0: np.ndarray   # (n, 2): the cup position at the start of the rollout
+
+    @classmethod
+    def start(cls, s0: np.ndarray) -> "Phase":
+        n = s0.shape[0]
+        return cls(np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64),
+                   s0[:, (sw.CUPX, sw.CUPY)].copy())
 
 
-def _near(state, target, slack=0.035):
-    return (state[sw.GX] - target[0]) ** 2 + (state[sw.GY] - target[1]) ** 2 <= slack**2
+_SLACK = 0.035    # gripper-to-target distance that counts as at the target
+_RETREAT = 0.09   # a retreating gripper moves until it is this far away
 
 
-def _drawer_handle(state):
-    return (sw.DRAWER_BASE[0], sw.DRAWER_BASE[1] + state[sw.EXT])
+def _clamp(v):
+    """np.clip to the velocity limit, without np.clip's per-call overhead."""
+    return np.minimum(np.maximum(v, -sw.VEL_LIMIT), sw.VEL_LIMIT)
 
 
-def _cup(state):
-    return (state[sw.CUPX], state[sw.CUPY])
+def _approach(states, tx, ty):
+    return _clamp(tx - states[:, sw.GX]), _clamp(ty - states[:, sw.GY])
+
+
+def _dist2(states, tx, ty):
+    """Squared gripper distance to a target point."""
+    return (states[:, sw.GX] - tx) ** 2 + (states[:, sw.GY] - ty) ** 2
+
+
+def _away(states, cup_x):
+    """Retreat velocity along x, away from the side the cup is on."""
+    return np.where(cup_x >= states[:, sw.GX], -0.05, 0.05)
+
+
+def _act(cases, default):
+    """(n, 3) actions: per row, the first case whose mask holds, else default.
+
+    Each case is (mask, vx, vy, grip); values are scalars or (n,) arrays.
+    """
+    vx, vy, grip = default
+    for mask, cvx, cvy, cgrip in reversed(cases):
+        vx, vy, grip = np.where(mask, cvx, vx), np.where(mask, cvy, vy), np.where(mask, cgrip, grip)
+    out = np.empty((cases[0][0].shape[0], sw.ACTION_DIM))
+    out[:, 0], out[:, 1], out[:, 2] = vx, vy, grip
+    return out
+
+
+def _drawer(states, phase, style, closing):
+    ext = states[:, sw.EXT]
+    hx, hy = sw.DRAWER_BASE[0], sw.DRAWER_BASE[1] + ext
+    d2 = _dist2(states, hx, hy)
+    do_sign = -1.0 if closing else 1.0
+    if style == "success":
+        phase.mark |= (ext <= 0.02) if closing else (ext >= 0.045)
+        push = do_sign * 0.05
+    elif style == "revert":
+        phase.n[(phase.n == 0) & ((ext <= 0.015) if closing else (ext >= 0.045))] = 1
+        phase.mark |= (phase.n == 1) & ((ext >= 0.06) if closing else (ext <= 0.005))
+        push = np.where(phase.n == 0, do_sign, -do_sign) * 0.05
+    else:  # incomplete: a fractional nudge, so a single step cannot cross the threshold
+        phase.mark |= (ext <= 0.058) if closing else (ext >= 0.012)
+        push = _clamp((0.056 if closing else 0.014) - ext)
+    # once marked: retreat off the handle, then idle
+    return _act([
+        (phase.mark & (d2 <= _RETREAT**2), 0.05, 0.0, 0.0),
+        (phase.mark, 0.0, 0.0, 0.0),
+        (d2 <= _SLACK**2, 0.0, push, 0.0),
+    ], (*_approach(states, hx, hy), 0.0))
+
+
+def _faucet(states, phase, style):
+    hx, hy = sw.FAUCET_HANDLE
+    d2 = _dist2(states, hx, hy)
+    touching = d2 <= _SLACK**2
+    # incomplete: touch, then back straight off without tangential motion
+    phase.mark |= (states[:, sw.ANGLE] >= 0.08) if style == "success" else touching
+    return _act([
+        (phase.mark & (d2 <= _RETREAT**2), 0.0, -0.05, 0.0),
+        (phase.mark, 0.0, 0.0, 0.0),
+        (touching, 0.05, 0.0, 0.0),
+    ], (*_approach(states, hx, hy), 0.0))
+
+
+def _poke(states, phase, style):
+    cx, cy = states[:, sw.CUPX], states[:, sw.CUPY]
+    vx, vy = _approach(states, cx, cy)
+    d2 = _dist2(states, cx, cy)
+    if style == "success":
+        phase.mark |= d2 <= (sw.CONTACT_RADIUS - 0.0005) ** 2
+        shove = np.zeros_like(phase.mark)
+    else:  # revert: gentle touch first, then shove the cup hard for three steps
+        phase.mark |= d2 <= (sw.CONTACT_RADIUS - 0.008) ** 2
+        shove = phase.mark & (phase.n < 3)
+        phase.n += shove
+    return _act([
+        (shove, np.where(vx >= 0, 0.05, -0.05), vy, 0.0),
+        (phase.mark & (d2 <= _RETREAT**2), _away(states, cx), 0.0, 0.0),
+        (phase.mark, 0.0, 0.0, 0.0),
+    ], (vx, vy, 0.0))
+
+
+def _cup_carry(states, phase, axis, direction, goal, revert_goal=None, grab=True,
+               speed=0.05, release_grip=-1.0):
+    """Carry or push the cup along one axis by a target displacement.
+
+    Legs: phase.n 0 moves the cup until it is `goal` along, 1 (revert only)
+    moves it back to `revert_goal`, 2 releases and retreats.
+    """
+    cx, cy = states[:, sw.CUPX], states[:, sw.CUPY]
+    delta = (states[:, sw.CUPX + axis] - phase.cup0[:, axis]) * direction
+    d2 = _dist2(states, cx, cy)
+    touching = d2 <= (sw.CONTACT_RADIUS - 0.005) ** 2
+    # pushing needs the gripper on the trailing side of the cup
+    stand = [cx, cy]
+    if not grab:
+        stand[axis] = stand[axis] - direction * 0.03
+    hold = 1.0 if grab else 0.0
+    phase.n[(phase.n == 0) & (delta >= goal)] = 1 if revert_goal is not None else 2
+    if revert_goal is not None:
+        phase.n[(phase.n == 1) & (delta <= revert_goal)] = 2
+    push, pull = [0.0, 0.0], [0.0, 0.0]
+    push[axis], pull[axis] = direction * speed, -direction * 0.05
+    return _act([
+        ((phase.n == 0) & ~touching, *_approach(states, *stand), hold),
+        (phase.n == 0, *push, hold),
+        (phase.n == 1, *pull, 1.0),
+        (d2 <= _RETREAT**2, _away(states, cx), 0.0, release_grip),
+    ], (0.0, 0.0, 0.0))
 
 
 def make_policy(task_id: int, style: str):
-    """Closed-loop controller returning (vx, vy, grip) per step.
+    """Closed-loop lockstep controller: policy(states (n, 7), phase) -> (n, 3)
+    actions (vx, vy, grip). It updates the per-clip `Phase` arrays in place.
 
     style is "success" or a failure archetype other than "wander".
     """
-    phase = {"n": 0, "mark": 0}
-
-    def drawer(state, t, closing):
-        ext = state[sw.EXT]
-        handle = _drawer_handle(state)
-        do_sign = -1.0 if closing else 1.0
-        if style == "success":
-            if (ext <= 0.02) if closing else (ext >= 0.045):
-                phase["mark"] = 1
-            sign = do_sign
-        elif style == "revert":
-            if phase["n"] == 0 and ((ext <= 0.015) if closing else (ext >= 0.045)):
-                phase["n"] = 1
-            if phase["n"] == 1 and ((ext >= 0.06) if closing else (ext <= 0.005)):
-                phase["mark"] = 1
-            sign = do_sign if phase["n"] == 0 else -do_sign
-        else:  # incomplete: barely disturb the extension
-            if (ext <= 0.058) if closing else (ext >= 0.012):
-                phase["mark"] = 1
-            sign = do_sign
-        if phase["mark"]:
-            # retreat off the handle, then idle
-            if _near(state, handle, 0.09):
-                return (0.05, 0.0, 0.0)
-            return (0.0, 0.0, 0.0)
-        if not _near(state, handle):
-            vx, vy = _approach(state, handle)
-            return (vx, vy, 0.0)
-        if style == "incomplete":
-            # fractional nudge so a single step cannot cross the threshold
-            target = 0.056 if closing else 0.014
-            return (0.0, float(np.clip(target - ext, -sw.VEL_LIMIT, sw.VEL_LIMIT)), 0.0)
-        return (0.0, sign * 0.05, 0.0)
-
-    def faucet(state, t):
-        handle = sw.FAUCET_HANDLE
-        if style == "success":
-            if state[sw.ANGLE] >= 0.08:
-                phase["mark"] = 1
-            if phase["mark"]:
-                if _near(state, handle, 0.09):
-                    return (0.0, -0.05, 0.0)
-                return (0.0, 0.0, 0.0)
-            if not _near(state, handle):
-                vx, vy = _approach(state, handle)
-                return (vx, vy, 0.0)
-            return (0.05 if phase["n"] % 2 == 0 else -0.05, 0.0, 0.0)
-        # incomplete: touch, then back straight off without tangential motion
-        if _near(state, handle):
-            phase["mark"] = 1
-        if phase["mark"]:
-            if _near(state, handle, 0.09):
-                return (0.0, -0.05, 0.0)
-            return (0.0, 0.0, 0.0)
-        vx, vy = _approach(state, handle)
-        return (vx, vy, 0.0)
-
-    def cup_carry(state, t, axis, direction, goal, revert_goal=None, grab=True):
-        """Generic carry/push along one axis by a target displacement."""
-        cup = _cup(state)
-        delta = (cup[axis] - phase.setdefault("cup0", cup[axis])) * direction
-        touching = _near(state, cup, sw.CONTACT_RADIUS - 0.005)
-        # pushing needs the gripper on the trailing side of the cup
-        stand = list(cup)
-        if not grab:
-            stand[axis] -= direction * 0.03
-        if phase["n"] == 0:
-            if delta >= goal:
-                phase["n"] = 1 if revert_goal is not None else 2
-            elif not touching:
-                vx, vy = _approach(state, stand)
-                return (vx, vy, 1.0 if grab else 0.0)
-            else:
-                move = [0.0, 0.0]
-                move[axis] = direction * 0.05
-                return (move[0], move[1], 1.0 if grab else 0.0)
-        if phase["n"] == 1:
-            if delta <= revert_goal:
-                phase["n"] = 2
-            else:
-                move = [0.0, 0.0]
-                move[axis] = -direction * 0.05
-                return (move[0], move[1], 1.0)
-        # release and retreat away from the cup
-        if _near(state, cup, 0.09):
-            away_x = -1.0 if cup[0] >= state[sw.GX] else 1.0
-            return (away_x * 0.05, 0.0, -1.0)
-        return (0.0, 0.0, 0.0)
-
-    def cup_push_tiny(state, t, axis, direction):
-        """Incomplete push: one gentle nudge well under the threshold."""
-        cup = _cup(state)
-        delta = (cup[axis] - phase.setdefault("cup0", cup[axis])) * direction
-        touching = _near(state, cup, sw.CONTACT_RADIUS - 0.005)
-        stand = list(cup)
-        stand[axis] -= direction * 0.03
-        if phase["n"] == 0:
-            if delta >= 0.015:
-                phase["n"] = 1
-            elif not touching:
-                vx, vy = _approach(state, stand)
-                return (vx, vy, 0.0)
-            else:
-                move = [0.0, 0.0]
-                move[axis] = direction * 0.02
-                return (move[0], move[1], 0.0)
-        if _near(state, cup, 0.09):
-            away_x = -1.0 if cup[0] >= state[sw.GX] else 1.0
-            return (away_x * 0.05, 0.0, 0.0)
-        return (0.0, 0.0, 0.0)
-
-    def poke(state, t):
-        cup = _cup(state)
-        if style == "success":
-            if _near(state, cup, sw.CONTACT_RADIUS - 0.0005):
-                phase["mark"] = 1
-            if phase["mark"]:
-                if _near(state, cup, 0.09):
-                    away_x = -1.0 if cup[0] >= state[sw.GX] else 1.0
-                    return (away_x * 0.05, 0.0, 0.0)
-                return (0.0, 0.0, 0.0)
-            vx, vy = _approach(state, cup)
-            return (vx, vy, 0.0)
-        # revert: gentle touch first, then shove the cup hard
-        if _near(state, cup, sw.CONTACT_RADIUS - 0.008):
-            phase["mark"] = 1
-        if phase["mark"]:
-            if phase["n"] < 3:
-                phase["n"] += 1
-                vx, vy = _approach(state, cup)
-                return (0.05 if vx >= 0 else -0.05, vy, 0.0)
-            if _near(state, cup, 0.09):
-                away_x = -1.0 if cup[0] >= state[sw.GX] else 1.0
-                return (away_x * 0.05, 0.0, 0.0)
-            return (0.0, 0.0, 0.0)
-        vx, vy = _approach(state, cup)
-        return (vx, vy, 0.0)
-
-    table = {
-        sw.TASK_CLOSE_DRAWER: lambda s, t: drawer(s, t, closing=True),
-        sw.TASK_OPEN_DRAWER: lambda s, t: drawer(s, t, closing=False),
-        sw.TASK_FAUCET: faucet,
-        sw.TASK_POKE_CUP: poke,
-        sw.TASK_CUP_AWAY: lambda s, t: cup_carry(
-            s, t, axis=1, direction=1.0,
-            goal={"success": 0.18, "revert": 0.14, "incomplete": 0.03}[style],
-            revert_goal=0.01 if style == "revert" else None,
-        ),
-        sw.TASK_CUP_LEFT_TO_RIGHT: lambda s, t: (
-            cup_push_tiny(s, t, 0, 1.0) if style == "incomplete" else cup_carry(
-                s, t, axis=0, direction=1.0,
-                goal={"success": 0.08, "revert": 0.07}[style],
-                revert_goal=0.0 if style == "revert" else None,
-                grab=style == "revert",
-            )
-        ),
-        sw.TASK_CUP_RIGHT_TO_LEFT: lambda s, t: (
-            cup_push_tiny(s, t, 0, -1.0) if style == "incomplete" else cup_carry(
-                s, t, axis=0, direction=-1.0,
-                goal={"success": 0.08, "revert": 0.07}[style],
-                revert_goal=0.0 if style == "revert" else None,
-                grab=style == "revert",
-            )
-        ),
-    }
-    return table[task_id]
+    if task_id in (sw.TASK_CLOSE_DRAWER, sw.TASK_OPEN_DRAWER):
+        return partial(_drawer, style=style, closing=task_id == sw.TASK_CLOSE_DRAWER)
+    if task_id == sw.TASK_FAUCET:
+        return partial(_faucet, style=style)
+    if task_id == sw.TASK_POKE_CUP:
+        return partial(_poke, style=style)
+    revert_goal = None
+    if task_id == sw.TASK_CUP_AWAY:
+        if style == "revert":
+            revert_goal = 0.01
+        goal = {"success": 0.18, "revert": 0.14, "incomplete": 0.03}[style]
+        return partial(_cup_carry, axis=1, direction=1.0, goal=goal, revert_goal=revert_goal)
+    direction = 1.0 if task_id == sw.TASK_CUP_LEFT_TO_RIGHT else -1.0
+    if style == "incomplete":
+        # one gentle nudge well under the threshold
+        return partial(_cup_carry, axis=0, direction=direction, goal=0.015, grab=False,
+                       speed=0.02, release_grip=0.0)
+    if style == "revert":
+        revert_goal = 0.0
+    return partial(_cup_carry, axis=0, direction=direction,
+                   goal={"success": 0.08, "revert": 0.07}[style],
+                   revert_goal=revert_goal, grab=style == "revert")
 
 
-def run_policy(s0_arr, policy, rng, noise, horizon=sw.HORIZON):
-    """Roll out a controller with uniform action noise; returns (actions, states)."""
-    actions = np.empty((horizon, sw.ACTION_DIM))
-    states = np.empty((horizon + 1, sw.STATE_DIM))
-    states[0] = s0_arr
-    cur = np.asarray(s0_arr, dtype=np.float64)[None, :]
+def run_policy(s0, policy, noise=None, horizon=sw.HORIZON):
+    """Roll (n, 7) start states through a lockstep controller.
+
+    noise: (n, horizon, 2) velocity noise added before clamping, or None.
+    Returns actions (n, horizon, 3) and states (n, horizon + 1, 7).
+    """
+    cur = np.asarray(s0, dtype=np.float64)
+    actions = np.empty((cur.shape[0], horizon, sw.ACTION_DIM))
+    states = np.empty((cur.shape[0], horizon + 1, sw.STATE_DIM))
+    states[:, 0] = cur
+    phase = Phase.start(cur)
     for t in range(horizon):
-        vx, vy, grip = policy(cur[0], t)
-        if noise > 0:
-            vx += rng.uniform(-noise, noise)
-            vy += rng.uniform(-noise, noise)
-        actions[t] = (
-            np.clip(vx, -sw.VEL_LIMIT, sw.VEL_LIMIT),
-            np.clip(vy, -sw.VEL_LIMIT, sw.VEL_LIMIT),
-            grip,
-        )
-        cur = sw.step_batch(cur, actions[t][None, :])
-        states[t + 1] = cur[0]
+        act = policy(cur, phase)
+        if noise is not None:
+            act[:, :2] += noise[:, t]
+        act[:, :2] = _clamp(act[:, :2])
+        actions[:, t] = act
+        cur = sw.step_batch(cur, act)
+        states[:, t + 1] = cur
     return actions, states
 
 
@@ -328,52 +322,77 @@ def _wander_actions(task_id, s0_arr, rng, horizon=sw.HORIZON):
     return actions
 
 
-class _GenerationFailed(Exception):
-    pass
-
-
-def _archetype_ok(task_id, archetype, states) -> bool:
+def _label_ok(task_id, style, states) -> bool:
+    """Does a (T+1, 7) rollout realize its requested label?"""
     flags = sw.prefix_success_flags(task_id, states)
-    contact = bool(np.any(sw.target_contact_mask(task_id, states)))
+    if style == "success":
+        return bool(flags[-1])
     if flags[-1]:
         return False
-    if archetype == "wander":
+    contact = bool(np.any(sw.target_contact_mask(task_id, states)))
+    if style == "wander":
         return not contact
-    if archetype == "revert":
+    if style == "revert":
         return bool(np.any(flags[:-1]))
     return contact and not bool(np.any(flags))
+
+
+def roll_clips(task_id: int, style: str, seeds, noise: float = ACTION_NOISE):
+    """Label-checked rollouts of one (task, style), one clip per seed, in lockstep.
+
+    seeds: anything `np.random.default_rng` takes; a Generator is used (and
+    advanced) in place. Returns actions (n, H, 3), states (n, H + 1, 7), the
+    attempts each clip took (n,), and the clips' Generators, whose next
+    draws follow the successful attempt.
+    """
+    if style != "success" and style not in ARCHETYPES:
+        raise ArchetypeUnsupportedError(f"unknown archetype {style!r}")
+    if (task_id, style) in UNSUPPORTED:
+        raise ArchetypeUnsupportedError(f"{style} cannot occur for task {task_id}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n = len(rngs)
+    actions = np.empty((n, sw.HORIZON, sw.ACTION_DIM))
+    states = np.empty((n, sw.HORIZON + 1, sw.STATE_DIM))
+    attempts = np.zeros(n, dtype=np.int64)
+    policy = None if style == "wander" else make_policy(task_id, style)
+    pending = np.arange(n)
+    for attempt in range(MAX_ATTEMPTS):
+        if pending.size == 0:
+            break
+        level = 0.0 if attempt >= ZERO_NOISE_ATTEMPT else noise * 0.5 ** (attempt // 8)
+        s0 = np.stack([sw.initial_state_array(task_id, rngs[i]) for i in pending])
+        if policy is None:
+            acts = np.stack([_wander_actions(task_id, s, rngs[i]) for s, i in zip(s0, pending)])
+            rolled = sw.rollout_batch(s0, acts)
+        else:
+            draws = np.stack([
+                rngs[i].uniform(-level, level, size=(sw.HORIZON, 2)) for i in pending
+            ]) if level > 0 else None
+            acts, rolled = run_policy(s0, policy, draws)
+        attempts[pending] += 1
+        ok = np.array([_label_ok(task_id, style, s) for s in rolled], dtype=bool)
+        actions[pending[ok]], states[pending[ok]] = acts[ok], rolled[ok]
+        pending = pending[~ok]
+    if pending.size:
+        raise GenerationFailedError(
+            f"could not realize {style} for task {task_id} in {MAX_ATTEMPTS} attempts "
+            f"(clip seed {seeds[pending[0]]!r})"
+        )
+    return actions, states, attempts, rngs
 
 
 def gen_failure_trajectory(task_id: int, archetype: str, seed, noise: float = ACTION_NOISE):
     """Robot failure rollout realizing one archetype; label checked, seeded."""
     if archetype not in ARCHETYPES:
         raise ArchetypeUnsupportedError(f"unknown archetype {archetype!r}")
-    if (task_id, archetype) in UNSUPPORTED:
-        raise ArchetypeUnsupportedError(f"{archetype} cannot occur for task {task_id}")
-    rng = np.random.default_rng(seed)
-    for attempt in range(32):
-        level = 0.0 if attempt >= 24 else noise * 0.5 ** (attempt // 8)
-        s0 = sw.initial_state_array(task_id, rng)
-        if archetype == "wander":
-            actions = _wander_actions(task_id, s0, rng)
-            states = sw.rollout_states(s0, actions)
-        else:
-            actions, states = run_policy(s0, make_policy(task_id, archetype), rng, level)
-        if _archetype_ok(task_id, archetype, states):
-            return actions, states
-    raise _GenerationFailed(f"could not realize {archetype} for task {task_id}")
+    actions, states, _, _ = roll_clips(task_id, archetype, [seed], noise)
+    return actions[0], states[0]
 
 
 def gen_success_trajectory(task_id: int, seed, noise: float = ACTION_NOISE):
     """Scripted success rollout with uniform action noise; label checked."""
-    rng = np.random.default_rng(seed)
-    for attempt in range(32):
-        level = 0.0 if attempt >= 24 else noise * 0.5 ** (attempt // 8)
-        s0 = sw.initial_state_array(task_id, rng)
-        actions, states = run_policy(s0, make_policy(task_id, "success"), rng, level)
-        if sw.success_states(task_id, states):
-            return actions, states
-    raise _GenerationFailed(f"could not realize success for task {task_id}")
+    actions, states, _, _ = roll_clips(task_id, "success", [seed], noise)
+    return actions[0], states[0]
 
 
 def render_clip(
@@ -411,7 +430,12 @@ def _failure_archetype_plan(task_id: int, count: int, sources) -> list:
 
 
 def gen_dataset(config: DataConfig) -> Dataset:
-    """Deterministic synthetic dataset per the configured counts."""
+    """Deterministic synthetic dataset per the configured counts.
+
+    Clips come in a fixed order (every human clip, then per robot task its
+    successes and failures); each (task, style) is rolled as one lockstep
+    group, human and robot successes of a task together.
+    """
     sources = tuple(config.failure_sources)
     if not sources or any(s not in FAILURE_SOURCES for s in sources):
         raise BadConfigError(f"failure_sources must be drawn from {FAILURE_SOURCES}")
@@ -421,30 +445,44 @@ def gen_dataset(config: DataConfig) -> Dataset:
     if unknown:
         raise BadConfigError(f"unknown tasks {unknown}")
 
-    clips = []
+    # (domain, task, style, seed) per clip, in dataset order
+    specs = []
     for task_id in config.tasks:
         for i in range(config.human_per_task):
-            seed = _clip_seed(config.seed, _CLIP_STREAMS["human"], task_id, i)
-            rng = np.random.default_rng(seed)
-            _, states = gen_success_trajectory(task_id, rng, noise=config.action_noise)
-            frames = render_clip(states, "human", config, rng)
-            clips.append(LabeledClip(frames, "human", task_id, 1, None, seed))
-
+            specs.append(("human", task_id, "success",
+                          _clip_seed(config.seed, _CLIP_STREAMS["human"], task_id, i)))
     for task_id in config.effective_robot_tasks():
         for i in range(config.robot_success_per_task):
-            seed = _clip_seed(config.seed, _CLIP_STREAMS["robot_success"], task_id, i)
-            rng = np.random.default_rng(seed)
-            _, states = gen_success_trajectory(task_id, rng, noise=config.action_noise)
-            frames = render_clip(states, "robot", config)
-            clips.append(LabeledClip(frames, "robot", task_id, 1, None, seed))
+            specs.append(("robot", task_id, "success",
+                          _clip_seed(config.seed, _CLIP_STREAMS["robot_success"], task_id, i)))
         plan = _failure_archetype_plan(task_id, config.robot_failure_per_task, sources)
         for i, archetype in enumerate(plan):
-            seed = _clip_seed(config.seed, _CLIP_STREAMS["robot_failure"], task_id, i)
-            rng = np.random.default_rng(seed)
-            _, states = gen_failure_trajectory(task_id, archetype, rng, noise=config.action_noise)
-            frames = render_clip(states, "robot", config)
-            clips.append(LabeledClip(frames, "robot", task_id, 0, archetype, seed))
-    return Dataset(clips)
+            specs.append(("robot", task_id, archetype,
+                          _clip_seed(config.seed, _CLIP_STREAMS["robot_failure"], task_id, i)))
+
+    groups = {}
+    for idx, (_, task_id, style, _) in enumerate(specs):
+        groups.setdefault((task_id, style), []).append(idx)
+    frames = [None] * len(specs)
+    retries = {}
+    for (task_id, style), members in groups.items():
+        _, states, attempts, rngs = roll_clips(
+            task_id, style, [specs[i][3] for i in members], noise=config.action_noise
+        )
+        for idx, clip_states, rng in zip(members, states, rngs):
+            domain = specs[idx][0]
+            frames[idx] = render_clip(clip_states, domain, config, rng if domain == "human" else None)
+        retries[(task_id, style)] = {
+            "clips": len(members),
+            "attempts": int(attempts.sum()),
+            "zero_noise_clips": int(np.sum(attempts > ZERO_NOISE_ATTEMPT)),
+        }
+
+    clips = []
+    for clip_frames, (domain, task_id, style, seed) in zip(frames, specs):
+        archetype = None if style == "success" else style
+        clips.append(LabeledClip(clip_frames, domain, task_id, int(archetype is None), archetype, seed))
+    return Dataset(clips, retries)
 
 
 def domain_pair(task_id: int, seed: int, config: DataConfig):
@@ -457,12 +495,23 @@ def domain_pair(task_id: int, seed: int, config: DataConfig):
 
 
 def domain_shift_cosine(config: DataConfig, n_pairs: int = 100) -> float:
-    """Mean frame cosine between robot clips and their human counterparts."""
+    """Mean frame cosine between robot clips and their human counterparts.
+
+    Pair i is `domain_pair(task, i, config)`; each task's pairs are rolled
+    as one lockstep group.
+    """
     per_task = [t for t in config.tasks for _ in range((n_pairs // len(config.tasks)) + 1)]
-    sims = []
-    for i, task_id in enumerate(per_task[:n_pairs]):
-        robot, human = domain_pair(task_id, i, config)
-        num = np.sum(robot * human, axis=1)
-        den = np.linalg.norm(robot, axis=1) * np.linalg.norm(human, axis=1)
-        sims.extend((num / den).tolist())
-    return float(np.mean(sims))
+    pairs = per_task[:n_pairs]
+    sims = [None] * len(pairs)
+    for task_id in dict.fromkeys(pairs):
+        idx = [i for i, t in enumerate(pairs) if t == task_id]
+        _, states, _, rngs = roll_clips(
+            task_id, "success", [[config.seed, 99, task_id, i] for i in idx], noise=config.action_noise
+        )
+        for i, clip_states, rng in zip(idx, states, rngs):
+            robot = render_clip(clip_states, "robot", config)
+            human = render_clip(clip_states, "human", config, rng)
+            num = np.sum(robot * human, axis=1)
+            den = np.linalg.norm(robot, axis=1) * np.linalg.norm(human, axis=1)
+            sims[i] = (num / den).tolist()
+    return float(np.mean([s for pair in sims for s in pair]))

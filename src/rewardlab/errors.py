@@ -88,3 +88,7 @@ class InsufficientStratumError(RewardLabError):
 
 class OneClassOnlyError(RewardLabError):
     """Separation metrics need both successes and failures."""
+
+
+class GenerationFailedError(RewardLabError):
+    """A scripted rollout did not realize its requested label in any attempt."""

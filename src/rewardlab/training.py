@@ -26,6 +26,11 @@ from .errors import InsufficientStratumError, NonFiniteValueError
 from .simworld import TASK_NAMES
 
 _STREAM_VIDEO, _STREAM_POOL, _STREAM_SAMPLER, _STREAM_CLUSTER = 1, 2, 3, 4
+# rejection tries per batch before the positive-pair rule counts as
+# unsatisfiable. At the default strata about one try in 8.5 is accepted, so
+# a feasible draw fails this cap with probability ~1e-543; 100 tries failed
+# about once in 2e5 batches (seed 308, no_failure, step 249).
+_MAX_BATCH_TRIES = 10_000
 
 
 @dataclass
@@ -85,7 +90,7 @@ def sample_batch(
             f"need {config.batch_human} human / {config.batch_robot} robot successes, "
             f"have {n_h} / {n_r}"
         )
-    for _ in range(100):
+    for _ in range(_MAX_BATCH_TRIES):
         h_idx = rng.choice(n_h, size=config.batch_human, replace=False)
         r_idx = rng.choice(n_r, size=config.batch_robot, replace=False)
         labels = np.concatenate([data.human_labels[h_idx], data.robot_labels[r_idx]])

@@ -1,0 +1,413 @@
+"""Lockstep datagen against the per-clip reference it replaced.
+
+The reference below is the earlier generator: closure controllers that
+act on one state at a time with a phase dict, a rollout loop that draws
+each step's velocity noise as two scalars, and one clip at a time through
+`simworld.step_batch` at N=1. The lockstep core draws the same numbers in
+the same order from each clip's Generator and does the same elementwise
+arithmetic, so actions, states, attempt counts, the dataset's retry report
+and its frames must be equal bit for bit, not within a tolerance.
+
+One known gap: the reference squares distances with the scalar `**`
+(libm pow), the lockstep controllers square arrays (exact products), and
+the two differ in the last bit for ~0.1% of inputs. That can only flip a
+distance test that lands within an ulp of its threshold; none of the cases
+here does.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rewardlab import datagen as dg, simworld as sw
+from rewardlab.errors import GenerationFailedError
+
+STYLES = [
+    (task, style)
+    for task in sw.ALL_TASKS
+    for style in ("success",) + dg.ARCHETYPES
+    if (task, style) not in dg.UNSUPPORTED
+]
+
+
+# --- reference: per-clip closure controllers and the scalar-noise loop ---
+
+def _approach(state, target):
+    return (
+        float(np.clip(target[0] - state[sw.GX], -sw.VEL_LIMIT, sw.VEL_LIMIT)),
+        float(np.clip(target[1] - state[sw.GY], -sw.VEL_LIMIT, sw.VEL_LIMIT)),
+    )
+
+
+def _near(state, target, slack=0.035):
+    return (state[sw.GX] - target[0]) ** 2 + (state[sw.GY] - target[1]) ** 2 <= slack**2
+
+
+def _drawer_handle(state):
+    return (sw.DRAWER_BASE[0], sw.DRAWER_BASE[1] + state[sw.EXT])
+
+
+def _cup(state):
+    return (state[sw.CUPX], state[sw.CUPY])
+
+
+def ref_make_policy(task_id: int, style: str):
+    """Closed-loop controller returning (vx, vy, grip) per step.
+
+    style is "success" or a failure archetype other than "wander".
+    """
+    phase = {"n": 0, "mark": 0}
+
+    def drawer(state, t, closing):
+        ext = state[sw.EXT]
+        handle = _drawer_handle(state)
+        do_sign = -1.0 if closing else 1.0
+        if style == "success":
+            if (ext <= 0.02) if closing else (ext >= 0.045):
+                phase["mark"] = 1
+            sign = do_sign
+        elif style == "revert":
+            if phase["n"] == 0 and ((ext <= 0.015) if closing else (ext >= 0.045)):
+                phase["n"] = 1
+            if phase["n"] == 1 and ((ext >= 0.06) if closing else (ext <= 0.005)):
+                phase["mark"] = 1
+            sign = do_sign if phase["n"] == 0 else -do_sign
+        else:  # incomplete: barely disturb the extension
+            if (ext <= 0.058) if closing else (ext >= 0.012):
+                phase["mark"] = 1
+            sign = do_sign
+        if phase["mark"]:
+            # retreat off the handle, then idle
+            if _near(state, handle, 0.09):
+                return (0.05, 0.0, 0.0)
+            return (0.0, 0.0, 0.0)
+        if not _near(state, handle):
+            vx, vy = _approach(state, handle)
+            return (vx, vy, 0.0)
+        if style == "incomplete":
+            # fractional nudge so a single step cannot cross the threshold
+            target = 0.056 if closing else 0.014
+            return (0.0, float(np.clip(target - ext, -sw.VEL_LIMIT, sw.VEL_LIMIT)), 0.0)
+        return (0.0, sign * 0.05, 0.0)
+
+    def faucet(state, t):
+        handle = sw.FAUCET_HANDLE
+        if style == "success":
+            if state[sw.ANGLE] >= 0.08:
+                phase["mark"] = 1
+            if phase["mark"]:
+                if _near(state, handle, 0.09):
+                    return (0.0, -0.05, 0.0)
+                return (0.0, 0.0, 0.0)
+            if not _near(state, handle):
+                vx, vy = _approach(state, handle)
+                return (vx, vy, 0.0)
+            return (0.05 if phase["n"] % 2 == 0 else -0.05, 0.0, 0.0)
+        # incomplete: touch, then back straight off without tangential motion
+        if _near(state, handle):
+            phase["mark"] = 1
+        if phase["mark"]:
+            if _near(state, handle, 0.09):
+                return (0.0, -0.05, 0.0)
+            return (0.0, 0.0, 0.0)
+        vx, vy = _approach(state, handle)
+        return (vx, vy, 0.0)
+
+    def cup_carry(state, t, axis, direction, goal, revert_goal=None, grab=True):
+        """Generic carry/push along one axis by a target displacement."""
+        cup = _cup(state)
+        delta = (cup[axis] - phase.setdefault("cup0", cup[axis])) * direction
+        touching = _near(state, cup, sw.CONTACT_RADIUS - 0.005)
+        # pushing needs the gripper on the trailing side of the cup
+        stand = list(cup)
+        if not grab:
+            stand[axis] -= direction * 0.03
+        if phase["n"] == 0:
+            if delta >= goal:
+                phase["n"] = 1 if revert_goal is not None else 2
+            elif not touching:
+                vx, vy = _approach(state, stand)
+                return (vx, vy, 1.0 if grab else 0.0)
+            else:
+                move = [0.0, 0.0]
+                move[axis] = direction * 0.05
+                return (move[0], move[1], 1.0 if grab else 0.0)
+        if phase["n"] == 1:
+            if delta <= revert_goal:
+                phase["n"] = 2
+            else:
+                move = [0.0, 0.0]
+                move[axis] = -direction * 0.05
+                return (move[0], move[1], 1.0)
+        # release and retreat away from the cup
+        if _near(state, cup, 0.09):
+            away_x = -1.0 if cup[0] >= state[sw.GX] else 1.0
+            return (away_x * 0.05, 0.0, -1.0)
+        return (0.0, 0.0, 0.0)
+
+    def cup_push_tiny(state, t, axis, direction):
+        """Incomplete push: one gentle nudge well under the threshold."""
+        cup = _cup(state)
+        delta = (cup[axis] - phase.setdefault("cup0", cup[axis])) * direction
+        touching = _near(state, cup, sw.CONTACT_RADIUS - 0.005)
+        stand = list(cup)
+        stand[axis] -= direction * 0.03
+        if phase["n"] == 0:
+            if delta >= 0.015:
+                phase["n"] = 1
+            elif not touching:
+                vx, vy = _approach(state, stand)
+                return (vx, vy, 0.0)
+            else:
+                move = [0.0, 0.0]
+                move[axis] = direction * 0.02
+                return (move[0], move[1], 0.0)
+        if _near(state, cup, 0.09):
+            away_x = -1.0 if cup[0] >= state[sw.GX] else 1.0
+            return (away_x * 0.05, 0.0, 0.0)
+        return (0.0, 0.0, 0.0)
+
+    def poke(state, t):
+        cup = _cup(state)
+        if style == "success":
+            if _near(state, cup, sw.CONTACT_RADIUS - 0.0005):
+                phase["mark"] = 1
+            if phase["mark"]:
+                if _near(state, cup, 0.09):
+                    away_x = -1.0 if cup[0] >= state[sw.GX] else 1.0
+                    return (away_x * 0.05, 0.0, 0.0)
+                return (0.0, 0.0, 0.0)
+            vx, vy = _approach(state, cup)
+            return (vx, vy, 0.0)
+        # revert: gentle touch first, then shove the cup hard
+        if _near(state, cup, sw.CONTACT_RADIUS - 0.008):
+            phase["mark"] = 1
+        if phase["mark"]:
+            if phase["n"] < 3:
+                phase["n"] += 1
+                vx, vy = _approach(state, cup)
+                return (0.05 if vx >= 0 else -0.05, vy, 0.0)
+            if _near(state, cup, 0.09):
+                away_x = -1.0 if cup[0] >= state[sw.GX] else 1.0
+                return (away_x * 0.05, 0.0, 0.0)
+            return (0.0, 0.0, 0.0)
+        vx, vy = _approach(state, cup)
+        return (vx, vy, 0.0)
+
+    table = {
+        sw.TASK_CLOSE_DRAWER: lambda s, t: drawer(s, t, closing=True),
+        sw.TASK_OPEN_DRAWER: lambda s, t: drawer(s, t, closing=False),
+        sw.TASK_FAUCET: faucet,
+        sw.TASK_POKE_CUP: poke,
+        sw.TASK_CUP_AWAY: lambda s, t: cup_carry(
+            s, t, axis=1, direction=1.0,
+            goal={"success": 0.18, "revert": 0.14, "incomplete": 0.03}[style],
+            revert_goal=0.01 if style == "revert" else None,
+        ),
+        sw.TASK_CUP_LEFT_TO_RIGHT: lambda s, t: (
+            cup_push_tiny(s, t, 0, 1.0) if style == "incomplete" else cup_carry(
+                s, t, axis=0, direction=1.0,
+                goal={"success": 0.08, "revert": 0.07}[style],
+                revert_goal=0.0 if style == "revert" else None,
+                grab=style == "revert",
+            )
+        ),
+        sw.TASK_CUP_RIGHT_TO_LEFT: lambda s, t: (
+            cup_push_tiny(s, t, 0, -1.0) if style == "incomplete" else cup_carry(
+                s, t, axis=0, direction=-1.0,
+                goal={"success": 0.08, "revert": 0.07}[style],
+                revert_goal=0.0 if style == "revert" else None,
+                grab=style == "revert",
+            )
+        ),
+    }
+    return table[task_id]
+
+
+def ref_run_policy(s0_arr, policy, rng, noise, horizon=sw.HORIZON):
+    """Roll out a controller with uniform action noise; returns (actions, states)."""
+    actions = np.empty((horizon, sw.ACTION_DIM))
+    states = np.empty((horizon + 1, sw.STATE_DIM))
+    states[0] = s0_arr
+    cur = np.asarray(s0_arr, dtype=np.float64)[None, :]
+    for t in range(horizon):
+        vx, vy, grip = policy(cur[0], t)
+        if noise > 0:
+            vx += rng.uniform(-noise, noise)
+            vy += rng.uniform(-noise, noise)
+        actions[t] = (
+            np.clip(vx, -sw.VEL_LIMIT, sw.VEL_LIMIT),
+            np.clip(vy, -sw.VEL_LIMIT, sw.VEL_LIMIT),
+            grip,
+        )
+        cur = sw.step_batch(cur, actions[t][None, :])
+        states[t + 1] = cur[0]
+    return actions, states
+
+
+def ref_label_ok(task_id, style, states):
+    if style == "success":
+        return sw.success_states(task_id, states)
+    flags = sw.prefix_success_flags(task_id, states)
+    contact = bool(np.any(sw.target_contact_mask(task_id, states)))
+    if flags[-1]:
+        return False
+    if style == "wander":
+        return not contact
+    if style == "revert":
+        return bool(np.any(flags[:-1]))
+    return contact and not bool(np.any(flags))
+
+
+def ref_trajectory(task_id, style, seed, noise=dg.ACTION_NOISE):
+    """(actions, states, attempts, rng) of one clip, one attempt at a time."""
+    rng = np.random.default_rng(seed)
+    for attempt in range(32):
+        level = 0.0 if attempt >= 24 else noise * 0.5 ** (attempt // 8)
+        s0 = sw.initial_state_array(task_id, rng)
+        if style == "wander":
+            actions = dg._wander_actions(task_id, s0, rng)
+            states = sw.rollout_states(s0, actions)
+        else:
+            actions, states = ref_run_policy(s0, ref_make_policy(task_id, style), rng, level)
+        if ref_label_ok(task_id, style, states):
+            return actions, states, attempt + 1, rng
+    raise AssertionError(f"reference could not realize {style} for task {task_id}")
+
+
+def ref_dataset(config):
+    """Frames and per-(task, style) attempts, one clip after another."""
+    frames, attempts = [], {}
+
+    def clip(domain, task_id, style, stream, index):
+        seed = dg._clip_seed(config.seed, dg._CLIP_STREAMS[stream], task_id, index)
+        _, states, n, rng = ref_trajectory(task_id, style, seed, config.action_noise)
+        frames.append(dg.render_clip(states, domain, config, rng if domain == "human" else None))
+        attempts.setdefault((task_id, style), []).append(n)
+
+    for task_id in config.tasks:
+        for i in range(config.human_per_task):
+            clip("human", task_id, "success", "human", i)
+    for task_id in config.effective_robot_tasks():
+        for i in range(config.robot_success_per_task):
+            clip("robot", task_id, "success", "robot_success", i)
+        plan = dg._failure_archetype_plan(task_id, config.robot_failure_per_task,
+                                          tuple(config.failure_sources))
+        for i, archetype in enumerate(plan):
+            clip("robot", task_id, archetype, "robot_failure", i)
+    return frames, attempts
+
+
+# --- lockstep against the reference ---
+
+@pytest.mark.parametrize("task_id, style", STYLES)
+def test_lockstep_group_matches_reference(task_id, style):
+    """A group's clips retire at different attempts; each row must still
+    equal its clip rolled alone, and leave its Generator in the same state.
+    The single-clip generators are the same core at n = 1."""
+    seeds = [[task_id, i] for i in range(3)]
+    actions, states, attempts, rngs = dg.roll_clips(task_id, style, seeds)
+    for i, seed in enumerate(seeds):
+        want_actions, want_states, want_attempts, want_rng = ref_trajectory(task_id, style, seed)
+        assert np.array_equal(actions[i], want_actions)
+        assert np.array_equal(states[i], want_states)
+        assert attempts[i] == want_attempts
+        assert rngs[i].bit_generator.state == want_rng.bit_generator.state
+    if style == "success":
+        single_actions, single_states = dg.gen_success_trajectory(task_id, seeds[0])
+    else:
+        single_actions, single_states = dg.gen_failure_trajectory(task_id, style, seeds[0])
+    assert np.array_equal(single_actions, actions[0])
+    assert np.array_equal(single_states, states[0])
+
+
+# at this noise level most noisy attempts fail: clips go through the halved
+# levels (attempts 8-23), and faucet `incomplete` clips reach the zero-noise
+# fallback (attempt >= 24)
+LOUD = 0.6
+LOUD_CASES = [(sw.TASK_FAUCET, "incomplete"), (sw.TASK_OPEN_DRAWER, "revert")]
+
+
+def test_loud_noise_halved_levels_and_fallback_match_reference():
+    all_attempts = []
+    for task_id, style in LOUD_CASES:
+        seeds = [[task_id, 300 + i] for i in range(2)]
+        actions, states, attempts, _ = dg.roll_clips(task_id, style, seeds, noise=LOUD)
+        for i, seed in enumerate(seeds):
+            want_actions, want_states, want_attempts, _ = ref_trajectory(task_id, style, seed, LOUD)
+            assert np.array_equal(actions[i], want_actions)
+            assert np.array_equal(states[i], want_states)
+            assert attempts[i] == want_attempts
+        all_attempts.extend(attempts.tolist())
+    assert any(8 < n <= dg.ZERO_NOISE_ATTEMPT for n in all_attempts)
+    assert max(all_attempts) > dg.ZERO_NOISE_ATTEMPT
+
+
+SMALL = dg.DataConfig(
+    tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_CUP_RIGHT_TO_LEFT, sw.TASK_POKE_CUP),
+    robot_tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_CUP_RIGHT_TO_LEFT),
+    human_per_task=3,
+    robot_success_per_task=2,
+    robot_failure_per_task=4,
+    seed=21,
+)
+
+
+# faucet `incomplete` clips reach the zero-noise fallback at this noise
+LOUD_SMALL = replace(SMALL, tasks=(sw.TASK_FAUCET,), robot_tasks=None, human_per_task=1,
+                     robot_success_per_task=1, robot_failure_per_task=2, action_noise=LOUD)
+
+
+@pytest.mark.parametrize("config", [SMALL, LOUD_SMALL], ids=["nominal", "loud"])
+def test_dataset_frames_and_retry_report_match_reference(config):
+    dataset = dg.gen_dataset(config)
+    want_frames, want_attempts = ref_dataset(config)
+    assert len(dataset) == len(want_frames)
+    for clip, frames in zip(dataset.clips, want_frames):
+        assert np.array_equal(clip.frames, frames)
+    assert sorted(dataset.retries) == sorted(want_attempts)
+    for key, counts in want_attempts.items():
+        assert dataset.retries[key] == {
+            "clips": len(counts),
+            "attempts": sum(counts),
+            "zero_noise_clips": sum(n > dg.ZERO_NOISE_ATTEMPT for n in counts),
+        }
+    fallbacks = sum(row["zero_noise_clips"] for row in dataset.retries.values())
+    assert (fallbacks > 0) == (config.action_noise == LOUD)
+
+
+def test_domain_shift_cosine_matches_pairwise_loop():
+    config = dg.DataConfig(tasks=(sw.TASK_OPEN_DRAWER, sw.TASK_POKE_CUP, sw.TASK_OPEN_DRAWER), seed=2)
+    per_task = [t for t in config.tasks for _ in range(3)]
+    sims = []
+    for i, task_id in enumerate(per_task[:8]):
+        robot, human = dg.domain_pair(task_id, i, config)
+        num = np.sum(robot * human, axis=1)
+        sims.extend(num / (np.linalg.norm(robot, axis=1) * np.linalg.norm(human, axis=1)))
+    assert dg.domain_shift_cosine(config, n_pairs=8) == float(np.mean(sims))
+
+
+# --- typed generation failure ---
+
+def test_generation_failure_is_typed_and_names_the_clip(monkeypatch):
+    monkeypatch.setattr(dg, "_label_ok", lambda task_id, style, states: False)
+    config = dg.DataConfig(tasks=(sw.TASK_FAUCET,), human_per_task=1, robot_success_per_task=0,
+                           robot_failure_per_task=0, seed=4)
+    seed = dg._clip_seed(config.seed, dg._CLIP_STREAMS["human"], sw.TASK_FAUCET, 0)
+    with pytest.raises(GenerationFailedError, match=rf"success for task {sw.TASK_FAUCET}\b.*{seed}"):
+        dg.gen_dataset(config)
+
+
+@pytest.mark.parametrize("passing_attempt, fallbacks", [(24, 0), (25, 1)])
+def test_retry_report_counts_fallback_from_attempt_24(monkeypatch, passing_attempt, fallbacks):
+    """The 24th attempt (index 23) is the last noisy one; a clip that needs
+    a 25th passed only at zero noise."""
+    calls = iter(range(1, 100))
+    monkeypatch.setattr(dg, "_label_ok", lambda *args: next(calls) >= passing_attempt)
+    config = dg.DataConfig(tasks=(sw.TASK_POKE_CUP,), human_per_task=1, robot_success_per_task=0,
+                           robot_failure_per_task=0, seed=4)
+    retries = dg.gen_dataset(config).retries
+    assert retries == {(sw.TASK_POKE_CUP, "success"): {
+        "clips": 1, "attempts": passing_attempt, "zero_noise_clips": fallbacks,
+    }}

@@ -8,6 +8,7 @@ import pytest
 
 from rewardlab import encoders as enc, evaluation, losses, simworld as sw, training
 from rewardlab.config import ExperimentConfig
+from rewardlab.datagen import Dataset, LabeledClip
 from rewardlab.errors import BadConfigError, InsufficientStratumError, NonFiniteValueError
 
 CONFIG = ExperimentConfig(
@@ -106,3 +107,36 @@ def test_sampler_draws_match_loop_reference(dataset, mode):
         assert batch.fail_labels.tolist() == fail_labels
         assert batch.fail_clusters.tolist() == fail_clusters
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def label_only_dataset(human_tasks, robot_tasks, config):
+    """Success clips with all-zero frames: the sampler draws from labels alone."""
+    frames = np.zeros((config.clip_frames, config.frame_width))
+    return Dataset(
+        [LabeledClip(frames, "human", t, 1, None, 0) for t in human_tasks]
+        + [LabeledClip(frames, "robot", t, 1, None, 0) for t in robot_tasks]
+    )
+
+
+def test_sampler_replay_seed_308():
+    """The default no_failure run at seed 308 drew batches from the same
+    labels and sampler stream; with a 100-try cap its batch 249 raised."""
+    config = ExperimentConfig(seed=308, mode="no_failure")
+    dataset = label_only_dataset(
+        np.repeat(config.all_tasks, config.human_per_task),
+        np.repeat(config.train_tasks, config.robot_success_per_task),
+        config,
+    )
+    data = training._IndexedData(dataset, config)
+    rng = np.random.default_rng([config.seed, training._STREAM_SAMPLER])
+    for _ in range(250):
+        batch = training.sample_batch(data, config, rng, {})
+        assert np.all(np.bincount(batch.labels) != 1)
+
+
+def test_sampler_rejects_unsatisfiable_positive_rule():
+    # one human and one robot clip per batch, never of the same task
+    config = replace(CONFIG, batch_human=1, batch_robot=1, mode="no_failure")
+    data = training._IndexedData(label_only_dataset([0, 0], [4, 4], config), config)
+    with pytest.raises(InsufficientStratumError, match="positive-set"):
+        training.sample_batch(data, config, np.random.default_rng(0), {})
