@@ -6,7 +6,7 @@ CLI flag > REWARD_SEED environment variable > config file > default.
 import os
 from dataclasses import dataclass, fields, replace
 
-from . import simworld as sw
+from . import dynamics as dyn, simworld as sw
 from .errors import BadConfigError
 
 SEED_ENV_VAR = "REWARD_SEED"
@@ -33,7 +33,6 @@ class ExperimentConfig:
     seed: int = 0
     # model dimensions
     clip_frames: int = 4
-    frame_width: int = 16
     hidden_width: int = 32
     embed_dim: int = 32
     # task split and environment
@@ -66,8 +65,8 @@ class ExperimentConfig:
             )
         if self.env_variant not in ("train", "shifted-color", "shifted-view", "shifted-arrangement"):
             raise BadConfigError(f"unknown env_variant {self.env_variant!r}")
-        if self.plan_horizon % 4 != 0:
-            raise BadConfigError("plan_horizon must be divisible by 4")
+        if self.plan_horizon % dyn.CHUNK != 0:
+            raise BadConfigError(f"plan_horizon must be divisible by {dyn.CHUNK}")
 
     @property
     def all_tasks(self) -> tuple:

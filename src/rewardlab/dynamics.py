@@ -13,7 +13,7 @@ state plus 15 post-chunk states out. Two kinds:
   equations make the fit invariant to duplicating the dataset.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class DynamicsModel:
     feature_w: np.ndarray | None = None   # (INPUT_DIM, R)
     feature_b: np.ndarray | None = None   # (R,)
     weights: np.ndarray | None = None     # (1 + INPUT_DIM + R, STATE_DIM)
-    loss_history: list = field(default_factory=list)
 
 
 def ground_truth_model() -> DynamicsModel:
@@ -85,14 +84,6 @@ def chunked_predict_batch(model: DynamicsModel, s0: np.ndarray, actions: np.ndar
     return out
 
 
-def chunked_predict(model: DynamicsModel, s0: sw.SimState, actions) -> list:
-    """SimState-level surface: returns s0 plus one state per 4-action chunk."""
-    arr = chunked_predict_batch(
-        model, sw.state_to_array(s0)[None, :], sw.actions_to_array(actions)[None, :, :]
-    )[0]
-    return [sw.array_to_state(row, s0.camera_offset) for row in arr]
-
-
 def chunk_transitions(states: np.ndarray, actions: np.ndarray):
     """Split episodes into per-chunk (input, delta) training pairs.
 
@@ -113,16 +104,11 @@ def chunk_transitions(states: np.ndarray, actions: np.ndarray):
 
 def train_dynamics(
     episodes,
-    epochs: int = 1,
     seed: int = 0,
     ridge: float = 1e-8,
     n_features: int = N_FEATURES,
 ) -> DynamicsModel:
-    """Fit the chunk regressor on (states, actions) episode pairs.
-
-    The solve is closed-form, so it converges in a single pass; extra
-    epochs just re-record the same training loss.
-    """
+    """Fit the chunk regressor on (states, actions) episode pairs, in closed form."""
     episodes = list(episodes)
     if not episodes:
         raise InsufficientDataError("no episodes given")
@@ -146,8 +132,6 @@ def train_dynamics(
     n = phi.shape[0]
     gram = phi.T @ phi / n + ridge * np.eye(phi.shape[1])
     model.weights = np.linalg.solve(gram, phi.T @ y / n)
-    mse = float(np.mean((phi @ model.weights - y) ** 2))
-    model.loss_history = [mse] * max(1, int(epochs))
     return model
 
 

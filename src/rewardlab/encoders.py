@@ -29,10 +29,10 @@ from .errors import (
     UnknownTaskError,
     ZeroVectorError,
 )
+from .render import FRAME_WIDTH
 
 # default desk-scale dimensions
 CLIP_FRAMES = 4
-FRAME_WIDTH = 16
 HIDDEN_WIDTH = 32
 EMBED_DIM = 32
 PROMPT_LEN = 2

@@ -92,3 +92,7 @@ class OneClassOnlyError(RewardLabError):
 
 class GenerationFailedError(RewardLabError):
     """A scripted rollout did not realize its requested label in any attempt."""
+
+
+class RefinementRegressedError(RewardLabError):
+    """CEM refinement returned a plan scoring below the one it started from."""

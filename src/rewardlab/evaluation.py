@@ -15,7 +15,7 @@ import numpy as np
 
 from . import datagen as dg, dynamics as dyn, encoders as enc, planner as pl, simworld as sw
 from .config import ExperimentConfig
-from .errors import OneClassOnlyError
+from .errors import OneClassOnlyError, RefinementRegressedError
 from .losses import _sigmoid
 from .training import ModelParams, train
 
@@ -89,6 +89,7 @@ def eval_dataset_for(config: ExperimentConfig, tasks=None) -> dg.Dataset:
         robot_failure_per_task=config.eval_failure_per_task,
         failure_sources=("random", "near_success"),
         noise=config.noise,
+        clip_frames=config.clip_frames,
         seed=int(np.random.SeedSequence(
             [config.seed, _STREAM_EVAL_DATA]).generate_state(1, np.uint64)[0] % (2**31)),
     )
@@ -104,6 +105,7 @@ def train_dataset_for(config: ExperimentConfig) -> dg.Dataset:
         robot_failure_per_task=config.robot_failure_per_task,
         failure_sources=config.failure_sources,
         noise=config.noise,
+        clip_frames=config.clip_frames,
         seed=config.seed,
     )
     return dg.gen_dataset(dcfg)
@@ -164,7 +166,11 @@ def evaluate_planning(
                             result.actions, scorer, plan_cfg.cem,
                             seed=_plan_seed(config, 2, seed_idx, task, trial),
                         )
-                        assert refined.score >= result.score - 1e-12
+                        if refined.score < result.score - 1e-12:
+                            raise RefinementRegressedError(
+                                f"task {task}: CEM refinement scored {refined.score!r}, "
+                                f"below the plan it started from ({result.score!r})"
+                            )
                         ref_states = sw.rollout_states(s0, refined.actions)
                         refined_wins += int(sw.success_states(task, ref_states))
                 states = sw.rollout_states(s0, actions)

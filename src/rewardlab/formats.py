@@ -11,16 +11,20 @@ Dataset record:
 Checkpoint record (row-major values):
     array <name> <ndim> <dim0> ... <v0> <v1> ...
 
-Trajectory records:
+Trajectory records (one rollout: T+1 state lines, then T action lines):
     state <gx> <gy> <grip> <ext> <angle> <cupx> <cupy> <camx> <camy>
     action <vx> <vy> <gripcode>
+The first seven state values are a simworld state row and the action
+values a simworld action row. The rollout has one camera offset, repeated
+as the last two values of every state line; a file whose state lines
+disagree on it is corrupt.
 """
 
 import numpy as np
 
 from . import simworld as sw
 from .datagen import Dataset, LabeledClip
-from .errors import CorruptFileError, VersionMismatchError
+from .errors import CorruptFileError, ShapeMismatchError, VersionMismatchError
 
 FORMAT_VERSION = 1
 DATASET_MAGIC = "rewardlab-dataset"
@@ -164,24 +168,30 @@ def load_checkpoint(path) -> dict:
 
 # --- trajectory dumps ---
 
-def save_trajectory(trajectory: sw.Trajectory, path) -> None:
-    lines = [
-        _header_line(
-            TRAJECTORY_MAGIC,
-            states=len(trajectory.states),
-            actions=len(trajectory.actions),
+def save_trajectory(states, actions, camera, path) -> None:
+    """Write (T+1, 7) states, (T, 3) actions and their (2,) camera offset."""
+    states = np.asarray(states, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
+    camera = np.asarray(camera, dtype=np.float64)
+    if (
+        states.ndim != 2
+        or states.shape[1] != sw.STATE_DIM
+        or actions.shape != (states.shape[0] - 1, sw.ACTION_DIM)
+        or camera.shape != (2,)
+    ):
+        raise ShapeMismatchError(
+            f"need states (T+1,{sw.STATE_DIM}), actions (T,{sw.ACTION_DIM}) and camera (2,), "
+            f"got {states.shape}, {actions.shape} and {camera.shape}"
         )
-    ]
-    for s in trajectory.states:
-        vals = list(sw.state_to_array(s)) + [s.camera_offset[0], s.camera_offset[1]]
-        lines.append("state " + " ".join(_fmt(v) for v in vals))
-    for a in trajectory.actions:
-        lines.append("action " + " ".join(_fmt(v) for v in sw.action_to_array(a)))
+    lines = [_header_line(TRAJECTORY_MAGIC, states=len(states), actions=len(actions))]
+    lines += ["state " + " ".join(_fmt(v) for v in (*row, *camera)) for row in states]
+    lines += ["action " + " ".join(_fmt(v) for v in row) for row in actions]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_trajectory(path) -> sw.Trajectory:
+def load_trajectory(path):
+    """Read a trajectory file back as (states (T+1, 7), actions (T, 3), camera (2,))."""
     lines = _read_lines(path)
     if not lines:
         raise CorruptFileError(f"{path} is empty")
@@ -198,11 +208,17 @@ def load_trajectory(path) -> sw.Trajectory:
         except ValueError as exc:
             raise CorruptFileError(f"malformed record: {ln[:60]!r}") from exc
         if tokens[0] == "state" and len(values) == sw.STATE_DIM + 2:
-            states.append(sw.array_to_state(values[: sw.STATE_DIM], values[sw.STATE_DIM:]))
+            states.append(values)
         elif tokens[0] == "action" and len(values) == sw.ACTION_DIM:
-            actions.append(sw.array_to_action(values))
+            actions.append(values)
         else:
             raise CorruptFileError(f"malformed record: {ln[:60]!r}")
     if len(states) != n_states or len(actions) != n_actions:
         raise CorruptFileError(f"{path}: record kinds do not match header")
-    return sw.Trajectory(states=tuple(states), actions=tuple(actions))
+    if n_states != n_actions + 1:
+        raise CorruptFileError(f"{path}: {n_states} states for {n_actions} actions")
+    states = np.array(states)
+    camera = states[0, sw.STATE_DIM:]
+    if np.any(states[:, sw.STATE_DIM:] != camera):
+        raise CorruptFileError(f"{path}: state records disagree on the camera offset")
+    return states[:, : sw.STATE_DIM], np.array(actions).reshape(-1, sw.ACTION_DIM), camera

@@ -12,7 +12,7 @@ nonlinearity, camera offset, feature permutation) and never touch dynamics
 or predicates.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,11 +44,6 @@ class DomainShift:
     mix: float = 0.7        # rotation amount; 0 disables the linear part
     offset: float = 0.35    # constant shift magnitude; 0 disables
     viewpoint_sigma: float = 0.08  # per-clip camera offset spread (human)
-    feature_noise_sigma: float = 0.05  # per-frame Gaussian feature noise (human)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.mix == 0.0 and self.offset == 0.0
 
 
 @lru_cache(maxsize=8)
@@ -108,22 +103,6 @@ def render_frames(
     if domain == "human":
         feats = apply_domain_shift(feats, shift if shift is not None else DomainShift())
     return feats
-
-
-def render_features(
-    state: sw.SimState,
-    domain: str = "robot",
-    shift: DomainShift | None = None,
-    variant: str = "train",
-) -> np.ndarray:
-    """Render one SimState to a width-F frame feature vector."""
-    return render_frames(
-        sw.state_to_array(state)[None, :],
-        camera=np.asarray(state.camera_offset),
-        domain=domain,
-        shift=shift,
-        variant=variant,
-    )[0]
 
 
 def clip_frame_indices(n_states: int, n_frames: int) -> np.ndarray:

@@ -7,11 +7,15 @@ table: a drawer (one prismatic degree of freedom along +y, extension in
 cup (free translation). Contact means the gripper is within 0.04 of the
 object's handle point at the start of a step.
 
+State and actions are plain float64 arrays, the only representation of
+the table: a state is a row of STATE_DIM columns (gripper xy, grip 0/1,
+drawer extension, faucet angle, cup xy), an action a row of ACTION_DIM
+columns (vx, vy, grip code). Functions take batches of rows; a rollout
+is (H+1, STATE_DIM) states from (H, ACTION_DIM) actions. The camera
+offset is not part of the state: the renderer takes it beside the states.
 All dynamics are elementwise, so batched rollouts are bit-identical to
 stepping states one at a time.
 """
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +36,6 @@ STATE_DIM = 7
 
 # action array columns: vx, vy, grip code (-1 open, 0 hold, +1 close)
 ACTION_DIM = 3
-GRIP_CODES = {"open": -1.0, "hold": 0.0, "close": 1.0}
 
 # --- task registry ---
 TASK_CLOSE_DRAWER = 0
@@ -69,94 +72,6 @@ POKE_MAX_MOVE = 0.01
 def _check_task(task_id: int) -> None:
     if task_id not in TASK_NAMES:
         raise UnknownTaskError(f"no task with id {task_id}")
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Value-type snapshot of the table."""
-
-    gripper: tuple[float, float] = (0.5, 0.5)
-    grip_closed: bool = False
-    drawer_ext: float = DRAWER_MAX
-    faucet_angle: float = 0.0
-    cup: tuple[float, float] = CUP_NOMINAL
-    camera_offset: tuple[float, float] = (0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class Action:
-    """Gripper command; velocities are clamped on construction."""
-
-    vx: float
-    vy: float
-    grip: str = "hold"
-
-    def __post_init__(self):
-        if self.grip not in GRIP_CODES:
-            raise ShapeMismatchError(f"grip must be one of {sorted(GRIP_CODES)}")
-        object.__setattr__(self, "vx", float(np.clip(self.vx, -VEL_LIMIT, VEL_LIMIT)))
-        object.__setattr__(self, "vy", float(np.clip(self.vy, -VEL_LIMIT, VEL_LIMIT)))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States s_0..s_T plus the actions a_0..a_{T-1} that produced them."""
-
-    states: tuple
-    actions: tuple
-
-    def __post_init__(self):
-        if len(self.states) != len(self.actions) + 1:
-            raise ShapeMismatchError(
-                f"{len(self.states)} states vs {len(self.actions)} actions"
-            )
-
-    @property
-    def horizon(self) -> int:
-        return len(self.actions)
-
-
-# --- conversions between value types and arrays ---
-
-def state_to_array(state: SimState) -> np.ndarray:
-    return np.array(
-        [
-            state.gripper[0],
-            state.gripper[1],
-            1.0 if state.grip_closed else 0.0,
-            state.drawer_ext,
-            state.faucet_angle,
-            state.cup[0],
-            state.cup[1],
-        ],
-        dtype=np.float64,
-    )
-
-
-def array_to_state(arr, camera_offset=(0.0, 0.0)) -> SimState:
-    arr = np.asarray(arr, dtype=np.float64)
-    return SimState(
-        gripper=(float(arr[GX]), float(arr[GY])),
-        grip_closed=bool(arr[GRIP] > 0.5),
-        drawer_ext=float(arr[EXT]),
-        faucet_angle=float(arr[ANGLE]),
-        cup=(float(arr[CUPX]), float(arr[CUPY])),
-        camera_offset=(float(camera_offset[0]), float(camera_offset[1])),
-    )
-
-
-def action_to_array(action: Action) -> np.ndarray:
-    return np.array([action.vx, action.vy, GRIP_CODES[action.grip]], dtype=np.float64)
-
-
-def array_to_action(arr) -> Action:
-    code = float(arr[2])
-    grip = "close" if code > 0.5 else ("open" if code < -0.5 else "hold")
-    return Action(vx=float(arr[0]), vy=float(arr[1]), grip=grip)
-
-
-def actions_to_array(actions) -> np.ndarray:
-    return np.stack([action_to_array(a) for a in actions])
 
 
 # --- dynamics ---
@@ -203,24 +118,6 @@ def step_batch(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return out
 
 
-def step(state: SimState, action: Action) -> SimState:
-    """Single-state step; identical arithmetic to the batched path."""
-    arr = step_batch(state_to_array(state)[None, :], action_to_array(action)[None, :])
-    return array_to_state(arr[0], state.camera_offset)
-
-
-def rollout_states(s0: np.ndarray, action_seq: np.ndarray) -> np.ndarray:
-    """Roll a single state array through (H,3) actions -> (H+1,7) states."""
-    action_seq = np.asarray(action_seq, dtype=np.float64)
-    states = np.empty((action_seq.shape[0] + 1, STATE_DIM))
-    states[0] = s0
-    cur = np.asarray(s0, dtype=np.float64)[None, :]
-    for t in range(action_seq.shape[0]):
-        cur = step_batch(cur, action_seq[t][None, :])
-        states[t + 1] = cur[0]
-    return states
-
-
 def rollout_batch(s0: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:
     """Roll (N,7) states through (N,H,3) actions -> (N,H+1,7) states."""
     s0 = np.asarray(s0, dtype=np.float64)
@@ -235,11 +132,9 @@ def rollout_batch(s0: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:
     return states
 
 
-def rollout(s0: SimState, actions) -> Trajectory:
-    """Build a Trajectory by stepping s0 through a list of Actions."""
-    arr = rollout_states(state_to_array(s0), actions_to_array(actions))
-    states = tuple(array_to_state(row, s0.camera_offset) for row in arr)
-    return Trajectory(states=states, actions=tuple(actions))
+def rollout_states(s0: np.ndarray, action_seq: np.ndarray) -> np.ndarray:
+    """Roll one (7,) state through (H,3) actions -> (H+1,7) states."""
+    return rollout_batch(np.asarray(s0)[None, :], np.asarray(action_seq)[None])[0]
 
 
 def random_action_array(rng: np.random.Generator, horizon: int) -> np.ndarray:
@@ -302,11 +197,6 @@ def success_states(task_id: int, states: np.ndarray) -> bool:
     return bool(prefix_success_flags(task_id, states)[-1])
 
 
-def success(task_id: int, trajectory: Trajectory) -> bool:
-    states = np.stack([state_to_array(s) for s in trajectory.states])
-    return success_states(task_id, states)
-
-
 # --- initial-state distributions ---
 
 _GRIPPER_START = {
@@ -321,8 +211,8 @@ _GRIPPER_START = {
 }
 
 
-def sample_initial_state(task_id: int, rng: np.random.Generator) -> SimState:
-    """Task-specific start: gripper near the relevant object, objects jittered."""
+def initial_state_array(task_id: int, rng: np.random.Generator) -> np.ndarray:
+    """Task-specific (7,) start: gripper near the relevant object, objects jittered."""
     _check_task(task_id)
     cup = (
         CUP_NOMINAL[0] + rng.uniform(-0.03, 0.03),
@@ -338,15 +228,8 @@ def sample_initial_state(task_id: int, rng: np.random.Generator) -> SimState:
         anchor = cup
     gx = anchor[0] + offset[0] + rng.uniform(-jitter, jitter)
     gy = anchor[1] + offset[1] + rng.uniform(-jitter, jitter)
-    return SimState(
-        gripper=(float(np.clip(gx, 0.0, 1.0)), float(np.clip(gy, 0.0, 1.0))),
-        grip_closed=False,
-        drawer_ext=drawer_ext,
-        faucet_angle=0.0,
-        cup=(float(cup[0]), float(cup[1])),
-        camera_offset=(0.0, 0.0),
-    )
-
-
-def initial_state_array(task_id: int, rng: np.random.Generator) -> np.ndarray:
-    return state_to_array(sample_initial_state(task_id, rng))
+    state = np.zeros(STATE_DIM)
+    state[[GX, GY]] = np.clip((gx, gy), 0.0, 1.0)
+    state[EXT] = drawer_ext
+    state[[CUPX, CUPY]] = cup
+    return state

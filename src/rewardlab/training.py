@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
-from . import clustering as cl, encoders as enc, losses
+from . import clustering as cl, encoders as enc, losses, render
 from .config import ExperimentConfig
 from .datagen import Dataset
 from .errors import InsufficientStratumError, NonFiniteValueError
@@ -70,7 +70,7 @@ class _IndexedData:
         self.fail_task, self.fail_index = np.array(flat, dtype=np.int64).reshape(-1, 2).T
         self.fail_frames = np.concatenate(
             [self.fail_clips_by_task[t] for t in self.fail_tasks]
-        ) if flat else np.zeros((0, config.clip_frames, config.frame_width))
+        ) if flat else np.zeros((0, config.clip_frames, render.FRAME_WIDTH))
 
     @property
     def fail_tasks(self):
@@ -140,7 +140,6 @@ def init_params(config: ExperimentConfig, pooled_tasks) -> ModelParams:
     video = enc.init_video_encoder(
         np.random.default_rng([config.seed, _STREAM_VIDEO]),
         frames=config.clip_frames,
-        frame_width=config.frame_width,
         hidden=config.hidden_width,
         embed_dim=config.embed_dim,
     )

@@ -67,7 +67,7 @@ class TestGenDataset:
     def test_zero_noise_identity_transform_pairs_domains(self):
         cfg = dg.DataConfig(
             tasks=(sw.TASK_OPEN_DRAWER,),
-            shift=DomainShift(mix=0.0, offset=0.0, viewpoint_sigma=0.0, feature_noise_sigma=0.0),
+            shift=DomainShift(mix=0.0, offset=0.0, viewpoint_sigma=0.0),
             noise=0.0,
             seed=3,
         )

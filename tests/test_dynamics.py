@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import sim_state
 from rewardlab import dynamics as dyn, simworld as sw
 from rewardlab.errors import BadHorizonError, InsufficientDataError
 
@@ -21,13 +22,14 @@ class TestGroundTruth:
         assert np.array_equal(pred, full[::4])
 
     def test_zero_actions_keep_state(self):
-        s0 = sw.SimState(gripper=(0.9, 0.9))
-        states = dyn.chunked_predict(dyn.ground_truth_model(), s0, [sw.Action(0, 0)] * 60)
-        assert len(states) == 16
-        assert all(s == s0 for s in states)
+        s0 = sim_state(gripper=(0.9, 0.9))
+        zeros = np.zeros((1, 60, sw.ACTION_DIM))
+        states = dyn.chunked_predict_batch(dyn.ground_truth_model(), s0[None], zeros)
+        assert states.shape == (1, 16, sw.STATE_DIM)
+        assert np.all(states[0] == s0)
 
     def test_bad_horizon(self):
-        s0 = sw.state_to_array(sw.SimState())
+        s0 = sim_state()
         with pytest.raises(BadHorizonError):
             dyn.chunked_predict_batch(dyn.ground_truth_model(), s0[None], np.zeros((1, 7, 3)))
         with pytest.raises(BadHorizonError):
@@ -81,13 +83,6 @@ class TestTrainDynamics:
         a = dyn.train_dynamics(eps, seed=4, n_features=64)
         b = dyn.train_dynamics(eps, seed=4, n_features=64)
         assert np.array_equal(a.weights, b.weights)
-
-    def test_loss_history_non_increasing(self):
-        states, actions = dyn.generate_random_episodes(20, seed=3)
-        eps = [(states[i], actions[i]) for i in range(20)]
-        model = dyn.train_dynamics(eps, epochs=5, seed=0, n_features=64)
-        assert len(model.loss_history) == 5
-        assert np.all(np.diff(model.loss_history) <= 1e-15)
 
 
 class TestLearnedAccuracy:

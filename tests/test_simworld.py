@@ -3,14 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sim_state
 from rewardlab import render, simworld as sw
-from rewardlab.errors import BadConfigError, ShapeMismatchError, UnknownTaskError
+from rewardlab.errors import BadConfigError, UnknownTaskError
+
+
+OPEN, HOLD, CLOSE = -1.0, 0.0, 1.0
+
+
+def step(state, vx, vy, grip=HOLD):
+    """Advance one (7,) state by one (vx, vy, grip code) action."""
+    return sw.step_batch(state[None], np.array([[vx, vy, grip]]))[0]
+
+
+def frame(state, camera=(0.0, 0.0), **kwargs):
+    """Render one (7,) state to one frame feature vector."""
+    return render.render_frames(state[None], camera=np.asarray(camera), **kwargs)[0]
 
 
 def make_states(first_overrides=None, last_overrides=None, n=3):
     """Synthetic (n,7) state sequence for predicate tests."""
-    base = sw.state_to_array(sw.SimState())
-    states = np.tile(base, (n, 1))
+    states = np.tile(sim_state(), (n, 1))
     for col, val in (first_overrides or {}).items():
         states[0, col] = val
     for col, val in (last_overrides or {}).items():
@@ -20,67 +33,67 @@ def make_states(first_overrides=None, last_overrides=None, n=3):
 
 class TestStep:
     def test_zero_velocity_hold_keeps_state(self):
-        s = sw.SimState(gripper=(0.3, 0.3))
-        out = sw.step(s, sw.Action(0.0, 0.0, "hold"))
-        assert out == s
+        s = sim_state(gripper=(0.3, 0.3))
+        out = step(s, 0.0, 0.0, HOLD)
+        assert np.array_equal(out, s)
 
     def test_drawer_push_moves_extension_exactly(self):
         handle_y = sw.DRAWER_BASE[1] + 0.07
-        s = sw.SimState(gripper=(sw.DRAWER_BASE[0], handle_y), drawer_ext=0.07)
-        out = sw.step(s, sw.Action(0.0, -0.05))
-        assert out.drawer_ext == pytest.approx(0.02, abs=1e-15)
-        assert out.gripper[1] == pytest.approx(handle_y - 0.05)
+        s = sim_state(gripper=(sw.DRAWER_BASE[0], handle_y), ext=0.07)
+        out = step(s, 0.0, -0.05)
+        assert out[sw.EXT] == pytest.approx(0.02, abs=1e-15)
+        assert out[sw.GY] == pytest.approx(handle_y - 0.05)
 
     def test_far_from_objects_only_gripper_moves(self):
-        s = sw.SimState(gripper=(0.95, 0.05))
-        out = sw.step(s, sw.Action(0.03, -0.02))
-        assert out.drawer_ext == s.drawer_ext
-        assert out.faucet_angle == s.faucet_angle
-        assert out.cup == s.cup
-        assert out.gripper == pytest.approx((0.98, 0.03))
+        s = sim_state(gripper=(0.95, 0.05))
+        out = step(s, 0.03, -0.02)
+        assert out[sw.EXT] == s[sw.EXT]
+        assert out[sw.ANGLE] == s[sw.ANGLE]
+        assert np.array_equal(out[[sw.CUPX, sw.CUPY]], s[[sw.CUPX, sw.CUPY]])
+        assert out[[sw.GX, sw.GY]] == pytest.approx((0.98, 0.03))
 
     def test_grip_commands(self):
-        s = sw.SimState()
-        assert sw.step(s, sw.Action(0, 0, "close")).grip_closed
-        closed = sw.SimState(grip_closed=True)
-        assert sw.step(closed, sw.Action(0, 0, "hold")).grip_closed
-        assert not sw.step(closed, sw.Action(0, 0, "open")).grip_closed
+        s = sim_state()
+        assert step(s, 0, 0, CLOSE)[sw.GRIP] == 1.0
+        closed = sim_state(grip=1.0)
+        assert step(closed, 0, 0, HOLD)[sw.GRIP] == 1.0
+        assert step(closed, 0, 0, OPEN)[sw.GRIP] == 0.0
 
     def test_cup_pushed_only_toward(self):
         cup = (0.5, 0.35)
-        s = sw.SimState(gripper=(0.47, 0.35), cup=cup)
-        pushed = sw.step(s, sw.Action(0.05, 0.0))
-        assert pushed.cup[0] == pytest.approx(0.55)
-        away = sw.step(s, sw.Action(-0.05, 0.0))
-        assert away.cup == cup
+        s = sim_state(gripper=(0.47, 0.35), cup=cup)
+        pushed = step(s, 0.05, 0.0)
+        assert pushed[sw.CUPX] == pytest.approx(0.55)
+        away = step(s, -0.05, 0.0)
+        assert tuple(away[[sw.CUPX, sw.CUPY]]) == cup
 
     def test_cup_carried_when_gripped(self):
-        s = sw.SimState(gripper=(0.47, 0.35), cup=(0.5, 0.35), grip_closed=True)
-        out = sw.step(s, sw.Action(-0.05, 0.0, "hold"))
-        assert out.cup[0] == pytest.approx(0.45)
+        s = sim_state(gripper=(0.47, 0.35), cup=(0.5, 0.35), grip=1.0)
+        out = step(s, -0.05, 0.0, HOLD)
+        assert out[sw.CUPX] == pytest.approx(0.45)
 
     def test_faucet_accumulates_tangential(self):
-        s = sw.SimState(gripper=sw.FAUCET_HANDLE)
-        out = sw.step(s, sw.Action(-0.03, 0.0))
-        assert out.faucet_angle == pytest.approx(0.03)
-        out2 = sw.step(out, sw.Action(0.02, 0.0))
-        assert out2.faucet_angle == pytest.approx(0.05)
+        s = sim_state(gripper=sw.FAUCET_HANDLE)
+        out = step(s, -0.03, 0.0)
+        assert out[sw.ANGLE] == pytest.approx(0.03)
+        out2 = step(out, 0.02, 0.0)
+        assert out2[sw.ANGLE] == pytest.approx(0.05)
 
-    def test_action_clamped_on_construction(self):
-        a = sw.Action(0.2, -0.2)
-        assert a.vx == 0.05 and a.vy == -0.05
-        with pytest.raises(ShapeMismatchError):
-            sw.Action(0, 0, "squeeze")
+    def test_velocity_clamped(self):
+        s = sim_state()
+        out = step(s, 0.2, -0.2)
+        assert out[sw.GX] == s[sw.GX] + 0.05 and out[sw.GY] == s[sw.GY] - 0.05
 
 
 class TestRollout:
     def test_replay_determinism_bit_exact(self):
         rng = np.random.default_rng(5)
-        s0 = sw.sample_initial_state(sw.TASK_CUP_AWAY, rng)
-        actions = [sw.array_to_action(a) for a in sw.random_action_array(rng, 40)]
-        traj = sw.rollout(s0, actions)
-        replayed = sw.rollout(traj.states[0], traj.actions)
-        assert replayed.states == traj.states
+        s0 = sw.initial_state_array(sw.TASK_CUP_AWAY, rng)
+        actions = sw.random_action_array(rng, 40)
+        states = sw.rollout_states(s0, actions)
+        replayed = sw.rollout_states(states[0], actions)
+        assert states.shape == (41, sw.STATE_DIM)
+        assert np.array_equal(replayed, states)
 
     def test_batch_matches_scalar_bitwise(self):
         rng = np.random.default_rng(9)
@@ -90,11 +103,6 @@ class TestRollout:
         for i in range(3):
             single = sw.rollout_states(s0s[i], acts[i])
             assert np.array_equal(batch[i], single)
-
-    def test_trajectory_length_mismatch(self):
-        s = sw.SimState()
-        with pytest.raises(ShapeMismatchError):
-            sw.Trajectory(states=(s, s), actions=())
 
     def test_clamping_over_many_random_steps(self):
         rng = np.random.default_rng(77)
@@ -156,43 +164,43 @@ class TestSuccessPredicates:
 
 class TestRender:
     def test_same_state_same_features(self):
-        s = sw.SimState(gripper=(0.4, 0.6))
-        a = render.render_features(s)
-        b = render.render_features(s)
+        s = sim_state(gripper=(0.4, 0.6))
+        a = frame(s)
+        b = frame(s)
         assert np.array_equal(a, b)
 
     def test_drawer_ext_changes_features(self):
-        a = render.render_features(sw.SimState(drawer_ext=0.07))
-        b = render.render_features(sw.SimState(drawer_ext=0.03))
+        a = frame(sim_state(ext=0.07))
+        b = frame(sim_state(ext=0.03))
         assert not np.allclose(a, b)
 
     def test_human_differs_from_robot(self):
-        s = sw.SimState(gripper=(0.3, 0.7))
-        r = render.render_features(s, domain="robot")
-        h = render.render_features(s, domain="human")
+        s = sim_state(gripper=(0.3, 0.7))
+        r = frame(s, domain="robot")
+        h = frame(s, domain="human")
         cos = float(r @ h / (np.linalg.norm(r) * np.linalg.norm(h)))
         assert cos < 1.0 - 1e-6
 
     def test_identity_shift_is_noop(self):
-        s = sw.SimState()
+        s = sim_state()
         shift = render.DomainShift(mix=0.0, offset=0.0)
-        r = render.render_features(s, domain="robot")
-        h = render.render_features(s, domain="human", shift=shift)
+        r = frame(s, domain="robot")
+        h = frame(s, domain="human", shift=shift)
         assert np.array_equal(r, h)
 
     def test_variants_change_features_not_dynamics(self):
-        s = sw.SimState()
-        feats = {v: render.render_features(s, variant=v) for v in render.VARIANTS}
+        s = sim_state()
+        feats = {v: frame(s, variant=v) for v in render.VARIANTS}
         names = list(render.VARIANTS)
         for i, a in enumerate(names):
             for b in names[i + 1:]:
                 assert not np.allclose(feats[a], feats[b])
         with pytest.raises(BadConfigError):
-            render.render_features(s, variant="nope")
+            frame(s, variant="nope")
 
     def test_camera_offset_changes_features(self):
-        a = render.render_features(sw.SimState(camera_offset=(0.0, 0.0)))
-        b = render.render_features(sw.SimState(camera_offset=(0.05, 0.0)))
+        a = frame(sim_state(), camera=(0.0, 0.0))
+        b = frame(sim_state(), camera=(0.05, 0.0))
         assert not np.allclose(a, b)
 
     def test_clip_frame_indices(self):
@@ -206,13 +214,14 @@ class TestInitialStates:
     @given(st.sampled_from(sw.ALL_TASKS), st.integers(0, 1000))
     @settings(max_examples=40)
     def test_initial_state_in_bounds(self, task, seed):
-        s = sw.sample_initial_state(task, np.random.default_rng(seed))
-        assert 0.0 <= s.gripper[0] <= 1.0 and 0.0 <= s.gripper[1] <= 1.0
-        assert not s.grip_closed
+        s = sw.initial_state_array(task, np.random.default_rng(seed))
+        assert s.shape == (sw.STATE_DIM,)
+        assert 0.0 <= s[sw.GX] <= 1.0 and 0.0 <= s[sw.GY] <= 1.0
+        assert s[sw.GRIP] == 0.0
         expected_ext = 0.0 if task == sw.TASK_OPEN_DRAWER else sw.DRAWER_MAX
-        assert s.drawer_ext == expected_ext
+        assert s[sw.EXT] == expected_ext
 
     def test_deterministic_given_seed(self):
-        a = sw.sample_initial_state(0, np.random.default_rng(3))
-        b = sw.sample_initial_state(0, np.random.default_rng(3))
-        assert a == b
+        a = sw.initial_state_array(0, np.random.default_rng(3))
+        b = sw.initial_state_array(0, np.random.default_rng(3))
+        assert np.array_equal(a, b)

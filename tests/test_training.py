@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rewardlab import encoders as enc, evaluation, losses, simworld as sw, training
+from rewardlab import encoders as enc, evaluation, losses, render, simworld as sw, training
 from rewardlab.config import ExperimentConfig
 from rewardlab.datagen import Dataset, LabeledClip
 from rewardlab.errors import BadConfigError, InsufficientStratumError, NonFiniteValueError
@@ -111,7 +111,7 @@ def test_sampler_draws_match_loop_reference(dataset, mode):
 
 def label_only_dataset(human_tasks, robot_tasks, config):
     """Success clips with all-zero frames: the sampler draws from labels alone."""
-    frames = np.zeros((config.clip_frames, config.frame_width))
+    frames = np.zeros((config.clip_frames, render.FRAME_WIDTH))
     return Dataset(
         [LabeledClip(frames, "human", t, 1, None, 0) for t in human_tasks]
         + [LabeledClip(frames, "robot", t, 1, None, 0) for t in robot_tasks]
