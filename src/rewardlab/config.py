@@ -91,7 +91,7 @@ def _parse_value(name: str, text: str):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise BadConfigError(f"{name}: expected a boolean, got {text!r}")
+        raise ValueError(f"expected a boolean, got {text!r}")
     if kind == "tuple":
         if not text:
             return ()

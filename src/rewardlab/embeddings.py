@@ -9,10 +9,8 @@ overflow.
 import numpy as np
 
 from .errors import (
-    BadIndexError,
     DimensionMismatchError,
     NonFiniteValueError,
-    NonPositiveTemperatureError,
     ZeroVectorError,
 )
 
@@ -37,20 +35,6 @@ def l2_normalize_rows(mat, eps: float = EPSILON_NORM) -> np.ndarray:
     return mat / norms
 
 
-def similarity_matrix(a, b) -> np.ndarray:
-    """Pairwise dot products: entry (i, j) = a[i] . b[j].
-
-    For unit-norm rows this is the cosine similarity matrix.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(
-            f"embedding widths differ: {a.shape[1]} vs {b.shape[1]}"
-        )
-    return a @ b.T
-
-
 def logsumexp(x):
     """Stable log(sum(exp(x))) along the last axis.
 
@@ -69,32 +53,6 @@ def softmax(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return z / np.sum(z, axis=-1, keepdims=True)
-
-
-def nce_term(sims, pos_index: int, tau: float) -> float:
-    """InfoNCE term: -log( exp(s_pos/tau) / sum_j exp(s_j/tau) ).
-
-    Equals logsumexp(sims/tau) - sims[pos_index]/tau, which is >= 0.
-    """
-    sims = np.asarray(sims, dtype=np.float64)
-    if sims.ndim != 1 or sims.size < 1:
-        raise BadIndexError("sims must be a nonempty 1-d array")
-    if not 0 <= pos_index < sims.size:
-        raise BadIndexError(f"pos_index {pos_index} outside [0, {sims.size})")
-    if not tau > 0:
-        raise NonPositiveTemperatureError(f"tau must be > 0, got {tau}")
-    logits = sims / tau
-    return logsumexp(logits) - float(logits[pos_index])
-
-
-def nce_term_grad(sims, pos_index: int, tau: float) -> np.ndarray:
-    """Gradient of nce_term with respect to sims: (softmax(s/tau) - e_pos)/tau."""
-    sims = np.asarray(sims, dtype=np.float64)
-    if not tau > 0:
-        raise NonPositiveTemperatureError(f"tau must be > 0, got {tau}")
-    g = softmax(sims / tau)
-    g[pos_index] -= 1.0
-    return g / tau
 
 
 def finite_diff_grad_check(f, theta, analytic_grad, eps: float = 1e-5) -> float:

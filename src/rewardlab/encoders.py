@@ -6,18 +6,18 @@ average -> linear -> l2 normalization. Backward passes are written by hand
 and validated against central differences.
 
 Task text embeddings stand in for a frozen language encoder: one seeded
-unit Gaussian vector per task expression, never updated (arrays are marked
-read-only to enforce this).
+unit Gaussian vector per task, stored as a read-only (T, D) array whose
+row t is task t.
 
-A failure prompt is a trainable (prompt_len, D) block per (task, cluster).
-Its feature is the token-mean of [prompt; task text] through a shared
-trainable linear map, then normalized, so the feature stays differentiable
-in the prompt while the text stays frozen. One composition serves any
-leading shape, so a training step composes (and backprops) the T*K
-contexts of all pooled tasks in one call.
+The failure prompt pool holds one trainable (prompt_len, D) block per
+(pooled task, cluster) in a single (T_p, K, prompt_len, D) array. A
+context's feature is the token-mean of [prompt; task text] through a
+shared trainable linear map, then normalized, so the feature stays
+differentiable in the prompt while the text stays frozen. A training step
+composes (and backprops) all T_p * K contexts in one call.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class VideoEncoderParams:
     def frames(self) -> int:
         return self.temporal_logits.shape[0]
 
-    def copy(self) -> "VideoEncoderParams":
-        return VideoEncoderParams(*(getattr(self, f.name).copy() for f in fields(self)))
-
     def arrays(self):
         return [getattr(self, f.name) for f in fields(self)]
 
@@ -75,10 +72,6 @@ def init_video_encoder(
         out_proj=rng.normal(size=(hidden, embed_dim)) / np.sqrt(hidden),
         out_bias=np.zeros(embed_dim),
     )
-
-
-def zeros_like_video(params: VideoEncoderParams) -> VideoEncoderParams:
-    return VideoEncoderParams(*(np.zeros_like(a) for a in params.arrays()))
 
 
 def encode_clips_cached(clips: np.ndarray, params: VideoEncoderParams):
@@ -150,75 +143,42 @@ def encode_clips_backward(cache, d_v: np.ndarray) -> VideoEncoderParams:
 
 # --- frozen task text embeddings ---
 
-@dataclass(frozen=True)
-class TaskSpec:
-    task_id: int
-    expression: str
-    text_embedding: np.ndarray  # unit norm, read-only
-
-
 class TaskTable:
-    """Registry of tasks with frozen text embeddings."""
+    """Frozen text embeddings of tasks 0..T-1: row t of `texts` is task t."""
 
-    def __init__(self, specs):
-        self._specs = {}
-        for spec in specs:
-            if spec.task_id in self._specs:
-                raise ShapeMismatchError(f"duplicate task id {spec.task_id}")
-            spec.text_embedding.setflags(write=False)
-            self._specs[spec.task_id] = spec
+    def __init__(self, texts):
+        self.texts = np.array(texts, dtype=np.float64)
+        if self.texts.ndim != 2:
+            raise ShapeMismatchError(f"texts must be (T, D), got {self.texts.shape}")
+        self.texts.setflags(write=False)
 
     @classmethod
-    def build(cls, task_names: dict, embed_dim: int, seed: int) -> "TaskTable":
-        """Seeded near-orthogonal initializer: unit Gaussian per expression."""
-        specs = []
-        for task_id in sorted(task_names):
-            rng = np.random.default_rng([seed, _TEXT_STREAM, task_id])
-            emb = l2_normalize(rng.normal(size=embed_dim))
-            specs.append(TaskSpec(task_id, task_names[task_id], emb))
-        return cls(specs)
+    def build(cls, n_tasks: int, embed_dim: int, seed: int) -> "TaskTable":
+        """Seeded near-orthogonal initializer: one unit Gaussian per task."""
+        return cls([
+            l2_normalize(np.random.default_rng([seed, _TEXT_STREAM, task]).normal(size=embed_dim))
+            for task in range(n_tasks)
+        ])
 
-    def __contains__(self, task_id: int) -> bool:
-        return task_id in self._specs
-
-    def task_ids(self):
-        return sorted(self._specs)
-
-    def spec(self, task_id: int) -> TaskSpec:
-        if task_id not in self._specs:
-            raise UnknownTaskError(f"task {task_id} is not registered")
-        return self._specs[task_id]
+    def __len__(self) -> int:
+        return self.texts.shape[0]
 
     def text_embed(self, task_id: int) -> np.ndarray:
-        return self.spec(task_id).text_embedding
+        if not 0 <= task_id < len(self):
+            raise UnknownTaskError(f"task {task_id} is not registered")
+        return self.texts[task_id]
 
 
 # --- failure prompt pool ---
 
 @dataclass
 class FailurePromptPool:
-    """K trainable prompts per task plus the shared pooling map."""
+    """K trainable prompts per pooled task plus the shared pooling map."""
 
-    prompts: dict          # task_id -> (K, prompt_len, D)
+    tasks: np.ndarray      # (T_p,) task ids, ascending
+    prompts: np.ndarray    # (T_p, K, prompt_len, D): row i belongs to tasks[i]
     proj: np.ndarray       # (D, D)
     bias: np.ndarray       # (D,)
-
-    @property
-    def k(self) -> int:
-        first = next(iter(self.prompts.values()))
-        return first.shape[0]
-
-    @property
-    def prompt_len(self) -> int:
-        first = next(iter(self.prompts.values()))
-        return first.shape[1]
-
-    def copy(self) -> "FailurePromptPool":
-        return FailurePromptPool(
-            prompts={t: p.copy() for t, p in self.prompts.items()},
-            proj=self.proj.copy(),
-            bias=self.bias.copy(),
-        )
 
 
 def init_prompt_pool(
@@ -231,55 +191,40 @@ def init_prompt_pool(
 ) -> FailurePromptPool:
     if k < 1 or prompt_len < 1:
         raise BadClusterIndexError("need k >= 1 and prompt_len >= 1")
-    prompts = {
-        t: rng.normal(scale=prompt_scale, size=(k, prompt_len, embed_dim))
-        for t in sorted(task_ids)
-    }
-    return FailurePromptPool(prompts=prompts, proj=np.eye(embed_dim), bias=np.zeros(embed_dim))
+    tasks = np.array(sorted(task_ids), dtype=np.int64)
+    return FailurePromptPool(
+        tasks=tasks,
+        prompts=rng.normal(scale=prompt_scale, size=(len(tasks), k, prompt_len, embed_dim)),
+        proj=np.eye(embed_dim),
+        bias=np.zeros(embed_dim),
+    )
 
 
-def _compose(prompts, texts, proj, bias):
-    """Features of [prompt; text] contexts for any leading shape.
+def failure_text_features(pool: FailurePromptPool, table: TaskTable):
+    """Features of all (task, cluster) contexts [prompt; task text], composed
+    in one pass: token mean -> shared map -> normalize.
 
-    prompts: (..., P, D); texts: (..., D), broadcast against the prompts'
-    leading shape.
-    Returns (..., D) unit features and the cache for the backward pass.
+    Returns (T_p, K, D) unit features and the cache for the backward pass.
     """
-    text_rows = np.broadcast_to(texts[..., None, :], prompts.shape[:-2] + (1, prompts.shape[-1]))
-    rows = np.concatenate([prompts, text_rows], axis=-2)
+    if np.any((pool.tasks < 0) | (pool.tasks >= len(table))):
+        raise UnknownTaskError(f"pool tasks {pool.tasks.tolist()} are not all in the table")
+    prompts = pool.prompts
+    texts = table.texts[pool.tasks][:, None, None, :]
+    rows = np.concatenate(
+        [prompts, np.broadcast_to(texts, prompts.shape[:2] + (1, prompts.shape[-1]))], axis=-2
+    )
     mean = rows.mean(axis=-2)
-    u = mean @ proj + bias
+    u = mean @ pool.proj + pool.bias
     norm = np.linalg.norm(u, axis=-1)
     if np.any(norm <= 1e-12):
         raise ZeroVectorError("failure context collapsed to zero")
     t_f = u / norm[..., None]
-    return t_f, (rows.shape[-2], mean, norm, t_f, proj)
-
-
-def compose_failure_context_cached(
-    pool: FailurePromptPool, table: TaskTable, task_id: int, k: int
-):
-    """Feature of [prompt_k; task text]: token mean -> shared map -> normalize."""
-    if task_id not in pool.prompts:
-        raise UnknownTaskError(f"task {task_id} has no failure prompt pool")
-    block = pool.prompts[task_id]
-    if not 0 <= k < block.shape[0]:
-        raise BadClusterIndexError(f"cluster {k} outside [0, {block.shape[0]})")
-    return _compose(block[k], table.text_embed(task_id), pool.proj, pool.bias)
-
-
-def compose_failure_context(
-    pool: FailurePromptPool, table: TaskTable, task_id: int, k: int
-) -> np.ndarray:
-    return compose_failure_context_cached(pool, table, task_id, k)[0]
+    return t_f, (rows.shape[-2], mean, norm, t_f, pool.proj)
 
 
 def compose_failure_context_backward(cache, d_t: np.ndarray):
-    """Returns (d_prompts (..., prompt_len, D), d_proj, d_bias).
-
-    The leading shape follows the cache: () for one context, (T, K) for
-    the stack failure_text_features composes for a list of tasks.
-    """
+    """Returns (d_prompts (T_p, K, prompt_len, D), d_proj, d_bias) given
+    d(loss)/d(features) for the (T_p, K, D) stack failure_text_features made."""
     n_rows, mean, norm, t_f, proj = cache
     d_t = np.asarray(d_t, dtype=np.float64)
     d_u = (d_t - t_f * np.sum(t_f * d_t, axis=-1, keepdims=True)) / norm[..., None]
@@ -289,26 +234,6 @@ def compose_failure_context_backward(cache, d_t: np.ndarray):
     d_row = (d_u @ proj.T) / n_rows
     d_prompts = np.repeat(d_row[..., None, :], n_rows - 1, axis=-2)
     return d_prompts, d_proj, d_bias
-
-
-def failure_text_features(pool: FailurePromptPool, table: TaskTable, task_ids):
-    """Features of all K clusters of the given tasks, composed in one pass.
-
-    A list of T task ids gives a (T, K, D) array and one cache for the
-    whole stack; a single task id gives (K, D) and one cache per cluster.
-    """
-    ids = np.atleast_1d(task_ids).tolist()
-    for task in ids:
-        if task not in pool.prompts:
-            raise UnknownTaskError(f"task {task} has no failure prompt pool")
-    prompts = np.stack([pool.prompts[task] for task in ids])            # (T, K, P, D)
-    texts = np.stack([table.text_embed(task) for task in ids])[:, None]  # (T, 1, D)
-    feats, cache = _compose(prompts, texts, pool.proj, pool.bias)
-    if np.ndim(task_ids) == 0:
-        n_rows, mean, norm, t_f, proj = cache
-        per_k = [(n_rows, mean[0, k], norm[0, k], t_f[0, k], proj) for k in range(feats.shape[1])]
-        return feats[0], per_k
-    return feats, cache
 
 
 # --- parameter flattening (finite-difference checks, checkpoints) ---

@@ -18,10 +18,6 @@ class DimensionMismatchError(RewardLabError):
     """Embeddings of different widths were mixed."""
 
 
-class BadIndexError(RewardLabError):
-    """Index outside the valid range."""
-
-
 class NonPositiveTemperatureError(RewardLabError):
     """Softmax temperature must be > 0."""
 

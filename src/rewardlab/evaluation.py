@@ -8,7 +8,6 @@ evaluated by executing each planned sequence in the real simulator and
 checking the task predicate.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -30,16 +29,11 @@ def auc_from_scores(success_scores, failure_scores) -> float:
     n_s, n_f = success_scores.size, failure_scores.size
     if n_s == 0 or n_f == 0:
         raise OneClassOnlyError("need both success and failure scores")
-    pooled = np.concatenate([success_scores, failure_scores])
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty_like(pooled)
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    _, group, counts = np.unique(
+        np.concatenate([success_scores, failure_scores]), return_inverse=True, return_counts=True
+    )
+    # a tie group holding ranks start..end (1-based) gets their mean
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     u = float(np.sum(ranks[:n_s])) - n_s * (n_s + 1) / 2.0
     return u / (n_s * n_f)
 

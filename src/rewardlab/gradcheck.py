@@ -2,15 +2,13 @@
 
 Each entry builds seeded random inputs, evaluates the hand-written
 gradient, and compares it against central differences (eps 1e-5 by
-default). Used by the `grad-check` CLI subcommand and the acceptance
-suite.
+default). `run_gradient_suite` runs them all; the test suite calls it.
 """
 
 import numpy as np
 
 from . import encoders as enc, losses
 from .embeddings import finite_diff_grad_check, l2_normalize_rows
-from .simworld import TASK_NAMES
 
 
 def _unit_rows(rng, n, d):
@@ -27,35 +25,21 @@ def _check_cdc(rng, eps):
     )
 
 
-def _vlc_theta(videos, texts, fail):
-    parts = [videos.ravel(), texts.ravel()]
-    if fail is not None:
-        parts += [fail[t].ravel() for t in sorted(fail)]
-    return np.concatenate(parts)
-
-
 def _check_vlc(rng, eps, with_failure):
     b, d, k = 5, 10, 2
     videos = _unit_rows(rng, b, d)
     texts = _unit_rows(rng, b, d)
     labels = np.array([0, 1, 0, 1, 0])
-    fail = {0: _unit_rows(rng, k, d), 1: _unit_rows(rng, k, d)} if with_failure else None
+    inputs = [videos, texts] + ([_unit_rows(rng, 2 * k, d).reshape(2, k, d)] if with_failure else [])
 
     def f(flat):
-        vv = flat[: b * d].reshape(b, d)
-        tt = flat[b * d: 2 * b * d].reshape(b, d)
-        ff = None
-        if with_failure:
-            blocks = flat[2 * b * d:].reshape(2, k, d)
-            ff = {0: blocks[0], 1: blocks[1]}
-        return losses.video_text_loss(vv, tt, labels, 0.4, failure_texts=ff)[0]
+        vv, tt, *ff = enc.unflatten_like(flat, inputs)
+        return losses.video_text_loss(vv, tt, labels, 0.4, *ff)[0]
 
-    _, grads = losses.video_text_loss(videos, texts, labels, 0.4, failure_texts=fail)
-    analytic = [grads["videos"].ravel(), grads["texts"].ravel()]
-    if with_failure:
-        analytic += [grads["fail_texts"][t].ravel() for t in sorted(fail)]
+    _, grads = losses.video_text_loss(*inputs[:2], labels, 0.4, *inputs[2:])
+    analytic = [grads["videos"], grads["texts"]] + ([grads["fail_texts"]] if with_failure else [])
     return finite_diff_grad_check(
-        f, _vlc_theta(videos, texts, fail).copy(), np.concatenate(analytic), eps=eps
+        f, enc.flatten_arrays(inputs), enc.flatten_arrays(analytic), eps=eps
     )
 
 
@@ -82,30 +66,19 @@ def _check_fvlc(rng, eps):
     fail_videos = _unit_rows(rng, 4, d)
     labels = np.array([0, 1, 0, 1])
     clusters = np.array([rng.integers(0, k) for _ in range(4)])
-    task_texts = {0: _unit_rows(rng, 1, d)[0], 1: _unit_rows(rng, 1, d)[0]}
-    fail = {0: _unit_rows(rng, k, d), 1: _unit_rows(rng, k, d)}
+    task_texts = _unit_rows(rng, 2, d)
+    fail = _unit_rows(rng, 2 * k, d).reshape(2, k, d)
+    inputs = [fail_videos, task_texts, fail]
     _, grads = losses.failure_prompt_loss(fail_videos, labels, clusters, task_texts, fail, 0.35)
 
-    sizes = [4 * d, d, d, k * d, k * d]
-
     def f(flat):
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        return losses.failure_prompt_loss(
-            parts[0].reshape(4, d), labels, clusters,
-            {0: parts[1], 1: parts[2]},
-            {0: parts[3].reshape(k, d), 1: parts[4].reshape(k, d)},
-            0.35,
-        )[0]
+        vv, tt, ff = enc.unflatten_like(flat, inputs)
+        return losses.failure_prompt_loss(vv, labels, clusters, tt, ff, 0.35)[0]
 
-    theta = np.concatenate([
-        fail_videos.ravel(), task_texts[0], task_texts[1], fail[0].ravel(), fail[1].ravel()
-    ])
-    analytic = np.concatenate([
-        grads["fail_videos"].ravel(),
-        grads["task_texts"][0], grads["task_texts"][1],
-        grads["fail_texts"][0].ravel(), grads["fail_texts"][1].ravel(),
-    ])
-    return finite_diff_grad_check(f, theta.copy(), analytic, eps=eps)
+    analytic = [grads["fail_videos"], grads["task_texts"], grads["fail_texts"]]
+    return finite_diff_grad_check(
+        f, enc.flatten_arrays(inputs), enc.flatten_arrays(analytic), eps=eps
+    )
 
 
 def _check_encoder(rng, eps):
@@ -126,25 +99,20 @@ def _check_encoder(rng, eps):
 
 def _check_compose(rng, eps):
     d = 8
-    table = enc.TaskTable.build({0: TASK_NAMES[0]}, embed_dim=d, seed=int(rng.integers(2**31)))
-    pool = enc.init_prompt_pool([0], rng, k=2, prompt_len=2, embed_dim=d)
-    probe = rng.normal(size=d)
-    block = pool.prompts[0][1]
+    table = enc.TaskTable.build(3, embed_dim=d, seed=int(rng.integers(2**31)))
+    pool = enc.init_prompt_pool([0, 2], rng, k=2, prompt_len=2, embed_dim=d)
+    probe = rng.normal(size=(2, 2, d))
+    params = [pool.prompts, pool.proj, pool.bias]
 
     def f(vec):
-        saved = block.copy(), pool.proj.copy(), pool.bias.copy()
-        parts = enc.unflatten_like(vec, [block, pool.proj, pool.bias])
-        block[...], pool.proj, pool.bias = parts[0], parts[1], parts[2]
-        try:
-            return float(enc.compose_failure_context(pool, table, 0, 1) @ probe)
-        finally:
-            block[...], pool.proj, pool.bias = saved
+        trial = enc.FailurePromptPool(pool.tasks, *enc.unflatten_like(vec, params))
+        return float(np.sum(enc.failure_text_features(trial, table)[0] * probe))
 
-    _, cache = enc.compose_failure_context_cached(pool, table, 0, 1)
-    d_prompt, d_proj, d_bias = enc.compose_failure_context_backward(cache, probe)
-    theta = enc.flatten_arrays([block, pool.proj, pool.bias])
-    analytic = enc.flatten_arrays([d_prompt, d_proj, d_bias])
-    return finite_diff_grad_check(f, theta, analytic, eps=eps)
+    _, cache = enc.failure_text_features(pool, table)
+    analytic = enc.compose_failure_context_backward(cache, probe)
+    return finite_diff_grad_check(
+        f, enc.flatten_arrays(params), enc.flatten_arrays(analytic), eps=eps
+    )
 
 
 SUITE = {
@@ -154,7 +122,7 @@ SUITE = {
     "bce_loss": _check_bce,
     "failure_prompt_loss": _check_fvlc,
     "encode_video": _check_encoder,
-    "compose_failure_context": _check_compose,
+    "failure_text_features": _check_compose,
 }
 
 

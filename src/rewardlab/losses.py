@@ -16,20 +16,22 @@ skip it.
 * video_text_loss: bidirectional clip<->text InfoNCE, positive on the
   diagonal. When failure-text features are supplied, video->text logits
   are [B, B + K]: the last K columns hold the row task's failure features,
-  masked past that task's own count, so a task without a prompt pool adds
-  no negatives. text->video is the transposed [B, B] matrix.
+  masked when that task has no prompt pool, so such a row adds no
+  negatives. text->video is the transposed [B, B] matrix.
 * bce_loss: binary cross-entropy on sigmoid(v . t) over robot successes
   and failures.
 * failure_prompt_loss: [Bf, 1 + K] logits of each failure clip against
   [task success text; task failure features]; the positive is the
   feature at the clip's assigned cluster k*.
 
-Per-task blocks arrive as task -> array dicts; each loss stacks the tasks
-its rows use and sums gradients back per task. Gradients are hand-derived
-and covered by central-difference checks in the test suite.
+Per-task data are task-indexed arrays: task texts (T, D), failure
+features (T, K, D) and a (T,) mask of the tasks that have a prompt pool.
+A row's task label indexes them directly, and per-row gradients are summed
+back into the same shapes with np.add.at. Gradients are hand-derived and
+covered by central-difference checks in the test suite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .errors import (
     MissingFailureTextsError,
     NonPositiveTemperatureError,
     ShapeMismatchError,
+    UnknownTaskError,
 )
 
 MODES = ("no_failure", "bce", "fvlc")
@@ -96,36 +99,27 @@ def _check_tau(tau: float) -> None:
         raise NonPositiveTemperatureError(f"tau must be > 0, got {tau}")
 
 
-def _gather_blocks(blocks: dict, labels, width: int):
-    """Each row's task block from a task -> (K_t, D) dict, zero-padded.
-
-    Returns (tasks, rows, row_blocks (n, K, D), valid (n, K)): the distinct
-    tasks, each row's index into them, and which of the K slots are real.
-    """
-    tasks, rows = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-    for task in tasks.tolist():
-        if task not in blocks:
-            raise MissingFailureTextsError(f"task {task} has no failure-text features")
-    arrays = [np.asarray(blocks[task], dtype=np.float64) for task in tasks.tolist()]
-    counts = np.array([len(a) for a in arrays], dtype=np.int64)
-    stack = np.zeros((len(arrays), counts.max(initial=0), width))
-    for j, a in enumerate(arrays):
-        stack[j, : len(a)] = a
-    return tasks, rows, stack[rows], np.arange(stack.shape[1]) < counts[rows, None]
+def _rows(per_task, labels, error):
+    """per_task[labels] for a task-indexed array and int labels; a label
+    outside [0, T) raises `error`."""
+    if np.any((labels < 0) | (labels >= len(per_task))):
+        raise error(f"task labels {sorted(set(labels.tolist()))} outside [0, {len(per_task)})")
+    return per_task[labels]
 
 
-def _task_rows(vectors: dict, tasks, width: int) -> np.ndarray:
-    """(T, D) stack of one vector per task."""
-    return np.asarray([vectors[t] for t in tasks.tolist()], dtype=np.float64).reshape(len(tasks), width)
+def _pool_rows(failure_texts, pooled, labels):
+    """Each row's (K, D) failure block and the (n,) mask of rows whose task
+    has a prompt pool; callers mask the other rows' failure logits."""
+    blocks = _rows(failure_texts, labels, MissingFailureTextsError)
+    if pooled is None:
+        return blocks, np.ones(len(blocks), dtype=bool)
+    return blocks, np.asarray(pooled, dtype=bool)[labels]
 
 
-def _scatter_blocks(tasks, rows, contrib, like: dict) -> dict:
-    """Sum per-row gradients (n, ...) into a task -> array dict shaped like `like`."""
-    summed = np.zeros((len(tasks),) + contrib.shape[1:])
-    np.add.at(summed, rows, contrib)
-    out = {t: np.zeros(np.shape(v)) for t, v in like.items()}
-    for j, task in enumerate(tasks.tolist()):
-        out[task] += summed[j, : len(out[task])]
+def _sum_rows(shape, labels, contrib) -> np.ndarray:
+    """Per-row gradients (n, ...) summed into a task-indexed (T, ...) array."""
+    out = np.zeros(shape)
+    np.add.at(out, labels, contrib)
     return out
 
 
@@ -153,16 +147,18 @@ def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
     return total, (grad_s + grad_s.T) @ videos
 
 
-def video_text_loss(videos, texts, labels, tau: float, failure_texts=None):
+def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, pooled=None):
     """Bidirectional clip<->text InfoNCE; failure features join the
     video->text denominators when given.
 
-    Returns (value, grads) with grads keys "videos", "texts", and
-    (when failure_texts is given) "fail_texts" as task -> (K, D).
+    failure_texts is (T, K, D), indexed by task id; pooled is the (T,)
+    mask of tasks that have a prompt pool (all of them when None).
+    Returns (value, grads) with grads keys "videos", "texts", and (when
+    failure_texts is given) "fail_texts" (T, K, D).
     """
     videos = np.asarray(videos, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = np.asarray(labels, dtype=np.int64)
     if videos.shape != texts.shape:
         raise ShapeMismatchError("one text embedding per video is required")
     _check_tau(tau)
@@ -170,9 +166,10 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None):
     logits = (videos @ texts.T) / tau            # [i, j] = v_i . t_j / tau
     z = logits
     if failure_texts is not None:
-        tasks, rows, blocks, valid = _gather_blocks(failure_texts, labels, videos.shape[1])
+        failure_texts = np.asarray(failure_texts, dtype=np.float64)
+        blocks, has_pool = _pool_rows(failure_texts, pooled, labels)
         fail_logits = np.einsum("bd,bkd->bk", videos, blocks) / tau
-        z = np.concatenate([logits, np.where(valid, fail_logits, -np.inf)], axis=1)
+        z = np.concatenate([logits, np.where(has_pool[:, None], fail_logits, -np.inf)], axis=1)
     total = float(np.sum(logsumexp(z) + logsumexp(logits.T)) - 2.0 * np.trace(logits))
     p = softmax(z)
     # d(loss)/d(v_i . t_j): video->text rows plus text->video columns
@@ -181,8 +178,8 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None):
     if failure_texts is not None:
         d_fail = p[:, b:] / tau
         grads["videos"] += np.einsum("bk,bkd->bd", d_fail, blocks)
-        grads["fail_texts"] = _scatter_blocks(
-            tasks, rows, d_fail[:, :, None] * videos[:, None, :], failure_texts
+        grads["fail_texts"] = _sum_rows(
+            failure_texts.shape, labels, d_fail[:, :, None] * videos[:, None, :]
         )
     return total, grads
 
@@ -217,25 +214,33 @@ def bce_loss(videos, texts, outcomes):
     return value, {"videos": dx[:, None] * texts, "texts": dx[:, None] * videos}
 
 
-def failure_prompt_loss(fail_videos, fail_labels, fail_clusters, task_texts, failure_texts, tau: float):
+def failure_prompt_loss(
+    fail_videos, fail_labels, fail_clusters, task_texts, failure_texts, tau: float, pooled=None
+):
     """Contrast each failure clip against [success text; K failure features].
 
-    The positive is the failure feature at the clip's assigned cluster k*.
-    Returns (value, grads) with keys "fail_videos", "task_texts" (task ->
-    (D,)), and "fail_texts" (task -> (K, D)).
+    task_texts is (T, D) and failure_texts (T, K, D), indexed by task id;
+    pooled is the (T,) mask of tasks that have a prompt pool (all of them
+    when None), and every failure row's task must have one. The positive
+    is the failure feature at the clip's assigned cluster k*.
+    Returns (value, grads) with keys "fail_videos", "task_texts" (T, D)
+    and "fail_texts" (T, K, D).
     """
     fail_videos = np.asarray(fail_videos, dtype=np.float64)
+    fail_labels = np.asarray(fail_labels, dtype=np.int64)
     fail_clusters = np.asarray(fail_clusters, dtype=np.int64)
+    task_texts = np.asarray(task_texts, dtype=np.float64)
+    failure_texts = np.asarray(failure_texts, dtype=np.float64)
     _check_tau(tau)
-    n, d = fail_videos.shape
-    tasks, rows, blocks, valid = _gather_blocks(failure_texts, fail_labels, d)
-    k_rows = valid.sum(axis=1)
-    bad = (fail_clusters < 0) | (fail_clusters >= k_rows)
+    n, k = fail_videos.shape[0], failure_texts.shape[1]
+    blocks, has_pool = _pool_rows(failure_texts, pooled, fail_labels)
+    if not np.all(has_pool):
+        raise MissingFailureTextsError("a failure row's task has no prompt pool")
+    bad = (fail_clusters < 0) | (fail_clusters >= k)
     if np.any(bad):
-        i = int(np.argmax(bad))
-        raise BadClusterIndexError(f"k*={fail_clusters[i]} outside [0, {k_rows[i]})")
-    texts = _task_rows(task_texts, tasks, d)[rows]
-    fail_logits = np.where(valid, np.einsum("bd,bkd->bk", fail_videos, blocks), -np.inf)
+        raise BadClusterIndexError(f"k*={fail_clusters[np.argmax(bad)]} outside [0, {k})")
+    texts = _rows(task_texts, fail_labels, UnknownTaskError)
+    fail_logits = np.einsum("bd,bkd->bk", fail_videos, blocks)
     z = np.concatenate([np.sum(fail_videos * texts, axis=1, keepdims=True), fail_logits], axis=1) / tau
     idx, pos = np.arange(n), 1 + fail_clusters
     total = float(np.sum(logsumexp(z)) - np.sum(z[idx, pos]))
@@ -244,33 +249,23 @@ def failure_prompt_loss(fail_videos, fail_labels, fail_clusters, task_texts, fai
     coef /= tau
     return total, {
         "fail_videos": coef[:, :1] * texts + np.einsum("bk,bkd->bd", coef[:, 1:], blocks),
-        "task_texts": _scatter_blocks(tasks, rows, coef[:, :1] * fail_videos, task_texts),
-        "fail_texts": _scatter_blocks(
-            tasks, rows, coef[:, 1:, None] * fail_videos[:, None, :], failure_texts
+        "task_texts": _sum_rows(task_texts.shape, fail_labels, coef[:, :1] * fail_videos),
+        "fail_texts": _sum_rows(
+            failure_texts.shape, fail_labels, coef[:, 1:, None] * fail_videos[:, None, :]
         ),
     }
 
 
 def _accumulate(target: dict, grads: dict, weight: float) -> None:
     for key, val in grads.items():
-        if isinstance(val, dict):
-            slot = target.setdefault(key, {})
-            for sub, arr in val.items():
-                if sub in slot:
-                    slot[sub] = slot[sub] + weight * arr
-                else:
-                    slot[sub] = weight * arr
-        else:
-            if key in target:
-                target[key] = target[key] + weight * val
-            else:
-                target[key] = weight * val
+        target[key] = target[key] + weight * val if key in target else weight * val
 
 
 def total_loss(
     batch: Batch,
     task_texts=None,
     failure_texts=None,
+    pooled=None,
     mode: str = "fvlc",
     weights=(1.0, 1.0, 1.0),
     exclude_anchor: bool = False,
@@ -282,6 +277,8 @@ def total_loss(
     fvlc:       adds failure negatives to video->text and the failure
                 prompt contrast term.
 
+    task_texts is (T, D) and failure_texts (T, K, D), indexed by task id;
+    pooled is the (T,) mask of tasks that have a prompt pool.
     Returns (value, grads, components). Unit weights by default.
     """
     if mode not in MODES:
@@ -301,7 +298,7 @@ def total_loss(
 
     vlc_fail = failure_texts if mode == "fvlc" else None
     vlc_val, vlc_grads = video_text_loss(
-        batch.videos, batch.texts, batch.labels, batch.tau, failure_texts=vlc_fail
+        batch.videos, batch.texts, batch.labels, batch.tau, failure_texts=vlc_fail, pooled=pooled
     )
     components["video_text"] = vlc_val
     _accumulate(grads, vlc_grads, w_vlc)
@@ -310,11 +307,11 @@ def total_loss(
     if mode == "bce":
         robot = batch.domains == ROBOT
         n_r = int(robot.sum())
-        d = batch.videos.shape[1]
-        tasks, rows = np.unique(batch.fail_labels, return_inverse=True)
-        fail_texts = _task_rows(task_texts, tasks, d)
+        task_texts = np.asarray(task_texts, dtype=np.float64)
         videos = np.concatenate([batch.videos[robot], batch.fail_videos])
-        texts = np.concatenate([batch.texts[robot], fail_texts[rows]])
+        texts = np.concatenate([
+            batch.texts[robot], _rows(task_texts, batch.fail_labels, UnknownTaskError)
+        ])
         outcomes = np.concatenate([np.ones(n_r), np.zeros(batch.n_fail)])
         extra_val, bce_grads = bce_loss(videos, texts, outcomes)
         d_videos = np.zeros_like(batch.videos)
@@ -327,9 +324,7 @@ def total_loss(
                 "videos": d_videos,
                 "texts": d_texts,
                 "fail_videos": bce_grads["videos"][n_r:],
-                "task_texts": _scatter_blocks(
-                    tasks, rows, bce_grads["texts"][n_r:], dict(zip(tasks.tolist(), fail_texts))
-                ),
+                "task_texts": _sum_rows(task_texts.shape, batch.fail_labels, bce_grads["texts"][n_r:]),
             },
             w_extra,
         )
@@ -342,6 +337,7 @@ def total_loss(
             task_texts,
             failure_texts,
             batch.tau,
+            pooled,
         )
         _accumulate(grads, fp_grads, w_extra)
         components["failure_prompt"] = extra_val

@@ -1,28 +1,31 @@
 """Batch sampling and the training loop with end-of-epoch clustering.
 
 Per step: sample a stratified clip batch from arrays stacked once per
-run, encode, compose the failure features of every pooled task and
-cluster in one batched pass, evaluate the mode's total loss, backprop by
-hand through the encoders and, in one call, through the prompt
-composition, clip the global gradient norm, and apply plain gradient
-descent (prompts get their own learning rate). A non-finite loss stops
-training with NonFiniteValueError. In failure-prompt mode, every epoch ends by re-embedding
-all failure clips with the current encoder, re-clustering per task,
-aligning the clusters to the previous epoch, and refreshing pseudo-labels.
+run, encode, compose the (T_p, K, D) failure features of every pooled
+task and cluster in one batched pass, evaluate the mode's total loss,
+backprop by hand through the encoders and, in one call, through the
+prompt composition, clip the global gradient norm, and apply plain
+gradient descent (prompts get their own learning rate, applied to the
+whole (T_p, K, prompt_len, D) pool at once). Task texts and failure
+features reach the losses as arrays indexed by task id. A non-finite loss
+stops training with NonFiniteValueError. In failure-prompt mode, every
+epoch ends by re-embedding all failure clips with the current encoder,
+re-clustering per task, aligning the clusters to the previous epoch, and
+refreshing pseudo-labels.
 
 Rng streams are separated per concern so, e.g., all modes share the same
 encoder initialization under one seed.
 """
 
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
 from . import clustering as cl, encoders as enc, losses, render
 from .config import ExperimentConfig
 from .datagen import Dataset
-from .errors import InsufficientStratumError, NonFiniteValueError
+from .errors import CorruptFileError, InsufficientStratumError, NonFiniteValueError
 from .simworld import TASK_NAMES
 
 _STREAM_VIDEO, _STREAM_POOL, _STREAM_SAMPLER, _STREAM_CLUSTER = 1, 2, 3, 4
@@ -150,8 +153,7 @@ def init_params(config: ExperimentConfig, pooled_tasks) -> ModelParams:
         prompt_len=config.prompt_len,
         embed_dim=config.embed_dim,
     ) if pooled_tasks else None
-    names = {t: TASK_NAMES[t] for t in sorted(set(TASK_NAMES) | set(pooled_tasks))}
-    table = enc.TaskTable.build(names, embed_dim=config.embed_dim, seed=config.seed)
+    table = enc.TaskTable.build(len(TASK_NAMES), embed_dim=config.embed_dim, seed=config.seed)
     return ModelParams(video=video, pool=pool, table=table)
 
 
@@ -183,9 +185,13 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
         pseudo_labels = {t: s.assignments for t, s in cluster_states.items()}
 
     steps = config.steps_per_epoch or max(1, math.ceil(2 * len(data.human_labels) / config.batch_human))
-    task_texts = {t: params.table.text_embed(t) for t in params.table.task_ids()}
-    # tasks without a prompt pool contribute no failure negatives
-    no_features = np.zeros((0, config.embed_dim))
+    texts = params.table.texts
+    # failure features by task id; tasks without a prompt pool stay masked
+    # and contribute no failure negatives
+    fail_texts = np.zeros((len(texts), config.k_clusters, config.embed_dim))
+    pooled = np.zeros(len(texts), dtype=bool)
+    if params.pool is not None:
+        pooled[params.pool.tasks] = True
 
     metrics = []
     for epoch in range(config.epochs):
@@ -197,23 +203,22 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
             videos, video_cache = enc.encode_clips_cached(
                 np.concatenate([batch.clips, batch.fail_clips]), params.video
             )
-            fail_texts = dict.fromkeys(task_texts, no_features)
             if params.pool is not None:
-                feats, pool_cache = enc.failure_text_features(params.pool, params.table, pooled_tasks)
-                fail_texts.update(zip(pooled_tasks, feats))
+                feats, pool_cache = enc.failure_text_features(params.pool, params.table)
+                fail_texts[params.pool.tasks] = feats
 
             emb_batch = losses.Batch(
                 videos=videos[:n_success],
                 labels=batch.labels,
                 domains=batch.domains,
-                texts=np.stack([task_texts[int(t)] for t in batch.labels]),
+                texts=texts[batch.labels],
                 fail_videos=videos[n_success:],
                 fail_labels=batch.fail_labels,
                 fail_clusters=batch.fail_clusters,
                 tau=config.tau,
             )
             value, grads, comps = losses.total_loss(
-                emb_batch, task_texts, fail_texts,
+                emb_batch, texts, fail_texts, pooled,
                 mode=config.mode, exclude_anchor=config.exclude_anchor,
             )
             if not np.isfinite(value):
@@ -228,8 +233,9 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
             )
             all_grads = list(video_grads.arrays())
             if params.pool is not None:
-                d_feats = np.stack([grads["fail_texts"][t] for t in pooled_tasks])
-                d_prompts, d_proj, d_bias = enc.compose_failure_context_backward(pool_cache, d_feats)
+                d_prompts, d_proj, d_bias = enc.compose_failure_context_backward(
+                    pool_cache, grads["fail_texts"][params.pool.tasks]
+                )
                 all_grads += [d_proj, d_bias, d_prompts]
 
             # global norm clip, then per-group step
@@ -240,8 +246,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
             if params.pool is not None:
                 params.pool.proj[...] -= config.lr_encoder * scale * d_proj
                 params.pool.bias[...] -= config.lr_encoder * scale * d_bias
-                for task, d_prompt in zip(pooled_tasks, d_prompts):
-                    params.pool.prompts[task][...] -= config.lr_prompts * scale * d_prompt
+                params.pool.prompts -= config.lr_prompts * scale * d_prompts
 
         record = {"epoch": epoch, "steps": steps}
         for key in sorted(sums):
@@ -280,44 +285,51 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
 # --- checkpoint mapping ---
 
 def params_to_arrays(params: ModelParams) -> dict:
-    out = {}
-    for f in dc_fields(params.video):
-        out[f"video.{f.name}"] = getattr(params.video, f.name)
+    """Flat name -> array map: video.{field}, pool.proj, pool.bias,
+    pool.prompt.{task}.{k} ((prompt_len, D) each) and task.{task}.text."""
+    out = {f"video.{f.name}": getattr(params.video, f.name) for f in dc_fields(params.video)}
     if params.pool is not None:
         out["pool.proj"] = params.pool.proj
         out["pool.bias"] = params.pool.bias
-        for task, block in params.pool.prompts.items():
-            for k in range(block.shape[0]):
-                out[f"pool.prompt.{task}.{k}"] = block[k]
-    for task in params.table.task_ids():
-        out[f"task.{task}.text"] = params.table.text_embed(task)
+        for task, block in zip(params.pool.tasks.tolist(), params.pool.prompts):
+            for k, prompt in enumerate(block):
+                out[f"pool.prompt.{task}.{k}"] = prompt
+    for task, text in enumerate(params.table.texts):
+        out[f"task.{task}.text"] = text
     return out
 
 
 def params_from_arrays(arrays: dict) -> ModelParams:
+    """Inverse of params_to_arrays. The prompt keys must fill a full
+    task x K grid and the task texts must be tasks 0..T-1."""
     video = enc.VideoEncoderParams(
-        frame_proj=arrays["video.frame_proj"],
-        frame_bias=arrays["video.frame_bias"],
-        temporal_logits=arrays["video.temporal_logits"],
-        out_proj=arrays["video.out_proj"],
-        out_bias=arrays["video.out_bias"],
+        *(arrays[f"video.{f.name}"] for f in dc_fields(enc.VideoEncoderParams))
     )
-    prompt_keys = sorted(k for k in arrays if k.startswith("pool.prompt."))
+    prompts, texts = {}, {}
+    for key, arr in arrays.items():
+        parts = key.split(".")
+        try:
+            if key.startswith("pool.prompt."):
+                prompts[int(parts[2]), int(parts[3])] = arr
+            elif key.startswith("task."):
+                texts[int(parts[1])] = arr
+        except (ValueError, IndexError) as exc:
+            raise CorruptFileError(f"malformed checkpoint key {key!r}") from exc
     pool = None
-    if prompt_keys:
-        blocks = {}
-        for key in prompt_keys:
-            _, _, task, k = key.split(".")
-            blocks.setdefault(int(task), {})[int(k)] = arrays[key]
-        prompts = {
-            task: np.stack([by_k[k] for k in sorted(by_k)])
-            for task, by_k in blocks.items()
-        }
+    if prompts:
+        tasks = sorted({task for task, _ in prompts})
+        k = 1 + max(j for _, j in prompts)
+        if set(prompts) != {(task, j) for task in tasks for j in range(k)}:
+            raise CorruptFileError(
+                f"prompt keys {sorted(prompts)} do not fill a tasks {tasks} x {k} cluster grid"
+            )
         pool = enc.FailurePromptPool(
-            prompts=prompts, proj=arrays["pool.proj"], bias=arrays["pool.bias"]
+            tasks=np.array(tasks, dtype=np.int64),
+            prompts=np.array([[prompts[task, j] for j in range(k)] for task in tasks]),
+            proj=arrays["pool.proj"],
+            bias=arrays["pool.bias"],
         )
-    specs = []
-    for key in sorted(k for k in arrays if k.startswith("task.")):
-        task = int(key.split(".")[1])
-        specs.append(enc.TaskSpec(task, TASK_NAMES.get(task, f"task {task}"), arrays[key]))
-    return ModelParams(video=video, pool=pool, table=enc.TaskTable(specs))
+    if sorted(texts) != list(range(len(texts))):
+        raise CorruptFileError(f"task text ids {sorted(texts)} are not 0..T-1")
+    table = enc.TaskTable([texts[task] for task in range(len(texts))])
+    return ModelParams(video=video, pool=pool, table=table)

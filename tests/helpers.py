@@ -31,13 +31,14 @@ def random_unit_rows(rng, n, d):
 
 
 def build_random_batch(seed, n_human=3, n_robot=3, n_fail=2, k=3, d=8, n_tasks=2, tau=0.5):
-    """Random embedding-level batch with guaranteed nonempty positive sets."""
+    """Random embedding-level batch with guaranteed nonempty positive sets,
+    plus task texts (n_tasks, d) and failure features (n_tasks, k, d)."""
     rng = np.random.default_rng(seed)
     b = n_human + n_robot
     # assign tasks in pairs so every label appears at least twice
     labels = np.array([(i // 2) % n_tasks for i in range(b)])
     rng.shuffle(labels)
-    task_texts = {t: random_unit_rows(rng, 1, d)[0] for t in range(n_tasks)}
+    task_texts = random_unit_rows(rng, n_tasks, d)
     videos = random_unit_rows(rng, b, d)
     texts = np.stack([task_texts[int(t)] for t in labels])
     fail_labels = np.array([i % n_tasks for i in range(n_fail)])
@@ -51,7 +52,7 @@ def build_random_batch(seed, n_human=3, n_robot=3, n_fail=2, k=3, d=8, n_tasks=2
         fail_clusters=np.array([rng.integers(0, k) for _ in range(n_fail)]),
         tau=tau,
     )
-    failure_texts = {t: random_unit_rows(rng, k, d) for t in range(n_tasks)}
+    failure_texts = random_unit_rows(rng, n_tasks * k, d).reshape(n_tasks, k, d)
     return batch, task_texts, failure_texts
 
 

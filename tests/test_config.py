@@ -1,0 +1,86 @@
+"""The `key = value` config format, its line-numbered errors, and the seed
+precedence flag > REWARD_SEED > config file."""
+
+import pytest
+
+from rewardlab import simworld as sw
+from rewardlab.config import (
+    SEED_ENV_VAR, ExperimentConfig, load_config, parse_config_text, resolve_seed,
+)
+from rewardlab.errors import BadConfigError
+
+EVERY_KIND = """
+# a comment line, then a blank one
+
+mode = bce            # str, with a trailing comment
+k_clusters = 4        # int
+tau = 0.25            # float
+exclude_anchor = yes  # bool
+train_tasks = 4, 6    # int tuple
+failure_sources = near_success, random
+heldout_tasks =       # empty tuple
+"""
+
+
+def test_every_field_kind():
+    config = parse_config_text(EVERY_KIND)
+    assert config.mode == "bce"
+    assert config.k_clusters == 4
+    assert config.tau == 0.25
+    assert config.exclude_anchor is True
+    assert config.train_tasks == (sw.TASK_OPEN_DRAWER, sw.TASK_POKE_CUP)
+    assert config.failure_sources == ("near_success", "random")
+    assert config.heldout_tasks == ()
+    assert config.epochs == ExperimentConfig().epochs
+
+
+def test_empty_text_keeps_the_base():
+    base = ExperimentConfig(seed=9, epochs=2)
+    assert parse_config_text("\n# nothing\n", base) == base
+
+
+@pytest.mark.parametrize("text, value", [
+    ("true", True), ("True", True), ("1", True), ("yes", True),
+    ("false", False), ("0", False), ("no", False), ("NO", False),
+])
+def test_bool_spellings(text, value):
+    assert parse_config_text(f"exclude_anchor = {text}").exclude_anchor is value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mode = bce\nbogus = 3", "line 2: unknown key 'bogus'"),
+    ("\n\nk_clusters 3", "line 3: expected 'key = value'"),
+    ("k_clusters = three", "line 1: bad value for k_clusters"),
+    ("tau = 0.1\ntrain_tasks = 4, x", "line 2: bad value for train_tasks"),
+    ("# c\nexclude_anchor = maybe", "line 2: bad value for exclude_anchor: expected a boolean"),
+])
+def test_errors_name_the_line(text, message):
+    with pytest.raises(BadConfigError, match=message):
+        parse_config_text(text)
+
+
+def test_load_config_from_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(EVERY_KIND, encoding="ascii")
+    assert load_config(path) == parse_config_text(EVERY_KIND)
+
+
+class TestSeedPrecedence:
+    FILE = parse_config_text("seed = 3")
+
+    def test_file_seed_without_flag_or_env(self, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        assert resolve_seed(self.FILE).seed == 3
+
+    def test_env_beats_file(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "11")
+        assert resolve_seed(self.FILE).seed == 11
+
+    def test_flag_beats_env_and_file(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "11")
+        assert resolve_seed(self.FILE, flag_seed=5).seed == 5
+
+    def test_non_integer_env(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "seven")
+        with pytest.raises(BadConfigError, match=SEED_ENV_VAR):
+            resolve_seed(self.FILE)

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rewardlab import embeddings as emb
-from rewardlab.errors import (
-    BadIndexError,
-    DimensionMismatchError,
-    NonFiniteValueError,
-    NonPositiveTemperatureError,
-    ZeroVectorError,
-)
+from rewardlab.errors import NonFiniteValueError, ZeroVectorError
 
 
 def nce_oracle(sims, pos_index, tau):
@@ -46,55 +40,30 @@ class TestL2Normalize:
         assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
 
-class TestSimilarityMatrix:
-    def test_orthonormal_basis_gives_identity(self):
-        e = np.eye(2)
-        np.testing.assert_allclose(emb.similarity_matrix(e, e), np.eye(2), atol=1e-12)
-
-    def test_self_similarity(self):
-        u = emb.l2_normalize([1.0, 2.0, 2.0])
-        np.testing.assert_allclose(emb.similarity_matrix([u], [u]), [[1.0]], atol=1e-12)
-
-    def test_hand_checked_dots(self):
-        a = np.array([[1.0, 0.0], [0.6, 0.8]])
-        b = np.array([[0.0, 1.0]])
-        np.testing.assert_allclose(emb.similarity_matrix(a, b), [[0.0], [0.8]], atol=1e-12)
-
-    def test_width_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            emb.similarity_matrix(np.eye(2), np.eye(3))
-
-    def test_symmetric_unit_diagonal_when_normalized(self):
-        rng = np.random.default_rng(7)
-        a = emb.l2_normalize_rows(rng.normal(size=(6, 5)))
-        s = emb.similarity_matrix(a, a)
-        np.testing.assert_allclose(s, s.T, atol=1e-12)
-        np.testing.assert_allclose(np.diag(s), np.ones(6), atol=1e-12)
-        assert np.all(s >= -1 - 1e-9) and np.all(s <= 1 + 1e-9)
+def nce(sims, pos_index, tau):
+    """The InfoNCE row term every loss computes: logsumexp(z) - z[pos]."""
+    z = np.asarray(sims, dtype=np.float64) / tau
+    return emb.logsumexp(z) - z[pos_index]
 
 
 class TestNceTerm:
+    """logsumexp and softmax as the InfoNCE term -log softmax(s / tau)[pos]
+    uses them, checked on the two functions directly."""
+
     def test_uniform_sims_give_log_n(self):
         for n in (2, 4, 16):
-            val = emb.nce_term(np.full(n, 0.3), 1, 0.25)
-            assert abs(val - math.log(n)) < 1e-9
+            assert abs(nce(np.full(n, 0.3), 1, 0.25) - math.log(n)) < 1e-9
 
     def test_single_candidate_is_zero(self):
-        assert emb.nce_term([0.7], 0, 0.07) == 0.0
+        assert nce([0.7], 0, 0.07) == 0.0
 
     def test_against_direct_evaluation_oracle(self):
         sims = [1.0, 0.0, 0.0]
-        got = emb.nce_term(sims, 0, 0.5)
         expected = nce_oracle(sims, 0, 0.5)
         # frozen from the mpmath oracle: log(e^2 + 2) - 2
         assert abs(expected - 0.23954476622188450) < 1e-12
-        assert abs(got - expected) < 1e-12
-
-    def test_errors(self):
-        with pytest.raises(BadIndexError):
-            emb.nce_term([1.0, 2.0], 2, 1.0)
-        with pytest.raises(NonPositiveTemperatureError):
-            emb.nce_term([1.0, 2.0], 0, 0.0)
+        assert abs(nce(sims, 0, 0.5) - expected) < 1e-12
+        assert abs(-math.log(emb.softmax(np.array(sims) / 0.5)[0]) - expected) < 1e-12
 
     @given(
         st.lists(st.floats(-5, 5), min_size=2, max_size=12),
@@ -103,36 +72,45 @@ class TestNceTerm:
     )
     @settings(max_examples=60)
     def test_shift_invariance(self, sims, shift, tau):
-        sims = np.array(sims)
-        a = emb.nce_term(sims, 0, tau)
-        b = emb.nce_term(sims + shift, 0, tau)
-        assert abs(a - b) < 1e-9
+        z = np.array(sims) / tau
+        assert abs(emb.logsumexp(z + shift) - shift - emb.logsumexp(z)) < 1e-9
+        np.testing.assert_allclose(emb.softmax(z + shift), emb.softmax(z), atol=1e-12)
 
     def test_uniform_log_n_up_to_1024(self):
         for n in (1, 2, 31, 1024):
-            val = emb.nce_term(np.zeros(n), n - 1, 0.07)
-            assert abs(val - math.log(n)) < 1e-9
+            assert abs(emb.logsumexp(np.zeros(n) / 0.07) - math.log(n)) < 1e-9
 
     @given(st.integers(0, 5), st.floats(0.05, 5.0))
     @settings(max_examples=25)
     def test_nonnegative(self, pos, tau):
-        rng = np.random.default_rng(pos)
-        sims = rng.normal(size=6)
-        assert emb.nce_term(sims, pos, tau) >= 0.0
+        z = np.random.default_rng(pos).normal(size=6) / tau
+        assert np.all(emb.logsumexp(z) - z >= 0.0)
 
     def test_gradient_matches_finite_differences(self):
+        # d/ds [logsumexp(s / tau) - s[pos] / tau] = (softmax(s / tau) - e_pos) / tau
         rng = np.random.default_rng(3)
         sims = rng.normal(size=7)
         tau = 0.3
-        grad = emb.nce_term_grad(sims, 2, tau)
-        err = emb.finite_diff_grad_check(
-            lambda s: emb.nce_term(s, 2, tau), sims, grad
-        )
+        grad = emb.softmax(sims / tau)
+        grad[2] -= 1.0
+        err = emb.finite_diff_grad_check(lambda s: nce(s, 2, tau), sims, grad / tau)
         assert err < 1e-7
 
     def test_determinism(self):
         sims = np.array([0.3, -0.2, 0.9])
-        assert emb.nce_term(sims, 1, 0.07) == emb.nce_term(sims.copy(), 1, 0.07)
+        assert nce(sims, 1, 0.07) == nce(sims.copy(), 1, 0.07)
+
+    def test_neg_inf_entries_drop_out_row_wise(self):
+        z = np.array([[0.5, -np.inf, 2.0, -np.inf], [-np.inf, 1.0, -1.0, 3.0]])
+        keep = np.isfinite(z)
+        for row in range(2):
+            assert emb.logsumexp(z)[row] == emb.logsumexp(z[row, keep[row]])
+        p = emb.softmax(z)
+        assert np.all(p[~keep] == 0.0)
+        np.testing.assert_allclose(p[keep], np.concatenate(
+            [emb.softmax(z[0, keep[0]]), emb.softmax(z[1, keep[1]])]
+        ), atol=1e-15)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-15)
 
 
 class TestFiniteDiffGradCheck:

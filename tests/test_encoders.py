@@ -18,7 +18,7 @@ def params():
 
 @pytest.fixture
 def table():
-    return enc.TaskTable.build(TASK_NAMES, embed_dim=32, seed=0)
+    return enc.TaskTable.build(len(TASK_NAMES), embed_dim=32, seed=0)
 
 
 @pytest.fixture
@@ -79,71 +79,96 @@ class TestTaskTable:
     def test_embeddings_are_read_only(self, table):
         with pytest.raises(ValueError):
             table.text_embed(0)[0] = 5.0
+        with pytest.raises(ValueError):
+            table.texts[1, 0] = 5.0
+
+    def test_row_t_is_task_t(self, table):
+        assert table.texts.shape == (len(TASK_NAMES), 32)
+        for task in range(len(TASK_NAMES)):
+            assert np.array_equal(table.texts[task], table.text_embed(task))
 
     def test_near_orthogonality_over_seeded_inits(self):
         # oracle measurement: mean |t_a . t_b| across 100 seeded tables at D=32
         dots = []
         for seed in range(100):
-            t = enc.TaskTable.build({0: "a", 1: "b"}, embed_dim=32, seed=seed)
+            t = enc.TaskTable.build(2, embed_dim=32, seed=seed)
             dots.append(abs(float(t.text_embed(0) @ t.text_embed(1))))
         assert np.mean(dots) < 0.2
 
     def test_distinct_seeds_give_distinct_embeddings(self):
-        a = enc.TaskTable.build({0: "a"}, 32, seed=0).text_embed(0)
-        b = enc.TaskTable.build({0: "a"}, 32, seed=1).text_embed(0)
+        a = enc.TaskTable.build(1, 32, seed=0).text_embed(0)
+        b = enc.TaskTable.build(1, 32, seed=1).text_embed(0)
         assert not np.allclose(a, b)
 
 
+def features(pool, table):
+    return enc.failure_text_features(pool, table)[0]
+
+
 class TestFailurePrompts:
-    def test_bad_cluster_index(self, pool, table):
+    def test_one_draw_equals_per_task_draws(self):
+        pool = enc.init_prompt_pool([6, 4, 5], np.random.default_rng(1), k=3)
+        rng = np.random.default_rng(1)
+        assert pool.tasks.tolist() == [4, 5, 6]
+        for block in pool.prompts:
+            assert np.array_equal(block, rng.normal(scale=0.5, size=(3, enc.PROMPT_LEN, 32)))
+
+    def test_bad_cluster_index(self, table):
+        # K is fixed when the pool is built; pool tasks must be in the table
         with pytest.raises(BadClusterIndexError):
-            enc.compose_failure_context(pool, table, 4, 3)
+            enc.init_prompt_pool([4], np.random.default_rng(1), k=0)
         with pytest.raises(UnknownTaskError):
-            enc.compose_failure_context(pool, table, 0, 0)
+            features(enc.init_prompt_pool([4, 7], np.random.default_rng(1), k=3), table)
 
     def test_unit_norm_output(self, pool, table):
-        t_f = enc.compose_failure_context(pool, table, 4, 1)
-        assert abs(np.linalg.norm(t_f) - 1.0) < 1e-6
+        norms = np.linalg.norm(features(pool, table), axis=-1)
+        assert norms.shape == (3, 3)
+        assert np.all(np.abs(norms - 1.0) < 1e-6)
 
     def test_locality_other_prompts_do_not_leak(self, pool, table):
-        before = enc.compose_failure_context(pool, table, 4, 1)
-        pool.prompts[4][2] += 10.0
-        pool.prompts[5][1] -= 3.0
-        after = enc.compose_failure_context(pool, table, 4, 1)
-        assert np.array_equal(before, after)
+        before = features(pool, table)
+        pool.prompts[0, 2] += 10.0
+        pool.prompts[1, 1] -= 3.0
+        after = features(pool, table)
+        assert np.array_equal(before[0, 1], after[0, 1])
+        assert not np.allclose(before[0, 2], after[0, 2])
 
     def test_prompt_gradient_matches_central_differences(self, pool, table):
         rng = np.random.default_rng(7)
-        probe = rng.normal(size=32)
-        block = pool.prompts[4][0]
+        probe = np.zeros((3, 3, 32))
+        probe[0, 0] = rng.normal(size=32)
+        block = pool.prompts[0, 0]
 
         def loss_of(vec):
             saved = block.copy()
             block[...] = vec.reshape(block.shape)
             try:
-                return float(enc.compose_failure_context(pool, table, 4, 0) @ probe)
+                return float(np.sum(features(pool, table) * probe))
             finally:
                 block[...] = saved
 
-        _, cache = enc.compose_failure_context_cached(pool, table, 4, 0)
-        d_prompt, _, _ = enc.compose_failure_context_backward(cache, probe)
-        err = finite_diff_grad_check(loss_of, block.ravel().copy(), d_prompt.ravel())
+        _, cache = enc.failure_text_features(pool, table)
+        d_prompts, _, _ = enc.compose_failure_context_backward(cache, probe)
+        err = finite_diff_grad_check(loss_of, block.ravel().copy(), d_prompts[0, 0].ravel())
         assert err < 1e-4
+        d_prompts[0, 0] = 0.0
+        assert not np.any(d_prompts)
 
     def test_shared_map_gradient_matches_central_differences(self, pool, table):
         rng = np.random.default_rng(8)
-        probe = rng.normal(size=32)
+        probe = np.zeros((3, 3, 32))
+        probe[1, 2] = rng.normal(size=32)
 
         def loss_of(vec):
             saved = pool.proj.copy(), pool.bias.copy()
             arrs = enc.unflatten_like(vec, [pool.proj, pool.bias])
             pool.proj, pool.bias = arrs
             try:
-                return float(enc.compose_failure_context(pool, table, 5, 2) @ probe)
+                return float(np.sum(features(pool, table) * probe))
             finally:
                 pool.proj, pool.bias = saved
 
-        _, cache = enc.compose_failure_context_cached(pool, table, 5, 2)
+        _, cache = enc.failure_text_features(pool, table)
         _, d_proj, d_bias = enc.compose_failure_context_backward(cache, probe)
         err = finite_diff_grad_check(
             loss_of,
@@ -153,13 +178,14 @@ class TestFailurePrompts:
         assert err < 1e-4
 
     def test_failure_text_features_stacks_all_clusters(self, pool, table):
-        feats, caches = enc.failure_text_features(pool, table, 6)
-        assert feats.shape == (3, 32)
-        assert len(caches) == 3
-        for k in range(3):
-            np.testing.assert_allclose(
-                feats[k], enc.compose_failure_context(pool, table, 6, k), atol=1e-12
-            )
+        pool.proj = pool.proj + 0.2 * np.random.default_rng(9).normal(size=(32, 32))
+        feats = features(pool, table)
+        assert feats.shape == (3, 3, 32)
+        for i, task in enumerate([4, 5, 6]):
+            for k in range(3):
+                rows = np.vstack([pool.prompts[i, k], table.text_embed(task)])
+                u = rows.mean(axis=0) @ pool.proj + pool.bias
+                np.testing.assert_allclose(feats[i, k], u / np.linalg.norm(u), atol=1e-12)
 
 
 class TestFlattening:

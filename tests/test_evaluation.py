@@ -1,13 +1,15 @@
 """Evaluation entry points on tiny configs: non-default clip lengths end to
-end, and the typed failure when CEM refinement lowers a plan's score."""
+end, the typed failure when CEM refinement lowers a plan's score, and the
+AUC against a brute-force pair count."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from rewardlab import dynamics as dyn, evaluation, planner as pl, simworld as sw, training
 from rewardlab.config import ExperimentConfig
-from rewardlab.errors import RefinementRegressedError
+from rewardlab.errors import OneClassOnlyError, RefinementRegressedError
 
 CONFIG = ExperimentConfig(
     seed=5,
@@ -60,3 +62,29 @@ def test_lowered_refinement_score_raises_typed_error(monkeypatch):
         evaluation.evaluate_planning(
             None, dyn.ground_truth_model(), CONFIG, reward_kind="oracle", refine=True
         )
+
+
+def pair_count_auc(success_scores, failure_scores):
+    """P(success > failure) over all pairs, ties counted half."""
+    wins = sum(
+        1.0 if s > f else 0.5 if s == f else 0.0
+        for s in success_scores for f in failure_scores
+    )
+    return wins / (len(success_scores) * len(failure_scores))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_auc_matches_pair_count_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(1, 6)  # few distinct values: ties within and across classes
+    s = rng.integers(0, levels, size=rng.integers(1, 12)) / levels
+    f = rng.integers(0, levels, size=rng.integers(1, 12)) / levels
+    assert evaluation.auc_from_scores(s, f) == pytest.approx(pair_count_auc(s, f), abs=1e-12)
+
+
+def test_auc_edge_cases():
+    assert evaluation.auc_from_scores([1.0, 2.0], [0.0]) == 1.0
+    assert evaluation.auc_from_scores([0.0], [1.0, 2.0]) == 0.0
+    assert evaluation.auc_from_scores([0.5, 0.5], [0.5]) == 0.5
+    with pytest.raises(OneClassOnlyError):
+        evaluation.auc_from_scores([], [0.1])

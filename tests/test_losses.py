@@ -11,7 +11,9 @@ from rewardlab.errors import (
     BadConfigError,
     EmptyPositiveSetError,
     MissingFailureTextsError,
+    NonPositiveTemperatureError,
     ShapeMismatchError,
+    UnknownTaskError,
 )
 
 LOG2 = math.log(2.0)
@@ -82,7 +84,7 @@ class TestVideoText:
     def test_failure_negatives_added_to_video_to_text_only(self):
         v = np.eye(2)
         # K=3 failure features orthogonal to both videos and texts
-        fail = {0: np.zeros((3, 2)), 1: np.zeros((3, 2))}
+        fail = np.zeros((2, 3, 2))
         val, _ = losses.video_text_loss(v, v, np.array([0, 1]), 1.0, failure_texts=fail)
         v2t = -math.log(math.e / (math.e + 1 + 3))
         t2v = -math.log(math.e / (math.e + 1))
@@ -92,11 +94,22 @@ class TestVideoText:
     def test_missing_failure_texts(self):
         v = np.eye(2)
         with pytest.raises(MissingFailureTextsError):
-            losses.video_text_loss(v, v, np.array([0, 5]), 1.0, failure_texts={0: np.zeros((2, 2))})
+            losses.video_text_loss(v, v, np.array([0, 5]), 1.0, failure_texts=np.zeros((1, 2, 2)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             losses.video_text_loss(np.eye(2), np.eye(3), np.arange(2), 1.0)
+
+    def test_rows_of_tasks_without_pool_get_no_failure_negatives(self):
+        rng = np.random.default_rng(3)
+        v = helpers.random_unit_rows(rng, 4, 6)
+        t = helpers.random_unit_rows(rng, 4, 6)
+        labels = np.array([0, 1, 0, 1])
+        fail = helpers.random_unit_rows(rng, 6, 6).reshape(2, 3, 6)
+        val, grads = losses.video_text_loss(v, t, labels, 0.3, fail, pooled=[True, False])
+        oracle_fail = {0: fail[0], 1: np.zeros((0, 6))}
+        assert abs(val - helpers.oracle_video_text(v, t, labels, 0.3, oracle_fail)) < 1e-10
+        assert np.any(grads["fail_texts"][0]) and not np.any(grads["fail_texts"][1])
 
     def test_failure_negatives_never_decrease_loss(self):
         for seed in range(8):
@@ -104,7 +117,7 @@ class TestVideoText:
             v = helpers.random_unit_rows(rng, 4, 6)
             t = helpers.random_unit_rows(rng, 4, 6)
             labels = np.array([0, 1, 0, 1])
-            fail = {0: helpers.random_unit_rows(rng, 3, 6), 1: helpers.random_unit_rows(rng, 3, 6)}
+            fail = helpers.random_unit_rows(rng, 6, 6).reshape(2, 3, 6)
             plain, _ = losses.video_text_loss(v, t, labels, 0.3)
             with_fail, _ = losses.video_text_loss(v, t, labels, 0.3, failure_texts=fail)
             assert with_fail >= plain - 1e-12
@@ -115,17 +128,14 @@ class TestVideoText:
         v = helpers.random_unit_rows(rng, 4, 5)
         t = helpers.random_unit_rows(rng, 4, 5)
         labels = np.array([0, 1, 1, 0])
-        fail = (
-            {0: helpers.random_unit_rows(rng, 2, 5), 1: helpers.random_unit_rows(rng, 2, 5)}
-            if with_fail else None
-        )
+        fail = helpers.random_unit_rows(rng, 4, 5).reshape(2, 2, 5) if with_fail else None
 
         def unpack(flat):
             vv = flat[:20].reshape(4, 5)
             tt = flat[20:40].reshape(4, 5)
             ff = None
             if with_fail:
-                ff = {0: flat[40:50].reshape(2, 5), 1: flat[50:60].reshape(2, 5)}
+                ff = flat[40:60].reshape(2, 2, 5)
             return vv, tt, ff
 
         def f(flat):
@@ -136,8 +146,8 @@ class TestVideoText:
         parts = [v.ravel(), t.ravel()]
         grad_parts = [grads["videos"].ravel(), grads["texts"].ravel()]
         if with_fail:
-            parts += [fail[0].ravel(), fail[1].ravel()]
-            grad_parts += [grads["fail_texts"][0].ravel(), grads["fail_texts"][1].ravel()]
+            parts.append(fail.ravel())
+            grad_parts.append(grads["fail_texts"].ravel())
         err = finite_diff_grad_check(
             f, np.concatenate(parts).copy(), np.concatenate(grad_parts)
         )
@@ -184,35 +194,46 @@ class TestFailurePrompt:
         d = 8
         v = np.zeros((1, d))
         v[0, 0] = 1.0
-        task_texts = {0: np.eye(d)[1]}
-        fail = {0: np.eye(d)[2:5]}  # K = 3, all orthogonal to v
+        task_texts = np.eye(d)[1:2]
+        fail = np.eye(d)[None, 2:5]  # K = 3, all orthogonal to v
         val, _ = losses.failure_prompt_loss(v, [0], [1], task_texts, fail, tau=0.9)
         assert abs(val - math.log(4)) < 1e-9
 
     def test_aligned_with_assigned_cluster_frozen_value(self):
         d = 5
         v = np.eye(1, d)
-        task_texts = {0: np.eye(d)[1]}
-        block = np.vstack([np.eye(d)[0], np.eye(d)[2], np.eye(d)[3]])
-        val, _ = losses.failure_prompt_loss(v, [0], [0], task_texts, {0: block}, tau=1.0)
+        task_texts = np.eye(d)[1:2]
+        block = np.vstack([np.eye(d)[0], np.eye(d)[2], np.eye(d)[3]])[None]
+        val, _ = losses.failure_prompt_loss(v, [0], [0], task_texts, block, tau=1.0)
         # -log(e / (1 + e + 2)), frozen from the mpmath oracle
         assert abs(val - 0.7436683806286792) < 1e-12
-        assert abs(val - helpers.oracle_failure_prompt(v, [0], [0], task_texts, {0: block}, 1.0)) < 1e-10
+        assert abs(val - helpers.oracle_failure_prompt(v, [0], [0], task_texts, block, 1.0)) < 1e-10
 
     def test_bad_cluster_index(self):
         v = np.eye(1, 4)
         with pytest.raises(BadClusterIndexError):
             losses.failure_prompt_loss(
-                v, [0], [5], {0: np.eye(4)[1]}, {0: np.eye(4)[1:3]}, 1.0
+                v, [0], [5], np.eye(4)[1:2], np.eye(4)[None, 1:3], 1.0
             )
+
+    def test_failure_row_of_task_without_pool(self):
+        v = np.eye(1, 4)
+        with pytest.raises(MissingFailureTextsError):
+            losses.failure_prompt_loss(
+                v, [1], [0], np.eye(4)[:2], np.zeros((2, 2, 4)), 1.0, pooled=[True, False]
+            )
+        with pytest.raises(MissingFailureTextsError):
+            losses.failure_prompt_loss(v, [2], [0], np.eye(4)[:3], np.zeros((2, 2, 4)), 1.0)
+        with pytest.raises(UnknownTaskError):
+            losses.failure_prompt_loss(v, [1], [0], np.eye(4)[:1], np.zeros((2, 2, 4)), 1.0)
 
     def test_push_pull_direction(self):
         # uniform start: one small step must raise v.t_f(k*) and lower v.t_T
         d = 8
         v = np.zeros((1, d))
         v[0, 0] = 1.0
-        task_texts = {0: np.eye(d)[1]}
-        fail = {0: np.eye(d)[2:5]}
+        task_texts = np.eye(d)[1:2]
+        fail = np.eye(d)[None, 2:5]
         _, grads = losses.failure_prompt_loss(v, [0], [1], task_texts, fail, tau=0.5)
         stepped = v[0] - 0.01 * grads["fail_videos"][0]
         assert stepped @ fail[0][1] > v[0] @ fail[0][1]
@@ -222,31 +243,35 @@ class TestFailurePrompt:
         rng = np.random.default_rng(4)
         d = 5
         v = helpers.random_unit_rows(rng, 3, d)
-        task_texts = {0: helpers.random_unit_rows(rng, 1, d)[0], 1: helpers.random_unit_rows(rng, 1, d)[0]}
-        fail = {0: helpers.random_unit_rows(rng, 2, d), 1: helpers.random_unit_rows(rng, 2, d)}
+        task_texts = helpers.random_unit_rows(rng, 2, d)
+        fail = helpers.random_unit_rows(rng, 4, d).reshape(2, 2, d)
         labels = [0, 1, 0]
         clusters = [1, 0, 0]
         _, grads = losses.failure_prompt_loss(v, labels, clusters, task_texts, fail, 0.4)
 
-        sizes = [15, d, d, 10, 10]
         def f(flat):
-            parts = np.split(flat, np.cumsum(sizes)[:-1])
+            parts = np.split(flat, [15, 15 + 2 * d])
             return losses.failure_prompt_loss(
                 parts[0].reshape(3, d), labels, clusters,
-                {0: parts[1], 1: parts[2]},
-                {0: parts[3].reshape(2, d), 1: parts[4].reshape(2, d)},
-                0.4,
+                parts[1].reshape(2, d), parts[2].reshape(2, 2, d), 0.4,
             )[0]
 
-        theta = np.concatenate([
-            v.ravel(), task_texts[0], task_texts[1], fail[0].ravel(), fail[1].ravel()
-        ]).copy()
+        theta = np.concatenate([v.ravel(), task_texts.ravel(), fail.ravel()])
         analytic = np.concatenate([
-            grads["fail_videos"].ravel(),
-            grads["task_texts"][0], grads["task_texts"][1],
-            grads["fail_texts"][0].ravel(), grads["fail_texts"][1].ravel(),
+            grads["fail_videos"].ravel(), grads["task_texts"].ravel(), grads["fail_texts"].ravel(),
         ])
         assert finite_diff_grad_check(f, theta, analytic) < 1e-4
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5])
+def test_nonpositive_temperature_rejected(tau):
+    v = np.eye(2)
+    with pytest.raises(NonPositiveTemperatureError):
+        losses.cross_domain_loss(v, np.array([0, 0]), tau)
+    with pytest.raises(NonPositiveTemperatureError):
+        losses.video_text_loss(v, v, np.array([0, 1]), tau)
+    with pytest.raises(NonPositiveTemperatureError):
+        losses.failure_prompt_loss(v[:1], [0], [0], v[:1], v[None], tau)
 
 
 class TestTotalLoss:
@@ -273,8 +298,8 @@ class TestTotalLoss:
             fail_clusters=np.array([2]),
             tau=0.8,
         )
-        task_texts = {0: np.eye(d)[2]}
-        failure_texts = {0: np.eye(d)[5:8]}
+        task_texts = np.eye(d)[2:3]
+        failure_texts = np.eye(d)[None, 5:8]
         val, _, comps = losses.total_loss(batch, task_texts, failure_texts, mode="fvlc")
         assert abs(comps["cross_domain"] - 2 * math.log(2)) < 1e-9
         # video->text rows carry the K=3 orthogonal failure negatives

@@ -35,23 +35,24 @@ def loop_cross_domain(videos, labels, tau, exclude_anchor=False):
     return total, (grad_s + grad_s.T) @ videos
 
 
-def loop_video_text(videos, texts, labels, tau, failure_texts=None):
+def loop_video_text(videos, texts, labels, tau, failure_texts=None, pooled=None):
     b = videos.shape[0]
     sims = videos @ texts.T
     d_videos, d_texts = np.zeros_like(videos), np.zeros_like(texts)
-    d_fail = {t: np.zeros_like(f) for t, f in (failure_texts or {}).items()}
+    d_fail = np.zeros_like(failure_texts) if failure_texts is not None else None
     total = 0.0
     for i in range(b):
         z = sims[i] / tau
         task = int(labels[i])
-        block = failure_texts[task] if failure_texts is not None else np.zeros((0, videos.shape[1]))
+        has_pool = failure_texts is not None and (pooled is None or pooled[task])
+        block = failure_texts[task] if has_pool else np.zeros((0, videos.shape[1]))
         z = np.concatenate([z, (videos[i] @ block.T) / tau])
         total += logsumexp(z) - float(z[i])
         coef = softmax(z)
         coef[i] -= 1.0
         d_videos[i] += (coef[:b] @ texts + coef[b:] @ block) / tau
         d_texts += np.outer(coef[:b], videos[i]) / tau
-        if failure_texts is not None:
+        if has_pool:
             d_fail[task] += np.outer(coef[b:], videos[i]) / tau
         z2 = sims[:, i] / tau
         total += logsumexp(z2) - float(z2[i])
@@ -64,8 +65,8 @@ def loop_video_text(videos, texts, labels, tau, failure_texts=None):
 
 def loop_failure_prompt(fail_videos, fail_labels, fail_clusters, task_texts, failure_texts, tau):
     d_videos = np.zeros_like(fail_videos)
-    d_task = {t: np.zeros_like(v) for t, v in task_texts.items()}
-    d_fail = {t: np.zeros_like(f) for t, f in failure_texts.items()}
+    d_task = np.zeros_like(task_texts)
+    d_fail = np.zeros_like(failure_texts)
     total = 0.0
     for i, v in enumerate(fail_videos):
         task, pos = int(fail_labels[i]), 1 + int(fail_clusters[i])
@@ -85,30 +86,24 @@ def assert_close(got, want):
     assert np.max(np.abs(np.asarray(got) - want), initial=0.0) <= RTOL * scale
 
 
-def assert_dicts_close(got, want):
-    assert sorted(got) == sorted(want)
-    for task in want:
-        assert_close(got[task], want[task])
-
-
 def random_case(seed, uneven_k):
-    """A random batch; with uneven_k, task 2 (no prompt pool) has 0 failure
-    features and task 1 fewer than task 0."""
+    """A random batch and its (T,) prompt-pool mask; with uneven_k, task 2
+    has no prompt pool, so its rows get no failure features."""
     batch, task_texts, failure_texts = helpers.build_random_batch(
         seed, n_human=4, n_robot=4, n_fail=5, k=3, d=6, n_tasks=3, tau=0.2
     )
+    pooled = np.ones(3, dtype=bool)
     if uneven_k:
-        failure_texts[1] = failure_texts[1][:2]
-        failure_texts[2] = np.zeros((0, 6))
+        pooled[2] = False
         batch.fail_labels = np.array([0, 1, 0, 1, 0])
         batch.fail_clusters = np.array([2, 1, 0, 0, 1])
-    return batch, task_texts, failure_texts
+    return batch, task_texts, failure_texts, pooled
 
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("exclude_anchor", [False, True])
 def test_cross_domain_matches_loop(seed, exclude_anchor):
-    batch, _, _ = random_case(seed, uneven_k=False)
+    batch, _, _, _ = random_case(seed, uneven_k=False)
     val, grad = losses.cross_domain_loss(batch.videos, batch.labels, batch.tau, exclude_anchor)
     want, want_grad = loop_cross_domain(batch.videos, batch.labels, batch.tau, exclude_anchor)
     assert val == pytest.approx(want, rel=RTOL)
@@ -118,37 +113,40 @@ def test_cross_domain_matches_loop(seed, exclude_anchor):
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("failures", [None, "even", "uneven"])
 def test_video_text_matches_loop(seed, failures):
-    batch, _, failure_texts = random_case(seed, uneven_k=failures == "uneven")
+    batch, _, failure_texts, pooled = random_case(seed, uneven_k=failures == "uneven")
     fail = failure_texts if failures else None
-    val, grads = losses.video_text_loss(batch.videos, batch.texts, batch.labels, batch.tau, fail)
+    val, grads = losses.video_text_loss(
+        batch.videos, batch.texts, batch.labels, batch.tau, fail, pooled
+    )
     want, d_videos, d_texts, d_fail = loop_video_text(
-        batch.videos, batch.texts, batch.labels, batch.tau, fail
+        batch.videos, batch.texts, batch.labels, batch.tau, fail, pooled
     )
     assert val == pytest.approx(want, rel=RTOL)
     assert_close(grads["videos"], d_videos)
     assert_close(grads["texts"], d_texts)
     if fail is not None:
-        assert_dicts_close(grads["fail_texts"], d_fail)
+        assert_close(grads["fail_texts"], d_fail)
 
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("uneven_k", [False, True])
 def test_failure_prompt_matches_loop(seed, uneven_k):
-    batch, task_texts, failure_texts = random_case(seed, uneven_k)
+    batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k)
     args = (batch.fail_videos, batch.fail_labels, batch.fail_clusters, task_texts, failure_texts, batch.tau)
-    val, grads = losses.failure_prompt_loss(*args)
+    val, grads = losses.failure_prompt_loss(*args, pooled)
     want, d_videos, d_task, d_fail = loop_failure_prompt(*args)
     assert val == pytest.approx(want, rel=RTOL)
     assert_close(grads["fail_videos"], d_videos)
-    assert_dicts_close(grads["task_texts"], d_task)
-    assert_dicts_close(grads["fail_texts"], d_fail)
+    assert_close(grads["task_texts"], d_task)
+    assert_close(grads["fail_texts"], d_fail)
 
 
 def test_failure_prompt_without_failure_rows():
-    batch, task_texts, failure_texts = random_case(0, uneven_k=False)
+    batch, task_texts, failure_texts, _ = random_case(0, uneven_k=False)
     val, grads = losses.failure_prompt_loss(
         np.zeros((0, 6)), [], [], task_texts, failure_texts, batch.tau
     )
     assert val == 0.0
     assert grads["fail_videos"].shape == (0, 6)
-    assert all(not np.any(g) for g in grads["fail_texts"].values())
+    assert grads["fail_texts"].shape == failure_texts.shape
+    assert not np.any(grads["fail_texts"])

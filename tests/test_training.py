@@ -1,15 +1,19 @@
-"""Batch-strata validation, typed non-finite failures, and the sampler's
-draws against a per-try, per-pick loop reference."""
+"""Batch-strata validation, typed non-finite failures, the sampler's draws
+against a per-try, per-pick loop reference, and the checkpoint mapping."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rewardlab import encoders as enc, evaluation, losses, render, simworld as sw, training
+from rewardlab import (
+    encoders as enc, evaluation, formats, losses, render, simworld as sw, training,
+)
 from rewardlab.config import ExperimentConfig
 from rewardlab.datagen import Dataset, LabeledClip
-from rewardlab.errors import BadConfigError, InsufficientStratumError, NonFiniteValueError
+from rewardlab.errors import (
+    BadConfigError, CorruptFileError, InsufficientStratumError, NonFiniteValueError,
+)
 
 CONFIG = ExperimentConfig(
     seed=5,
@@ -140,3 +144,57 @@ def test_sampler_rejects_unsatisfiable_positive_rule():
     data = training._IndexedData(label_only_dataset([0, 0], [4, 4], config), config)
     with pytest.raises(InsufficientStratumError, match="positive-set"):
         training.sample_batch(data, config, np.random.default_rng(0), {})
+
+
+@pytest.fixture(scope="module")
+def fvlc_params(dataset):
+    return training.train(replace(CONFIG, mode="fvlc"), dataset).params
+
+
+class TestCheckpoint:
+    def test_v1_key_names(self, fvlc_params):
+        names = set(training.params_to_arrays(fvlc_params))
+        assert names == (
+            {f"video.{f}" for f in ("frame_proj", "frame_bias", "temporal_logits", "out_proj", "out_bias")}
+            | {"pool.proj", "pool.bias"}
+            | {f"pool.prompt.{t}.{k}" for t in sw.TRAIN_TASKS for k in range(CONFIG.k_clusters)}
+            | {f"task.{t}.text" for t in range(len(sw.TASK_NAMES))}
+        )
+
+    def test_round_trip_keeps_features_and_scores(self, fvlc_params, dataset, tmp_path):
+        path = tmp_path / "model.ckpt"
+        formats.save_checkpoint(training.params_to_arrays(fvlc_params), path)
+        loaded = training.params_from_arrays(formats.load_checkpoint(path))
+        assert np.array_equal(loaded.pool.tasks, fvlc_params.pool.tasks)
+        assert np.array_equal(
+            enc.failure_text_features(loaded.pool, loaded.table)[0],
+            enc.failure_text_features(fvlc_params.pool, fvlc_params.table)[0],
+        )
+        clips = dataset.subset("robot")
+        assert np.array_equal(
+            evaluation.score_clips(loaded, clips), evaluation.score_clips(fvlc_params, clips)
+        )
+
+    @pytest.mark.parametrize("edit", ["drop", "extra_cluster", "extra_task"])
+    def test_prompt_keys_must_fill_the_task_by_cluster_grid(self, fvlc_params, edit):
+        arrays = training.params_to_arrays(fvlc_params)
+        if edit == "drop":
+            del arrays["pool.prompt.5.1"]
+        elif edit == "extra_cluster":
+            arrays["pool.prompt.4.2"] = arrays["pool.prompt.4.0"]
+        else:
+            arrays["pool.prompt.2.0"] = arrays["pool.prompt.4.0"]
+        with pytest.raises(CorruptFileError, match="grid"):
+            training.params_from_arrays(arrays)
+
+    @pytest.mark.parametrize("edit", ["gap", "shifted", "malformed"])
+    def test_task_text_ids_must_be_0_to_t_minus_1(self, fvlc_params, edit):
+        arrays = training.params_to_arrays(fvlc_params)
+        if edit == "gap":
+            del arrays["task.3.text"]
+        elif edit == "shifted":
+            arrays["task.7.text"] = arrays.pop("task.0.text")
+        else:
+            arrays["task.x.text"] = arrays.pop("task.6.text")
+        with pytest.raises(CorruptFileError):
+            training.params_from_arrays(arrays)
