@@ -147,6 +147,9 @@ class TaskTable:
     """Frozen text embeddings of tasks 0..T-1: row t of `texts` is task t."""
 
     def __init__(self, texts):
+        shapes = sorted({np.shape(text) for text in texts})
+        if len(shapes) > 1:
+            raise ShapeMismatchError(f"task texts have unequal shapes {shapes}")
         self.texts = np.array(texts, dtype=np.float64)
         if self.texts.ndim != 2:
             raise ShapeMismatchError(f"texts must be (T, D), got {self.texts.shape}")

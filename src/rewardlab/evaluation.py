@@ -3,7 +3,8 @@ and the ablation grid.
 
 Separation is measured as the probability that a uniformly random success
 clip outscores (sigmoid(v . t)) a uniformly random failure clip of the
-same task, ties counted half — the area under the ROC curve. Planning is
+same task, ties counted half — the area under the ROC curve; the eval set
+is stacked once and scored by row index. Planning is
 evaluated by executing each planned sequence in the real simulator and
 checking the task predicate.
 """
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import datagen as dg, dynamics as dyn, encoders as enc, planner as pl, simworld as sw
 from .config import ExperimentConfig
-from .errors import OneClassOnlyError, RefinementRegressedError
-from .losses import _sigmoid
+from .errors import OneClassOnlyError, RefinementRegressedError, UnknownTaskError
+from .losses import _rows, _sigmoid
 from .training import ModelParams, train
 
 _STREAM_EVAL_DATA = 7
@@ -38,25 +39,29 @@ def auc_from_scores(success_scores, failure_scores) -> float:
     return u / (n_s * n_f)
 
 
-def score_clips(params: ModelParams, clips) -> np.ndarray:
-    """sigmoid(v . t) for each labeled clip."""
-    frames = np.stack([c.frames for c in clips])
+def score_clips(params: ModelParams, frames, tasks) -> np.ndarray:
+    """sigmoid(v . t) for each (L, F) clip of frames against its task's text."""
     videos = enc.encode_clips(frames, params.video)
-    texts = np.stack([params.table.text_embed(c.task_id) for c in clips])
+    texts = _rows(params.table.texts, np.asarray(tasks, dtype=np.int64), UnknownTaskError)
     return _sigmoid(np.sum(videos * texts, axis=1))
 
 
-def evaluate_separation(params: ModelParams, eval_dataset  : dg.Dataset, tasks):
+def evaluate_separation(params: ModelParams, eval_dataset: dg.Dataset, tasks):
     """Per-task AUC plus normalized score distributions for export."""
+    clips = eval_dataset.clips
+    frames = eval_dataset.frames_array() if clips else None
+    task_col = np.array([c.task_id for c in clips], dtype=np.int64)
+    robot = np.array([c.domain == "robot" for c in clips], dtype=bool)
+    success = np.array([c.success for c in clips], dtype=np.int64)
     report = {}
     for task in tasks:
-        clips = eval_dataset.subset("robot", task_id=task)
-        successes = [c for c in clips if c.success == 1]
-        failures = [c for c in clips if c.success == 0]
-        if not successes or not failures:
+        mine = robot & (task_col == task)
+        s_rows = np.flatnonzero(mine & (success == 1))
+        f_rows = np.flatnonzero(mine & (success == 0))
+        if not s_rows.size or not f_rows.size:
             raise OneClassOnlyError(f"task {task} evaluation set has one class only")
-        s_scores = score_clips(params, successes)
-        f_scores = score_clips(params, failures)
+        s_scores = score_clips(params, frames[s_rows], task_col[s_rows])
+        f_scores = score_clips(params, frames[f_rows], task_col[f_rows])
         pooled = np.concatenate([s_scores, f_scores])
         lo, hi = float(pooled.min()), float(pooled.max())
         span = (hi - lo) if hi > lo else 1.0

@@ -1,8 +1,8 @@
 """Finite-difference gradient suite over every trainable operation.
 
 Each entry builds seeded random inputs, evaluates the hand-written
-gradient, and compares it against central differences (eps 1e-5 by
-default). `run_gradient_suite` runs them all; the test suite calls it.
+gradient of every trainable input (the frozen task texts get none), and
+compares it against central differences (eps 1e-5 by default). `run_gradient_suite` runs them all; the test suite calls it.
 """
 
 import numpy as np
@@ -30,14 +30,14 @@ def _check_vlc(rng, eps, with_failure):
     videos = _unit_rows(rng, b, d)
     texts = _unit_rows(rng, b, d)
     labels = np.array([0, 1, 0, 1, 0])
-    inputs = [videos, texts] + ([_unit_rows(rng, 2 * k, d).reshape(2, k, d)] if with_failure else [])
+    inputs = [videos] + ([_unit_rows(rng, 2 * k, d).reshape(2, k, d)] if with_failure else [])
 
     def f(flat):
-        vv, tt, *ff = enc.unflatten_like(flat, inputs)
-        return losses.video_text_loss(vv, tt, labels, 0.4, *ff)[0]
+        vv, *ff = enc.unflatten_like(flat, inputs)
+        return losses.video_text_loss(vv, texts, labels, 0.4, *ff)[0]
 
-    _, grads = losses.video_text_loss(*inputs[:2], labels, 0.4, *inputs[2:])
-    analytic = [grads["videos"], grads["texts"]] + ([grads["fail_texts"]] if with_failure else [])
+    _, grads = losses.video_text_loss(videos, texts, labels, 0.4, *inputs[1:])
+    analytic = [grads["videos"]] + ([grads["fail_texts"]] if with_failure else [])
     return finite_diff_grad_check(
         f, enc.flatten_arrays(inputs), enc.flatten_arrays(analytic), eps=eps
     )
@@ -47,17 +47,10 @@ def _check_bce(rng, eps):
     videos = _unit_rows(rng, 6, 12)
     texts = _unit_rows(rng, 6, 12)
     outcomes = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-    _, grads = losses.bce_loss(videos, texts, outcomes)
-
-    def f(flat):
-        vv, tt = flat[:72].reshape(6, 12), flat[72:].reshape(6, 12)
-        return losses.bce_loss(vv, tt, outcomes)[0]
-
+    _, grad = losses.bce_loss(videos, texts, outcomes)
     return finite_diff_grad_check(
-        f,
-        np.concatenate([videos.ravel(), texts.ravel()]).copy(),
-        np.concatenate([grads["videos"].ravel(), grads["texts"].ravel()]),
-        eps=eps,
+        lambda flat: losses.bce_loss(flat.reshape(videos.shape), texts, outcomes)[0],
+        videos.ravel().copy(), grad.ravel(), eps=eps,
     )
 
 
@@ -68,14 +61,14 @@ def _check_fvlc(rng, eps):
     clusters = np.array([rng.integers(0, k) for _ in range(4)])
     task_texts = _unit_rows(rng, 2, d)
     fail = _unit_rows(rng, 2 * k, d).reshape(2, k, d)
-    inputs = [fail_videos, task_texts, fail]
+    inputs = [fail_videos, fail]
     _, grads = losses.failure_prompt_loss(fail_videos, labels, clusters, task_texts, fail, 0.35)
 
     def f(flat):
-        vv, tt, ff = enc.unflatten_like(flat, inputs)
-        return losses.failure_prompt_loss(vv, labels, clusters, tt, ff, 0.35)[0]
+        vv, ff = enc.unflatten_like(flat, inputs)
+        return losses.failure_prompt_loss(vv, labels, clusters, task_texts, ff, 0.35)[0]
 
-    analytic = [grads["fail_videos"], grads["task_texts"], grads["fail_texts"]]
+    analytic = [grads["fail_videos"], grads["fail_texts"]]
     return finite_diff_grad_check(
         f, enc.flatten_arrays(inputs), enc.flatten_arrays(analytic), eps=eps
     )

@@ -1,34 +1,35 @@
-"""Training objectives, each returning a scalar value plus gradients.
+"""Training objectives, each returning a scalar value plus the gradients
+of its trainable inputs.
 
-Each contrastive term is one logits matrix z (similarities / tau) and one
-row-wise max-subtracted log-softmax: row i contributes logsumexp(z_i)
-minus the mean of its positive logits. Its gradient with respect to the
-similarities is (softmax(z_i) - positive mask / #positives) / tau, which
-matmuls carry back to the embeddings. A logit that does not belong to a
-row's denominator is set to -inf, so the log-sum-exp and the softmax both
-skip it.
+Every contrastive term calls one InfoNCE core, `_info_nce`: logits z
+(similarities / tau), one target distribution per row, and an optional
+mask of each row's denominator (the other logits become -inf, which the
+log-sum-exp and the softmax skip). Row i contributes logsumexp(z_i) minus
+its target-weighted logits; the gradient with respect to the
+similarities is (softmax(z_i) - target_i) / tau.
 
 * cross_domain_loss: supervised contrastive (SupCon) pull between same-task
-  clips across the human and robot domains: [B, B] logits with a
-  same-task positive mask. The anchor is included in its own positive set
-  and denominator by default; supcon-style self-exclusion masks the
-  diagonal.
-* video_text_loss: bidirectional clip<->text InfoNCE, positive on the
-  diagonal. When failure-text features are supplied, video->text logits
-  are [B, B + K]: the last K columns hold the row task's failure features,
-  masked when that task has no prompt pool, so such a row adds no
-  negatives. text->video is the transposed [B, B] matrix.
+  clips across the human and robot domains, the target spread over each
+  row's same-task positives. The anchor is one of its own positives by
+  default; supcon-style self-exclusion masks the diagonal.
+* video_text_loss: bidirectional clip<->text InfoNCE, target on the
+  diagonal. With failure features, video->text logits are [B, B + K]: the
+  last K columns hold the row task's failure features, masked when that
+  task has no prompt pool. text->video is the transposed [B, B] matrix.
 * bce_loss: binary cross-entropy on sigmoid(v . t) over robot successes
   and failures.
 * failure_prompt_loss: [Bf, 1 + K] logits of each failure clip against
-  [task success text; task failure features]; the positive is the
-  feature at the clip's assigned cluster k*.
+  [task text; task failure features]; the target is the feature at the
+  clip's assigned cluster k*.
 
-Per-task data are task-indexed arrays: task texts (T, D), failure
-features (T, K, D) and a (T,) mask of the tasks that have a prompt pool.
-A row's task label indexes them directly, and per-row gradients are summed
-back into the same shapes with np.add.at. Gradients are hand-derived and
-covered by central-difference checks in the test suite.
+Task texts stand in for a frozen language encoder, so no loss returns a
+gradient for them: gradients cover the clip embeddings ("videos",
+"fail_videos") and the failure features ("fail_texts"), which the training
+step backprops into the encoder and the prompt pool. Per-task inputs are
+arrays indexed by task id: texts (T, D), failure features (T, K, D) and a
+(T,) mask of the tasks with a prompt pool; per-row feature gradients are
+summed back into (T, K, D) with np.add.at. Gradients are hand-derived and
+checked against central differences in the test suite.
 """
 
 from dataclasses import dataclass
@@ -78,10 +79,6 @@ class Batch:
         _check_tau(self.tau)
 
     @property
-    def size(self) -> int:
-        return self.videos.shape[0]
-
-    @property
     def n_human(self) -> int:
         return int(np.sum(self.domains == HUMAN))
 
@@ -123,6 +120,15 @@ def _sum_rows(shape, labels, contrib) -> np.ndarray:
     return out
 
 
+def _info_nce(logits, target, keep):
+    """sum_i logsumexp(z_i) - target_i . logits_i, where z is logits with
+    the entries outside the mask `keep` (None keeps all) set to -inf.
+    Returns (value, softmax(z)); d value / d logits = softmax(z) - target."""
+    z = logits if keep is None else np.where(keep, logits, -np.inf)
+    value = float(np.sum(logsumexp(z) - np.sum(target * logits, axis=1)))
+    return value, softmax(z)
+
+
 def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
     """Supervised contrastive loss over the pooled success batch.
 
@@ -133,17 +139,16 @@ def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
     _check_tau(tau)
     logits = (videos @ videos.T) / tau
     pos = labels[:, None] == labels[None, :]
-    z = logits
+    keep = None
     if exclude_anchor:
-        np.fill_diagonal(pos, False)
-        z = logits.copy()
-        np.fill_diagonal(z, -np.inf)
+        keep = ~np.eye(len(labels), dtype=bool)
+        pos &= keep
     n_pos = pos.sum(axis=1)
     if np.any(n_pos == 0):
         raise EmptyPositiveSetError(f"anchor {int(np.argmin(n_pos))} has no positive sample")
     target = pos / n_pos[:, None]
-    total = float(np.sum(logsumexp(z) - np.sum(target * logits, axis=1)))
-    grad_s = (softmax(z) - target) / tau
+    total, p = _info_nce(logits, target, keep)
+    grad_s = (p - target) / tau
     return total, (grad_s + grad_s.T) @ videos
 
 
@@ -151,9 +156,10 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, poole
     """Bidirectional clip<->text InfoNCE; failure features join the
     video->text denominators when given.
 
-    failure_texts is (T, K, D), indexed by task id; pooled is the (T,)
-    mask of tasks that have a prompt pool (all of them when None).
-    Returns (value, grads) with grads keys "videos", "texts", and (when
+    texts are the frozen (B, D) task texts of the rows. failure_texts is
+    (T, K, D), indexed by task id; pooled is the (T,) mask of tasks that
+    have a prompt pool (all of them when None).
+    Returns (value, grads) with grads keys "videos" and (when
     failure_texts is given) "fail_texts" (T, K, D).
     """
     videos = np.asarray(videos, dtype=np.float64)
@@ -164,24 +170,28 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, poole
     _check_tau(tau)
     b = videos.shape[0]
     logits = (videos @ texts.T) / tau            # [i, j] = v_i . t_j / tau
-    z = logits
+    v2t, keep = logits, None
     if failure_texts is not None:
         failure_texts = np.asarray(failure_texts, dtype=np.float64)
         blocks, has_pool = _pool_rows(failure_texts, pooled, labels)
         fail_logits = np.einsum("bd,bkd->bk", videos, blocks) / tau
-        z = np.concatenate([logits, np.where(has_pool[:, None], fail_logits, -np.inf)], axis=1)
-    total = float(np.sum(logsumexp(z) + logsumexp(logits.T)) - 2.0 * np.trace(logits))
-    p = softmax(z)
-    # d(loss)/d(v_i . t_j): video->text rows plus text->video columns
-    d_sims = (p[:, :b] + softmax(logits.T).T - 2.0 * np.eye(b)) / tau
-    grads = {"videos": d_sims @ texts, "texts": d_sims.T @ videos}
+        v2t = np.concatenate([logits, fail_logits], axis=1)
+        keep = np.ones(v2t.shape, dtype=bool)
+        keep[:, b:] = has_pool[:, None]
+    eye = np.eye(b)
+    v2t_val, p = _info_nce(v2t, np.eye(*v2t.shape), keep)
+    t2v_val, q = _info_nce(logits.T, eye, None)
+    # d(loss)/d(v_i . t_j): video->text rows plus text->video columns, with
+    # both targets taken off in one 2I (per direction rounds differently)
+    d_sims = (p[:, :b] + q.T - 2.0 * eye) / tau
+    grads = {"videos": d_sims @ texts}
     if failure_texts is not None:
         d_fail = p[:, b:] / tau
         grads["videos"] += np.einsum("bk,bkd->bd", d_fail, blocks)
         grads["fail_texts"] = _sum_rows(
             failure_texts.shape, labels, d_fail[:, :, None] * videos[:, None, :]
         )
-    return total, grads
+    return v2t_val + t2v_val, grads
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -198,9 +208,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def bce_loss(videos, texts, outcomes):
-    """-sum_i [r log p + (1-r) log(1-p)] with p = sigmoid(v . t).
+    """-sum_i [r log p + (1-r) log(1-p)] with p = sigmoid(v . t) against
+    the frozen texts.
 
-    Returns (value, grads) with keys "videos" and "texts".
+    Returns (value, d_videos).
     """
     videos = np.asarray(videos, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
@@ -210,8 +221,7 @@ def bce_loss(videos, texts, outcomes):
     x = np.sum(videos * texts, axis=1)
     # -log sigmoid(x) = softplus(-x); -log(1 - sigmoid(x)) = softplus(x)
     value = float(np.sum(_softplus(np.where(outcomes > 0.5, -x, x))))
-    dx = _sigmoid(x) - outcomes
-    return value, {"videos": dx[:, None] * texts, "texts": dx[:, None] * videos}
+    return value, (_sigmoid(x) - outcomes)[:, None] * texts
 
 
 def failure_prompt_loss(
@@ -219,12 +229,12 @@ def failure_prompt_loss(
 ):
     """Contrast each failure clip against [success text; K failure features].
 
-    task_texts is (T, D) and failure_texts (T, K, D), indexed by task id;
-    pooled is the (T,) mask of tasks that have a prompt pool (all of them
-    when None), and every failure row's task must have one. The positive
-    is the failure feature at the clip's assigned cluster k*.
-    Returns (value, grads) with keys "fail_videos", "task_texts" (T, D)
-    and "fail_texts" (T, K, D).
+    task_texts is the frozen (T, D) text table and failure_texts (T, K, D),
+    both indexed by task id; pooled is the (T,) mask of tasks that have a
+    prompt pool (all of them when None), and every failure row's task must
+    have one. The positive is the failure feature at the clip's assigned
+    cluster k*.
+    Returns (value, grads) with keys "fail_videos" and "fail_texts" (T, K, D).
     """
     fail_videos = np.asarray(fail_videos, dtype=np.float64)
     fail_labels = np.asarray(fail_labels, dtype=np.int64)
@@ -242,14 +252,12 @@ def failure_prompt_loss(
     texts = _rows(task_texts, fail_labels, UnknownTaskError)
     fail_logits = np.einsum("bd,bkd->bk", fail_videos, blocks)
     z = np.concatenate([np.sum(fail_videos * texts, axis=1, keepdims=True), fail_logits], axis=1) / tau
-    idx, pos = np.arange(n), 1 + fail_clusters
-    total = float(np.sum(logsumexp(z)) - np.sum(z[idx, pos]))
-    coef = softmax(z)
-    coef[idx, pos] -= 1.0
-    coef /= tau
+    target = np.zeros_like(z)
+    target[np.arange(n), 1 + fail_clusters] = 1.0
+    total, coef = _info_nce(z, target, None)
+    coef = (coef - target) / tau
     return total, {
         "fail_videos": coef[:, :1] * texts + np.einsum("bk,bkd->bd", coef[:, 1:], blocks),
-        "task_texts": _sum_rows(task_texts.shape, fail_labels, coef[:, :1] * fail_videos),
         "fail_texts": _sum_rows(
             failure_texts.shape, fail_labels, coef[:, 1:, None] * fail_videos[:, None, :]
         ),
@@ -313,21 +321,10 @@ def total_loss(
             batch.texts[robot], _rows(task_texts, batch.fail_labels, UnknownTaskError)
         ])
         outcomes = np.concatenate([np.ones(n_r), np.zeros(batch.n_fail)])
-        extra_val, bce_grads = bce_loss(videos, texts, outcomes)
+        extra_val, d_bce = bce_loss(videos, texts, outcomes)
         d_videos = np.zeros_like(batch.videos)
-        d_videos[robot] = bce_grads["videos"][:n_r]
-        d_texts = np.zeros_like(batch.texts)
-        d_texts[robot] = bce_grads["texts"][:n_r]
-        _accumulate(
-            grads,
-            {
-                "videos": d_videos,
-                "texts": d_texts,
-                "fail_videos": bce_grads["videos"][n_r:],
-                "task_texts": _sum_rows(task_texts.shape, batch.fail_labels, bce_grads["texts"][n_r:]),
-            },
-            w_extra,
-        )
+        d_videos[robot] = d_bce[:n_r]
+        _accumulate(grads, {"videos": d_videos, "fail_videos": d_bce[n_r:]}, w_extra)
         components["bce"] = extra_val
     elif mode == "fvlc":
         extra_val, fp_grads = failure_prompt_loss(

@@ -1,17 +1,22 @@
 """Batch sampling and the training loop with end-of-epoch clustering.
 
-Per step: sample a stratified clip batch from arrays stacked once per
-run, encode, compose the (T_p, K, D) failure features of every pooled
-task and cluster in one batched pass, evaluate the mode's total loss,
-backprop by hand through the encoders and, in one call, through the
-prompt composition, clip the global gradient norm, and apply plain
-gradient descent (prompts get their own learning rate, applied to the
-whole (T_p, K, prompt_len, D) pool at once). Task texts and failure
-features reach the losses as arrays indexed by task id. A non-finite loss
-stops training with NonFiniteValueError. In failure-prompt mode, every
-epoch ends by re-embedding all failure clips with the current encoder,
-re-clustering per task, aligning the clusters to the previous epoch, and
-refreshing pseudo-labels.
+The dataset is stacked once per run into one (N, L, F) frames array with
+a (N,) task column and the row indices of the human clips, the robot
+successes and the robot failures. Failure rows are ordered by task, then
+dataset order; each task owns a slice of them and of the flat array of
+failure pseudo-labels.
+
+Per step: draw rows, gather and encode success and failure frames
+together, compose the (T_p, K, D) failure features of every pooled task
+and cluster in one pass, evaluate the mode's total loss (its gradients
+cover only the trainable inputs: clip embeddings and failure features),
+backprop by hand through the encoders and the prompt composition, clip
+the global gradient norm, and apply plain gradient descent (prompts get
+their own learning rate). A non-finite loss stops training with
+NonFiniteValueError. In failure-prompt mode, every epoch ends by
+re-clustering each task's failure clips under the current encoder,
+aligning the clusters to the previous epoch, and writing the task's slice
+of the pseudo-labels.
 
 Rng streams are separated per concern so, e.g., all modes share the same
 encoder initialization under one seed.
@@ -22,10 +27,12 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from . import clustering as cl, encoders as enc, losses, render
+from . import clustering as cl, encoders as enc, losses
 from .config import ExperimentConfig
 from .datagen import Dataset
-from .errors import CorruptFileError, InsufficientStratumError, NonFiniteValueError
+from .errors import (
+    CorruptFileError, InsufficientStratumError, NonFiniteValueError, TooFewSamplesError,
+)
 from .simworld import TASK_NAMES
 
 _STREAM_VIDEO, _STREAM_POOL, _STREAM_SAMPLER, _STREAM_CLUSTER = 1, 2, 3, 4
@@ -43,51 +50,44 @@ class ModelParams:
     table: enc.TaskTable
 
 
-@dataclass
-class ClipBatch:
-    clips: np.ndarray          # (B, L, F)
-    labels: np.ndarray
-    domains: np.ndarray
-    fail_clips: np.ndarray     # (Bf, L, F)
-    fail_labels: np.ndarray
-    fail_clusters: np.ndarray
-
-
 class _IndexedData:
-    """Dataset views the sampler draws from, stacked once per training run."""
+    """The dataset as one stacked frames array and the row indices the
+    sampler draws from, built once per training run."""
 
-    def __init__(self, dataset: Dataset, config: ExperimentConfig):
-        human = dataset.subset("human")
-        robot_success = dataset.subset("robot", success=1)
-        self.human_frames = dataset.frames_array(human) if human else np.zeros((0,))
-        self.human_labels = np.array([c.task_id for c in human], dtype=np.int64)
-        self.robot_frames = dataset.frames_array(robot_success) if robot_success else np.zeros((0,))
-        self.robot_labels = np.array([c.task_id for c in robot_success], dtype=np.int64)
-        self.fail_clips_by_task = {}
-        for task in sorted({c.task_id for c in dataset.subset("robot", success=0)}):
-            clips = dataset.subset("robot", task_id=task, success=0)
-            self.fail_clips_by_task[task] = dataset.frames_array(clips)
-        # every failure clip as (task, index within task): the order the
-        # sampler's failure draws index
-        flat = [(t, i) for t in self.fail_tasks for i in range(len(self.fail_clips_by_task[t]))]
-        self.fail_task, self.fail_index = np.array(flat, dtype=np.int64).reshape(-1, 2).T
-        self.fail_frames = np.concatenate(
-            [self.fail_clips_by_task[t] for t in self.fail_tasks]
-        ) if flat else np.zeros((0, config.clip_frames, render.FRAME_WIDTH))
-
-    @property
-    def fail_tasks(self):
-        return sorted(self.fail_clips_by_task)
+    def __init__(self, dataset: Dataset):
+        clips = dataset.clips
+        self.frames = dataset.frames_array() if clips else np.zeros((0,))
+        self.tasks = np.array([c.task_id for c in clips], dtype=np.int64)
+        human = np.array([c.domain == "human" for c in clips], dtype=bool)
+        robot = np.array([c.domain == "robot" for c in clips], dtype=bool)
+        success = np.array([c.success for c in clips], dtype=np.int64)
+        self.human = np.flatnonzero(human)
+        self.robot = np.flatnonzero(robot & (success == 1))
+        fail = np.flatnonzero(robot & (success == 0))
+        # the sampler's failure order: sorted task, then dataset order
+        self.fail = fail[np.argsort(self.tasks[fail], kind="stable")]
+        tasks, starts, counts = np.unique(
+            self.tasks[self.fail], return_index=True, return_counts=True)
+        # task -> its slice of self.fail (and of the pseudo-labels)
+        self.fail_slices = {
+            int(t): slice(int(a), int(a + n)) for t, a, n in zip(tasks, starts, counts)
+        }
 
 
 def sample_batch(
     data: _IndexedData,
     config: ExperimentConfig,
     rng: np.random.Generator,
-    pseudo_labels: dict,
-) -> ClipBatch:
-    """Stratified draw with every success sample guaranteed a same-task partner."""
-    n_h, n_r = len(data.human_labels), len(data.robot_labels)
+    pseudo_labels: np.ndarray,
+):
+    """Stratified draw with every success sample guaranteed a same-task partner.
+
+    pseudo_labels holds one cluster per failure row of `data`. Returns
+    (rows, fail_rows, fail_clusters): dataset rows of the human clips then
+    the robot successes, dataset rows of the failure clips, and their
+    pseudo-labels.
+    """
+    n_h, n_r = len(data.human), len(data.robot)
     if n_h < config.batch_human or n_r < config.batch_robot:
         raise InsufficientStratumError(
             f"need {config.batch_human} human / {config.batch_robot} robot successes, "
@@ -96,34 +96,19 @@ def sample_batch(
     for _ in range(_MAX_BATCH_TRIES):
         h_idx = rng.choice(n_h, size=config.batch_human, replace=False)
         r_idx = rng.choice(n_r, size=config.batch_robot, replace=False)
-        labels = np.concatenate([data.human_labels[h_idx], data.robot_labels[r_idx]])
-        if not np.any(np.bincount(labels) == 1):
+        rows = np.concatenate([data.human[h_idx], data.robot[r_idx]])
+        if not np.any(np.bincount(data.tasks[rows]) == 1):
             break
     else:
         raise InsufficientStratumError("could not satisfy positive-set constraint")
 
-    clips = np.concatenate([data.human_frames[h_idx], data.robot_frames[r_idx]])
-    domains = np.repeat([losses.HUMAN, losses.ROBOT], [config.batch_human, config.batch_robot])
-
     b_f = 0 if config.mode == "no_failure" else config.batch_failure
     picks = np.zeros(0, dtype=np.int64)
     if b_f:
-        if len(data.fail_task) < b_f:
-            raise InsufficientStratumError(f"need {b_f} failure clips, have {len(data.fail_task)}")
-        picks = rng.choice(len(data.fail_task), size=b_f, replace=False)
-    fail_labels = data.fail_task[picks]
-    fail_clusters = np.zeros(len(picks), dtype=np.int64)
-    for task, plabels in pseudo_labels.items():
-        hit = fail_labels == task
-        fail_clusters[hit] = plabels[data.fail_index[picks[hit]]]
-    return ClipBatch(
-        clips=clips,
-        labels=labels,
-        domains=domains,
-        fail_clips=data.fail_frames[picks],
-        fail_labels=fail_labels,
-        fail_clusters=fail_clusters,
-    )
+        if len(data.fail) < b_f:
+            raise InsufficientStratumError(f"need {b_f} failure clips, have {len(data.fail)}")
+        picks = rng.choice(len(data.fail), size=b_f, replace=False)
+    return rows, data.fail[picks], pseudo_labels[picks]
 
 
 def _global_grad_norm(arrays) -> float:
@@ -135,8 +120,6 @@ class TrainResult:
     params: ModelParams
     metrics: list                      # per-epoch records
     cluster_states: dict               # task -> ClusterState (final epoch)
-    initial_loss: float
-    final_loss: float
 
 
 def init_params(config: ExperimentConfig, pooled_tasks) -> ModelParams:
@@ -160,8 +143,8 @@ def init_params(config: ExperimentConfig, pooled_tasks) -> ModelParams:
 def _cluster_failures(params: ModelParams, data: _IndexedData, config: ExperimentConfig, epoch: int):
     """Re-embed failure clips per task and run spherical k-means."""
     states = {}
-    for task in data.fail_tasks:
-        feats = enc.encode_clips(data.fail_clips_by_task[task], params.video)
+    for task, part in data.fail_slices.items():
+        feats = enc.encode_clips(data.frames[data.fail[part]], params.video)
         seed = int(np.random.SeedSequence(
             [config.seed, _STREAM_CLUSTER, epoch + 1, task]
         ).generate_state(1, np.uint64)[0] % (2**31))
@@ -172,19 +155,28 @@ def _cluster_failures(params: ModelParams, data: _IndexedData, config: Experimen
 
 
 def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
-    data = _IndexedData(dataset, config)
-    pooled_tasks = data.fail_tasks if config.mode == "fvlc" else []
-    params = init_params(config, pooled_tasks)
+    data = _IndexedData(dataset)
+    fvlc = config.mode == "fvlc"
+    if fvlc:
+        for task, part in data.fail_slices.items():
+            if part.stop - part.start < config.k_clusters:
+                raise TooFewSamplesError(
+                    f"task {task} has {part.stop - part.start} failure clips, "
+                    f"fewer than k_clusters={config.k_clusters}"
+                )
+    params = init_params(config, list(data.fail_slices) if fvlc else [])
     sampler_rng = np.random.default_rng([config.seed, _STREAM_SAMPLER])
 
-    # pseudo-labels before the first epoch (failure-prompt mode only)
+    # pseudo-labels of the failure rows; clustered before the first epoch
+    # in failure-prompt mode, all zero (and unused by the losses) otherwise
     cluster_states = {}
-    pseudo_labels = {}
-    if config.mode == "fvlc":
+    pseudo_labels = np.zeros(len(data.fail), dtype=np.int64)
+    if fvlc:
         cluster_states = _cluster_failures(params, data, config, epoch=-1)
-        pseudo_labels = {t: s.assignments for t, s in cluster_states.items()}
+        for task, part in data.fail_slices.items():
+            pseudo_labels[part] = cluster_states[task].assignments
 
-    steps = config.steps_per_epoch or max(1, math.ceil(2 * len(data.human_labels) / config.batch_human))
+    steps = config.steps_per_epoch or max(1, math.ceil(2 * len(data.human) / config.batch_human))
     texts = params.table.texts
     # failure features by task id; tasks without a prompt pool stay masked
     # and contribute no failure negatives
@@ -192,16 +184,18 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
     pooled = np.zeros(len(texts), dtype=bool)
     if params.pool is not None:
         pooled[params.pool.tasks] = True
+    domains = np.repeat([losses.HUMAN, losses.ROBOT], [config.batch_human, config.batch_robot])
 
     metrics = []
     for epoch in range(config.epochs):
         sums = {}
         for _ in range(steps):
-            batch = sample_batch(data, config, sampler_rng, pseudo_labels)
+            rows, fail_rows, fail_clusters = sample_batch(data, config, sampler_rng, pseudo_labels)
+            labels = data.tasks[rows]
             # success and failure clips go through the encoder together
-            n_success = len(batch.labels)
+            n_success = len(rows)
             videos, video_cache = enc.encode_clips_cached(
-                np.concatenate([batch.clips, batch.fail_clips]), params.video
+                data.frames[np.concatenate([rows, fail_rows])], params.video
             )
             if params.pool is not None:
                 feats, pool_cache = enc.failure_text_features(params.pool, params.table)
@@ -209,12 +203,12 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
 
             emb_batch = losses.Batch(
                 videos=videos[:n_success],
-                labels=batch.labels,
-                domains=batch.domains,
-                texts=texts[batch.labels],
+                labels=labels,
+                domains=domains,
+                texts=texts[labels],
                 fail_videos=videos[n_success:],
-                fail_labels=batch.fail_labels,
-                fail_clusters=batch.fail_clusters,
+                fail_labels=data.tasks[fail_rows],
+                fail_clusters=fail_clusters,
                 tau=config.tau,
             )
             value, grads, comps = losses.total_loss(
@@ -251,35 +245,26 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
         record = {"epoch": epoch, "steps": steps}
         for key in sorted(sums):
             record[f"loss_{key}"] = sums[key] / steps
-        if config.mode == "fvlc":
+        if fvlc:
             new_states = _cluster_failures(params, data, config, epoch=epoch)
             cluster_info = []
-            for task in data.fail_tasks:
+            for task, part in data.fail_slices.items():
                 state = new_states[task]
-                if task in cluster_states:
-                    pi = cl.align_clusters(cluster_states[task].centers, state.centers)
-                    state = cl.relabel_state(state, pi)
-                churn = cl.label_churn(pseudo_labels[task], state.assignments) \
-                    if task in pseudo_labels else 1.0
+                pi = cl.align_clusters(cluster_states[task].centers, state.centers)
+                state = cl.relabel_state(state, pi)
                 sizes = np.bincount(state.assignments, minlength=config.k_clusters)
                 cluster_info.append({
                     "task": task,
                     "objective": state.objective,
-                    "churn": churn,
+                    "churn": cl.label_churn(pseudo_labels[part], state.assignments),
                     "sizes": sizes.tolist(),
                 })
                 cluster_states[task] = state
-                pseudo_labels[task] = state.assignments
+                pseudo_labels[part] = state.assignments
             record["clusters"] = cluster_info
         metrics.append(record)
 
-    return TrainResult(
-        params=params,
-        metrics=metrics,
-        cluster_states=cluster_states,
-        initial_loss=metrics[0]["loss_total"] if metrics else 0.0,
-        final_loss=metrics[-1]["loss_total"] if metrics else 0.0,
-    )
+    return TrainResult(params=params, metrics=metrics, cluster_states=cluster_states)
 
 
 # --- checkpoint mapping ---
@@ -299,11 +284,17 @@ def params_to_arrays(params: ModelParams) -> dict:
     return out
 
 
+def _array(arrays: dict, key: str) -> np.ndarray:
+    if key not in arrays:
+        raise CorruptFileError(f"checkpoint has no {key!r} array")
+    return arrays[key]
+
+
 def params_from_arrays(arrays: dict) -> ModelParams:
     """Inverse of params_to_arrays. The prompt keys must fill a full
     task x K grid and the task texts must be tasks 0..T-1."""
     video = enc.VideoEncoderParams(
-        *(arrays[f"video.{f.name}"] for f in dc_fields(enc.VideoEncoderParams))
+        *(_array(arrays, f"video.{f.name}") for f in dc_fields(enc.VideoEncoderParams))
     )
     prompts, texts = {}, {}
     for key, arr in arrays.items():
@@ -326,8 +317,8 @@ def params_from_arrays(arrays: dict) -> ModelParams:
         pool = enc.FailurePromptPool(
             tasks=np.array(tasks, dtype=np.int64),
             prompts=np.array([[prompts[task, j] for j in range(k)] for task in tasks]),
-            proj=arrays["pool.proj"],
-            bias=arrays["pool.bias"],
+            proj=_array(arrays, "pool.proj"),
+            bias=_array(arrays, "pool.bias"),
         )
     if sorted(texts) != list(range(len(texts))):
         raise CorruptFileError(f"task text ids {sorted(texts)} are not 0..T-1")

@@ -82,6 +82,10 @@ class TestTaskTable:
         with pytest.raises(ValueError):
             table.texts[1, 0] = 5.0
 
+    def test_unequal_widths(self):
+        with pytest.raises(ShapeMismatchError, match="unequal"):
+            enc.TaskTable([np.ones(3), np.ones(4)])
+
     def test_row_t_is_task_t(self, table):
         assert table.texts.shape == (len(TASK_NAMES), 32)
         for task in range(len(TASK_NAMES)):

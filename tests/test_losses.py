@@ -130,21 +130,13 @@ class TestVideoText:
         labels = np.array([0, 1, 1, 0])
         fail = helpers.random_unit_rows(rng, 4, 5).reshape(2, 2, 5) if with_fail else None
 
-        def unpack(flat):
-            vv = flat[:20].reshape(4, 5)
-            tt = flat[20:40].reshape(4, 5)
-            ff = None
-            if with_fail:
-                ff = flat[40:60].reshape(2, 2, 5)
-            return vv, tt, ff
-
         def f(flat):
-            vv, tt, ff = unpack(flat)
-            return losses.video_text_loss(vv, tt, labels, 0.4, failure_texts=ff)[0]
+            ff = flat[20:40].reshape(2, 2, 5) if with_fail else None
+            return losses.video_text_loss(flat[:20].reshape(4, 5), t, labels, 0.4, failure_texts=ff)[0]
 
         _, grads = losses.video_text_loss(v, t, labels, 0.4, failure_texts=fail)
-        parts = [v.ravel(), t.ravel()]
-        grad_parts = [grads["videos"].ravel(), grads["texts"].ravel()]
+        parts = [v.ravel()]
+        grad_parts = [grads["videos"].ravel()]
         if with_fail:
             parts.append(fail.ravel())
             grad_parts.append(grads["fail_texts"].ravel())
@@ -176,15 +168,9 @@ class TestBce:
         v = helpers.random_unit_rows(rng, 5, 4)
         t = helpers.random_unit_rows(rng, 5, 4)
         r = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-        _, grads = losses.bce_loss(v, t, r)
-
-        def f(flat):
-            return losses.bce_loss(flat[:20].reshape(5, 4), flat[20:].reshape(5, 4), r)[0]
-
+        _, grad = losses.bce_loss(v, t, r)
         err = finite_diff_grad_check(
-            f,
-            np.concatenate([v.ravel(), t.ravel()]).copy(),
-            np.concatenate([grads["videos"].ravel(), grads["texts"].ravel()]),
+            lambda flat: losses.bce_loss(flat.reshape(5, 4), t, r)[0], v.ravel().copy(), grad.ravel()
         )
         assert err < 1e-4
 
@@ -250,16 +236,12 @@ class TestFailurePrompt:
         _, grads = losses.failure_prompt_loss(v, labels, clusters, task_texts, fail, 0.4)
 
         def f(flat):
-            parts = np.split(flat, [15, 15 + 2 * d])
             return losses.failure_prompt_loss(
-                parts[0].reshape(3, d), labels, clusters,
-                parts[1].reshape(2, d), parts[2].reshape(2, 2, d), 0.4,
+                flat[:15].reshape(3, d), labels, clusters, task_texts, flat[15:].reshape(2, 2, d), 0.4,
             )[0]
 
-        theta = np.concatenate([v.ravel(), task_texts.ravel(), fail.ravel()])
-        analytic = np.concatenate([
-            grads["fail_videos"].ravel(), grads["task_texts"].ravel(), grads["fail_texts"].ravel(),
-        ])
+        theta = np.concatenate([v.ravel(), fail.ravel()])
+        analytic = np.concatenate([grads["fail_videos"].ravel(), grads["fail_texts"].ravel()])
         assert finite_diff_grad_check(f, theta, analytic) < 1e-4
 
 
@@ -323,6 +305,23 @@ class TestTotalLoss:
         val, grads, comps = losses.total_loss(batch, task_texts, failure_texts, mode="bce")
         assert "bce" in comps and comps["bce"] > 0
         assert "fail_videos" in grads
+
+    @pytest.mark.parametrize("mode, keys", [
+        ("no_failure", {"videos"}),
+        ("bce", {"videos", "fail_videos"}),
+        ("fvlc", {"videos", "fail_videos", "fail_texts"}),
+    ])
+    def test_gradients_cover_the_trainable_inputs_only(self, mode, keys):
+        # exactly what the training step backprops: clip embeddings into the
+        # encoder, failure features into the prompt pool; texts are frozen
+        batch, task_texts, failure_texts = helpers.build_random_batch(7)
+        _, grads, _ = losses.total_loss(batch, task_texts, failure_texts, mode=mode)
+        assert set(grads) == keys
+        assert grads["videos"].shape == batch.videos.shape
+        if "fail_videos" in keys:
+            assert grads["fail_videos"].shape == batch.fail_videos.shape
+        if "fail_texts" in keys:
+            assert grads["fail_texts"].shape == failure_texts.shape
 
     def test_unknown_mode(self):
         batch, task_texts, failure_texts = helpers.build_random_batch(6)

@@ -1,5 +1,6 @@
-"""Batch-strata validation, typed non-finite failures, the sampler's draws
-against a per-try, per-pick loop reference, and the checkpoint mapping."""
+"""Batch-strata validation, typed non-finite failures, the stacked
+training-data view, the sampler's row draws against a per-try, per-pick
+loop reference, and the checkpoint mapping."""
 
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from rewardlab.config import ExperimentConfig
 from rewardlab.datagen import Dataset, LabeledClip
 from rewardlab.errors import (
     BadConfigError, CorruptFileError, InsufficientStratumError, NonFiniteValueError,
+    TooFewSamplesError,
 )
 
 CONFIG = ExperimentConfig(
@@ -46,7 +48,12 @@ class TestBatchStrata:
     def test_no_failure_rows_accepted(self, dataset):
         config = replace(CONFIG, batch_failure=0)
         result = training.train(config, dataset)
-        assert np.isfinite(result.final_loss)
+        assert np.isfinite(result.metrics[-1]["loss_total"])
+
+    def test_k_clusters_above_a_task_failure_count(self, dataset):
+        config = replace(CONFIG, mode="fvlc", k_clusters=CONFIG.robot_failure_per_task + 1)
+        with pytest.raises(TooFewSamplesError, match="task 4 has 5 failure clips"):
+            training.train(config, dataset)
 
 
 class TestNonFinite:
@@ -63,53 +70,60 @@ class TestNonFinite:
             training.train(config, dataset)
 
 
+def test_indexed_data_rows(dataset):
+    data = training._IndexedData(dataset)
+    clips = dataset.clips
+    assert np.array_equal(data.frames, dataset.frames_array())
+    assert data.tasks.tolist() == [c.task_id for c in clips]
+    assert data.human.tolist() == [i for i, c in enumerate(clips) if c.domain == "human"]
+    assert data.robot.tolist() == [
+        i for i, c in enumerate(clips) if c.domain == "robot" and c.success == 1
+    ]
+    fail = [i for i, c in enumerate(clips) if c.domain == "robot" and c.success == 0]
+    # sorted task, then dataset order
+    assert data.fail.tolist() == sorted(fail, key=lambda i: (clips[i].task_id, i))
+    assert list(data.fail_slices) == sorted({clips[i].task_id for i in fail})
+    covered = []
+    for task, part in data.fail_slices.items():
+        assert {clips[i].task_id for i in data.fail[part]} == {task}
+        covered += range(part.start, part.stop)
+    assert covered == list(range(len(fail)))
+
+
 def loop_sample_batch(data, config, rng, pseudo_labels):
-    """The sampler one try and one failure pick at a time."""
-    n_h, n_r = len(data.human_labels), len(data.robot_labels)
+    """The sampler one try and one failure pick at a time, on row indices."""
     for _ in range(100):
-        h_idx = rng.choice(n_h, size=config.batch_human, replace=False)
-        r_idx = rng.choice(n_r, size=config.batch_robot, replace=False)
-        labels = np.concatenate([data.human_labels[h_idx], data.robot_labels[r_idx]])
+        h_idx = rng.choice(len(data.human), size=config.batch_human, replace=False)
+        r_idx = rng.choice(len(data.robot), size=config.batch_robot, replace=False)
+        rows = [int(data.human[i]) for i in h_idx] + [int(data.robot[i]) for i in r_idx]
+        labels = data.tasks[rows]
         counts = {t: int(np.sum(labels == t)) for t in set(labels.tolist())}
         if all(c >= 2 for c in counts.values()):
             break
     else:
         raise InsufficientStratumError("could not satisfy positive-set constraint")
-    clips = np.concatenate([data.human_frames[h_idx], data.robot_frames[r_idx]])
-    fail_clips, fail_labels, fail_clusters = [], [], []
+    fail_rows, fail_clusters = [], []
     if config.mode != "no_failure" and config.batch_failure:
-        flat = [(t, i) for t in data.fail_tasks for i in range(len(data.fail_clips_by_task[t]))]
-        for pick in rng.choice(len(flat), size=config.batch_failure, replace=False):
-            task, i = flat[int(pick)]
-            fail_clips.append(data.fail_clips_by_task[task][i])
-            fail_labels.append(task)
-            plabels = pseudo_labels.get(task)
-            fail_clusters.append(int(plabels[i]) if plabels is not None else 0)
-    return clips, labels, fail_clips, fail_labels, fail_clusters
+        for pick in rng.choice(len(data.fail), size=config.batch_failure, replace=False):
+            fail_rows.append(int(data.fail[pick]))
+            fail_clusters.append(int(pseudo_labels[pick]))
+    return rows, fail_rows, fail_clusters
 
 
 @pytest.mark.parametrize("mode", losses.MODES)
 def test_sampler_draws_match_loop_reference(dataset, mode):
     config = replace(CONFIG, mode=mode)
-    data = training._IndexedData(dataset, config)
-    label_rng = np.random.default_rng(9)
-    pseudo_labels = {} if mode != "fvlc" else {
-        t: label_rng.integers(0, config.k_clusters, size=len(data.fail_clips_by_task[t]))
-        for t in data.fail_tasks
-    }
+    data = training._IndexedData(dataset)
+    pseudo_labels = np.random.default_rng(9).integers(0, config.k_clusters, size=len(data.fail))
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
     for _ in range(50):
-        batch = training.sample_batch(data, config, rng, pseudo_labels)
-        clips, labels, fail_clips, fail_labels, fail_clusters = loop_sample_batch(
+        rows, fail_rows, fail_clusters = training.sample_batch(data, config, rng, pseudo_labels)
+        want_rows, want_fail_rows, want_clusters = loop_sample_batch(
             data, config, ref_rng, pseudo_labels
         )
-        assert np.array_equal(batch.clips, clips)
-        assert np.array_equal(batch.labels, labels)
-        assert batch.domains.tolist() == [losses.HUMAN] * 4 + [losses.ROBOT] * 4
-        assert batch.fail_clips.shape == (len(fail_clips),) + clips.shape[1:]
-        assert np.array_equal(batch.fail_clips.reshape(-1), np.ravel(fail_clips))
-        assert batch.fail_labels.tolist() == fail_labels
-        assert batch.fail_clusters.tolist() == fail_clusters
+        assert rows.tolist() == want_rows
+        assert fail_rows.tolist() == want_fail_rows
+        assert fail_clusters.tolist() == want_clusters
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -131,19 +145,19 @@ def test_sampler_replay_seed_308():
         np.repeat(config.train_tasks, config.robot_success_per_task),
         config,
     )
-    data = training._IndexedData(dataset, config)
+    data = training._IndexedData(dataset)
     rng = np.random.default_rng([config.seed, training._STREAM_SAMPLER])
     for _ in range(250):
-        batch = training.sample_batch(data, config, rng, {})
-        assert np.all(np.bincount(batch.labels) != 1)
+        rows, _, _ = training.sample_batch(data, config, rng, np.zeros(0, dtype=np.int64))
+        assert np.all(np.bincount(data.tasks[rows]) != 1)
 
 
 def test_sampler_rejects_unsatisfiable_positive_rule():
     # one human and one robot clip per batch, never of the same task
     config = replace(CONFIG, batch_human=1, batch_robot=1, mode="no_failure")
-    data = training._IndexedData(label_only_dataset([0, 0], [4, 4], config), config)
+    data = training._IndexedData(label_only_dataset([0, 0], [4, 4], config))
     with pytest.raises(InsufficientStratumError, match="positive-set"):
-        training.sample_batch(data, config, np.random.default_rng(0), {})
+        training.sample_batch(data, config, np.random.default_rng(0), np.zeros(0, dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +185,10 @@ class TestCheckpoint:
             enc.failure_text_features(fvlc_params.pool, fvlc_params.table)[0],
         )
         clips = dataset.subset("robot")
+        frames, tasks = dataset.frames_array(clips), [c.task_id for c in clips]
         assert np.array_equal(
-            evaluation.score_clips(loaded, clips), evaluation.score_clips(fvlc_params, clips)
+            evaluation.score_clips(loaded, frames, tasks),
+            evaluation.score_clips(fvlc_params, frames, tasks),
         )
 
     @pytest.mark.parametrize("edit", ["drop", "extra_cluster", "extra_task"])
@@ -198,3 +214,14 @@ class TestCheckpoint:
             arrays["task.x.text"] = arrays.pop("task.6.text")
         with pytest.raises(CorruptFileError):
             training.params_from_arrays(arrays)
+
+    @pytest.mark.parametrize("key", ["video.out_bias", "pool.proj", "pool.bias"])
+    def test_missing_array_is_named(self, fvlc_params, key):
+        arrays = training.params_to_arrays(fvlc_params)
+        del arrays[key]
+        with pytest.raises(CorruptFileError, match=key):
+            training.params_from_arrays(arrays)
+
+    def test_empty_mapping(self):
+        with pytest.raises(CorruptFileError, match="video.frame_proj"):
+            training.params_from_arrays({})
