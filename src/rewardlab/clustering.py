@@ -18,6 +18,9 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import SizeMismatchError, TooFewSamplesError, ZeroVectorError
 
+MAX_ITERS = 100
+N_RESTARTS = 10
+
 
 @dataclass
 class ClusterState:
@@ -80,18 +83,12 @@ def _update_centers(features, assignments, centers):
     return new
 
 
-def spherical_kmeans(
-    features: np.ndarray,
-    k: int,
-    max_iters: int = 100,
-    seed: int = 0,
-    n_restarts: int = 10,
-    task_id: int = -1,
-) -> ClusterState:
+def spherical_kmeans(features: np.ndarray, k: int, seed: int = 0, task_id: int = -1) -> ClusterState:
     """Cluster M unit vectors into k groups by cosine similarity.
 
-    Deterministic given the seed; restarts (seeded independently) keep the
-    run with the lowest converged objective.
+    Deterministic given the seed; N_RESTARTS restarts (seeded independently)
+    of at most MAX_ITERS iterations keep the run with the lowest converged
+    objective.
     """
     features = np.asarray(features, dtype=np.float64)
     m = features.shape[0]
@@ -104,12 +101,12 @@ def spherical_kmeans(
         raise ZeroVectorError("features must be nonzero unit vectors")
 
     best = None
-    for restart in range(n_restarts):
+    for restart in range(N_RESTARTS):
         rng = np.random.default_rng([seed, restart])
         centers = _kmeanspp_init(features, k, rng)
         labels = assign_pseudo_labels(centers, features)
         history = [clustering_objective(features, centers, labels)]
-        for _ in range(max_iters):
+        for _ in range(MAX_ITERS):
             centers = _update_centers(features, labels, centers)
             new_labels = assign_pseudo_labels(centers, features)
             history.append(clustering_objective(features, centers, new_labels))

@@ -1,12 +1,15 @@
 """Experiment configuration: one flat dataclass, addressable from a plain
-`key = value` text file. Unknown keys are errors; seed precedence is
-CLI flag > REWARD_SEED environment variable > config file > default.
+`key = value` text file (`python -m rewardlab <command> --config PATH`).
+Unknown keys and out-of-range values are errors that name the field; seed
+precedence is the --seed flag > REWARD_SEED environment variable > config
+file > default.
 """
 
 import os
 from dataclasses import dataclass, fields, replace
 
 from . import dynamics as dyn, simworld as sw
+from .datagen import FAILURE_SOURCES
 from .errors import BadConfigError
 
 SEED_ENV_VAR = "REWARD_SEED"
@@ -56,13 +59,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("no_failure", "bce", "fvlc"):
             raise BadConfigError(f"unknown mode {self.mode!r}")
-        if self.k_clusters < 1 or self.prompt_len < 1:
-            raise BadConfigError("k_clusters and prompt_len must be >= 1")
-        if self.batch_human < 1 or self.batch_robot < 1 or self.batch_failure < 0:
-            raise BadConfigError(
-                "need batch_human >= 1, batch_robot >= 1 and batch_failure >= 0, got "
-                f"{self.batch_human} / {self.batch_robot} / {self.batch_failure}"
-            )
+        for name, low in _AT_LEAST.items():
+            value, strict = getattr(self, name), name in _POSITIVE
+            if not (value > low if strict else value >= low):
+                raise BadConfigError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
+        for name in ("train_tasks", "heldout_tasks"):
+            if any(t not in sw.TASK_NAMES for t in getattr(self, name)):
+                raise BadConfigError(f"{name} has unknown task ids: {getattr(self, name)}")
+        if not self.failure_sources or any(s not in FAILURE_SOURCES for s in self.failure_sources):
+            raise BadConfigError(f"failure_sources must be drawn from {FAILURE_SOURCES}, "
+                                 f"got {self.failure_sources}")
         if self.env_variant not in ("train", "shifted-color", "shifted-view", "shifted-arrangement"):
             raise BadConfigError(f"unknown env_variant {self.env_variant!r}")
         if self.plan_horizon % dyn.CHUNK != 0:
@@ -72,6 +78,18 @@ class ExperimentConfig:
     def all_tasks(self) -> tuple:
         return tuple(sorted(set(self.train_tasks) | set(self.heldout_tasks)))
 
+
+# lower bounds of the numeric fields; the _POSITIVE ones must exceed theirs
+_AT_LEAST = {
+    "k_clusters": 1, "prompt_len": 1, "tau": 0.0,
+    "batch_human": 1, "batch_robot": 1, "batch_failure": 0,
+    "epochs": 1, "steps_per_epoch": 0, "lr_encoder": 0.0, "lr_prompts": 0.0, "grad_clip": 0.0,
+    "clip_frames": 1, "hidden_width": 1, "embed_dim": 1,
+    "human_per_task": 0, "robot_success_per_task": 0, "robot_failure_per_task": 0,
+    "eval_success_per_task": 0, "eval_failure_per_task": 0, "noise": 0.0,
+    "plan_candidates": 1, "plan_horizon": dyn.CHUNK, "plan_trials": 1, "plan_seeds": 1,
+}
+_POSITIVE = {"tau", "grad_clip"}
 
 _FIELD_TYPES = {
     f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
@@ -123,8 +141,12 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config_text(fh.read(), base)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadConfigError(f"{path} is not an ASCII config file: {exc}") from exc
+    return parse_config_text(text, base)
 
 
 def resolve_seed(config: ExperimentConfig, flag_seed: int | None = None) -> ExperimentConfig:

@@ -80,19 +80,8 @@ class Dataset:
     def __len__(self):
         return len(self.clips)
 
-    def subset(self, domain=None, task_id=None, success=None):
-        out = self.clips
-        if domain is not None:
-            out = [c for c in out if c.domain == domain]
-        if task_id is not None:
-            out = [c for c in out if c.task_id == task_id]
-        if success is not None:
-            out = [c for c in out if c.success == success]
-        return out
-
-    def frames_array(self, clips=None) -> np.ndarray:
-        clips = self.clips if clips is None else clips
-        return np.stack([c.frames for c in clips])
+    def frames_array(self) -> np.ndarray:
+        return np.stack([c.frames for c in self.clips])
 
 
 @dataclass(frozen=True)
@@ -307,7 +296,7 @@ def run_policy(s0, policy, noise=None, horizon=sw.HORIZON):
 
 def _wander_actions(task_id, s0_arr, rng, horizon=sw.HORIZON):
     """Random motion biased away from the object for the first few steps."""
-    actions = sw.random_action_array(rng, horizon)
+    actions = sw.random_action_array(rng, 1, horizon)[0]
     target = {
         sw.TASK_CLOSE_DRAWER: (sw.DRAWER_BASE[0], sw.DRAWER_BASE[1] + s0_arr[sw.EXT]),
         sw.TASK_OPEN_DRAWER: (sw.DRAWER_BASE[0], sw.DRAWER_BASE[1] + s0_arr[sw.EXT]),
@@ -485,21 +474,16 @@ def gen_dataset(config: DataConfig) -> Dataset:
     return Dataset(clips, retries)
 
 
-def domain_pair(task_id: int, seed: int, config: DataConfig):
-    """One motion rendered in both domains (for shift diagnostics)."""
-    rng = np.random.default_rng([config.seed, 99, task_id, seed])
-    _, states = gen_success_trajectory(task_id, rng, noise=config.action_noise)
-    robot = render_clip(states, "robot", config)
-    human = render_clip(states, "human", config, rng)
-    return robot, human
-
-
 def domain_shift_cosine(config: DataConfig, n_pairs: int = 100) -> float:
     """Mean frame cosine between robot clips and their human counterparts.
 
-    Pair i is `domain_pair(task, i, config)`; each task's pairs are rolled
-    as one lockstep group.
+    Pair i is one success rollout of its task, seeded [seed, 99, task, i],
+    rendered in both domains (the human rendering draws from the clip's
+    Generator after its rollout); each task's pairs are rolled as one
+    lockstep group.
     """
+    if not config.tasks:
+        raise BadConfigError("domain_shift_cosine needs at least one task")
     per_task = [t for t in config.tasks for _ in range((n_pairs // len(config.tasks)) + 1)]
     pairs = per_task[:n_pairs]
     sims = [None] * len(pairs)

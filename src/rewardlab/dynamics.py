@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simworld as sw
-from .errors import BadHorizonError, InsufficientDataError
+from .errors import BadHorizonError, InsufficientDataError, ShapeMismatchError
 
 CHUNK = 4
 INPUT_DIM = sw.STATE_DIM + CHUNK * sw.ACTION_DIM  # 19
@@ -87,38 +87,32 @@ def chunked_predict_batch(model: DynamicsModel, s0: np.ndarray, actions: np.ndar
 def chunk_transitions(states: np.ndarray, actions: np.ndarray):
     """Split episodes into per-chunk (input, delta) training pairs.
 
-    states (N, H+1, 7), actions (N, H, 3) -> x (N*H/4, 19), y (N*H/4, 7).
+    states (N, H+1, 7), actions (N, H, 3) -> x (N*H/4, 19), y (N*H/4, 7),
+    rows in (episode, chunk) order.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
-    n_chunks = _check_horizon(actions.shape[1])
-    xs, ys = [], []
-    for c in range(n_chunks):
-        start = states[:, c * CHUNK, :]
-        chunk = actions[:, c * CHUNK: (c + 1) * CHUNK, :].reshape(states.shape[0], -1)
-        end = states[:, (c + 1) * CHUNK, :]
-        xs.append(np.concatenate([start, chunk], axis=1))
-        ys.append(end - start)
-    return np.concatenate(xs), np.concatenate(ys)
+    n, h = actions.shape[:2] if actions.ndim == 3 else (0, -1)
+    if states.shape != (n, h + 1, sw.STATE_DIM) or actions.shape != (n, h, sw.ACTION_DIM):
+        raise ShapeMismatchError(f"need states (N,H+1,7) and actions (N,H,3), "
+                                 f"got {states.shape} and {actions.shape}")
+    n_chunks = _check_horizon(h)
+    start = states[:, :-1:CHUNK]
+    chunks = actions.reshape(n, n_chunks, CHUNK * sw.ACTION_DIM)
+    x = np.concatenate([start, chunks], axis=2).reshape(-1, INPUT_DIM)
+    return x, (states[:, CHUNK::CHUNK] - start).reshape(-1, sw.STATE_DIM)
 
 
 def train_dynamics(
-    episodes,
+    states: np.ndarray,
+    actions: np.ndarray,
     seed: int = 0,
     ridge: float = 1e-8,
     n_features: int = N_FEATURES,
 ) -> DynamicsModel:
-    """Fit the chunk regressor on (states, actions) episode pairs, in closed form."""
-    episodes = list(episodes)
-    if not episodes:
-        raise InsufficientDataError("no episodes given")
-    x_all, y_all = [], []
-    for states, actions in episodes:
-        x, y = chunk_transitions(np.asarray(states)[None, ...], np.asarray(actions)[None, ...])
-        x_all.append(x)
-        y_all.append(y)
-    x = np.concatenate(x_all)
-    y = np.concatenate(y_all)
+    """Fit the chunk regressor on (N, H+1, 7) episode states and their
+    (N, H, 3) actions, in closed form."""
+    x, y = chunk_transitions(states, actions)
     if x.shape[0] < 100:
         raise InsufficientDataError(f"{x.shape[0]} chunk transitions < 100")
 
@@ -142,13 +136,11 @@ def generate_random_episodes(n_episodes: int, seed: int, horizon: int = sw.HORIZ
     s0 = np.stack([
         sw.initial_state_array(tasks[i % len(tasks)], rng) for i in range(n_episodes)
     ])
-    actions = np.stack([sw.random_action_array(rng, horizon) for _ in range(n_episodes)])
+    actions = np.concatenate([sw.random_action_array(rng, 1, horizon) for _ in range(n_episodes)])
     states = sw.rollout_batch(s0, actions)
     return states, actions
 
 
 def train_on_random_episodes(n_episodes: int = 2000, seed: int = 0, **kwargs) -> DynamicsModel:
     states, actions = generate_random_episodes(n_episodes, seed)
-    return train_dynamics(
-        [(states[i], actions[i]) for i in range(n_episodes)], seed=seed, **kwargs
-    )
+    return train_dynamics(states, actions, seed=seed, **kwargs)

@@ -36,6 +36,7 @@ CLIP_FRAMES = 4
 HIDDEN_WIDTH = 32
 EMBED_DIM = 32
 PROMPT_LEN = 2
+PROMPT_SCALE = 0.5  # std of the initial prompt entries
 
 _TEXT_STREAM = 101  # rng stream tag for frozen text embeddings
 
@@ -105,14 +106,6 @@ def encode_clips_cached(clips: np.ndarray, params: VideoEncoderParams):
 
 def encode_clips(clips: np.ndarray, params: VideoEncoderParams) -> np.ndarray:
     return encode_clips_cached(clips, params)[0]
-
-
-def encode_video(clip: np.ndarray, params: VideoEncoderParams) -> np.ndarray:
-    """Encode one (L, F) clip to a unit-norm width-D embedding."""
-    clip = np.asarray(clip, dtype=np.float64)
-    if clip.ndim != 2:
-        raise ShapeMismatchError(f"clip must be (L, F), got {clip.shape}")
-    return encode_clips(clip[None], params)[0]
 
 
 def encode_clips_backward(cache, d_v: np.ndarray) -> VideoEncoderParams:
@@ -190,14 +183,13 @@ def init_prompt_pool(
     k: int = 3,
     prompt_len: int = PROMPT_LEN,
     embed_dim: int = EMBED_DIM,
-    prompt_scale: float = 0.5,
 ) -> FailurePromptPool:
     if k < 1 or prompt_len < 1:
         raise BadClusterIndexError("need k >= 1 and prompt_len >= 1")
     tasks = np.array(sorted(task_ids), dtype=np.int64)
     return FailurePromptPool(
         tasks=tasks,
-        prompts=rng.normal(scale=prompt_scale, size=(len(tasks), k, prompt_len, embed_dim)),
+        prompts=rng.normal(scale=PROMPT_SCALE, size=(len(tasks), k, prompt_len, embed_dim)),
         proj=np.eye(embed_dim),
         bias=np.zeros(embed_dim),
     )
@@ -239,7 +231,7 @@ def compose_failure_context_backward(cache, d_t: np.ndarray):
     return d_prompts, d_proj, d_bias
 
 
-# --- parameter flattening (finite-difference checks, checkpoints) ---
+# --- parameter flattening (finite-difference checks) ---
 
 def flatten_arrays(arrays) -> np.ndarray:
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
@@ -256,10 +248,3 @@ def unflatten_like(vec: np.ndarray, arrays):
         out.append(np.asarray(vec[pos: pos + a.size]).reshape(a.shape))
         pos += a.size
     return out
-
-
-def video_params_to_vec(params: VideoEncoderParams) -> np.ndarray:
-    return flatten_arrays(params.arrays())
-
-def vec_to_video_params(vec: np.ndarray, template: VideoEncoderParams) -> VideoEncoderParams:
-    return VideoEncoderParams(*unflatten_like(vec, template.arrays()))

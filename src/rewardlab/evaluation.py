@@ -15,7 +15,7 @@ import numpy as np
 
 from . import datagen as dg, dynamics as dyn, encoders as enc, planner as pl, simworld as sw
 from .config import ExperimentConfig
-from .errors import OneClassOnlyError, RefinementRegressedError, UnknownTaskError
+from .errors import BadConfigError, OneClassOnlyError, RefinementRegressedError, UnknownTaskError
 from .losses import _rows, _sigmoid
 from .training import ModelParams, train
 
@@ -95,8 +95,9 @@ def eval_dataset_for(config: ExperimentConfig, tasks=None) -> dg.Dataset:
     return dg.gen_dataset(dcfg)
 
 
-def train_dataset_for(config: ExperimentConfig) -> dg.Dataset:
-    dcfg = dg.DataConfig(
+def train_data_config(config: ExperimentConfig) -> dg.DataConfig:
+    """Human clips of every task, robot clips of the training tasks."""
+    return dg.DataConfig(
         tasks=config.all_tasks,
         robot_tasks=config.train_tasks,
         human_per_task=config.human_per_task,
@@ -107,7 +108,10 @@ def train_dataset_for(config: ExperimentConfig) -> dg.Dataset:
         clip_frames=config.clip_frames,
         seed=config.seed,
     )
-    return dg.gen_dataset(dcfg)
+
+
+def train_dataset_for(config: ExperimentConfig) -> dg.Dataset:
+    return dg.gen_dataset(train_data_config(config))
 
 
 def _plan_seed(config: ExperimentConfig, arm: int, seed_idx: int, task: int, trial: int) -> int:
@@ -127,68 +131,64 @@ def evaluate_planning(
 ):
     """Planning success rates per task and seed; executes plans in the sim.
 
-    reward_kind: "learned" (sigmoid(v.t)), "oracle" (ground-truth
-    predicate on predicted states), or "random" (execute a random
-    sequence without planning).
+    reward_kind: "learned" (sigmoid(v.t)) or "oracle" (ground-truth
+    predicate on predicted states).
     """
     tasks = tuple(tasks) if tasks is not None else tuple(config.heldout_tasks)
     trials = trials if trials is not None else config.plan_trials
+    if trials < 1:
+        raise BadConfigError(f"need at least one planning trial, got {trials}")
     rows = []
     for task in tasks:
         for seed_idx in range(config.plan_seeds):
             wins = 0
             refined_wins = 0
             for trial in range(trials):
-                init_seed = _plan_seed(config, 0, seed_idx, task, trial)
-                rng = np.random.default_rng(init_seed)
-                s0 = sw.initial_state_array(task, rng)
-                if reward_kind == "random":
-                    actions = sw.random_action_array(rng, config.plan_horizon)
-                else:
-                    reward = (
-                        pl.OracleReward(task) if reward_kind == "oracle"
-                        else pl.LearnedReward(
-                            params.video, params.table, task, variant=config.env_variant,
-                            clip_frames=config.clip_frames,
-                        )
+                s0 = sw.initial_state_array(
+                    task, np.random.default_rng(_plan_seed(config, 0, seed_idx, task, trial))
+                )
+                reward = (
+                    pl.OracleReward(task) if reward_kind == "oracle"
+                    else pl.LearnedReward(
+                        params.video, params.table, task, variant=config.env_variant,
+                        clip_frames=config.clip_frames,
                     )
-                    plan_cfg = pl.PlanConfig(
-                        n_candidates=config.plan_candidates,
-                        horizon=config.plan_horizon,
-                        seed=_plan_seed(config, 1, seed_idx, task, trial),
+                )
+                plan_cfg = pl.PlanConfig(
+                    n_candidates=config.plan_candidates,
+                    horizon=config.plan_horizon,
+                    seed=_plan_seed(config, 1, seed_idx, task, trial),
+                )
+                result = pl.vmpc_plan(reward, model, s0, plan_cfg)
+                if refine:
+                    scorer = pl.make_sequence_scorer(reward, model, s0)
+                    refined = pl.cem_refine(
+                        result.actions, scorer, plan_cfg.cem,
+                        seed=_plan_seed(config, 2, seed_idx, task, trial),
                     )
-                    result = pl.vmpc_plan(reward, model, s0, plan_cfg)
-                    actions = result.actions
-                    if refine:
-                        scorer = pl.make_sequence_scorer(reward, model, s0)
-                        refined = pl.cem_refine(
-                            result.actions, scorer, plan_cfg.cem,
-                            seed=_plan_seed(config, 2, seed_idx, task, trial),
+                    if refined.score < result.score - 1e-12:
+                        raise RefinementRegressedError(
+                            f"task {task}: CEM refinement scored {refined.score!r}, "
+                            f"below the plan it started from ({result.score!r})"
                         )
-                        if refined.score < result.score - 1e-12:
-                            raise RefinementRegressedError(
-                                f"task {task}: CEM refinement scored {refined.score!r}, "
-                                f"below the plan it started from ({result.score!r})"
-                            )
-                        ref_states = sw.rollout_states(s0, refined.actions)
-                        refined_wins += int(sw.success_states(task, ref_states))
-                states = sw.rollout_states(s0, actions)
+                    ref_states = sw.rollout_states(s0, refined.actions)
+                    refined_wins += int(sw.success_states(task, ref_states))
+                states = sw.rollout_states(s0, result.actions)
                 wins += int(sw.success_states(task, states))
             row = {
                 "task": task,
                 "seed": seed_idx,
                 "trials": trials,
                 "successes": wins,
-                "rate": wins / trials if trials else 0.0,
+                "rate": wins / trials,
             }
             if refine:
                 row["refined_successes"] = refined_wins
-                row["refined_rate"] = refined_wins / trials if trials else 0.0
+                row["refined_rate"] = refined_wins / trials
             rows.append(row)
-    summary = {}
-    for task in tasks:
-        rates = [r["rate"] for r in rows if r["task"] == task]
-        summary[task] = float(np.mean(rates)) if rates else 0.0
+    summary = {
+        task: float(np.mean([r["rate"] for r in rows if r["task"] == task])) for task in tasks
+    }
     return {"rows": rows, "mean_rate_per_task": summary}
 
 

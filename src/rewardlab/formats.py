@@ -1,4 +1,6 @@
-"""Versioned line-delimited text formats: datasets, checkpoints, trajectories.
+"""Versioned line-delimited text formats: datasets and checkpoints, the
+files `python -m rewardlab datagen` and `train` write and `train` and
+`eval` read.
 
 Common scheme: a header line `<magic> v<version> <k>=<v> ...`, then one
 record per line. Floats are written with repr(), which round-trips
@@ -8,28 +10,18 @@ Dataset record:
     clip domain=<human|robot> task=<int> success=<0|1> archetype=<name|->
          seed=<int> frames=<L> width=<F> data <f0> <f1> ...
 
-Checkpoint record (row-major values):
+Checkpoint record (row-major values; `training.params_to_arrays` names):
     array <name> <ndim> <dim0> ... <v0> <v1> ...
-
-Trajectory records (one rollout: T+1 state lines, then T action lines):
-    state <gx> <gy> <grip> <ext> <angle> <cupx> <cupy> <camx> <camy>
-    action <vx> <vy> <gripcode>
-The first seven state values are a simworld state row and the action
-values a simworld action row. The rollout has one camera offset, repeated
-as the last two values of every state line; a file whose state lines
-disagree on it is corrupt.
 """
 
 import numpy as np
 
-from . import simworld as sw
 from .datagen import Dataset, LabeledClip
-from .errors import CorruptFileError, ShapeMismatchError, VersionMismatchError
+from .errors import CorruptFileError, VersionMismatchError
 
 FORMAT_VERSION = 1
 DATASET_MAGIC = "rewardlab-dataset"
 CHECKPOINT_MAGIC = "rewardlab-checkpoint"
-TRAJECTORY_MAGIC = "rewardlab-trajectory"
 
 
 def _fmt(x) -> str:
@@ -102,23 +94,21 @@ def load_dataset(path) -> Dataset:
             fields = dict(tok.split("=", 1) for tok in tokens[1:8])
             l, f = int(fields["frames"]), int(fields["width"])
             values = [float(v) for v in tokens[9:]]
-        except (ValueError, KeyError) as exc:
-            raise CorruptFileError(f"malformed clip record: {ln[:60]!r}") from exc
-        if len(values) != l * f:
-            raise CorruptFileError(
-                f"clip record has {len(values)} values, expected {l * f}"
-            )
-        archetype = fields["archetype"]
-        clips.append(
-            LabeledClip(
-                frames=np.array(values).reshape(l, f),
+            archetype = fields["archetype"]
+            labels = dict(
                 domain=fields["domain"],
                 task_id=int(fields["task"]),
                 success=int(fields["success"]),
                 failure_archetype=None if archetype == "-" else archetype,
                 seed=int(fields["seed"]),
             )
-        )
+        except (ValueError, KeyError) as exc:
+            raise CorruptFileError(f"malformed clip record: {ln[:60]!r}") from exc
+        if len(values) != l * f:
+            raise CorruptFileError(
+                f"clip record has {len(values)} values, expected {l * f}"
+            )
+        clips.append(LabeledClip(frames=np.array(values).reshape(l, f), **labels))
     return Dataset(clips)
 
 
@@ -165,60 +155,3 @@ def load_checkpoint(path) -> dict:
         out[name] = np.array(values).reshape(shape)
     return out
 
-
-# --- trajectory dumps ---
-
-def save_trajectory(states, actions, camera, path) -> None:
-    """Write (T+1, 7) states, (T, 3) actions and their (2,) camera offset."""
-    states = np.asarray(states, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
-    camera = np.asarray(camera, dtype=np.float64)
-    if (
-        states.ndim != 2
-        or states.shape[1] != sw.STATE_DIM
-        or actions.shape != (states.shape[0] - 1, sw.ACTION_DIM)
-        or camera.shape != (2,)
-    ):
-        raise ShapeMismatchError(
-            f"need states (T+1,{sw.STATE_DIM}), actions (T,{sw.ACTION_DIM}) and camera (2,), "
-            f"got {states.shape}, {actions.shape} and {camera.shape}"
-        )
-    lines = [_header_line(TRAJECTORY_MAGIC, states=len(states), actions=len(actions))]
-    lines += ["state " + " ".join(_fmt(v) for v in (*row, *camera)) for row in states]
-    lines += ["action " + " ".join(_fmt(v) for v in row) for row in actions]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_trajectory(path):
-    """Read a trajectory file back as (states (T+1, 7), actions (T, 3), camera (2,))."""
-    lines = _read_lines(path)
-    if not lines:
-        raise CorruptFileError(f"{path} is empty")
-    header = _parse_header(lines[0], TRAJECTORY_MAGIC)
-    body = [ln for ln in lines[1:] if ln.strip()]
-    n_states, n_actions = header.get("states", -1), header.get("actions", -1)
-    if len(body) != n_states + n_actions:
-        raise CorruptFileError(f"{path}: record count does not match header")
-    states, actions = [], []
-    for ln in body:
-        tokens = ln.split()
-        try:
-            values = [float(t) for t in tokens[1:]]
-        except ValueError as exc:
-            raise CorruptFileError(f"malformed record: {ln[:60]!r}") from exc
-        if tokens[0] == "state" and len(values) == sw.STATE_DIM + 2:
-            states.append(values)
-        elif tokens[0] == "action" and len(values) == sw.ACTION_DIM:
-            actions.append(values)
-        else:
-            raise CorruptFileError(f"malformed record: {ln[:60]!r}")
-    if len(states) != n_states or len(actions) != n_actions:
-        raise CorruptFileError(f"{path}: record kinds do not match header")
-    if n_states != n_actions + 1:
-        raise CorruptFileError(f"{path}: {n_states} states for {n_actions} actions")
-    states = np.array(states)
-    camera = states[0, sw.STATE_DIM:]
-    if np.any(states[:, sw.STATE_DIM:] != camera):
-        raise CorruptFileError(f"{path}: state records disagree on the camera offset")
-    return states[:, : sw.STATE_DIM], np.array(actions).reshape(-1, sw.ACTION_DIM), camera

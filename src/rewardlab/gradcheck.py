@@ -2,7 +2,9 @@
 
 Each entry builds seeded random inputs, evaluates the hand-written
 gradient of every trainable input (the frozen task texts get none), and
-compares it against central differences (eps 1e-5 by default). `run_gradient_suite` runs them all; the test suite calls it.
+compares it against central differences (eps 1e-5 by default).
+`run_gradient_suite` runs them all; `python -m rewardlab grad-check`
+prints its result.
 """
 
 import numpy as np
@@ -80,13 +82,13 @@ def _check_encoder(rng, eps):
     target = _unit_rows(rng, 1, 8)[0]
 
     def f(vec):
-        v = enc.encode_video(clip, enc.vec_to_video_params(vec, params))
-        return float(np.sum((v - target) ** 2))
+        trial = enc.VideoEncoderParams(*enc.unflatten_like(vec, params.arrays()))
+        return float(np.sum((enc.encode_clips(clip[None], trial) - target) ** 2))
 
     v, cache = enc.encode_clips_cached(clip[None], params)
     grads = enc.encode_clips_backward(cache, 2.0 * (v - target[None]))
     return finite_diff_grad_check(
-        f, enc.video_params_to_vec(params), enc.video_params_to_vec(grads), eps=eps
+        f, enc.flatten_arrays(params.arrays()), enc.flatten_arrays(grads.arrays()), eps=eps
     )
 
 
@@ -114,7 +116,7 @@ SUITE = {
     "video_text_loss_with_failure_negatives": lambda rng, eps: _check_vlc(rng, eps, with_failure=True),
     "bce_loss": _check_bce,
     "failure_prompt_loss": _check_fvlc,
-    "encode_video": _check_encoder,
+    "encode_clips": _check_encoder,
     "failure_text_features": _check_compose,
 }
 

@@ -60,7 +60,6 @@ class Batch:
     videos: np.ndarray         # (B, D) success clips
     labels: np.ndarray         # (B,) task ids
     domains: np.ndarray        # (B,) HUMAN or ROBOT
-    texts: np.ndarray          # (B, D) frozen task text per sample
     fail_videos: np.ndarray    # (Bf, D)
     fail_labels: np.ndarray    # (Bf,)
     fail_clusters: np.ndarray  # (Bf,) assigned pseudo-label k*
@@ -68,14 +67,11 @@ class Batch:
 
     def __post_init__(self):
         self.videos = np.asarray(self.videos, dtype=np.float64)
-        self.texts = np.asarray(self.texts, dtype=np.float64)
         self.fail_videos = np.asarray(self.fail_videos, dtype=np.float64).reshape(-1, self.videos.shape[1])
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.domains = np.asarray(self.domains, dtype=np.int64)
         self.fail_labels = np.asarray(self.fail_labels, dtype=np.int64)
         self.fail_clusters = np.asarray(self.fail_clusters, dtype=np.int64)
-        if self.videos.shape != self.texts.shape:
-            raise ShapeMismatchError("videos and texts must have matching shape")
         _check_tau(self.tau)
 
     @property
@@ -264,18 +260,17 @@ def failure_prompt_loss(
     }
 
 
-def _accumulate(target: dict, grads: dict, weight: float) -> None:
+def _accumulate(target: dict, grads: dict) -> None:
     for key, val in grads.items():
-        target[key] = target[key] + weight * val if key in target else weight * val
+        target[key] = target[key] + val if key in target else val
 
 
 def total_loss(
     batch: Batch,
-    task_texts=None,
+    task_texts,
     failure_texts=None,
     pooled=None,
     mode: str = "fvlc",
-    weights=(1.0, 1.0, 1.0),
     exclude_anchor: bool = False,
 ):
     """Combined objective for one batch under the given training mode.
@@ -286,15 +281,17 @@ def total_loss(
                 prompt contrast term.
 
     task_texts is (T, D) and failure_texts (T, K, D), indexed by task id;
-    pooled is the (T,) mask of tasks that have a prompt pool.
-    Returns (value, grads, components). Unit weights by default.
+    each row's text is task_texts[label]. pooled is the (T,) mask of tasks
+    that have a prompt pool. The terms are summed with unit weights.
+    Returns (value, grads, components).
     """
     if mode not in MODES:
         raise BadConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if batch.n_human < 1 or batch.n_robot < 1:
         raise EmptyPositiveSetError("need at least one human and one robot success sample")
 
-    w_cdc, w_vlc, w_extra = weights
+    task_texts = np.asarray(task_texts, dtype=np.float64)
+    texts = _rows(task_texts, batch.labels, UnknownTaskError)
     grads: dict = {}
     components: dict = {}
 
@@ -302,29 +299,28 @@ def total_loss(
         batch.videos, batch.labels, batch.tau, exclude_anchor=exclude_anchor
     )
     components["cross_domain"] = cdc_val
-    _accumulate(grads, {"videos": cdc_grad}, w_cdc)
+    _accumulate(grads, {"videos": cdc_grad})
 
     vlc_fail = failure_texts if mode == "fvlc" else None
     vlc_val, vlc_grads = video_text_loss(
-        batch.videos, batch.texts, batch.labels, batch.tau, failure_texts=vlc_fail, pooled=pooled
+        batch.videos, texts, batch.labels, batch.tau, failure_texts=vlc_fail, pooled=pooled
     )
     components["video_text"] = vlc_val
-    _accumulate(grads, vlc_grads, w_vlc)
+    _accumulate(grads, vlc_grads)
 
     extra_val = 0.0
     if mode == "bce":
         robot = batch.domains == ROBOT
         n_r = int(robot.sum())
-        task_texts = np.asarray(task_texts, dtype=np.float64)
         videos = np.concatenate([batch.videos[robot], batch.fail_videos])
-        texts = np.concatenate([
-            batch.texts[robot], _rows(task_texts, batch.fail_labels, UnknownTaskError)
+        bce_texts = np.concatenate([
+            texts[robot], _rows(task_texts, batch.fail_labels, UnknownTaskError)
         ])
         outcomes = np.concatenate([np.ones(n_r), np.zeros(batch.n_fail)])
-        extra_val, d_bce = bce_loss(videos, texts, outcomes)
+        extra_val, d_bce = bce_loss(videos, bce_texts, outcomes)
         d_videos = np.zeros_like(batch.videos)
         d_videos[robot] = d_bce[:n_r]
-        _accumulate(grads, {"videos": d_videos, "fail_videos": d_bce[n_r:]}, w_extra)
+        _accumulate(grads, {"videos": d_videos, "fail_videos": d_bce[n_r:]})
         components["bce"] = extra_val
     elif mode == "fvlc":
         extra_val, fp_grads = failure_prompt_loss(
@@ -336,9 +332,9 @@ def total_loss(
             batch.tau,
             pooled,
         )
-        _accumulate(grads, fp_grads, w_extra)
+        _accumulate(grads, fp_grads)
         components["failure_prompt"] = extra_val
 
-    value = w_cdc * cdc_val + w_vlc * vlc_val + w_extra * extra_val
+    value = cdc_val + vlc_val + extra_val
     components["total"] = value
     return value, grads, components

@@ -61,15 +61,15 @@ class CemResult:
 
 
 class LearnedReward:
-    """sigmoid(v . t): encode the predicted rollout, dot with the task text."""
+    """sigmoid(v . t): render the predicted rollout in the robot domain (no
+    camera offset), encode it, dot with the task text."""
 
     def __init__(self, video_params, task_table, task_id, variant="train",
-                 clip_frames=enc.CLIP_FRAMES, camera=(0.0, 0.0)):
+                 clip_frames=enc.CLIP_FRAMES):
         self.video_params = video_params
         self.text = task_table.text_embed(task_id)
         self.variant = variant
         self.clip_frames = clip_frames
-        self.camera = np.asarray(camera, dtype=np.float64)
 
     def score_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.float64)
@@ -77,7 +77,6 @@ class LearnedReward:
         idx = render.clip_frame_indices(t, self.clip_frames)
         frames = render.render_frames(
             states[:, idx, :].reshape(n * self.clip_frames, sw.STATE_DIM),
-            camera=self.camera,
             domain="robot",
             variant=self.variant,
         ).reshape(n, self.clip_frames, render.FRAME_WIDTH)
@@ -98,19 +97,10 @@ class OracleReward:
         )
 
 
-def sample_action_sequences(rng: np.random.Generator, n: int, horizon: int) -> np.ndarray:
-    """Uniform candidates in the action box, grip uniform over the 3 commands."""
-    out = np.empty((n, horizon, sw.ACTION_DIM))
-    out[:, :, 0] = rng.uniform(-sw.VEL_LIMIT, sw.VEL_LIMIT, size=(n, horizon))
-    out[:, :, 1] = rng.uniform(-sw.VEL_LIMIT, sw.VEL_LIMIT, size=(n, horizon))
-    out[:, :, 2] = rng.integers(-1, 2, size=(n, horizon)).astype(np.float64)
-    return out
-
-
 def vmpc_plan(reward, model: dyn.DynamicsModel, s0: np.ndarray, config: PlanConfig) -> PlanResult:
     """Best-of-G random shooting; deterministic given config.seed."""
     rng = np.random.default_rng(config.seed)
-    candidates = sample_action_sequences(rng, config.n_candidates, config.horizon)
+    candidates = sw.random_action_array(rng, config.n_candidates, config.horizon)
     predicted = dyn.chunked_predict_batch(model, np.asarray(s0)[None, :], candidates)
     scores = np.asarray(reward.score_batch(predicted), dtype=np.float64)
     index = int(np.argmax(scores))  # first max wins ties

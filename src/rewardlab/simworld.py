@@ -137,12 +137,13 @@ def rollout_states(s0: np.ndarray, action_seq: np.ndarray) -> np.ndarray:
     return rollout_batch(np.asarray(s0)[None, :], np.asarray(action_seq)[None])[0]
 
 
-def random_action_array(rng: np.random.Generator, horizon: int) -> np.ndarray:
-    """Uniform actions in the clamped box; grip uniform over open/hold/close."""
-    out = np.empty((horizon, ACTION_DIM))
-    out[:, 0] = rng.uniform(-VEL_LIMIT, VEL_LIMIT, size=horizon)
-    out[:, 1] = rng.uniform(-VEL_LIMIT, VEL_LIMIT, size=horizon)
-    out[:, 2] = rng.integers(-1, 2, size=horizon).astype(np.float64)
+def random_action_array(rng: np.random.Generator, n: int, horizon: int) -> np.ndarray:
+    """(n, horizon, 3) uniform actions in the clamped box; grip uniform over
+    open/hold/close."""
+    out = np.empty((n, horizon, ACTION_DIM))
+    out[:, :, 0] = rng.uniform(-VEL_LIMIT, VEL_LIMIT, size=(n, horizon))
+    out[:, :, 1] = rng.uniform(-VEL_LIMIT, VEL_LIMIT, size=(n, horizon))
+    out[:, :, 2] = rng.integers(-1, 2, size=(n, horizon)).astype(np.float64)
     return out
 
 

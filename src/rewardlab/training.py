@@ -191,7 +191,6 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
         sums = {}
         for _ in range(steps):
             rows, fail_rows, fail_clusters = sample_batch(data, config, sampler_rng, pseudo_labels)
-            labels = data.tasks[rows]
             # success and failure clips go through the encoder together
             n_success = len(rows)
             videos, video_cache = enc.encode_clips_cached(
@@ -203,9 +202,8 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
 
             emb_batch = losses.Batch(
                 videos=videos[:n_success],
-                labels=labels,
+                labels=data.tasks[rows],
                 domains=domains,
-                texts=texts[labels],
                 fail_videos=videos[n_success:],
                 fail_labels=data.tasks[fail_rows],
                 fail_clusters=fail_clusters,

@@ -40,13 +40,11 @@ def build_random_batch(seed, n_human=3, n_robot=3, n_fail=2, k=3, d=8, n_tasks=2
     rng.shuffle(labels)
     task_texts = random_unit_rows(rng, n_tasks, d)
     videos = random_unit_rows(rng, b, d)
-    texts = np.stack([task_texts[int(t)] for t in labels])
     fail_labels = np.array([i % n_tasks for i in range(n_fail)])
     batch = Batch(
         videos=videos,
         labels=labels,
         domains=np.array([0] * n_human + [1] * n_robot),
-        texts=texts,
         fail_videos=random_unit_rows(rng, n_fail, d) if n_fail else np.zeros((0, d)),
         fail_labels=fail_labels,
         fail_clusters=np.array([rng.integers(0, k) for _ in range(n_fail)]),

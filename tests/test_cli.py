@@ -1,0 +1,120 @@
+"""The `python -m rewardlab` entry point, run in-process on a tiny config:
+datagen -> train -> eval through files gives exactly what the in-memory
+pipeline gives, and bad input ends in one line on stderr and status 1."""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rewardlab import cli, datagen as dg, dynamics as dyn, evaluation, formats, training
+from rewardlab.config import SEED_ENV_VAR, load_config
+
+TINY = """\
+seed = 5
+heldout_tasks = 2
+human_per_task = 3
+robot_success_per_task = 3
+robot_failure_per_task = 4
+eval_success_per_task = 3
+eval_failure_per_task = 3
+k_clusters = 2
+batch_human = 4
+batch_robot = 4
+batch_failure = 4
+epochs = 2
+steps_per_epoch = 2
+plan_candidates = 8
+plan_trials = 1
+plan_seeds = 1
+"""
+
+
+@pytest.fixture
+def config_path(tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY, encoding="ascii")
+    return path
+
+
+def run(capsys, *argv):
+    status = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def test_datagen_train_eval_match_the_in_memory_pipeline(tmp_path, config_path, capsys, monkeypatch):
+    data, ckpt = tmp_path / "data.txt", tmp_path / "model.ckpt"
+    config = load_config(config_path)
+    # the eval set `eval` builds, to score the in-memory params on
+    eval_sets, eval_dataset_for = [], evaluation.eval_dataset_for
+
+    def keep_eval_set(config):
+        eval_sets.append(eval_dataset_for(config))
+        return eval_sets[-1]
+
+    monkeypatch.setattr(evaluation, "eval_dataset_for", keep_eval_set)
+
+    status, out, _ = run(capsys, "datagen", "--config", config_path, "--out", data)
+    dataset = evaluation.train_dataset_for(config)
+    assert status == 0
+    assert json.loads(out) == {
+        "clips": len(dataset),
+        "attempts": sum(r["attempts"] for r in dataset.retries.values()),
+        "zero_noise_clips": sum(r["zero_noise_clips"] for r in dataset.retries.values()),
+        "domain_shift_cosine": dg.domain_shift_cosine(evaluation.train_data_config(config)),
+    }
+    assert np.array_equal(formats.load_dataset(data).frames_array(), dataset.frames_array())
+
+    status, out, _ = run(capsys, "train", "--config", config_path, "--data", data, "--out", ckpt)
+    result = training.train(config, dataset)
+    assert status == 0
+    assert [json.loads(line) for line in out.splitlines()] == json.loads(json.dumps(result.metrics))
+
+    status, out, _ = run(capsys, "eval", "--config", config_path, "--checkpoint", ckpt)
+    separation = evaluation.evaluate_separation(result.params, *eval_sets, config.all_tasks)
+    planning = evaluation.evaluate_planning(
+        result.params, dyn.ground_truth_model(), config, refine=True
+    )
+    assert status == 0
+    assert json.loads(out) == {
+        "auc": {str(task): entry["auc"] for task, entry in separation.items()},
+        "planning": planning["rows"],
+    }
+
+
+def test_seed_flag_beats_the_environment_and_the_file(tmp_path, config_path, capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "11")
+    data = tmp_path / "data.txt"
+    assert run(capsys, "datagen", "--config", config_path, "--seed", 6, "--out", data)[0] == 0
+    want = evaluation.train_dataset_for(replace(load_config(config_path), seed=6))
+    assert np.array_equal(formats.load_dataset(data).frames_array(), want.frames_array())
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("tau = 0\n", ["datagen", "--out", "never.txt"], "tau must be > 0"),
+    ("bogus = 1\n", ["datagen", "--out", "never.txt"], "line 1: unknown key 'bogus'"),
+    ("train_tasks =\nheldout_tasks =\n", ["datagen", "--out", "never.txt"], "at least one task"),
+    (TINY, ["train", "--data", "missing.txt", "--out", "never.ckpt"], "missing.txt"),
+    (TINY, ["eval", "--checkpoint", "missing.ckpt"], "missing.ckpt"),
+], ids=["out-of-range", "unknown-key", "no-tasks", "missing-dataset", "missing-checkpoint"])
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, text, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(text, encoding="ascii")
+    status, out, err = run(capsys, *argv, "--config", "run.cfg")
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+    assert not (tmp_path / "never.txt").exists()
+
+
+def test_ablate_and_grad_check_print_their_reports(config_path, capsys, monkeypatch):
+    seen = []
+    row = {"seed": 0, "mode": "bce", "k": "-", "source": "both",
+           "auc_train": 0.75, "auc_heldout": 0.5, "planner_success": ""}
+    monkeypatch.setattr(evaluation, "run_ablation", lambda config: seen.append(config) or [row])
+    assert run(capsys, "ablate", "--config", config_path)[1] == evaluation.ablation_csv([row])
+    assert seen == [load_config(config_path)]
+    monkeypatch.setattr(cli, "run_gradient_suite", lambda: {"bce_loss": 1e-10})
+    assert json.loads(run(capsys, "grad-check")[1]) == {"bce_loss": 1e-10}

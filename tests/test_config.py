@@ -1,5 +1,6 @@
-"""The `key = value` config format, its line-numbered errors, and the seed
-precedence flag > REWARD_SEED > config file."""
+"""The `key = value` config format, its line-numbered errors, the range
+checks at construction, and the seed precedence flag > REWARD_SEED > config
+file."""
 
 import pytest
 
@@ -59,10 +60,43 @@ def test_errors_name_the_line(text, message):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau", 0.0), ("tau", float("nan")), ("grad_clip", -1.0), ("grad_clip", 0.0),
+    ("epochs", -3), ("epochs", 0), ("steps_per_epoch", -1), ("lr_encoder", -1e-3),
+    ("lr_prompts", -1e-2), ("clip_frames", 0), ("hidden_width", 0), ("embed_dim", 0),
+    ("human_per_task", -1), ("eval_failure_per_task", -1), ("noise", -1.0),
+    ("failure_sources", ("x",)), ("failure_sources", ()), ("train_tasks", (4, 99)),
+    ("heldout_tasks", (-1,)), ("plan_candidates", 0), ("plan_horizon", 0),
+    ("plan_trials", 0), ("plan_seeds", 0),
+])
+def test_out_of_range_field_rejected_by_name(field, value):
+    with pytest.raises(BadConfigError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_empty_task_tuples_are_valid():
+    config = ExperimentConfig(train_tasks=(), heldout_tasks=())
+    assert config.all_tasks == ()
+
+
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(EVERY_KIND, encoding="ascii")
     assert load_config(path) == parse_config_text(EVERY_KIND)
+
+
+def test_out_of_range_value_in_a_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs = 2\ngrad_clip = -1\n", encoding="ascii")
+    with pytest.raises(BadConfigError, match="grad_clip must be > 0"):
+        load_config(path)
+
+
+def test_non_ascii_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("mode = bce  # caf\u00e9\n".encode("utf-8"))
+    with pytest.raises(BadConfigError, match="ASCII"):
+        load_config(path)
 
 
 class TestSeedPrecedence:

@@ -19,20 +19,27 @@ def small_dataset():
     return dg.gen_dataset(SMALL)
 
 
+def clips_of(dataset, domain, task_id=None, success=None):
+    return [
+        c for c in dataset.clips
+        if c.domain == domain and task_id in (None, c.task_id) and success in (None, c.success)
+    ]
+
+
 class TestGenDataset:
     def test_counts_match_config(self, small_dataset):
         for task in SMALL.tasks:
-            assert len(small_dataset.subset("human", task)) == 4
-            assert len(small_dataset.subset("robot", task, success=1)) == 3
-            assert len(small_dataset.subset("robot", task, success=0)) == 4
+            assert len(clips_of(small_dataset, "human", task)) == 4
+            assert len(clips_of(small_dataset, "robot", task, success=1)) == 3
+            assert len(clips_of(small_dataset, "robot", task, success=0)) == 4
 
     def test_human_clips_always_successful(self, small_dataset):
-        for clip in small_dataset.subset("human"):
+        for clip in clips_of(small_dataset, "human"):
             assert clip.success == 1
             assert clip.failure_archetype is None
 
     def test_failures_carry_archetypes(self, small_dataset):
-        for clip in small_dataset.subset("robot", success=0):
+        for clip in clips_of(small_dataset, "robot", success=0):
             assert clip.failure_archetype in dg.ARCHETYPES
             assert (clip.task_id, clip.failure_archetype) not in dg.UNSUPPORTED
 
@@ -52,9 +59,9 @@ class TestGenDataset:
             robot_success_per_task=2, robot_failure_per_task=2, seed=1,
         )
         ds = dg.gen_dataset(cfg)
-        assert len(ds.subset("robot", 0)) == 0
-        assert len(ds.subset("robot", 4)) == 4
-        assert len(ds.subset("human", 0)) == 2
+        assert len(clips_of(ds, "robot", 0)) == 0
+        assert len(clips_of(ds, "robot", 4)) == 4
+        assert len(clips_of(ds, "human", 0)) == 2
 
     def test_bad_config(self):
         with pytest.raises(BadConfigError):
@@ -71,7 +78,9 @@ class TestGenDataset:
             noise=0.0,
             seed=3,
         )
-        robot, human = dg.domain_pair(sw.TASK_OPEN_DRAWER, 0, cfg)
+        _, states = dg.gen_success_trajectory(sw.TASK_OPEN_DRAWER, 0)
+        robot = dg.render_clip(states, "robot", cfg)
+        human = dg.render_clip(states, "human", cfg, np.random.default_rng(0))
         assert np.array_equal(robot, human)
 
     def test_domain_shift_band(self):

@@ -377,12 +377,20 @@ def test_dataset_frames_and_retry_report_match_reference(config):
     assert (fallbacks > 0) == (config.action_noise == LOUD)
 
 
+def domain_pair(task_id: int, seed: int, config: dg.DataConfig):
+    """One motion rendered in both domains, one clip at a time: pair `seed`
+    of `domain_shift_cosine`."""
+    rng = np.random.default_rng([config.seed, 99, task_id, seed])
+    _, states = dg.gen_success_trajectory(task_id, rng, noise=config.action_noise)
+    return dg.render_clip(states, "robot", config), dg.render_clip(states, "human", config, rng)
+
+
 def test_domain_shift_cosine_matches_pairwise_loop():
     config = dg.DataConfig(tasks=(sw.TASK_OPEN_DRAWER, sw.TASK_POKE_CUP, sw.TASK_OPEN_DRAWER), seed=2)
     per_task = [t for t in config.tasks for _ in range(3)]
     sims = []
     for i, task_id in enumerate(per_task[:8]):
-        robot, human = dg.domain_pair(task_id, i, config)
+        robot, human = domain_pair(task_id, i, config)
         num = np.sum(robot * human, axis=1)
         sims.extend(num / (np.linalg.norm(robot, axis=1) * np.linalg.norm(human, axis=1)))
     assert dg.domain_shift_cosine(config, n_pairs=8) == float(np.mean(sims))

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import sim_state
 from rewardlab import dynamics as dyn, simworld as sw
-from rewardlab.errors import BadHorizonError, InsufficientDataError
+from rewardlab.errors import BadHorizonError, InsufficientDataError, ShapeMismatchError
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,7 @@ class TestGroundTruth:
     def test_matches_simulator_at_chunk_boundaries(self):
         rng = np.random.default_rng(0)
         s0 = sw.initial_state_array(sw.TASK_CLOSE_DRAWER, rng)
-        actions = sw.random_action_array(rng, 60)
+        actions = sw.random_action_array(rng, 1, 60)[0]
         pred = dyn.chunked_predict_batch(dyn.ground_truth_model(), s0[None], actions[None])[0]
         full = sw.rollout_states(s0, actions)
         assert pred.shape == (16, sw.STATE_DIM)
@@ -56,8 +56,8 @@ class TestTrainDynamics:
                 states[c * dyn.CHUNK + 1: (c + 1) * dyn.CHUNK + 1] = nxt
             return states, actions
 
-        train = [episode(i) for i in range(40)]
-        model = dyn.train_dynamics(train, seed=0, ridge=1e-12, n_features=32)
+        states, actions = (np.stack(part) for part in zip(*(episode(i) for i in range(40))))
+        model = dyn.train_dynamics(states, actions, seed=0, ridge=1e-12, n_features=32)
         states, actions = episode(1234)
         x, y = dyn.chunk_transitions(states[None], actions[None])
         pred = dyn._design(x, model) @ model.weights
@@ -65,23 +65,43 @@ class TestTrainDynamics:
 
     def test_duplicate_dataset_gives_same_model(self):
         states, actions = dyn.generate_random_episodes(30, seed=5)
-        eps = [(states[i], actions[i]) for i in range(30)]
-        once = dyn.train_dynamics(eps, seed=2, n_features=64)
-        twice = dyn.train_dynamics(eps + eps, seed=2, n_features=64)
+        once = dyn.train_dynamics(states, actions, seed=2, n_features=64)
+        twice = dyn.train_dynamics(
+            np.concatenate([states, states]), np.concatenate([actions, actions]),
+            seed=2, n_features=64,
+        )
         np.testing.assert_allclose(once.weights, twice.weights, atol=1e-10)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
-            dyn.train_dynamics([])
         states, actions = dyn.generate_random_episodes(2, seed=0)
         with pytest.raises(InsufficientDataError):
-            dyn.train_dynamics([(states[0], actions[0]), (states[1], actions[1])])
+            dyn.train_dynamics(states[:0], actions[:0])
+        with pytest.raises(InsufficientDataError):
+            dyn.train_dynamics(states, actions)
+
+    def test_stacked_rows_match_per_episode_loop(self):
+        states, actions = dyn.generate_random_episodes(6, seed=8)
+        x, y = dyn.chunk_transitions(states, actions)
+        pairs = [dyn.chunk_transitions(states[i:i + 1], actions[i:i + 1]) for i in range(6)]
+        assert np.array_equal(x, np.concatenate([p[0] for p in pairs]))
+        assert np.array_equal(y, np.concatenate([p[1] for p in pairs]))
+        c = 5  # episode 2, chunk 5: start state, its four actions, the state delta
+        row = 2 * (sw.HORIZON // dyn.CHUNK) + c
+        span = slice(c * dyn.CHUNK, (c + 1) * dyn.CHUNK)
+        assert np.array_equal(x[row], np.concatenate([states[2, span.start], actions[2, span].ravel()]))
+        assert np.array_equal(y[row], states[2, span.stop] - states[2, span.start])
+
+    def test_mismatched_shapes(self):
+        states, actions = dyn.generate_random_episodes(2, seed=0)
+        for s, a in ((states, actions[:, :-4]), (states[:1], actions), (states, actions[0]),
+                     (states[..., :6], actions)):
+            with pytest.raises(ShapeMismatchError):
+                dyn.chunk_transitions(s, a)
 
     def test_deterministic_given_seed(self):
         states, actions = dyn.generate_random_episodes(20, seed=3)
-        eps = [(states[i], actions[i]) for i in range(20)]
-        a = dyn.train_dynamics(eps, seed=4, n_features=64)
-        b = dyn.train_dynamics(eps, seed=4, n_features=64)
+        a = dyn.train_dynamics(states, actions, seed=4, n_features=64)
+        b = dyn.train_dynamics(states, actions, seed=4, n_features=64)
         assert np.array_equal(a.weights, b.weights)
 
 

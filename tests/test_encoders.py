@@ -26,11 +26,23 @@ def pool():
     return enc.init_prompt_pool([4, 5, 6], np.random.default_rng(1), k=3)
 
 
+def encode_one(clip, params):
+    return enc.encode_clips(clip[None], params)[0]
+
+
+def flat(params):
+    return enc.flatten_arrays(params.arrays())
+
+
+def unflat(vec, params):
+    return enc.VideoEncoderParams(*enc.unflatten_like(vec, params.arrays()))
+
+
 class TestEncodeVideo:
     def test_deterministic_and_pure(self, params):
         clip = np.random.default_rng(2).normal(size=(4, 16))
-        a = enc.encode_video(clip, params)
-        b = enc.encode_video(clip.copy(), params)
+        a = encode_one(clip, params)
+        b = encode_one(clip.copy(), params)
         assert np.array_equal(a, b)
         assert abs(np.linalg.norm(a) - 1.0) < 1e-6
 
@@ -38,13 +50,12 @@ class TestEncodeVideo:
         clips = np.random.default_rng(3).normal(size=(5, 4, 16))
         batch = enc.encode_clips(clips, params)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], enc.encode_video(clips[i], params), atol=1e-12)
+            np.testing.assert_allclose(batch[i], encode_one(clips[i], params), atol=1e-12)
 
     def test_shape_mismatch(self, params):
-        with pytest.raises(ShapeMismatchError):
-            enc.encode_video(np.zeros((3, 16)), params)
-        with pytest.raises(ShapeMismatchError):
-            enc.encode_video(np.zeros((4, 8)), params)
+        for clips in (np.zeros((1, 3, 16)), np.zeros((1, 4, 8)), np.zeros((4, 16))):
+            with pytest.raises(ShapeMismatchError):
+                enc.encode_clips(clips, params)
 
     def test_param_gradient_matches_central_differences(self, params):
         rng = np.random.default_rng(4)
@@ -53,16 +64,12 @@ class TestEncodeVideo:
         target /= np.linalg.norm(target)
 
         def loss_of(vec):
-            p = enc.vec_to_video_params(vec, params)
-            v = enc.encode_video(clip, p)
-            return float(np.sum((v - target) ** 2))
+            return float(np.sum((encode_one(clip, unflat(vec, params)) - target) ** 2))
 
         v, cache = enc.encode_clips_cached(clip[None], params)
         d_v = 2.0 * (v - target[None])
         grads = enc.encode_clips_backward(cache, d_v)
-        err = finite_diff_grad_check(
-            loss_of, enc.video_params_to_vec(params), enc.video_params_to_vec(grads)
-        )
+        err = finite_diff_grad_check(loss_of, flat(params), flat(grads))
         assert err < 1e-4
 
 
@@ -194,11 +201,10 @@ class TestFailurePrompts:
 
 class TestFlattening:
     def test_roundtrip(self, params):
-        vec = enc.video_params_to_vec(params)
-        back = enc.vec_to_video_params(vec, params)
+        back = unflat(flat(params), params)
         for a, b in zip(params.arrays(), back.arrays()):
             assert np.array_equal(a, b)
 
     def test_length_mismatch(self, params):
         with pytest.raises(ShapeMismatchError):
-            enc.vec_to_video_params(np.zeros(3), params)
+            unflat(np.zeros(3), params)

@@ -1,6 +1,6 @@
 """Evaluation entry points on tiny configs: non-default clip lengths end to
-end, the typed failure when CEM refinement lowers a plan's score, and the
-AUC against a brute-force pair count."""
+end, the typed failure when CEM refinement lowers a plan's score, the AUC
+against a brute-force pair count, and the ablation grid and its CSV."""
 
 from dataclasses import replace
 
@@ -11,7 +11,9 @@ from rewardlab import (
     dynamics as dyn, evaluation, planner as pl, render, simworld as sw, training,
 )
 from rewardlab.config import ExperimentConfig
-from rewardlab.errors import OneClassOnlyError, RefinementRegressedError, UnknownTaskError
+from rewardlab.errors import (
+    BadConfigError, OneClassOnlyError, RefinementRegressedError, UnknownTaskError,
+)
 
 CONFIG = ExperimentConfig(
     seed=5,
@@ -72,6 +74,30 @@ def test_lowered_refinement_score_raises_typed_error(monkeypatch):
         evaluation.evaluate_planning(
             None, dyn.ground_truth_model(), CONFIG, reward_kind="oracle", refine=True
         )
+
+
+def test_planning_needs_a_trial():
+    with pytest.raises(BadConfigError, match="trial"):
+        evaluation.evaluate_planning(
+            None, dyn.ground_truth_model(), CONFIG, reward_kind="oracle", trials=0
+        )
+
+
+def test_ablation_rows_and_csv():
+    grid = {"modes": ("no_failure", "bce", "fvlc"), "k_values": (1, 2), "sources": ("random", "both")}
+    rows = evaluation.run_ablation(CONFIG, seeds=(0,), planning_trials=1, **grid)
+    assert len(rows) == len(evaluation.ablation_cells(*grid.values())) == 8
+    lines = evaluation.ablation_csv(rows).splitlines()
+    assert lines[0] == "seed,mode,k,source,auc_train,auc_heldout,planner_success"
+    assert len(lines) == len(rows) + 1
+    for row, line in zip(rows, lines[1:]):
+        fields = dict(zip(evaluation.ABLATION_COLUMNS, line.split(",")))
+        assert fields["k"] == (str(row["k"]) if row["mode"] == "fvlc" else "-")
+        for col in ("auc_train", "auc_heldout", "planner_success"):
+            assert isinstance(row[col], float) and float(fields[col]) == row[col]
+    assert {(r["mode"], r["k"]) for r in rows} == {
+        ("no_failure", "-"), ("bce", "-"), ("fvlc", 1), ("fvlc", 2)
+    }
 
 
 def pair_count_auc(success_scores, failure_scores):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import sim_state
 from rewardlab import datagen as dg, formats, simworld as sw
-from rewardlab.errors import CorruptFileError, ShapeMismatchError, VersionMismatchError
+from rewardlab.errors import CorruptFileError, VersionMismatchError
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +40,17 @@ class TestDatasetFormat:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(CorruptFileError):
+            formats.load_dataset(path)
+
+    @pytest.mark.parametrize("field, bad", [("task", "task=x"), ("seed", "seed=1.5"), ("domain", "dom=human")])
+    def test_malformed_label_field_is_corrupt(self, dataset, tmp_path, field, bad):
+        path = tmp_path / "ds.txt"
+        formats.save_dataset(dataset, path)
+        lines = path.read_text().splitlines()
+        tokens = lines[1].split()
+        tokens = [bad if tok.startswith(field + "=") else tok for tok in tokens]
+        path.write_text("\n".join([lines[0], " ".join(tokens)] + lines[2:]) + "\n")
+        with pytest.raises(CorruptFileError, match="malformed clip record"):
             formats.load_dataset(path)
 
     def test_version_mismatch(self, dataset, tmp_path):
@@ -83,84 +93,3 @@ class TestCheckpointFormat:
         with pytest.raises(CorruptFileError):
             formats.load_checkpoint(path)
 
-
-# written by the value-type implementation of save_trajectory: a faucet
-# start (initial_state_array at seed 5), the next three random actions from
-# the same Generator, and camera offset (0.03, -0.02)
-TRAJECTORY_V1 = """\
-rewardlab-trajectory v1 states=4 actions=3
-state 0.7009195336625285 0.46714808280528847 0.0 0.07 0.0 0.5183001754247228 0.3684764473841896 0.03 -0.02
-state 0.6563126039006941 0.42167560219553296 0.0 0.07 0.0 0.5183001754247228 0.3684764473841896 0.03 -0.02
-state 0.6446494919792459 0.3765513732682498 0.0 0.07 0.0 0.5183001754247228 0.3684764473841896 0.03 -0.02
-state 0.6354968125212458 0.4264689847747569 1.0 0.07 0.0 0.5183001754247228 0.3684764473841896 0.03 -0.02
-action -0.04460692976183436 -0.045472480609755485 -1.0
-action -0.011663111921448178 -0.0451242289272832 0.0
-action -0.009152679458000135 0.04991761150650714 1.0
-"""
-
-
-class TestTrajectoryFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        s0 = sw.initial_state_array(sw.TASK_FAUCET, rng)
-        actions = sw.random_action_array(rng, 12)
-        states = sw.rollout_states(s0, actions)
-        path = tmp_path / "traj.txt"
-        formats.save_trajectory(states, actions, (0.01, -0.02), path)
-        back_states, back_actions, camera = formats.load_trajectory(path)
-        assert np.array_equal(back_states, states)
-        assert np.array_equal(back_actions, actions)
-        assert camera.tolist() == [0.01, -0.02]
-
-    def test_header_count_enforced(self, tmp_path):
-        path = tmp_path / "traj.txt"
-        actions = np.array([[0.01, 0.0, 0.0]])
-        states = sw.rollout_states(sim_state(), actions)
-        formats.save_trajectory(states, actions, (0.0, 0.0), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(CorruptFileError):
-            formats.load_trajectory(path)
-
-    def test_trajectory_length_mismatch(self, tmp_path):
-        s = sim_state()
-        path = tmp_path / "traj.txt"
-        with pytest.raises(ShapeMismatchError):
-            formats.save_trajectory(np.stack([s, s]), np.zeros((0, 3)), (0.0, 0.0), path)
-        for states, actions, camera in (
-            (s, np.zeros((0, 3)), (0.0, 0.0)),              # one state, not (1, 7)
-            (s[None, :6], np.zeros((0, 3)), (0.0, 0.0)),    # short state row
-            (s[None], np.zeros((0, 2)), (0.0, 0.0)),        # short action row
-            (np.stack([s, s]), np.zeros((1, 3)), (0.0,)),   # camera not (2,)
-        ):
-            with pytest.raises(ShapeMismatchError):
-                formats.save_trajectory(states, actions, camera, path)
-        assert not path.exists()
-        # the same mismatch in a file: four states for two actions
-        lines = TRAJECTORY_V1.splitlines()
-        lines[0] = lines[0].replace("actions=3", "actions=2")
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(CorruptFileError, match="4 states for 2 actions"):
-            formats.load_trajectory(path)
-
-    def test_camera_disagreement_is_corrupt(self, tmp_path):
-        path = tmp_path / "traj.txt"
-        lines = TRAJECTORY_V1.splitlines()
-        lines[2] = lines[2].replace("0.03 -0.02", "0.03 -0.021")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorruptFileError, match="camera"):
-            formats.load_trajectory(path)
-
-    def test_v1_file_read_and_rewritten_exactly(self, tmp_path):
-        rng = np.random.default_rng(5)
-        s0 = sw.initial_state_array(sw.TASK_FAUCET, rng)
-        actions = sw.random_action_array(rng, 3)
-        path = tmp_path / "traj.txt"
-        path.write_text(TRAJECTORY_V1)
-        states, back_actions, camera = formats.load_trajectory(path)
-        assert np.array_equal(states, sw.rollout_states(s0, actions))
-        assert np.array_equal(back_actions, actions)
-        assert camera.tolist() == [0.03, -0.02]
-        out = tmp_path / "again.txt"
-        formats.save_trajectory(states, back_actions, camera, out)
-        assert out.read_bytes() == TRAJECTORY_V1.encode("ascii")

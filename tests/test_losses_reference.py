@@ -109,13 +109,14 @@ def test_cross_domain_matches_loop(seed, exclude_anchor):
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("failures", [None, "even", "uneven"])
 def test_video_text_matches_loop(seed, failures):
-    batch, _, failure_texts, pooled = random_case(seed, uneven_k=failures == "uneven")
+    batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k=failures == "uneven")
+    texts = task_texts[batch.labels]
     fail = failure_texts if failures else None
     val, grads = losses.video_text_loss(
-        batch.videos, batch.texts, batch.labels, batch.tau, fail, pooled
+        batch.videos, texts, batch.labels, batch.tau, fail, pooled
     )
     want, d_videos, d_fail = loop_video_text(
-        batch.videos, batch.texts, batch.labels, batch.tau, fail, pooled
+        batch.videos, texts, batch.labels, batch.tau, fail, pooled
     )
     assert val == pytest.approx(want, rel=RTOL)
     assert_close(grads["videos"], d_videos)

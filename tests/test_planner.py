@@ -32,7 +32,7 @@ class TestVmpcPlan:
         s0 = initial_state(task, 2)
         result = pl.vmpc_plan(pl.OracleReward(task), gt_model, s0, config)
         assert result.index == 0
-        expected = pl.sample_action_sequences(np.random.default_rng(0), 1, 60)[0]
+        expected = sw.random_action_array(np.random.default_rng(0), 1, 60)[0]
         assert np.array_equal(result.actions, expected)
 
     def test_score_matches_independent_rescoring(self, gt_model):
@@ -43,7 +43,7 @@ class TestVmpcPlan:
         result = pl.vmpc_plan(reward, gt_model, s0, config)
         # independent rescoring: regenerate the candidate set, score each by
         # rolling it out one at a time
-        candidates = pl.sample_action_sequences(np.random.default_rng(11), 64, 60)
+        candidates = sw.random_action_array(np.random.default_rng(11), 64, 60)
         rescored = []
         for cand in candidates:
             states = sw.rollout_states(np.asarray(s0), cand)
@@ -84,7 +84,7 @@ class TestCemRefine:
     def test_converges_to_reachable_quadratic_target(self):
         horizon = 8
         rng = np.random.default_rng(5)
-        initial = pl.sample_action_sequences(rng, 1, horizon)[0]
+        initial = sw.random_action_array(rng, 1, horizon)[0]
         target = initial.copy()
         target[:, :2] = np.clip(target[:, :2] + rng.normal(scale=0.008, size=(horizon, 2)), -0.05, 0.05)
 
@@ -96,13 +96,13 @@ class TestCemRefine:
         assert np.max(np.abs(result.final_mean[:, :2] - target[:, :2])) < 0.01
 
     def test_constant_scorer_returns_initial_score(self):
-        initial = pl.sample_action_sequences(np.random.default_rng(0), 1, 12)[0]
+        initial = sw.random_action_array(np.random.default_rng(0), 1, 12)[0]
         result = pl.cem_refine(initial, lambda seqs: np.zeros(len(seqs)), pl.CemConfig(), seed=0)
         assert result.score == 0.0
         assert np.array_equal(result.actions, initial)
 
     def test_elite_fraction_one_uses_population_mean(self):
-        initial = pl.sample_action_sequences(np.random.default_rng(1), 1, 8)[0]
+        initial = sw.random_action_array(np.random.default_rng(1), 1, 8)[0]
         cem = pl.CemConfig(iterations=1, population=16, elite_fraction=1.0)
         seen = {}
 
@@ -119,7 +119,7 @@ class TestCemRefine:
     def test_best_score_history_non_decreasing(self, gt_model):
         task = sw.TASK_OPEN_DRAWER
         s0 = initial_state(task, 6)
-        initial = pl.sample_action_sequences(np.random.default_rng(3), 1, 60)[0]
+        initial = sw.random_action_array(np.random.default_rng(3), 1, 60)[0]
         scorer = pl.make_sequence_scorer(pl.OracleReward(task), gt_model, s0)
         result = pl.cem_refine(initial, scorer, pl.CemConfig(iterations=6), seed=4)
         history = np.array(result.best_score_history)
@@ -127,7 +127,7 @@ class TestCemRefine:
         assert result.score == history[-1]
 
     def test_grip_channel_kept_from_initial(self):
-        initial = pl.sample_action_sequences(np.random.default_rng(4), 1, 8)[0]
+        initial = sw.random_action_array(np.random.default_rng(4), 1, 8)[0]
         result = pl.cem_refine(initial, lambda s: s[:, 0, 0], pl.CemConfig(), seed=5)
         assert np.array_equal(result.actions[:, 2], initial[:, 2])
         assert np.array_equal(result.final_mean[:, 2], initial[:, 2])

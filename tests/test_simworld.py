@@ -89,7 +89,7 @@ class TestRollout:
     def test_replay_determinism_bit_exact(self):
         rng = np.random.default_rng(5)
         s0 = sw.initial_state_array(sw.TASK_CUP_AWAY, rng)
-        actions = sw.random_action_array(rng, 40)
+        actions = sw.random_action_array(rng, 1, 40)[0]
         states = sw.rollout_states(s0, actions)
         replayed = sw.rollout_states(states[0], actions)
         assert states.shape == (41, sw.STATE_DIM)
@@ -98,7 +98,7 @@ class TestRollout:
     def test_batch_matches_scalar_bitwise(self):
         rng = np.random.default_rng(9)
         s0s = np.stack([sw.initial_state_array(t, rng) for t in (0, 3, 6)])
-        acts = np.stack([sw.random_action_array(rng, 20) for _ in range(3)])
+        acts = sw.random_action_array(rng, 3, 20)
         batch = sw.rollout_batch(s0s, acts)
         for i in range(3):
             single = sw.rollout_states(s0s[i], acts[i])
@@ -109,7 +109,7 @@ class TestRollout:
         states = np.stack([sw.initial_state_array(t, rng) for t in sw.ALL_TASKS] * 300)
         # 2100 states x 48 steps > 1e5 random transitions
         for _ in range(48):
-            acts = np.stack([sw.random_action_array(rng, 1)[0] for _ in range(len(states))])
+            acts = sw.random_action_array(rng, len(states), 1)[:, 0]
             states = sw.step_batch(states, acts)
             assert np.all(states[:, (sw.GX, sw.GY, sw.CUPX, sw.CUPY)] >= 0.0)
             assert np.all(states[:, (sw.GX, sw.GY, sw.CUPX, sw.CUPY)] <= 1.0)

@@ -184,8 +184,9 @@ class TestCheckpoint:
             enc.failure_text_features(loaded.pool, loaded.table)[0],
             enc.failure_text_features(fvlc_params.pool, fvlc_params.table)[0],
         )
-        clips = dataset.subset("robot")
-        frames, tasks = dataset.frames_array(clips), [c.task_id for c in clips]
+        robot = [i for i, c in enumerate(dataset.clips) if c.domain == "robot"]
+        frames = dataset.frames_array()[robot]
+        tasks = [dataset.clips[i].task_id for i in robot]
         assert np.array_equal(
             evaluation.score_clips(loaded, frames, tasks),
             evaluation.score_clips(fvlc_params, frames, tasks),
