@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import SizeMismatchError, TooFewSamplesError, ZeroVectorError
+from .errors import ShapeMismatchError, TooFewSamplesError, ZeroVectorError
 
 MAX_ITERS = 100
 N_RESTARTS = 10
@@ -24,11 +24,9 @@ N_RESTARTS = 10
 
 @dataclass
 class ClusterState:
-    task_id: int
     centers: np.ndarray          # (K, D), unit rows
     assignments: np.ndarray      # (M,)
     objective: float             # in [-1, 1]
-    sample_count: int
     objective_history: list = field(default_factory=list)
 
 
@@ -83,7 +81,7 @@ def _update_centers(features, assignments, centers):
     return new
 
 
-def spherical_kmeans(features: np.ndarray, k: int, seed: int = 0, task_id: int = -1) -> ClusterState:
+def spherical_kmeans(features: np.ndarray, k: int, seed: int = 0) -> ClusterState:
     """Cluster M unit vectors into k groups by cosine similarity.
 
     Deterministic given the seed; N_RESTARTS restarts (seeded independently)
@@ -114,11 +112,9 @@ def spherical_kmeans(features: np.ndarray, k: int, seed: int = 0, task_id: int =
                 break
             labels = new_labels
         state = ClusterState(
-            task_id=task_id,
             centers=centers,
             assignments=labels,
             objective=history[-1],
-            sample_count=m,
             objective_history=history,
         )
         if best is None or state.objective < best.objective - 1e-15:
@@ -131,7 +127,7 @@ def align_clusters(prev_centers: np.ndarray, new_centers: np.ndarray) -> np.ndar
     prev_centers = np.asarray(prev_centers, dtype=np.float64)
     new_centers = np.asarray(new_centers, dtype=np.float64)
     if prev_centers.shape != new_centers.shape:
-        raise SizeMismatchError(
+        raise ShapeMismatchError(
             f"center sets differ: {prev_centers.shape} vs {new_centers.shape}"
         )
     sims = prev_centers @ new_centers.T
@@ -146,11 +142,9 @@ def relabel_state(state: ClusterState, pi: np.ndarray) -> ClusterState:
     inverse = np.empty_like(pi)
     inverse[pi] = np.arange(len(pi))
     return ClusterState(
-        task_id=state.task_id,
         centers=state.centers[pi],
         assignments=inverse[state.assignments],
         objective=state.objective,
-        sample_count=state.sample_count,
         objective_history=state.objective_history,
     )
 
@@ -160,7 +154,7 @@ def label_churn(prev_labels: np.ndarray, new_labels: np.ndarray) -> float:
     prev_labels = np.asarray(prev_labels)
     new_labels = np.asarray(new_labels)
     if prev_labels.shape != new_labels.shape:
-        raise SizeMismatchError("label vectors differ in length")
+        raise ShapeMismatchError("label vectors differ in length")
     if prev_labels.size == 0:
         return 0.0
     return float(np.mean(prev_labels != new_labels))

@@ -23,7 +23,8 @@ feature noise come from the same Generator after its successful attempt.
 Clips are rolled in lockstep: all clips of one (task, style) in a dataset
 advance together through `simworld.step_batch`, one row per pending clip,
 and the scripted controllers act on (n, 7) state arrays with per-clip
-phase arrays. A clip leaves the group once its label check passes. Each
+phase arrays. One predicate call checks the labels of every clip of an
+attempt, and a clip leaves the group once its label check passes. Each
 clip's draws stay in the order above, and the dynamics are elementwise,
 so a clip's rollout does not depend on which other clips share its group:
 `gen_success_trajectory` and `gen_failure_trajectory` are the same core
@@ -297,12 +298,7 @@ def run_policy(s0, policy, noise=None, horizon=sw.HORIZON):
 def _wander_actions(task_id, s0_arr, rng, horizon=sw.HORIZON):
     """Random motion biased away from the object for the first few steps."""
     actions = sw.random_action_array(rng, 1, horizon)[0]
-    target = {
-        sw.TASK_CLOSE_DRAWER: (sw.DRAWER_BASE[0], sw.DRAWER_BASE[1] + s0_arr[sw.EXT]),
-        sw.TASK_OPEN_DRAWER: (sw.DRAWER_BASE[0], sw.DRAWER_BASE[1] + s0_arr[sw.EXT]),
-        sw.TASK_FAUCET: sw.FAUCET_HANDLE,
-    }.get(task_id, (s0_arr[sw.CUPX], s0_arr[sw.CUPY]))
-    away = np.array([s0_arr[sw.GX] - target[0], s0_arr[sw.GY] - target[1]])
+    away = s0_arr[[sw.GX, sw.GY]] - sw.target_points(task_id, s0_arr)
     norm = np.linalg.norm(away)
     if norm > 1e-9:
         away = away / norm * sw.VEL_LIMIT
@@ -311,19 +307,19 @@ def _wander_actions(task_id, s0_arr, rng, horizon=sw.HORIZON):
     return actions
 
 
-def _label_ok(task_id, style, states) -> bool:
-    """Does a (T+1, 7) rollout realize its requested label?"""
+def _labels_ok(task_id, style, states) -> np.ndarray:
+    """(n,) flags: does each rollout of (n, T+1, 7) states realize its label?"""
     flags = sw.prefix_success_flags(task_id, states)
     if style == "success":
-        return bool(flags[-1])
-    if flags[-1]:
-        return False
-    contact = bool(np.any(sw.target_contact_mask(task_id, states)))
+        return flags[:, -1]
+    contact = np.any(sw.target_contact_mask(task_id, states), axis=-1)
     if style == "wander":
-        return not contact
-    if style == "revert":
-        return bool(np.any(flags[:-1]))
-    return contact and not bool(np.any(flags))
+        ok = ~contact
+    elif style == "revert":
+        ok = np.any(flags[:, :-1], axis=-1)
+    else:
+        ok = contact & ~np.any(flags, axis=-1)
+    return ok & ~flags[:, -1]
 
 
 def roll_clips(task_id: int, style: str, seeds, noise: float = ACTION_NOISE):
@@ -359,7 +355,7 @@ def roll_clips(task_id: int, style: str, seeds, noise: float = ACTION_NOISE):
             ]) if level > 0 else None
             acts, rolled = run_policy(s0, policy, draws)
         attempts[pending] += 1
-        ok = np.array([_label_ok(task_id, style, s) for s in rolled], dtype=bool)
+        ok = _labels_ok(task_id, style, rolled)
         actions[pending[ok]], states[pending[ok]] = acts[ok], rolled[ok]
         pending = pending[~ok]
     if pending.size:

@@ -60,13 +60,12 @@ def _design(x: np.ndarray, model: DynamicsModel) -> np.ndarray:
 
 def chunked_predict_batch(model: DynamicsModel, s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """(N,7) initial states + (N,H,3) actions -> (N, H/4 + 1, 7) states."""
-    s0 = np.atleast_2d(np.asarray(s0, dtype=np.float64))
+    s0 = np.asarray(s0, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
-    if actions.ndim == 2:
-        actions = actions[None, :, :]
+    if actions.ndim != 3 or s0.shape != (actions.shape[0], sw.STATE_DIM):
+        raise ShapeMismatchError(f"need s0 (N,7) and actions (N,H,3), "
+                                 f"got {s0.shape} and {actions.shape}")
     n_chunks = _check_horizon(actions.shape[1])
-    if s0.shape[0] == 1 and actions.shape[0] > 1:
-        s0 = np.broadcast_to(s0, (actions.shape[0], sw.STATE_DIM)).copy()
 
     if model.kind == GROUND_TRUTH:
         states = sw.rollout_batch(s0, actions)

@@ -8,11 +8,7 @@ overflow.
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteValueError,
-    ZeroVectorError,
-)
+from .errors import NonFiniteValueError, ShapeMismatchError, ZeroVectorError
 
 EPSILON_NORM = 1e-12
 
@@ -65,7 +61,7 @@ def finite_diff_grad_check(f, theta, analytic_grad, eps: float = 1e-5) -> float:
     theta = np.asarray(theta, dtype=np.float64)
     analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
     if theta.shape != analytic_grad.shape:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"theta shape {theta.shape} != grad shape {analytic_grad.shape}"
         )
     worst = 0.0

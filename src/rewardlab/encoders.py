@@ -24,7 +24,6 @@ import numpy as np
 from .embeddings import l2_normalize
 from .errors import (
     BadClusterIndexError,
-    NonFiniteValueError,
     ShapeMismatchError,
     UnknownTaskError,
     ZeroVectorError,
@@ -86,8 +85,6 @@ def encode_clips_cached(clips: np.ndarray, params: VideoEncoderParams):
             f"clip shape ({l},{f}) does not match encoder "
             f"({params.temporal_logits.shape[0]},{params.frame_proj.shape[0]})"
         )
-    if not all(np.all(np.isfinite(a)) for a in params.arrays()):
-        raise NonFiniteValueError("encoder parameters contain non-finite values")
 
     pre = clips @ params.frame_proj + params.frame_bias          # (N, L, H)
     hidden = np.tanh(pre)

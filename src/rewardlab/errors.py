@@ -14,10 +14,6 @@ class ZeroVectorError(RewardLabError):
     """Vector too close to zero to normalize."""
 
 
-class DimensionMismatchError(RewardLabError):
-    """Embeddings of different widths were mixed."""
-
-
 class NonPositiveTemperatureError(RewardLabError):
     """Softmax temperature must be > 0."""
 
@@ -48,10 +44,6 @@ class MissingFailureTextsError(RewardLabError):
 
 class TooFewSamplesError(RewardLabError):
     """Fewer samples than clusters."""
-
-
-class SizeMismatchError(RewardLabError):
-    """Two collections that must match in length do not."""
 
 
 class BadConfigError(RewardLabError):

@@ -4,9 +4,10 @@ and the ablation grid.
 Separation is measured as the probability that a uniformly random success
 clip outscores (sigmoid(v . t)) a uniformly random failure clip of the
 same task, ties counted half — the area under the ROC curve; the eval set
-is stacked once and scored by row index. Planning is
-evaluated by executing each planned sequence in the real simulator and
-checking the task predicate.
+is stacked once and scored by row index. Planning builds one reward per
+task, plans every trial with random shooting (and optionally CEM), then
+executes all plans of the task in one batched simulator rollout and
+judges them with the task predicate.
 """
 
 from dataclasses import replace
@@ -47,7 +48,7 @@ def score_clips(params: ModelParams, frames, tasks) -> np.ndarray:
 
 
 def evaluate_separation(params: ModelParams, eval_dataset: dg.Dataset, tasks):
-    """Per-task AUC plus normalized score distributions for export."""
+    """{task: {"auc": ...}}: per-task AUC of success over failure scores."""
     clips = eval_dataset.clips
     frames = eval_dataset.frames_array() if clips else None
     task_col = np.array([c.task_id for c in clips], dtype=np.int64)
@@ -60,16 +61,10 @@ def evaluate_separation(params: ModelParams, eval_dataset: dg.Dataset, tasks):
         f_rows = np.flatnonzero(mine & (success == 0))
         if not s_rows.size or not f_rows.size:
             raise OneClassOnlyError(f"task {task} evaluation set has one class only")
-        s_scores = score_clips(params, frames[s_rows], task_col[s_rows])
-        f_scores = score_clips(params, frames[f_rows], task_col[f_rows])
-        pooled = np.concatenate([s_scores, f_scores])
-        lo, hi = float(pooled.min()), float(pooled.max())
-        span = (hi - lo) if hi > lo else 1.0
-        report[task] = {
-            "auc": auc_from_scores(s_scores, f_scores),
-            "success_scores": ((s_scores - lo) / span).tolist(),
-            "failure_scores": ((f_scores - lo) / span).tolist(),
-        }
+        report[task] = {"auc": auc_from_scores(
+            score_clips(params, frames[s_rows], task_col[s_rows]),
+            score_clips(params, frames[f_rows], task_col[f_rows]),
+        )}
     return report
 
 
@@ -131,60 +126,60 @@ def evaluate_planning(
 ):
     """Planning success rates per task and seed; executes plans in the sim.
 
-    reward_kind: "learned" (sigmoid(v.t)) or "oracle" (ground-truth
-    predicate on predicted states).
+    reward_kind: "learned" (sigmoid(v.t), needs params) or "oracle"
+    (ground-truth predicate on predicted states). Each trial plans once
+    with vmpc_plan and, with refine, once more with cem_refine; all plans
+    of a task are then executed in one batched rollout.
     """
     tasks = tuple(tasks) if tasks is not None else tuple(config.heldout_tasks)
     trials = trials if trials is not None else config.plan_trials
     if trials < 1:
         raise BadConfigError(f"need at least one planning trial, got {trials}")
+    if reward_kind not in ("learned", "oracle"):
+        raise BadConfigError(f"unknown reward_kind {reward_kind!r}")
+    if reward_kind == "learned" and params is None:
+        raise BadConfigError("the learned reward needs trained params")
     rows = []
     for task in tasks:
+        reward = pl.OracleReward(task) if reward_kind == "oracle" else pl.LearnedReward(
+            params.video, params.table, task, variant=config.env_variant,
+            clip_frames=config.clip_frames,
+        )
+        starts, plans = [], []   # per (seed, trial): the vmpc plan, then the CEM one
         for seed_idx in range(config.plan_seeds):
-            wins = 0
-            refined_wins = 0
             for trial in range(trials):
                 s0 = sw.initial_state_array(
                     task, np.random.default_rng(_plan_seed(config, 0, seed_idx, task, trial))
                 )
-                reward = (
-                    pl.OracleReward(task) if reward_kind == "oracle"
-                    else pl.LearnedReward(
-                        params.video, params.table, task, variant=config.env_variant,
-                        clip_frames=config.clip_frames,
-                    )
-                )
-                plan_cfg = pl.PlanConfig(
-                    n_candidates=config.plan_candidates,
-                    horizon=config.plan_horizon,
-                    seed=_plan_seed(config, 1, seed_idx, task, trial),
-                )
-                result = pl.vmpc_plan(reward, model, s0, plan_cfg)
+                scorer = pl.make_sequence_scorer(reward, model, s0)
+                result = pl.vmpc_plan(scorer, config.plan_candidates, config.plan_horizon,
+                                      _plan_seed(config, 1, seed_idx, task, trial))
+                chosen = [result.actions]
                 if refine:
-                    scorer = pl.make_sequence_scorer(reward, model, s0)
                     refined = pl.cem_refine(
-                        result.actions, scorer, plan_cfg.cem,
-                        seed=_plan_seed(config, 2, seed_idx, task, trial),
+                        result.actions, scorer, _plan_seed(config, 2, seed_idx, task, trial)
                     )
                     if refined.score < result.score - 1e-12:
                         raise RefinementRegressedError(
                             f"task {task}: CEM refinement scored {refined.score!r}, "
                             f"below the plan it started from ({result.score!r})"
                         )
-                    ref_states = sw.rollout_states(s0, refined.actions)
-                    refined_wins += int(sw.success_states(task, ref_states))
-                states = sw.rollout_states(s0, result.actions)
-                wins += int(sw.success_states(task, states))
+                    chosen.append(refined.actions)
+                starts += [s0] * len(chosen)
+                plans += chosen
+        executed = sw.rollout_batch(np.stack(starts), np.stack(plans))
+        wins = sw.success_states(task, executed).reshape(config.plan_seeds, trials, -1)
+        for seed_idx, seed_wins in enumerate(wins.sum(axis=1).tolist()):
             row = {
                 "task": task,
                 "seed": seed_idx,
                 "trials": trials,
-                "successes": wins,
-                "rate": wins / trials,
+                "successes": seed_wins[0],
+                "rate": seed_wins[0] / trials,
             }
             if refine:
-                row["refined_successes"] = refined_wins
-                row["refined_rate"] = refined_wins / trials
+                row["refined_successes"] = seed_wins[1]
+                row["refined_rate"] = seed_wins[1] / trials
             rows.append(row)
     summary = {
         task: float(np.mean([r["rate"] for r in rows if r["task"] == task])) for task in tasks

@@ -1,16 +1,21 @@
 """Action selection: random-shooting planning plus CEM refinement.
 
+Both planners take a scorer: a function from (N, H, 3) action sequences to
+(N,) scores. `make_sequence_scorer` builds the one the evaluation uses: it
+predicts each sequence's chunked rollout from one start state with a
+dynamics model and scores the predicted states with a reward.
+
 vmpc_plan samples candidate action sequences uniformly in the clamped
-action box, predicts each candidate's chunked rollout with a dynamics
-model, scores the predicted states with a reward function, and returns the
-argmax (ties break to the lowest candidate index).
+action box, scores them and returns the argmax (ties break to the lowest
+candidate index).
 
 cem_refine searches near an initial sequence: Gaussian populations around
 a running mean over the velocity channels (grip commands stay fixed),
-elite refitting, and a best-ever result that never decreases.
+elite refitting, and a best-ever result that never scores below the
+initial sequence.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,31 +23,10 @@ from . import dynamics as dyn, encoders as enc, render, simworld as sw
 from .errors import BadConfigError
 from .losses import _sigmoid
 
-
-@dataclass(frozen=True)
-class CemConfig:
-    iterations: int = 4
-    population: int = 64
-    elite_fraction: float = 0.1
-    init_std: float = 0.02
-
-    @property
-    def elite_count(self) -> int:
-        return max(1, int(round(self.population * self.elite_fraction)))
-
-
-@dataclass(frozen=True)
-class PlanConfig:
-    n_candidates: int = 300
-    horizon: int = sw.HORIZON
-    seed: int = 0
-    cem: CemConfig = field(default_factory=CemConfig)
-
-    def __post_init__(self):
-        if self.n_candidates < 1:
-            raise BadConfigError("need at least one candidate")
-        if self.horizon < dyn.CHUNK or self.horizon % dyn.CHUNK != 0:
-            raise BadConfigError(f"horizon must be a positive multiple of {dyn.CHUNK}")
+CEM_ITERATIONS = 4
+CEM_POPULATION = 64
+CEM_ELITES = 6          # the best tenth of a population
+CEM_INIT_STD = 0.02
 
 
 @dataclass
@@ -54,10 +38,8 @@ class PlanResult:
 
 @dataclass
 class CemResult:
-    actions: np.ndarray       # best-ever sequence
-    score: float              # best-ever score (never below the initial's)
-    final_mean: np.ndarray    # (H, 3): refined velocity mean + fixed grips
-    best_score_history: list  # per-iteration best-ever scores
+    actions: np.ndarray   # best-ever sequence
+    score: float          # best-ever score (never below the initial's)
 
 
 class LearnedReward:
@@ -85,72 +67,63 @@ class LearnedReward:
 
 
 class OracleReward:
-    """Ground-truth success indicator evaluated on the state sequence."""
+    """Ground-truth success indicator evaluated on the state sequences."""
 
     def __init__(self, task_id):
         self.task_id = task_id
 
     def score_batch(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=np.float64)
-        return np.array(
-            [1.0 if sw.success_states(self.task_id, seq) else 0.0 for seq in states]
-        )
-
-
-def vmpc_plan(reward, model: dyn.DynamicsModel, s0: np.ndarray, config: PlanConfig) -> PlanResult:
-    """Best-of-G random shooting; deterministic given config.seed."""
-    rng = np.random.default_rng(config.seed)
-    candidates = sw.random_action_array(rng, config.n_candidates, config.horizon)
-    predicted = dyn.chunked_predict_batch(model, np.asarray(s0)[None, :], candidates)
-    scores = np.asarray(reward.score_batch(predicted), dtype=np.float64)
-    index = int(np.argmax(scores))  # first max wins ties
-    return PlanResult(actions=candidates[index], score=float(scores[index]), index=index)
+        return sw.success_states(self.task_id, states).astype(np.float64)
 
 
 def make_sequence_scorer(reward, model: dyn.DynamicsModel, s0: np.ndarray):
-    """Close over dynamics + reward: score action sequences directly."""
+    """Close over dynamics + reward: score (N, H, 3) action sequences
+    started from the one (7,) state s0."""
+    s0 = np.asarray(s0, dtype=np.float64)
 
     def scorer(action_seqs: np.ndarray) -> np.ndarray:
-        predicted = dyn.chunked_predict_batch(model, np.asarray(s0)[None, :], action_seqs)
+        starts = np.broadcast_to(s0, (len(action_seqs), sw.STATE_DIM))
+        predicted = dyn.chunked_predict_batch(model, starts, action_seqs)
         return np.asarray(reward.score_batch(predicted), dtype=np.float64)
 
     return scorer
 
 
-def cem_refine(initial: np.ndarray, scorer, cem: CemConfig, seed: int = 0) -> CemResult:
+def vmpc_plan(scorer, n_candidates: int, horizon: int, seed: int) -> PlanResult:
+    """Best of n_candidates uniform random sequences; deterministic given seed."""
+    if n_candidates < 1:
+        raise BadConfigError("need at least one candidate")
+    rng = np.random.default_rng(seed)
+    candidates = sw.random_action_array(rng, n_candidates, horizon)
+    scores = scorer(candidates)
+    index = int(np.argmax(scores))  # first max wins ties
+    return PlanResult(actions=candidates[index], score=float(scores[index]), index=index)
+
+
+def cem_refine(initial: np.ndarray, scorer, seed: int = 0) -> CemResult:
     """Iterative Gaussian search near `initial` over the velocity channels."""
     initial = np.asarray(initial, dtype=np.float64)
     horizon = initial.shape[0]
     rng = np.random.default_rng(seed)
-    grips = initial[:, 2]
+    grips = np.broadcast_to(initial[None, :, 2:], (CEM_POPULATION, horizon, 1))
 
     mean = initial[:, :2].copy()
-    std = np.full_like(mean, cem.init_std)
+    std = np.full_like(mean, CEM_INIT_STD)
     best_actions = initial.copy()
     best_score = float(scorer(initial[None])[0])
-    history = [best_score]
 
-    for _ in range(cem.iterations):
-        vel = mean[None] + rng.normal(size=(cem.population, horizon, 2)) * std[None]
+    for _ in range(CEM_ITERATIONS):
+        vel = mean + rng.normal(size=(CEM_POPULATION, horizon, 2)) * std
         vel = np.clip(vel, -sw.VEL_LIMIT, sw.VEL_LIMIT)
-        population = np.concatenate(
-            [vel, np.broadcast_to(grips[None, :, None], (cem.population, horizon, 1))], axis=2
-        )
+        population = np.concatenate([vel, grips], axis=2)
         scores = scorer(population)
         order = np.argsort(-scores, kind="stable")
-        elite = vel[order[: cem.elite_count]]
+        elite = vel[order[:CEM_ELITES]]
         mean = elite.mean(axis=0)
         std = elite.std(axis=0)
         top = int(order[0])
         if scores[top] > best_score:
             best_score = float(scores[top])
             best_actions = population[top].copy()
-        history.append(best_score)
 
-    final_mean = np.concatenate([mean, grips[:, None]], axis=1)
-    return CemResult(
-        actions=best_actions,
-        score=best_score,
-        final_mean=final_mean,
-        best_score_history=history,
-    )
+    return CemResult(actions=best_actions, score=best_score)

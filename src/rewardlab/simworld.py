@@ -11,10 +11,12 @@ State and actions are plain float64 arrays, the only representation of
 the table: a state is a row of STATE_DIM columns (gripper xy, grip 0/1,
 drawer extension, faucet angle, cup xy), an action a row of ACTION_DIM
 columns (vx, vy, grip code). Functions take batches of rows; a rollout
-is (H+1, STATE_DIM) states from (H, ACTION_DIM) actions. The camera
-offset is not part of the state: the renderer takes it beside the states.
-All dynamics are elementwise, so batched rollouts are bit-identical to
-stepping states one at a time.
+is (H+1, STATE_DIM) states from (H, ACTION_DIM) actions. The task
+predicates take (..., T+1, STATE_DIM) state sequences, so one call judges
+one rollout or a whole batch of them. The camera offset is not part of
+the state: the renderer takes it beside the states. All dynamics are
+elementwise, so batched rollouts are bit-identical to stepping states one
+at a time.
 """
 
 import numpy as np
@@ -148,54 +150,56 @@ def random_action_array(rng: np.random.Generator, n: int, horizon: int) -> np.nd
 
 
 # --- success predicates ---
+# Each takes states of shape (..., T+1, 7): one sequence or any batch of them.
 
-def _target_positions(task_id: int, states: np.ndarray) -> np.ndarray:
-    """Per-frame handle point of the task's object, shape (T+1, 2)."""
+def target_points(task_id: int, states: np.ndarray) -> np.ndarray:
+    """Handle point of the task's object in each (..., 7) state -> (..., 2)."""
+    _check_task(task_id)
+    states = np.asarray(states, dtype=np.float64)
     if task_id in (TASK_CLOSE_DRAWER, TASK_OPEN_DRAWER):
-        pos = np.empty((states.shape[0], 2))
-        pos[:, 0] = DRAWER_BASE[0]
-        pos[:, 1] = DRAWER_BASE[1] + states[:, EXT]
+        pos = np.empty(states.shape[:-1] + (2,))
+        pos[..., 0] = DRAWER_BASE[0]
+        pos[..., 1] = DRAWER_BASE[1] + states[..., EXT]
         return pos
     if task_id == TASK_FAUCET:
-        return np.broadcast_to(np.array(FAUCET_HANDLE), (states.shape[0], 2)).copy()
-    return states[:, (CUPX, CUPY)]
+        return np.broadcast_to(np.array(FAUCET_HANDLE), states.shape[:-1] + (2,))
+    return states[..., (CUPX, CUPY)]
 
 
 def target_contact_mask(task_id: int, states: np.ndarray) -> np.ndarray:
-    """Boolean per frame: gripper within contact radius of the task object."""
-    _check_task(task_id)
+    """Per frame (..., T+1): gripper within contact radius of the task object."""
     states = np.asarray(states, dtype=np.float64)
-    pos = _target_positions(task_id, states)
-    d2 = (states[:, GX] - pos[:, 0]) ** 2 + (states[:, GY] - pos[:, 1]) ** 2
+    pos = target_points(task_id, states)
+    d2 = (states[..., GX] - pos[..., 0]) ** 2 + (states[..., GY] - pos[..., 1]) ** 2
     return d2 <= CONTACT_RADIUS**2
 
 
 def prefix_success_flags(task_id: int, states: np.ndarray) -> np.ndarray:
-    """Per-frame flag: would the predicate hold if the clip ended here?"""
+    """Per frame (..., T+1): would the predicate hold if the clip ended here?"""
     _check_task(task_id)
     states = np.asarray(states, dtype=np.float64)
-    first = states[0]
+    first = states[..., :1, :]
     if task_id == TASK_CLOSE_DRAWER:
-        return states[:, EXT] < DRAWER_CLOSED_BELOW
+        return states[..., EXT] < DRAWER_CLOSED_BELOW
     if task_id == TASK_CUP_AWAY:
-        return states[:, CUPY] - first[CUPY] >= CUP_AWAY_DIST
+        return states[..., CUPY] - first[..., CUPY] >= CUP_AWAY_DIST
     if task_id == TASK_FAUCET:
-        return states[:, ANGLE] > FAUCET_MIN_TURN
+        return states[..., ANGLE] > FAUCET_MIN_TURN
     if task_id == TASK_CUP_LEFT_TO_RIGHT:
-        return states[:, CUPX] - first[CUPX] >= CUP_PUSH_DIST
+        return states[..., CUPX] - first[..., CUPX] >= CUP_PUSH_DIST
     if task_id == TASK_OPEN_DRAWER:
-        return states[:, EXT] > DRAWER_OPEN_ABOVE
+        return states[..., EXT] > DRAWER_OPEN_ABOVE
     if task_id == TASK_CUP_RIGHT_TO_LEFT:
-        return first[CUPX] - states[:, CUPX] >= CUP_PUSH_DIST
+        return first[..., CUPX] - states[..., CUPX] >= CUP_PUSH_DIST
     # poke: touched the cup so far while it has barely moved so far
-    touched = np.maximum.accumulate(target_contact_mask(task_id, states))
-    moved = np.hypot(states[:, CUPX] - first[CUPX], states[:, CUPY] - first[CUPY])
+    touched = np.maximum.accumulate(target_contact_mask(task_id, states), axis=-1)
+    moved = np.hypot(states[..., CUPX] - first[..., CUPX], states[..., CUPY] - first[..., CUPY])
     return touched & (moved <= POKE_MAX_MOVE)
 
 
-def success_states(task_id: int, states: np.ndarray) -> bool:
-    """Evaluate the task predicate on a (T+1, 7) state sequence."""
-    return bool(prefix_success_flags(task_id, states)[-1])
+def success_states(task_id: int, states: np.ndarray) -> np.ndarray:
+    """The task predicate on each (T+1, 7) sequence of (..., T+1, 7) states -> (...) bool."""
+    return prefix_success_flags(task_id, states)[..., -1]
 
 
 # --- initial-state distributions ---

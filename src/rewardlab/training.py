@@ -12,11 +12,11 @@ and cluster in one pass, evaluate the mode's total loss (its gradients
 cover only the trainable inputs: clip embeddings and failure features),
 backprop by hand through the encoders and the prompt composition, clip
 the global gradient norm, and apply plain gradient descent (prompts get
-their own learning rate). A non-finite loss stops training with
-NonFiniteValueError. In failure-prompt mode, every epoch ends by
-re-clustering each task's failure clips under the current encoder,
-aligning the clusters to the previous epoch, and writing the task's slice
-of the pseudo-labels.
+their own learning rate). A non-finite loss or gradient norm stops
+training with NonFiniteValueError before the update. In failure-prompt
+mode, every epoch ends by re-clustering each task's failure clips under
+the current encoder, aligning the clusters to the previous epoch, and
+writing the task's slice of the pseudo-labels.
 
 Rng streams are separated per concern so, e.g., all modes share the same
 encoder initialization under one seed.
@@ -148,9 +148,7 @@ def _cluster_failures(params: ModelParams, data: _IndexedData, config: Experimen
         seed = int(np.random.SeedSequence(
             [config.seed, _STREAM_CLUSTER, epoch + 1, task]
         ).generate_state(1, np.uint64)[0] % (2**31))
-        states[task] = cl.spherical_kmeans(
-            feats, k=config.k_clusters, seed=seed, task_id=task
-        )
+        states[task] = cl.spherical_kmeans(feats, k=config.k_clusters, seed=seed)
     return states
 
 
@@ -232,6 +230,8 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
 
             # global norm clip, then per-group step
             norm = _global_grad_norm(all_grads)
+            if not math.isfinite(norm):
+                raise NonFiniteValueError(f"epoch {epoch}: gradient norm is {norm}")
             scale = min(1.0, config.grad_clip / norm) if norm > 0 else 1.0
             for param, grad in zip(params.video.arrays(), video_grads.arrays()):
                 param[...] -= config.lr_encoder * scale * grad
@@ -290,7 +290,11 @@ def _array(arrays: dict, key: str) -> np.ndarray:
 
 def params_from_arrays(arrays: dict) -> ModelParams:
     """Inverse of params_to_arrays. The prompt keys must fill a full
-    task x K grid and the task texts must be tasks 0..T-1."""
+    task x K grid, the task texts must be tasks 0..T-1, and every array
+    must be finite."""
+    bad = [key for key, arr in arrays.items() if not np.all(np.isfinite(arr))]
+    if bad:
+        raise CorruptFileError(f"checkpoint arrays {bad} hold non-finite values")
     video = enc.VideoEncoderParams(
         *(_array(arrays, f"video.{f.name}") for f in dc_fields(enc.VideoEncoderParams))
     )

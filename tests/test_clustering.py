@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from rewardlab import clustering as cl
-from rewardlab.errors import SizeMismatchError, TooFewSamplesError
+from rewardlab.errors import ShapeMismatchError, TooFewSamplesError
 
 
 def brute_force_optimum(features, k):
@@ -177,7 +177,7 @@ class TestAlignClusters:
             trials += 1
 
     def test_size_mismatch(self):
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(ShapeMismatchError):
             cl.align_clusters(np.eye(3), np.eye(2))
 
 
@@ -200,5 +200,5 @@ class TestRelabel:
     def test_label_churn(self):
         assert cl.label_churn(np.array([0, 1, 2]), np.array([0, 2, 2])) == pytest.approx(1 / 3)
         assert cl.label_churn(np.array([], dtype=int), np.array([], dtype=int)) == 0.0
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(ShapeMismatchError):
             cl.label_churn(np.array([0]), np.array([0, 1]))

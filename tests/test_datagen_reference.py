@@ -399,7 +399,7 @@ def test_domain_shift_cosine_matches_pairwise_loop():
 # --- typed generation failure ---
 
 def test_generation_failure_is_typed_and_names_the_clip(monkeypatch):
-    monkeypatch.setattr(dg, "_label_ok", lambda task_id, style, states: False)
+    monkeypatch.setattr(dg, "_labels_ok", lambda task_id, style, states: np.zeros(len(states), bool))
     config = dg.DataConfig(tasks=(sw.TASK_FAUCET,), human_per_task=1, robot_success_per_task=0,
                            robot_failure_per_task=0, seed=4)
     seed = dg._clip_seed(config.seed, dg._CLIP_STREAMS["human"], sw.TASK_FAUCET, 0)
@@ -412,7 +412,7 @@ def test_retry_report_counts_fallback_from_attempt_24(monkeypatch, passing_attem
     """The 24th attempt (index 23) is the last noisy one; a clip that needs
     a 25th passed only at zero noise."""
     calls = iter(range(1, 100))
-    monkeypatch.setattr(dg, "_label_ok", lambda *args: next(calls) >= passing_attempt)
+    monkeypatch.setattr(dg, "_labels_ok", lambda *args: np.array([next(calls) >= passing_attempt]))
     config = dg.DataConfig(tasks=(sw.TASK_POKE_CUP,), human_per_task=1, robot_success_per_task=0,
                            robot_failure_per_task=0, seed=4)
     retries = dg.gen_dataset(config).retries

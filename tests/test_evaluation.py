@@ -1,6 +1,7 @@
 """Evaluation entry points on tiny configs: non-default clip lengths end to
-end, the typed failure when CEM refinement lowers a plan's score, the AUC
-against a brute-force pair count, and the ablation grid and its CSV."""
+end, the typed failure when CEM refinement lowers a plan's score, the
+rejected planning arguments, the AUC against a brute-force pair count, and
+the ablation grid and its CSV."""
 
 from dataclasses import replace
 
@@ -81,6 +82,18 @@ def test_planning_needs_a_trial():
         evaluation.evaluate_planning(
             None, dyn.ground_truth_model(), CONFIG, reward_kind="oracle", trials=0
         )
+
+
+def test_planning_rejects_an_unknown_reward_kind():
+    with pytest.raises(BadConfigError, match="orcale"):
+        evaluation.evaluate_planning(
+            None, dyn.ground_truth_model(), CONFIG, reward_kind="orcale"
+        )
+
+
+def test_learned_planning_needs_params():
+    with pytest.raises(BadConfigError, match="params"):
+        evaluation.evaluate_planning(None, dyn.ground_truth_model(), CONFIG)
 
 
 def test_ablation_rows_and_csv():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rewardlab import dynamics as dyn, encoders as enc, planner as pl, simworld as sw
-from rewardlab.errors import BadConfigError
+from rewardlab.errors import BadConfigError, BadHorizonError
 from rewardlab.simworld import TASK_NAMES
 
 
@@ -15,12 +15,15 @@ def initial_state(task, seed):
     return sw.initial_state_array(task, np.random.default_rng(seed))
 
 
+def oracle_scorer(task, model, s0):
+    return pl.make_sequence_scorer(pl.OracleReward(task), model, s0)
+
+
 class TestVmpcPlan:
     def test_oracle_reward_finds_a_success_when_one_exists(self, gt_model):
         task = sw.TASK_FAUCET
-        config = pl.PlanConfig(n_candidates=400, seed=3)
         s0 = initial_state(task, 1)
-        result = pl.vmpc_plan(pl.OracleReward(task), gt_model, s0, config)
+        result = pl.vmpc_plan(oracle_scorer(task, gt_model, s0), 400, 60, seed=3)
         # with 400 samples at the measured ~13% random rate, a success exists
         assert result.score == 1.0
         states = sw.rollout_states(s0, result.actions)
@@ -28,19 +31,16 @@ class TestVmpcPlan:
 
     def test_single_candidate_is_returned_regardless_of_score(self, gt_model):
         task = sw.TASK_CUP_AWAY
-        config = pl.PlanConfig(n_candidates=1, seed=0)
         s0 = initial_state(task, 2)
-        result = pl.vmpc_plan(pl.OracleReward(task), gt_model, s0, config)
+        result = pl.vmpc_plan(oracle_scorer(task, gt_model, s0), 1, 60, seed=0)
         assert result.index == 0
         expected = sw.random_action_array(np.random.default_rng(0), 1, 60)[0]
         assert np.array_equal(result.actions, expected)
 
     def test_score_matches_independent_rescoring(self, gt_model):
         task = sw.TASK_CLOSE_DRAWER
-        config = pl.PlanConfig(n_candidates=64, seed=11)
         s0 = initial_state(task, 3)
-        reward = pl.OracleReward(task)
-        result = pl.vmpc_plan(reward, gt_model, s0, config)
+        result = pl.vmpc_plan(oracle_scorer(task, gt_model, s0), 64, 60, seed=11)
         # independent rescoring: regenerate the candidate set, score each by
         # rolling it out one at a time
         candidates = sw.random_action_array(np.random.default_rng(11), 64, 60)
@@ -54,17 +54,17 @@ class TestVmpcPlan:
 
     def test_deterministic_given_seed(self, gt_model):
         task = sw.TASK_CUP_LEFT_TO_RIGHT
-        config = pl.PlanConfig(n_candidates=32, seed=7)
         s0 = initial_state(task, 4)
-        a = pl.vmpc_plan(pl.OracleReward(task), gt_model, s0, config)
-        b = pl.vmpc_plan(pl.OracleReward(task), gt_model, s0, config)
+        a = pl.vmpc_plan(oracle_scorer(task, gt_model, s0), 32, 60, seed=7)
+        b = pl.vmpc_plan(oracle_scorer(task, gt_model, s0), 32, 60, seed=7)
         assert np.array_equal(a.actions, b.actions) and a.score == b.score
 
-    def test_config_validation(self):
+    def test_config_validation(self, gt_model):
+        scorer = oracle_scorer(sw.TASK_FAUCET, gt_model, initial_state(sw.TASK_FAUCET, 0))
         with pytest.raises(BadConfigError):
-            pl.PlanConfig(n_candidates=0)
-        with pytest.raises(BadConfigError):
-            pl.PlanConfig(horizon=61)
+            pl.vmpc_plan(scorer, 0, 60, seed=0)
+        with pytest.raises(BadHorizonError):
+            pl.vmpc_plan(scorer, 4, 61, seed=0)
 
 
 class TestLearnedReward:
@@ -92,42 +92,29 @@ class TestCemRefine:
             diff = seqs[:, :, :2] - target[None, :, :2]
             return -np.sum(diff**2, axis=(1, 2))
 
-        result = pl.cem_refine(initial, scorer, pl.CemConfig(), seed=1)
-        assert np.max(np.abs(result.final_mean[:, :2] - target[:, :2])) < 0.01
+        result = pl.cem_refine(initial, scorer, seed=1)
+        assert np.max(np.abs(result.actions[:, :2] - target[:, :2])) < 0.01
+        assert result.score > scorer(initial[None])[0]
 
     def test_constant_scorer_returns_initial_score(self):
         initial = sw.random_action_array(np.random.default_rng(0), 1, 12)[0]
-        result = pl.cem_refine(initial, lambda seqs: np.zeros(len(seqs)), pl.CemConfig(), seed=0)
+        result = pl.cem_refine(initial, lambda seqs: np.zeros(len(seqs)), seed=0)
         assert result.score == 0.0
         assert np.array_equal(result.actions, initial)
 
-    def test_elite_fraction_one_uses_population_mean(self):
-        initial = sw.random_action_array(np.random.default_rng(1), 1, 8)[0]
-        cem = pl.CemConfig(iterations=1, population=16, elite_fraction=1.0)
-        seen = {}
-
-        def scorer(seqs):
-            if len(seqs) > 1:
-                seen["pop"] = seqs.copy()
-            return np.arange(len(seqs), dtype=float)
-
-        result = pl.cem_refine(initial, scorer, cem, seed=2)
-        np.testing.assert_allclose(
-            result.final_mean[:, :2], seen["pop"][:, :, :2].mean(axis=0), atol=1e-12
-        )
-
-    def test_best_score_history_non_decreasing(self, gt_model):
+    def test_best_score_not_below_initial_score(self, gt_model):
         task = sw.TASK_OPEN_DRAWER
         s0 = initial_state(task, 6)
-        initial = sw.random_action_array(np.random.default_rng(3), 1, 60)[0]
-        scorer = pl.make_sequence_scorer(pl.OracleReward(task), gt_model, s0)
-        result = pl.cem_refine(initial, scorer, pl.CemConfig(iterations=6), seed=4)
-        history = np.array(result.best_score_history)
-        assert np.all(np.diff(history) >= 0)
-        assert result.score == history[-1]
+        scorer = oracle_scorer(task, gt_model, s0)
+        for seed in range(4):
+            initial = sw.random_action_array(np.random.default_rng(seed), 1, 60)[0]
+            result = pl.cem_refine(initial, scorer, seed=seed)
+            assert result.score >= scorer(initial[None])[0]
+            # the reported score is the returned sequence's own score
+            assert scorer(result.actions[None])[0] == result.score
 
     def test_grip_channel_kept_from_initial(self):
         initial = sw.random_action_array(np.random.default_rng(4), 1, 8)[0]
-        result = pl.cem_refine(initial, lambda s: s[:, 0, 0], pl.CemConfig(), seed=5)
+        result = pl.cem_refine(initial, lambda s: s[:, 0, 0], seed=5)
+        assert result.score > initial[0, 0]
         assert np.array_equal(result.actions[:, 2], initial[:, 2])
-        assert np.array_equal(result.final_mean[:, 2], initial[:, 2])

@@ -57,11 +57,32 @@ class TestBatchStrata:
 
 
 class TestNonFinite:
-    def test_encoder_parameters(self):
-        params = enc.init_video_encoder(np.random.default_rng(0))
-        params.out_bias[0] = np.nan
-        with pytest.raises(NonFiniteValueError):
-            enc.encode_clips_cached(np.zeros((1, 4, 16)), params)
+    def test_gradient_norm(self, dataset, monkeypatch):
+        # the loss stays finite, one gradient entry does not: training stops
+        # before the update, so the parameters keep their initial values
+        backward, init_params, made = enc.encode_clips_backward, training.init_params, []
+
+        def poisoned(cache, d_v):
+            grads = backward(cache, d_v)
+            grads.out_bias[0] = np.inf
+            return grads
+
+        monkeypatch.setattr(enc, "encode_clips_backward", poisoned)
+        monkeypatch.setattr(training, "init_params", lambda *args: made.append(init_params(*args)) or made[0])
+        with pytest.raises(NonFiniteValueError, match="epoch 0: gradient norm is inf"):
+            training.train(CONFIG, dataset)
+        fresh = init_params(CONFIG, made[0].pool.tasks.tolist())
+        got, expected = training.params_to_arrays(made[0]), training.params_to_arrays(fresh)
+        assert sorted(got) == sorted(expected)
+        assert all(np.array_equal(got[key], expected[key]) for key in got)
+
+    @pytest.mark.parametrize("key, value", [("video.out_bias", np.nan), ("pool.prompt.5.1", -np.inf)])
+    def test_checkpoint_array(self, fvlc_params, key, value):
+        arrays = dict(training.params_to_arrays(fvlc_params))
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = value
+        with pytest.raises(CorruptFileError, match=key):
+            training.params_from_arrays(arrays)
 
     def test_train_step_loss(self, dataset):
         # at this temperature the logits overflow and the loss is NaN
