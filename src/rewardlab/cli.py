@@ -4,9 +4,9 @@ train -> eval) and two checks (ablate, grad-check).
 
 Every setting is an ExperimentConfig key in the `key = value` file given
 by --config (defaults without one); --seed overrides its seed, ahead of
-REWARD_SEED. `ablate` sweeps its own seeds and `grad-check` takes no
-config. A RewardLabError or OSError exits with status 1 and a one-line
-message.
+REWARD_SEED. `ablate` sweeps that seed and the next two; `grad-check`
+takes no config. A RewardLabError or OSError exits with status 1 and a
+one-line message.
 """
 
 import argparse
@@ -21,17 +21,17 @@ from .gradcheck import run_gradient_suite
 
 def _config(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    return resolve_seed(config, getattr(args, "seed", None))
+    return resolve_seed(config, args.seed)
 
 
 def _datagen(args):
-    data_config = ev.train_data_config(_config(args))
-    dataset = dg.gen_dataset(data_config)
+    config = _config(args)
+    dataset = dg.gen_dataset(config)
     report = {
         "clips": len(dataset),
         "attempts": sum(r["attempts"] for r in dataset.retries.values()),
         "zero_noise_clips": sum(r["zero_noise_clips"] for r in dataset.retries.values()),
-        "domain_shift_cosine": dg.domain_shift_cosine(data_config),
+        "domain_shift_cosine": dg.domain_shift_cosine(config),
     }
     formats.save_dataset(dataset, args.out)
     print(json.dumps(report))
@@ -59,12 +59,11 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rewardlab", description=__doc__.split("\n\n")[1])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, run, paths=(), seed=True, config=True):
+    def command(name, help, run, paths=(), config=True):
         sub = commands.add_parser(name, help=help)
         sub.set_defaults(run=run)
         if config:
             sub.add_argument("--config", metavar="PATH")
-        if seed:
             sub.add_argument("--seed", type=int, metavar="N")
         for path in paths:
             sub.add_argument(f"--{path}", required=True, metavar="PATH")
@@ -75,10 +74,9 @@ def _parser() -> argparse.ArgumentParser:
     command("eval", "print separation AUC per task and VMPC/CEM planning rates", _eval,
             ("checkpoint",))
     command("ablate", "print the mode x K x failure-source grid as CSV",
-            lambda args: sys.stdout.write(ev.ablation_csv(ev.run_ablation(_config(args)))),
-            seed=False)
+            lambda args: sys.stdout.write(ev.ablation_csv(ev.run_ablation(_config(args)))))
     command("grad-check", "print the finite-difference gradient suite's worst errors",
-            lambda args: print(json.dumps(run_gradient_suite())), seed=False, config=False)
+            lambda args: print(json.dumps(run_gradient_suite())), config=False)
     return parser
 
 

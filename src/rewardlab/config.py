@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields, replace
 from . import dynamics as dyn, simworld as sw
 from .datagen import FAILURE_SOURCES
 from .errors import BadConfigError
+from .losses import MODES
+from .render import VARIANTS
 
 SEED_ENV_VAR = "REWARD_SEED"
 
@@ -57,7 +59,7 @@ class ExperimentConfig:
     plan_seeds: int = 3
 
     def __post_init__(self):
-        if self.mode not in ("no_failure", "bce", "fvlc"):
+        if self.mode not in MODES:
             raise BadConfigError(f"unknown mode {self.mode!r}")
         for name, low in _AT_LEAST.items():
             value, strict = getattr(self, name), name in _POSITIVE
@@ -69,7 +71,7 @@ class ExperimentConfig:
         if not self.failure_sources or any(s not in FAILURE_SOURCES for s in self.failure_sources):
             raise BadConfigError(f"failure_sources must be drawn from {FAILURE_SOURCES}, "
                                  f"got {self.failure_sources}")
-        if self.env_variant not in ("train", "shifted-color", "shifted-view", "shifted-arrangement"):
+        if self.env_variant not in VARIANTS:
             raise BadConfigError(f"unknown env_variant {self.env_variant!r}")
         if self.plan_horizon % dyn.CHUNK != 0:
             raise BadConfigError(f"plan_horizon must be divisible by {dyn.CHUNK}")

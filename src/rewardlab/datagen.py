@@ -1,10 +1,12 @@
-"""Synthetic clip datasets: human/robot domains with controlled shift and
+"""Synthetic clip datasets: human/robot domains with a fixed shift and
 three scripted failure archetypes.
 
-Robot clips come straight from the simulator's feature renderer. Human
-clips are the same kind of task motion rendered through the fixed affine
-domain transform with a per-clip random viewpoint offset and Gaussian
-feature noise, so the embodiment gap is a measurable, tunable shift.
+`gen_dataset` reads every setting from an `ExperimentConfig`, which has
+already checked them. Robot clips come straight from the simulator's
+feature renderer. Human clips are the same kind of task motion rendered
+through `render`'s fixed affine domain transform with a per-clip random
+viewpoint offset and Gaussian feature noise, so the embodiment gap is a
+measurable shift.
 
 Failure archetypes:
   wander     - random motion that never touches the task object
@@ -38,7 +40,6 @@ import numpy as np
 
 from . import render, simworld as sw
 from .errors import ArchetypeUnsupportedError, BadConfigError, GenerationFailedError
-from .render import DomainShift
 
 ARCHETYPES = ("wander", "revert", "incomplete")
 FAILURE_SOURCES = ("random", "near_success")
@@ -83,24 +84,6 @@ class Dataset:
 
     def frames_array(self) -> np.ndarray:
         return np.stack([c.frames for c in self.clips])
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    tasks: tuple = sw.ALL_TASKS
-    robot_tasks: tuple | None = None      # None: robot data for every task
-    human_per_task: int = 60
-    robot_success_per_task: int = 20
-    robot_failure_per_task: int = 20
-    failure_sources: tuple = FAILURE_SOURCES
-    noise: float = 0.05                   # human feature-noise sigma
-    action_noise: float = ACTION_NOISE
-    shift: DomainShift = field(default_factory=DomainShift)
-    clip_frames: int = 4
-    seed: int = 0
-
-    def effective_robot_tasks(self):
-        return self.tasks if self.robot_tasks is None else self.robot_tasks
 
 
 def _clip_seed(master: int, stream: int, task_id: int, index: int) -> int:
@@ -380,21 +363,14 @@ def gen_success_trajectory(task_id: int, seed, noise: float = ACTION_NOISE):
     return actions[0], states[0]
 
 
-def render_clip(
-    states: np.ndarray,
-    domain: str,
-    config: DataConfig,
-    rng: np.random.Generator | None = None,
-    variant: str = "train",
-) -> np.ndarray:
-    """Subsample a trajectory to clip frames and render it in one domain."""
+def render_clip(states: np.ndarray, domain: str, config, rng: np.random.Generator | None = None):
+    """Subsample a trajectory to config.clip_frames and render it in one
+    domain; a human clip with an rng gets a camera offset and feature noise."""
     idx = render.clip_frame_indices(states.shape[0], config.clip_frames)
     camera = np.zeros(2)
-    if domain == "human" and rng is not None and config.shift.viewpoint_sigma > 0:
-        camera = rng.uniform(-config.shift.viewpoint_sigma, config.shift.viewpoint_sigma, 2)
-    frames = render.render_frames(
-        states[idx], camera=camera, domain=domain, shift=config.shift, variant=variant
-    )
+    if domain == "human" and rng is not None:
+        camera = rng.uniform(-render.VIEWPOINT_SIGMA, render.VIEWPOINT_SIGMA, 2)
+    frames = render.render_frames(states[idx], camera=camera, domain=domain)
     if domain == "human" and rng is not None and config.noise > 0:
         frames = frames + rng.normal(0.0, config.noise, frames.shape)
     return frames
@@ -414,33 +390,26 @@ def _failure_archetype_plan(task_id: int, count: int, sources) -> list:
     return plan
 
 
-def gen_dataset(config: DataConfig) -> Dataset:
-    """Deterministic synthetic dataset per the configured counts.
+def gen_dataset(config) -> Dataset:
+    """Deterministic synthetic dataset of an `ExperimentConfig`: human clips
+    of config.all_tasks, robot clips of config.train_tasks.
 
     Clips come in a fixed order (every human clip, then per robot task its
     successes and failures); each (task, style) is rolled as one lockstep
     group, human and robot successes of a task together.
     """
-    sources = tuple(config.failure_sources)
-    if not sources or any(s not in FAILURE_SOURCES for s in sources):
-        raise BadConfigError(f"failure_sources must be drawn from {FAILURE_SOURCES}")
-    if config.human_per_task < 0 or config.robot_success_per_task < 0 or config.robot_failure_per_task < 0:
-        raise BadConfigError("counts must be >= 0")
-    unknown = [t for t in config.tasks if t not in sw.TASK_NAMES]
-    if unknown:
-        raise BadConfigError(f"unknown tasks {unknown}")
-
     # (domain, task, style, seed) per clip, in dataset order
     specs = []
-    for task_id in config.tasks:
+    for task_id in config.all_tasks:
         for i in range(config.human_per_task):
             specs.append(("human", task_id, "success",
                           _clip_seed(config.seed, _CLIP_STREAMS["human"], task_id, i)))
-    for task_id in config.effective_robot_tasks():
+    for task_id in config.train_tasks:
         for i in range(config.robot_success_per_task):
             specs.append(("robot", task_id, "success",
                           _clip_seed(config.seed, _CLIP_STREAMS["robot_success"], task_id, i)))
-        plan = _failure_archetype_plan(task_id, config.robot_failure_per_task, sources)
+        plan = _failure_archetype_plan(task_id, config.robot_failure_per_task,
+                                       tuple(config.failure_sources))
         for i, archetype in enumerate(plan):
             specs.append(("robot", task_id, archetype,
                           _clip_seed(config.seed, _CLIP_STREAMS["robot_failure"], task_id, i)))
@@ -452,7 +421,7 @@ def gen_dataset(config: DataConfig) -> Dataset:
     retries = {}
     for (task_id, style), members in groups.items():
         _, states, attempts, rngs = roll_clips(
-            task_id, style, [specs[i][3] for i in members], noise=config.action_noise
+            task_id, style, [specs[i][3] for i in members], noise=ACTION_NOISE
         )
         for idx, clip_states, rng in zip(members, states, rngs):
             domain = specs[idx][0]
@@ -470,23 +439,25 @@ def gen_dataset(config: DataConfig) -> Dataset:
     return Dataset(clips, retries)
 
 
-def domain_shift_cosine(config: DataConfig, n_pairs: int = 100) -> float:
-    """Mean frame cosine between robot clips and their human counterparts.
+def domain_shift_cosine(config, n_pairs: int = 100) -> float:
+    """Mean frame cosine between robot clips and their human counterparts,
+    over the tasks of an `ExperimentConfig` (config.all_tasks).
 
     Pair i is one success rollout of its task, seeded [seed, 99, task, i],
     rendered in both domains (the human rendering draws from the clip's
     Generator after its rollout); each task's pairs are rolled as one
     lockstep group.
     """
-    if not config.tasks:
+    tasks = config.all_tasks
+    if not tasks:
         raise BadConfigError("domain_shift_cosine needs at least one task")
-    per_task = [t for t in config.tasks for _ in range((n_pairs // len(config.tasks)) + 1)]
+    per_task = [t for t in tasks for _ in range((n_pairs // len(tasks)) + 1)]
     pairs = per_task[:n_pairs]
     sims = [None] * len(pairs)
     for task_id in dict.fromkeys(pairs):
         idx = [i for i, t in enumerate(pairs) if t == task_id]
         _, states, _, rngs = roll_clips(
-            task_id, "success", [[config.seed, 99, task_id, i] for i in idx], noise=config.action_noise
+            task_id, "success", [[config.seed, 99, task_id, i] for i in idx], noise=ACTION_NOISE
         )
         for i, clip_states, rng in zip(idx, states, rngs):
             robot = render_clip(clip_states, "robot", config)

@@ -30,11 +30,6 @@ from .errors import (
 )
 from .render import FRAME_WIDTH
 
-# default desk-scale dimensions
-CLIP_FRAMES = 4
-HIDDEN_WIDTH = 32
-EMBED_DIM = 32
-PROMPT_LEN = 2
 PROMPT_SCALE = 0.5  # std of the initial prompt entries
 
 _TEXT_STREAM = 101  # rng stream tag for frozen text embeddings
@@ -58,10 +53,10 @@ class VideoEncoderParams:
 
 def init_video_encoder(
     rng: np.random.Generator,
-    frames: int = CLIP_FRAMES,
+    frames: int,
+    hidden: int,
+    embed_dim: int,
     frame_width: int = FRAME_WIDTH,
-    hidden: int = HIDDEN_WIDTH,
-    embed_dim: int = EMBED_DIM,
 ) -> VideoEncoderParams:
     # temporal logits start spread out so channels already prefer different
     # frames; uniform averaging cannot express frame-to-frame displacement
@@ -177,9 +172,9 @@ class FailurePromptPool:
 def init_prompt_pool(
     task_ids,
     rng: np.random.Generator,
-    k: int = 3,
-    prompt_len: int = PROMPT_LEN,
-    embed_dim: int = EMBED_DIM,
+    k: int,
+    prompt_len: int,
+    embed_dim: int,
 ) -> FailurePromptPool:
     if k < 1 or prompt_len < 1:
         raise BadClusterIndexError("need k >= 1 and prompt_len >= 1")

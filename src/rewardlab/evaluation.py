@@ -4,10 +4,12 @@ and the ablation grid.
 Separation is measured as the probability that a uniformly random success
 clip outscores (sigmoid(v . t)) a uniformly random failure clip of the
 same task, ties counted half — the area under the ROC curve; the eval set
-is stacked once and scored by row index. Planning builds one reward per
-task, plans every trial with random shooting (and optionally CEM), then
-executes all plans of the task in one batched simulator rollout and
-judges them with the task predicate.
+is stacked once and scored by row index. That set is `gen_dataset` of a
+copy of the config: robot clips of the evaluated tasks at the eval counts,
+every failure source, a derived seed. Planning builds one reward per task,
+plans each of the config's plan_seeds x plan_trials trials with random
+shooting (and optionally CEM), then executes all plans of the task in one
+batched simulator rollout and judges them with the task predicate.
 """
 
 from dataclasses import replace
@@ -73,40 +75,21 @@ def mean_auc(report: dict) -> float:
 
 
 def eval_dataset_for(config: ExperimentConfig, tasks=None) -> dg.Dataset:
-    """Held-out robot clips (both outcomes) for every evaluated task."""
+    """Held-out robot clips (both outcomes, every failure source) of the
+    evaluated tasks, by default config.all_tasks; no human clips."""
     tasks = tuple(tasks) if tasks is not None else config.all_tasks
-    dcfg = dg.DataConfig(
-        tasks=tasks,
-        robot_tasks=tasks,
-        human_per_task=0,
+    return dg.gen_dataset(replace(
+        config, train_tasks=tasks, heldout_tasks=(), human_per_task=0,
         robot_success_per_task=config.eval_success_per_task,
         robot_failure_per_task=config.eval_failure_per_task,
-        failure_sources=("random", "near_success"),
-        noise=config.noise,
-        clip_frames=config.clip_frames,
+        failure_sources=dg.FAILURE_SOURCES,
         seed=int(np.random.SeedSequence(
             [config.seed, _STREAM_EVAL_DATA]).generate_state(1, np.uint64)[0] % (2**31)),
-    )
-    return dg.gen_dataset(dcfg)
-
-
-def train_data_config(config: ExperimentConfig) -> dg.DataConfig:
-    """Human clips of every task, robot clips of the training tasks."""
-    return dg.DataConfig(
-        tasks=config.all_tasks,
-        robot_tasks=config.train_tasks,
-        human_per_task=config.human_per_task,
-        robot_success_per_task=config.robot_success_per_task,
-        robot_failure_per_task=config.robot_failure_per_task,
-        failure_sources=config.failure_sources,
-        noise=config.noise,
-        clip_frames=config.clip_frames,
-        seed=config.seed,
-    )
+    ))
 
 
 def train_dataset_for(config: ExperimentConfig) -> dg.Dataset:
-    return dg.gen_dataset(train_data_config(config))
+    return dg.gen_dataset(config)
 
 
 def _plan_seed(config: ExperimentConfig, arm: int, seed_idx: int, task: int, trial: int) -> int:
@@ -121,20 +104,18 @@ def evaluate_planning(
     config: ExperimentConfig,
     tasks=None,
     reward_kind: str = "learned",
-    trials: int | None = None,
     refine: bool = False,
 ):
     """Planning success rates per task and seed; executes plans in the sim.
 
     reward_kind: "learned" (sigmoid(v.t), needs params) or "oracle"
-    (ground-truth predicate on predicted states). Each trial plans once
-    with vmpc_plan and, with refine, once more with cem_refine; all plans
-    of a task are then executed in one batched rollout.
+    (ground-truth predicate on predicted states). Each of the
+    config.plan_seeds x config.plan_trials trials of a task plans once with
+    vmpc_plan and, with refine, once more with cem_refine; all plans of a
+    task are then executed in one batched rollout.
     """
     tasks = tuple(tasks) if tasks is not None else tuple(config.heldout_tasks)
-    trials = trials if trials is not None else config.plan_trials
-    if trials < 1:
-        raise BadConfigError(f"need at least one planning trial, got {trials}")
+    trials = config.plan_trials
     if reward_kind not in ("learned", "oracle"):
         raise BadConfigError(f"unknown reward_kind {reward_kind!r}")
     if reward_kind == "learned" and params is None:
@@ -142,8 +123,7 @@ def evaluate_planning(
     rows = []
     for task in tasks:
         reward = pl.OracleReward(task) if reward_kind == "oracle" else pl.LearnedReward(
-            params.video, params.table, task, variant=config.env_variant,
-            clip_frames=config.clip_frames,
+            params.video, params.table, task, variant=config.env_variant
         )
         starts, plans = [], []   # per (seed, trial): the vmpc plan, then the CEM one
         for seed_idx in range(config.plan_seeds):
@@ -209,12 +189,13 @@ def run_ablation(
     modes=("no_failure", "bce", "fvlc"),
     k_values=(1, 2, 3, 4, 5),
     sources=("random", "near_success", "both"),
-    seeds=(0, 1, 2),
+    n_seeds: int = 3,
     planning_trials: int = 0,
 ):
-    """One row per (seed, mode, K, source) cell; shared datasets per seed."""
+    """One row per (seed, mode, K, source) cell, for the seeds
+    base_config.seed + i, i < n_seeds; shared datasets per seed."""
     rows = []
-    for seed in seeds:
+    for seed in range(base_config.seed, base_config.seed + n_seeds):
         eval_ds = eval_dataset_for(replace(base_config, seed=seed))
         datasets = {}
         for mode, k, source in ablation_cells(modes, k_values, sources):
@@ -233,7 +214,7 @@ def run_ablation(
             planner_success = ""
             if planning_trials > 0:
                 plan = evaluate_planning(
-                    result.params, dyn.ground_truth_model(), cfg, trials=planning_trials
+                    result.params, dyn.ground_truth_model(), replace(cfg, plan_trials=planning_trials)
                 )
                 planner_success = float(np.mean(list(plan["mean_rate_per_task"].values())))
             rows.append({

@@ -48,7 +48,6 @@ from .errors import (
 )
 
 MODES = ("no_failure", "bce", "fvlc")
-DEFAULT_TAU = 0.07
 
 HUMAN, ROBOT = 0, 1
 
@@ -63,7 +62,7 @@ class Batch:
     fail_videos: np.ndarray    # (Bf, D)
     fail_labels: np.ndarray    # (Bf,)
     fail_clusters: np.ndarray  # (Bf,) assigned pseudo-label k*
-    tau: float = DEFAULT_TAU
+    tau: float
 
     def __post_init__(self):
         self.videos = np.asarray(self.videos, dtype=np.float64)

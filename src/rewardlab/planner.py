@@ -3,7 +3,9 @@
 Both planners take a scorer: a function from (N, H, 3) action sequences to
 (N,) scores. `make_sequence_scorer` builds the one the evaluation uses: it
 predicts each sequence's chunked rollout from one start state with a
-dynamics model and scores the predicted states with a reward.
+dynamics model and scores the predicted states with a reward:
+`LearnedReward` (rendered at its video encoder's clip length) or
+`OracleReward` (the task predicate).
 
 vmpc_plan samples candidate action sequences uniformly in the clamped
 action box, scores them and returns the argmax (ties break to the lowest
@@ -44,24 +46,23 @@ class CemResult:
 
 class LearnedReward:
     """sigmoid(v . t): render the predicted rollout in the robot domain (no
-    camera offset), encode it, dot with the task text."""
+    camera offset) at the encoder's clip length, encode it, dot with the
+    task text."""
 
-    def __init__(self, video_params, task_table, task_id, variant="train",
-                 clip_frames=enc.CLIP_FRAMES):
+    def __init__(self, video_params, task_table, task_id, variant="train"):
         self.video_params = video_params
         self.text = task_table.text_embed(task_id)
         self.variant = variant
-        self.clip_frames = clip_frames
 
     def score_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.float64)
-        n, t = states.shape[0], states.shape[1]
-        idx = render.clip_frame_indices(t, self.clip_frames)
+        n, t, length = states.shape[0], states.shape[1], self.video_params.frames
+        idx = render.clip_frame_indices(t, length)
         frames = render.render_frames(
-            states[:, idx, :].reshape(n * self.clip_frames, sw.STATE_DIM),
+            states[:, idx, :].reshape(n * length, sw.STATE_DIM),
             domain="robot",
             variant=self.variant,
-        ).reshape(n, self.clip_frames, render.FRAME_WIDTH)
+        ).reshape(n, length, render.FRAME_WIDTH)
         videos = enc.encode_clips(frames, self.video_params)
         return _sigmoid(videos @ self.text)
 

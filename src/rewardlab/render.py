@@ -3,17 +3,16 @@ environment variants.
 
 A frame feature is a fixed nonlinear map of the state (positions, degrees
 of freedom, camera offset): tanh(W r + b) with constants drawn once from a
-fixed seed. The human domain applies an invertible affine transform
-(a rotation built from a fixed skew generator, plus a constant offset) on
-top, which models the embodiment/viewpoint gap as a controllable shift.
+fixed seed. The human domain applies one fixed invertible affine
+transform on top (the rotation exp(MIX * S) of a fixed skew generator S,
+plus OFFSET along a fixed unit direction), which models the
+embodiment/viewpoint gap; human clips also get a per-clip camera offset
+of up to VIEWPOINT_SIGMA.
 
 Environment variants change rendering only (color bias inside the
 nonlinearity, camera offset, feature permutation) and never touch dynamics
 or predicates.
 """
-
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,24 +36,16 @@ _PERM = _rng.permutation(FRAME_WIDTH)
 del _rng, _SKEW_BASE
 
 
-@dataclass(frozen=True)
-class DomainShift:
-    """Parameters of the robot->human frame-feature transform."""
-
-    mix: float = 0.7        # rotation amount; 0 disables the linear part
-    offset: float = 0.35    # constant shift magnitude; 0 disables
-    viewpoint_sigma: float = 0.08  # per-clip camera offset spread (human)
+# the robot->human frame-feature transform
+MIX = 0.7               # rotation amount
+OFFSET = 0.35           # constant shift magnitude
+VIEWPOINT_SIGMA = 0.08  # per-clip camera offset spread (human)
+_SHIFT_MATRIX = expm(MIX * _SKEW)
 
 
-@lru_cache(maxsize=8)
-def _shift_matrix(mix: float) -> np.ndarray:
-    return expm(mix * _SKEW)
-
-
-def apply_domain_shift(features: np.ndarray, shift: DomainShift) -> np.ndarray:
+def apply_domain_shift(features: np.ndarray) -> np.ndarray:
     """Affine human-domain transform of robot-domain frame features."""
-    a = _shift_matrix(shift.mix)
-    return features @ a.T + shift.offset * _OFFSET_DIR
+    return features @ _SHIFT_MATRIX.T + OFFSET * _OFFSET_DIR
 
 
 # variant name -> (color bias scale, camera offset, permute features)
@@ -70,7 +61,6 @@ def render_frames(
     states: np.ndarray,
     camera: np.ndarray = (0.0, 0.0),
     domain: str = "robot",
-    shift: DomainShift | None = None,
     variant: str = "train",
 ) -> np.ndarray:
     """Render (N,7) state arrays to (N,F) frame features."""
@@ -101,7 +91,7 @@ def render_frames(
     if permute:
         feats = feats[:, _PERM]
     if domain == "human":
-        feats = apply_domain_shift(feats, shift if shift is not None else DomainShift())
+        feats = apply_domain_shift(feats)
     return feats
 
 

@@ -64,7 +64,7 @@ def test_datagen_train_eval_match_the_in_memory_pipeline(tmp_path, config_path, 
         "clips": len(dataset),
         "attempts": sum(r["attempts"] for r in dataset.retries.values()),
         "zero_noise_clips": sum(r["zero_noise_clips"] for r in dataset.retries.values()),
-        "domain_shift_cosine": dg.domain_shift_cosine(evaluation.train_data_config(config)),
+        "domain_shift_cosine": dg.domain_shift_cosine(config),
     }
     assert np.array_equal(formats.load_dataset(data).frames_array(), dataset.frames_array())
 
@@ -116,5 +116,7 @@ def test_ablate_and_grad_check_print_their_reports(config_path, capsys, monkeypa
     monkeypatch.setattr(evaluation, "run_ablation", lambda config: seen.append(config) or [row])
     assert run(capsys, "ablate", "--config", config_path)[1] == evaluation.ablation_csv([row])
     assert seen == [load_config(config_path)]
+    run(capsys, "ablate", "--config", config_path, "--seed", 4)
+    assert seen[-1] == replace(load_config(config_path), seed=4)
     monkeypatch.setattr(cli, "run_gradient_suite", lambda: {"bce_loss": 1e-10})
     assert json.loads(run(capsys, "grad-check")[1]) == {"bce_loss": 1e-10}

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from rewardlab import datagen as dg, render, simworld as sw
-from rewardlab.errors import ArchetypeUnsupportedError, BadConfigError
-from rewardlab.render import DomainShift
+from rewardlab.config import ExperimentConfig
+from rewardlab.errors import ArchetypeUnsupportedError
 
-SMALL = dg.DataConfig(
-    tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_POKE_CUP),
+SMALL = ExperimentConfig(
+    train_tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_POKE_CUP),
+    heldout_tasks=(),
     human_per_task=4,
     robot_success_per_task=3,
     robot_failure_per_task=4,
@@ -28,7 +29,7 @@ def clips_of(dataset, domain, task_id=None, success=None):
 
 class TestGenDataset:
     def test_counts_match_config(self, small_dataset):
-        for task in SMALL.tasks:
+        for task in SMALL.train_tasks:
             assert len(clips_of(small_dataset, "human", task)) == 4
             assert len(clips_of(small_dataset, "robot", task, success=1)) == 3
             assert len(clips_of(small_dataset, "robot", task, success=0)) == 4
@@ -54,8 +55,8 @@ class TestGenDataset:
             )
 
     def test_robot_tasks_subset_respected(self):
-        cfg = dg.DataConfig(
-            tasks=(0, 4), robot_tasks=(4,), human_per_task=2,
+        cfg = ExperimentConfig(
+            train_tasks=(4,), heldout_tasks=(0,), human_per_task=2,
             robot_success_per_task=2, robot_failure_per_task=2, seed=1,
         )
         ds = dg.gen_dataset(cfg)
@@ -63,28 +64,16 @@ class TestGenDataset:
         assert len(clips_of(ds, "robot", 4)) == 4
         assert len(clips_of(ds, "human", 0)) == 2
 
-    def test_bad_config(self):
-        with pytest.raises(BadConfigError):
-            dg.gen_dataset(dg.DataConfig(tasks=(99,)))
-        with pytest.raises(BadConfigError):
-            dg.gen_dataset(dg.DataConfig(failure_sources=("nope",)))
-        with pytest.raises(BadConfigError):
-            dg.gen_dataset(dg.DataConfig(human_per_task=-1))
-
-    def test_zero_noise_identity_transform_pairs_domains(self):
-        cfg = dg.DataConfig(
-            tasks=(sw.TASK_OPEN_DRAWER,),
-            shift=DomainShift(mix=0.0, offset=0.0, viewpoint_sigma=0.0),
-            noise=0.0,
-            seed=3,
-        )
+    def test_human_frames_are_shifted_robot_frames(self):
+        cfg = ExperimentConfig()
         _, states = dg.gen_success_trajectory(sw.TASK_OPEN_DRAWER, 0)
         robot = dg.render_clip(states, "robot", cfg)
-        human = dg.render_clip(states, "human", cfg, np.random.default_rng(0))
-        assert np.array_equal(robot, human)
+        human = dg.render_clip(states, "human", cfg)
+        assert np.array_equal(human, render.apply_domain_shift(robot))
+        assert not np.allclose(human, robot)
 
     def test_domain_shift_band(self):
-        cfg = dg.DataConfig(tasks=sw.ALL_TASKS, seed=5)
+        cfg = ExperimentConfig(train_tasks=sw.ALL_TASKS, heldout_tasks=(), seed=5)
         cos = dg.domain_shift_cosine(cfg, n_pairs=100)
         assert 0.2 < cos < 0.9
 
@@ -131,7 +120,7 @@ class TestFailureTrajectories:
 class TestLabelsMatchPredicates:
     def test_generator_labels_agree_with_simulator(self, small_dataset):
         # cross-module check via fresh trajectories (clips only store frames)
-        for task in SMALL.tasks:
+        for task in SMALL.train_tasks:
             for i in range(3):
                 _, states = dg.gen_success_trajectory(task, [task, 70 + i])
                 assert sw.success_states(task, states)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from rewardlab import datagen as dg, simworld as sw
+from rewardlab.config import ExperimentConfig
 from rewardlab.errors import GenerationFailedError
 
 STYLES = [
@@ -282,14 +283,14 @@ def ref_dataset(config):
 
     def clip(domain, task_id, style, stream, index):
         seed = dg._clip_seed(config.seed, dg._CLIP_STREAMS[stream], task_id, index)
-        _, states, n, rng = ref_trajectory(task_id, style, seed, config.action_noise)
+        _, states, n, rng = ref_trajectory(task_id, style, seed, dg.ACTION_NOISE)
         frames.append(dg.render_clip(states, domain, config, rng if domain == "human" else None))
         attempts.setdefault((task_id, style), []).append(n)
 
-    for task_id in config.tasks:
+    for task_id in config.all_tasks:
         for i in range(config.human_per_task):
             clip("human", task_id, "success", "human", i)
-    for task_id in config.effective_robot_tasks():
+    for task_id in config.train_tasks:
         for i in range(config.robot_success_per_task):
             clip("robot", task_id, "success", "robot_success", i)
         plan = dg._failure_archetype_plan(task_id, config.robot_failure_per_task,
@@ -344,9 +345,9 @@ def test_loud_noise_halved_levels_and_fallback_match_reference():
     assert max(all_attempts) > dg.ZERO_NOISE_ATTEMPT
 
 
-SMALL = dg.DataConfig(
-    tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_CUP_RIGHT_TO_LEFT, sw.TASK_POKE_CUP),
-    robot_tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_CUP_RIGHT_TO_LEFT),
+SMALL = ExperimentConfig(
+    train_tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_CUP_RIGHT_TO_LEFT),
+    heldout_tasks=(sw.TASK_POKE_CUP,),
     human_per_task=3,
     robot_success_per_task=2,
     robot_failure_per_task=4,
@@ -354,13 +355,15 @@ SMALL = dg.DataConfig(
 )
 
 
-# faucet `incomplete` clips reach the zero-noise fallback at this noise
-LOUD_SMALL = replace(SMALL, tasks=(sw.TASK_FAUCET,), robot_tasks=None, human_per_task=1,
-                     robot_success_per_task=1, robot_failure_per_task=2, action_noise=LOUD)
+# faucet `incomplete` clips reach the zero-noise fallback at LOUD action noise
+LOUD_SMALL = replace(SMALL, train_tasks=(sw.TASK_FAUCET,), heldout_tasks=(), human_per_task=1,
+                     robot_success_per_task=1, robot_failure_per_task=2)
 
 
-@pytest.mark.parametrize("config", [SMALL, LOUD_SMALL], ids=["nominal", "loud"])
-def test_dataset_frames_and_retry_report_match_reference(config):
+@pytest.mark.parametrize("config, action_noise", [(SMALL, dg.ACTION_NOISE), (LOUD_SMALL, LOUD)],
+                         ids=["nominal", "loud"])
+def test_dataset_frames_and_retry_report_match_reference(config, action_noise, monkeypatch):
+    monkeypatch.setattr(dg, "ACTION_NOISE", action_noise)
     dataset = dg.gen_dataset(config)
     want_frames, want_attempts = ref_dataset(config)
     assert len(dataset) == len(want_frames)
@@ -374,20 +377,21 @@ def test_dataset_frames_and_retry_report_match_reference(config):
             "zero_noise_clips": sum(n > dg.ZERO_NOISE_ATTEMPT for n in counts),
         }
     fallbacks = sum(row["zero_noise_clips"] for row in dataset.retries.values())
-    assert (fallbacks > 0) == (config.action_noise == LOUD)
+    assert (fallbacks > 0) == (action_noise == LOUD)
 
 
-def domain_pair(task_id: int, seed: int, config: dg.DataConfig):
+def domain_pair(task_id: int, seed: int, config: ExperimentConfig):
     """One motion rendered in both domains, one clip at a time: pair `seed`
     of `domain_shift_cosine`."""
     rng = np.random.default_rng([config.seed, 99, task_id, seed])
-    _, states = dg.gen_success_trajectory(task_id, rng, noise=config.action_noise)
+    _, states = dg.gen_success_trajectory(task_id, rng)
     return dg.render_clip(states, "robot", config), dg.render_clip(states, "human", config, rng)
 
 
 def test_domain_shift_cosine_matches_pairwise_loop():
-    config = dg.DataConfig(tasks=(sw.TASK_OPEN_DRAWER, sw.TASK_POKE_CUP, sw.TASK_OPEN_DRAWER), seed=2)
-    per_task = [t for t in config.tasks for _ in range(3)]
+    config = ExperimentConfig(train_tasks=(sw.TASK_OPEN_DRAWER, sw.TASK_POKE_CUP), heldout_tasks=(),
+                              seed=2)
+    per_task = [t for t in config.all_tasks for _ in range(5)]
     sims = []
     for i, task_id in enumerate(per_task[:8]):
         robot, human = domain_pair(task_id, i, config)
@@ -400,8 +404,8 @@ def test_domain_shift_cosine_matches_pairwise_loop():
 
 def test_generation_failure_is_typed_and_names_the_clip(monkeypatch):
     monkeypatch.setattr(dg, "_labels_ok", lambda task_id, style, states: np.zeros(len(states), bool))
-    config = dg.DataConfig(tasks=(sw.TASK_FAUCET,), human_per_task=1, robot_success_per_task=0,
-                           robot_failure_per_task=0, seed=4)
+    config = ExperimentConfig(train_tasks=(sw.TASK_FAUCET,), heldout_tasks=(), human_per_task=1,
+                              robot_success_per_task=0, robot_failure_per_task=0, seed=4)
     seed = dg._clip_seed(config.seed, dg._CLIP_STREAMS["human"], sw.TASK_FAUCET, 0)
     with pytest.raises(GenerationFailedError, match=rf"success for task {sw.TASK_FAUCET}\b.*{seed}"):
         dg.gen_dataset(config)
@@ -413,8 +417,8 @@ def test_retry_report_counts_fallback_from_attempt_24(monkeypatch, passing_attem
     a 25th passed only at zero noise."""
     calls = iter(range(1, 100))
     monkeypatch.setattr(dg, "_labels_ok", lambda *args: np.array([next(calls) >= passing_attempt]))
-    config = dg.DataConfig(tasks=(sw.TASK_POKE_CUP,), human_per_task=1, robot_success_per_task=0,
-                           robot_failure_per_task=0, seed=4)
+    config = ExperimentConfig(train_tasks=(sw.TASK_POKE_CUP,), heldout_tasks=(), human_per_task=1,
+                              robot_success_per_task=0, robot_failure_per_task=0, seed=4)
     retries = dg.gen_dataset(config).retries
     assert retries == {(sw.TASK_POKE_CUP, "success"): {
         "clips": 1, "attempts": passing_attempt, "zero_noise_clips": fallbacks,

@@ -13,7 +13,7 @@ from rewardlab.simworld import TASK_NAMES
 
 @pytest.fixture
 def params():
-    return enc.init_video_encoder(np.random.default_rng(0))
+    return enc.init_video_encoder(np.random.default_rng(0), frames=4, hidden=32, embed_dim=32)
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def table():
 
 @pytest.fixture
 def pool():
-    return enc.init_prompt_pool([4, 5, 6], np.random.default_rng(1), k=3)
+    return enc.init_prompt_pool([4, 5, 6], np.random.default_rng(1), k=3, prompt_len=2, embed_dim=32)
 
 
 def encode_one(clip, params):
@@ -118,18 +118,20 @@ def features(pool, table):
 
 class TestFailurePrompts:
     def test_one_draw_equals_per_task_draws(self):
-        pool = enc.init_prompt_pool([6, 4, 5], np.random.default_rng(1), k=3)
+        pool = enc.init_prompt_pool([6, 4, 5], np.random.default_rng(1), k=3, prompt_len=2,
+                                    embed_dim=32)
         rng = np.random.default_rng(1)
         assert pool.tasks.tolist() == [4, 5, 6]
         for block in pool.prompts:
-            assert np.array_equal(block, rng.normal(scale=0.5, size=(3, enc.PROMPT_LEN, 32)))
+            assert np.array_equal(block, rng.normal(scale=0.5, size=(3, 2, 32)))
 
     def test_bad_cluster_index(self, table):
         # K is fixed when the pool is built; pool tasks must be in the table
         with pytest.raises(BadClusterIndexError):
-            enc.init_prompt_pool([4], np.random.default_rng(1), k=0)
+            enc.init_prompt_pool([4], np.random.default_rng(1), k=0, prompt_len=2, embed_dim=32)
         with pytest.raises(UnknownTaskError):
-            features(enc.init_prompt_pool([4, 7], np.random.default_rng(1), k=3), table)
+            features(enc.init_prompt_pool([4, 7], np.random.default_rng(1), k=3, prompt_len=2,
+                                          embed_dim=32), table)
 
     def test_unit_norm_output(self, pool, table):
         norms = np.linalg.norm(features(pool, table), axis=-1)

@@ -77,13 +77,6 @@ def test_lowered_refinement_score_raises_typed_error(monkeypatch):
         )
 
 
-def test_planning_needs_a_trial():
-    with pytest.raises(BadConfigError, match="trial"):
-        evaluation.evaluate_planning(
-            None, dyn.ground_truth_model(), CONFIG, reward_kind="oracle", trials=0
-        )
-
-
 def test_planning_rejects_an_unknown_reward_kind():
     with pytest.raises(BadConfigError, match="orcale"):
         evaluation.evaluate_planning(
@@ -98,8 +91,9 @@ def test_learned_planning_needs_params():
 
 def test_ablation_rows_and_csv():
     grid = {"modes": ("no_failure", "bce", "fvlc"), "k_values": (1, 2), "sources": ("random", "both")}
-    rows = evaluation.run_ablation(CONFIG, seeds=(0,), planning_trials=1, **grid)
+    rows = evaluation.run_ablation(CONFIG, n_seeds=1, planning_trials=1, **grid)
     assert len(rows) == len(evaluation.ablation_cells(*grid.values())) == 8
+    assert {row["seed"] for row in rows} == {CONFIG.seed}
     lines = evaluation.ablation_csv(rows).splitlines()
     assert lines[0] == "seed,mode,k,source,auc_train,auc_heldout,planner_success"
     assert len(lines) == len(rows) + 1

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from rewardlab import datagen as dg, formats, simworld as sw
+from rewardlab.config import ExperimentConfig
 from rewardlab.errors import CorruptFileError, VersionMismatchError
 
 
 @pytest.fixture(scope="module")
 def dataset():
-    cfg = dg.DataConfig(
-        tasks=(sw.TASK_OPEN_DRAWER,), human_per_task=2,
+    cfg = ExperimentConfig(
+        train_tasks=(sw.TASK_OPEN_DRAWER,), heldout_tasks=(), human_per_task=2,
         robot_success_per_task=2, robot_failure_per_task=2, seed=9,
     )
     return dg.gen_dataset(cfg)

@@ -20,7 +20,7 @@ def table():
 
 @pytest.fixture
 def pool():
-    pool = enc.init_prompt_pool(TASKS, np.random.default_rng(1), k=3, embed_dim=D)
+    pool = enc.init_prompt_pool(TASKS, np.random.default_rng(1), k=3, prompt_len=2, embed_dim=D)
     rng = np.random.default_rng(2)
     pool.proj = pool.proj + 0.3 * rng.normal(size=(D, D))
     pool.bias = 0.1 * rng.normal(size=D)

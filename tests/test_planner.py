@@ -69,7 +69,7 @@ class TestVmpcPlan:
 
 class TestLearnedReward:
     def test_scores_are_probabilities_and_deterministic(self, gt_model):
-        params = enc.init_video_encoder(np.random.default_rng(0))
+        params = enc.init_video_encoder(np.random.default_rng(0), frames=4, hidden=32, embed_dim=32)
         table = enc.TaskTable.build(len(TASK_NAMES), embed_dim=32, seed=0)
         reward = pl.LearnedReward(params, table, sw.TASK_FAUCET)
         states, _ = dyn.generate_random_episodes(5, seed=0)

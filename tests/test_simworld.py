@@ -181,12 +181,11 @@ class TestRender:
         cos = float(r @ h / (np.linalg.norm(r) * np.linalg.norm(h)))
         assert cos < 1.0 - 1e-6
 
-    def test_identity_shift_is_noop(self):
-        s = sim_state()
-        shift = render.DomainShift(mix=0.0, offset=0.0)
-        r = frame(s, domain="robot")
-        h = frame(s, domain="human", shift=shift)
-        assert np.array_equal(r, h)
+    def test_human_frame_is_shifted_robot_frame(self):
+        s = sim_state()[None]
+        r = render.render_frames(s, domain="robot")
+        h = render.render_frames(s, domain="human")
+        assert np.array_equal(h, render.apply_domain_shift(r))
 
     def test_variants_change_features_not_dynamics(self):
         s = sim_state()
