@@ -10,7 +10,10 @@ state plus 15 post-chunk states out. Two kinds:
   features, fit in closed form by sample-normalized ridge least squares.
   The affine part represents the no-contact (linear) transitions exactly;
   the random features soak up contact effects. The normalized normal
-  equations make the fit invariant to duplicating the dataset.
+  equations make the fit invariant to duplicating the dataset. Their sums
+  Phi^T Phi and Phi^T Y are added up over blocks of EPISODE_BLOCK episodes,
+  so the design matrix Phi of the whole dataset is never built; a dataset
+  of one block gives the same bits as the one-shot product.
 """
 
 from dataclasses import dataclass
@@ -23,6 +26,7 @@ from .errors import BadHorizonError, InsufficientDataError, ShapeMismatchError
 CHUNK = 4
 INPUT_DIM = sw.STATE_DIM + CHUNK * sw.ACTION_DIM  # 19
 N_FEATURES = 256
+EPISODE_BLOCK = 64  # episodes per block of the normal-equation sums (960 rows)
 
 GROUND_TRUTH = "ground_truth"
 LEARNED = "learned"
@@ -83,21 +87,26 @@ def chunked_predict_batch(model: DynamicsModel, s0: np.ndarray, actions: np.ndar
     return out
 
 
-def chunk_transitions(states: np.ndarray, actions: np.ndarray):
-    """Split episodes into per-chunk (input, delta) training pairs.
-
-    states (N, H+1, 7), actions (N, H, 3) -> x (N*H/4, 19), y (N*H/4, 7),
-    rows in (episode, chunk) order.
-    """
+def _check_episodes(states: np.ndarray, actions: np.ndarray):
+    """Float arrays of (N, H+1, 7) states and (N, H, 3) actions, and H/4."""
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     n, h = actions.shape[:2] if actions.ndim == 3 else (0, -1)
     if states.shape != (n, h + 1, sw.STATE_DIM) or actions.shape != (n, h, sw.ACTION_DIM):
         raise ShapeMismatchError(f"need states (N,H+1,7) and actions (N,H,3), "
                                  f"got {states.shape} and {actions.shape}")
-    n_chunks = _check_horizon(h)
+    return states, actions, _check_horizon(h)
+
+
+def chunk_transitions(states: np.ndarray, actions: np.ndarray):
+    """Split episodes into per-chunk (input, delta) training pairs.
+
+    states (N, H+1, 7), actions (N, H, 3) -> x (N*H/4, 19), y (N*H/4, 7),
+    rows in (episode, chunk) order.
+    """
+    states, actions, n_chunks = _check_episodes(states, actions)
     start = states[:, :-1:CHUNK]
-    chunks = actions.reshape(n, n_chunks, CHUNK * sw.ACTION_DIM)
+    chunks = actions.reshape(actions.shape[0], n_chunks, CHUNK * sw.ACTION_DIM)
     x = np.concatenate([start, chunks], axis=2).reshape(-1, INPUT_DIM)
     return x, (states[:, CHUNK::CHUNK] - start).reshape(-1, sw.STATE_DIM)
 
@@ -110,10 +119,12 @@ def train_dynamics(
     n_features: int = N_FEATURES,
 ) -> DynamicsModel:
     """Fit the chunk regressor on (N, H+1, 7) episode states and their
-    (N, H, 3) actions, in closed form."""
-    x, y = chunk_transitions(states, actions)
-    if x.shape[0] < 100:
-        raise InsufficientDataError(f"{x.shape[0]} chunk transitions < 100")
+    (N, H, 3) actions, in closed form from normal equations summed over
+    blocks of EPISODE_BLOCK episodes."""
+    states, actions, n_chunks = _check_episodes(states, actions)
+    n = actions.shape[0] * n_chunks
+    if n < 100:
+        raise InsufficientDataError(f"{n} chunk transitions < 100")
 
     rng = np.random.default_rng(seed)
     model = DynamicsModel(
@@ -121,10 +132,15 @@ def train_dynamics(
         feature_w=rng.normal(size=(INPUT_DIM, n_features)) / np.sqrt(INPUT_DIM),
         feature_b=rng.uniform(-1.0, 1.0, size=n_features),
     )
-    phi = _design(x, model)
-    n = phi.shape[0]
-    gram = phi.T @ phi / n + ridge * np.eye(phi.shape[1])
-    model.weights = np.linalg.solve(gram, phi.T @ y / n)
+    width = 1 + INPUT_DIM + n_features
+    gram = np.zeros((width, width))
+    moment = np.zeros((width, sw.STATE_DIM))
+    for i in range(0, actions.shape[0], EPISODE_BLOCK):
+        x, y = chunk_transitions(states[i:i + EPISODE_BLOCK], actions[i:i + EPISODE_BLOCK])
+        phi = _design(x, model)
+        gram += phi.T @ phi
+        moment += phi.T @ y
+    model.weights = np.linalg.solve(gram / n + ridge * np.eye(width), moment / n)
     return model
 
 

@@ -18,7 +18,10 @@ import numpy as np
 
 from . import datagen as dg, dynamics as dyn, encoders as enc, planner as pl, simworld as sw
 from .config import ExperimentConfig
-from .errors import BadConfigError, OneClassOnlyError, RefinementRegressedError, UnknownTaskError
+from .errors import (
+    BadConfigError, OneClassOnlyError, RefinementRegressedError, TooFewSamplesError,
+    UnknownTaskError,
+)
 from .losses import _rows, _sigmoid
 from .training import ModelParams, train
 
@@ -137,7 +140,7 @@ def evaluate_planning(
                 chosen = [result.actions]
                 if refine:
                     refined = pl.cem_refine(
-                        result.actions, scorer, _plan_seed(config, 2, seed_idx, task, trial)
+                        result, scorer, _plan_seed(config, 2, seed_idx, task, trial)
                     )
                     if refined.score < result.score - 1e-12:
                         raise RefinementRegressedError(
@@ -193,7 +196,15 @@ def run_ablation(
     planning_trials: int = 0,
 ):
     """One row per (seed, mode, K, source) cell, for the seeds
-    base_config.seed + i, i < n_seeds; shared datasets per seed."""
+    base_config.seed + i, i < n_seeds; shared datasets per seed.
+
+    Every task's training set has robot_failure_per_task failure clips, so a
+    K above that count is rejected before any cell trains."""
+    if "fvlc" in modes and max(k_values) > base_config.robot_failure_per_task:
+        raise TooFewSamplesError(
+            f"k_values up to {max(k_values)} need {max(k_values)} failure clips per task; "
+            f"robot_failure_per_task is {base_config.robot_failure_per_task}"
+        )
     rows = []
     for seed in range(base_config.seed, base_config.seed + n_seeds):
         eval_ds = eval_dataset_for(replace(base_config, seed=seed))

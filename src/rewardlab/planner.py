@@ -11,10 +11,11 @@ vmpc_plan samples candidate action sequences uniformly in the clamped
 action box, scores them and returns the argmax (ties break to the lowest
 candidate index).
 
-cem_refine searches near an initial sequence: Gaussian populations around
+cem_refine searches near a vmpc_plan result: Gaussian populations around
 a running mean over the velocity channels (grip commands stay fixed),
-elite refitting, and a best-ever result that never scores below the
-initial sequence.
+elite refitting, and a best-ever result that never scores below the plan
+it starts from. It takes that plan's score as given rather than scoring
+the sequence again.
 """
 
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ class PlanResult:
 @dataclass
 class CemResult:
     actions: np.ndarray   # best-ever sequence
-    score: float          # best-ever score (never below the initial's)
+    score: float          # best-ever score (never below the starting plan's)
 
 
 class LearnedReward:
@@ -101,9 +102,10 @@ def vmpc_plan(scorer, n_candidates: int, horizon: int, seed: int) -> PlanResult:
     return PlanResult(actions=candidates[index], score=float(scores[index]), index=index)
 
 
-def cem_refine(initial: np.ndarray, scorer, seed: int = 0) -> CemResult:
-    """Iterative Gaussian search near `initial` over the velocity channels."""
-    initial = np.asarray(initial, dtype=np.float64)
+def cem_refine(plan: PlanResult, scorer, seed: int) -> CemResult:
+    """Iterative Gaussian search near plan.actions over the velocity
+    channels, starting from best = (plan.actions, plan.score)."""
+    initial = np.asarray(plan.actions, dtype=np.float64)
     horizon = initial.shape[0]
     rng = np.random.default_rng(seed)
     grips = np.broadcast_to(initial[None, :, 2:], (CEM_POPULATION, horizon, 1))
@@ -111,7 +113,7 @@ def cem_refine(initial: np.ndarray, scorer, seed: int = 0) -> CemResult:
     mean = initial[:, :2].copy()
     std = np.full_like(mean, CEM_INIT_STD)
     best_actions = initial.copy()
-    best_score = float(scorer(initial[None])[0])
+    best_score = plan.score
 
     for _ in range(CEM_ITERATIONS):
         vel = mean + rng.normal(size=(CEM_POPULATION, horizon, 2)) * std

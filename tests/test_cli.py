@@ -120,3 +120,13 @@ def test_ablate_and_grad_check_print_their_reports(config_path, capsys, monkeypa
     assert seen[-1] == replace(load_config(config_path), seed=4)
     monkeypatch.setattr(cli, "run_gradient_suite", lambda: {"bce_loss": 1e-10})
     assert json.loads(run(capsys, "grad-check")[1]) == {"bce_loss": 1e-10}
+
+
+def test_ablate_rejects_the_default_k_axis_before_training(config_path, capsys, monkeypatch):
+    # TINY has 4 failure clips per task; the default K axis goes up to 5
+    trained = []
+    real_train = evaluation.train
+    monkeypatch.setattr(evaluation, "train", lambda *args: trained.append(1) or real_train(*args))
+    status, out, err = run(capsys, "ablate", "--config", config_path)
+    assert status == 1 and out == "" and "robot_failure_per_task is 4" in err
+    assert trained == []

@@ -13,7 +13,8 @@ from rewardlab import (
 )
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import (
-    BadConfigError, OneClassOnlyError, RefinementRegressedError, UnknownTaskError,
+    BadConfigError, OneClassOnlyError, RefinementRegressedError, TooFewSamplesError,
+    UnknownTaskError,
 )
 
 CONFIG = ExperimentConfig(
@@ -105,6 +106,17 @@ def test_ablation_rows_and_csv():
     assert {(r["mode"], r["k"]) for r in rows} == {
         ("no_failure", "-"), ("bce", "-"), ("fvlc", 1), ("fvlc", 2)
     }
+
+
+def test_ablation_rejects_k_above_the_failure_clips_before_training(monkeypatch):
+    trained = []
+    real_train = evaluation.train
+    monkeypatch.setattr(evaluation, "train", lambda *args: trained.append(1) or real_train(*args))
+    k_too_many = CONFIG.robot_failure_per_task + 1
+    with pytest.raises(TooFewSamplesError, match=f"up to {k_too_many} need {k_too_many}"):
+        evaluation.run_ablation(CONFIG, modes=("fvlc",), k_values=(1, k_too_many),
+                                sources=("random",), n_seeds=1)
+    assert trained == []
 
 
 def pair_count_auc(success_scores, failure_scores):

@@ -19,6 +19,11 @@ def oracle_scorer(task, model, s0):
     return pl.make_sequence_scorer(pl.OracleReward(task), model, s0)
 
 
+def scored_plan(initial, scorer):
+    """The PlanResult cem_refine starts from, scored by the scorer itself."""
+    return pl.PlanResult(actions=initial, score=float(scorer(initial[None])[0]), index=0)
+
+
 class TestVmpcPlan:
     def test_oracle_reward_finds_a_success_when_one_exists(self, gt_model):
         task = sw.TASK_FAUCET
@@ -92,15 +97,23 @@ class TestCemRefine:
             diff = seqs[:, :, :2] - target[None, :, :2]
             return -np.sum(diff**2, axis=(1, 2))
 
-        result = pl.cem_refine(initial, scorer, seed=1)
+        result = pl.cem_refine(scored_plan(initial, scorer), scorer, seed=1)
         assert np.max(np.abs(result.actions[:, :2] - target[:, :2])) < 0.01
         assert result.score > scorer(initial[None])[0]
 
     def test_constant_scorer_returns_initial_score(self):
         initial = sw.random_action_array(np.random.default_rng(0), 1, 12)[0]
-        result = pl.cem_refine(initial, lambda seqs: np.zeros(len(seqs)), seed=0)
+        scored_rows = []
+
+        def scorer(seqs):
+            scored_rows.append(len(seqs))
+            return np.zeros(len(seqs))
+
+        result = pl.cem_refine(scored_plan(initial, scorer), scorer, seed=0)
         assert result.score == 0.0
         assert np.array_equal(result.actions, initial)
+        # the starting plan is scored once, by scored_plan, not again by CEM
+        assert scored_rows == [1] + [pl.CEM_POPULATION] * pl.CEM_ITERATIONS
 
     def test_best_score_not_below_initial_score(self, gt_model):
         task = sw.TASK_OPEN_DRAWER
@@ -108,13 +121,17 @@ class TestCemRefine:
         scorer = oracle_scorer(task, gt_model, s0)
         for seed in range(4):
             initial = sw.random_action_array(np.random.default_rng(seed), 1, 60)[0]
-            result = pl.cem_refine(initial, scorer, seed=seed)
+            result = pl.cem_refine(scored_plan(initial, scorer), scorer, seed=seed)
             assert result.score >= scorer(initial[None])[0]
             # the reported score is the returned sequence's own score
             assert scorer(result.actions[None])[0] == result.score
 
     def test_grip_channel_kept_from_initial(self):
         initial = sw.random_action_array(np.random.default_rng(4), 1, 8)[0]
-        result = pl.cem_refine(initial, lambda s: s[:, 0, 0], seed=5)
+
+        def scorer(seqs):
+            return seqs[:, 0, 0]
+
+        result = pl.cem_refine(scored_plan(initial, scorer), scorer, seed=5)
         assert result.score > initial[0, 0]
         assert np.array_equal(result.actions[:, 2], initial[:, 2])
