@@ -7,14 +7,14 @@ alternation never increases the objective, and the per-iteration history
 is kept on the result so tests can assert that.
 
 Alignment between consecutive epochs is an optimal assignment on the
-K x K center-similarity matrix (Hungarian method via scipy); new centers
-and labels are then relabeled so index k keeps tracking one failure theme.
+K x K center-similarity matrix (the Hungarian method, `max_weight_matching`);
+new centers and labels are then relabeled so index k keeps tracking one
+failure theme.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ShapeMismatchError, TooFewSamplesError, ZeroVectorError
 
@@ -122,6 +122,44 @@ def spherical_kmeans(features: np.ndarray, k: int, seed: int = 0) -> ClusterStat
     return best
 
 
+def max_weight_matching(weights: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a square matrix, maximizing the summed
+    weight: the Kuhn-Munkres (Hungarian) method with row and column
+    potentials, one shortest augmenting path per row, O(K^3).
+
+    Column K is a virtual start column from which each row's search begins.
+    """
+    cost = -np.asarray(weights, dtype=np.float64)
+    k = cost.shape[0]
+    u = np.zeros(k)                          # row potentials
+    v = np.zeros(k + 1)                      # column potentials
+    row_of = np.full(k + 1, -1, dtype=np.int64)  # row matched to each column, -1 if free
+    for i in range(k):
+        row_of[k] = i
+        j0 = k
+        minv = np.full(k + 1, np.inf)        # smallest reduced cost reaching each column
+        way = np.full(k + 1, k, dtype=np.int64)  # previous column on that path
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[j0] != -1:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0] - u[i0] - v[:k]
+            better = ~used[:k] & (reduced < minv[:k])
+            minv[:k][better] = reduced[better]
+            way[:k][better] = j0
+            j0 = int(np.argmin(np.where(used[:k], np.inf, minv[:k])))
+            delta = minv[j0]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+        while j0 != k:                       # augment back to the start column
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    cols = np.empty(k, dtype=np.int64)
+    cols[row_of[:k]] = np.arange(k)
+    return cols
+
+
 def align_clusters(prev_centers: np.ndarray, new_centers: np.ndarray) -> np.ndarray:
     """Permutation pi maximizing sum_k prev[k] . new[pi[k]]."""
     prev_centers = np.asarray(prev_centers, dtype=np.float64)
@@ -130,11 +168,7 @@ def align_clusters(prev_centers: np.ndarray, new_centers: np.ndarray) -> np.ndar
         raise ShapeMismatchError(
             f"center sets differ: {prev_centers.shape} vs {new_centers.shape}"
         )
-    sims = prev_centers @ new_centers.T
-    rows, cols = linear_sum_assignment(-sims)
-    pi = np.empty(len(rows), dtype=np.int64)
-    pi[rows] = cols
-    return pi
+    return max_weight_matching(prev_centers @ new_centers.T)
 
 
 def relabel_state(state: ClusterState, pi: np.ndarray) -> ClusterState:

@@ -18,17 +18,24 @@ initial state from it, then the attempt's uniform action noise in
 [-level, +level] as one (H, 2) block (wander clips draw their random
 actions instead). The clip's label is checked against the simulator's
 predicate; a failed check retries the clip, halving the noise level every
-8 attempts and dropping it to zero from attempt 24 on, where the scripted
-controller is correct by construction. A human clip's camera offset and
-feature noise come from the same Generator after its successful attempt.
+NOISE_HALVING attempts and dropping it to zero from ZERO_NOISE_ATTEMPT on,
+where the scripted controller is correct by construction. A human clip's
+camera offset and feature noise come from the same Generator after its
+successful attempt.
 
 Clips are rolled in lockstep: all clips of one (task, style) in a dataset
-advance together through `simworld.step_batch`, one row per pending clip,
-and the scripted controllers act on (n, 7) state arrays with per-clip
-phase arrays. One predicate call checks the labels of every clip of an
-attempt, and a clip leaves the group once its label check passes. Each
-clip's draws stay in the order above, and the dynamics are elementwise,
-so a clip's rollout does not depend on which other clips share its group:
+advance together through `simworld.step_batch`, and the scripted
+controllers act on (n, 7) state arrays with per-clip phase arrays. Attempt
+0 is rolled alone, one row per clip. After it, every remaining attempt of
+one noise band (`BANDS`: attempts 1-7, 8-15, 16-23, then the zero-noise
+band 24-31) is rolled in one batch, one row per (pending clip, attempt):
+each clip makes its draws for every attempt of the band in the order
+above, and its Generator state is saved after each attempt. One predicate
+call checks every row. A clip keeps its first passing row, counts the
+attempts up to it, and gets its Generator back in the state saved after
+that attempt, so its later draws follow exactly as if it had stopped
+there. The dynamics and controllers are elementwise, so a clip's rollout
+does not depend on which other rows share the batch:
 `gen_success_trajectory` and `gen_failure_trajectory` are the same core
 at n = 1.
 """
@@ -44,8 +51,9 @@ from .errors import ArchetypeUnsupportedError, BadConfigError, GenerationFailedE
 ARCHETYPES = ("wander", "revert", "incomplete")
 FAILURE_SOURCES = ("random", "near_success")
 ACTION_NOISE = 0.03
-MAX_ATTEMPTS = 32
-ZERO_NOISE_ATTEMPT = 24   # attempts from this index on add no action noise
+NOISE_HALVING = 8                      # attempts per action-noise level
+ZERO_NOISE_ATTEMPT = 3 * NOISE_HALVING  # attempts from this index on add no action noise
+MAX_ATTEMPTS = ZERO_NOISE_ATTEMPT + NOISE_HALVING
 _CLIP_STREAMS = {"human": 11, "robot_success": 12, "robot_failure": 13}
 
 # archetypes that cannot exist for a task: the faucet's displacement only
@@ -305,8 +313,24 @@ def _labels_ok(task_id, style, states) -> np.ndarray:
     return ok & ~flags[:, -1]
 
 
+def noise_level(noise: float, attempt: int) -> float:
+    """Action-noise level of an attempt: halved every NOISE_HALVING
+    attempts, zero from ZERO_NOISE_ATTEMPT on."""
+    return 0.0 if attempt >= ZERO_NOISE_ATTEMPT else noise * 0.5 ** (attempt // NOISE_HALVING)
+
+
+# the attempts rolled as one batch: attempt 0 alone, then the rest of each
+# noise level (1-7, 8-15, 16-23 and the zero-noise 24-31)
+BANDS = (range(1),) + tuple(range(max(a, 1), a + NOISE_HALVING)
+                            for a in range(0, MAX_ATTEMPTS, NOISE_HALVING))
+
+
 def roll_clips(task_id: int, style: str, seeds, noise: float = ACTION_NOISE):
     """Label-checked rollouts of one (task, style), one clip per seed, in lockstep.
+
+    Each band of `BANDS` is one batch over every pending clip and every
+    attempt of the band. A clip keeps its first passing attempt, and its
+    Generator is set back to the state saved right after that attempt.
 
     seeds: anything `np.random.default_rng` takes; a Generator is used (and
     advanced) in place. Returns actions (n, H, 3), states (n, H + 1, 7), the
@@ -324,23 +348,40 @@ def roll_clips(task_id: int, style: str, seeds, noise: float = ACTION_NOISE):
     attempts = np.zeros(n, dtype=np.int64)
     policy = None if style == "wander" else make_policy(task_id, style)
     pending = np.arange(n)
-    for attempt in range(MAX_ATTEMPTS):
+    for band in BANDS:
         if pending.size == 0:
             break
-        level = 0.0 if attempt >= ZERO_NOISE_ATTEMPT else noise * 0.5 ** (attempt // 8)
-        s0 = np.stack([sw.initial_state_array(task_id, rngs[i]) for i in pending])
+        level = noise_level(noise, band[0])
+        # per pending clip, its draws for each attempt of the band, in order,
+        # and its Generator state after each attempt
+        s0, draws, saved = [], [], []
+        for i in pending:
+            rng = rngs[i]
+            for _ in band:
+                s = sw.initial_state_array(task_id, rng)
+                s0.append(s)
+                if policy is None:
+                    draws.append(_wander_actions(task_id, s, rng))
+                elif level > 0:
+                    draws.append(rng.uniform(-level, level, size=(sw.HORIZON, 2)))
+                saved.append(rng.bit_generator.state)
+        s0 = np.stack(s0)
         if policy is None:
-            acts = np.stack([_wander_actions(task_id, s, rngs[i]) for s, i in zip(s0, pending)])
+            acts = np.stack(draws)
             rolled = sw.rollout_batch(s0, acts)
         else:
-            draws = np.stack([
-                rngs[i].uniform(-level, level, size=(sw.HORIZON, 2)) for i in pending
-            ]) if level > 0 else None
-            acts, rolled = run_policy(s0, policy, draws)
-        attempts[pending] += 1
-        ok = _labels_ok(task_id, style, rolled)
-        actions[pending[ok]], states[pending[ok]] = acts[ok], rolled[ok]
-        pending = pending[~ok]
+            acts, rolled = run_policy(s0, policy, np.stack(draws) if draws else None)
+        ok = _labels_ok(task_id, style, rolled).reshape(pending.size, len(band))
+        passed = ok.any(axis=1)
+        # row of each clip's first passing attempt (its last one if none passed)
+        first = np.where(passed, ok.argmax(axis=1), len(band) - 1)
+        rows = np.arange(pending.size) * len(band) + first
+        attempts[pending] += first + 1
+        done, keep = pending[passed], rows[passed]
+        actions[done], states[done] = acts[keep], rolled[keep]
+        for i, row in zip(done, keep):
+            rngs[i].bit_generator.state = saved[row]
+        pending = pending[~passed]
     if pending.size:
         raise GenerationFailedError(
             f"could not realize {style} for task {task_id} in {MAX_ATTEMPTS} attempts "

@@ -181,6 +181,57 @@ class TestAlignClusters:
             cl.align_clusters(np.eye(3), np.eye(2))
 
 
+def brute_force_matching(weights):
+    """(best total, every permutation reaching it) over all K! assignments."""
+    k = weights.shape[0]
+    perms = np.array(list(itertools.permutations(range(k))))
+    totals = weights[np.arange(k), perms].sum(axis=1)
+    best = totals.max()
+    return best, {tuple(p) for p in perms[np.isclose(totals, best, rtol=0, atol=1e-9)]}
+
+
+class TestMaxWeightMatching:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_brute_force(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            weights = rng.normal(size=(k, k))
+            best, argbest = brute_force_matching(weights)
+            cols = cl.max_weight_matching(weights)
+            assert argbest == {tuple(cols)}
+            assert weights[np.arange(k), cols].sum() == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_ties_reach_the_optimal_total(self, k):
+        rng = np.random.default_rng(100 + k)
+        cases = [np.zeros((k, k)), np.ones((k, k)), np.eye(k)[::-1] + np.eye(k)]
+        cases += [rng.integers(0, 3, size=(k, k)).astype(float) for _ in range(20)]
+        for weights in cases:
+            best, argbest = brute_force_matching(weights)
+            cols = cl.max_weight_matching(weights)
+            assert sorted(cols.tolist()) == list(range(k))
+            assert tuple(cols) in argbest
+            assert weights[np.arange(k), cols].sum() == pytest.approx(best, abs=1e-12)
+
+    def test_planted_permutation_at_k20_has_no_improving_swap(self):
+        k = 20   # the default robot_failure_per_task
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            centers = helpers.random_unit_rows(rng, k, 32)
+            pi_true = rng.permutation(k)
+            new = np.empty_like(centers)
+            new[pi_true] = centers + 0.05 * rng.normal(size=centers.shape)
+            new /= np.linalg.norm(new, axis=1, keepdims=True)
+            assert np.array_equal(cl.align_clusters(centers, new), pi_true)
+            weights = rng.normal(size=(k, k))
+            cols = cl.max_weight_matching(weights)
+            total = weights[np.arange(k), cols].sum()
+            for a, b in itertools.combinations(range(k), 2):
+                swapped = cols.copy()
+                swapped[[a, b]] = swapped[[b, a]]
+                assert weights[np.arange(k), swapped].sum() <= total + 1e-12
+
+
 class TestRelabel:
     def test_relabel_tracks_theme(self):
         rng = np.random.default_rng(3)

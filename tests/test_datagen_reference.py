@@ -325,24 +325,35 @@ def test_lockstep_group_matches_reference(task_id, style):
 
 # at this noise level most noisy attempts fail: clips go through the halved
 # levels (attempts 8-23), and faucet `incomplete` clips reach the zero-noise
-# fallback (attempt >= 24)
+# fallback (attempt >= 24). Seed index i is clip seed [task, 300 + i]; the
+# close-drawer group passes at attempts 1, 3, 10 and 21: at attempt 0 and
+# inside each of the three noisy bands.
 LOUD = 0.6
-LOUD_CASES = [(sw.TASK_FAUCET, "incomplete"), (sw.TASK_OPEN_DRAWER, "revert")]
+LOUD_CASES = [
+    (sw.TASK_FAUCET, "incomplete", (0, 1)),
+    (sw.TASK_OPEN_DRAWER, "revert", (0, 1)),
+    (sw.TASK_CLOSE_DRAWER, "incomplete", (2, 8, 3, 15)),
+]
 
 
 def test_loud_noise_halved_levels_and_fallback_match_reference():
     all_attempts = []
-    for task_id, style in LOUD_CASES:
-        seeds = [[task_id, 300 + i] for i in range(2)]
-        actions, states, attempts, _ = dg.roll_clips(task_id, style, seeds, noise=LOUD)
+    for task_id, style, indices in LOUD_CASES:
+        seeds = [[task_id, 300 + i] for i in indices]
+        actions, states, attempts, rngs = dg.roll_clips(task_id, style, seeds, noise=LOUD)
         for i, seed in enumerate(seeds):
-            want_actions, want_states, want_attempts, _ = ref_trajectory(task_id, style, seed, LOUD)
+            want_actions, want_states, want_attempts, want_rng = ref_trajectory(
+                task_id, style, seed, LOUD)
             assert np.array_equal(actions[i], want_actions)
             assert np.array_equal(states[i], want_states)
             assert attempts[i] == want_attempts
+            assert rngs[i].bit_generator.state == want_rng.bit_generator.state
         all_attempts.extend(attempts.tolist())
     assert any(8 < n <= dg.ZERO_NOISE_ATTEMPT for n in all_attempts)
     assert max(all_attempts) > dg.ZERO_NOISE_ATTEMPT
+    # clips retire inside every band, not only at its first or last attempt
+    for band in dg.BANDS[1:-1]:
+        assert any(band[0] + 1 < n < band[-1] + 1 for n in all_attempts)
 
 
 SMALL = ExperimentConfig(
@@ -411,15 +422,59 @@ def test_generation_failure_is_typed_and_names_the_clip(monkeypatch):
         dg.gen_dataset(config)
 
 
+def _pass_from(passing_attempt, group_size=1):
+    """A `_labels_ok` fake for one lockstep group whose clips all first pass
+    at `passing_attempt` (1-based): each call holds the rows of every
+    pending clip, clip by clip, one row per attempt of the batch."""
+    done = [0]   # attempts of each clip rolled so far
+
+    def labels_ok(task_id, style, states):
+        per_clip = len(states) // group_size
+        attempt = done[0] + np.arange(len(states)) % per_clip
+        done[0] += per_clip
+        return attempt + 1 >= passing_attempt
+
+    return labels_ok
+
+
 @pytest.mark.parametrize("passing_attempt, fallbacks", [(24, 0), (25, 1)])
 def test_retry_report_counts_fallback_from_attempt_24(monkeypatch, passing_attempt, fallbacks):
     """The 24th attempt (index 23) is the last noisy one; a clip that needs
     a 25th passed only at zero noise."""
-    calls = iter(range(1, 100))
-    monkeypatch.setattr(dg, "_labels_ok", lambda *args: np.array([next(calls) >= passing_attempt]))
+    monkeypatch.setattr(dg, "_labels_ok", _pass_from(passing_attempt))
     config = ExperimentConfig(train_tasks=(sw.TASK_POKE_CUP,), heldout_tasks=(), human_per_task=1,
                               robot_success_per_task=0, robot_failure_per_task=0, seed=4)
     retries = dg.gen_dataset(config).retries
     assert retries == {(sw.TASK_POKE_CUP, "success"): {
         "clips": 1, "attempts": passing_attempt, "zero_noise_clips": fallbacks,
     }}
+
+
+# --- batching by noise band ---
+
+def test_bands_cover_every_attempt_once_at_one_noise_level_each():
+    assert [a for band in dg.BANDS for a in band] == list(range(dg.MAX_ATTEMPTS))
+    assert dg.BANDS[0] == range(1)
+    for band in dg.BANDS:
+        assert len({dg.noise_level(dg.ACTION_NOISE, a) for a in band}) == 1
+    assert dg.noise_level(dg.ACTION_NOISE, dg.ZERO_NOISE_ATTEMPT - 1) > 0
+    assert dg.noise_level(dg.ACTION_NOISE, dg.ZERO_NOISE_ATTEMPT) == 0
+
+
+@pytest.mark.parametrize("task_id, style", [(sw.TASK_FAUCET, "incomplete"),
+                                            (sw.TASK_POKE_CUP, "wander")])
+def test_a_group_makes_one_step_loop_per_band(monkeypatch, task_id, style):
+    """Clips that first pass at attempt 25 need one step loop per band:
+    five, where rolling one attempt at a time needed 25."""
+    calls = [0]
+    step_batch = sw.step_batch
+
+    def counted(states, actions):
+        calls[0] += 1
+        return step_batch(states, actions)
+
+    monkeypatch.setattr(sw, "step_batch", counted)
+    monkeypatch.setattr(dg, "_labels_ok", _pass_from(25, group_size=3))
+    _, _, attempts, _ = dg.roll_clips(task_id, style, [[task_id, i] for i in range(3)])
+    assert attempts.tolist() == [25, 25, 25]
+    assert calls[0] <= len(dg.BANDS) * sw.HORIZON == 5 * sw.HORIZON
