@@ -4,7 +4,15 @@ The dataset is stacked once per run into one (N, L, F) frames array with
 a (N,) task column and the row indices of the human clips, the robot
 successes and the robot failures. Failure rows are ordered by task, then
 dataset order; each task owns a slice of them and of the flat array of
-failure pseudo-labels.
+failure pseudo-labels. Success rows are also kept in blocks, one per
+(stratum, task) with human successes before robot successes, so the
+sampler can draw a batch's task make-up before its rows.
+
+The sampler draws uniformly among the valid success batches: those in
+which no task appears exactly once, so every success clip has a
+same-task positive. It tests 32 candidate task make-ups per Generator
+call, then picks each block's rows uniformly; failure rows are a plain
+uniform draw.
 
 Per step: draw rows, gather and encode success and failure frames
 together, compose the (T_p, K, D) failure features of every pooled task
@@ -36,11 +44,14 @@ from .errors import (
 from .simworld import TASK_NAMES
 
 _STREAM_VIDEO, _STREAM_POOL, _STREAM_SAMPLER, _STREAM_CLUSTER = 1, 2, 3, 4
-# rejection tries per batch before the positive-pair rule counts as
-# unsatisfiable. At the default strata about one try in 8.5 is accepted, so
-# a feasible draw fails this cap with probability ~1e-543; 100 tries failed
-# about once in 2e5 batches (seed 308, no_failure, step 249).
+# candidate batches tested before the positive-pair rule counts as
+# unsatisfiable, rounded up to a whole number of draws of _CANDIDATES. A cap
+# this large only stops a rule that almost no batch meets; 100 candidates
+# were too few (seed 308, no_failure, step 249 of a one-at-a-time sampler).
 _MAX_BATCH_TRIES = 10_000
+# candidate task make-ups per Generator call. At the default strata about
+# one in 8.5 is valid, so the first draw holds a valid one ~98% of the time.
+_CANDIDATES = 32
 
 
 @dataclass
@@ -63,6 +74,20 @@ class _IndexedData:
         success = np.array([c.success for c in clips], dtype=np.int64)
         self.human = np.flatnonzero(human)
         self.robot = np.flatnonzero(robot & (success == 1))
+        # success rows in (stratum, task) blocks: human then robot, each by
+        # task, then dataset order. Block stratum * n_tasks + task holds
+        # block_counts[stratum, task] rows; every row knows its block and
+        # its position in it.
+        n_tasks = int(self.tasks.max(initial=-1)) + 1
+        strata = [self.human, self.robot]
+        self.block_counts = np.array(
+            [np.bincount(self.tasks[part], minlength=n_tasks) for part in strata])
+        sizes = self.block_counts.ravel()
+        self.success = np.concatenate(
+            [part[np.argsort(self.tasks[part], kind="stable")] for part in strata])
+        self.success_block = np.repeat(np.arange(len(sizes)), sizes)
+        block_starts = np.cumsum(sizes) - sizes
+        self.success_rank = np.arange(len(self.success)) - block_starts[self.success_block]
         fail = np.flatnonzero(robot & (success == 0))
         # the sampler's failure order: sorted task, then dataset order
         self.fail = fail[np.argsort(self.tasks[fail], kind="stable")]
@@ -80,12 +105,21 @@ def sample_batch(
     rng: np.random.Generator,
     pseudo_labels: np.ndarray,
 ):
-    """Stratified draw with every success sample guaranteed a same-task partner.
+    """Uniform draw among the success batches in which every sample has a
+    same-task partner, plus a uniform draw of failure rows.
+
+    The per-task counts of a uniform subset of a stratum are multivariate
+    hypergeometric, and validity depends on those counts alone. So each
+    Generator call draws the counts of _CANDIDATES subsets per stratum, and
+    the first candidate in which no task has one human plus robot success
+    fixes how many rows each (stratum, task) block gives. One random key
+    per success row and one sort by (block, key) then pick that many rows
+    of each block uniformly without replacement.
 
     pseudo_labels holds one cluster per failure row of `data`. Returns
     (rows, fail_rows, fail_clusters): dataset rows of the human clips then
-    the robot successes, dataset rows of the failure clips, and their
-    pseudo-labels.
+    the robot successes, each grouped by task, dataset rows of the failure
+    clips, and their pseudo-labels.
     """
     n_h, n_r = len(data.human), len(data.robot)
     if n_h < config.batch_human or n_r < config.batch_robot:
@@ -93,14 +127,23 @@ def sample_batch(
             f"need {config.batch_human} human / {config.batch_robot} robot successes, "
             f"have {n_h} / {n_r}"
         )
-    for _ in range(_MAX_BATCH_TRIES):
-        h_idx = rng.choice(n_h, size=config.batch_human, replace=False)
-        r_idx = rng.choice(n_r, size=config.batch_robot, replace=False)
-        rows = np.concatenate([data.human[h_idx], data.robot[r_idx]])
-        if not np.any(np.bincount(data.tasks[rows]) == 1):
+    for _ in range(math.ceil(_MAX_BATCH_TRIES / _CANDIDATES)):
+        human = rng.multivariate_hypergeometric(
+            data.block_counts[0], config.batch_human, size=_CANDIDATES, method="count")
+        robot = rng.multivariate_hypergeometric(
+            data.block_counts[1], config.batch_robot, size=_CANDIDATES, method="count")
+        has_single = (human + robot == 1).any(axis=1)
+        first = has_single.argmin()
+        if not has_single[first]:
+            take = np.concatenate([human[first], robot[first]])
             break
     else:
         raise InsufficientStratumError("could not satisfy positive-set constraint")
+    # random() keys are multiples of 2**-53: as 53-bit integers under the
+    # block index they sort by (block, key) in one integer sort
+    keys = (rng.random(len(data.success)) * 2.0**53).astype(np.int64)
+    order = np.argsort((data.success_block << 53) | keys)
+    rows = data.success[order[data.success_rank < take[data.success_block]]]
 
     b_f = 0 if config.mode == "no_failure" else config.batch_failure
     picks = np.zeros(0, dtype=np.int64)

@@ -35,22 +35,22 @@ FRAMES_SHA256 = "90e067a40830d78475b152746ea4e642a23b8387b3d2540b6903e6d548a9072
 
 EPOCH_LOSSES = {
     "no_failure": [
-        {"loss_cross_domain": 14.301583454628265, "loss_video_text": 36.971416156876515,
-         "loss_total": 51.27299961150478},
-        {"loss_cross_domain": 17.96732205642668, "loss_video_text": 38.25823968037253,
-         "loss_total": 56.22556173679921},
+        {"loss_cross_domain": 16.682225604893773, "loss_video_text": 37.13259147478362,
+         "loss_total": 53.81481707967739},
+        {"loss_cross_domain": 14.85447925401957, "loss_video_text": 37.660527464102984,
+         "loss_total": 52.51500671812256},
     ],
     "bce": [
-        {"loss_bce": 5.663620289170121, "loss_cross_domain": 13.966898596394234,
-         "loss_video_text": 38.74845262087956, "loss_total": 58.37897150644392},
-        {"loss_bce": 5.634968261699024, "loss_cross_domain": 17.01298865663639,
-         "loss_video_text": 38.343670162261944, "loss_total": 60.99162708059737},
+        {"loss_bce": 5.683713588992689, "loss_cross_domain": 15.742984265284395,
+         "loss_video_text": 38.32292594921127, "loss_total": 59.74962380348835},
+        {"loss_bce": 5.631862325865032, "loss_cross_domain": 14.830658859334996,
+         "loss_video_text": 36.59404145185009, "loss_total": 57.05656263705012},
     ],
     "fvlc": [
-        {"loss_cross_domain": 13.968276367450354, "loss_failure_prompt": 7.701319537569795,
-         "loss_video_text": 40.55702726530278, "loss_total": 62.22662317032293},
-        {"loss_cross_domain": 17.020896600216666, "loss_failure_prompt": 8.257878910216329,
-         "loss_video_text": 40.43033910806799, "loss_total": 65.70911461850098},
+        {"loss_cross_domain": 15.74451924143727, "loss_failure_prompt": 8.666478990190239,
+         "loss_video_text": 41.14999624300754, "loss_total": 65.56099447463507},
+        {"loss_cross_domain": 14.837379642444633, "loss_failure_prompt": 7.028515909352903,
+         "loss_video_text": 38.907535535520914, "loss_total": 60.77343108731844},
     ],
 }
 

@@ -32,12 +32,12 @@ GOLDEN = {
     ("ground_truth", "learned"): {
         "rows": [(0, 0, 0, 0), (0, 1, 2, 2), (1, 0, 0, 0), (1, 1, 1, 0)],
         "indices": [0, 24, 12, 8, 12, 1, 17, 6],
-        "scores": [0.3967492465298952, 0.39765694921331196, 0.3993543276526176,
-                   0.4018958673812131, 0.49790208604010844, 0.5017394122313452,
-                   0.5133696904737282, 0.5006019608115856],
-        "refined_scores": [0.39789952823828184, 0.4026805244973242, 0.4072401227367912,
-                           0.4087780967586968, 0.5094677160414279, 0.5201005581624066,
-                           0.519211088912947, 0.5149058488980232],
+        "scores": [0.3966482497654594, 0.3976098744189347, 0.39934863187732483,
+                   0.40188982599395656, 0.49817529670771893, 0.5019994169737673,
+                   0.513602871639435, 0.5008548599305431],
+        "refined_scores": [0.3977983329630879, 0.40264027626368826, 0.407241322979118,
+                           0.4087918534080979, 0.5096946340404837, 0.5203071257531352,
+                           0.5194347977500171, 0.5151333886793762],
     },
     ("ground_truth", "oracle"): {
         "rows": [(0, 0, 1, 2), (0, 1, 2, 2), (1, 0, 2, 2), (1, 1, 2, 2)],
@@ -48,12 +48,12 @@ GOLDEN = {
     ("learned", "learned"): {
         "rows": [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)],
         "indices": [24, 3, 19, 31, 13, 1, 18, 26],
-        "scores": [0.39605559076750196, 0.40245250809810784, 0.3933107973410528,
-                   0.4044430801880344, 0.5011651540644125, 0.5057185666980358,
-                   0.5077802924751089, 0.5004657469257724],
-        "refined_scores": [0.40935927953120144, 0.41374507523461873, 0.4102836809232075,
-                           0.410125143020628, 0.5193371265149933, 0.5229089447974263,
-                           0.5235499090041869, 0.5265232778518523],
+        "scores": [0.3960443594569078, 0.4024316705351465, 0.3932958032949192,
+                   0.40439955050459425, 0.5014287825415293, 0.5059725282421516,
+                   0.5080159642609089, 0.5007277127589659],
+        "refined_scores": [0.4093385978522136, 0.4137375712250422, 0.41029149679915733,
+                           0.410106045251152, 0.5195173606441232, 0.5230862667691188,
+                           0.5237257365485073, 0.5267252175054968],
     },
 }
 

@@ -1,11 +1,16 @@
 """Batch-strata validation, typed non-finite failures, the stacked
-training-data view, the sampler's row draws against a per-try, per-pick
-loop reference, and the checkpoint mapping."""
+training-data view, the sampler (its row draws against a one-candidate,
+one-row loop reference, uniformity over every valid batch of a tiny
+dataset, batch validity and Generator calls per batch), and the
+checkpoint mapping."""
 
+import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from rewardlab import (
     encoders as enc, evaluation, formats, losses, render, simworld as sw, training,
@@ -111,18 +116,38 @@ def test_indexed_data_rows(dataset):
     assert covered == list(range(len(fail)))
 
 
+CANDIDATES = 32
+
+
 def loop_sample_batch(data, config, rng, pseudo_labels):
-    """The sampler one try and one failure pick at a time, on row indices."""
+    """The sampler one candidate and one row at a time, on row indices.
+
+    Makes the same Generator calls: for each CANDIDATES candidates, one
+    multivariate hypergeometric draw of per-task counts per success
+    stratum; then one random key per success row (human then robot rows,
+    each by task, then dataset order); then the failure picks."""
+    n_tasks = int(data.tasks.max()) + 1
+    strata = [data.human.tolist(), data.robot.tolist()]
+    blocks = [[row for row in part if data.tasks[row] == t] for part in strata for t in range(n_tasks)]
+    counts = [[len(blocks[s * n_tasks + t]) for t in range(n_tasks)] for s in range(2)]
+    sizes = (config.batch_human, config.batch_robot)
+    take = None
     for _ in range(100):
-        h_idx = rng.choice(len(data.human), size=config.batch_human, replace=False)
-        r_idx = rng.choice(len(data.robot), size=config.batch_robot, replace=False)
-        rows = [int(data.human[i]) for i in h_idx] + [int(data.robot[i]) for i in r_idx]
-        labels = data.tasks[rows]
-        counts = {t: int(np.sum(labels == t)) for t in set(labels.tolist())}
-        if all(c >= 2 for c in counts.values()):
+        human = rng.multivariate_hypergeometric(counts[0], sizes[0], size=CANDIDATES, method="count")
+        robot = rng.multivariate_hypergeometric(counts[1], sizes[1], size=CANDIDATES, method="count")
+        for h, r in zip(human.tolist(), robot.tolist()):
+            if all(h[t] + r[t] != 1 for t in range(n_tasks)):
+                take = h + r
+                break
+        if take is not None:
             break
     else:
         raise InsufficientStratumError("could not satisfy positive-set constraint")
+    keys = iter(rng.random(sum(len(block) for block in blocks)).tolist())
+    rows = []
+    for block, k in zip(blocks, take):
+        keyed = [(next(keys), row) for row in block]
+        rows += [row for _, row in sorted(keyed, key=lambda pair: pair[0])[:k]]
     fail_rows, fail_clusters = [], []
     if config.mode != "no_failure" and config.batch_failure:
         for pick in rng.choice(len(data.fail), size=config.batch_failure, replace=False):
@@ -148,13 +173,30 @@ def test_sampler_draws_match_loop_reference(dataset, mode):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def label_only_dataset(human_tasks, robot_tasks, config):
-    """Success clips with all-zero frames: the sampler draws from labels alone."""
+def label_only_dataset(human_tasks, robot_tasks, config, failure_tasks=()):
+    """Clips with all-zero frames: the sampler draws from labels alone."""
     frames = np.zeros((config.clip_frames, render.FRAME_WIDTH))
     return Dataset(
         [LabeledClip(frames, "human", t, 1, None, 0) for t in human_tasks]
         + [LabeledClip(frames, "robot", t, 1, None, 0) for t in robot_tasks]
+        + [LabeledClip(frames, "robot", t, 0, "wrong_target", 0) for t in failure_tasks]
     )
+
+
+def positive_rule_holds(tasks):
+    return all(count != 1 for count in Counter(tasks).values())
+
+
+def two_stage_sample_batch(data, config, rng, pseudo_labels):
+    """Biased: a uniform human set, then a robot set uniform among those
+    that complete it, so human sets with few completions come up too often."""
+    while True:
+        human = rng.choice(data.human, size=config.batch_human, replace=False)
+        for _ in range(100):
+            rows = np.concatenate([human, rng.choice(data.robot, size=config.batch_robot, replace=False)])
+            if positive_rule_holds(data.tasks[rows].tolist()):
+                picks = rng.choice(len(data.fail), size=config.batch_failure, replace=False)
+                return rows, data.fail[picks], pseudo_labels[picks]
 
 
 def test_sampler_replay_seed_308():
@@ -179,6 +221,112 @@ def test_sampler_rejects_unsatisfiable_positive_rule():
     data = training._IndexedData(label_only_dataset([0, 0], [4, 4], config))
     with pytest.raises(InsufficientStratumError, match="positive-set"):
         training.sample_batch(data, config, np.random.default_rng(0), np.zeros(0, dtype=np.int64))
+
+
+SMALL = replace(CONFIG, batch_human=2, batch_robot=2, batch_failure=2)
+
+
+def batch_key(rows, fail_rows):
+    """A batch as one int: a bit per success row, then a bit per failure row."""
+    return sum(1 << int(row) for row in rows) + (sum(1 << int(row) for row in fail_rows) << 64)
+
+
+def all_valid_batches(data, config):
+    """The keys of every batch the sampler may return."""
+    return [
+        batch_key(h + r, f)
+        for h in itertools.combinations(data.human.tolist(), config.batch_human)
+        for r in itertools.combinations(data.robot.tolist(), config.batch_robot)
+        if positive_rule_holds(data.tasks[list(h + r)].tolist())
+        for f in itertools.combinations(data.fail.tolist(), config.batch_failure)
+    ]
+
+
+def chi2_over_valid_batches(sampler, draws):
+    """Chi-squared of `draws` batches of a tiny dataset against the uniform
+    distribution over every valid batch, and its 0.999 quantile."""
+    data = training._IndexedData(
+        label_only_dataset([0, 0, 1, 1, 2], [0, 1, 2, 2], SMALL, failure_tasks=[0, 1, 2, 2]))
+    cells = {key: i for i, key in enumerate(all_valid_batches(data, SMALL))}
+    pseudo_labels = np.zeros(len(data.fail), dtype=np.int64)
+    rng = np.random.default_rng(2024)
+    observed = np.zeros(len(cells))
+    for _ in range(draws):
+        rows, fail_rows, _ = sampler(data, SMALL, rng, pseudo_labels)
+        observed[cells[batch_key(rows, fail_rows)]] += 1
+    expected = draws / len(cells)
+    chi2 = float(np.sum((observed - expected) ** 2) / expected)
+    return chi2, stats.chi2.ppf(0.999, len(cells) - 1)
+
+
+@pytest.mark.parametrize("sampler", [training.sample_batch, loop_sample_batch])
+def test_sampler_is_uniform_over_valid_batches(sampler):
+    chi2, bound = chi2_over_valid_batches(sampler, draws=20_000)
+    assert chi2 < bound
+
+
+def test_uniformity_check_rejects_a_biased_sampler():
+    chi2, bound = chi2_over_valid_batches(two_stage_sample_batch, draws=2_000)
+    assert chi2 > bound
+
+
+@pytest.mark.parametrize("human_tasks, robot_tasks, failure_tasks, sizes", [
+    ([0, 0, 1, 1, 2], [0, 1, 2, 2], [0, 1, 2, 2], (2, 2, 2)),
+    # the human and failure strata exactly as large as their batch
+    ([0, 0, 1, 1], [0, 1, 2, 2, 3, 3], [0, 1], (4, 2, 2)),
+    # the robot stratum exactly as large as its batch
+    ([0, 1, 1, 2, 2, 2], [0, 0, 1, 2], [0, 1, 2], (3, 4, 1)),
+])
+def test_sampler_batches_are_valid(human_tasks, robot_tasks, failure_tasks, sizes):
+    config = replace(CONFIG, batch_human=sizes[0], batch_robot=sizes[1], batch_failure=sizes[2])
+    data = training._IndexedData(label_only_dataset(human_tasks, robot_tasks, config, failure_tasks))
+    pseudo_labels = np.arange(len(data.fail)) + 10
+    fail_index = {row: i for i, row in enumerate(data.fail.tolist())}
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            rows, fail_rows, fail_clusters = training.sample_batch(data, config, rng, pseudo_labels)
+            human, robot = rows[:config.batch_human].tolist(), rows[config.batch_human:].tolist()
+            assert len(human) == config.batch_human and set(human) <= set(data.human.tolist())
+            assert len(robot) == config.batch_robot and set(robot) <= set(data.robot.tolist())
+            assert len(set(rows.tolist())) == len(rows)
+            assert positive_rule_holds(data.tasks[rows].tolist())
+            assert len(set(fail_rows.tolist())) == len(fail_rows) == config.batch_failure
+            assert fail_clusters.tolist() == [pseudo_labels[fail_index[row]] for row in fail_rows.tolist()]
+
+
+class CountingGenerator:
+    """A Generator that counts the calls made through it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_sampler_generator_calls_per_batch():
+    """At the default strata about one candidate in 8.5 is valid, so drawing
+    32 candidates per call needs ~4 Generator calls per batch; drawing them
+    one at a time needed ~18."""
+    config = ExperimentConfig(seed=0)
+    dataset = label_only_dataset(
+        np.repeat(config.all_tasks, config.human_per_task),
+        np.repeat(config.train_tasks, config.robot_success_per_task),
+        config,
+        np.repeat(config.train_tasks, config.robot_failure_per_task),
+    )
+    data = training._IndexedData(dataset)
+    rng = CountingGenerator(np.random.default_rng([config.seed, training._STREAM_SAMPLER]))
+    batches = 200
+    for _ in range(batches):
+        training.sample_batch(data, config, rng, np.zeros(len(data.fail), dtype=np.int64))
+    assert rng.calls / batches <= 6
 
 
 @pytest.fixture(scope="module")
