@@ -2,9 +2,11 @@
 
 Pins the train-dataset frames (bit-exact sha256), every per-epoch loss
 component (rel tol 1e-9, so vectorised reductions may reorder
-floating-point sums) and the final failure-cluster assignments (exact).
-A refactor that keeps these values keeps the behaviour of data
-generation, the sampler, the encoders, the losses and the clustering.
+floating-point sums), the final failure-cluster assignments (exact) and
+the per-task separation AUC of the trained reward on the eval set
+(exact). A refactor that keeps these values keeps the behaviour of data
+generation, the sampler, the encoders, the losses, the clustering and
+the separation scoring.
 """
 
 import hashlib
@@ -56,6 +58,13 @@ EPOCH_LOSSES = {
 
 FVLC_ASSIGNMENTS = {4: [0, 1, 1, 1], 5: [1, 0, 1, 0], 6: [1, 0, 1, 0]}
 
+# task -> AUC of `evaluate_separation` on `eval_dataset_for(CONFIG)`
+SEPARATION_AUCS = {
+    "no_failure": {2: 0.16015625, 4: 0.0234375, 5: 0.890625, 6: 0.36328125},
+    "bce": {2: 0.16015625, 4: 0.0234375, 5: 0.890625, 6: 0.36328125},
+    "fvlc": {2: 0.1484375, 4: 0.0234375, 5: 0.890625, 6: 0.36328125},
+}
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -78,3 +87,15 @@ def test_epoch_losses_and_clusters(dataset, mode):
             assert g[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
     assignments = {t: s.assignments.tolist() for t, s in result.cluster_states.items()}
     assert assignments == (FVLC_ASSIGNMENTS if mode == "fvlc" else {})
+
+
+@pytest.fixture(scope="module")
+def eval_dataset():
+    return evaluation.eval_dataset_for(CONFIG)
+
+
+@pytest.mark.parametrize("mode", sorted(SEPARATION_AUCS))
+def test_separation_aucs(dataset, eval_dataset, mode):
+    params = training.train(replace(CONFIG, mode=mode), dataset).params
+    report = evaluation.evaluate_separation(params, eval_dataset, CONFIG.all_tasks)
+    assert {task: entry["auc"] for task, entry in report.items()} == SEPARATION_AUCS[mode]
