@@ -3,10 +3,9 @@
 train -> eval) and two checks (ablate, grad-check).
 
 Every setting is an ExperimentConfig key in the `key = value` file given
-by --config (defaults without one); --seed overrides its seed, ahead of
-REWARD_SEED. `ablate` sweeps that seed and the next two; `grad-check`
-takes no config. A RewardLabError or OSError exits with status 1 and a
-one-line message.
+by --config (defaults without one); --seed overrides its seed. `ablate`
+sweeps that seed and the next two; `grad-check` takes no config. A
+RewardLabError or OSError exits with status 1 and a one-line message.
 """
 
 import argparse

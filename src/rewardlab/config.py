@@ -1,11 +1,10 @@
 """Experiment configuration: one flat dataclass, addressable from a plain
 `key = value` text file (`python -m rewardlab <command> --config PATH`).
-Unknown keys and out-of-range values are errors that name the field; seed
-precedence is the --seed flag > REWARD_SEED environment variable > config
-file > default.
+Unknown keys and out-of-range values are errors that name the field. The
+seed comes from the --seed flag if given, else from the config file, else
+the default; no environment variable changes it.
 """
 
-import os
 from dataclasses import dataclass, fields, replace
 
 from . import dynamics as dyn, simworld as sw
@@ -13,8 +12,6 @@ from .datagen import FAILURE_SOURCES
 from .errors import BadConfigError
 from .losses import MODES
 from .render import VARIANTS
-
-SEED_ENV_VAR = "REWARD_SEED"
 
 
 @dataclass(frozen=True)
@@ -152,13 +149,5 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
 
 
 def resolve_seed(config: ExperimentConfig, flag_seed: int | None = None) -> ExperimentConfig:
-    """Apply the documented precedence: flag > environment > config file."""
-    if flag_seed is not None:
-        return replace(config, seed=int(flag_seed))
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return replace(config, seed=int(env))
-        except ValueError as exc:
-            raise BadConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return config
+    """The --seed flag, when given, beats the config file's seed."""
+    return config if flag_seed is None else replace(config, seed=int(flag_seed))

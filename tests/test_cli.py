@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rewardlab import cli, datagen as dg, dynamics as dyn, evaluation, formats, training
-from rewardlab.config import SEED_ENV_VAR, load_config
+from rewardlab.config import load_config
 
 TINY = """\
 seed = 5
@@ -32,8 +32,7 @@ plan_seeds = 1
 
 
 @pytest.fixture
-def config_path(tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def config_path(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY, encoding="ascii")
     return path
@@ -86,11 +85,14 @@ def test_datagen_train_eval_match_the_in_memory_pipeline(tmp_path, config_path, 
 
 
 def test_seed_flag_beats_the_environment_and_the_file(tmp_path, config_path, capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "11")
-    data = tmp_path / "data.txt"
-    assert run(capsys, "datagen", "--config", config_path, "--seed", 6, "--out", data)[0] == 0
-    want = evaluation.train_dataset_for(replace(load_config(config_path), seed=6))
-    assert np.array_equal(formats.load_dataset(data).frames_array(), want.frames_array())
+    # REWARD_SEED no longer sets the seed: the file's seed holds without
+    # the flag, and the flag's with it
+    monkeypatch.setenv("REWARD_SEED", "11")
+    for flag, seed in (([], 5), (["--seed", 6], 6)):
+        data = tmp_path / f"data{seed}.txt"
+        assert run(capsys, "datagen", "--config", config_path, *flag, "--out", data)[0] == 0
+        want = evaluation.train_dataset_for(replace(load_config(config_path), seed=seed))
+        assert np.array_equal(formats.load_dataset(data).frames_array(), want.frames_array())
 
 
 @pytest.mark.parametrize("text, argv, message", [

@@ -1,13 +1,11 @@
 """The `key = value` config format, its line-numbered errors, the range
-checks at construction, and the seed precedence flag > REWARD_SEED > config
-file."""
+checks at construction, and the seed precedence flag > config file; the
+environment does not set the seed."""
 
 import pytest
 
 from rewardlab import simworld as sw
-from rewardlab.config import (
-    SEED_ENV_VAR, ExperimentConfig, load_config, parse_config_text, resolve_seed,
-)
+from rewardlab.config import ExperimentConfig, load_config, parse_config_text, resolve_seed
 from rewardlab.errors import BadConfigError
 
 EVERY_KIND = """
@@ -102,19 +100,15 @@ def test_non_ascii_file(tmp_path):
 class TestSeedPrecedence:
     FILE = parse_config_text("seed = 3")
 
-    def test_file_seed_without_flag_or_env(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    def test_file_seed_without_flag_or_env(self):
         assert resolve_seed(self.FILE).seed == 3
 
-    def test_env_beats_file(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "11")
-        assert resolve_seed(self.FILE).seed == 11
+    @pytest.mark.parametrize("value", ["11", "seven"])
+    def test_environment_is_ignored(self, monkeypatch, value):
+        # REWARD_SEED once set the seed; a stray export must change nothing
+        monkeypatch.setenv("REWARD_SEED", value)
+        assert resolve_seed(self.FILE) == self.FILE
 
     def test_flag_beats_env_and_file(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "11")
+        monkeypatch.setenv("REWARD_SEED", "11")
         assert resolve_seed(self.FILE, flag_seed=5).seed == 5
-
-    def test_non_integer_env(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "seven")
-        with pytest.raises(BadConfigError, match=SEED_ENV_VAR):
-            resolve_seed(self.FILE)

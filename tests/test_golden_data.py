@@ -16,7 +16,7 @@ from dataclasses import fields
 import pytest
 
 from rewardlab import cli, evaluation, simworld as sw
-from rewardlab.config import SEED_ENV_VAR, ExperimentConfig, load_config
+from rewardlab.config import ExperimentConfig, load_config
 from rewardlab.errors import BadConfigError
 from test_golden import CONFIG
 
@@ -60,8 +60,7 @@ def _config_text(config) -> str:
     return "".join(lines)
 
 
-def test_datagen_report(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_datagen_report(tmp_path, capsys):
     path = tmp_path / "golden.cfg"
     path.write_text(_config_text(CONFIG), encoding="ascii")
     assert load_config(path) == CONFIG
