@@ -9,6 +9,9 @@ bit-exactly, so save -> load is lossless and files diff cleanly.
 Dataset record:
     clip domain=<human|robot> task=<int> success=<0|1> archetype=<name|->
          seed=<int> frames=<L> width=<F> data <f0> <f1> ...
+A loaded record must be a clip that generation could have made: a known
+domain and task, archetype `-` exactly for a success and a known failure
+archetype otherwise, and the same frames and width as every other record.
 
 Checkpoint record (row-major values; `training.params_to_arrays` names):
     array <name> <ndim> <dim0> ... <v0> <v1> ...
@@ -16,8 +19,9 @@ Checkpoint record (row-major values; `training.params_to_arrays` names):
 
 import numpy as np
 
-from .datagen import Dataset, LabeledClip
+from .datagen import ARCHETYPES, Dataset, LabeledClip
 from .errors import CorruptFileError, VersionMismatchError
+from .simworld import TASK_NAMES
 
 FORMAT_VERSION = 1
 DATASET_MAGIC = "rewardlab-dataset"
@@ -61,6 +65,23 @@ def _read_lines(path):
 
 # --- datasets ---
 
+def _label_error(labels: dict) -> str | None:
+    """Why a record's labels describe no clip that generation makes, or None."""
+    domain, task_id, success = labels["domain"], labels["task_id"], labels["success"]
+    failure_archetype = labels["failure_archetype"]
+    if domain not in ("human", "robot"):
+        return f"unknown domain {domain!r}"
+    if task_id not in TASK_NAMES:
+        return f"unknown task {task_id}"
+    if success not in (0, 1):
+        return f"success must be 0 or 1, got {success}"
+    if success == 1 and failure_archetype is not None:
+        return f"a success has failure archetype {failure_archetype!r}"
+    if success == 0 and failure_archetype not in ARCHETYPES:
+        return f"unknown failure archetype {failure_archetype!r}"
+    return None
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     lines = [_header_line(DATASET_MAGIC, clips=len(dataset.clips))]
     for clip in dataset.clips:
@@ -86,7 +107,7 @@ def load_dataset(path) -> Dataset:
             f"{path}: header declares {header.get('clips')} clips, found {len(body)}"
         )
     clips = []
-    for ln in body:
+    for number, ln in enumerate(body, start=1):
         tokens = ln.split()
         if len(tokens) < 9 or tokens[0] != "clip" or tokens[8] != "data":
             raise CorruptFileError(f"malformed clip record: {ln[:60]!r}")
@@ -108,6 +129,12 @@ def load_dataset(path) -> Dataset:
             raise CorruptFileError(
                 f"clip record has {len(values)} values, expected {l * f}"
             )
+        problem = _label_error(labels)
+        if problem is None and clips and (l, f) != clips[0].frames.shape:
+            problem = "frames={} width={} differ from record 1's frames={} width={}".format(
+                l, f, *clips[0].frames.shape)
+        if problem is not None:
+            raise CorruptFileError(f"clip record {number} ({ln[:60]!r}): {problem}")
         clips.append(LabeledClip(frames=np.array(values).reshape(l, f), **labels))
     return Dataset(clips)
 

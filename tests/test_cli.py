@@ -10,6 +10,7 @@ import pytest
 
 from rewardlab import cli, datagen as dg, dynamics as dyn, evaluation, formats, training
 from rewardlab.config import load_config
+from test_formats import BAD_RECORDS, write_with_bad_record
 
 TINY = """\
 seed = 5
@@ -109,6 +110,18 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, text, ar
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and message in err and "Traceback" not in err
     assert not (tmp_path / "never.txt").exists()
+
+
+@pytest.mark.parametrize("edit, message", BAD_RECORDS.values(), ids=list(BAD_RECORDS))
+def test_train_rejects_an_impossible_clip_record(tmp_path, config_path, capsys, edit, message):
+    data, ckpt = tmp_path / "data.txt", tmp_path / "model.ckpt"
+    assert run(capsys, "datagen", "--config", config_path, "--out", data)[0] == 0
+    write_with_bad_record(data, edit)
+    status, out, err = run(capsys, "train", "--config", config_path, "--data", data, "--out", ckpt)
+    assert status == 1 and out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("rewardlab train: error: clip record 3 ")
+    assert message in err
+    assert not ckpt.exists()
 
 
 def test_ablate_and_grad_check_print_their_reports(config_path, capsys, monkeypatch):

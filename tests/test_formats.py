@@ -15,6 +15,39 @@ def dataset():
     return dg.gen_dataset(cfg)
 
 
+def relabel(**fields):
+    """Record edit: replace the named label fields."""
+    def edit(tokens):
+        return [f"{tok.split('=')[0]}={fields[tok.split('=')[0]]}"
+                if tok.split("=")[0] in fields else tok for tok in tokens]
+    return edit
+
+
+def drop_last_frame(tokens):
+    """Record edit: one frame fewer, its values dropped."""
+    width = int(next(tok for tok in tokens if tok.startswith("width=")).split("=")[1])
+    frames = int(next(tok for tok in tokens if tok.startswith("frames=")).split("=")[1])
+    return relabel(frames=frames - 1)(tokens)[:-width]
+
+
+# id -> (edit of the third record's tokens, expected message); the fixture's
+# third record is a robot success
+BAD_RECORDS = {
+    "unknown-domain": (relabel(domain="alien"), "unknown domain 'alien'"),
+    "success-2": (relabel(success=2, archetype="wander"), "success must be 0 or 1, got 2"),
+    "success-with-archetype": (relabel(archetype="wander"), "a success has failure archetype"),
+    "unknown-archetype": (relabel(success=0, archetype="flail"), "unknown failure archetype 'flail'"),
+    "negative-task": (relabel(task=-1), "unknown task -1"),
+    "short-clip": (drop_last_frame, "frames=3 width=16 differ from record 1's frames=4 width=16"),
+}
+
+
+def write_with_bad_record(path, edit):
+    lines = path.read_text().splitlines()
+    lines[3] = " ".join(edit(lines[3].split()))
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestDatasetFormat:
     def test_round_trip_bit_identical(self, dataset, tmp_path):
         path = tmp_path / "ds.txt"
@@ -52,6 +85,14 @@ class TestDatasetFormat:
         tokens = [bad if tok.startswith(field + "=") else tok for tok in tokens]
         path.write_text("\n".join([lines[0], " ".join(tokens)] + lines[2:]) + "\n")
         with pytest.raises(CorruptFileError, match="malformed clip record"):
+            formats.load_dataset(path)
+
+    @pytest.mark.parametrize("edit, message", BAD_RECORDS.values(), ids=list(BAD_RECORDS))
+    def test_impossible_clip_record_is_corrupt(self, dataset, tmp_path, edit, message):
+        path = tmp_path / "ds.txt"
+        formats.save_dataset(dataset, path)
+        write_with_bad_record(path, edit)
+        with pytest.raises(CorruptFileError, match=rf"clip record 3 \('clip .*{message}"):
             formats.load_dataset(path)
 
     def test_version_mismatch(self, dataset, tmp_path):
