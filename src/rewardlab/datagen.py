@@ -37,7 +37,7 @@ that attempt, so its later draws follow exactly as if it had stopped
 there. The dynamics and controllers are elementwise, so a clip's rollout
 does not depend on which other rows share the batch:
 `gen_success_trajectory` and `gen_failure_trajectory` are the same core
-at n = 1.
+at n = 1. A group's clips are rendered with one `render_clips` per domain.
 """
 
 from dataclasses import dataclass, field
@@ -404,17 +404,16 @@ def gen_success_trajectory(task_id: int, seed, noise: float = ACTION_NOISE):
     return actions[0], states[0]
 
 
-def render_clip(states: np.ndarray, domain: str, config, rng: np.random.Generator | None = None):
-    """Subsample a trajectory to config.clip_frames and render it in one
-    domain; a human clip with an rng gets a camera offset and feature noise."""
-    idx = render.clip_frame_indices(states.shape[0], config.clip_frames)
-    camera = np.zeros(2)
-    if domain == "human" and rng is not None:
-        camera = rng.uniform(-render.VIEWPOINT_SIGMA, render.VIEWPOINT_SIGMA, 2)
-    frames = render.render_frames(states[idx], camera=camera, domain=domain)
-    if domain == "human" and rng is not None and config.noise > 0:
-        frames = frames + rng.normal(0.0, config.noise, frames.shape)
-    return frames
+def _human_clips(states: np.ndarray, rngs, config) -> np.ndarray:
+    """Human-domain clips of (n, T+1, 7) rollouts in one render call; each
+    clip draws its camera offset, then its feature noise, from its own rng."""
+    sigma = render.VIEWPOINT_SIGMA
+    cameras = np.reshape([rng.uniform(-sigma, sigma, 2) for rng in rngs], (-1, 2))
+    clips = render.render_clips(states, config.clip_frames, cameras, "human")
+    if config.noise > 0:
+        noise = [rng.normal(0.0, config.noise, clips.shape[1:]) for rng in rngs]
+        clips = clips + np.reshape(noise, clips.shape)
+    return clips
 
 
 def _failure_archetype_plan(task_id: int, count: int, sources) -> list:
@@ -458,15 +457,18 @@ def gen_dataset(config) -> Dataset:
     groups = {}
     for idx, (_, task_id, style, _) in enumerate(specs):
         groups.setdefault((task_id, style), []).append(idx)
-    frames = [None] * len(specs)
+    frames = np.empty((len(specs), config.clip_frames, render.FRAME_WIDTH))
     retries = {}
     for (task_id, style), members in groups.items():
         _, states, attempts, rngs = roll_clips(
             task_id, style, [specs[i][3] for i in members], noise=ACTION_NOISE
         )
-        for idx, clip_states, rng in zip(members, states, rngs):
-            domain = specs[idx][0]
-            frames[idx] = render_clip(clip_states, domain, config, rng if domain == "human" else None)
+        # a success group lists its human clips first; no render call is empty
+        n_human = sum(specs[i][0] == "human" for i in members)
+        if n_human:
+            frames[members[:n_human]] = _human_clips(states[:n_human], rngs[:n_human], config)
+        if n_human < len(members):
+            frames[members[n_human:]] = render.render_clips(states[n_human:], config.clip_frames)
         retries[(task_id, style)] = {
             "clips": len(members),
             "attempts": int(attempts.sum()),
@@ -487,23 +489,22 @@ def domain_shift_cosine(config, n_pairs: int = 100) -> float:
     Pair i is one success rollout of its task, seeded [seed, 99, task, i],
     rendered in both domains (the human rendering draws from the clip's
     Generator after its rollout); each task's pairs are rolled as one
-    lockstep group.
+    lockstep group and rendered in one call per domain. The mean runs over
+    the pairs in index order.
     """
     tasks = config.all_tasks
     if not tasks:
         raise BadConfigError("domain_shift_cosine needs at least one task")
     per_task = [t for t in tasks for _ in range((n_pairs // len(tasks)) + 1)]
     pairs = per_task[:n_pairs]
-    sims = [None] * len(pairs)
+    sims = np.empty((len(pairs), config.clip_frames))
     for task_id in dict.fromkeys(pairs):
         idx = [i for i, t in enumerate(pairs) if t == task_id]
         _, states, _, rngs = roll_clips(
             task_id, "success", [[config.seed, 99, task_id, i] for i in idx], noise=ACTION_NOISE
         )
-        for i, clip_states, rng in zip(idx, states, rngs):
-            robot = render_clip(clip_states, "robot", config)
-            human = render_clip(clip_states, "human", config, rng)
-            num = np.sum(robot * human, axis=1)
-            den = np.linalg.norm(robot, axis=1) * np.linalg.norm(human, axis=1)
-            sims[i] = (num / den).tolist()
-    return float(np.mean([s for pair in sims for s in pair]))
+        robot = render.render_clips(states, config.clip_frames)
+        human = _human_clips(states, rngs, config)
+        num = np.sum(robot * human, axis=2)
+        sims[idx] = num / (np.linalg.norm(robot, axis=2) * np.linalg.norm(human, axis=2))
+    return float(np.mean(sims.ravel()))

@@ -51,6 +51,17 @@ def softmax(x) -> np.ndarray:
     return z / np.sum(z, axis=-1, keepdims=True)
 
 
+def sigmoid(x) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)), without overflow for large |x|."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def finite_diff_grad_check(f, theta, analytic_grad, eps: float = 1e-5) -> float:
     """Compare an analytic gradient against central differences.
 

@@ -1,4 +1,4 @@
-"""Trainable video encoder, frozen task-text table, failure prompt pool.
+"""Trainable video encoder, frozen task texts, failure prompt pool.
 
 The video encoder is small enough for cheap finite-difference checks:
 per-frame linear projection -> tanh -> learned softmax-weighted temporal
@@ -6,8 +6,8 @@ average -> linear -> l2 normalization. Backward passes are written by hand
 and validated against central differences.
 
 Task text embeddings stand in for a frozen language encoder: one seeded
-unit Gaussian vector per task, stored as a read-only (T, D) array whose
-row t is task t.
+unit Gaussian vector per task, stored as a plain read-only (T, D) array
+whose row t is task t (`task_texts`).
 
 The failure prompt pool holds one trainable (prompt_len, D) block per
 (pooled task, cluster) in a single (T_p, K, prompt_len, D) array. A
@@ -128,33 +128,16 @@ def encode_clips_backward(cache, d_v: np.ndarray) -> VideoEncoderParams:
 
 # --- frozen task text embeddings ---
 
-class TaskTable:
-    """Frozen text embeddings of tasks 0..T-1: row t of `texts` is task t."""
-
-    def __init__(self, texts):
-        shapes = sorted({np.shape(text) for text in texts})
-        if len(shapes) > 1:
-            raise ShapeMismatchError(f"task texts have unequal shapes {shapes}")
-        self.texts = np.array(texts, dtype=np.float64)
-        if self.texts.ndim != 2:
-            raise ShapeMismatchError(f"texts must be (T, D), got {self.texts.shape}")
-        self.texts.setflags(write=False)
-
-    @classmethod
-    def build(cls, n_tasks: int, embed_dim: int, seed: int) -> "TaskTable":
-        """Seeded near-orthogonal initializer: one unit Gaussian per task."""
-        return cls([
-            l2_normalize(np.random.default_rng([seed, _TEXT_STREAM, task]).normal(size=embed_dim))
-            for task in range(n_tasks)
-        ])
-
-    def __len__(self) -> int:
-        return self.texts.shape[0]
-
-    def text_embed(self, task_id: int) -> np.ndarray:
-        if not 0 <= task_id < len(self):
-            raise UnknownTaskError(f"task {task_id} is not registered")
-        return self.texts[task_id]
+def task_texts(n_tasks: int, embed_dim: int, seed: int) -> np.ndarray:
+    """Read-only (T, D) text embeddings of tasks 0..T-1: one seeded unit
+    Gaussian per task, near-orthogonal at the default width."""
+    texts = np.empty((n_tasks, embed_dim))
+    for task in range(n_tasks):
+        texts[task] = l2_normalize(
+            np.random.default_rng([seed, _TEXT_STREAM, task]).normal(size=embed_dim)
+        )
+    texts.setflags(write=False)
+    return texts
 
 
 # --- failure prompt pool ---
@@ -187,16 +170,17 @@ def init_prompt_pool(
     )
 
 
-def failure_text_features(pool: FailurePromptPool, table: TaskTable):
+def failure_text_features(pool: FailurePromptPool, texts: np.ndarray):
     """Features of all (task, cluster) contexts [prompt; task text], composed
-    in one pass: token mean -> shared map -> normalize.
+    in one pass: token mean -> shared map -> normalize. texts is the (T, D)
+    task text array.
 
     Returns (T_p, K, D) unit features and the cache for the backward pass.
     """
-    if np.any((pool.tasks < 0) | (pool.tasks >= len(table))):
-        raise UnknownTaskError(f"pool tasks {pool.tasks.tolist()} are not all in the table")
+    if np.any((pool.tasks < 0) | (pool.tasks >= len(texts))):
+        raise UnknownTaskError(f"pool tasks {pool.tasks.tolist()} are not all task texts")
     prompts = pool.prompts
-    texts = table.texts[pool.tasks][:, None, None, :]
+    texts = texts[pool.tasks][:, None, None, :]
     rows = np.concatenate(
         [prompts, np.broadcast_to(texts, prompts.shape[:2] + (1, prompts.shape[-1]))], axis=-2
     )

@@ -2,9 +2,10 @@
 and the ablation grid.
 
 Separation is measured as the probability that a uniformly random success
-clip outscores (sigmoid(v . t)) a uniformly random failure clip of the
-same task, ties counted half — the area under the ROC curve; the eval set
-is stacked once and scored by row index. That set is `gen_dataset` of a
+clip outscores a uniformly random failure clip of the same task, ties
+counted half — the area under the ROC curve. The eval set is stacked once
+and each task's robot rows are scored by the planner's reward,
+`LearnedReward.score_frames` (sigmoid(v . t)). That set is `gen_dataset` of a
 copy of the config: robot clips of the evaluated tasks at the eval counts,
 every failure source, a derived seed. Planning builds one reward per task,
 plans each of the config's plan_seeds x plan_trials trials with random
@@ -16,13 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import datagen as dg, dynamics as dyn, encoders as enc, planner as pl, simworld as sw
+from . import datagen as dg, dynamics as dyn, planner as pl, simworld as sw
 from .config import ExperimentConfig
-from .errors import (
-    BadConfigError, OneClassOnlyError, RefinementRegressedError, TooFewSamplesError,
-    UnknownTaskError,
-)
-from .losses import _rows, _sigmoid
+from .errors import BadConfigError, OneClassOnlyError, RefinementRegressedError, TooFewSamplesError
 from .training import ModelParams, train
 
 _STREAM_EVAL_DATA = 7
@@ -45,13 +42,6 @@ def auc_from_scores(success_scores, failure_scores) -> float:
     return u / (n_s * n_f)
 
 
-def score_clips(params: ModelParams, frames, tasks) -> np.ndarray:
-    """sigmoid(v . t) for each (L, F) clip of frames against its task's text."""
-    videos = enc.encode_clips(frames, params.video)
-    texts = _rows(params.table.texts, np.asarray(tasks, dtype=np.int64), UnknownTaskError)
-    return _sigmoid(np.sum(videos * texts, axis=1))
-
-
 def evaluate_separation(params: ModelParams, eval_dataset: dg.Dataset, tasks):
     """{task: {"auc": ...}}: per-task AUC of success over failure scores."""
     clips = eval_dataset.clips
@@ -61,15 +51,12 @@ def evaluate_separation(params: ModelParams, eval_dataset: dg.Dataset, tasks):
     success = np.array([c.success for c in clips], dtype=np.int64)
     report = {}
     for task in tasks:
-        mine = robot & (task_col == task)
-        s_rows = np.flatnonzero(mine & (success == 1))
-        f_rows = np.flatnonzero(mine & (success == 0))
-        if not s_rows.size or not f_rows.size:
+        mine = np.flatnonzero(robot & (task_col == task))
+        won = success[mine] == 1
+        if won.all() or not won.any():
             raise OneClassOnlyError(f"task {task} evaluation set has one class only")
-        report[task] = {"auc": auc_from_scores(
-            score_clips(params, frames[s_rows], task_col[s_rows]),
-            score_clips(params, frames[f_rows], task_col[f_rows]),
-        )}
+        scores = pl.LearnedReward(params.video, params.texts, task).score_frames(frames[mine])
+        report[task] = {"auc": auc_from_scores(scores[won], scores[~won])}
     return report
 
 
@@ -126,7 +113,7 @@ def evaluate_planning(
     rows = []
     for task in tasks:
         reward = pl.OracleReward(task) if reward_kind == "oracle" else pl.LearnedReward(
-            params.video, params.table, task, variant=config.env_variant
+            params.video, params.texts, task, variant=config.env_variant
         )
         starts, plans = [], []   # per (seed, trial): the vmpc plan, then the CEM one
         for seed_idx in range(config.plan_seeds):

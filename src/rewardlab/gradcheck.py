@@ -97,16 +97,16 @@ def _check_encoder(rng):
 
 def _check_compose(rng):
     d = 8
-    table = enc.TaskTable.build(3, embed_dim=d, seed=int(rng.integers(2**31)))
+    texts = enc.task_texts(3, embed_dim=d, seed=int(rng.integers(2**31)))
     pool = enc.init_prompt_pool([0, 2], rng, k=2, prompt_len=2, embed_dim=d)
     probe = rng.normal(size=(2, 2, d))
     params = [pool.prompts, pool.proj, pool.bias]
 
     def f(vec):
         trial = enc.FailurePromptPool(pool.tasks, *enc.unflatten_like(vec, params))
-        return float(np.sum(enc.failure_text_features(trial, table)[0] * probe))
+        return float(np.sum(enc.failure_text_features(trial, texts)[0] * probe))
 
-    _, cache = enc.failure_text_features(pool, table)
+    _, cache = enc.failure_text_features(pool, texts)
     analytic = enc.compose_failure_context_backward(cache, probe)
     return finite_diff_grad_check(
         f, enc.flatten_arrays(params), enc.flatten_arrays(analytic), eps=EPS

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import logsumexp, softmax
+from .embeddings import logsumexp, sigmoid, softmax
 from .errors import (
     BadClusterIndexError,
     BadConfigError,
@@ -193,15 +193,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def bce_loss(videos, texts, outcomes):
     """-sum_i [r log p + (1-r) log(1-p)] with p = sigmoid(v . t) against
     the frozen texts.
@@ -216,7 +207,7 @@ def bce_loss(videos, texts, outcomes):
     x = np.sum(videos * texts, axis=1)
     # -log sigmoid(x) = softplus(-x); -log(1 - sigmoid(x)) = softplus(x)
     value = float(np.sum(_softplus(np.where(outcomes > 0.5, -x, x))))
-    return value, (_sigmoid(x) - outcomes)[:, None] * texts
+    return value, (sigmoid(x) - outcomes)[:, None] * texts
 
 
 def failure_prompt_loss(

@@ -4,8 +4,10 @@ Both planners take a scorer: a function from (N, H, 3) action sequences to
 (N,) scores. `make_sequence_scorer` builds the one the evaluation uses: it
 predicts each sequence's chunked rollout from one start state with a
 dynamics model and scores the predicted states with a reward:
-`LearnedReward` (rendered at its video encoder's clip length) or
-`OracleReward` (the task predicate).
+`LearnedReward` or `OracleReward` (the task predicate). `LearnedReward`
+is the model's one scorer, sigmoid(v . t): `score_frames` scores clips
+(separation goes through it too), and `score_batch` renders state
+sequences with `render.render_clips` and scores those.
 
 vmpc_plan samples candidate action sequences uniformly in the clamped
 action box, scores them and returns the argmax (ties break to the lowest
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn, encoders as enc, render, simworld as sw
-from .errors import BadConfigError
-from .losses import _sigmoid
+from .embeddings import sigmoid
+from .errors import BadConfigError, UnknownTaskError
 
 CEM_ITERATIONS = 4
 CEM_POPULATION = 64
@@ -46,26 +48,26 @@ class CemResult:
 
 
 class LearnedReward:
-    """sigmoid(v . t): render the predicted rollout in the robot domain (no
-    camera offset) at the encoder's clip length, encode it, dot with the
-    task text."""
+    """sigmoid(v . t) of one task: v encodes a clip, t is the task's row of
+    the (T, D) task texts. A task outside [0, T) raises UnknownTaskError."""
 
-    def __init__(self, video_params, task_table, task_id, variant="train"):
+    def __init__(self, video_params, texts, task_id, variant="train"):
+        if not 0 <= task_id < len(texts):
+            raise UnknownTaskError(f"task {task_id} is outside the {len(texts)} task texts")
         self.video_params = video_params
-        self.text = task_table.text_embed(task_id)
+        self.text = texts[task_id]
         self.variant = variant
 
+    def score_frames(self, frames: np.ndarray) -> np.ndarray:
+        """(n,) scores of (n, L, F) clips."""
+        return sigmoid(enc.encode_clips(frames, self.video_params) @ self.text)
+
     def score_batch(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=np.float64)
-        n, t, length = states.shape[0], states.shape[1], self.video_params.frames
-        idx = render.clip_frame_indices(t, length)
-        frames = render.render_frames(
-            states[:, idx, :].reshape(n * length, sw.STATE_DIM),
-            domain="robot",
-            variant=self.variant,
-        ).reshape(n, length, render.FRAME_WIDTH)
-        videos = enc.encode_clips(frames, self.video_params)
-        return _sigmoid(videos @ self.text)
+        """(n,) scores of (n, T+1, 7) state sequences, rendered in the robot
+        domain with no camera offset."""
+        return self.score_frames(
+            render.render_clips(states, self.video_params.frames, variant=self.variant)
+        )
 
 
 class OracleReward:

@@ -12,6 +12,10 @@ of up to VIEWPOINT_SIGMA.
 Environment variants change rendering only (color bias inside the
 nonlinearity, camera offset, feature permutation) and never touch dynamics
 or predicates.
+
+`render_clips` is the one path from state sequences to clips (datagen's
+and the learned reward's): it subsamples each sequence to the clip length
+and renders every frame in one `render_frames` call.
 """
 
 import numpy as np
@@ -98,3 +102,17 @@ def render_frames(
 def clip_frame_indices(n_states: int, n_frames: int) -> np.ndarray:
     """Uniform temporal subsampling indices (first and last always kept)."""
     return np.round(np.linspace(0, n_states - 1, n_frames)).astype(int)
+
+
+def render_clips(states, n_frames: int, camera=(0.0, 0.0), domain="robot", variant="train"):
+    """Render (n, T+1, 7) state sequences to (n, n_frames, F) clips; camera
+    is one (2,) offset for every sequence or one per sequence, (n, 2)."""
+    states, camera = np.asarray(states, dtype=np.float64), np.asarray(camera, dtype=np.float64)
+    if states.ndim != 3 or camera.shape not in ((2,), (len(states), 2)):
+        raise ShapeMismatchError(f"need (n, T+1, {sw.STATE_DIM}) states and a (2,) or (n, 2) "
+                                 f"camera, got {states.shape} and {camera.shape}")
+    frames = render_frames(
+        states[:, clip_frame_indices(states.shape[1], n_frames)].reshape(-1, states.shape[2]),
+        camera if camera.ndim == 1 else np.repeat(camera, n_frames, axis=0), domain, variant,
+    )
+    return frames.reshape(len(states), n_frames, FRAME_WIDTH)

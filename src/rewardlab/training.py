@@ -58,7 +58,7 @@ _CANDIDATES = 32
 class ModelParams:
     video: enc.VideoEncoderParams
     pool: enc.FailurePromptPool | None
-    table: enc.TaskTable
+    texts: np.ndarray   # (T, D) frozen task texts, read-only
 
 
 class _IndexedData:
@@ -179,8 +179,8 @@ def init_params(config: ExperimentConfig, pooled_tasks) -> ModelParams:
         prompt_len=config.prompt_len,
         embed_dim=config.embed_dim,
     ) if pooled_tasks else None
-    table = enc.TaskTable.build(len(TASK_NAMES), embed_dim=config.embed_dim, seed=config.seed)
-    return ModelParams(video=video, pool=pool, table=table)
+    texts = enc.task_texts(len(TASK_NAMES), embed_dim=config.embed_dim, seed=config.seed)
+    return ModelParams(video=video, pool=pool, texts=texts)
 
 
 def _cluster_failures(params: ModelParams, data: _IndexedData, config: ExperimentConfig, epoch: int):
@@ -218,7 +218,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
             pseudo_labels[part] = cluster_states[task].assignments
 
     steps = config.steps_per_epoch or max(1, math.ceil(2 * len(data.human) / config.batch_human))
-    texts = params.table.texts
+    texts = params.texts
     # failure features by task id; tasks without a prompt pool stay masked
     # and contribute no failure negatives
     fail_texts = np.zeros((len(texts), config.k_clusters, config.embed_dim))
@@ -238,7 +238,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
                 data.frames[np.concatenate([rows, fail_rows])], params.video
             )
             if params.pool is not None:
-                feats, pool_cache = enc.failure_text_features(params.pool, params.table)
+                feats, pool_cache = enc.failure_text_features(params.pool, params.texts)
                 fail_texts[params.pool.tasks] = feats
 
             emb_batch = losses.Batch(
@@ -320,7 +320,7 @@ def params_to_arrays(params: ModelParams) -> dict:
         for task, block in zip(params.pool.tasks.tolist(), params.pool.prompts):
             for k, prompt in enumerate(block):
                 out[f"pool.prompt.{task}.{k}"] = prompt
-    for task, text in enumerate(params.table.texts):
+    for task, text in enumerate(params.texts):
         out[f"task.{task}.text"] = text
     return out
 
@@ -333,8 +333,8 @@ def _array(arrays: dict, key: str) -> np.ndarray:
 
 def params_from_arrays(arrays: dict) -> ModelParams:
     """Inverse of params_to_arrays. The prompt keys must fill a full
-    task x K grid, the task texts must be tasks 0..T-1, and every array
-    must be finite."""
+    task x K grid, the task texts must be tasks 0..T-1 and vectors of one
+    width, and every array must be finite."""
     bad = [key for key, arr in arrays.items() if not np.all(np.isfinite(arr))]
     if bad:
         raise CorruptFileError(f"checkpoint arrays {bad} hold non-finite values")
@@ -367,5 +367,9 @@ def params_from_arrays(arrays: dict) -> ModelParams:
         )
     if sorted(texts) != list(range(len(texts))):
         raise CorruptFileError(f"task text ids {sorted(texts)} are not 0..T-1")
-    table = enc.TaskTable([texts[task] for task in range(len(texts))])
-    return ModelParams(video=video, pool=pool, table=table)
+    shapes = sorted({np.shape(text) for text in texts.values()})
+    if len(shapes) != 1 or len(shapes[0]) != 1:
+        raise CorruptFileError(f"task texts must be vectors of one width, got shapes {shapes}")
+    stacked = np.array([texts[task] for task in range(len(texts))], dtype=np.float64)
+    stacked.setflags(write=False)
+    return ModelParams(video=video, pool=pool, texts=stacked)

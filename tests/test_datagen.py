@@ -67,8 +67,8 @@ class TestGenDataset:
     def test_human_frames_are_shifted_robot_frames(self):
         cfg = ExperimentConfig()
         _, states = dg.gen_success_trajectory(sw.TASK_OPEN_DRAWER, 0)
-        robot = dg.render_clip(states, "robot", cfg)
-        human = dg.render_clip(states, "human", cfg)
+        robot = render.render_clips(states[None], cfg.clip_frames)
+        human = render.render_clips(states[None], cfg.clip_frames, domain="human")
         assert np.array_equal(human, render.apply_domain_shift(robot))
         assert not np.allclose(human, robot)
 

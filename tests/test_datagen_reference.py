@@ -2,8 +2,9 @@
 
 The reference below is the earlier generator: closure controllers that
 act on one state at a time with a phase dict, a rollout loop that draws
-each step's velocity noise as two scalars, and one clip at a time through
-`simworld.step_batch` at N=1. The lockstep core draws the same numbers in
+each step's velocity noise as two scalars, one clip at a time through
+`simworld.step_batch` at N=1, and one `render.render_frames` call per
+clip. The lockstep core draws the same numbers in
 the same order from each clip's Generator and does the same elementwise
 arithmetic, so actions, states, attempt counts, the dataset's retry report
 and its frames must be equal bit for bit, not within a tolerance.
@@ -20,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rewardlab import datagen as dg, simworld as sw
+from rewardlab import datagen as dg, render, simworld as sw
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import GenerationFailedError
 
@@ -277,6 +278,19 @@ def ref_trajectory(task_id, style, seed, noise=dg.ACTION_NOISE):
     raise AssertionError(f"reference could not realize {style} for task {task_id}")
 
 
+def ref_render_clip(states, domain, config, rng=None):
+    """One clip at a time: subsample a (T+1, 7) rollout and render it; a
+    human clip with an rng draws its camera offset, then its feature noise."""
+    idx = render.clip_frame_indices(states.shape[0], config.clip_frames)
+    camera = np.zeros(2)
+    if rng is not None:
+        camera = rng.uniform(-render.VIEWPOINT_SIGMA, render.VIEWPOINT_SIGMA, 2)
+    frames = render.render_frames(states[idx], camera=camera, domain=domain)
+    if rng is not None and config.noise > 0:
+        frames = frames + rng.normal(0.0, config.noise, frames.shape)
+    return frames
+
+
 def ref_dataset(config):
     """Frames and per-(task, style) attempts, one clip after another."""
     frames, attempts = [], {}
@@ -284,7 +298,7 @@ def ref_dataset(config):
     def clip(domain, task_id, style, stream, index):
         seed = dg._clip_seed(config.seed, dg._CLIP_STREAMS[stream], task_id, index)
         _, states, n, rng = ref_trajectory(task_id, style, seed, dg.ACTION_NOISE)
-        frames.append(dg.render_clip(states, domain, config, rng if domain == "human" else None))
+        frames.append(ref_render_clip(states, domain, config, rng if domain == "human" else None))
         attempts.setdefault((task_id, style), []).append(n)
 
     for task_id in config.all_tasks:
@@ -396,7 +410,7 @@ def domain_pair(task_id: int, seed: int, config: ExperimentConfig):
     of `domain_shift_cosine`."""
     rng = np.random.default_rng([config.seed, 99, task_id, seed])
     _, states = dg.gen_success_trajectory(task_id, rng)
-    return dg.render_clip(states, "robot", config), dg.render_clip(states, "human", config, rng)
+    return ref_render_clip(states, "robot", config), ref_render_clip(states, "human", config, rng)
 
 
 def test_domain_shift_cosine_matches_pairwise_loop():

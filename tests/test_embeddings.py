@@ -113,6 +113,21 @@ class TestNceTerm:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-15)
 
 
+class TestSigmoid:
+    def test_against_direct_evaluation(self):
+        import mpmath
+
+        mpmath.mp.dps = 50
+        x = np.random.default_rng(0).normal(scale=6.0, size=200)
+        want = [float(1 / (1 + mpmath.e ** -mpmath.mpf(repr(float(v))))) for v in x]
+        np.testing.assert_allclose(emb.sigmoid(x), want, rtol=1e-15, atol=0.0)
+
+    def test_no_overflow_at_large_magnitude(self):
+        with np.errstate(over="raise"):
+            out = emb.sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        assert out.tolist() == [0.0, 0.5, 1.0]
+
+
 class TestFiniteDiffGradCheck:
     def test_quadratic(self):
         rng = np.random.default_rng(11)

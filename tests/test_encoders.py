@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rewardlab import encoders as enc
+from rewardlab import encoders as enc, planner as pl, training
 from rewardlab.embeddings import finite_diff_grad_check
 from rewardlab.errors import (
     BadClusterIndexError,
+    CorruptFileError,
     ShapeMismatchError,
     UnknownTaskError,
 )
@@ -17,8 +18,8 @@ def params():
 
 
 @pytest.fixture
-def table():
-    return enc.TaskTable.build(len(TASK_NAMES), embed_dim=32, seed=0)
+def texts():
+    return enc.task_texts(len(TASK_NAMES), embed_dim=32, seed=0)
 
 
 @pytest.fixture
@@ -74,46 +75,57 @@ class TestEncodeVideo:
 
 
 class TestTaskTable:
-    def test_registered_task_returns_unit_embedding(self, table):
-        t = table.text_embed(0)
-        assert abs(np.linalg.norm(t) - 1.0) < 1e-9
-        assert np.array_equal(t, table.text_embed(0))
+    """The frozen (T, D) task-text array of `task_texts`, and the checks of
+    its two readers: `params_from_arrays` on checkpoint input and
+    `LearnedReward` on a task id."""
 
-    def test_unknown_task(self, table):
-        with pytest.raises(UnknownTaskError):
-            table.text_embed(99)
+    def test_registered_task_returns_unit_embedding(self, texts):
+        assert np.allclose(np.linalg.norm(texts, axis=1), 1.0, rtol=0.0, atol=1e-9)
+        assert np.array_equal(texts, enc.task_texts(len(TASK_NAMES), embed_dim=32, seed=0))
 
-    def test_embeddings_are_read_only(self, table):
+    def test_unknown_task(self, texts, params):
+        # a negative id would silently wrap to the last row
+        for task in (len(TASK_NAMES), 99, -1):
+            with pytest.raises(UnknownTaskError):
+                pl.LearnedReward(params, texts, task)
+
+    def test_embeddings_are_read_only(self, texts):
         with pytest.raises(ValueError):
-            table.text_embed(0)[0] = 5.0
+            texts[0][0] = 5.0
         with pytest.raises(ValueError):
-            table.texts[1, 0] = 5.0
+            texts[1, 0] = 5.0
 
-    def test_unequal_widths(self):
-        with pytest.raises(ShapeMismatchError, match="unequal"):
-            enc.TaskTable([np.ones(3), np.ones(4)])
+    def test_unequal_widths(self, texts, params):
+        # checkpoint input: every task text a vector, all of one width
+        arrays = training.params_to_arrays(training.ModelParams(params, None, texts))
+        loaded = training.params_from_arrays(arrays).texts
+        assert np.array_equal(loaded, texts) and not loaded.flags.writeable
+        for odd in (np.ones(31), np.ones((2, 16))):
+            with pytest.raises(CorruptFileError, match="one width"):
+                training.params_from_arrays({**arrays, "task.1.text": odd})
 
-    def test_row_t_is_task_t(self, table):
-        assert table.texts.shape == (len(TASK_NAMES), 32)
+    def test_row_t_is_task_t(self, texts):
+        assert texts.shape == (len(TASK_NAMES), 32)
         for task in range(len(TASK_NAMES)):
-            assert np.array_equal(table.texts[task], table.text_embed(task))
+            # row t is task t's own draw, whatever the number of tasks
+            assert np.array_equal(texts[task], enc.task_texts(task + 1, 32, seed=0)[task])
 
     def test_near_orthogonality_over_seeded_inits(self):
         # oracle measurement: mean |t_a . t_b| across 100 seeded tables at D=32
         dots = []
         for seed in range(100):
-            t = enc.TaskTable.build(2, embed_dim=32, seed=seed)
-            dots.append(abs(float(t.text_embed(0) @ t.text_embed(1))))
+            t = enc.task_texts(2, embed_dim=32, seed=seed)
+            dots.append(abs(float(t[0] @ t[1])))
         assert np.mean(dots) < 0.2
 
     def test_distinct_seeds_give_distinct_embeddings(self):
-        a = enc.TaskTable.build(1, 32, seed=0).text_embed(0)
-        b = enc.TaskTable.build(1, 32, seed=1).text_embed(0)
+        a = enc.task_texts(1, 32, seed=0)[0]
+        b = enc.task_texts(1, 32, seed=1)[0]
         assert not np.allclose(a, b)
 
 
-def features(pool, table):
-    return enc.failure_text_features(pool, table)[0]
+def features(pool, texts):
+    return enc.failure_text_features(pool, texts)[0]
 
 
 class TestFailurePrompts:
@@ -125,28 +137,28 @@ class TestFailurePrompts:
         for block in pool.prompts:
             assert np.array_equal(block, rng.normal(scale=0.5, size=(3, 2, 32)))
 
-    def test_bad_cluster_index(self, table):
-        # K is fixed when the pool is built; pool tasks must be in the table
+    def test_bad_cluster_index(self, texts):
+        # K is fixed when the pool is built; pool tasks must have a task text
         with pytest.raises(BadClusterIndexError):
             enc.init_prompt_pool([4], np.random.default_rng(1), k=0, prompt_len=2, embed_dim=32)
         with pytest.raises(UnknownTaskError):
             features(enc.init_prompt_pool([4, 7], np.random.default_rng(1), k=3, prompt_len=2,
-                                          embed_dim=32), table)
+                                          embed_dim=32), texts)
 
-    def test_unit_norm_output(self, pool, table):
-        norms = np.linalg.norm(features(pool, table), axis=-1)
+    def test_unit_norm_output(self, pool, texts):
+        norms = np.linalg.norm(features(pool, texts), axis=-1)
         assert norms.shape == (3, 3)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
 
-    def test_locality_other_prompts_do_not_leak(self, pool, table):
-        before = features(pool, table)
+    def test_locality_other_prompts_do_not_leak(self, pool, texts):
+        before = features(pool, texts)
         pool.prompts[0, 2] += 10.0
         pool.prompts[1, 1] -= 3.0
-        after = features(pool, table)
+        after = features(pool, texts)
         assert np.array_equal(before[0, 1], after[0, 1])
         assert not np.allclose(before[0, 2], after[0, 2])
 
-    def test_prompt_gradient_matches_central_differences(self, pool, table):
+    def test_prompt_gradient_matches_central_differences(self, pool, texts):
         rng = np.random.default_rng(7)
         probe = np.zeros((3, 3, 32))
         probe[0, 0] = rng.normal(size=32)
@@ -156,18 +168,18 @@ class TestFailurePrompts:
             saved = block.copy()
             block[...] = vec.reshape(block.shape)
             try:
-                return float(np.sum(features(pool, table) * probe))
+                return float(np.sum(features(pool, texts) * probe))
             finally:
                 block[...] = saved
 
-        _, cache = enc.failure_text_features(pool, table)
+        _, cache = enc.failure_text_features(pool, texts)
         d_prompts, _, _ = enc.compose_failure_context_backward(cache, probe)
         err = finite_diff_grad_check(loss_of, block.ravel().copy(), d_prompts[0, 0].ravel())
         assert err < 1e-4
         d_prompts[0, 0] = 0.0
         assert not np.any(d_prompts)
 
-    def test_shared_map_gradient_matches_central_differences(self, pool, table):
+    def test_shared_map_gradient_matches_central_differences(self, pool, texts):
         rng = np.random.default_rng(8)
         probe = np.zeros((3, 3, 32))
         probe[1, 2] = rng.normal(size=32)
@@ -177,11 +189,11 @@ class TestFailurePrompts:
             arrs = enc.unflatten_like(vec, [pool.proj, pool.bias])
             pool.proj, pool.bias = arrs
             try:
-                return float(np.sum(features(pool, table) * probe))
+                return float(np.sum(features(pool, texts) * probe))
             finally:
                 pool.proj, pool.bias = saved
 
-        _, cache = enc.failure_text_features(pool, table)
+        _, cache = enc.failure_text_features(pool, texts)
         _, d_proj, d_bias = enc.compose_failure_context_backward(cache, probe)
         err = finite_diff_grad_check(
             loss_of,
@@ -190,13 +202,13 @@ class TestFailurePrompts:
         )
         assert err < 1e-4
 
-    def test_failure_text_features_stacks_all_clusters(self, pool, table):
+    def test_failure_text_features_stacks_all_clusters(self, pool, texts):
         pool.proj = pool.proj + 0.2 * np.random.default_rng(9).normal(size=(32, 32))
-        feats = features(pool, table)
+        feats = features(pool, texts)
         assert feats.shape == (3, 3, 32)
         for i, task in enumerate([4, 5, 6]):
             for k in range(3):
-                rows = np.vstack([pool.prompts[i, k], table.text_embed(task)])
+                rows = np.vstack([pool.prompts[i, k], texts[task]])
                 u = rows.mean(axis=0) @ pool.proj + pool.bias
                 np.testing.assert_allclose(feats[i, k], u / np.linalg.norm(u), atol=1e-12)
 

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from rewardlab import (
-    dynamics as dyn, evaluation, planner as pl, render, simworld as sw, training,
+    dynamics as dyn, evaluation, planner as pl, simworld as sw, training,
 )
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import (
     BadConfigError, OneClassOnlyError, RefinementRegressedError, TooFewSamplesError,
-    UnknownTaskError,
 )
 
 CONFIG = ExperimentConfig(
@@ -47,14 +46,6 @@ def test_clip_frames_honoured_end_to_end():
     report = evaluation.evaluate_separation(result.params, eval_set, config.all_tasks)
     assert set(report) == set(config.all_tasks)
     assert all(0.0 <= entry["auc"] <= 1.0 for entry in report.values())
-
-
-def test_score_clips_task_outside_the_table():
-    params = training.init_params(CONFIG, [])
-    frames = np.random.default_rng(0).normal(size=(2, CONFIG.clip_frames, render.FRAME_WIDTH))
-    assert evaluation.score_clips(params, frames, [0, 1]).shape == (2,)
-    with pytest.raises(UnknownTaskError):
-        evaluation.score_clips(params, frames, [0, len(sw.TASK_NAMES)])
 
 
 def test_unpatched_refinement_passes_the_check():

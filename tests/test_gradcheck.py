@@ -14,8 +14,8 @@ D = 8
 
 
 @pytest.fixture
-def table():
-    return enc.TaskTable.build(len(TASK_NAMES), embed_dim=D, seed=0)
+def texts():
+    return enc.task_texts(len(TASK_NAMES), embed_dim=D, seed=0)
 
 
 @pytest.fixture
@@ -34,23 +34,23 @@ def test_suite_max_relative_error():
         assert err < 1e-6, name
 
 
-def test_batched_composition_matches_per_context(pool, table):
-    feats, _ = enc.failure_text_features(pool, table)
+def test_batched_composition_matches_per_context(pool, texts):
+    feats, _ = enc.failure_text_features(pool, texts)
     assert feats.shape == (len(TASKS), 3, D)
     for j, task in enumerate(TASKS):
         for k in range(3):
-            rows = np.vstack([pool.prompts[j, k], table.text_embed(task)])
+            rows = np.vstack([pool.prompts[j, k], texts[task]])
             u = rows.mean(axis=0) @ pool.proj + pool.bias
             assert np.max(np.abs(feats[j, k] - u / np.linalg.norm(u))) <= 1e-12
 
 
-def test_batched_composition_unknown_task(pool, table):
+def test_batched_composition_unknown_task(pool, texts):
     pool.tasks = np.array([4, len(TASK_NAMES)])
     with pytest.raises(UnknownTaskError):
-        enc.failure_text_features(pool, table)
+        enc.failure_text_features(pool, texts)
 
 
-def test_batched_composition_backward_matches_central_differences(pool, table):
+def test_batched_composition_backward_matches_central_differences(pool, texts):
     probe = np.random.default_rng(3).normal(size=(len(TASKS), 3, D))
     templates = [pool.prompts, pool.proj, pool.bias]
 
@@ -59,12 +59,12 @@ def test_batched_composition_backward_matches_central_differences(pool, table):
         for a, new in zip(templates, enc.unflatten_like(vec, templates)):
             a[...] = new
         try:
-            return float(np.sum(enc.failure_text_features(pool, table)[0] * probe))
+            return float(np.sum(enc.failure_text_features(pool, texts)[0] * probe))
         finally:
             for a, old in zip(templates, saved):
                 a[...] = old
 
-    _, cache = enc.failure_text_features(pool, table)
+    _, cache = enc.failure_text_features(pool, texts)
     d_prompts, d_proj, d_bias = enc.compose_failure_context_backward(cache, probe)
     assert d_prompts.shape == pool.prompts.shape
     err = finite_diff_grad_check(

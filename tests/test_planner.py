@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rewardlab import dynamics as dyn, encoders as enc, planner as pl, simworld as sw
-from rewardlab.errors import BadConfigError, BadHorizonError
+from rewardlab import dynamics as dyn, encoders as enc, planner as pl, render, simworld as sw
+from rewardlab.embeddings import sigmoid
+from rewardlab.errors import BadConfigError, BadHorizonError, UnknownTaskError
 from rewardlab.simworld import TASK_NAMES
 
 
@@ -72,17 +73,43 @@ class TestVmpcPlan:
             pl.vmpc_plan(scorer, 4, 61, seed=0)
 
 
+@pytest.fixture(scope="module")
+def video_params():
+    return enc.init_video_encoder(np.random.default_rng(0), frames=4, hidden=32, embed_dim=32)
+
+
+@pytest.fixture(scope="module")
+def texts():
+    return enc.task_texts(len(TASK_NAMES), embed_dim=32, seed=0)
+
+
 class TestLearnedReward:
-    def test_scores_are_probabilities_and_deterministic(self, gt_model):
-        params = enc.init_video_encoder(np.random.default_rng(0), frames=4, hidden=32, embed_dim=32)
-        table = enc.TaskTable.build(len(TASK_NAMES), embed_dim=32, seed=0)
-        reward = pl.LearnedReward(params, table, sw.TASK_FAUCET)
+    def test_scores_are_probabilities_and_deterministic(self, gt_model, video_params, texts):
+        reward = pl.LearnedReward(video_params, texts, sw.TASK_FAUCET)
         states, _ = dyn.generate_random_episodes(5, seed=0)
         scores = reward.score_batch(states[:, ::4, :])
         assert scores.shape == (5,)
         assert np.all((scores > 0) & (scores < 1))
         again = reward.score_batch(states[:, ::4, :])
         assert np.array_equal(scores, again)
+
+    def test_one_scorer_for_states_and_frames(self, video_params, texts):
+        # score_batch is score_frames of the rendered clips, and score_frames
+        # is sigmoid(v . t) against the task's row of the texts
+        reward = pl.LearnedReward(video_params, texts, sw.TASK_CUP_AWAY, variant="shifted-view")
+        states, _ = dyn.generate_random_episodes(6, seed=1)
+        frames = render.render_clips(states, video_params.frames, variant="shifted-view")
+        scores = reward.score_frames(frames)
+        assert np.array_equal(reward.score_batch(states), scores)
+        v = enc.encode_clips(frames, video_params)
+        assert np.array_equal(scores, sigmoid(v @ texts[sw.TASK_CUP_AWAY]))
+
+    def test_task_outside_the_table(self, video_params, texts):
+        frames = np.random.default_rng(0).normal(size=(2, video_params.frames, render.FRAME_WIDTH))
+        assert pl.LearnedReward(video_params, texts, 0).score_frames(frames).shape == (2,)
+        for task in (len(texts), -1):
+            with pytest.raises(UnknownTaskError):
+                pl.LearnedReward(video_params, texts, task)
 
 
 class TestCemRefine:

@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from rewardlab import (
-    encoders as enc, evaluation, formats, losses, render, simworld as sw, training,
+    encoders as enc, evaluation, formats, losses, planner as pl, render, simworld as sw, training,
 )
 from rewardlab.config import ExperimentConfig
 from rewardlab.datagen import Dataset, LabeledClip
@@ -350,16 +350,15 @@ class TestCheckpoint:
         loaded = training.params_from_arrays(formats.load_checkpoint(path))
         assert np.array_equal(loaded.pool.tasks, fvlc_params.pool.tasks)
         assert np.array_equal(
-            enc.failure_text_features(loaded.pool, loaded.table)[0],
-            enc.failure_text_features(fvlc_params.pool, fvlc_params.table)[0],
+            enc.failure_text_features(loaded.pool, loaded.texts)[0],
+            enc.failure_text_features(fvlc_params.pool, fvlc_params.texts)[0],
         )
-        robot = [i for i, c in enumerate(dataset.clips) if c.domain == "robot"]
-        frames = dataset.frames_array()[robot]
-        tasks = [dataset.clips[i].task_id for i in robot]
-        assert np.array_equal(
-            evaluation.score_clips(loaded, frames, tasks),
-            evaluation.score_clips(fvlc_params, frames, tasks),
-        )
+        frames = dataset.frames_array()
+        for task in CONFIG.train_tasks:
+            robot = [i for i, c in enumerate(dataset.clips) if (c.domain, c.task_id) == ("robot", task)]
+            scores = [pl.LearnedReward(p.video, p.texts, task).score_frames(frames[robot])
+                      for p in (loaded, fvlc_params)]
+            assert len(robot) and np.array_equal(*scores)
 
     @pytest.mark.parametrize("edit", ["drop", "extra_cluster", "extra_task"])
     def test_prompt_keys_must_fill_the_task_by_cluster_grid(self, fvlc_params, edit):
