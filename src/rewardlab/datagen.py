@@ -23,21 +23,30 @@ where the scripted controller is correct by construction. A human clip's
 camera offset and feature noise come from the same Generator after its
 successful attempt.
 
-Clips are rolled in lockstep: all clips of one (task, style) in a dataset
-advance together through `simworld.step_batch`, and the scripted
-controllers act on (n, 7) state arrays with per-clip phase arrays. Attempt
-0 is rolled alone, one row per clip. After it, every remaining attempt of
-one noise band (`BANDS`: attempts 1-7, 8-15, 16-23, then the zero-noise
-band 24-31) is rolled in one batch, one row per (pending clip, attempt):
-each clip makes its draws for every attempt of the band in the order
-above, and its Generator state is saved after each attempt. One predicate
-call checks every row. A clip keeps its first passing row, counts the
-attempts up to it, and gets its Generator back in the state saved after
-that attempt, so its later draws follow exactly as if it had stopped
-there. The dynamics and controllers are elementwise, so a clip's rollout
-does not depend on which other rows share the batch:
-`gen_success_trajectory` and `gen_failure_trajectory` are the same core
-at n = 1. A group's clips are rendered with one `render_clips` per domain.
+Clips are rolled in lockstep: the scripted controllers act on (n, 7) state
+arrays with per-clip phase arrays, and `roll_groups` advances the clips of
+several (task, style) groups together through `simworld.step_batch`.
+Attempt 0 is rolled alone, one row per clip. After it, every remaining
+attempt of one noise band (`BANDS`: attempts 1-7, 8-15, 16-23, then the
+zero-noise band 24-31) is rolled in one batch, one row per (pending clip,
+attempt): each clip makes its draws for every attempt of the band in the
+order above, and its Generator state is saved after each attempt. Every
+group of the batch steps in the same loop, one `step_batch` call per step:
+each group's controller acts on its own rows with its own phase arrays and
+adds its own noise, and wander rows replay their drawn actions. One
+predicate call per group checks its rows. A clip keeps its first passing
+row, counts the attempts up to it, and gets its Generator back in the
+state saved after that attempt, so its later draws follow exactly as if it
+had stopped there. The dynamics and controllers are elementwise, so a
+clip's rollout does not depend on which other rows share the batch:
+`roll_clips` is the same core for one group, and `gen_success_trajectory`
+and `gen_failure_trajectory` are `roll_clips` at n = 1.
+
+`gen_dataset` packs whole groups, in dataset order, into batches of at
+most `BATCH_CLIPS` clips (a larger group is a batch alone), rolls one batch
+at a time and renders it, one `render_clips` call per group and domain,
+before it rolls the next, so it never holds more than one batch of rolled
+states.
 """
 
 from dataclasses import dataclass, field
@@ -55,6 +64,9 @@ NOISE_HALVING = 8                      # attempts per action-noise level
 ZERO_NOISE_ATTEMPT = 3 * NOISE_HALVING  # attempts from this index on add no action noise
 MAX_ATTEMPTS = ZERO_NOISE_ATTEMPT + NOISE_HALVING
 _CLIP_STREAMS = {"human": 11, "robot_success": 12, "robot_failure": 13}
+# clips per lockstep batch of a dataset call: bounds the rolled states held
+# before they are rendered, while filling each step_batch call
+BATCH_CLIPS = 128
 
 # archetypes that cannot exist for a task: the faucet's displacement only
 # accumulates (nothing to revert), and any first touch of the cup already
@@ -265,22 +277,41 @@ def make_policy(task_id: int, style: str):
 
 
 def run_policy(s0, policy, noise=None, horizon=sw.HORIZON):
-    """Roll (n, 7) start states through a lockstep controller.
+    """Roll (n, 7) start states in lockstep, one `step_batch` call per step
+    for every row.
 
-    noise: (n, horizon, 2) velocity noise added before clamping, or None.
+    policy is one controller for every row, with noise (n, horizon, 2)
+    velocity noise added before clamping, or None. Or it is a list of
+    blocks (rows, controller, noise) that split the rows in order: each
+    block's controller acts on its own rows with its own `Phase` and adds
+    its own noise, and a block whose controller is None replays its noise
+    (rows, horizon, 3) as its actions, unclamped (wander clips).
     Returns actions (n, horizon, 3) and states (n, horizon + 1, 7).
     """
     cur = np.asarray(s0, dtype=np.float64)
+    if callable(policy):
+        policy = [(cur.shape[0], policy, noise)]
     actions = np.empty((cur.shape[0], horizon, sw.ACTION_DIM))
     states = np.empty((cur.shape[0], horizon + 1, sw.STATE_DIM))
     states[:, 0] = cur
-    phase = Phase.start(cur)
+    controlled, replayed, start = [], [], 0
+    for size, controller, block_noise in policy:
+        rows = slice(start, start + size)
+        start += size
+        if controller is None:
+            replayed.append((rows, block_noise))
+        else:
+            controlled.append((rows, controller, block_noise, Phase.start(cur[rows])))
     for t in range(horizon):
-        act = policy(cur, phase)
-        if noise is not None:
-            act[:, :2] += noise[:, t]
+        act = actions[:, t]
+        for rows, controller, block_noise, phase in controlled:
+            block = controller(cur[rows], phase)
+            if block_noise is not None:
+                block[:, :2] += block_noise[:, t]
+            act[rows] = block
         act[:, :2] = _clamp(act[:, :2])
-        actions[:, t] = act
+        for rows, replay in replayed:
+            act[rows] = replay[:, t]
         cur = sw.step_batch(cur, act)
         states[:, t + 1] = cur
     return actions, states
@@ -325,69 +356,99 @@ BANDS = (range(1),) + tuple(range(max(a, 1), a + NOISE_HALVING)
                             for a in range(0, MAX_ATTEMPTS, NOISE_HALVING))
 
 
-def roll_clips(task_id: int, style: str, seeds, noise: float = ACTION_NOISE):
-    """Label-checked rollouts of one (task, style), one clip per seed, in lockstep.
+class _GroupRoll:
+    """Rolling state of one (task, style) group: its clips' Generators, the
+    rollouts kept so far, the attempts taken and the clips still pending."""
 
-    Each band of `BANDS` is one batch over every pending clip and every
-    attempt of the band. A clip keeps its first passing attempt, and its
-    Generator is set back to the state saved right after that attempt.
+    def __init__(self, task_id: int, style: str, seeds):
+        self.task_id, self.style, self.seeds = task_id, style, seeds
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        n = len(self.rngs)
+        self.actions = np.empty((n, sw.HORIZON, sw.ACTION_DIM))
+        self.states = np.empty((n, sw.HORIZON + 1, sw.STATE_DIM))
+        self.attempts = np.zeros(n, dtype=np.int64)
+        self.policy = None if style == "wander" else make_policy(task_id, style)
+        self.pending = np.arange(n)
 
-    seeds: anything `np.random.default_rng` takes; a Generator is used (and
-    advanced) in place. Returns actions (n, H, 3), states (n, H + 1, 7), the
-    attempts each clip took (n,), and the clips' Generators, whose next
-    draws follow the successful attempt.
-    """
-    if style != "success" and style not in ARCHETYPES:
-        raise ArchetypeUnsupportedError(f"unknown archetype {style!r}")
-    if (task_id, style) in UNSUPPORTED:
-        raise ArchetypeUnsupportedError(f"{style} cannot occur for task {task_id}")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    n = len(rngs)
-    actions = np.empty((n, sw.HORIZON, sw.ACTION_DIM))
-    states = np.empty((n, sw.HORIZON + 1, sw.STATE_DIM))
-    attempts = np.zeros(n, dtype=np.int64)
-    policy = None if style == "wander" else make_policy(task_id, style)
-    pending = np.arange(n)
-    for band in BANDS:
-        if pending.size == 0:
-            break
-        level = noise_level(noise, band[0])
-        # per pending clip, its draws for each attempt of the band, in order,
-        # and its Generator state after each attempt
+    def draw(self, band, level):
+        """Per pending clip, its draws for each attempt of the band, in
+        order: the start states, the `run_policy` block of these rows, and
+        each row's Generator state after its attempt."""
         s0, draws, saved = [], [], []
-        for i in pending:
-            rng = rngs[i]
+        for i in self.pending:
+            rng = self.rngs[i]
             for _ in band:
-                s = sw.initial_state_array(task_id, rng)
+                s = sw.initial_state_array(self.task_id, rng)
                 s0.append(s)
-                if policy is None:
-                    draws.append(_wander_actions(task_id, s, rng))
+                if self.policy is None:
+                    draws.append(_wander_actions(self.task_id, s, rng))
                 elif level > 0:
                     draws.append(rng.uniform(-level, level, size=(sw.HORIZON, 2)))
                 saved.append(rng.bit_generator.state)
-        s0 = np.stack(s0)
-        if policy is None:
-            acts = np.stack(draws)
-            rolled = sw.rollout_batch(s0, acts)
-        else:
-            acts, rolled = run_policy(s0, policy, np.stack(draws) if draws else None)
-        ok = _labels_ok(task_id, style, rolled).reshape(pending.size, len(band))
+        return s0, (len(s0), self.policy, np.stack(draws) if draws else None), saved
+
+    def settle(self, band, acts, rolled, saved):
+        """Keep each pending clip's first passing row of the band."""
+        pending = self.pending
+        ok = _labels_ok(self.task_id, self.style, rolled).reshape(pending.size, len(band))
         passed = ok.any(axis=1)
         # row of each clip's first passing attempt (its last one if none passed)
         first = np.where(passed, ok.argmax(axis=1), len(band) - 1)
         rows = np.arange(pending.size) * len(band) + first
-        attempts[pending] += first + 1
+        self.attempts[pending] += first + 1
         done, keep = pending[passed], rows[passed]
-        actions[done], states[done] = acts[keep], rolled[keep]
+        self.actions[done], self.states[done] = acts[keep], rolled[keep]
         for i, row in zip(done, keep):
-            rngs[i].bit_generator.state = saved[row]
-        pending = pending[~passed]
-    if pending.size:
-        raise GenerationFailedError(
-            f"could not realize {style} for task {task_id} in {MAX_ATTEMPTS} attempts "
-            f"(clip seed {seeds[pending[0]]!r})"
-        )
-    return actions, states, attempts, rngs
+            self.rngs[i].bit_generator.state = saved[row]
+        self.pending = pending[~passed]
+
+
+def roll_groups(groups, noise: float = ACTION_NOISE):
+    """Label-checked rollouts of (task, style, seeds) groups, one clip per
+    seed, all groups in one lockstep loop per noise band.
+
+    Each band of `BANDS` is one `run_policy` batch over every pending clip
+    of every group and every attempt of the band. A clip keeps its first
+    passing attempt, and its Generator is set back to the state saved right
+    after that attempt.
+
+    seeds: anything `np.random.default_rng` takes; a Generator is used (and
+    advanced) in place. Returns, per group, actions (n, H, 3), states
+    (n, H + 1, 7), the attempts each clip took (n,), and the clips'
+    Generators, whose next draws follow the successful attempt.
+    """
+    for task_id, style, _ in groups:
+        if style != "success" and style not in ARCHETYPES:
+            raise ArchetypeUnsupportedError(f"unknown archetype {style!r}")
+        if (task_id, style) in UNSUPPORTED:
+            raise ArchetypeUnsupportedError(f"{style} cannot occur for task {task_id}")
+    rolls = [_GroupRoll(task_id, style, seeds) for task_id, style, seeds in groups]
+    for band in BANDS:
+        live = [roll for roll in rolls if roll.pending.size]
+        if not live:
+            break
+        level = noise_level(noise, band[0])
+        drawn = [roll.draw(band, level) for roll in live]
+        acts, rolled = run_policy(np.stack([s for s0, _, _ in drawn for s in s0]),
+                                  [block for _, block, _ in drawn])
+        start = 0
+        for roll, (s0, _, saved) in zip(live, drawn):
+            rows = slice(start, start + len(s0))
+            start = rows.stop
+            roll.settle(band, acts[rows], rolled[rows], saved)
+    for roll in rolls:
+        if roll.pending.size:
+            raise GenerationFailedError(
+                f"could not realize {roll.style} for task {roll.task_id} in {MAX_ATTEMPTS} "
+                f"attempts (clip seed {roll.seeds[roll.pending[0]]!r})"
+            )
+    return [(roll.actions, roll.states, roll.attempts, roll.rngs) for roll in rolls]
+
+
+def roll_clips(task_id: int, style: str, seeds, noise: float = ACTION_NOISE):
+    """`roll_groups` of one (task, style) group: returns its actions (n, H, 3),
+    states (n, H + 1, 7), attempts (n,) and Generators."""
+    return roll_groups([(task_id, style, seeds)], noise)[0]
 
 
 def gen_failure_trajectory(task_id: int, archetype: str, seed, noise: float = ACTION_NOISE):
@@ -435,8 +496,9 @@ def gen_dataset(config) -> Dataset:
     of config.all_tasks, robot clips of config.train_tasks.
 
     Clips come in a fixed order (every human clip, then per robot task its
-    successes and failures); each (task, style) is rolled as one lockstep
-    group, human and robot successes of a task together.
+    successes and failures); each (task, style) is one lockstep group, human
+    and robot successes of a task together. Whole groups are rolled in
+    batches of at most BATCH_CLIPS clips, each rendered before the next.
     """
     # (domain, task, style, seed) per clip, in dataset order
     specs = []
@@ -459,10 +521,37 @@ def gen_dataset(config) -> Dataset:
         groups.setdefault((task_id, style), []).append(idx)
     frames = np.empty((len(specs), config.clip_frames, render.FRAME_WIDTH))
     retries = {}
-    for (task_id, style), members in groups.items():
-        _, states, attempts, rngs = roll_clips(
-            task_id, style, [specs[i][3] for i in members], noise=ACTION_NOISE
-        )
+    for batch in _batches([(*key, members) for key, members in groups.items()]):
+        _roll_and_render(batch, specs, config, frames, retries)
+
+    clips = []
+    for clip_frames, (domain, task_id, style, seed) in zip(frames, specs):
+        archetype = None if style == "success" else style
+        clips.append(LabeledClip(clip_frames, domain, task_id, int(archetype is None), archetype, seed))
+    return Dataset(clips, retries)
+
+
+def _batches(groups):
+    """(task, style, clips) groups packed in order into lockstep batches of
+    at most BATCH_CLIPS clips; a larger group is a batch alone."""
+    batch, size = [], 0
+    for group in groups:
+        if batch and size + len(group[2]) > BATCH_CLIPS:
+            yield batch
+            batch, size = [], 0
+        batch.append(group)
+        size += len(group[2])
+    if batch:
+        yield batch
+
+
+def _roll_and_render(groups, specs, config, frames, retries):
+    """Roll (task, style, members) groups of `specs` rows in one lockstep
+    batch; write their frames and retry counts. The batch's states go when
+    this returns, before the next batch is rolled."""
+    rolls = roll_groups([(task_id, style, [specs[i][3] for i in members])
+                         for task_id, style, members in groups], noise=ACTION_NOISE)
+    for (task_id, style, members), (_, states, attempts, rngs) in zip(groups, rolls):
         # a success group lists its human clips first; no render call is empty
         n_human = sum(specs[i][0] == "human" for i in members)
         if n_human:
@@ -475,12 +564,6 @@ def gen_dataset(config) -> Dataset:
             "zero_noise_clips": int(np.sum(attempts > ZERO_NOISE_ATTEMPT)),
         }
 
-    clips = []
-    for clip_frames, (domain, task_id, style, seed) in zip(frames, specs):
-        archetype = None if style == "success" else style
-        clips.append(LabeledClip(clip_frames, domain, task_id, int(archetype is None), archetype, seed))
-    return Dataset(clips, retries)
-
 
 def domain_shift_cosine(config, n_pairs: int = 100) -> float:
     """Mean frame cosine between robot clips and their human counterparts,
@@ -488,23 +571,28 @@ def domain_shift_cosine(config, n_pairs: int = 100) -> float:
 
     Pair i is one success rollout of its task, seeded [seed, 99, task, i],
     rendered in both domains (the human rendering draws from the clip's
-    Generator after its rollout); each task's pairs are rolled as one
-    lockstep group and rendered in one call per domain. The mean runs over
-    the pairs in index order.
+    Generator after its rollout). Each task's pairs are one lockstep group,
+    the groups are rolled in `gen_dataset`'s batches, and each group is
+    rendered in one call per domain. The mean runs over the pairs in index
+    order.
     """
     tasks = config.all_tasks
     if not tasks:
         raise BadConfigError("domain_shift_cosine needs at least one task")
+    if n_pairs <= 0:
+        raise BadConfigError(f"domain_shift_cosine needs n_pairs > 0, got {n_pairs}")
     per_task = [t for t in tasks for _ in range((n_pairs // len(tasks)) + 1)]
     pairs = per_task[:n_pairs]
+    groups = {}
+    for i, task_id in enumerate(pairs):
+        groups.setdefault(task_id, []).append(i)
     sims = np.empty((len(pairs), config.clip_frames))
-    for task_id in dict.fromkeys(pairs):
-        idx = [i for i, t in enumerate(pairs) if t == task_id]
-        _, states, _, rngs = roll_clips(
-            task_id, "success", [[config.seed, 99, task_id, i] for i in idx], noise=ACTION_NOISE
-        )
-        robot = render.render_clips(states, config.clip_frames)
-        human = _human_clips(states, rngs, config)
-        num = np.sum(robot * human, axis=2)
-        sims[idx] = num / (np.linalg.norm(robot, axis=2) * np.linalg.norm(human, axis=2))
+    for batch in _batches([(task_id, "success", idx) for task_id, idx in groups.items()]):
+        rolls = roll_groups([(task_id, style, [[config.seed, 99, task_id, i] for i in idx])
+                             for task_id, style, idx in batch], noise=ACTION_NOISE)
+        for (_, _, idx), (_, states, _, rngs) in zip(batch, rolls):
+            robot = render.render_clips(states, config.clip_frames)
+            human = _human_clips(states, rngs, config)
+            num = np.sum(robot * human, axis=2)
+            sims[idx] = num / (np.linalg.norm(robot, axis=2) * np.linalg.norm(human, axis=2))
     return float(np.mean(sims.ravel()))

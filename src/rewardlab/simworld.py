@@ -124,6 +124,11 @@ def rollout_batch(s0: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:
     """Roll (N,7) states through (N,H,3) actions -> (N,H+1,7) states."""
     s0 = np.asarray(s0, dtype=np.float64)
     action_seqs = np.asarray(action_seqs, dtype=np.float64)
+    if s0.ndim != 2 or s0.shape[1] != STATE_DIM:
+        raise ShapeMismatchError(f"s0 must be (N,{STATE_DIM}), got {s0.shape}")
+    if action_seqs.ndim != 3 or action_seqs.shape[::2] != (s0.shape[0], ACTION_DIM):
+        raise ShapeMismatchError(
+            f"action_seqs must be ({s0.shape[0]},H,{ACTION_DIM}), got {action_seqs.shape}")
     n, h = action_seqs.shape[0], action_seqs.shape[1]
     states = np.empty((n, h + 1, STATE_DIM))
     states[:, 0] = s0

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rewardlab import datagen as dg, render, simworld as sw
+from rewardlab import datagen as dg, evaluation, render, simworld as sw
 from rewardlab.config import ExperimentConfig
-from rewardlab.errors import ArchetypeUnsupportedError
+from rewardlab.errors import ArchetypeUnsupportedError, BadConfigError
 
 SMALL = ExperimentConfig(
     train_tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_POKE_CUP),
@@ -64,6 +66,19 @@ class TestGenDataset:
         assert len(clips_of(ds, "robot", 4)) == 4
         assert len(clips_of(ds, "human", 0)) == 2
 
+    def test_rolled_states_are_rendered_batch_by_batch(self):
+        """Lockstep batches of at most BATCH_CLIPS clips, each rendered
+        before the next is rolled, bound the memory of a default train-set
+        build (about 2 MiB); holding every rolled state until rendering
+        took about 7 MiB."""
+        tracemalloc.start()
+        try:
+            evaluation.train_dataset_for(ExperimentConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     def test_human_frames_are_shifted_robot_frames(self):
         cfg = ExperimentConfig()
         _, states = dg.gen_success_trajectory(sw.TASK_OPEN_DRAWER, 0)
@@ -76,6 +91,11 @@ class TestGenDataset:
         cfg = ExperimentConfig(train_tasks=sw.ALL_TASKS, heldout_tasks=(), seed=5)
         cos = dg.domain_shift_cosine(cfg, n_pairs=100)
         assert 0.2 < cos < 0.9
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_domain_shift_needs_a_pair(self, n_pairs):
+        with pytest.raises(BadConfigError, match="n_pairs"):
+            dg.domain_shift_cosine(SMALL, n_pairs=n_pairs)
 
 
 class TestFailureTrajectories:

@@ -16,6 +16,7 @@ distance test that lands within an ulp of its threshold; none of the cases
 here does.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -492,3 +493,131 @@ def test_a_group_makes_one_step_loop_per_band(monkeypatch, task_id, style):
     _, _, attempts, _ = dg.roll_clips(task_id, style, [[task_id, i] for i in range(3)])
     assert attempts.tolist() == [25, 25, 25]
     assert calls[0] <= len(dg.BANDS) * sw.HORIZON == 5 * sw.HORIZON
+
+
+# --- lockstep across groups ---
+
+def _fake_labels(monkeypatch, groups):
+    """Make each (task, style, clips, passing attempt) group's clips all
+    first pass at that attempt, whichever groups share a batch."""
+    fakes = {(task_id, style): _pass_from(passing, n) for task_id, style, n, passing in groups}
+    monkeypatch.setattr(dg, "_labels_ok",
+                        lambda task_id, style, states: fakes[task_id, style](task_id, style, states))
+
+
+# controller groups and a wander group that retire at attempt 0, inside a
+# noisy band, at the end of another, and only in the zero-noise band
+MIXED = [
+    (sw.TASK_FAUCET, "incomplete", 3, 25),
+    (sw.TASK_POKE_CUP, "wander", 2, 1),
+    (sw.TASK_OPEN_DRAWER, "success", 2, 12),
+    (sw.TASK_CLOSE_DRAWER, "revert", 1, 8),
+]
+
+
+def test_groups_in_one_loop_equal_groups_rolled_alone(monkeypatch):
+    seeds = {task_id: [[task_id, 40 + i] for i in range(n)] for task_id, _, n, _ in MIXED}
+    _fake_labels(monkeypatch, MIXED)
+    together = dg.roll_groups([(task_id, style, seeds[task_id]) for task_id, style, _, _ in MIXED])
+    for group, (actions, states, attempts, rngs) in zip(MIXED, together):
+        task_id, style, n, passing = group
+        _fake_labels(monkeypatch, [group])
+        want_actions, want_states, want_attempts, want_rngs = dg.roll_clips(
+            task_id, style, seeds[task_id])
+        assert attempts.tolist() == want_attempts.tolist() == [passing] * n
+        assert np.array_equal(actions, want_actions)
+        assert np.array_equal(states, want_states)
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in want_rngs]
+
+
+def test_loud_groups_in_one_loop_match_reference():
+    """Real label checks: the LOUD_CASES groups retire in every band."""
+    groups = [(task_id, style, [[task_id, 300 + i] for i in indices])
+              for task_id, style, indices in LOUD_CASES]
+    for (task_id, style, seeds), (actions, states, attempts, rngs) in zip(
+            groups, dg.roll_groups(groups, noise=LOUD)):
+        for i, seed in enumerate(seeds):
+            want_actions, want_states, want_attempts, want_rng = ref_trajectory(
+                task_id, style, seed, LOUD)
+            assert np.array_equal(actions[i], want_actions)
+            assert np.array_equal(states[i], want_states)
+            assert attempts[i] == want_attempts
+            assert rngs[i].bit_generator.state == want_rng.bit_generator.state
+
+
+def test_failure_names_the_first_failing_group(monkeypatch):
+    """The first group passes; the second and third never do, and the
+    error names the second."""
+    groups = [(sw.TASK_POKE_CUP, "success", 2, 1), (sw.TASK_FAUCET, "incomplete", 2, 33),
+              (sw.TASK_CLOSE_DRAWER, "revert", 1, 33)]
+    _fake_labels(monkeypatch, groups)
+    seeds = [[task_id, 5 + i] for task_id, _, n, _ in groups for i in range(n)]
+    message = rf"could not realize incomplete for task {sw.TASK_FAUCET} .*{re.escape(repr(seeds[2]))}"
+    with pytest.raises(GenerationFailedError, match=message):
+        dg.roll_groups([(sw.TASK_POKE_CUP, "success", seeds[:2]),
+                        (sw.TASK_FAUCET, "incomplete", seeds[2:4]),
+                        (sw.TASK_CLOSE_DRAWER, "revert", seeds[4:])])
+
+
+# two tasks: six groups, 10 clips, one batch
+BATCHED = replace(SMALL, train_tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET), heldout_tasks=(),
+                  human_per_task=2, robot_success_per_task=1, robot_failure_per_task=2)
+
+
+def _dataset_groups(config):
+    """(task, style, clips, passing attempt 25) of each group of a dataset."""
+    dataset = dg.gen_dataset(config)
+    return [(task_id, style, row["clips"], 25) for (task_id, style), row in dataset.retries.items()]
+
+
+def _count_batches(monkeypatch):
+    """Record the (task, style, clips) groups of each `roll_groups` call."""
+    batches = []
+    roll_groups = dg.roll_groups
+
+    def recorded(groups, noise=dg.ACTION_NOISE):
+        batches.append([(task_id, style, len(seeds)) for task_id, style, seeds in groups])
+        return roll_groups(groups, noise)
+
+    monkeypatch.setattr(dg, "roll_groups", recorded)
+    return batches
+
+
+def test_a_dataset_batch_makes_one_step_loop_per_band(monkeypatch):
+    """Every group of the batch needs all five bands; they share each
+    band's step loop, where rolling group by group made five per group."""
+    groups = _dataset_groups(BATCHED)
+    assert len(groups) == 6
+    calls = [0]
+    step_batch = sw.step_batch
+
+    def counted(states, actions):
+        calls[0] += 1
+        return step_batch(states, actions)
+
+    monkeypatch.setattr(sw, "step_batch", counted)
+    _fake_labels(monkeypatch, groups)
+    batches = _count_batches(monkeypatch)
+    retries = dg.gen_dataset(BATCHED).retries
+    assert len(batches) == 1
+    assert all(row["attempts"] == 25 * row["clips"] for row in retries.values())
+    assert calls[0] <= len(dg.BANDS) * sw.HORIZON
+
+
+def test_a_group_larger_than_the_cap_is_rolled_alone(monkeypatch):
+    """At a cap of 3 clips the 4-clip success groups (human clips come
+    first in dataset order) are batches alone, and the smaller groups share
+    batches. The frames and the retry report do not depend on the cap."""
+    config = replace(BATCHED, human_per_task=3, robot_failure_per_task=3)
+    want = dg.gen_dataset(config)
+    monkeypatch.setattr(dg, "BATCH_CLIPS", 3)
+    batches = _count_batches(monkeypatch)
+    dataset = dg.gen_dataset(config)
+    assert batches == [
+        [(sw.TASK_CLOSE_DRAWER, "success", 4)],
+        [(sw.TASK_FAUCET, "success", 4)],
+        [(sw.TASK_CLOSE_DRAWER, "wander", 2), (sw.TASK_CLOSE_DRAWER, "revert", 1)],
+        [(sw.TASK_FAUCET, "wander", 2), (sw.TASK_FAUCET, "incomplete", 1)],
+    ]
+    assert np.array_equal(dataset.frames_array(), want.frames_array())
+    assert dataset.retries == want.retries

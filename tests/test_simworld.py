@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import sim_state
 from rewardlab import render, simworld as sw
-from rewardlab.errors import BadConfigError, UnknownTaskError
+from rewardlab.errors import BadConfigError, ShapeMismatchError, UnknownTaskError
 
 
 OPEN, HOLD, CLOSE = -1.0, 0.0, 1.0
@@ -103,6 +103,17 @@ class TestRollout:
         for i in range(3):
             single = sw.rollout_states(s0s[i], acts[i])
             assert np.array_equal(batch[i], single)
+
+    @pytest.mark.parametrize("s0_shape, actions_shape", [
+        ((3, sw.STATE_DIM), (4, 60, sw.ACTION_DIM)),   # one start state short
+        ((3, sw.STATE_DIM), (3, sw.ACTION_DIM)),       # no horizon axis
+        ((3, sw.STATE_DIM), (3 * 60 * sw.ACTION_DIM,)),  # flat actions
+        ((3, sw.STATE_DIM), (3, 60, 2)),               # no grip column
+        ((sw.STATE_DIM,), (1, 60, sw.ACTION_DIM)),     # one unbatched start state
+    ])
+    def test_mismatched_shapes_are_typed(self, s0_shape, actions_shape):
+        with pytest.raises(ShapeMismatchError):
+            sw.rollout_batch(np.zeros(s0_shape), np.zeros(actions_shape))
 
     def test_clamping_over_many_random_steps(self):
         rng = np.random.default_rng(77)
