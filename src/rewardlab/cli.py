@@ -49,6 +49,7 @@ def _eval(args):
     separation = ev.evaluate_separation(params, ev.eval_dataset_for(config), config.all_tasks)
     planning = ev.evaluate_planning(params, dyn.ground_truth_model(), config, refine=True)
     print(json.dumps({
+        "env_variant": config.env_variant,
         "auc": {task: entry["auc"] for task, entry in separation.items()},
         "planning": planning["rows"],
     }))
@@ -70,7 +71,8 @@ def _parser() -> argparse.ArgumentParser:
     command("datagen", "write the training set, print a JSON report", _datagen, ("out",))
     command("train", "fit on a dataset file, write a checkpoint, print each epoch", _train,
             ("data", "out"))
-    command("eval", "print separation AUC per task and VMPC/CEM planning rates", _eval,
+    command("eval", "print the environment variant, its separation AUC per task and "
+            "VMPC/CEM planning rates", _eval,
             ("checkpoint",))
     command("ablate", "print the mode x K x failure-source grid as CSV",
             lambda args: sys.stdout.write(ev.ablation_csv(ev.run_ablation(_config(args)))))

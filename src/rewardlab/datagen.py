@@ -491,9 +491,12 @@ def _failure_archetype_plan(task_id: int, count: int, sources) -> list:
     return plan
 
 
-def gen_dataset(config) -> Dataset:
+def gen_dataset(config, variant: str = "train") -> Dataset:
     """Deterministic synthetic dataset of an `ExperimentConfig`: human clips
-    of config.all_tasks, robot clips of config.train_tasks.
+    of config.all_tasks, robot clips of config.train_tasks. Robot clips are
+    rendered in the environment `variant` (a `render.VARIANTS` name); human
+    clips stand for videos from outside the robot's environment and take
+    none, so they do not depend on it.
 
     Clips come in a fixed order (every human clip, then per robot task its
     successes and failures); each (task, style) is one lockstep group, human
@@ -522,7 +525,7 @@ def gen_dataset(config) -> Dataset:
     frames = np.empty((len(specs), config.clip_frames, render.FRAME_WIDTH))
     retries = {}
     for batch in _batches([(*key, members) for key, members in groups.items()]):
-        _roll_and_render(batch, specs, config, frames, retries)
+        _roll_and_render(batch, specs, config, variant, frames, retries)
 
     clips = []
     for clip_frames, (domain, task_id, style, seed) in zip(frames, specs):
@@ -545,7 +548,7 @@ def _batches(groups):
         yield batch
 
 
-def _roll_and_render(groups, specs, config, frames, retries):
+def _roll_and_render(groups, specs, config, variant, frames, retries):
     """Roll (task, style, members) groups of `specs` rows in one lockstep
     batch; write their frames and retry counts. The batch's states go when
     this returns, before the next batch is rolled."""
@@ -557,7 +560,8 @@ def _roll_and_render(groups, specs, config, frames, retries):
         if n_human:
             frames[members[:n_human]] = _human_clips(states[:n_human], rngs[:n_human], config)
         if n_human < len(members):
-            frames[members[n_human:]] = render.render_clips(states[n_human:], config.clip_frames)
+            frames[members[n_human:]] = render.render_clips(
+                states[n_human:], config.clip_frames, variant=variant)
         retries[(task_id, style)] = {
             "clips": len(members),
             "attempts": int(attempts.sum()),

@@ -17,7 +17,7 @@ differentiable in the prompt while the text stays frozen. A training step
 composes (and backprops) all T_p * K contexts in one call.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,9 @@ class VideoEncoderParams:
         return self.temporal_logits.shape[0]
 
     def arrays(self):
-        return [getattr(self, f.name) for f in fields(self)]
+        # the fields in declaration order, spelled out: this runs three
+        # times per train step, and `dataclasses.fields` costs more
+        return [self.frame_proj, self.frame_bias, self.temporal_logits, self.out_proj, self.out_bias]
 
 
 def init_video_encoder(
@@ -81,7 +83,9 @@ def encode_clips_cached(clips: np.ndarray, params: VideoEncoderParams):
             f"({params.temporal_logits.shape[0]},{params.frame_proj.shape[0]})"
         )
 
-    pre = clips @ params.frame_proj + params.frame_bias          # (N, L, H)
+    # one (N*L, F) @ (F, H) product, equal bit for bit to the 3-D matmul
+    pre = (clips.reshape(n * l, f) @ params.frame_proj).reshape(n, l, params.frame_proj.shape[1])
+    pre += params.frame_bias                                     # (N, L, H)
     hidden = np.tanh(pre)
     tl = params.temporal_logits
     w = np.exp(tl - tl.max(axis=0, keepdims=True))
@@ -89,7 +93,7 @@ def encode_clips_cached(clips: np.ndarray, params: VideoEncoderParams):
     pooled = np.einsum("lh,nlh->nh", w, hidden)                  # (N, H)
     z = pooled @ params.out_proj + params.out_bias               # (N, D)
     norms = np.linalg.norm(z, axis=1)
-    if np.any(norms <= 1e-12):
+    if (norms <= 1e-12).any():
         raise ZeroVectorError("pre-normalization embedding collapsed to zero")
     v = z / norms[:, None]
     cache = (clips, hidden, w, pooled, z, norms, v, params)
@@ -105,7 +109,7 @@ def encode_clips_backward(cache, d_v: np.ndarray) -> VideoEncoderParams:
     clips, hidden, w, pooled, z, norms, v, params = cache
     d_v = np.asarray(d_v, dtype=np.float64)
     # through z / ||z||
-    inner = np.sum(v * d_v, axis=1, keepdims=True)
+    inner = (v * d_v).sum(axis=1, keepdims=True)
     d_z = (d_v - v * inner) / norms[:, None]
     d_out_bias = d_z.sum(axis=0)
     d_out_proj = pooled.T @ d_z
@@ -113,7 +117,7 @@ def encode_clips_backward(cache, d_v: np.ndarray) -> VideoEncoderParams:
     d_hidden = w[None, :, :] * d_pooled[:, None, :]               # (N, L, H)
     d_w = np.einsum("nlh,nh->lh", hidden, d_pooled)               # (L, H)
     # softmax over frames, independently per channel
-    d_tl = w * (d_w - np.sum(w * d_w, axis=0, keepdims=True))
+    d_tl = w * (d_w - (w * d_w).sum(axis=0, keepdims=True))
     d_pre = d_hidden * (1.0 - hidden * hidden)
     d_frame_proj = np.einsum("nlf,nlh->fh", clips, d_pre)
     d_frame_bias = d_pre.sum(axis=(0, 1))
@@ -177,7 +181,7 @@ def failure_text_features(pool: FailurePromptPool, texts: np.ndarray):
 
     Returns (T_p, K, D) unit features and the cache for the backward pass.
     """
-    if np.any((pool.tasks < 0) | (pool.tasks >= len(texts))):
+    if ((pool.tasks < 0) | (pool.tasks >= len(texts))).any():
         raise UnknownTaskError(f"pool tasks {pool.tasks.tolist()} are not all task texts")
     prompts = pool.prompts
     texts = texts[pool.tasks][:, None, None, :]
@@ -187,7 +191,7 @@ def failure_text_features(pool: FailurePromptPool, texts: np.ndarray):
     mean = rows.mean(axis=-2)
     u = mean @ pool.proj + pool.bias
     norm = np.linalg.norm(u, axis=-1)
-    if np.any(norm <= 1e-12):
+    if (norm <= 1e-12).any():
         raise ZeroVectorError("failure context collapsed to zero")
     t_f = u / norm[..., None]
     return t_f, (rows.shape[-2], mean, norm, t_f, pool.proj)
@@ -198,7 +202,7 @@ def compose_failure_context_backward(cache, d_t: np.ndarray):
     d(loss)/d(features) for the (T_p, K, D) stack failure_text_features made."""
     n_rows, mean, norm, t_f, proj = cache
     d_t = np.asarray(d_t, dtype=np.float64)
-    d_u = (d_t - t_f * np.sum(t_f * d_t, axis=-1, keepdims=True)) / norm[..., None]
+    d_u = (d_t - t_f * (t_f * d_t).sum(axis=-1, keepdims=True)) / norm[..., None]
     width = d_u.shape[-1]
     d_bias = d_u.reshape(-1, width).sum(axis=0)
     d_proj = mean.reshape(-1, width).T @ d_u.reshape(-1, width)

@@ -78,6 +78,10 @@ class OneClassOnlyError(RewardLabError):
     """Separation metrics need both successes and failures."""
 
 
+class EmptyReportError(RewardLabError):
+    """A summary was asked of a report with no entries."""
+
+
 class GenerationFailedError(RewardLabError):
     """A scripted rollout did not realize its requested label in any attempt."""
 

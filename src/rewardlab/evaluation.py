@@ -7,10 +7,12 @@ counted half — the area under the ROC curve. The eval set is stacked once
 and each task's robot rows are scored by the planner's reward,
 `LearnedReward.score_frames` (sigmoid(v . t)). That set is `gen_dataset` of a
 copy of the config: robot clips of the evaluated tasks at the eval counts,
-every failure source, a derived seed. Planning builds one reward per task,
-plans each of the config's plan_seeds x plan_trials trials with random
-shooting (and optionally CEM), then executes all plans of the task in one
-batched simulator rollout and judges them with the task predicate.
+every failure source, a derived seed, rendered in the config's
+env_variant (the training set is always rendered in `train`). Planning
+builds one reward per task, plans each of the config's plan_seeds x
+plan_trials trials with random shooting (and optionally CEM), then
+executes all plans of the task in one batched simulator rollout and
+judges them with the task predicate.
 """
 
 from dataclasses import replace
@@ -19,7 +21,10 @@ import numpy as np
 
 from . import datagen as dg, dynamics as dyn, planner as pl, simworld as sw
 from .config import ExperimentConfig
-from .errors import BadConfigError, OneClassOnlyError, RefinementRegressedError, TooFewSamplesError
+from .errors import (
+    BadConfigError, EmptyReportError, OneClassOnlyError, RefinementRegressedError,
+    TooFewSamplesError,
+)
 from .training import ModelParams, train
 
 _STREAM_EVAL_DATA = 7
@@ -61,12 +66,17 @@ def evaluate_separation(params: ModelParams, eval_dataset: dg.Dataset, tasks):
 
 
 def mean_auc(report: dict) -> float:
+    """Mean AUC over the tasks of a separation report; an empty report has
+    none and raises EmptyReportError."""
+    if not report:
+        raise EmptyReportError("a separation report of no tasks has no mean AUC")
     return float(np.mean([entry["auc"] for entry in report.values()]))
 
 
 def eval_dataset_for(config: ExperimentConfig, tasks=None) -> dg.Dataset:
     """Held-out robot clips (both outcomes, every failure source) of the
-    evaluated tasks, by default config.all_tasks; no human clips."""
+    evaluated tasks, by default config.all_tasks, rendered in
+    config.env_variant; no human clips."""
     tasks = tuple(tasks) if tasks is not None else config.all_tasks
     return dg.gen_dataset(replace(
         config, train_tasks=tasks, heldout_tasks=(), human_per_task=0,
@@ -75,10 +85,12 @@ def eval_dataset_for(config: ExperimentConfig, tasks=None) -> dg.Dataset:
         failure_sources=dg.FAILURE_SOURCES,
         seed=int(np.random.SeedSequence(
             [config.seed, _STREAM_EVAL_DATA]).generate_state(1, np.uint64)[0] % (2**31)),
-    ))
+    ), variant=config.env_variant)
 
 
 def train_dataset_for(config: ExperimentConfig) -> dg.Dataset:
+    """The training set, rendered in the `train` environment whatever
+    config.env_variant names."""
     return dg.gen_dataset(config)
 
 
@@ -183,7 +195,9 @@ def run_ablation(
     planning_trials: int = 0,
 ):
     """One row per (seed, mode, K, source) cell, for the seeds
-    base_config.seed + i, i < n_seeds; shared datasets per seed.
+    base_config.seed + i, i < n_seeds; shared datasets per seed. With no
+    held-out tasks, auc_heldout is left empty, as planner_success is when
+    no planning runs.
 
     Every task's training set has robot_failure_per_task failure clips, so a
     K above that count is rejected before any cell trains."""
@@ -221,7 +235,7 @@ def run_ablation(
                 "k": k if k is not None else "-",
                 "source": source,
                 "auc_train": mean_auc(sep_train),
-                "auc_heldout": mean_auc(sep_held),
+                "auc_heldout": mean_auc(sep_held) if sep_held else "",
                 "planner_success": planner_success,
             })
     rows.sort(key=lambda r: (r["seed"], r["mode"], str(r["k"]), r["source"]))

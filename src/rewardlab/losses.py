@@ -6,7 +6,14 @@ Every contrastive term calls one InfoNCE core, `_info_nce`: logits z
 mask of each row's denominator (the other logits become -inf, which the
 log-sum-exp and the softmax skip). Row i contributes logsumexp(z_i) minus
 its target-weighted logits; the gradient with respect to the
-similarities is (softmax(z_i) - target_i) / tau.
+similarities is (softmax(z_i) - target_i) / tau. The core makes one pass
+over the logits: the row max m_i, e_i = exp(z_i - m_i) and its row sum
+s_i are computed once and give both the value, m_i + log(s_i), and the
+softmax, e_i / s_i. These are the operations of `embeddings.logsumexp`
+and `embeddings.softmax` in the same order, so the results are equal bit
+for bit; the hot path also calls array methods (`.sum()`, `.any()`)
+rather than the `np.sum`-style wrappers, which cost more per call than
+these small reductions do.
 
 * cross_domain_loss: supervised contrastive (SupCon) pull between same-task
   clips across the human and robot domains, the target spread over each
@@ -32,10 +39,14 @@ summed back into (T, K, D) with np.add.at. Gradients are hand-derived and
 checked against central differences in the test suite.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# logsumexp and softmax are no longer called here (`_info_nce` fuses
+# them), but they stay importable as `losses.logsumexp`/`losses.softmax`:
+# the benchmark's layer table traces those names.
 from .embeddings import logsumexp, sigmoid, softmax
 from .errors import (
     BadClusterIndexError,
@@ -75,11 +86,11 @@ class Batch:
 
     @property
     def n_human(self) -> int:
-        return int(np.sum(self.domains == HUMAN))
+        return int(np.count_nonzero(self.domains == HUMAN))
 
     @property
     def n_robot(self) -> int:
-        return int(np.sum(self.domains == ROBOT))
+        return int(np.count_nonzero(self.domains == ROBOT))
 
     @property
     def n_fail(self) -> int:
@@ -94,7 +105,7 @@ def _check_tau(tau: float) -> None:
 def _rows(per_task, labels, error):
     """per_task[labels] for a task-indexed array and int labels; a label
     outside [0, T) raises `error`."""
-    if np.any((labels < 0) | (labels >= len(per_task))):
+    if ((labels < 0) | (labels >= len(per_task))).any():
         raise error(f"task labels {sorted(set(labels.tolist()))} outside [0, {len(per_task)})")
     return per_task[labels]
 
@@ -109,19 +120,28 @@ def _pool_rows(failure_texts, pooled, labels):
 
 
 def _sum_rows(shape, labels, contrib) -> np.ndarray:
-    """Per-row gradients (n, ...) summed into a task-indexed (T, ...) array."""
+    """Per-row gradients (n, ...) summed into a task-indexed (T, ...) array,
+    row by row in order. np.add.at takes one flat index per entry: that
+    adds the same values in the same order as indexing whole (...) blocks
+    by task, at a third of the cost."""
     out = np.zeros(shape)
-    np.add.at(out, labels, contrib)
+    width = math.prod(shape[1:])
+    flat = (labels[:, None] * width + np.arange(width)).ravel()
+    np.add.at(out.reshape(-1), flat, contrib.reshape(-1))
     return out
 
 
 def _info_nce(logits, target, keep):
     """sum_i logsumexp(z_i) - target_i . logits_i, where z is logits with
     the entries outside the mask `keep` (None keeps all) set to -inf.
-    Returns (value, softmax(z)); d value / d logits = softmax(z) - target."""
+    Returns (value, softmax(z)); d value / d logits = softmax(z) - target.
+    One max, exp and sum per row serve both outputs."""
     z = logits if keep is None else np.where(keep, logits, -np.inf)
-    value = float(np.sum(logsumexp(z) - np.sum(target * logits, axis=1)))
-    return value, softmax(z)
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    value = float((m[:, 0] + np.log(s[:, 0]) - (target * logits).sum(axis=1)).sum())
+    return value, e / s
 
 
 def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
@@ -139,7 +159,7 @@ def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
         keep = ~np.eye(len(labels), dtype=bool)
         pos &= keep
     n_pos = pos.sum(axis=1)
-    if np.any(n_pos == 0):
+    if (n_pos == 0).any():
         raise EmptyPositiveSetError(f"anchor {int(np.argmin(n_pos))} has no positive sample")
     target = pos / n_pos[:, None]
     total, p = _info_nce(logits, target, keep)
@@ -204,9 +224,9 @@ def bce_loss(videos, texts, outcomes):
     outcomes = np.asarray(outcomes, dtype=np.float64)
     if videos.shape != texts.shape or outcomes.shape[0] != videos.shape[0]:
         raise ShapeMismatchError("videos, texts, outcomes must align")
-    x = np.sum(videos * texts, axis=1)
+    x = (videos * texts).sum(axis=1)
     # -log sigmoid(x) = softplus(-x); -log(1 - sigmoid(x)) = softplus(x)
-    value = float(np.sum(_softplus(np.where(outcomes > 0.5, -x, x))))
+    value = float(_softplus(np.where(outcomes > 0.5, -x, x)).sum())
     return value, (sigmoid(x) - outcomes)[:, None] * texts
 
 
@@ -230,14 +250,14 @@ def failure_prompt_loss(
     _check_tau(tau)
     n, k = fail_videos.shape[0], failure_texts.shape[1]
     blocks, has_pool = _pool_rows(failure_texts, pooled, fail_labels)
-    if not np.all(has_pool):
+    if not has_pool.all():
         raise MissingFailureTextsError("a failure row's task has no prompt pool")
     bad = (fail_clusters < 0) | (fail_clusters >= k)
-    if np.any(bad):
+    if bad.any():
         raise BadClusterIndexError(f"k*={fail_clusters[np.argmax(bad)]} outside [0, {k})")
     texts = _rows(task_texts, fail_labels, UnknownTaskError)
     fail_logits = np.einsum("bd,bkd->bk", fail_videos, blocks)
-    z = np.concatenate([np.sum(fail_videos * texts, axis=1, keepdims=True), fail_logits], axis=1) / tau
+    z = np.concatenate([(fail_videos * texts).sum(axis=1, keepdims=True), fail_logits], axis=1) / tau
     target = np.zeros_like(z)
     target[np.arange(n), 1 + fail_clusters] = 1.0
     total, coef = _info_nce(z, target, None)

@@ -86,6 +86,8 @@ class _IndexedData:
         self.success = np.concatenate(
             [part[np.argsort(self.tasks[part], kind="stable")] for part in strata])
         self.success_block = np.repeat(np.arange(len(sizes)), sizes)
+        # the sampler's sort key holds the block index above 53 key bits
+        self.success_block_key = self.success_block << 53
         block_starts = np.cumsum(sizes) - sizes
         self.success_rank = np.arange(len(self.success)) - block_starts[self.success_block]
         fail = np.flatnonzero(robot & (success == 0))
@@ -142,7 +144,7 @@ def sample_batch(
     # random() keys are multiples of 2**-53: as 53-bit integers under the
     # block index they sort by (block, key) in one integer sort
     keys = (rng.random(len(data.success)) * 2.0**53).astype(np.int64)
-    order = np.argsort((data.success_block << 53) | keys)
+    order = np.argsort(data.success_block_key | keys)
     rows = data.success[order[data.success_rank < take[data.success_block]]]
 
     b_f = 0 if config.mode == "no_failure" else config.batch_failure
@@ -155,7 +157,7 @@ def sample_batch(
 
 
 def _global_grad_norm(arrays) -> float:
-    return math.sqrt(sum(float(np.sum(a * a)) for a in arrays))
+    return math.sqrt(sum(float((a * a).sum()) for a in arrays))
 
 
 @dataclass
@@ -254,13 +256,14 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
                 emb_batch, texts, fail_texts, pooled,
                 mode=config.mode, exclude_anchor=config.exclude_anchor,
             )
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NonFiniteValueError(f"epoch {epoch}: total loss is {value}")
             for key, v in comps.items():
                 sums[key] = sums.get(key, 0.0) + v
 
             # backprop into the trainable parameters
-            d_fail_videos = grads.get("fail_videos", np.zeros_like(videos[n_success:]))
+            d_fail_videos = (grads["fail_videos"] if "fail_videos" in grads
+                             else np.zeros_like(videos[n_success:]))
             video_grads = enc.encode_clips_backward(
                 video_cache, np.concatenate([grads["videos"], d_fail_videos])
             )
@@ -335,7 +338,7 @@ def params_from_arrays(arrays: dict) -> ModelParams:
     """Inverse of params_to_arrays. The prompt keys must fill a full
     task x K grid, the task texts must be tasks 0..T-1 and vectors of one
     width, and every array must be finite."""
-    bad = [key for key, arr in arrays.items() if not np.all(np.isfinite(arr))]
+    bad = [key for key, arr in arrays.items() if not np.isfinite(arr).all()]
     if bad:
         raise CorruptFileError(f"checkpoint arrays {bad} hold non-finite values")
     video = enc.VideoEncoderParams(

@@ -80,9 +80,40 @@ def test_datagen_train_eval_match_the_in_memory_pipeline(tmp_path, config_path, 
     )
     assert status == 0
     assert json.loads(out) == {
+        "env_variant": "train",
         "auc": {str(task): entry["auc"] for task, entry in separation.items()},
         "planning": planning["rows"],
     }
+
+
+def test_eval_scores_and_names_the_configured_variant(tmp_path, config_path, capsys, monkeypatch):
+    # the training set stays in `train`; only the eval set's robot clips move
+    shifted = tmp_path / "shifted.cfg"
+    shifted.write_text(TINY + "env_variant = shifted-view\n", encoding="ascii")
+    data, ckpt = tmp_path / "data.txt", tmp_path / "model.ckpt"
+    eval_sets, eval_dataset_for = [], evaluation.eval_dataset_for
+
+    def keep_eval_set(config):
+        eval_sets.append(eval_dataset_for(config))
+        return eval_sets[-1]
+
+    monkeypatch.setattr(evaluation, "eval_dataset_for", keep_eval_set)
+    assert run(capsys, "datagen", "--config", shifted, "--out", data)[0] == 0
+    assert np.array_equal(formats.load_dataset(data).frames_array(),
+                          evaluation.train_dataset_for(load_config(config_path)).frames_array())
+    assert run(capsys, "train", "--config", shifted, "--data", data, "--out", ckpt)[0] == 0
+    status, out, _ = run(capsys, "eval", "--config", shifted, "--checkpoint", ckpt)
+    assert status == 0
+    report = json.loads(out)
+    assert report["env_variant"] == "shifted-view"
+    config = load_config(shifted)
+    want = eval_dataset_for(config)
+    assert np.array_equal(eval_sets[0].frames_array(), want.frames_array())
+    assert not np.array_equal(want.frames_array(),
+                              eval_dataset_for(load_config(config_path)).frames_array())
+    params = training.params_from_arrays(formats.load_checkpoint(ckpt))
+    separation = evaluation.evaluate_separation(params, want, config.all_tasks)
+    assert report["auc"] == {str(task): entry["auc"] for task, entry in separation.items()}
 
 
 def test_seed_flag_beats_the_environment_and_the_file(tmp_path, config_path, capsys, monkeypatch):

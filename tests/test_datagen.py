@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,26 @@ class TestGenDataset:
         cfg = ExperimentConfig(train_tasks=sw.ALL_TASKS, heldout_tasks=(), seed=5)
         cos = dg.domain_shift_cosine(cfg, n_pairs=100)
         assert 0.2 < cos < 0.9
+
+    @pytest.mark.parametrize("variant", sorted(set(render.VARIANTS) - {"train"}))
+    def test_a_variant_moves_only_the_robot_clips_it_renders(self, small_dataset, variant):
+        """env_variant reaches the eval set's robot clips; the training set
+        and every human clip stay as rendered in `train`."""
+        moved = dg.gen_dataset(SMALL, variant=variant)
+        for clip, base in zip(moved.clips, small_dataset.clips):
+            assert (clip.domain, clip.task_id, clip.success, clip.seed) == (
+                base.domain, base.task_id, base.success, base.seed)
+            assert np.array_equal(clip.frames, base.frames) == (clip.domain == "human")
+        config = replace(SMALL, heldout_tasks=(sw.TASK_OPEN_DRAWER,),
+                         eval_success_per_task=2, eval_failure_per_task=2)
+        shifted = replace(config, env_variant=variant)
+        assert np.array_equal(evaluation.train_dataset_for(shifted).frames_array(),
+                              evaluation.train_dataset_for(config).frames_array())
+        base_eval, moved_eval = (evaluation.eval_dataset_for(c) for c in (config, shifted))
+        assert {c.domain for c in moved_eval.clips} == {"robot"}
+        assert [c.seed for c in moved_eval.clips] == [c.seed for c in base_eval.clips]
+        for clip, base in zip(moved_eval.clips, base_eval.clips):
+            assert not np.array_equal(clip.frames, base.frames)
 
     @pytest.mark.parametrize("n_pairs", [0, -3])
     def test_domain_shift_needs_a_pair(self, n_pairs):

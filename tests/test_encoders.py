@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,26 @@ class TestEncodeVideo:
         grads = enc.encode_clips_backward(cache, d_v)
         err = finite_diff_grad_check(loss_of, flat(params), flat(grads))
         assert err < 1e-4
+
+    @pytest.mark.parametrize("n", [1, 24, 300])
+    def test_forward_equals_the_3d_matmul_bit_for_bit(self, n):
+        # the encoder takes clips @ frame_proj as one (N*L, F) @ (F, H)
+        # product; the 3-D matmul is the reference it must equal exactly
+        params = enc.init_video_encoder(np.random.default_rng(5), frames=4, hidden=32, embed_dim=32)
+        clips = np.random.default_rng(n).normal(size=(n, 4, 16))
+        v, cache = enc.encode_clips_cached(clips, params)
+        hidden = np.tanh(clips @ params.frame_proj + params.frame_bias)
+        w = np.exp(params.temporal_logits - params.temporal_logits.max(axis=0, keepdims=True))
+        w /= w.sum(axis=0, keepdims=True)
+        z = np.einsum("lh,nlh->nh", w, hidden) @ params.out_proj + params.out_bias
+        np.testing.assert_array_equal(cache[1], hidden)
+        np.testing.assert_array_equal(v, z / np.linalg.norm(z, axis=1)[:, None])
+
+    def test_arrays_lists_the_fields_in_order(self, params):
+        arrays = params.arrays()
+        names = [f.name for f in fields(enc.VideoEncoderParams)]
+        assert len(arrays) == len(names)
+        assert all(a is getattr(params, name) for a, name in zip(arrays, names))
 
 
 class TestTaskTable:

@@ -3,6 +3,7 @@ end, the typed failure when CEM refinement lowers a plan's score, the
 rejected planning arguments, the AUC against a brute-force pair count, and
 the ablation grid and its CSV."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from rewardlab import (
 )
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import (
-    BadConfigError, OneClassOnlyError, RefinementRegressedError, TooFewSamplesError,
+    BadConfigError, EmptyReportError, OneClassOnlyError, RefinementRegressedError,
+    TooFewSamplesError,
 )
 
 CONFIG = ExperimentConfig(
@@ -97,6 +99,24 @@ def test_ablation_rows_and_csv():
     assert {(r["mode"], r["k"]) for r in rows} == {
         ("no_failure", "-"), ("bce", "-"), ("fvlc", 1), ("fvlc", 2)
     }
+
+
+def test_mean_auc_of_no_tasks_is_an_error():
+    assert evaluation.mean_auc({3: {"auc": 0.25}, 5: {"auc": 0.75}}) == 0.5
+    with pytest.raises(EmptyReportError):
+        evaluation.mean_auc({})
+
+
+def test_ablation_leaves_the_cell_of_an_empty_split_empty():
+    config = replace(CONFIG, heldout_tasks=())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = evaluation.run_ablation(config, modes=("no_failure",), sources=("random",),
+                                       n_seeds=1)
+    assert [(row["auc_heldout"], row["planner_success"]) for row in rows] == [("", "")]
+    assert isinstance(rows[0]["auc_train"], float)
+    line = evaluation.ablation_csv(rows).splitlines()[1]
+    assert line == f"{CONFIG.seed},no_failure,-,random,{rows[0]['auc_train']!r},,"
 
 
 def test_ablation_rejects_k_above_the_failure_clips_before_training(monkeypatch):

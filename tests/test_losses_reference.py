@@ -1,9 +1,17 @@
-"""The batched losses against per-row loop references.
+"""The batched losses against per-row loop references, and against
+two-pass copies of themselves.
 
-The references below compute each loss one anchor row at a time, the way
+The loop references compute each loss one anchor row at a time, the way
 the definitions read. The batched versions reorder floating-point sums,
 so values and gradients must agree to a tolerance set from float64
 rounding (1e-12 relative), not bit for bit.
+
+The two-pass copies are the batched losses as written before their
+InfoNCE core became one pass: the value from `embeddings.logsumexp`, the
+softmax from `embeddings.softmax`, per-task gradient blocks summed by
+`np.add.at` on the task axis. The one-pass core does the same float
+operations in the same order, so the public losses must equal the copies
+bit for bit, masked rows included.
 """
 
 import numpy as np
@@ -11,7 +19,7 @@ import pytest
 
 import helpers
 from rewardlab import losses
-from rewardlab.embeddings import logsumexp, softmax
+from rewardlab.embeddings import logsumexp, sigmoid, softmax
 
 RTOL = 1e-12
 
@@ -145,3 +153,161 @@ def test_failure_prompt_without_failure_rows():
     assert grads["fail_videos"].shape == (0, 6)
     assert grads["fail_texts"].shape == failure_texts.shape
     assert not np.any(grads["fail_texts"])
+
+
+# --- two-pass copies: bit-exact references for the one-pass core ---
+
+def two_pass_info_nce(logits, target, keep):
+    z = logits if keep is None else np.where(keep, logits, -np.inf)
+    value = float(np.sum(logsumexp(z) - np.sum(target * logits, axis=1)))
+    return value, softmax(z)
+
+
+def block_sum_rows(shape, labels, contrib):
+    out = np.zeros(shape)
+    np.add.at(out, labels, contrib)
+    return out
+
+
+def two_pass_cross_domain(videos, labels, tau, exclude_anchor=False):
+    logits = (videos @ videos.T) / tau
+    pos = labels[:, None] == labels[None, :]
+    keep = None
+    if exclude_anchor:
+        keep = ~np.eye(len(labels), dtype=bool)
+        pos &= keep
+    target = pos / pos.sum(axis=1)[:, None]
+    total, p = two_pass_info_nce(logits, target, keep)
+    grad_s = (p - target) / tau
+    return total, (grad_s + grad_s.T) @ videos
+
+
+def two_pass_video_text(videos, texts, labels, tau, failure_texts=None, pooled=None):
+    b = videos.shape[0]
+    logits = (videos @ texts.T) / tau
+    v2t, keep = logits, None
+    if failure_texts is not None:
+        blocks = failure_texts[labels]
+        has_pool = np.ones(b, dtype=bool) if pooled is None else pooled[labels]
+        fail_logits = np.einsum("bd,bkd->bk", videos, blocks) / tau
+        v2t = np.concatenate([logits, fail_logits], axis=1)
+        keep = np.ones(v2t.shape, dtype=bool)
+        keep[:, b:] = has_pool[:, None]
+    eye = np.eye(b)
+    v2t_val, p = two_pass_info_nce(v2t, np.eye(*v2t.shape), keep)
+    t2v_val, q = two_pass_info_nce(logits.T, eye, None)
+    d_sims = (p[:, :b] + q.T - 2.0 * eye) / tau
+    grads = {"videos": d_sims @ texts}
+    if failure_texts is not None:
+        d_fail = p[:, b:] / tau
+        grads["videos"] += np.einsum("bk,bkd->bd", d_fail, blocks)
+        grads["fail_texts"] = block_sum_rows(
+            failure_texts.shape, labels, d_fail[:, :, None] * videos[:, None, :])
+    return v2t_val + t2v_val, grads
+
+
+def two_pass_bce(videos, texts, outcomes):
+    x = np.sum(videos * texts, axis=1)
+    y = np.where(outcomes > 0.5, -x, x)
+    value = float(np.sum(np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y)))))
+    return value, (sigmoid(x) - outcomes)[:, None] * texts
+
+
+def two_pass_failure_prompt(fail_videos, fail_labels, fail_clusters, task_texts,
+                            failure_texts, tau, pooled=None):
+    n = fail_videos.shape[0]
+    blocks, texts = failure_texts[fail_labels], task_texts[fail_labels]
+    fail_logits = np.einsum("bd,bkd->bk", fail_videos, blocks)
+    z = np.concatenate([np.sum(fail_videos * texts, axis=1, keepdims=True), fail_logits],
+                       axis=1) / tau
+    target = np.zeros_like(z)
+    target[np.arange(n), 1 + fail_clusters] = 1.0
+    total, coef = two_pass_info_nce(z, target, None)
+    coef = (coef - target) / tau
+    return total, {
+        "fail_videos": coef[:, :1] * texts + np.einsum("bk,bkd->bd", coef[:, 1:], blocks),
+        "fail_texts": block_sum_rows(
+            failure_texts.shape, fail_labels, coef[:, 1:, None] * fail_videos[:, None, :]),
+    }
+
+
+TWO_PASS = {
+    "cross_domain_loss": two_pass_cross_domain,
+    "video_text_loss": two_pass_video_text,
+    "bce_loss": two_pass_bce,
+    "failure_prompt_loss": two_pass_failure_prompt,
+}
+
+
+def assert_same(got, want):
+    """Equal values and gradients, bit for bit."""
+    assert got[0] == want[0]
+    got_grads, want_grads = got[1], want[1]
+    if isinstance(want_grads, dict):
+        assert sorted(got_grads) == sorted(want_grads)
+        for key in want_grads:
+            np.testing.assert_array_equal(got_grads[key], want_grads[key])
+    else:
+        np.testing.assert_array_equal(got_grads, want_grads)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("exclude_anchor", [False, True])
+def test_cross_domain_equals_two_pass_copy(seed, exclude_anchor):
+    # with exclude_anchor every row's diagonal logit is masked to -inf
+    batch, _, _, _ = random_case(seed, uneven_k=False)
+    args = (batch.videos, batch.labels, batch.tau, exclude_anchor)
+    assert_same(losses.cross_domain_loss(*args), two_pass_cross_domain(*args))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("failures", [None, "even", "uneven"])
+def test_video_text_equals_two_pass_copy(seed, failures):
+    # "uneven": the rows of task 2 mask their failure logits to -inf
+    batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k=failures == "uneven")
+    args = (batch.videos, task_texts[batch.labels], batch.labels, batch.tau,
+            failure_texts if failures else None, pooled)
+    assert_same(losses.video_text_loss(*args), two_pass_video_text(*args))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bce_equals_two_pass_copy(seed):
+    batch, task_texts, _, _ = random_case(seed, uneven_k=False)
+    outcomes = np.random.default_rng(seed).integers(0, 2, len(batch.videos)).astype(float)
+    args = (batch.videos, task_texts[batch.labels], outcomes)
+    assert_same(losses.bce_loss(*args), two_pass_bce(*args))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("uneven_k", [False, True])
+def test_failure_prompt_equals_two_pass_copy(seed, uneven_k):
+    batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k)
+    args = (batch.fail_videos, batch.fail_labels, batch.fail_clusters, task_texts,
+            failure_texts, batch.tau, pooled)
+    assert_same(losses.failure_prompt_loss(*args), two_pass_failure_prompt(*args))
+
+
+def test_rows_that_keep_one_entry_equal_two_pass_copies():
+    batch, task_texts, failure_texts, _ = random_case(0, uneven_k=False)
+    # two same-task anchors without themselves: each row keeps one logit
+    videos, labels = batch.videos[:2], np.array([1, 1])
+    args = (videos, labels, batch.tau, True)
+    assert_same(losses.cross_domain_loss(*args), two_pass_cross_domain(*args))
+    # one video whose task has no prompt pool: its video->text row keeps
+    # only its own text, every failure logit masked
+    pooled = np.array([True, False, True])
+    args = (videos[:1], task_texts[labels[:1]], labels[:1], batch.tau, failure_texts, pooled)
+    assert_same(losses.video_text_loss(*args), two_pass_video_text(*args))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", losses.MODES)
+def test_total_loss_equals_two_pass_copies(monkeypatch, seed, mode):
+    batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k=seed % 2 == 1)
+    args = (batch, task_texts, failure_texts, pooled, mode)
+    value, grads, components = losses.total_loss(*args)
+    for name, copy in TWO_PASS.items():
+        monkeypatch.setattr(losses, name, copy)
+    want_value, want_grads, want_components = losses.total_loss(*args)
+    assert components == want_components and value == want_value
+    assert_same((value, grads), (want_value, want_grads))
