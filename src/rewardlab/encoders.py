@@ -119,7 +119,8 @@ def encode_clips_backward(cache, d_v: np.ndarray) -> VideoEncoderParams:
     # softmax over frames, independently per channel
     d_tl = w * (d_w - (w * d_w).sum(axis=0, keepdims=True))
     d_pre = d_hidden * (1.0 - hidden * hidden)
-    d_frame_proj = np.einsum("nlf,nlh->fh", clips, d_pre)
+    # all N*L frames in one (F, N*L) @ (N*L, H) BLAS product
+    d_frame_proj = clips.reshape(-1, clips.shape[-1]).T @ d_pre.reshape(-1, d_pre.shape[-1])
     d_frame_bias = d_pre.sum(axis=(0, 1))
     return VideoEncoderParams(
         frame_proj=d_frame_proj,

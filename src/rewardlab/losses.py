@@ -37,6 +37,12 @@ arrays indexed by task id: texts (T, D), failure features (T, K, D) and a
 (T,) mask of the tasks with a prompt pool; per-row feature gradients are
 summed back into (T, K, D) with np.add.at. Gradients are hand-derived and
 checked against central differences in the test suite.
+
+Each public loss checks its own inputs. `total_loss` checks every label
+array once, at its boundary, and passes the checked rows to the private
+cores of the video-text and failure-prompt terms (`_video_text`,
+`_failure_prompt`), so one train step does not check the same labels
+two or three times.
 """
 
 import math
@@ -110,13 +116,18 @@ def _rows(per_task, labels, error):
     return per_task[labels]
 
 
-def _pool_rows(failure_texts, pooled, labels):
-    """Each row's (K, D) failure block and the (n,) mask of rows whose task
-    has a prompt pool; callers mask the other rows' failure logits."""
-    blocks = _rows(failure_texts, labels, MissingFailureTextsError)
+def _has_pool(pooled, labels):
+    """The (n,) mask of rows whose task has a prompt pool (every row when
+    pooled is None); callers mask the other rows' failure logits."""
     if pooled is None:
-        return blocks, np.ones(len(blocks), dtype=bool)
-    return blocks, np.asarray(pooled, dtype=bool)[labels]
+        return np.ones(len(labels), dtype=bool)
+    return np.asarray(pooled, dtype=bool)[labels]
+
+
+def _check_clusters(fail_clusters, k) -> None:
+    bad = (fail_clusters < 0) | (fail_clusters >= k)
+    if bad.any():
+        raise BadClusterIndexError(f"k*={fail_clusters[np.argmax(bad)]} outside [0, {k})")
 
 
 def _sum_rows(shape, labels, contrib) -> np.ndarray:
@@ -183,12 +194,22 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, poole
     if videos.shape != texts.shape:
         raise ShapeMismatchError("one text embedding per video is required")
     _check_tau(tau)
+    if failure_texts is None:
+        return _video_text(videos, texts, tau)
+    failure_texts = np.asarray(failure_texts, dtype=np.float64)
+    blocks = _rows(failure_texts, labels, MissingFailureTextsError)
+    return _video_text(videos, texts, tau, (failure_texts, labels, blocks, _has_pool(pooled, labels)))
+
+
+def _video_text(videos, texts, tau, failures=None):
+    """video_text_loss on checked inputs; failures is None or (failure_texts,
+    labels, blocks, has_pool): the (T, K, D) features, the rows' task ids,
+    each row's (K, D) block and the mask of rows with a prompt pool."""
     b = videos.shape[0]
     logits = (videos @ texts.T) / tau            # [i, j] = v_i . t_j / tau
     v2t, keep = logits, None
-    if failure_texts is not None:
-        failure_texts = np.asarray(failure_texts, dtype=np.float64)
-        blocks, has_pool = _pool_rows(failure_texts, pooled, labels)
+    if failures is not None:
+        failure_texts, labels, blocks, has_pool = failures
         fail_logits = np.einsum("bd,bkd->bk", videos, blocks) / tau
         v2t = np.concatenate([logits, fail_logits], axis=1)
         keep = np.ones(v2t.shape, dtype=bool)
@@ -200,7 +221,7 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, poole
     # both targets taken off in one 2I (per direction rounds differently)
     d_sims = (p[:, :b] + q.T - 2.0 * eye) / tau
     grads = {"videos": d_sims @ texts}
-    if failure_texts is not None:
+    if failures is not None:
         d_fail = p[:, b:] / tau
         grads["videos"] += np.einsum("bk,bkd->bd", d_fail, blocks)
         grads["fail_texts"] = _sum_rows(
@@ -248,14 +269,18 @@ def failure_prompt_loss(
     task_texts = np.asarray(task_texts, dtype=np.float64)
     failure_texts = np.asarray(failure_texts, dtype=np.float64)
     _check_tau(tau)
-    n, k = fail_videos.shape[0], failure_texts.shape[1]
-    blocks, has_pool = _pool_rows(failure_texts, pooled, fail_labels)
-    if not has_pool.all():
+    blocks = _rows(failure_texts, fail_labels, MissingFailureTextsError)
+    if not _has_pool(pooled, fail_labels).all():
         raise MissingFailureTextsError("a failure row's task has no prompt pool")
-    bad = (fail_clusters < 0) | (fail_clusters >= k)
-    if bad.any():
-        raise BadClusterIndexError(f"k*={fail_clusters[np.argmax(bad)]} outside [0, {k})")
+    _check_clusters(fail_clusters, failure_texts.shape[1])
     texts = _rows(task_texts, fail_labels, UnknownTaskError)
+    return _failure_prompt(fail_videos, fail_labels, fail_clusters, texts, failure_texts, blocks, tau)
+
+
+def _failure_prompt(fail_videos, fail_labels, fail_clusters, texts, failure_texts, blocks, tau):
+    """failure_prompt_loss on checked inputs: texts and blocks are the
+    failure rows' (Bf, D) task texts and (Bf, K, D) failure features."""
+    n = fail_videos.shape[0]
     fail_logits = np.einsum("bd,bkd->bk", fail_videos, blocks)
     z = np.concatenate([(fail_videos * texts).sum(axis=1, keepdims=True), fail_logits], axis=1) / tau
     target = np.zeros_like(z)
@@ -293,6 +318,8 @@ def total_loss(
     task_texts is (T, D) and failure_texts (T, K, D), indexed by task id;
     each row's text is task_texts[label]. pooled is the (T,) mask of tasks
     that have a prompt pool. The terms are summed with unit weights.
+    A label outside [0, T) raises UnknownTaskError, and in fvlc mode
+    failure_texts must hold one (K, D) block per task.
     Returns (value, grads, components).
     """
     if mode not in MODES:
@@ -300,8 +327,29 @@ def total_loss(
     if batch.n_human < 1 or batch.n_robot < 1:
         raise EmptyPositiveSetError("need at least one human and one robot success sample")
 
+    # each label array is checked once, here; the terms below take the
+    # checked rows (the public losses would check them again)
     task_texts = np.asarray(task_texts, dtype=np.float64)
+    n_tasks = len(task_texts)
     texts = _rows(task_texts, batch.labels, UnknownTaskError)
+    if texts.shape != batch.videos.shape:
+        raise ShapeMismatchError("task texts and clip embeddings must have the same width")
+    if mode != "no_failure":
+        fail_texts = _rows(task_texts, batch.fail_labels, UnknownTaskError)
+    failures = None
+    if mode == "fvlc":
+        if failure_texts is None:
+            raise MissingFailureTextsError("fvlc mode needs the (T, K, D) failure features")
+        failure_texts = np.asarray(failure_texts, dtype=np.float64)
+        if len(failure_texts) != n_tasks:
+            raise ShapeMismatchError(
+                f"failure features for {len(failure_texts)} tasks, task texts for {n_tasks}"
+            )
+        if not _has_pool(pooled, batch.fail_labels).all():
+            raise MissingFailureTextsError("a failure row's task has no prompt pool")
+        _check_clusters(batch.fail_clusters, failure_texts.shape[1])
+        failures = (failure_texts, batch.labels, failure_texts[batch.labels],
+                    _has_pool(pooled, batch.labels))
     grads: dict = {}
     components: dict = {}
 
@@ -311,10 +359,7 @@ def total_loss(
     components["cross_domain"] = cdc_val
     _accumulate(grads, {"videos": cdc_grad})
 
-    vlc_fail = failure_texts if mode == "fvlc" else None
-    vlc_val, vlc_grads = video_text_loss(
-        batch.videos, texts, batch.labels, batch.tau, failure_texts=vlc_fail, pooled=pooled
-    )
+    vlc_val, vlc_grads = _video_text(batch.videos, texts, batch.tau, failures)
     components["video_text"] = vlc_val
     _accumulate(grads, vlc_grads)
 
@@ -323,9 +368,7 @@ def total_loss(
         robot = batch.domains == ROBOT
         n_r = int(robot.sum())
         videos = np.concatenate([batch.videos[robot], batch.fail_videos])
-        bce_texts = np.concatenate([
-            texts[robot], _rows(task_texts, batch.fail_labels, UnknownTaskError)
-        ])
+        bce_texts = np.concatenate([texts[robot], fail_texts])
         outcomes = np.concatenate([np.ones(n_r), np.zeros(batch.n_fail)])
         extra_val, d_bce = bce_loss(videos, bce_texts, outcomes)
         d_videos = np.zeros_like(batch.videos)
@@ -333,14 +376,14 @@ def total_loss(
         _accumulate(grads, {"videos": d_videos, "fail_videos": d_bce[n_r:]})
         components["bce"] = extra_val
     elif mode == "fvlc":
-        extra_val, fp_grads = failure_prompt_loss(
+        extra_val, fp_grads = _failure_prompt(
             batch.fail_videos,
             batch.fail_labels,
             batch.fail_clusters,
-            task_texts,
+            fail_texts,
             failure_texts,
+            failure_texts[batch.fail_labels],
             batch.tau,
-            pooled,
         )
         _accumulate(grads, fp_grads)
         components["failure_prompt"] = extra_val

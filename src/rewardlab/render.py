@@ -9,6 +9,13 @@ plus OFFSET along a fixed unit direction), which models the
 embodiment/viewpoint gap; human clips also get a per-clip camera offset
 of up to VIEWPOINT_SIGMA.
 
+The rotation is built once, at import, with numpy alone: i * MIX * S is
+Hermitian, so `eigh` gives i * MIX * S = V diag(w) V^H with real w, and
+exp(MIX * S) = V diag(exp(-i w)) V^H, real up to rounding (~1e-15 per
+entry). For a normal generator this is one of the stable routes to a
+matrix exponential (Moler & Van Loan, "Nineteen Dubious Ways to Compute
+the Exponential of a Matrix, Twenty-Five Years Later", SIAM Review 2003).
+
 Environment variants change rendering only (color bias inside the
 nonlinearity, camera offset, feature permutation) and never touch dynamics
 or predicates.
@@ -19,7 +26,6 @@ and renders every frame in one `render_frames` call.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import simworld as sw
 from .errors import BadConfigError, ShapeMismatchError
@@ -44,7 +50,15 @@ del _rng, _SKEW_BASE
 MIX = 0.7               # rotation amount
 OFFSET = 0.35           # constant shift magnitude
 VIEWPOINT_SIGMA = 0.08  # per-clip camera offset spread (human)
-_SHIFT_MATRIX = expm(MIX * _SKEW)
+
+
+def _skew_exp(skew: np.ndarray, angle: float) -> np.ndarray:
+    """exp(angle * skew) for a real skew-symmetric matrix."""
+    w, v = np.linalg.eigh(1j * angle * skew)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+
+
+_SHIFT_MATRIX = _skew_exp(_SKEW, MIX)
 
 
 def apply_domain_shift(features: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ EVAL_SETS = {
 }
 
 DATAGEN_REPORT = {"clips": 33, "attempts": 38, "zero_noise_clips": 0,
-                  "domain_shift_cosine": 0.6967939445541037}
+                  "domain_shift_cosine": 0.6967939445541036}
 
 
 def _labels_sha256(dataset) -> str:

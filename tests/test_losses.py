@@ -245,6 +245,53 @@ class TestFailurePrompt:
         assert finite_diff_grad_check(f, theta, analytic) < 1e-4
 
 
+class TestOutOfRangeLabels:
+    """Each public loss checks the labels it indexes with, and raises its
+    typed error for a label outside [0, T); total_loss checks each label
+    array once and raises UnknownTaskError. A negative label would
+    otherwise index from the end silently."""
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_video_text_loss(self, bad):
+        v = np.eye(2)
+        with pytest.raises(MissingFailureTextsError):
+            losses.video_text_loss(v, v, np.array([0, bad]), 1.0, failure_texts=np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_failure_prompt_loss(self, bad):
+        v = np.eye(1, 4)
+        with pytest.raises(MissingFailureTextsError):
+            losses.failure_prompt_loss(v, [bad], [0], np.eye(4)[:3], np.zeros((2, 2, 4)), 1.0)
+
+    def test_failure_prompt_loss_label_past_the_task_texts(self):
+        v = np.eye(1, 4)
+        with pytest.raises(UnknownTaskError):
+            losses.failure_prompt_loss(v, [2], [0], np.eye(4)[:2], np.zeros((3, 2, 4)), 1.0)
+
+    @pytest.mark.parametrize("mode", losses.MODES)
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_total_loss_success_label(self, mode, bad):
+        batch, task_texts, failure_texts = helpers.build_random_batch(11)
+        batch.labels[1] = bad
+        with pytest.raises(UnknownTaskError):
+            losses.total_loss(batch, task_texts, failure_texts, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["bce", "fvlc"])
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_total_loss_failure_label(self, mode, bad):
+        batch, task_texts, failure_texts = helpers.build_random_batch(11)
+        batch.fail_labels[0] = bad
+        with pytest.raises(UnknownTaskError):
+            losses.total_loss(batch, task_texts, failure_texts, mode=mode)
+
+    def test_total_loss_needs_one_failure_block_per_task(self):
+        batch, task_texts, failure_texts = helpers.build_random_batch(11)
+        with pytest.raises(ShapeMismatchError):
+            losses.total_loss(batch, task_texts, failure_texts[:1], mode="fvlc")
+        with pytest.raises(MissingFailureTextsError):
+            losses.total_loss(batch, task_texts, None, mode="fvlc")
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.5])
 def test_nonpositive_temperature_rejected(tau):
     v = np.eye(2)

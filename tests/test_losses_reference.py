@@ -10,8 +10,9 @@ The two-pass copies are the batched losses as written before their
 InfoNCE core became one pass: the value from `embeddings.logsumexp`, the
 softmax from `embeddings.softmax`, per-task gradient blocks summed by
 `np.add.at` on the task axis. The one-pass core does the same float
-operations in the same order, so the public losses must equal the copies
-bit for bit, masked rows included.
+operations in the same order, so the public losses, and `total_loss`
+with its private cores, must equal the copies bit for bit, masked rows
+included.
 """
 
 import numpy as np
@@ -300,14 +301,50 @@ def test_rows_that_keep_one_entry_equal_two_pass_copies():
     assert_same(losses.video_text_loss(*args), two_pass_video_text(*args))
 
 
+def two_pass_total(batch, task_texts, failure_texts, pooled, mode):
+    """total_loss composed from the two-pass copies of its terms, summed
+    in total_loss's order: cross-domain, video-text, then bce or the
+    failure-prompt term."""
+    texts = task_texts[batch.labels]
+    cdc_val, d_videos = two_pass_cross_domain(batch.videos, batch.labels, batch.tau)
+    vlc_val, vlc_grads = two_pass_video_text(
+        batch.videos, texts, batch.labels, batch.tau,
+        failure_texts if mode == "fvlc" else None, pooled)
+    components = {"cross_domain": cdc_val, "video_text": vlc_val}
+    grads = {"videos": d_videos + vlc_grads["videos"]}
+    extra_val = 0.0
+    if mode == "bce":
+        robot = batch.domains == losses.ROBOT
+        n_r = int(robot.sum())
+        extra_val, d_bce = two_pass_bce(
+            np.concatenate([batch.videos[robot], batch.fail_videos]),
+            np.concatenate([texts[robot], task_texts[batch.fail_labels]]),
+            np.concatenate([np.ones(n_r), np.zeros(batch.n_fail)]))
+        d_success = np.zeros_like(batch.videos)
+        d_success[robot] = d_bce[:n_r]
+        grads["videos"] = grads["videos"] + d_success
+        grads["fail_videos"] = d_bce[n_r:]
+        components["bce"] = extra_val
+    elif mode == "fvlc":
+        extra_val, fp_grads = two_pass_failure_prompt(
+            batch.fail_videos, batch.fail_labels, batch.fail_clusters, task_texts,
+            failure_texts, batch.tau, pooled)
+        grads["fail_texts"] = vlc_grads["fail_texts"] + fp_grads["fail_texts"]
+        grads["fail_videos"] = fp_grads["fail_videos"]
+        components["failure_prompt"] = extra_val
+    value = cdc_val + vlc_val + extra_val
+    components["total"] = value
+    return value, grads, components
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("mode", losses.MODES)
-def test_total_loss_equals_two_pass_copies(monkeypatch, seed, mode):
+def test_total_loss_equals_two_pass_copies(seed, mode):
+    # total_loss checks its labels once and calls private cores, so its
+    # terms are compared with the two-pass copies directly
     batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k=seed % 2 == 1)
-    args = (batch, task_texts, failure_texts, pooled, mode)
-    value, grads, components = losses.total_loss(*args)
-    for name, copy in TWO_PASS.items():
-        monkeypatch.setattr(losses, name, copy)
-    want_value, want_grads, want_components = losses.total_loss(*args)
+    value, grads, components = losses.total_loss(batch, task_texts, failure_texts, pooled, mode)
+    want_value, want_grads, want_components = two_pass_total(
+        batch, task_texts, failure_texts, pooled, mode)
     assert components == want_components and value == want_value
     assert_same((value, grads), (want_value, want_grads))

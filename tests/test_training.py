@@ -5,12 +5,13 @@ dataset, batch validity and Generator calls per batch), and the
 checkpoint mapping."""
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
 
 from rewardlab import (
     encoders as enc, evaluation, formats, losses, planner as pl, render, simworld as sw, training,
@@ -256,7 +257,25 @@ def chi2_over_valid_batches(sampler, draws):
         observed[cells[batch_key(rows, fail_rows)]] += 1
     expected = draws / len(cells)
     chi2 = float(np.sum((observed - expected) ** 2) / expected)
-    return chi2, stats.chi2.ppf(0.999, len(cells) - 1)
+    return chi2, chi2_quantile(0.999, len(cells) - 1)
+
+
+def chi2_quantile(p, dof):
+    """The p quantile of the chi-squared distribution with `dof` degrees of
+    freedom: the root x of P(dof/2, x/2) = p, P the regularized lower
+    incomplete gamma function, bracketed between 0 and far above the mean."""
+    def cdf_minus_p(x):
+        return mpmath.gammainc(mpmath.mpf(dof) / 2, 0, x / 2, regularized=True) - p
+    bracket = (0, dof + 10 * math.sqrt(2 * dof) + 30)
+    return float(mpmath.findroot(cdf_minus_p, bracket, solver="illinois"))
+
+
+def test_chi2_quantile_matches_closed_forms():
+    # 2 dof: an exponential, x = -2 log(1 - p); 1 dof: a squared normal,
+    # x = 2 erfinv(p)^2
+    for p in (0.5, 0.99, 0.999):
+        assert chi2_quantile(p, 2) == pytest.approx(-2 * math.log1p(-p), rel=1e-12)
+        assert chi2_quantile(p, 1) == pytest.approx(2 * float(mpmath.erfinv(p)) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("sampler", [training.sample_batch, loop_sample_batch])
