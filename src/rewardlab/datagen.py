@@ -132,8 +132,8 @@ _RETREAT = 0.09   # a retreating gripper moves until it is this far away
 
 
 def _clamp(v):
-    """np.clip to the velocity limit, without np.clip's per-call overhead."""
-    return np.minimum(np.maximum(v, -sw.VEL_LIMIT), sw.VEL_LIMIT)
+    """v limited to the velocity box."""
+    return sw.clamp(v, -sw.VEL_LIMIT, sw.VEL_LIMIT)
 
 
 def _approach(states, tx, ty):
@@ -324,8 +324,8 @@ def _wander_actions(task_id, s0_arr, rng, horizon=sw.HORIZON):
     norm = np.linalg.norm(away)
     if norm > 1e-9:
         away = away / norm * sw.VEL_LIMIT
-        actions[:8, 0] = np.clip(away[0] + actions[:8, 0] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
-        actions[:8, 1] = np.clip(away[1] + actions[:8, 1] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
+        actions[:8, 0] = _clamp(away[0] + actions[:8, 0] * 0.3)
+        actions[:8, 1] = _clamp(away[1] + actions[:8, 1] * 0.3)
     return actions
 
 

@@ -75,14 +75,23 @@ def chunked_predict_batch(model: DynamicsModel, s0: np.ndarray, actions: np.ndar
         states = sw.rollout_batch(s0, actions)
         return states[:, ::CHUNK, :]
 
-    out = np.empty((s0.shape[0], n_chunks + 1, sw.STATE_DIM))
+    n = s0.shape[0]
+    out = np.empty((n, n_chunks + 1, sw.STATE_DIM))
     out[:, 0] = s0
+    # design rows [1, state, chunk actions, features], one buffer for all chunks
+    pre = np.empty((n, model.feature_w.shape[1]))
+    phi = np.empty((n, 1 + INPUT_DIM + pre.shape[1]))
+    phi[:, 0] = 1.0
+    x = phi[:, 1:1 + INPUT_DIM]
+    chunks = actions.reshape(n, n_chunks, CHUNK * sw.ACTION_DIM)
     cur = s0
     for c in range(n_chunks):
-        chunk = actions[:, c * CHUNK: (c + 1) * CHUNK, :].reshape(s0.shape[0], -1)
-        x = np.concatenate([cur, chunk], axis=1)
-        delta = _design(x, model) @ model.weights
-        cur = np.clip(cur + delta, _LOW, _HIGH)
+        x[:, :sw.STATE_DIM] = cur
+        x[:, sw.STATE_DIM:] = chunks[:, c]
+        np.matmul(x, model.feature_w, out=pre)
+        pre += model.feature_b
+        np.tanh(pre, out=phi[:, 1 + INPUT_DIM:])
+        cur = sw.clamp(cur + phi @ model.weights, _LOW, _HIGH)
         out[:, c + 1] = cur
     return out
 

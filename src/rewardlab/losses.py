@@ -116,12 +116,15 @@ def _rows(per_task, labels, error):
     return per_task[labels]
 
 
-def _has_pool(pooled, labels):
-    """The (n,) mask of rows whose task has a prompt pool (every row when
+def _pool_mask(pooled, n_tasks):
+    """The (T,) mask of tasks that have a prompt pool (all of them when
     pooled is None); callers mask the other rows' failure logits."""
     if pooled is None:
-        return np.ones(len(labels), dtype=bool)
-    return np.asarray(pooled, dtype=bool)[labels]
+        return np.ones(n_tasks, dtype=bool)
+    pooled = np.asarray(pooled, dtype=bool)
+    if pooled.shape != (n_tasks,):
+        raise ShapeMismatchError(f"pooled mask of shape {pooled.shape} for {n_tasks} tasks")
+    return pooled
 
 
 def _check_clusters(fail_clusters, k) -> None:
@@ -184,7 +187,8 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, poole
 
     texts are the frozen (B, D) task texts of the rows. failure_texts is
     (T, K, D), indexed by task id; pooled is the (T,) mask of tasks that
-    have a prompt pool (all of them when None).
+    have a prompt pool (all of them when None; another length raises
+    ShapeMismatchError).
     Returns (value, grads) with grads keys "videos" and (when
     failure_texts is given) "fail_texts" (T, K, D).
     """
@@ -198,7 +202,8 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, poole
         return _video_text(videos, texts, tau)
     failure_texts = np.asarray(failure_texts, dtype=np.float64)
     blocks = _rows(failure_texts, labels, MissingFailureTextsError)
-    return _video_text(videos, texts, tau, (failure_texts, labels, blocks, _has_pool(pooled, labels)))
+    has_pool = _pool_mask(pooled, len(failure_texts))[labels]
+    return _video_text(videos, texts, tau, (failure_texts, labels, blocks, has_pool))
 
 
 def _video_text(videos, texts, tau, failures=None):
@@ -258,9 +263,9 @@ def failure_prompt_loss(
 
     task_texts is the frozen (T, D) text table and failure_texts (T, K, D),
     both indexed by task id; pooled is the (T,) mask of tasks that have a
-    prompt pool (all of them when None), and every failure row's task must
-    have one. The positive is the failure feature at the clip's assigned
-    cluster k*.
+    prompt pool (all of them when None; another length raises
+    ShapeMismatchError), and every failure row's task must have one. The
+    positive is the failure feature at the clip's assigned cluster k*.
     Returns (value, grads) with keys "fail_videos" and "fail_texts" (T, K, D).
     """
     fail_videos = np.asarray(fail_videos, dtype=np.float64)
@@ -270,10 +275,10 @@ def failure_prompt_loss(
     failure_texts = np.asarray(failure_texts, dtype=np.float64)
     _check_tau(tau)
     blocks = _rows(failure_texts, fail_labels, MissingFailureTextsError)
-    if not _has_pool(pooled, fail_labels).all():
+    texts = _rows(task_texts, fail_labels, UnknownTaskError)
+    if not _pool_mask(pooled, len(task_texts))[fail_labels].all():
         raise MissingFailureTextsError("a failure row's task has no prompt pool")
     _check_clusters(fail_clusters, failure_texts.shape[1])
-    texts = _rows(task_texts, fail_labels, UnknownTaskError)
     return _failure_prompt(fail_videos, fail_labels, fail_clusters, texts, failure_texts, blocks, tau)
 
 
@@ -318,8 +323,9 @@ def total_loss(
     task_texts is (T, D) and failure_texts (T, K, D), indexed by task id;
     each row's text is task_texts[label]. pooled is the (T,) mask of tasks
     that have a prompt pool. The terms are summed with unit weights.
-    A label outside [0, T) raises UnknownTaskError, and in fvlc mode
-    failure_texts must hold one (K, D) block per task.
+    A label outside [0, T) raises UnknownTaskError, a pooled mask of
+    another length ShapeMismatchError, and in fvlc mode failure_texts
+    must hold one (K, D) block per task.
     Returns (value, grads, components).
     """
     if mode not in MODES:
@@ -331,6 +337,7 @@ def total_loss(
     # checked rows (the public losses would check them again)
     task_texts = np.asarray(task_texts, dtype=np.float64)
     n_tasks = len(task_texts)
+    pool = _pool_mask(pooled, n_tasks)
     texts = _rows(task_texts, batch.labels, UnknownTaskError)
     if texts.shape != batch.videos.shape:
         raise ShapeMismatchError("task texts and clip embeddings must have the same width")
@@ -345,11 +352,10 @@ def total_loss(
             raise ShapeMismatchError(
                 f"failure features for {len(failure_texts)} tasks, task texts for {n_tasks}"
             )
-        if not _has_pool(pooled, batch.fail_labels).all():
+        if not pool[batch.fail_labels].all():
             raise MissingFailureTextsError("a failure row's task has no prompt pool")
         _check_clusters(batch.fail_clusters, failure_texts.shape[1])
-        failures = (failure_texts, batch.labels, failure_texts[batch.labels],
-                    _has_pool(pooled, batch.labels))
+        failures = (failure_texts, batch.labels, failure_texts[batch.labels], pool[batch.labels])
     grads: dict = {}
     components: dict = {}
 

@@ -14,9 +14,18 @@ columns (vx, vy, grip code). Functions take batches of rows; a rollout
 is (H+1, STATE_DIM) states from (H, ACTION_DIM) actions. The task
 predicates take (..., T+1, STATE_DIM) state sequences, so one call judges
 one rollout or a whole batch of them. The camera offset is not part of
-the state: the renderer takes it beside the states. All dynamics are
-elementwise, so batched rollouts are bit-identical to stepping states one
-at a time.
+the state: the renderer takes it beside the states.
+
+One open-loop core rolls every batch, time-major inside. What depends
+only on the actions and the start state is computed for the whole
+horizon at once: the clamped velocities, the grip latch, the gripper
+path and the faucet's contact and angle (np.cumsum, which adds in step
+order); the step loop moves only the drawer and the cup. Each value comes
+from the same float operations in the same order as stepping, so batched
+rollouts are bit-identical to stepping states one at a time. (The cup's
+"moving toward" test negates the gripper - cup offset, which is exact.
+The clamps keep a -0.0 at a 0.0 bound where np.clip gives +0.0; only a
+start state holding -0.0 can reach that.)
 """
 
 import numpy as np
@@ -78,6 +87,61 @@ def _check_task(task_id: int) -> None:
 
 # --- dynamics ---
 
+ROLLOUT_BLOCK = 640  # rows per block of one rollout_batch call
+
+def clamp(v, low, high, out=None):
+    """v limited to [low, high] elementwise: np.clip's result (except that a
+    -0.0 at a 0.0 bound stays -0.0) without its per-call overhead."""
+    return np.minimum(np.maximum(v, low, out=out), high, out=out)
+
+
+def _roll(s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """The simulator: checked (n,7) states and (n,h,3) actions -> the
+    time-major (h+1, 7, n) states of their rollout."""
+    n, h = actions.shape[:2]
+    vel = np.empty((h, 2, n))
+    clamp(actions[:, :, :2].transpose(1, 2, 0), -VEL_LIMIT, VEL_LIMIT, out=vel)
+    code = actions[:, :, 2].T
+    path = np.empty((h + 1, STATE_DIM, n))
+    path[0] = s0.T
+    gxy, grip, ext, angle, cup = (
+        path[:, GX:GY + 1], path[:, GRIP], path[:, EXT], path[:, ANGLE], path[:, CUPX:CUPY + 1])
+
+    # grip latch: the last open/close code so far, else the start grip; a
+    # code at step t is keyed 2t+2 (+1 for close), so the running max keys
+    # the last one and its parity says which
+    keys = np.arange(2, 2 * h + 1, 2, dtype=np.int32)[:, None] + (code > 0.5)
+    last = np.maximum.accumulate((np.abs(code) > 0.5) * keys, axis=0)
+    grip[1:] = np.where(last > 0, last & 1, grip[0])
+    gripped = grip > 0.5
+
+    # the gripper moves on its own, clamped to the table
+    for t in range(h):
+        clamp(np.add(gxy[t], vel[t], out=gxy[t + 1]), 0.0, 1.0, out=gxy[t + 1])
+    gx, gy = path[:h, GX], path[:h, GY]
+
+    # faucet: tangential (x) motion accumulates while touching the handle;
+    # cumsum adds in the same order as stepping
+    near_faucet = (gx - FAUCET_HANDLE[0]) ** 2 + (gy - FAUCET_HANDLE[1]) ** 2 <= CONTACT_RADIUS**2
+    angle[1:] = np.where(near_faucet, np.abs(vel[:, 0]), 0.0)
+    np.cumsum(angle, axis=0, out=angle)
+
+    drawer_dx2 = (gx - DRAWER_BASE[0]) ** 2
+    vy = vel[:, 1]
+    for t in range(h):
+        # drawer: handle moves with the extension; +y pulls open, -y pushes shut
+        near_drawer = drawer_dx2[t] + (gy[t] - (DRAWER_BASE[1] + ext[t])) ** 2 <= CONTACT_RADIUS**2
+        clamp(ext[t] + np.where(near_drawer, vy[t], 0.0), 0.0, DRAWER_MAX, out=ext[t + 1])
+        # cup: carried whenever gripped in contact, pushed only when moving
+        # toward it: v . (cup - gripper) > 0, i.e. v . (gripper - cup) < 0
+        off = gxy[t] - cup[t]
+        sq = off * off
+        push = vel[t] * off
+        moves = (sq[0] + sq[1] <= CONTACT_RADIUS**2) & (gripped[t + 1] | (push[0] + push[1] < 0.0))
+        clamp(cup[t] + np.where(moves, vel[t], 0.0), 0.0, 1.0, out=cup[t + 1])
+    return path
+
+
 def step_batch(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Advance a batch of states one step. states (N,7), actions (N,3)."""
     states = np.asarray(states, dtype=np.float64)
@@ -86,42 +150,12 @@ def step_batch(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(f"states must be (N,{STATE_DIM}), got {states.shape}")
     if actions.shape != (states.shape[0], ACTION_DIM):
         raise ShapeMismatchError(f"actions must be (N,{ACTION_DIM}), got {actions.shape}")
-
-    vx = np.clip(actions[:, 0], -VEL_LIMIT, VEL_LIMIT)
-    vy = np.clip(actions[:, 1], -VEL_LIMIT, VEL_LIMIT)
-    gcode = actions[:, 2]
-
-    out = states.copy()
-    grip = np.where(gcode > 0.5, 1.0, np.where(gcode < -0.5, 0.0, states[:, GRIP]))
-    out[:, GRIP] = grip
-
-    gx, gy = states[:, GX], states[:, GY]
-
-    # drawer: handle moves with the extension; +y pulls open, -y pushes shut
-    hx = np.full_like(gx, DRAWER_BASE[0])
-    hy = DRAWER_BASE[1] + states[:, EXT]
-    near_drawer = (gx - hx) ** 2 + (gy - hy) ** 2 <= CONTACT_RADIUS**2
-    out[:, EXT] = np.clip(states[:, EXT] + np.where(near_drawer, vy, 0.0), 0.0, DRAWER_MAX)
-
-    # faucet: tangential (x) motion accumulates while touching the handle
-    near_faucet = (gx - FAUCET_HANDLE[0]) ** 2 + (gy - FAUCET_HANDLE[1]) ** 2 <= CONTACT_RADIUS**2
-    out[:, ANGLE] = states[:, ANGLE] + np.where(near_faucet, np.abs(vx), 0.0)
-
-    # cup: carried whenever gripped in contact, pushed only when moving toward it
-    cx, cy = states[:, CUPX], states[:, CUPY]
-    near_cup = (gx - cx) ** 2 + (gy - cy) ** 2 <= CONTACT_RADIUS**2
-    toward = vx * (cx - gx) + vy * (cy - gy) > 0.0
-    moves = near_cup & ((grip > 0.5) | toward)
-    out[:, CUPX] = np.clip(cx + np.where(moves, vx, 0.0), 0.0, 1.0)
-    out[:, CUPY] = np.clip(cy + np.where(moves, vy, 0.0), 0.0, 1.0)
-
-    out[:, GX] = np.clip(gx + vx, 0.0, 1.0)
-    out[:, GY] = np.clip(gy + vy, 0.0, 1.0)
-    return out
+    return np.ascontiguousarray(_roll(states, actions[:, None])[1].T)
 
 
 def rollout_batch(s0: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:
-    """Roll (N,7) states through (N,H,3) actions -> (N,H+1,7) states."""
+    """Roll (N,7) states through (N,H,3) actions -> (N,H+1,7) states, in
+    blocks of ROLLOUT_BLOCK rows."""
     s0 = np.asarray(s0, dtype=np.float64)
     action_seqs = np.asarray(action_seqs, dtype=np.float64)
     if s0.ndim != 2 or s0.shape[1] != STATE_DIM:
@@ -129,13 +163,11 @@ def rollout_batch(s0: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:
     if action_seqs.ndim != 3 or action_seqs.shape[::2] != (s0.shape[0], ACTION_DIM):
         raise ShapeMismatchError(
             f"action_seqs must be ({s0.shape[0]},H,{ACTION_DIM}), got {action_seqs.shape}")
-    n, h = action_seqs.shape[0], action_seqs.shape[1]
+    n, h = action_seqs.shape[:2]
     states = np.empty((n, h + 1, STATE_DIM))
-    states[:, 0] = s0
-    cur = s0
-    for t in range(h):
-        cur = step_batch(cur, action_seqs[:, t])
-        states[:, t + 1] = cur
+    for i in range(0, n, ROLLOUT_BLOCK):
+        rows = slice(i, i + ROLLOUT_BLOCK)
+        states[rows] = _roll(s0[rows], action_seqs[rows]).transpose(2, 0, 1)
     return states
 
 
@@ -239,7 +271,7 @@ def initial_state_array(task_id: int, rng: np.random.Generator) -> np.ndarray:
     gx = anchor[0] + offset[0] + rng.uniform(-jitter, jitter)
     gy = anchor[1] + offset[1] + rng.uniform(-jitter, jitter)
     state = np.zeros(STATE_DIM)
-    state[[GX, GY]] = np.clip((gx, gy), 0.0, 1.0)
+    state[[GX, GY]] = clamp((gx, gy), 0.0, 1.0)
     state[EXT] = drawer_ext
     state[[CUPX, CUPY]] = cup
     return state

@@ -292,6 +292,33 @@ class TestOutOfRangeLabels:
             losses.total_loss(batch, task_texts, None, mode="fvlc")
 
 
+class TestPooledMaskLength:
+    """The pooled mask has one entry per task: a shorter one used to raise a
+    bare IndexError, and a longer one was accepted silently."""
+
+    MASKS = pytest.mark.parametrize("pooled", [[True], [True, True, True]], ids=["short", "long"])
+
+    @MASKS
+    def test_total_loss(self, pooled):
+        batch, task_texts, failure_texts = helpers.build_random_batch(11)
+        with pytest.raises(ShapeMismatchError):
+            losses.total_loss(batch, task_texts, failure_texts, pooled, mode="fvlc")
+
+    @MASKS
+    def test_video_text_loss(self, pooled):
+        batch, task_texts, failure_texts = helpers.build_random_batch(11)
+        with pytest.raises(ShapeMismatchError):
+            losses.video_text_loss(batch.videos, task_texts[batch.labels], batch.labels,
+                                   batch.tau, failure_texts, pooled)
+
+    @MASKS
+    def test_failure_prompt_loss(self, pooled):
+        batch, task_texts, failure_texts = helpers.build_random_batch(11)
+        with pytest.raises(ShapeMismatchError):
+            losses.failure_prompt_loss(batch.fail_videos, batch.fail_labels, batch.fail_clusters,
+                                       task_texts, failure_texts, batch.tau, pooled)
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.5])
 def test_nonpositive_temperature_rejected(tau):
     v = np.eye(2)
