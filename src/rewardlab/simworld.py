@@ -89,6 +89,7 @@ def _check_task(task_id: int) -> None:
 
 ROLLOUT_BLOCK = 640  # rows per block of one rollout_batch call
 
+
 def clamp(v, low, high, out=None):
     """v limited to [low, high] elementwise: np.clip's result (except that a
     -0.0 at a 0.0 bound stays -0.0) without its per-call overhead."""
