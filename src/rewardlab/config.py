@@ -62,6 +62,9 @@ class ExperimentConfig:
             value, strict = getattr(self, name), name in _POSITIVE
             if not (value > low if strict else value >= low):
                 raise BadConfigError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
+        for name in ("train_tasks", "heldout_tasks", "failure_sources"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise BadConfigError(f"{name} repeats an entry: {getattr(self, name)}")
         for name in ("train_tasks", "heldout_tasks"):
             if any(t not in sw.TASK_NAMES for t in getattr(self, name)):
                 raise BadConfigError(f"{name} has unknown task ids: {getattr(self, name)}")
@@ -83,7 +86,7 @@ _AT_LEAST = {
     "k_clusters": 1, "prompt_len": 1, "tau": 0.0,
     "batch_human": 1, "batch_robot": 1, "batch_failure": 0,
     "epochs": 1, "steps_per_epoch": 0, "lr_encoder": 0.0, "lr_prompts": 0.0, "grad_clip": 0.0,
-    "clip_frames": 1, "hidden_width": 1, "embed_dim": 1,
+    "seed": 0, "clip_frames": 1, "hidden_width": 1, "embed_dim": 1,
     "human_per_task": 0, "robot_success_per_task": 0, "robot_failure_per_task": 0,
     "eval_success_per_task": 0, "eval_failure_per_task": 0, "noise": 0.0,
     "plan_candidates": 1, "plan_horizon": dyn.CHUNK, "plan_trials": 1, "plan_seeds": 1,

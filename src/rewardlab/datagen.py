@@ -39,14 +39,14 @@ row, counts the attempts up to it, and gets its Generator back in the
 state saved after that attempt, so its later draws follow exactly as if it
 had stopped there. The dynamics and controllers are elementwise, so a
 clip's rollout does not depend on which other rows share the batch:
-`roll_clips` is the same core for one group, and `gen_success_trajectory`
-and `gen_failure_trajectory` are `roll_clips` at n = 1.
+`gen_success_trajectory` and `gen_failure_trajectory` are `roll_groups` of
+one group of one clip.
 
-`gen_dataset` packs whole groups, in dataset order, into batches of at
-most `BATCH_CLIPS` clips (a larger group is a batch alone), rolls one batch
-at a time and renders it, one `render_clips` call per group and domain,
-before it rolls the next, so it never holds more than one batch of rolled
-states.
+`gen_dataset` and `domain_shift_cosine` roll whole groups, in order, in
+batches of at most `BATCH_CLIPS` clips, and render each batch, one
+`render_clips` call per group and domain, before the next is rolled.
+`LabeledClip` is the one check of a clip's labels, for generated and
+loaded clips alike.
 """
 
 from dataclasses import dataclass, field
@@ -87,8 +87,17 @@ class LabeledClip:
     seed: int
 
     def __post_init__(self):
-        if (self.failure_archetype is None) != (self.success == 1):
-            raise BadConfigError("archetype must be present exactly when r = 0")
+        archetype = self.failure_archetype
+        if self.domain not in ("human", "robot"):
+            raise BadConfigError(f"unknown domain {self.domain!r}")
+        if self.task_id not in sw.TASK_NAMES:
+            raise BadConfigError(f"unknown task {self.task_id}")
+        if self.success not in (0, 1):
+            raise BadConfigError(f"success must be 0 or 1, got {self.success}")
+        if self.success == 1 and archetype is not None:
+            raise BadConfigError(f"a success has failure archetype {archetype!r}")
+        if self.success == 0 and archetype not in ARCHETYPES:
+            raise BadConfigError(f"unknown failure archetype {archetype!r}")
 
 
 @dataclass
@@ -276,33 +285,30 @@ def make_policy(task_id: int, style: str):
                    revert_goal=revert_goal, grab=style == "revert")
 
 
-def run_policy(s0, policy, noise=None, horizon=sw.HORIZON):
-    """Roll (n, 7) start states in lockstep, one `step_batch` call per step
-    for every row.
+def run_policy(s0, blocks):
+    """Roll (n, 7) start states in lockstep for HORIZON steps, one
+    `step_batch` call per step for every row.
 
-    policy is one controller for every row, with noise (n, horizon, 2)
-    velocity noise added before clamping, or None. Or it is a list of
-    blocks (rows, controller, noise) that split the rows in order: each
-    block's controller acts on its own rows with its own `Phase` and adds
-    its own noise, and a block whose controller is None replays its noise
-    (rows, horizon, 3) as its actions, unclamped (wander clips).
-    Returns actions (n, horizon, 3) and states (n, horizon + 1, 7).
+    blocks is a list of (rows, controller, noise) that split the rows in
+    order: each block's controller acts on its own rows with its own
+    `Phase` and adds its noise (rows, H, 2), or None, to the velocities
+    before clamping, and a block whose controller is None replays its noise
+    (rows, H, 3) as its actions, unclamped (wander clips).
+    Returns actions (n, H, 3) and states (n, H + 1, 7).
     """
     cur = np.asarray(s0, dtype=np.float64)
-    if callable(policy):
-        policy = [(cur.shape[0], policy, noise)]
-    actions = np.empty((cur.shape[0], horizon, sw.ACTION_DIM))
-    states = np.empty((cur.shape[0], horizon + 1, sw.STATE_DIM))
+    actions = np.empty((cur.shape[0], sw.HORIZON, sw.ACTION_DIM))
+    states = np.empty((cur.shape[0], sw.HORIZON + 1, sw.STATE_DIM))
     states[:, 0] = cur
     controlled, replayed, start = [], [], 0
-    for size, controller, block_noise in policy:
+    for size, controller, block_noise in blocks:
         rows = slice(start, start + size)
         start += size
         if controller is None:
             replayed.append((rows, block_noise))
         else:
             controlled.append((rows, controller, block_noise, Phase.start(cur[rows])))
-    for t in range(horizon):
+    for t in range(sw.HORIZON):
         act = actions[:, t]
         for rows, controller, block_noise, phase in controlled:
             block = controller(cur[rows], phase)
@@ -317,9 +323,9 @@ def run_policy(s0, policy, noise=None, horizon=sw.HORIZON):
     return actions, states
 
 
-def _wander_actions(task_id, s0_arr, rng, horizon=sw.HORIZON):
+def _wander_actions(task_id, s0_arr, rng):
     """Random motion biased away from the object for the first few steps."""
-    actions = sw.random_action_array(rng, 1, horizon)[0]
+    actions = sw.random_action_array(rng, 1, sw.HORIZON)[0]
     away = s0_arr[[sw.GX, sw.GY]] - sw.target_points(task_id, s0_arr)
     norm = np.linalg.norm(away)
     if norm > 1e-9:
@@ -445,23 +451,17 @@ def roll_groups(groups, noise: float = ACTION_NOISE):
     return [(roll.actions, roll.states, roll.attempts, roll.rngs) for roll in rolls]
 
 
-def roll_clips(task_id: int, style: str, seeds, noise: float = ACTION_NOISE):
-    """`roll_groups` of one (task, style) group: returns its actions (n, H, 3),
-    states (n, H + 1, 7), attempts (n,) and Generators."""
-    return roll_groups([(task_id, style, seeds)], noise)[0]
-
-
 def gen_failure_trajectory(task_id: int, archetype: str, seed, noise: float = ACTION_NOISE):
     """Robot failure rollout realizing one archetype; label checked, seeded."""
     if archetype not in ARCHETYPES:
         raise ArchetypeUnsupportedError(f"unknown archetype {archetype!r}")
-    actions, states, _, _ = roll_clips(task_id, archetype, [seed], noise)
+    actions, states, _, _ = roll_groups([(task_id, archetype, [seed])], noise)[0]
     return actions[0], states[0]
 
 
 def gen_success_trajectory(task_id: int, seed, noise: float = ACTION_NOISE):
     """Scripted success rollout with uniform action noise; label checked."""
-    actions, states, _, _ = roll_clips(task_id, "success", [seed], noise)
+    actions, states, _, _ = roll_groups([(task_id, "success", [seed])], noise)[0]
     return actions[0], states[0]
 
 
@@ -489,6 +489,29 @@ def _failure_archetype_plan(task_id: int, count: int, sources) -> list:
         else:
             plan.append("wander" if i % 2 == 0 else near[(i // 2) % len(near)])
     return plan
+
+
+def _rolled_groups(keys, seeds):
+    """Roll clip i of (task, style) group keys[i] from seeds[i], whole groups
+    in order packed into lockstep batches of at most BATCH_CLIPS clips (a
+    larger group is a batch alone). Yields each group's key, members (clip
+    indices), states (n, H + 1, 7), attempts (n,) and Generators, one batch
+    at a time, so a batch's states can go before the next is rolled."""
+    groups, batches = {}, []
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for key, members in groups.items():
+        if not batches or sum(len(m) for _, m in batches[-1]) + len(members) > BATCH_CLIPS:
+            batches.append([])
+        batches[-1].append((key, members))
+    for batch in batches:
+        # ACTION_NOISE is read at call time, so a patched module value holds
+        rolls = roll_groups([(*key, [seeds[i] for i in members]) for key, members in batch],
+                            ACTION_NOISE)
+        for key, members in batch:
+            # popped, so a group's rollouts go once its caller is done with them
+            states, attempts, rngs = rolls.pop(0)[1:]
+            yield key, members, states, attempts, rngs
 
 
 def gen_dataset(config, variant: str = "train") -> Dataset:
@@ -519,42 +542,10 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
             specs.append(("robot", task_id, archetype,
                           _clip_seed(config.seed, _CLIP_STREAMS["robot_failure"], task_id, i)))
 
-    groups = {}
-    for idx, (_, task_id, style, _) in enumerate(specs):
-        groups.setdefault((task_id, style), []).append(idx)
     frames = np.empty((len(specs), config.clip_frames, render.FRAME_WIDTH))
     retries = {}
-    for batch in _batches([(*key, members) for key, members in groups.items()]):
-        _roll_and_render(batch, specs, config, variant, frames, retries)
-
-    clips = []
-    for clip_frames, (domain, task_id, style, seed) in zip(frames, specs):
-        archetype = None if style == "success" else style
-        clips.append(LabeledClip(clip_frames, domain, task_id, int(archetype is None), archetype, seed))
-    return Dataset(clips, retries)
-
-
-def _batches(groups):
-    """(task, style, clips) groups packed in order into lockstep batches of
-    at most BATCH_CLIPS clips; a larger group is a batch alone."""
-    batch, size = [], 0
-    for group in groups:
-        if batch and size + len(group[2]) > BATCH_CLIPS:
-            yield batch
-            batch, size = [], 0
-        batch.append(group)
-        size += len(group[2])
-    if batch:
-        yield batch
-
-
-def _roll_and_render(groups, specs, config, variant, frames, retries):
-    """Roll (task, style, members) groups of `specs` rows in one lockstep
-    batch; write their frames and retry counts. The batch's states go when
-    this returns, before the next batch is rolled."""
-    rolls = roll_groups([(task_id, style, [specs[i][3] for i in members])
-                         for task_id, style, members in groups], noise=ACTION_NOISE)
-    for (task_id, style, members), (_, states, attempts, rngs) in zip(groups, rolls):
+    rolled = _rolled_groups([spec[1:3] for spec in specs], [spec[3] for spec in specs])
+    for key, members, states, attempts, rngs in rolled:
         # a success group lists its human clips first; no render call is empty
         n_human = sum(specs[i][0] == "human" for i in members)
         if n_human:
@@ -562,11 +553,17 @@ def _roll_and_render(groups, specs, config, variant, frames, retries):
         if n_human < len(members):
             frames[members[n_human:]] = render.render_clips(
                 states[n_human:], config.clip_frames, variant=variant)
-        retries[(task_id, style)] = {
+        retries[key] = {
             "clips": len(members),
             "attempts": int(attempts.sum()),
             "zero_noise_clips": int(np.sum(attempts > ZERO_NOISE_ATTEMPT)),
         }
+
+    clips = []
+    for clip_frames, (domain, task_id, style, seed) in zip(frames, specs):
+        archetype = None if style == "success" else style
+        clips.append(LabeledClip(clip_frames, domain, task_id, int(archetype is None), archetype, seed))
+    return Dataset(clips, retries)
 
 
 def domain_shift_cosine(config, n_pairs: int = 100) -> float:
@@ -587,16 +584,11 @@ def domain_shift_cosine(config, n_pairs: int = 100) -> float:
         raise BadConfigError(f"domain_shift_cosine needs n_pairs > 0, got {n_pairs}")
     per_task = [t for t in tasks for _ in range((n_pairs // len(tasks)) + 1)]
     pairs = per_task[:n_pairs]
-    groups = {}
-    for i, task_id in enumerate(pairs):
-        groups.setdefault(task_id, []).append(i)
+    seeds = [[config.seed, 99, task_id, i] for i, task_id in enumerate(pairs)]
     sims = np.empty((len(pairs), config.clip_frames))
-    for batch in _batches([(task_id, "success", idx) for task_id, idx in groups.items()]):
-        rolls = roll_groups([(task_id, style, [[config.seed, 99, task_id, i] for i in idx])
-                             for task_id, style, idx in batch], noise=ACTION_NOISE)
-        for (_, _, idx), (_, states, _, rngs) in zip(batch, rolls):
-            robot = render.render_clips(states, config.clip_frames)
-            human = _human_clips(states, rngs, config)
-            num = np.sum(robot * human, axis=2)
-            sims[idx] = num / (np.linalg.norm(robot, axis=2) * np.linalg.norm(human, axis=2))
+    for _, idx, states, _, rngs in _rolled_groups([(t, "success") for t in pairs], seeds):
+        robot = render.render_clips(states, config.clip_frames)
+        human = _human_clips(states, rngs, config)
+        num = np.sum(robot * human, axis=2)
+        sims[idx] = num / (np.linalg.norm(robot, axis=2) * np.linalg.norm(human, axis=2))
     return float(np.mean(sims.ravel()))

@@ -153,14 +153,15 @@ def train_dynamics(
     return model
 
 
-def generate_random_episodes(n_episodes: int, seed: int, horizon: int = sw.HORIZON):
+def generate_random_episodes(n_episodes: int, seed: int):
     """Random-policy episodes cycling over task initial-state distributions."""
     rng = np.random.default_rng([seed, 41])
     tasks = sw.ALL_TASKS
     s0 = np.stack([
         sw.initial_state_array(tasks[i % len(tasks)], rng) for i in range(n_episodes)
     ])
-    actions = np.concatenate([sw.random_action_array(rng, 1, horizon) for _ in range(n_episodes)])
+    actions = np.concatenate([sw.random_action_array(rng, 1, sw.HORIZON)
+                              for _ in range(n_episodes)])
     states = sw.rollout_batch(s0, actions)
     return states, actions
 

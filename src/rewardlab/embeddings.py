@@ -13,21 +13,21 @@ from .errors import NonFiniteValueError, ShapeMismatchError, ZeroVectorError
 EPSILON_NORM = 1e-12
 
 
-def l2_normalize(v, eps: float = EPSILON_NORM) -> np.ndarray:
-    """Return v / ||v||. Raises ZeroVectorError if ||v|| <= eps."""
+def l2_normalize(v) -> np.ndarray:
+    """Return v / ||v||. Raises ZeroVectorError if ||v|| <= EPSILON_NORM."""
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
-    if norm <= eps:
-        raise ZeroVectorError(f"norm {norm} <= {eps}")
+    if norm <= EPSILON_NORM:
+        raise ZeroVectorError(f"norm {norm} <= {EPSILON_NORM}")
     return v / norm
 
 
-def l2_normalize_rows(mat, eps: float = EPSILON_NORM) -> np.ndarray:
+def l2_normalize_rows(mat) -> np.ndarray:
     """Row-wise l2_normalize for an (n, d) matrix."""
     mat = np.asarray(mat, dtype=np.float64)
     norms = np.linalg.norm(mat, axis=-1, keepdims=True)
-    if np.any(norms <= eps):
-        raise ZeroVectorError("at least one row has norm below eps")
+    if np.any(norms <= EPSILON_NORM):
+        raise ZeroVectorError(f"at least one row has norm <= {EPSILON_NORM}")
     return mat / norms
 
 
@@ -62,8 +62,8 @@ def sigmoid(x) -> np.ndarray:
     return out
 
 
-def finite_diff_grad_check(f, theta, analytic_grad, eps: float = 1e-5) -> float:
-    """Compare an analytic gradient against central differences.
+def finite_diff_grad_check(f, theta, analytic_grad) -> float:
+    """Compare an analytic gradient against central differences of step 1e-5.
 
     f is a scalar function of a flat parameter vector; analytic_grad is the
     claimed gradient at theta. Returns the max over coordinates of
@@ -75,7 +75,7 @@ def finite_diff_grad_check(f, theta, analytic_grad, eps: float = 1e-5) -> float:
         raise ShapeMismatchError(
             f"theta shape {theta.shape} != grad shape {analytic_grad.shape}"
         )
-    worst = 0.0
+    eps, worst = 1e-5, 0.0
     work = theta.copy()
     for i in range(work.size):
         orig = work.flat[i]

@@ -9,9 +9,10 @@ bit-exactly, so save -> load is lossless and files diff cleanly.
 Dataset record:
     clip domain=<human|robot> task=<int> success=<0|1> archetype=<name|->
          seed=<int> frames=<L> width=<F> data <f0> <f1> ...
-A loaded record must be a clip that generation could have made: a known
-domain and task, archetype `-` exactly for a success and a known failure
-archetype otherwise, and the same frames and width as every other record.
+A loaded record must be a clip that generation could have made: its
+labels must pass `LabeledClip`'s check (a known domain and task, archetype
+`-` exactly for a success and a known failure archetype otherwise), and it
+must have the same frames and width as every other record.
 
 Checkpoint record (row-major values; `training.params_to_arrays` names):
     array <name> <ndim> <dim0> ... <v0> <v1> ...
@@ -19,9 +20,8 @@ Checkpoint record (row-major values; `training.params_to_arrays` names):
 
 import numpy as np
 
-from .datagen import ARCHETYPES, Dataset, LabeledClip
-from .errors import CorruptFileError, VersionMismatchError
-from .simworld import TASK_NAMES
+from .datagen import Dataset, LabeledClip
+from .errors import BadConfigError, CorruptFileError, VersionMismatchError
 
 FORMAT_VERSION = 1
 DATASET_MAGIC = "rewardlab-dataset"
@@ -64,23 +64,6 @@ def _read_lines(path):
 
 
 # --- datasets ---
-
-def _label_error(labels: dict) -> str | None:
-    """Why a record's labels describe no clip that generation makes, or None."""
-    domain, task_id, success = labels["domain"], labels["task_id"], labels["success"]
-    failure_archetype = labels["failure_archetype"]
-    if domain not in ("human", "robot"):
-        return f"unknown domain {domain!r}"
-    if task_id not in TASK_NAMES:
-        return f"unknown task {task_id}"
-    if success not in (0, 1):
-        return f"success must be 0 or 1, got {success}"
-    if success == 1 and failure_archetype is not None:
-        return f"a success has failure archetype {failure_archetype!r}"
-    if success == 0 and failure_archetype not in ARCHETYPES:
-        return f"unknown failure archetype {failure_archetype!r}"
-    return None
-
 
 def save_dataset(dataset: Dataset, path) -> None:
     lines = [_header_line(DATASET_MAGIC, clips=len(dataset.clips))]
@@ -129,13 +112,15 @@ def load_dataset(path) -> Dataset:
             raise CorruptFileError(
                 f"clip record has {len(values)} values, expected {l * f}"
             )
-        problem = _label_error(labels)
-        if problem is None and clips and (l, f) != clips[0].frames.shape:
-            problem = "frames={} width={} differ from record 1's frames={} width={}".format(
-                l, f, *clips[0].frames.shape)
-        if problem is not None:
-            raise CorruptFileError(f"clip record {number} ({ln[:60]!r}): {problem}")
-        clips.append(LabeledClip(frames=np.array(values).reshape(l, f), **labels))
+        where = f"clip record {number} ({ln[:60]!r})"
+        try:
+            clip = LabeledClip(frames=np.array(values).reshape(l, f), **labels)
+        except BadConfigError as exc:
+            raise CorruptFileError(f"{where}: {exc}") from exc
+        if clips and (l, f) != clips[0].frames.shape:
+            raise CorruptFileError("{}: frames={} width={} differ from record 1's frames={} "
+                                   "width={}".format(where, l, f, *clips[0].frames.shape))
+        clips.append(clip)
     return Dataset(clips)
 
 

@@ -133,7 +133,9 @@ def test_seed_flag_beats_the_environment_and_the_file(tmp_path, config_path, cap
     ("train_tasks =\nheldout_tasks =\n", ["datagen", "--out", "never.txt"], "at least one task"),
     (TINY, ["train", "--data", "missing.txt", "--out", "never.ckpt"], "missing.txt"),
     (TINY, ["eval", "--checkpoint", "missing.ckpt"], "missing.ckpt"),
-], ids=["out-of-range", "unknown-key", "no-tasks", "missing-dataset", "missing-checkpoint"])
+    (TINY, ["datagen", "--seed", "-1", "--out", "never.txt"], "seed must be >= 0"),
+], ids=["out-of-range", "unknown-key", "no-tasks", "missing-dataset", "missing-checkpoint",
+        "negative-seed"])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, text, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(text, encoding="ascii")

@@ -72,6 +72,18 @@ def test_out_of_range_field_rejected_by_name(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("train_tasks", (4, 4)), ("heldout_tasks", (0, 1, 0)),
+    ("failure_sources", ("random", "random")),
+])
+def test_a_value_the_run_cannot_honour_is_rejected_by_name(field, value):
+    """A negative seed fails in numpy's seeding, a repeated task would make
+    its clips twice with the same seeds, and a repeated failure source is
+    not a mixture of two."""
+    with pytest.raises(BadConfigError, match=field):
+        ExperimentConfig(**{field: value})
+
+
 def test_empty_task_tuples_are_valid():
     config = ExperimentConfig(train_tasks=(), heldout_tasks=())
     assert config.all_tasks == ()

@@ -323,7 +323,7 @@ def test_lockstep_group_matches_reference(task_id, style):
     equal its clip rolled alone, and leave its Generator in the same state.
     The single-clip generators are the same core at n = 1."""
     seeds = [[task_id, i] for i in range(3)]
-    actions, states, attempts, rngs = dg.roll_clips(task_id, style, seeds)
+    actions, states, attempts, rngs = dg.roll_groups([(task_id, style, seeds)])[0]
     for i, seed in enumerate(seeds):
         want_actions, want_states, want_attempts, want_rng = ref_trajectory(task_id, style, seed)
         assert np.array_equal(actions[i], want_actions)
@@ -355,7 +355,7 @@ def test_loud_noise_halved_levels_and_fallback_match_reference():
     all_attempts = []
     for task_id, style, indices in LOUD_CASES:
         seeds = [[task_id, 300 + i] for i in indices]
-        actions, states, attempts, rngs = dg.roll_clips(task_id, style, seeds, noise=LOUD)
+        actions, states, attempts, rngs = dg.roll_groups([(task_id, style, seeds)], noise=LOUD)[0]
         for i, seed in enumerate(seeds):
             want_actions, want_states, want_attempts, want_rng = ref_trajectory(
                 task_id, style, seed, LOUD)
@@ -490,7 +490,7 @@ def test_a_group_makes_one_step_loop_per_band(monkeypatch, task_id, style):
 
     monkeypatch.setattr(sw, "step_batch", counted)
     monkeypatch.setattr(dg, "_labels_ok", _pass_from(25, group_size=3))
-    _, _, attempts, _ = dg.roll_clips(task_id, style, [[task_id, i] for i in range(3)])
+    _, _, attempts, _ = dg.roll_groups([(task_id, style, [[task_id, i] for i in range(3)])])[0]
     assert attempts.tolist() == [25, 25, 25]
     assert calls[0] <= len(dg.BANDS) * sw.HORIZON == 5 * sw.HORIZON
 
@@ -522,8 +522,8 @@ def test_groups_in_one_loop_equal_groups_rolled_alone(monkeypatch):
     for group, (actions, states, attempts, rngs) in zip(MIXED, together):
         task_id, style, n, passing = group
         _fake_labels(monkeypatch, [group])
-        want_actions, want_states, want_attempts, want_rngs = dg.roll_clips(
-            task_id, style, seeds[task_id])
+        want_actions, want_states, want_attempts, want_rngs = dg.roll_groups(
+            [(task_id, style, seeds[task_id])])[0]
         assert attempts.tolist() == want_attempts.tolist() == [passing] * n
         assert np.array_equal(actions, want_actions)
         assert np.array_equal(states, want_states)

@@ -93,7 +93,7 @@ def rollouts(task_id):
             states = sw.rollout_batch(s0, acts)
         else:
             noise = rng.uniform(-0.03, 0.03, size=(N_PER_STYLE, sw.HORIZON, 2))
-            _, states = dg.run_policy(s0, dg.make_policy(task_id, style), noise)
+            _, states = dg.run_policy(s0, [(N_PER_STYLE, dg.make_policy(task_id, style), noise)])
         groups.append(states)
     states = np.concatenate(groups)
     return states, [ref_sequence(task_id, seq) for seq in states]

@@ -1,14 +1,15 @@
 """`ExperimentConfig` is the one home of every setting: each of its fields
 is read somewhere in `src/rewardlab` outside `config.py` (a field nothing
-reads would be a setting that is neither honoured nor rejected), and no
-other module defines a `...Config` dataclass that could copy its fields.
+reads would be a setting that is neither honoured nor rejected), every
+numeric field has a lower bound that construction checks, and no other
+module defines a `...Config` dataclass that could copy its fields.
 """
 
 import ast
 from dataclasses import fields
 from pathlib import Path
 
-from rewardlab.config import ExperimentConfig
+from rewardlab.config import _AT_LEAST, ExperimentConfig
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rewardlab"
 
@@ -44,3 +45,8 @@ def test_no_other_config_dataclass():
         and (name, node.name) != ("config.py", "ExperimentConfig")
     ]
     assert others == []
+
+
+def test_every_numeric_field_has_a_lower_bound():
+    numeric = [f.name for f in fields(ExperimentConfig) if f.type in (int, float, "int", "float")]
+    assert numeric and [name for name in numeric if name not in _AT_LEAST] == []

@@ -180,7 +180,7 @@ def label_only_dataset(human_tasks, robot_tasks, config, failure_tasks=()):
     return Dataset(
         [LabeledClip(frames, "human", t, 1, None, 0) for t in human_tasks]
         + [LabeledClip(frames, "robot", t, 1, None, 0) for t in robot_tasks]
-        + [LabeledClip(frames, "robot", t, 0, "wrong_target", 0) for t in failure_tasks]
+        + [LabeledClip(frames, "robot", t, 0, "wander", 0) for t in failure_tasks]
     )
 
 
