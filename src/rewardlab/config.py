@@ -68,6 +68,10 @@ class ExperimentConfig:
         for name in ("train_tasks", "heldout_tasks"):
             if any(t not in sw.TASK_NAMES for t in getattr(self, name)):
                 raise BadConfigError(f"{name} has unknown task ids: {getattr(self, name)}")
+        both = sorted(set(self.train_tasks) & set(self.heldout_tasks))
+        if both:
+            raise BadConfigError(f"train_tasks and heldout_tasks share task {both[0]}: "
+                                 f"a trained task cannot be scored as held out")
         if not self.failure_sources or any(s not in FAILURE_SOURCES for s in self.failure_sources):
             raise BadConfigError(f"failure_sources must be drawn from {FAILURE_SOURCES}, "
                                  f"got {self.failure_sources}")

@@ -509,9 +509,9 @@ def _rolled_groups(keys, seeds):
         rolls = roll_groups([(*key, [seeds[i] for i in members]) for key, members in batch],
                             ACTION_NOISE)
         for key, members in batch:
-            # popped, so a group's rollouts go once its caller is done with them
-            states, attempts, rngs = rolls.pop(0)[1:]
-            yield key, members, states, attempts, rngs
+            # popped and yielded unnamed, so a group's rollouts go once its
+            # caller is done with them
+            yield (key, members, *rolls.pop(0)[1:])
 
 
 def gen_dataset(config, variant: str = "train") -> Dataset:
@@ -558,6 +558,7 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
             "attempts": int(attempts.sum()),
             "zero_noise_clips": int(np.sum(attempts > ZERO_NOISE_ATTEMPT)),
         }
+        del states, rngs  # not held while the next batch is rolled
 
     clips = []
     for clip_frames, (domain, task_id, style, seed) in zip(frames, specs):

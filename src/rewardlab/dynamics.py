@@ -14,6 +14,11 @@ state plus 15 post-chunk states out. Two kinds:
   Phi^T Phi and Phi^T Y are added up over blocks of EPISODE_BLOCK episodes,
   so the design matrix Phi of the whole dataset is never built; a dataset
   of one block gives the same bits as the one-shot product.
+
+The fit streams its episodes: `train_dynamics` takes an iterable of
+(states, actions) blocks and keeps only the running sums and one block's
+design rows, and `random_episode_blocks` rolls the random-policy episodes
+ROLL_BLOCK at a time, so the whole episode set is never held at once.
 """
 
 from dataclasses import dataclass
@@ -27,6 +32,7 @@ CHUNK = 4
 INPUT_DIM = sw.STATE_DIM + CHUNK * sw.ACTION_DIM  # 19
 N_FEATURES = 256
 EPISODE_BLOCK = 64  # episodes per block of the normal-equation sums (960 rows)
+ROLL_BLOCK = 4 * EPISODE_BLOCK  # random episodes per rollout_batch call of the fit
 
 GROUND_TRUTH = "ground_truth"
 LEARNED = "learned"
@@ -54,12 +60,6 @@ def _check_horizon(n_actions: int) -> int:
             f"need a positive multiple of {CHUNK} actions, got {n_actions}"
         )
     return n_actions // CHUNK
-
-
-def _design(x: np.ndarray, model: DynamicsModel) -> np.ndarray:
-    ones = np.ones((x.shape[0], 1))
-    feats = np.tanh(x @ model.feature_w + model.feature_b)
-    return np.concatenate([ones, x, feats], axis=1)
 
 
 def chunked_predict_batch(model: DynamicsModel, s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -121,20 +121,15 @@ def chunk_transitions(states: np.ndarray, actions: np.ndarray):
 
 
 def train_dynamics(
-    states: np.ndarray,
-    actions: np.ndarray,
+    episodes,
     seed: int = 0,
     ridge: float = 1e-8,
     n_features: int = N_FEATURES,
 ) -> DynamicsModel:
-    """Fit the chunk regressor on (N, H+1, 7) episode states and their
-    (N, H, 3) actions, in closed form from normal equations summed over
-    blocks of EPISODE_BLOCK episodes."""
-    states, actions, n_chunks = _check_episodes(states, actions)
-    n = actions.shape[0] * n_chunks
-    if n < 100:
-        raise InsufficientDataError(f"{n} chunk transitions < 100")
-
+    """Fit the chunk regressor on an iterable of episode blocks, each
+    (N, H+1, 7) states and their (N, H, 3) actions, in closed form from
+    normal equations summed over EPISODE_BLOCK episodes at a time from each
+    block's start. One design buffer is reused for every block."""
     rng = np.random.default_rng(seed)
     model = DynamicsModel(
         kind=LEARNED,
@@ -144,28 +139,50 @@ def train_dynamics(
     width = 1 + INPUT_DIM + n_features
     gram = np.zeros((width, width))
     moment = np.zeros((width, sw.STATE_DIM))
-    for i in range(0, actions.shape[0], EPISODE_BLOCK):
-        x, y = chunk_transitions(states[i:i + EPISODE_BLOCK], actions[i:i + EPISODE_BLOCK])
-        phi = _design(x, model)
-        gram += phi.T @ phi
-        moment += phi.T @ y
+    buffer = np.empty((0, width))
+    n = 0
+    for states, actions in episodes:
+        states, actions, _ = _check_episodes(states, actions)
+        for i in range(0, actions.shape[0], EPISODE_BLOCK):
+            x, y = chunk_transitions(states[i:i + EPISODE_BLOCK], actions[i:i + EPISODE_BLOCK])
+            if buffer.shape[0] < x.shape[0]:
+                buffer = np.empty((x.shape[0], width))
+            # design rows [1, x, tanh(x W + b)]
+            phi = buffer[:x.shape[0]]
+            feats = phi[:, 1 + INPUT_DIM:]
+            phi[:, 0] = 1.0
+            phi[:, 1:1 + INPUT_DIM] = x
+            np.matmul(x, model.feature_w, out=feats)
+            feats += model.feature_b
+            np.tanh(feats, out=feats)
+            gram += phi.T @ phi
+            moment += phi.T @ y
+            n += x.shape[0]
+        del states, actions  # not held while the next block is made
+    if n < 100:
+        raise InsufficientDataError(f"{n} chunk transitions < 100")
     model.weights = np.linalg.solve(gram / n + ridge * np.eye(width), moment / n)
     return model
 
 
-def generate_random_episodes(n_episodes: int, seed: int):
-    """Random-policy episodes cycling over task initial-state distributions."""
+def random_episode_blocks(n_episodes: int, seed: int):
+    """Random-policy episodes cycling over task initial-state distributions,
+    yielded as (states (n, H+1, 7), actions (n, H, 3)) blocks of at most
+    ROLL_BLOCK episodes, each rolled by one rollout_batch call. Every start
+    state is drawn first, then each episode's actions in order, so the
+    episodes do not depend on the block size."""
     rng = np.random.default_rng([seed, 41])
     tasks = sw.ALL_TASKS
-    s0 = np.stack([
-        sw.initial_state_array(tasks[i % len(tasks)], rng) for i in range(n_episodes)
-    ])
-    actions = np.concatenate([sw.random_action_array(rng, 1, sw.HORIZON)
-                              for _ in range(n_episodes)])
-    states = sw.rollout_batch(s0, actions)
-    return states, actions
+    s0 = np.empty((n_episodes, sw.STATE_DIM))
+    for i in range(n_episodes):
+        s0[i] = sw.initial_state_array(tasks[i % len(tasks)], rng)
+    for i in range(0, n_episodes, ROLL_BLOCK):
+        starts = s0[i:i + ROLL_BLOCK]
+        actions = np.empty((starts.shape[0], sw.HORIZON, sw.ACTION_DIM))
+        for row in actions:
+            row[:] = sw.random_action_array(rng, 1, sw.HORIZON)[0]
+        yield sw.rollout_batch(starts, actions), actions
 
 
 def train_on_random_episodes(n_episodes: int = 2000, seed: int = 0, **kwargs) -> DynamicsModel:
-    states, actions = generate_random_episodes(n_episodes, seed)
-    return train_dynamics(states, actions, seed=seed, **kwargs)
+    return train_dynamics(random_episode_blocks(n_episodes, seed), seed=seed, **kwargs)

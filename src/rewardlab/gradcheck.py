@@ -2,8 +2,11 @@
 
 Each entry builds seeded random inputs, and `_check` compares the
 hand-written gradient of every trainable input (the frozen task texts get
-none) against central differences. `run_gradient_suite` runs them all;
-`python -m rewardlab grad-check` prints its result.
+none) against central differences. The gradient is computed once per
+batch; the two encoder entries give the differences a value-only function,
+so their backward pass does not run at every difference point.
+`run_gradient_suite` runs them all; `python -m rewardlab grad-check`
+prints its result.
 """
 
 import numpy as np
@@ -18,10 +21,13 @@ def _unit_rows(rng, n, d):
     return l2_normalize_rows(rng.normal(size=(n, d)))
 
 
-def _check(op, inputs):
+def _check(op, inputs, value=None):
     """Worst relative error of op's gradient at the input arrays, where
-    op(*arrays) returns (value, [gradient of each array])."""
-    return finite_diff_grad_check(lambda flat: op(*enc.unflatten_like(flat, inputs))[0],
+    op(*arrays) returns (value, [gradient of each array]). The central
+    differences call value(*arrays), the same value without the gradient,
+    when given, else op."""
+    value = value or (lambda *arrays: op(*arrays)[0])
+    return finite_diff_grad_check(lambda flat: value(*enc.unflatten_like(flat, inputs)),
                                   enc.flatten_arrays(inputs), enc.flatten_arrays(op(*inputs)[1]))
 
 
@@ -81,12 +87,15 @@ def _check_encoder(rng):
     clip = rng.normal(size=(1, 4, 8))
     target = _unit_rows(rng, 1, 8)
 
+    def loss(*arrays):
+        return float(np.sum((enc.encode_clips(clip, enc.VideoEncoderParams(*arrays)) - target) ** 2))
+
     def op(*arrays):
         v, cache = enc.encode_clips_cached(clip, enc.VideoEncoderParams(*arrays))
         grads = enc.encode_clips_backward(cache, 2.0 * (v - target))
         return float(np.sum((v - target) ** 2)), grads.arrays()
 
-    return _check(op, params.arrays())
+    return _check(op, params.arrays(), loss)
 
 
 def _check_compose(rng):
@@ -95,11 +104,15 @@ def _check_compose(rng):
     pool = enc.init_prompt_pool([0, 2], rng, k=2, prompt_len=2, embed_dim=d)
     probe = rng.normal(size=(2, 2, d))
 
+    def features(*arrays):
+        return enc.failure_text_features(enc.FailurePromptPool(pool.tasks, *arrays), texts)
+
     def op(*arrays):
-        feats, cache = enc.failure_text_features(enc.FailurePromptPool(pool.tasks, *arrays), texts)
+        feats, cache = features(*arrays)
         return float(np.sum(feats * probe)), enc.compose_failure_context_backward(cache, probe)
 
-    return _check(op, [pool.prompts, pool.proj, pool.bias])
+    return _check(op, [pool.prompts, pool.proj, pool.bias],
+                  lambda *arrays: float(np.sum(features(*arrays)[0] * probe)))
 
 
 SUITE = {

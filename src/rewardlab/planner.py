@@ -10,8 +10,8 @@ is the model's one scorer, sigmoid(v . t): `score_frames` scores clips
 sequences with `render.render_clips` and scores those.
 
 vmpc_plan samples candidate action sequences uniformly in the clamped
-action box, scores them and returns the argmax (ties break to the lowest
-candidate index).
+action box, scores them and returns a copy of the argmax (ties break to the
+lowest candidate index), so a kept plan does not hold every candidate.
 
 cem_refine searches near a vmpc_plan result: Gaussian populations around
 a running mean over the velocity channels (grip commands stay fixed),
@@ -101,7 +101,7 @@ def vmpc_plan(scorer, n_candidates: int, horizon: int, seed: int) -> PlanResult:
     candidates = sw.random_action_array(rng, n_candidates, horizon)
     scores = scorer(candidates)
     index = int(np.argmax(scores))  # first max wins ties
-    return PlanResult(actions=candidates[index], score=float(scores[index]), index=index)
+    return PlanResult(actions=candidates[index].copy(), score=float(scores[index]), index=index)
 
 
 def cem_refine(plan: PlanResult, scorer, seed: int) -> CemResult:

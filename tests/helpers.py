@@ -1,5 +1,5 @@
-"""Shared test utilities: simulator state rows, batch builders and
-independent loss oracles.
+"""Shared test utilities: simulator state rows, random episodes, batch
+builders and independent loss oracles.
 
 The oracles transcribe the loss definitions directly in high-precision
 arithmetic (mpmath, explicit exp ratios, no log-sum-exp rearrangement) so
@@ -9,7 +9,7 @@ they share no code path with the implementation.
 import mpmath
 import numpy as np
 
-from rewardlab import simworld as sw
+from rewardlab import dynamics as dyn, simworld as sw
 from rewardlab.embeddings import l2_normalize_rows
 from rewardlab.losses import Batch
 
@@ -24,6 +24,12 @@ def sim_state(gripper=(0.5, 0.5), grip=0.0, ext=sw.DRAWER_MAX, angle=0.0, cup=sw
     """One (7,) simulator state; the defaults put the gripper mid-table with
     the drawer fully out and the cup at its nominal spot."""
     return np.array([*gripper, grip, ext, angle, *cup], dtype=np.float64)
+
+
+def random_episodes(n_episodes, seed):
+    """The (N, H+1, 7) states and (N, H, 3) actions of
+    `dynamics.random_episode_blocks`, concatenated."""
+    return tuple(np.concatenate(part) for part in zip(*dyn.random_episode_blocks(n_episodes, seed)))
 
 
 def random_unit_rows(rng, n, d):

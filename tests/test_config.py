@@ -84,6 +84,12 @@ def test_a_value_the_run_cannot_honour_is_rejected_by_name(field, value):
         ExperimentConfig(**{field: value})
 
 
+def test_a_task_both_trained_on_and_held_out_is_rejected_by_name():
+    # the ablation would score the trained task 4 as unseen
+    with pytest.raises(BadConfigError, match="share task 4"):
+        ExperimentConfig(train_tasks=(0, 4), heldout_tasks=(4, 5))
+
+
 def test_empty_task_tuples_are_valid():
     config = ExperimentConfig(train_tasks=(), heldout_tasks=())
     assert config.all_tasks == ()

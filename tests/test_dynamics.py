@@ -1,19 +1,26 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import sim_state
+from helpers import random_episodes, sim_state
 from rewardlab import dynamics as dyn, simworld as sw
 from rewardlab.errors import BadHorizonError, InsufficientDataError, ShapeMismatchError
+
+
+def design(x, model):
+    """Design rows [1, x, tanh(x W + b)] of a learned model's regressor."""
+    feats = np.tanh(x @ model.feature_w + model.feature_b)
+    return np.concatenate([np.ones((x.shape[0], 1)), x, feats], axis=1)
 
 
 def one_shot_weights(states, actions, model, ridge=1e-8):
     """Reference fit: the normal equations of the whole design matrix at
     once, with the random features of `model`."""
     x, y = dyn.chunk_transitions(states, actions)
-    phi = dyn._design(x, model)
+    phi = design(x, model)
     n = phi.shape[0]
     gram = phi.T @ phi / n + ridge * np.eye(phi.shape[1])
     return np.linalg.solve(gram, phi.T @ y / n)
@@ -70,30 +77,40 @@ class TestTrainDynamics:
             return states, actions
 
         states, actions = (np.stack(part) for part in zip(*(episode(i) for i in range(40))))
-        model = dyn.train_dynamics(states, actions, seed=0, ridge=1e-12, n_features=32)
+        model = dyn.train_dynamics([(states, actions)], seed=0, ridge=1e-12, n_features=32)
         states, actions = episode(1234)
         x, y = dyn.chunk_transitions(states[None], actions[None])
-        pred = dyn._design(x, model) @ model.weights
+        pred = design(x, model) @ model.weights
         assert np.abs(pred - y).mean() < 1e-6
 
     def test_duplicate_dataset_gives_same_model(self):
-        states, actions = dyn.generate_random_episodes(30, seed=5)
-        once = dyn.train_dynamics(states, actions, seed=2, n_features=64)
+        states, actions = random_episodes(30, seed=5)
+        once = dyn.train_dynamics([(states, actions)], seed=2, n_features=64)
         twice = dyn.train_dynamics(
-            np.concatenate([states, states]), np.concatenate([actions, actions]),
+            [(np.concatenate([states, states]), np.concatenate([actions, actions]))],
             seed=2, n_features=64,
         )
         np.testing.assert_allclose(once.weights, twice.weights, atol=1e-10)
 
     def test_insufficient_data(self):
-        states, actions = dyn.generate_random_episodes(2, seed=0)
-        with pytest.raises(InsufficientDataError):
-            dyn.train_dynamics(states[:0], actions[:0])
-        with pytest.raises(InsufficientDataError):
-            dyn.train_dynamics(states, actions)
+        states, actions = random_episodes(2, seed=0)
+        for episodes in ([], [(states[:0], actions[:0])], [(states, actions)]):
+            with pytest.raises(InsufficientDataError):
+                dyn.train_dynamics(episodes)
+
+    def test_transitions_are_counted_over_blocks(self):
+        # 2 episodes are 30 transitions, below the 100 a fit needs; four
+        # blocks of them are 120
+        states, actions = random_episodes(2, seed=0)
+        dyn.train_dynamics([(states, actions)] * 4)
+
+    def test_a_mismatched_block_is_rejected(self):
+        states, actions = random_episodes(2, seed=0)
+        with pytest.raises(ShapeMismatchError):
+            dyn.train_dynamics([(states, actions)] * 4 + [(states[:1], actions)])
 
     def test_stacked_rows_match_per_episode_loop(self):
-        states, actions = dyn.generate_random_episodes(6, seed=8)
+        states, actions = random_episodes(6, seed=8)
         x, y = dyn.chunk_transitions(states, actions)
         pairs = [dyn.chunk_transitions(states[i:i + 1], actions[i:i + 1]) for i in range(6)]
         assert np.array_equal(x, np.concatenate([p[0] for p in pairs]))
@@ -105,24 +122,24 @@ class TestTrainDynamics:
         assert np.array_equal(y[row], states[2, span.stop] - states[2, span.start])
 
     def test_mismatched_shapes(self):
-        states, actions = dyn.generate_random_episodes(2, seed=0)
+        states, actions = random_episodes(2, seed=0)
         for s, a in ((states, actions[:, :-4]), (states[:1], actions), (states, actions[0]),
                      (states[..., :6], actions)):
             with pytest.raises(ShapeMismatchError):
                 dyn.chunk_transitions(s, a)
 
     def test_deterministic_given_seed(self):
-        states, actions = dyn.generate_random_episodes(20, seed=3)
-        a = dyn.train_dynamics(states, actions, seed=4, n_features=64)
-        b = dyn.train_dynamics(states, actions, seed=4, n_features=64)
+        states, actions = random_episodes(20, seed=3)
+        a = dyn.train_dynamics([(states, actions)], seed=4, n_features=64)
+        b = dyn.train_dynamics([(states, actions)], seed=4, n_features=64)
         assert np.array_equal(a.weights, b.weights)
 
 
 class TestBlockedFit:
     @pytest.mark.parametrize("n_episodes", [7, dyn.EPISODE_BLOCK])
     def test_one_block_equals_one_shot_fit(self, n_episodes):
-        states, actions = dyn.generate_random_episodes(n_episodes, seed=1)
-        model = dyn.train_dynamics(states, actions, seed=3)
+        states, actions = random_episodes(n_episodes, seed=1)
+        model = dyn.train_dynamics([(states, actions)], seed=3)
         assert np.array_equal(model.weights, one_shot_weights(states, actions, model))
 
     def test_blocks_with_uneven_tail_predict_like_one_shot_fit(self):
@@ -131,10 +148,10 @@ class TestBlockedFit:
         # to 2e-7 (max |W| ~ 18), open-loop predictions on fresh episodes by
         # at most 2.4e-9, against a model error of ~0.02
         n_episodes = 2 * dyn.EPISODE_BLOCK + 2
-        states, actions = dyn.generate_random_episodes(n_episodes, seed=0)
-        model = dyn.train_dynamics(states, actions, seed=0)
+        states, actions = random_episodes(n_episodes, seed=0)
+        model = dyn.train_dynamics([(states, actions)], seed=0)
         reference = replace(model, weights=one_shot_weights(states, actions, model))
-        fresh_states, fresh_actions = dyn.generate_random_episodes(200, seed=100)
+        fresh_states, fresh_actions = random_episodes(200, seed=100)
         np.testing.assert_allclose(
             dyn.chunked_predict_batch(model, fresh_states[:, 0], fresh_actions),
             dyn.chunked_predict_batch(reference, fresh_states[:, 0], fresh_actions),
@@ -143,27 +160,68 @@ class TestBlockedFit:
 
     def test_peak_memory_below_half_a_design_matrix(self):
         n_episodes = 800
-        states, actions = dyn.generate_random_episodes(n_episodes, seed=0)
+        states, actions = random_episodes(n_episodes, seed=0)
         design_bytes = (n_episodes * sw.HORIZON // dyn.CHUNK
                         * (1 + dyn.INPUT_DIM + dyn.N_FEATURES) * 8)
         tracemalloc.start()
         try:
-            dyn.train_dynamics(states, actions)
+            dyn.train_dynamics([(states, actions)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < design_bytes / 2
 
 
+class TestRandomEpisodeFit:
+    """`train_on_random_episodes` streams `random_episode_blocks` through
+    the fit: the same bits as rolling and fitting every episode at once,
+    in memory that does not grow with the episode count."""
+
+    # sha256 of the weights of train_on_random_episodes(n, seed) when every
+    # episode was rolled in one rollout_batch call and fitted as one array
+    # (one BLAS thread, as conftest sets)
+    DIGESTS = {
+        (200, 0): "f958c486c79edf93342603543b2d5a8701cb8518ee56118e4183bfbbc6d704f4",
+        (130, 3): "5e9ea171c396bb359903546608e60dd89c9d285a8f3428e060f11b5f5360dd3c",
+    }
+
+    @pytest.mark.parametrize("n_episodes, seed", sorted(DIGESTS))
+    def test_weights_match_the_all_at_once_fit(self, n_episodes, seed):
+        weights = dyn.train_on_random_episodes(n_episodes, seed=seed).weights
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == self.DIGESTS[n_episodes, seed]
+
+    def test_blocks_are_rolled_rows_of_one_batch(self):
+        blocks = list(dyn.random_episode_blocks(dyn.ROLL_BLOCK + 44, seed=2))
+        assert [len(actions) for _, actions in blocks] == [dyn.ROLL_BLOCK, 44]
+        states, actions = random_episodes(dyn.ROLL_BLOCK + 44, seed=2)
+        assert np.array_equal(states, sw.rollout_batch(states[:, 0], actions))
+
+    def test_peak_memory_is_flat_in_the_episode_count(self):
+        """Rolling all 2000 episodes at once and fitting them as one array
+        peaked at 16 MiB, above the 6.5 MiB of their states alone; the
+        stream holds one block of episodes and one block of design rows."""
+        peaks = {}
+        for n_episodes in (500, 2000):
+            tracemalloc.start()
+            try:
+                dyn.train_on_random_episodes(n_episodes)
+                peaks[n_episodes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        states_bytes = 2000 * (sw.HORIZON + 1) * sw.STATE_DIM * 8
+        assert peaks[2000] < states_bytes
+        assert peaks[2000] <= 1.1 * peaks[500]
+
+
 class TestLearnedAccuracy:
     def test_heldout_error_within_budget(self, learned_model):
-        states, actions = dyn.generate_random_episodes(200, seed=777)
+        states, actions = random_episodes(200, seed=777)
         pred = dyn.chunked_predict_batch(learned_model, states[:, 0], actions)
         truth = states[:, ::4, :]
         assert np.abs(pred[:, 1:] - truth[:, 1:]).mean() < 0.02
 
     def test_open_loop_error_compounds(self, learned_model):
-        states, actions = dyn.generate_random_episodes(200, seed=778)
+        states, actions = random_episodes(200, seed=778)
         pred = dyn.chunked_predict_batch(learned_model, states[:, 0], actions)
         truth = states[:, ::4, :]
         err_one = np.abs(pred[:, 1] - truth[:, 1]).mean()
@@ -171,7 +229,7 @@ class TestLearnedAccuracy:
         assert err_one <= err_open
 
     def test_predictions_respect_state_ranges(self, learned_model):
-        states, actions = dyn.generate_random_episodes(50, seed=779)
+        states, actions = random_episodes(50, seed=779)
         pred = dyn.chunked_predict_batch(learned_model, states[:, 0], actions)
         assert np.all(pred[..., sw.EXT] >= 0) and np.all(pred[..., sw.EXT] <= sw.DRAWER_MAX)
         assert np.all(pred[..., (sw.GX, sw.GY, sw.CUPX, sw.CUPY)] >= 0)

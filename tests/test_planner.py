@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import random_episodes
 from rewardlab import dynamics as dyn, encoders as enc, planner as pl, render, simworld as sw
 from rewardlab.embeddings import sigmoid
 from rewardlab.errors import BadConfigError, BadHorizonError, UnknownTaskError
@@ -65,6 +66,12 @@ class TestVmpcPlan:
         b = pl.vmpc_plan(oracle_scorer(task, gt_model, s0), 32, 60, seed=7)
         assert np.array_equal(a.actions, b.actions) and a.score == b.score
 
+    def test_result_is_a_copy_of_its_candidate(self, gt_model):
+        # a view would keep all 32 candidates alive for as long as the plan
+        task = sw.TASK_FAUCET
+        result = pl.vmpc_plan(oracle_scorer(task, gt_model, initial_state(task, 5)), 32, 60, seed=7)
+        assert result.actions.base is None and result.actions.shape == (60, sw.ACTION_DIM)
+
     def test_config_validation(self, gt_model):
         scorer = oracle_scorer(sw.TASK_FAUCET, gt_model, initial_state(sw.TASK_FAUCET, 0))
         with pytest.raises(BadConfigError):
@@ -86,7 +93,7 @@ def texts():
 class TestLearnedReward:
     def test_scores_are_probabilities_and_deterministic(self, gt_model, video_params, texts):
         reward = pl.LearnedReward(video_params, texts, sw.TASK_FAUCET)
-        states, _ = dyn.generate_random_episodes(5, seed=0)
+        states, _ = random_episodes(5, seed=0)
         scores = reward.score_batch(states[:, ::4, :])
         assert scores.shape == (5,)
         assert np.all((scores > 0) & (scores < 1))
@@ -97,7 +104,7 @@ class TestLearnedReward:
         # score_batch is score_frames of the rendered clips, and score_frames
         # is sigmoid(v . t) against the task's row of the texts
         reward = pl.LearnedReward(video_params, texts, sw.TASK_CUP_AWAY, variant="shifted-view")
-        states, _ = dyn.generate_random_episodes(6, seed=1)
+        states, _ = random_episodes(6, seed=1)
         frames = render.render_clips(states, video_params.frames, variant="shifted-view")
         scores = reward.score_frames(frames)
         assert np.array_equal(reward.score_batch(states), scores)

@@ -6,7 +6,8 @@ environment variant, and for no sequences at all."""
 import numpy as np
 import pytest
 
-from rewardlab import dynamics as dyn, render, simworld as sw
+from helpers import random_episodes
+from rewardlab import render, simworld as sw
 from rewardlab.errors import ShapeMismatchError
 
 N_FRAMES = 4
@@ -21,7 +22,7 @@ def loop_clips(states, n_frames, cameras, domain, variant):
 
 @pytest.fixture(scope="module")
 def states():
-    return dyn.generate_random_episodes(5, seed=3)[0]
+    return random_episodes(5, seed=3)[0]
 
 
 @pytest.mark.parametrize("variant", sorted(render.VARIANTS))
