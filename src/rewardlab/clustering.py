@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatchError, TooFewSamplesError, ZeroVectorError
+from .errors import NonFiniteValueError, ShapeMismatchError, TooFewSamplesError, ZeroVectorError
 
 MAX_ITERS = 100
 N_RESTARTS = 10
@@ -94,6 +94,8 @@ def spherical_kmeans(features: np.ndarray, k: int, seed: int = 0) -> ClusterStat
         raise TooFewSamplesError(f"{m} samples < {k} clusters")
     if k < 1:
         raise TooFewSamplesError("need k >= 1")
+    if not np.isfinite(features).all():
+        raise NonFiniteValueError("features hold NaN or infinity")
     norms = np.linalg.norm(features, axis=1)
     if np.any(norms <= 1e-12):
         raise ZeroVectorError("features must be nonzero unit vectors")

@@ -22,8 +22,8 @@ import numpy as np
 from . import datagen as dg, dynamics as dyn, planner as pl, simworld as sw
 from .config import ExperimentConfig
 from .errors import (
-    BadConfigError, EmptyReportError, OneClassOnlyError, RefinementRegressedError,
-    TooFewSamplesError,
+    BadConfigError, EmptyReportError, NonFiniteValueError, OneClassOnlyError,
+    RefinementRegressedError, TooFewSamplesError,
 )
 from .training import ModelParams, train
 
@@ -32,12 +32,15 @@ _STREAM_PLAN = 8
 
 
 def auc_from_scores(success_scores, failure_scores) -> float:
-    """Mann-Whitney AUC with average ranks for ties."""
+    """Mann-Whitney AUC with average ranks for ties; a NaN or infinite
+    score raises NonFiniteValueError."""
     success_scores = np.asarray(success_scores, dtype=np.float64)
     failure_scores = np.asarray(failure_scores, dtype=np.float64)
     n_s, n_f = success_scores.size, failure_scores.size
     if n_s == 0 or n_f == 0:
         raise OneClassOnlyError("need both success and failure scores")
+    if not (np.isfinite(success_scores).all() and np.isfinite(failure_scores).all()):
+        raise NonFiniteValueError("scores hold NaN or infinity")
     _, group, counts = np.unique(
         np.concatenate([success_scores, failure_scores]), return_inverse=True, return_counts=True
     )

@@ -1,7 +1,10 @@
 """Action selection: random-shooting planning plus CEM refinement.
 
 Both planners take a scorer: a function from (N, H, 3) action sequences to
-(N,) scores. `make_sequence_scorer` builds the one the evaluation uses: it
+(N,) finite scores. Each call is checked: another shape raises
+ShapeMismatchError, a NaN or infinite score NonFiniteValueError (np.argmax
+would pick a NaN, and every comparison with it is False).
+`make_sequence_scorer` builds the one the evaluation uses: it
 predicts each sequence's chunked rollout from one start state with a
 dynamics model and scores the predicted states with a reward:
 `LearnedReward` or `OracleReward` (the task predicate). `LearnedReward`
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import dynamics as dyn, encoders as enc, render, simworld as sw
 from .embeddings import sigmoid
-from .errors import BadConfigError, UnknownTaskError
+from .errors import BadConfigError, NonFiniteValueError, ShapeMismatchError, UnknownTaskError
 
 CEM_ITERATIONS = 4
 CEM_POPULATION = 64
@@ -93,13 +96,24 @@ def make_sequence_scorer(reward, model: dyn.DynamicsModel, s0: np.ndarray):
     return scorer
 
 
+def _scores(scorer, candidates: np.ndarray) -> np.ndarray:
+    """The scorer's (n,) scores of n candidates, checked."""
+    scores = np.asarray(scorer(candidates), dtype=np.float64)
+    if scores.shape != (len(candidates),):
+        raise ShapeMismatchError(
+            f"a scorer of {len(candidates)} candidates returned shape {scores.shape}")
+    if not np.isfinite(scores).all():
+        raise NonFiniteValueError("a scorer returned a NaN or infinite score")
+    return scores
+
+
 def vmpc_plan(scorer, n_candidates: int, horizon: int, seed: int) -> PlanResult:
     """Best of n_candidates uniform random sequences; deterministic given seed."""
     if n_candidates < 1:
         raise BadConfigError("need at least one candidate")
     rng = np.random.default_rng(seed)
     candidates = sw.random_action_array(rng, n_candidates, horizon)
-    scores = scorer(candidates)
+    scores = _scores(scorer, candidates)
     index = int(np.argmax(scores))  # first max wins ties
     return PlanResult(actions=candidates[index].copy(), score=float(scores[index]), index=index)
 
@@ -121,7 +135,7 @@ def cem_refine(plan: PlanResult, scorer, seed: int) -> CemResult:
         vel = mean + rng.normal(size=(CEM_POPULATION, horizon, 2)) * std
         vel = sw.clamp(vel, -sw.VEL_LIMIT, sw.VEL_LIMIT)
         population = np.concatenate([vel, grips], axis=2)
-        scores = scorer(population)
+        scores = _scores(scorer, population)
         order = np.argsort(-scores, kind="stable")
         elite = vel[order[:CEM_ELITES]]
         mean = elite.mean(axis=0)

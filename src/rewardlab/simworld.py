@@ -20,12 +20,23 @@ One open-loop core rolls every batch, time-major inside. What depends
 only on the actions and the start state is computed for the whole
 horizon at once: the clamped velocities, the grip latch, the gripper
 path and the faucet's contact and angle (np.cumsum, which adds in step
-order); the step loop moves only the drawer and the cup. Each value comes
+order); step loops move only the drawer and the cup. Each value comes
 from the same float operations in the same order as stepping, so batched
 rollouts are bit-identical to stepping states one at a time. (The cup's
 "moving toward" test negates the gripper - cup offset, which is exact.
-The clamps keep a -0.0 at a 0.0 bound where np.clip gives +0.0; only a
-start state holding -0.0 can reach that.)
+The clamps turn a -0.0 at a 0.0 bound into +0.0 where np.clip keeps the
+-0.0; only a start holding -0.0 moved by a -0.0 velocity sums to -0.0.)
+
+The drawer and the cup are frozen until touched. A step moves the drawer
+only when the gripper is within the contact radius of its handle, and the
+cup only when the gripper is within it of the cup. Until some row of a
+block touches one of them, every step adds 0.0 to it and clamps, so from
+step 1 on it holds clamp(start + 0.0): the start itself, except that a
+-0.0 becomes +0.0 and an out-of-range start is clamped at step 1, as
+stepping does. The core writes those values for the whole horizon, runs
+the loop's own contact test (the same expressions, so rounding cannot
+make it disagree) over them, and starts that object's step loop at the
+first step on which the test holds for some row, or skips the loop.
 """
 
 import numpy as np
@@ -89,10 +100,15 @@ def _check_task(task_id: int) -> None:
 
 ROLLOUT_BLOCK = 640  # rows per block of one rollout_batch call
 
+# the step loops' constants as 0-d float64 arrays: the same values, but a
+# Python float operand costs numpy a conversion on every call (~0.5 us)
+_ZERO, _ONE, _DRAWER_MAX, _DRAWER_Y, _CONTACT2 = (
+    np.array(v) for v in (0.0, 1.0, DRAWER_MAX, DRAWER_BASE[1], CONTACT_RADIUS**2))
+
 
 def clamp(v, low, high, out=None):
     """v limited to [low, high] elementwise: np.clip's result (except that a
-    -0.0 at a 0.0 bound stays -0.0) without its per-call overhead."""
+    -0.0 at a 0.0 bound comes out +0.0) without its per-call overhead."""
     return np.minimum(np.maximum(v, low, out=out), high, out=out)
 
 
@@ -118,7 +134,7 @@ def _roll(s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
     # the gripper moves on its own, clamped to the table
     for t in range(h):
-        clamp(np.add(gxy[t], vel[t], out=gxy[t + 1]), 0.0, 1.0, out=gxy[t + 1])
+        clamp(np.add(gxy[t], vel[t], out=gxy[t + 1]), _ZERO, _ONE, out=gxy[t + 1])
     gx, gy = path[:h, GX], path[:h, GY]
 
     # faucet: tangential (x) motion accumulates while touching the handle;
@@ -127,20 +143,40 @@ def _roll(s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
     angle[1:] = np.where(near_faucet, np.abs(vel[:, 0]), 0.0)
     np.cumsum(angle, axis=0, out=angle)
 
+    # drawer and cup: until some row touches one, it holds its step-1 value
+    # clamp(start + 0.0) (see the module docstring); its step loop starts at
+    # that first touch, found by the loop's own contact test over the horizon
+    ext[1:] = clamp(ext[0] + 0.0, 0.0, DRAWER_MAX)
+    cup[1:] = clamp(cup[0] + 0.0, 0.0, 1.0)
+
     drawer_dx2 = (gx - DRAWER_BASE[0]) ** 2
+    near = drawer_dx2 + (gy - (_DRAWER_Y + ext[:h])) ** 2 <= _CONTACT2
     vy = vel[:, 1]
-    for t in range(h):
+    for t in range(_first_row_of(near), h):
         # drawer: handle moves with the extension; +y pulls open, -y pushes shut
-        near_drawer = drawer_dx2[t] + (gy[t] - (DRAWER_BASE[1] + ext[t])) ** 2 <= CONTACT_RADIUS**2
-        clamp(ext[t] + np.where(near_drawer, vy[t], 0.0), 0.0, DRAWER_MAX, out=ext[t + 1])
+        near_drawer = drawer_dx2[t] + (gy[t] - (_DRAWER_Y + ext[t])) ** 2 <= _CONTACT2
+        clamp(ext[t] + np.where(near_drawer, vy[t], _ZERO), _ZERO, _DRAWER_MAX, out=ext[t + 1])
+
+    d2 = gxy[:h] - cup[:h]
+    d2 *= d2
+    near = d2[:, 0] + d2[:, 1] <= _CONTACT2
+    for t in range(_first_row_of(near), h):
         # cup: carried whenever gripped in contact, pushed only when moving
         # toward it: v . (cup - gripper) > 0, i.e. v . (gripper - cup) < 0
         off = gxy[t] - cup[t]
         sq = off * off
         push = vel[t] * off
-        moves = (sq[0] + sq[1] <= CONTACT_RADIUS**2) & (gripped[t + 1] | (push[0] + push[1] < 0.0))
-        clamp(cup[t] + np.where(moves, vel[t], 0.0), 0.0, 1.0, out=cup[t + 1])
+        moves = (sq[0] + sq[1] <= _CONTACT2) & (gripped[t + 1] | (push[0] + push[1] < _ZERO))
+        clamp(cup[t] + np.where(moves, vel[t], _ZERO), _ZERO, _ONE, out=cup[t + 1])
     return path
+
+
+def _first_row_of(mask: np.ndarray) -> int:
+    """Index of the first row of an (h, n) mask holding a True, else h."""
+    if not mask.size:
+        return mask.shape[0]
+    first = int(mask.argmax())  # row-major: the first True of the first such row
+    return first // mask.shape[1] if mask.flat[first] else mask.shape[0]
 
 
 def step_batch(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -213,9 +249,12 @@ def target_contact_mask(task_id: int, states: np.ndarray) -> np.ndarray:
 
 
 def prefix_success_flags(task_id: int, states: np.ndarray) -> np.ndarray:
-    """Per frame (..., T+1): would the predicate hold if the clip ended here?"""
+    """Per frame (..., T+1): would the predicate hold if the clip ended here?
+    States not shaped (..., T+1, 7) raise ShapeMismatchError."""
     _check_task(task_id)
     states = np.asarray(states, dtype=np.float64)
+    if states.ndim < 2 or states.shape[-2] < 1 or states.shape[-1] != STATE_DIM:
+        raise ShapeMismatchError(f"states must be (..., T+1, {STATE_DIM}), got {states.shape}")
     first = states[..., :1, :]
     if task_id == TASK_CLOSE_DRAWER:
         return states[..., EXT] < DRAWER_CLOSED_BELOW

@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from rewardlab import clustering as cl
-from rewardlab.errors import ShapeMismatchError, TooFewSamplesError
+from rewardlab.errors import NonFiniteValueError, ShapeMismatchError, TooFewSamplesError
 
 
 def brute_force_optimum(features, k):
@@ -108,6 +108,15 @@ class TestSphericalKmeans:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
             cl.spherical_kmeans(np.eye(2), k=3, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            cl.spherical_kmeans(np.full((5, 3), bad), k=2, seed=0)
+        feats = helpers.random_unit_rows(np.random.default_rng(0), 5, 3)
+        feats[2, 1] = bad
+        with pytest.raises(NonFiniteValueError):
+            cl.spherical_kmeans(feats, k=2, seed=0)
 
 
 class TestAssignPseudoLabels:

@@ -15,8 +15,8 @@ from rewardlab import (
 )
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import (
-    BadConfigError, EmptyReportError, OneClassOnlyError, RefinementRegressedError,
-    TooFewSamplesError,
+    BadConfigError, EmptyReportError, NonFiniteValueError, OneClassOnlyError,
+    RefinementRegressedError, TooFewSamplesError,
 )
 
 CONFIG = ExperimentConfig(
@@ -172,3 +172,11 @@ def test_auc_edge_cases():
     assert evaluation.auc_from_scores([0.5, 0.5], [0.5]) == 0.5
     with pytest.raises(OneClassOnlyError):
         evaluation.auc_from_scores([], [0.1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(NonFiniteValueError):
+        evaluation.auc_from_scores([bad, 0.5], [0.2])
+    with pytest.raises(NonFiniteValueError):
+        evaluation.auc_from_scores([0.5], [0.2, bad])

@@ -4,7 +4,9 @@ import pytest
 from helpers import random_episodes
 from rewardlab import dynamics as dyn, encoders as enc, planner as pl, render, simworld as sw
 from rewardlab.embeddings import sigmoid
-from rewardlab.errors import BadConfigError, BadHorizonError, UnknownTaskError
+from rewardlab.errors import (
+    BadConfigError, BadHorizonError, NonFiniteValueError, ShapeMismatchError, UnknownTaskError,
+)
 from rewardlab.simworld import TASK_NAMES
 
 
@@ -169,3 +171,42 @@ class TestCemRefine:
         result = pl.cem_refine(scored_plan(initial, scorer), scorer, seed=5)
         assert result.score > initial[0, 0]
         assert np.array_equal(result.actions[:, 2], initial[:, 2])
+
+
+class TestScorerChecks:
+    """Both planners check each scorer call: (n,) finite scores of n
+    candidates. np.argmax would pick a NaN, and a NaN plan would pass the
+    refinement check, since every comparison with NaN is False."""
+
+    @staticmethod
+    def nan_at(index):
+        def scorer(seqs):
+            scores = seqs[:, 0, 0].copy()
+            scores[index] = np.nan
+            return scores
+        return scorer
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_vmpc_rejects_non_finite_scores(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            pl.vmpc_plan(lambda seqs: np.full(len(seqs), bad), 3, 8, seed=0)
+        with pytest.raises(NonFiniteValueError):
+            pl.vmpc_plan(self.nan_at(1), 3, 8, seed=0)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (3, 1), ()])
+    def test_vmpc_rejects_scores_of_another_shape(self, shape):
+        with pytest.raises(ShapeMismatchError):
+            pl.vmpc_plan(lambda seqs: np.zeros(shape), 3, 8, seed=0)
+
+    def test_cem_rejects_non_finite_scores(self):
+        initial = sw.random_action_array(np.random.default_rng(4), 1, 8)[0]
+        plan = pl.PlanResult(actions=initial, score=0.0, index=0)
+        with pytest.raises(NonFiniteValueError):
+            pl.cem_refine(plan, self.nan_at(5), seed=0)
+
+    @pytest.mark.parametrize("shape", [(1,), (pl.CEM_POPULATION, 1)])
+    def test_cem_rejects_scores_of_another_shape(self, shape):
+        initial = sw.random_action_array(np.random.default_rng(4), 1, 8)[0]
+        plan = pl.PlanResult(actions=initial, score=0.0, index=0)
+        with pytest.raises(ShapeMismatchError):
+            pl.cem_refine(plan, lambda seqs: np.zeros(shape), seed=0)

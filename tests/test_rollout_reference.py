@@ -13,10 +13,21 @@ at a contact radius and level with a handle (so that a push is exactly
 perpendicular), the drawer at both stops, the cup at the table edge, long
 stretches of contact with the faucet, and batches that span several
 `ROLLOUT_BLOCK` blocks.
+
+The core leaves the drawer and the cup unstepped until some row of a block
+first touches them. A second set of cases aims at that frozen prefix: an
+object no row ever touches, a first touch at the first and at the last
+step, one touching row among rows that never touch, starts holding -0.0 or
+out of range (clamped at step 1, which can bring a touch), one step, and
+blocks whose first touches differ. A property test draws starts and
+actions near the handles.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rewardlab import simworld as sw
 from rewardlab.errors import ShapeMismatchError
@@ -138,6 +149,99 @@ def assert_same_bytes(got, want):
             f"{len(bad)} entries differ, first at {row}: {got[row]!r} != {want[row]!r}")
 
 
+# --- cases for the frozen prefix ---
+
+H = 12
+FAR = (0.95, 0.08)  # farther than the contact radius from every handle
+
+
+def drawer_handle(ext):
+    return sw.DRAWER_BASE[0], sw.DRAWER_BASE[1] + ext
+
+
+def row(gripper, vel, ext=sw.DRAWER_MAX, cup=sw.CUP_NOMINAL, grip=0.0):
+    """One (7,) start and its (2,) velocity, held over the horizon."""
+    s = np.zeros(sw.STATE_DIM)
+    s[[sw.GX, sw.GY]] = gripper
+    s[[sw.GRIP, sw.EXT]] = grip, ext
+    s[[sw.CUPX, sw.CUPY]] = cup
+    return s, np.asarray(vel, dtype=np.float64)
+
+
+def idle(**kwargs):
+    """A row whose gripper drifts far from the drawer and the cup."""
+    return row(FAR, (-0.001, 0.002), **kwargs)
+
+
+def approach(handle, step, vy=0.0, **kwargs):
+    """A row whose gripper moves +0.01 per step along x toward `handle` and
+    first comes within the contact radius at `step` (0.005 inside; one step
+    earlier it is 0.005 outside). A small vy moves the drawer once touched."""
+    return row((handle[0] - (R - 0.005 + 0.01 * step), handle[1]), (0.01, vy), **kwargs)
+
+
+def stack(rows, h=H, seed=0):
+    """(n, 7) starts and (n, h, 3) actions of the rows, grip codes drawn
+    from every code."""
+    s0 = np.stack([s for s, _ in rows])
+    actions = np.empty((len(rows), h, sw.ACTION_DIM))
+    actions[:, :, :2] = np.stack([v for _, v in rows])[:, None]
+    actions[:, :, 2] = np.random.default_rng(seed).choice(GRIP_CODES, size=(len(rows), h))
+    return s0, actions
+
+
+def frozen_cases(h=H):
+    """{name: (s0, actions)} aimed at the drawer's and the cup's first touch."""
+    cup, drawer = sw.CUP_NOMINAL, drawer_handle(sw.DRAWER_MAX)
+    shut = -0.001  # pushes the drawer shut while in contact
+    last = h - 1
+    cases = {
+        "untouched": [idle(), idle(grip=1.0), row(sw.FAUCET_HANDLE, (0.004, -0.003))],
+        "drawer_only": [approach(drawer, 0, shut), approach(drawer, min(5, last), shut), idle()],
+        "cup_only": [approach(cup, min(3, last), grip=1.0), approach(cup, last), idle()],
+        "first_step": [approach(drawer, 0, shut), approach(cup, 0, grip=1.0)],
+        "last_step": [approach(drawer, last, shut), approach(cup, last)] + [idle()] * 3,
+        "one_among_many": [idle()] * 4 + [approach(cup, min(6, last))] + [idle()] * 2
+        + [approach(drawer, min(2, last), shut)] + [idle()] * 2,
+        "negative_zero": [idle(ext=-0.0, cup=(-0.0, 0.5)), idle(ext=-0.0, cup=(0.5, -0.0)),
+                          approach(drawer_handle(0.0), min(4, last), 0.001, ext=-0.0),
+                          approach((0.3, 0.6), last, cup=(0.3, 0.6))],
+        "negative_zero_touched_first": [approach(drawer_handle(0.0), 0, 0.001, ext=-0.0),
+                                        row((0.03, 0.5), (0.0, 0.0), cup=(-0.0, 0.5)),
+                                        idle(cup=(0.5, -0.0))],
+        "out_of_range": [idle(ext=0.09, cup=(1.2, 0.5)), idle(ext=-0.02, cup=(0.5, -0.1)),
+                         idle(cup=(-0.3, 1.4))],
+        # touched only once the step-1 clamp pulls the object to the gripper
+        "out_of_range_touched": [row(drawer_handle(sw.DRAWER_MAX), (0.0, -0.002), ext=0.13),
+                                 row((0.98, 0.5), (0.0, 0.001), cup=(1.2, 0.5)), idle()],
+    }
+    return {name: stack(rows, h, seed=i) for i, (name, rows) in enumerate(cases.items())}
+
+
+def block_case():
+    """Three ROLLOUT_BLOCK blocks: no row of the first touches anything, one
+    row of the second touches both objects at the last step, and the third
+    touches both at the first step."""
+    cup, drawer = sw.CUP_NOMINAL, drawer_handle(sw.DRAWER_MAX)
+    rows = [idle()] * (2 * CAP + 7)
+    rows[CAP + 11] = approach(cup, H - 1)
+    rows[CAP + 12] = approach(drawer, H - 1, -0.001)
+    rows[2 * CAP + 1] = approach(cup, 0)
+    rows[2 * CAP + 5] = approach(drawer, 0, -0.001)
+    return stack(rows, seed=9)
+
+
+def first_touches(states):
+    """(drawer, cup): the first step at which some row of the (n, T+1, 7)
+    reference states touches it, T if none does."""
+    g = states[:, :-1, sw.GX:sw.GY + 1]
+    handle_y = sw.DRAWER_BASE[1] + states[:, :-1, sw.EXT]
+    drawer = (g[..., 0] - sw.DRAWER_BASE[0]) ** 2 + (g[..., 1] - handle_y) ** 2 <= R**2
+    cup = ((g - states[:, :-1, sw.CUPX:sw.CUPY + 1]) ** 2).sum(axis=-1) <= R**2
+    steps = states.shape[1] - 1
+    return tuple(int(np.argmax(m.any(axis=0))) if m.any() else steps for m in (drawer, cup))
+
+
 # --- tests ---
 
 @pytest.mark.parametrize("h", [1, 4, 60])
@@ -216,3 +320,131 @@ def test_step_batch_rejects_bad_shapes(states, actions):
 def test_rollout_batch_rejects_bad_shapes(s0, actions):
     with pytest.raises(ShapeMismatchError):
         sw.rollout_batch(s0, actions)
+
+
+# --- the frozen prefix ---
+
+@pytest.mark.parametrize("name", sorted(frozen_cases()))
+def test_frozen_prefix_cases_match_the_reference(name):
+    s0, actions = frozen_cases()[name]
+    assert_same_bytes(sw.rollout_batch(s0, actions), ref_rollout(s0, actions))
+
+
+@pytest.mark.parametrize("name", sorted(frozen_cases(1)))
+def test_frozen_prefix_cases_in_one_step(name):
+    s0, actions = frozen_cases(1)[name]
+    assert_same_bytes(sw.step_batch(s0, actions[:, 0]), ref_step(s0, actions[:, 0]))
+    assert_same_bytes(sw.rollout_batch(s0, actions), ref_rollout(s0, actions))
+
+
+def test_blocks_with_different_first_touches():
+    s0, actions = block_case()
+    assert_same_bytes(sw.rollout_batch(s0, actions), ref_rollout(s0, actions))
+
+
+def test_frozen_cases_reach_the_edges():
+    """The cases hit what the skipped prefix must get right: objects no row
+    touches, first touches at the first and the last step and in between,
+    a lone touching row, -0.0 and out-of-range starts, and blocks of one
+    batch with different first touches."""
+    touches = {}
+    for h in (H, 1):
+        for name, (s0, actions) in frozen_cases(h).items():
+            touches[name, h] = first_touches(ref_rollout(s0, actions))
+    assert touches["untouched", H] == (H, H)
+    assert touches["drawer_only", H] == (0, H) and touches["cup_only", H] == (H, 3)
+    assert touches["first_step", H] == (0, 0) and touches["last_step", H] == (H - 1, H - 1)
+    assert touches["out_of_range_touched", H] == (1, 1)
+    assert touches["untouched", 1] == (1, 1) and touches["first_step", 1] == (0, 0)
+
+    s0, actions = frozen_cases()["one_among_many"]
+    states = ref_rollout(s0, actions)
+    assert touches["one_among_many", H] == (2, 6)
+    moved = (states[:, 1:] != states[:, :1])[..., [sw.EXT, sw.CUPX, sw.CUPY]].any(axis=(1, 2))
+    assert moved.sum() == 2
+
+    starts = np.concatenate([s0 for s0, _ in frozen_cases().values()])
+    objects = starts[:, [sw.EXT, sw.CUPX, sw.CUPY]]
+    assert (np.signbit(objects) & (objects == 0.0)).any(axis=0).all()
+    assert (starts[:, sw.EXT] > sw.DRAWER_MAX).any() and (starts[:, sw.EXT] < 0.0).any()
+    cups = starts[:, [sw.CUPX, sw.CUPY]]
+    assert ((cups < 0.0) | (cups > 1.0)).any(axis=0).all()
+    for name, idle_rows in (("negative_zero", [0, 1]), ("out_of_range", [0, 1, 2])):
+        s0, actions = frozen_cases()[name]
+        objects = ref_rollout(s0, actions)[idle_rows][:, :, [sw.EXT, sw.CUPX, sw.CUPY]]
+        # no row touches before step 2, and an idle row's objects change at
+        # step 1 (-0.0 to +0.0, or clamped) and hold from then on
+        assert min(touches[name, H]) > 1
+        assert (objects[:, 1].view(np.int64) != objects[:, 0].view(np.int64)).any(axis=1).all()
+        assert (objects[:, 1:] == objects[:, 1:2]).all()
+
+    s0, actions = block_case()
+    states = ref_rollout(s0, actions)
+    blocks = [first_touches(states[i:i + CAP]) for i in range(0, len(s0), CAP)]
+    assert blocks == [(H, H), (H - 1, H - 1), (0, 0)]
+
+
+def _starts(draw, n):
+    near = st.floats(-0.07, 0.07)
+    rows = []
+    for _ in range(n):
+        ext = draw(st.sampled_from([0.0, -0.0, sw.DRAWER_MAX, 0.09, -0.02])
+                   | st.floats(0.0, sw.DRAWER_MAX))
+        cup = [draw(st.sampled_from([0.0, -0.0, 1.0, 1.1]) | st.floats(-0.05, 1.05))
+               for _ in range(2)]
+        anchor = draw(st.sampled_from(["drawer", "cup", "faucet", "free"]))
+        handle = {"drawer": drawer_handle(ext), "cup": cup, "faucet": sw.FAUCET_HANDLE,
+                  "free": (draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))}[anchor]
+        gripper = handle[0] + draw(near), handle[1] + draw(near)
+        rows.append(row(gripper, (0.0, 0.0), ext=ext, cup=cup,
+                        grip=draw(st.sampled_from([0.0, 1.0])))[0])
+    return np.stack(rows)
+
+
+@st.composite
+def starts_and_actions(draw, negative_zero_moves=False):
+    """Starts near the handles, -0.0 and out of range included, and actions
+    with every grip code. Velocities hold no -0.0 unless negative_zero_moves."""
+    n, h = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    s0 = _starts(draw, n)
+    actions = np.empty((n, h, sw.ACTION_DIM))
+    speed = st.sampled_from([0.0, 0.05, -0.05]) | st.floats(-0.08, 0.08)
+    if negative_zero_moves:
+        speed = speed | st.just(-0.0)
+    else:
+        speed = speed.filter(lambda v: not (v == 0.0 and np.signbit(v)))
+    actions[:, :, :2] = draw(arrays(np.float64, (n, h, 2), elements=speed))
+    actions[:, :, 2] = draw(arrays(np.float64, (n, h), elements=st.sampled_from(list(GRIP_CODES))))
+    return s0, actions
+
+
+@given(starts_and_actions())
+@settings(max_examples=100, deadline=None)
+def test_drawn_rollouts_match_the_reference(case):
+    s0, actions = case
+    assert_same_bytes(sw.rollout_batch(s0, actions), ref_rollout(s0, actions))
+
+
+@given(starts_and_actions(negative_zero_moves=True))
+@settings(max_examples=60, deadline=None)
+def test_negative_zero_moves_differ_only_in_the_sign_of_zero(case):
+    """The one documented difference (module docstring): a -0.0 start moved
+    by a -0.0 velocity sums to -0.0, which np.clip keeps at a 0.0 bound and
+    the core's clamp may turn into +0.0. The values stay equal."""
+    s0, actions = case
+    got, want = sw.rollout_batch(s0, actions), ref_rollout(s0, actions)
+    assert np.array_equal(got, want)
+    differs = got.view(np.int64) != want.view(np.int64)
+    assert (want[differs] == 0.0).all()
+
+
+def test_the_negative_zero_difference_is_reached():
+    """A cup at (0.0, -0.0), pushed at step 0 along x with vy = -0.0: its y
+    sums to -0.0 at the 0.0 bound. If this stops differing, the module
+    docstring's exception is stale."""
+    s0 = np.zeros((1, sw.STATE_DIM))
+    s0[0, [sw.GX, sw.CUPX, sw.CUPY]] = -0.03, 0.0, -0.0
+    actions = np.array([[[0.05, -0.0, -1.0]]])
+    got, want = sw.rollout_batch(s0, actions), ref_rollout(s0, actions)
+    assert np.array_equal(got, want)
+    assert got[0, 1, sw.CUPY].tobytes() != want[0, 1, sw.CUPY].tobytes()

@@ -172,6 +172,14 @@ class TestSuccessPredicates:
         with pytest.raises(UnknownTaskError):
             sw.success_states(42, make_states())
 
+    @pytest.mark.parametrize("task", sw.ALL_TASKS)
+    @pytest.mark.parametrize("shape", [(7,), (), (4, 6), (2, 0, 7)])
+    def test_states_not_shaped_as_sequences(self, task, shape):
+        with pytest.raises(ShapeMismatchError):
+            sw.success_states(task, np.zeros(shape))
+        with pytest.raises(ShapeMismatchError):
+            sw.prefix_success_flags(task, np.zeros(shape))
+
 
 class TestRender:
     def test_same_state_same_features(self):
