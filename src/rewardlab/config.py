@@ -1,10 +1,12 @@
 """Experiment configuration: one flat dataclass, addressable from a plain
 `key = value` text file (`python -m rewardlab <command> --config PATH`).
-Unknown keys and out-of-range values are errors that name the field. The
-seed comes from the --seed flag if given, else from the config file, else
-the default; no environment variable changes it.
+Unknown keys, repeated keys, non-finite floats and out-of-range values are
+errors that name the field. The seed comes from the --seed flag if given,
+else from the config file, else the default; no environment variable
+changes it.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from . import dynamics as dyn, simworld as sw
@@ -60,6 +62,8 @@ class ExperimentConfig:
             raise BadConfigError(f"unknown mode {self.mode!r}")
         for name, low in _AT_LEAST.items():
             value, strict = getattr(self, name), name in _POSITIVE
+            if _FIELD_TYPES[name] == "float" and not math.isfinite(value):
+                raise BadConfigError(f"{name} must be finite, got {value!r}")
             if not (value > low if strict else value >= low):
                 raise BadConfigError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
         for name in ("train_tasks", "heldout_tasks", "failure_sources"):
@@ -126,9 +130,10 @@ def _parse_value(name: str, text: str):
     return text  # str fields
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse `key = value` lines; '#' starts a comment; unknown keys error."""
-    overrides = {}
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse `key = value` lines over the defaults; '#' starts a comment;
+    an unknown or repeated key is an error."""
+    overrides, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,21 +143,23 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise BadConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise BadConfigError(f"line {lineno}: {key} is already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             overrides[key] = _parse_value(key, value)
         except ValueError as exc:
             raise BadConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    base = base if base is not None else ExperimentConfig()
-    return replace(base, **overrides)
+    return ExperimentConfig(**overrides)
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise BadConfigError(f"{path} is not an ASCII config file: {exc}") from exc
-    return parse_config_text(text, base)
+    return parse_config_text(text)
 
 
 def resolve_seed(config: ExperimentConfig, flag_seed: int | None = None) -> ExperimentConfig:

@@ -19,9 +19,11 @@ initial state from it, then the attempt's uniform action noise in
 actions instead). The clip's label is checked against the simulator's
 predicate; a failed check retries the clip, halving the noise level every
 NOISE_HALVING attempts and dropping it to zero from ZERO_NOISE_ATTEMPT on,
-where the scripted controller is correct by construction. A human clip's
-camera offset and feature noise come from the same Generator after its
-successful attempt.
+where the scripted controller is correct by construction. The first
+level is ACTION_NOISE, the only action-noise setting: every rollout reads
+it when called, so one patched module value reaches them all. A human
+clip's camera offset and feature noise come from the same Generator after
+its successful attempt.
 
 Clips are rolled in lockstep: the scripted controllers act on (n, 7) state
 arrays with per-clip phase arrays, and `roll_groups` advances the clips of
@@ -409,9 +411,10 @@ class _GroupRoll:
         self.pending = pending[~passed]
 
 
-def roll_groups(groups, noise: float = ACTION_NOISE):
+def roll_groups(groups):
     """Label-checked rollouts of (task, style, seeds) groups, one clip per
-    seed, all groups in one lockstep loop per noise band.
+    seed, all groups in one lockstep loop per noise band, at the
+    ACTION_NOISE level read when called.
 
     Each band of `BANDS` is one `run_policy` batch over every pending clip
     of every group and every attempt of the band. A clip keeps its first
@@ -433,7 +436,7 @@ def roll_groups(groups, noise: float = ACTION_NOISE):
         live = [roll for roll in rolls if roll.pending.size]
         if not live:
             break
-        level = noise_level(noise, band[0])
+        level = noise_level(ACTION_NOISE, band[0])
         drawn = [roll.draw(band, level) for roll in live]
         acts, rolled = run_policy(np.stack([s for s0, _, _ in drawn for s in s0]),
                                   [block for _, block, _ in drawn])
@@ -451,17 +454,17 @@ def roll_groups(groups, noise: float = ACTION_NOISE):
     return [(roll.actions, roll.states, roll.attempts, roll.rngs) for roll in rolls]
 
 
-def gen_failure_trajectory(task_id: int, archetype: str, seed, noise: float = ACTION_NOISE):
+def gen_failure_trajectory(task_id: int, archetype: str, seed):
     """Robot failure rollout realizing one archetype; label checked, seeded."""
     if archetype not in ARCHETYPES:
         raise ArchetypeUnsupportedError(f"unknown archetype {archetype!r}")
-    actions, states, _, _ = roll_groups([(task_id, archetype, [seed])], noise)[0]
+    actions, states, _, _ = roll_groups([(task_id, archetype, [seed])])[0]
     return actions[0], states[0]
 
 
-def gen_success_trajectory(task_id: int, seed, noise: float = ACTION_NOISE):
+def gen_success_trajectory(task_id: int, seed):
     """Scripted success rollout with uniform action noise; label checked."""
-    actions, states, _, _ = roll_groups([(task_id, "success", [seed])], noise)[0]
+    actions, states, _, _ = roll_groups([(task_id, "success", [seed])])[0]
     return actions[0], states[0]
 
 
@@ -505,9 +508,7 @@ def _rolled_groups(keys, seeds):
             batches.append([])
         batches[-1].append((key, members))
     for batch in batches:
-        # ACTION_NOISE is read at call time, so a patched module value holds
-        rolls = roll_groups([(*key, [seeds[i] for i in members]) for key, members in batch],
-                            ACTION_NOISE)
+        rolls = roll_groups([(*key, [seeds[i] for i in members]) for key, members in batch])
         for key, members in batch:
             # popped and yielded unnamed, so a group's rollouts go once its
             # caller is done with them

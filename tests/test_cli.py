@@ -134,11 +134,17 @@ def test_seed_flag_beats_the_environment_and_the_file(tmp_path, config_path, cap
     (TINY, ["train", "--data", "missing.txt", "--out", "never.ckpt"], "missing.txt"),
     (TINY, ["eval", "--checkpoint", "missing.ckpt"], "missing.ckpt"),
     (TINY, ["datagen", "--seed", "-1", "--out", "never.txt"], "seed must be >= 0"),
+    (TINY, ["train", "--data", "bad-header.txt", "--out", "never.ckpt"],
+     "malformed header field 'clips=x'"),
+    ("noise = inf\n", ["datagen", "--out", "never.txt"], "noise must be finite"),
+    ("mode = fvlc\nmode = bce\n", ["datagen", "--out", "never.txt"],
+     "line 2: mode is already set on line 1"),
 ], ids=["out-of-range", "unknown-key", "no-tasks", "missing-dataset", "missing-checkpoint",
-        "negative-seed"])
+        "negative-seed", "non-integer-count", "infinite-float", "repeated-key"])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch, text, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(text, encoding="ascii")
+    (tmp_path / "bad-header.txt").write_text("rewardlab-dataset v1 clips=x\n", encoding="ascii")
     status, out, err = run(capsys, *argv, "--config", "run.cfg")
     assert status == 1 and out == ""
     assert err.count("\n") == 1 and message in err and "Traceback" not in err

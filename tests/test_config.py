@@ -33,9 +33,8 @@ def test_every_field_kind():
     assert config.epochs == ExperimentConfig().epochs
 
 
-def test_empty_text_keeps_the_base():
-    base = ExperimentConfig(seed=9, epochs=2)
-    assert parse_config_text("\n# nothing\n", base) == base
+def test_empty_text_gives_the_defaults():
+    assert parse_config_text("\n# nothing\n") == ExperimentConfig()
 
 
 @pytest.mark.parametrize("text, value", [
@@ -52,6 +51,7 @@ def test_bool_spellings(text, value):
     ("k_clusters = three", "line 1: bad value for k_clusters"),
     ("tau = 0.1\ntrain_tasks = 4, x", "line 2: bad value for train_tasks"),
     ("# c\nexclude_anchor = maybe", "line 2: bad value for exclude_anchor: expected a boolean"),
+    ("mode = fvlc\ntau = 0.1\nmode = bce", "line 3: mode is already set on line 1"),
 ])
 def test_errors_name_the_line(text, message):
     with pytest.raises(BadConfigError, match=message):
@@ -65,7 +65,8 @@ def test_errors_name_the_line(text, message):
     ("human_per_task", -1), ("eval_failure_per_task", -1), ("noise", -1.0),
     ("failure_sources", ("x",)), ("failure_sources", ()), ("train_tasks", (4, 99)),
     ("heldout_tasks", (-1,)), ("plan_candidates", 0), ("plan_horizon", 0),
-    ("plan_trials", 0), ("plan_seeds", 0),
+    ("plan_trials", 0), ("plan_seeds", 0), ("tau", float("inf")), ("lr_encoder", float("inf")),
+    ("lr_prompts", float("inf")), ("grad_clip", float("inf")), ("noise", float("inf")),
 ])
 def test_out_of_range_field_rejected_by_name(field, value):
     with pytest.raises(BadConfigError, match=field):
@@ -99,6 +100,12 @@ def test_load_config_from_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(EVERY_KIND, encoding="ascii")
     assert load_config(path) == parse_config_text(EVERY_KIND)
+
+
+@pytest.mark.parametrize("text", ["tau = inf", "noise = Infinity", "lr_prompts = 1e999"])
+def test_a_non_finite_float_in_the_text_is_rejected_by_name(text):
+    with pytest.raises(BadConfigError, match=f"{text.split()[0]} must be finite"):
+        parse_config_text(text)
 
 
 def test_out_of_range_value_in_a_file(tmp_path):

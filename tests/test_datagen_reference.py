@@ -351,11 +351,12 @@ LOUD_CASES = [
 ]
 
 
-def test_loud_noise_halved_levels_and_fallback_match_reference():
+def test_loud_noise_halved_levels_and_fallback_match_reference(monkeypatch):
+    monkeypatch.setattr(dg, "ACTION_NOISE", LOUD)
     all_attempts = []
     for task_id, style, indices in LOUD_CASES:
         seeds = [[task_id, 300 + i] for i in indices]
-        actions, states, attempts, rngs = dg.roll_groups([(task_id, style, seeds)], noise=LOUD)[0]
+        actions, states, attempts, rngs = dg.roll_groups([(task_id, style, seeds)])[0]
         for i, seed in enumerate(seeds):
             want_actions, want_states, want_attempts, want_rng = ref_trajectory(
                 task_id, style, seed, LOUD)
@@ -530,12 +531,13 @@ def test_groups_in_one_loop_equal_groups_rolled_alone(monkeypatch):
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in want_rngs]
 
 
-def test_loud_groups_in_one_loop_match_reference():
+def test_loud_groups_in_one_loop_match_reference(monkeypatch):
     """Real label checks: the LOUD_CASES groups retire in every band."""
+    monkeypatch.setattr(dg, "ACTION_NOISE", LOUD)
     groups = [(task_id, style, [[task_id, 300 + i] for i in indices])
               for task_id, style, indices in LOUD_CASES]
     for (task_id, style, seeds), (actions, states, attempts, rngs) in zip(
-            groups, dg.roll_groups(groups, noise=LOUD)):
+            groups, dg.roll_groups(groups)):
         for i, seed in enumerate(seeds):
             want_actions, want_states, want_attempts, want_rng = ref_trajectory(
                 task_id, style, seed, LOUD)
@@ -575,9 +577,9 @@ def _count_batches(monkeypatch):
     batches = []
     roll_groups = dg.roll_groups
 
-    def recorded(groups, noise=dg.ACTION_NOISE):
+    def recorded(groups):
         batches.append([(task_id, style, len(seeds)) for task_id, style, seeds in groups])
-        return roll_groups(groups, noise)
+        return roll_groups(groups)
 
     monkeypatch.setattr(dg, "roll_groups", recorded)
     return batches

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from rewardlab import datagen as dg, formats, simworld as sw
+from rewardlab import datagen as dg, formats, simworld as sw, training
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import CorruptFileError, VersionMismatchError
 
@@ -39,6 +41,9 @@ BAD_RECORDS = {
     "unknown-archetype": (relabel(success=0, archetype="flail"), "unknown failure archetype 'flail'"),
     "negative-task": (relabel(task=-1), "unknown task -1"),
     "short-clip": (drop_last_frame, "frames=3 width=16 differ from record 1's frames=4 width=16"),
+    # 64 values, as many as the frames=4 width=16 they replace
+    "negative-dimensions": (relabel(frames=-4, width=-16), "negative dimensions"),
+    "nan-value": (lambda tokens: tokens[:9] + ["nan"] + tokens[10:], "non-finite values"),
 }
 
 
@@ -126,6 +131,19 @@ class TestCheckpointFormat:
         for name in arrays:
             assert np.array_equal(back[name], np.asarray(arrays[name]))
 
+    @pytest.mark.parametrize("text, message", [
+        ("arrays=x", "malformed header field 'arrays=x'"),
+        ("arrays=1\narray a 2 -1 -1 5", r"array a: negative dimensions \(-1, -1\)"),
+        ("arrays=1\narray a 2 1 2 nan 1.0", "array a: non-finite values"),
+        ("arrays=1\narray a 0 -inf", "array a: non-finite values"),
+        ("arrays=2\narray a 1 1 1.0\narray a 1 1 2.0", "array a appears twice"),
+    ], ids=["non-integer-count", "negative-dimensions", "nan", "minus-inf", "repeated-name"])
+    def test_impossible_checkpoint_is_corrupt(self, tmp_path, text, message):
+        path = tmp_path / "ckpt.txt"
+        path.write_text(f"rewardlab-checkpoint v1 {text}\n")
+        with pytest.raises(CorruptFileError, match=message):
+            formats.load_checkpoint(path)
+
     def test_value_count_mismatch(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         formats.save_checkpoint({"w": np.ones((2, 2))}, path)
@@ -135,3 +153,45 @@ class TestCheckpointFormat:
         with pytest.raises(CorruptFileError):
             formats.load_checkpoint(path)
 
+
+# a seeded dataset with human clips, a robot success and every failure
+# archetype (wander, revert, wander, incomplete), and its fvlc checkpoint
+PIN_CONFIG = ExperimentConfig(
+    train_tasks=(sw.TASK_OPEN_DRAWER,), heldout_tasks=(), human_per_task=2,
+    robot_success_per_task=1, robot_failure_per_task=4, seed=4, k_clusters=2,
+    batch_human=2, batch_robot=1, batch_failure=2, epochs=1, steps_per_epoch=2,
+)
+# sha256 of the v1 files these inputs give; any change to the bytes a
+# writer makes is a format change
+V1_SHA256 = {
+    "dataset": "e8813ea1f04dae4696bbf93390cbe6f5a7d60d1fc8dc3c9a08bab0d12e741c6f",
+    "fvlc-checkpoint": "ec66adf6889a9f2363afd5c8b08f87618840054b973542ad1e05b66cf8355f4f",
+    # a 0-d array (empty shape field: `array s 0  3.5`) and a (0, 2) one
+    "edge-checkpoint": "54190f55fefa126a40d99291b1bb21dbb84676403339157127a83c64a9b1ef63",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs():
+    dataset = dg.gen_dataset(PIN_CONFIG)
+    assert [(c.domain, c.failure_archetype) for c in dataset.clips] == [
+        ("human", None), ("human", None), ("robot", None), ("robot", "wander"),
+        ("robot", "revert"), ("robot", "wander"), ("robot", "incomplete")]
+    params = training.params_to_arrays(training.train(PIN_CONFIG, dataset).params)
+    return {
+        "dataset": (formats.save_dataset, formats.load_dataset, dataset),
+        "fvlc-checkpoint": (formats.save_checkpoint, formats.load_checkpoint, params),
+        "edge-checkpoint": (formats.save_checkpoint, formats.load_checkpoint,
+                            {"s": np.array(3.5), "e": np.zeros((0, 2))}),
+    }
+
+
+@pytest.mark.parametrize("kind", list(V1_SHA256))
+def test_writers_keep_the_v1_bytes(pinned_inputs, tmp_path, kind):
+    save, load, value = pinned_inputs[kind]
+    first, second = tmp_path / "first", tmp_path / "second"
+    save(value, first)
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == V1_SHA256[kind]
+    # what the reader gives back writes the same bytes again
+    save(load(first), second)
+    assert second.read_bytes() == first.read_bytes()
