@@ -4,7 +4,8 @@ train -> eval) and two checks (ablate, grad-check).
 
 Every setting is an ExperimentConfig key in the `key = value` file given
 by --config (defaults without one); --seed overrides its seed. `ablate`
-sweeps that seed and the next two; `grad-check` takes no config. A
+sweeps that seed and the next two and prints separation AUCs only, no
+planning rates (`eval` prints those); `grad-check` takes no config. A
 RewardLabError or OSError exits with status 1 and a one-line message.
 """
 
@@ -74,7 +75,8 @@ def _parser() -> argparse.ArgumentParser:
     command("eval", "print the environment variant, its separation AUC per task and "
             "VMPC/CEM planning rates", _eval,
             ("checkpoint",))
-    command("ablate", "print the mode x K x failure-source grid as CSV",
+    command("ablate", "print the train and held-out AUC of each seed's mode x K x "
+            "failure-source cell as CSV",
             lambda args: sys.stdout.write(ev.ablation_csv(ev.run_ablation(_config(args)))))
     command("grad-check", "print the finite-difference gradient suite's worst errors",
             lambda args: print(json.dumps(run_gradient_suite())), config=False)

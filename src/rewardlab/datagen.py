@@ -57,7 +57,9 @@ from functools import partial
 import numpy as np
 
 from . import render, simworld as sw
-from .errors import ArchetypeUnsupportedError, BadConfigError, GenerationFailedError
+from .errors import (
+    ArchetypeUnsupportedError, BadConfigError, GenerationFailedError, NonFiniteValueError,
+)
 
 ARCHETYPES = ("wander", "revert", "incomplete")
 FAILURE_SOURCES = ("random", "near_success")
@@ -69,6 +71,7 @@ _CLIP_STREAMS = {"human": 11, "robot_success": 12, "robot_failure": 13}
 # clips per lockstep batch of a dataset call: bounds the rolled states held
 # before they are rendered, while filling each step_batch call
 BATCH_CLIPS = 128
+DOMAIN_PAIRS = 100  # robot/human clip pairs that domain_shift_cosine averages over
 
 # archetypes that cannot exist for a task: the faucet's displacement only
 # accumulates (nothing to revert), and any first touch of the cup already
@@ -526,6 +529,8 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
     successes and failures); each (task, style) is one lockstep group, human
     and robot successes of a task together. Whole groups are rolled in
     batches of at most BATCH_CLIPS clips, each rendered before the next.
+    A NaN or infinite frame (a huge config.noise overflows the human clips)
+    raises NonFiniteValueError naming the first clip that holds one.
     """
     # (domain, task, style, seed) per clip, in dataset order
     specs = []
@@ -560,6 +565,11 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
             "zero_noise_clips": int(np.sum(attempts > ZERO_NOISE_ATTEMPT)),
         }
         del states, rngs  # not held while the next batch is rolled
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=(1, 2)))
+    if bad.size:
+        domain, task_id, style, seed = specs[bad[0]]
+        raise NonFiniteValueError(f"clip {bad[0]} ({domain} {style}, task {task_id}, "
+                                  f"seed {seed}) has non-finite frames")
 
     clips = []
     for clip_frames, (domain, task_id, style, seed) in zip(frames, specs):
@@ -568,9 +578,10 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
     return Dataset(clips, retries)
 
 
-def domain_shift_cosine(config, n_pairs: int = 100) -> float:
+def domain_shift_cosine(config) -> float:
     """Mean frame cosine between robot clips and their human counterparts,
-    over the tasks of an `ExperimentConfig` (config.all_tasks).
+    over the DOMAIN_PAIRS pairs of the tasks of an `ExperimentConfig`
+    (config.all_tasks); a NaN or infinite mean raises NonFiniteValueError.
 
     Pair i is one success rollout of its task, seeded [seed, 99, task, i],
     rendered in both domains (the human rendering draws from the clip's
@@ -582,10 +593,7 @@ def domain_shift_cosine(config, n_pairs: int = 100) -> float:
     tasks = config.all_tasks
     if not tasks:
         raise BadConfigError("domain_shift_cosine needs at least one task")
-    if n_pairs <= 0:
-        raise BadConfigError(f"domain_shift_cosine needs n_pairs > 0, got {n_pairs}")
-    per_task = [t for t in tasks for _ in range((n_pairs // len(tasks)) + 1)]
-    pairs = per_task[:n_pairs]
+    pairs = [t for t in tasks for _ in range((DOMAIN_PAIRS // len(tasks)) + 1)][:DOMAIN_PAIRS]
     seeds = [[config.seed, 99, task_id, i] for i, task_id in enumerate(pairs)]
     sims = np.empty((len(pairs), config.clip_frames))
     for _, idx, states, _, rngs in _rolled_groups([(t, "success") for t in pairs], seeds):
@@ -593,4 +601,7 @@ def domain_shift_cosine(config, n_pairs: int = 100) -> float:
         human = _human_clips(states, rngs, config)
         num = np.sum(robot * human, axis=2)
         sims[idx] = num / (np.linalg.norm(robot, axis=2) * np.linalg.norm(human, axis=2))
-    return float(np.mean(sims.ravel()))
+    mean = float(np.mean(sims.ravel()))
+    if not np.isfinite(mean):
+        raise NonFiniteValueError(f"domain shift cosine is {mean!r}")
+    return mean

@@ -31,6 +31,8 @@ from .errors import BadHorizonError, InsufficientDataError, ShapeMismatchError
 CHUNK = 4
 INPUT_DIM = sw.STATE_DIM + CHUNK * sw.ACTION_DIM  # 19
 N_FEATURES = 256
+RIDGE = 1e-8  # ridge added to the sample-normalized Gram matrix
+RANDOM_EPISODES = 2000  # random-policy episodes train_on_random_episodes fits on
 EPISODE_BLOCK = 64  # episodes per block of the normal-equation sums (960 rows)
 ROLL_BLOCK = 4 * EPISODE_BLOCK  # random episodes per rollout_batch call of the fit
 
@@ -120,23 +122,18 @@ def chunk_transitions(states: np.ndarray, actions: np.ndarray):
     return x, (states[:, CHUNK::CHUNK] - start).reshape(-1, sw.STATE_DIM)
 
 
-def train_dynamics(
-    episodes,
-    seed: int = 0,
-    ridge: float = 1e-8,
-    n_features: int = N_FEATURES,
-) -> DynamicsModel:
+def train_dynamics(episodes, seed: int = 0) -> DynamicsModel:
     """Fit the chunk regressor on an iterable of episode blocks, each
     (N, H+1, 7) states and their (N, H, 3) actions, in closed form from
-    normal equations summed over EPISODE_BLOCK episodes at a time from each
-    block's start. One design buffer is reused for every block."""
+    normal equations (N_FEATURES, RIDGE) summed over EPISODE_BLOCK episodes
+    at a time from each block's start. One design buffer serves every block."""
     rng = np.random.default_rng(seed)
     model = DynamicsModel(
         kind=LEARNED,
-        feature_w=rng.normal(size=(INPUT_DIM, n_features)) / np.sqrt(INPUT_DIM),
-        feature_b=rng.uniform(-1.0, 1.0, size=n_features),
+        feature_w=rng.normal(size=(INPUT_DIM, N_FEATURES)) / np.sqrt(INPUT_DIM),
+        feature_b=rng.uniform(-1.0, 1.0, size=N_FEATURES),
     )
-    width = 1 + INPUT_DIM + n_features
+    width = 1 + INPUT_DIM + N_FEATURES
     gram = np.zeros((width, width))
     moment = np.zeros((width, sw.STATE_DIM))
     buffer = np.empty((0, width))
@@ -161,7 +158,7 @@ def train_dynamics(
         del states, actions  # not held while the next block is made
     if n < 100:
         raise InsufficientDataError(f"{n} chunk transitions < 100")
-    model.weights = np.linalg.solve(gram / n + ridge * np.eye(width), moment / n)
+    model.weights = np.linalg.solve(gram / n + RIDGE * np.eye(width), moment / n)
     return model
 
 
@@ -184,5 +181,6 @@ def random_episode_blocks(n_episodes: int, seed: int):
         yield sw.rollout_batch(starts, actions), actions
 
 
-def train_on_random_episodes(n_episodes: int = 2000, seed: int = 0, **kwargs) -> DynamicsModel:
-    return train_dynamics(random_episode_blocks(n_episodes, seed), seed=seed, **kwargs)
+def train_on_random_episodes(*, seed: int = 0) -> DynamicsModel:
+    """The regressor fit on RANDOM_EPISODES random-policy episodes."""
+    return train_dynamics(random_episode_blocks(RANDOM_EPISODES, seed), seed=seed)

@@ -12,7 +12,9 @@ env_variant (the training set is always rendered in `train`). Planning
 builds one reward per task, plans each of the config's plan_seeds x
 plan_trials trials with random shooting (and optionally CEM), then
 executes all plans of the task in one batched simulator rollout and
-judges them with the task predicate.
+judges them with the task predicate. The ablation grid trains each cell of
+ABLATION_MODES x ABLATION_KS x ABLATION_SOURCES for ABLATION_SEEDS seeds
+and reports the cells' separation AUCs; it runs no planning.
 """
 
 from dataclasses import replace
@@ -174,8 +176,13 @@ def evaluate_planning(
 
 # --- ablation grid ---
 
-ABLATION_COLUMNS = ("seed", "mode", "k", "source", "auc_train", "auc_heldout", "planner_success")
+ABLATION_COLUMNS = ("seed", "mode", "k", "source", "auc_train", "auc_heldout")
 _SOURCE_AXES = {"random": ("random",), "near_success": ("near_success",), "both": ("random", "near_success")}
+# the grid `run_ablation` sweeps: modes, K values, failure sources, seeds
+ABLATION_MODES = ("no_failure", "bce", "fvlc")
+ABLATION_KS = (1, 2, 3, 4, 5)
+ABLATION_SOURCES = tuple(_SOURCE_AXES)
+ABLATION_SEEDS = 3
 
 
 def ablation_cells(modes, k_values, sources):
@@ -189,31 +196,24 @@ def ablation_cells(modes, k_values, sources):
     return cells
 
 
-def run_ablation(
-    base_config: ExperimentConfig,
-    modes=("no_failure", "bce", "fvlc"),
-    k_values=(1, 2, 3, 4, 5),
-    sources=("random", "near_success", "both"),
-    n_seeds: int = 3,
-    planning_trials: int = 0,
-):
-    """One row per (seed, mode, K, source) cell, for the seeds
-    base_config.seed + i, i < n_seeds; shared datasets per seed. With no
-    held-out tasks, auc_heldout is left empty, as planner_success is when
-    no planning runs.
+def run_ablation(base_config: ExperimentConfig):
+    """One row per (seed, mode, K, source) cell of the ABLATION_* grid, for
+    the seeds base_config.seed + i, i < ABLATION_SEEDS; shared datasets per
+    seed. With no held-out tasks, auc_heldout is left empty.
 
     Every task's training set has robot_failure_per_task failure clips, so a
     K above that count is rejected before any cell trains."""
-    if "fvlc" in modes and max(k_values) > base_config.robot_failure_per_task:
+    k_max = max(ABLATION_KS)
+    if "fvlc" in ABLATION_MODES and k_max > base_config.robot_failure_per_task:
         raise TooFewSamplesError(
-            f"k_values up to {max(k_values)} need {max(k_values)} failure clips per task; "
+            f"k_values up to {k_max} need {k_max} failure clips per task; "
             f"robot_failure_per_task is {base_config.robot_failure_per_task}"
         )
     rows = []
-    for seed in range(base_config.seed, base_config.seed + n_seeds):
+    for seed in range(base_config.seed, base_config.seed + ABLATION_SEEDS):
         eval_ds = eval_dataset_for(replace(base_config, seed=seed))
         datasets = {}
-        for mode, k, source in ablation_cells(modes, k_values, sources):
+        for mode, k, source in ablation_cells(ABLATION_MODES, ABLATION_KS, ABLATION_SOURCES):
             cfg = replace(
                 base_config,
                 seed=seed,
@@ -226,12 +226,6 @@ def run_ablation(
             result = train(cfg, datasets[source])
             sep_train = evaluate_separation(result.params, eval_ds, cfg.train_tasks)
             sep_held = evaluate_separation(result.params, eval_ds, cfg.heldout_tasks)
-            planner_success = ""
-            if planning_trials > 0:
-                plan = evaluate_planning(
-                    result.params, dyn.ground_truth_model(), replace(cfg, plan_trials=planning_trials)
-                )
-                planner_success = float(np.mean(list(plan["mean_rate_per_task"].values())))
             rows.append({
                 "seed": seed,
                 "mode": mode,
@@ -239,7 +233,6 @@ def run_ablation(
                 "source": source,
                 "auc_train": mean_auc(sep_train),
                 "auc_heldout": mean_auc(sep_held) if sep_held else "",
-                "planner_success": planner_success,
             })
     rows.sort(key=lambda r: (r["seed"], r["mode"], str(r["k"]), r["source"]))
     return rows

@@ -8,7 +8,8 @@ repr(), which round-trips bit-exactly, so save -> load is lossless and
 files diff cleanly. Every record's values are finite, its dimensions are
 non-negative, and their product is its number of values. Any file that
 breaks a rule below is a `CorruptFileError`, and a version other than
-FORMAT_VERSION is a `VersionMismatchError`.
+FORMAT_VERSION is a `VersionMismatchError`. The writers apply the finite
+rule too: a NaN or infinity raises `NonFiniteValueError` and writes no file.
 
 Dataset record:
     clip domain=<human|robot> task=<int> success=<0|1> archetype=<name|->
@@ -28,15 +29,20 @@ import math
 import numpy as np
 
 from .datagen import Dataset, LabeledClip
-from .errors import BadConfigError, CorruptFileError, VersionMismatchError
+from .errors import BadConfigError, CorruptFileError, NonFiniteValueError, VersionMismatchError
 
 FORMAT_VERSION = 1
 DATASET_MAGIC = "rewardlab-dataset"
 CHECKPOINT_MAGIC = "rewardlab-checkpoint"
 
 
-def _fmt(values) -> str:
-    return " ".join(map(repr, np.asarray(values, dtype=np.float64).ravel().tolist()))
+def _fmt(values, what: str) -> str:
+    """Values as repr tokens; a NaN or infinity, which no reader accepts,
+    raises NonFiniteValueError before any file is opened."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError(f"{what}: non-finite values")
+    return " ".join(map(repr, values.ravel().tolist()))
 
 
 def _write(path, magic: str, noun: str, records: list) -> None:
@@ -96,8 +102,9 @@ def save_dataset(dataset: Dataset, path) -> None:
     _write(path, DATASET_MAGIC, "clips", [
         f"clip domain={clip.domain} task={clip.task_id} success={clip.success} "
         f"archetype={clip.failure_archetype or '-'} seed={clip.seed} "
-        "frames={} width={} data ".format(*clip.frames.shape) + _fmt(clip.frames)
-        for clip in dataset.clips
+        "frames={} width={} data ".format(*clip.frames.shape)
+        + _fmt(clip.frames, f"clip record {number}")
+        for number, clip in enumerate(dataset.clips, start=1)
     ])
 
 
@@ -132,7 +139,8 @@ def load_dataset(path) -> Dataset:
 def save_checkpoint(arrays: dict, path) -> None:
     arrays = {name: np.asarray(arrays[name], dtype=np.float64) for name in sorted(arrays)}
     _write(path, CHECKPOINT_MAGIC, "arrays", [
-        f"array {name} {arr.ndim} {' '.join(map(str, arr.shape))} {_fmt(arr)}".rstrip()
+        f"array {name} {arr.ndim} {' '.join(map(str, arr.shape))} "
+        f"{_fmt(arr, 'array ' + name)}".rstrip()
         for name, arr in arrays.items()
     ])
 

@@ -15,6 +15,7 @@ from . import encoders as enc, losses
 from .embeddings import finite_diff_grad_check, l2_normalize_rows
 
 SEED = 0
+N_BATCHES = 20  # seeded random batches per operation
 
 
 def _unit_rows(rng, n, d):
@@ -126,12 +127,12 @@ SUITE = {
 }
 
 
-def run_gradient_suite(n_batches: int = 20) -> dict:
-    """Max relative error per operation over n_batches seeded random inputs."""
+def run_gradient_suite() -> dict:
+    """Max relative error per operation over N_BATCHES seeded random inputs."""
     worst = {}
     for op_index, (name, check) in enumerate(SUITE.items()):
         errs = []
-        for batch in range(n_batches):
+        for batch in range(N_BATCHES):
             rng = np.random.default_rng([SEED, 71, batch, op_index])
             errs.append(check(rng))
         worst[name] = max(errs)

@@ -81,7 +81,8 @@ def render_frames(
     domain: str = "robot",
     variant: str = "train",
 ) -> np.ndarray:
-    """Render (N,7) state arrays to (N,F) frame features."""
+    """Render (N,7) state arrays to (N,F) frame features; camera is one (2,)
+    offset for every state or one per state, (N, 2)."""
     if variant not in VARIANTS:
         raise BadConfigError(f"unknown environment variant {variant!r}")
     if domain not in ("robot", "human"):
@@ -90,8 +91,9 @@ def render_frames(
     if states.shape[1] != sw.STATE_DIM:
         raise ShapeMismatchError(f"states must be (N,{sw.STATE_DIM})")
     camera = np.asarray(camera, dtype=np.float64)
-    if camera.ndim == 1:
-        camera = np.broadcast_to(camera, (states.shape[0], 2))
+    if camera.shape not in ((2,), (states.shape[0], 2)):
+        raise ShapeMismatchError(f"camera must be (2,) or ({states.shape[0]}, 2), "
+                                 f"got {camera.shape}")
 
     color_scale, cam_off, permute = VARIANTS[variant]
     raw = np.empty((states.shape[0], RAW_WIDTH))
@@ -101,8 +103,8 @@ def render_frames(
     raw[:, 3] = states[:, sw.EXT] * 10.0
     raw[:, 4] = states[:, sw.ANGLE] * 10.0
     raw[:, 5:7] = states[:, (sw.CUPX, sw.CUPY)]
-    raw[:, 7] = camera[:, 0] + cam_off[0]
-    raw[:, 8] = camera[:, 1] + cam_off[1]
+    raw[:, 7] = camera[..., 0] + cam_off[0]
+    raw[:, 8] = camera[..., 1] + cam_off[1]
 
     pre = raw @ _W_RENDER.T + _B_RENDER + color_scale * _COLOR_BIAS
     feats = np.tanh(pre)
@@ -119,11 +121,14 @@ def clip_frame_indices(n_states: int, n_frames: int) -> np.ndarray:
 
 
 def render_clips(states, n_frames: int, camera=(0.0, 0.0), domain="robot", variant="train"):
-    """Render (n, T+1, 7) state sequences to (n, n_frames, F) clips; camera
-    is one (2,) offset for every sequence or one per sequence, (n, 2)."""
+    """Render (n, T+1, 7) state sequences, T+1 >= 1, to (n, n_frames, F)
+    clips, n_frames >= 1; camera is one (2,) offset for every sequence or one
+    per sequence, (n, 2)."""
     states, camera = np.asarray(states, dtype=np.float64), np.asarray(camera, dtype=np.float64)
-    if states.ndim != 3 or camera.shape not in ((2,), (len(states), 2)):
-        raise ShapeMismatchError(f"need (n, T+1, {sw.STATE_DIM}) states and a (2,) or (n, 2) "
+    if n_frames < 1:
+        raise ShapeMismatchError(f"a clip needs n_frames >= 1, got {n_frames}")
+    if states.ndim != 3 or states.shape[1] < 1 or camera.shape not in ((2,), (len(states), 2)):
+        raise ShapeMismatchError(f"need (n, T+1 >= 1, {sw.STATE_DIM}) states and a (2,) or (n, 2) "
                                  f"camera, got {states.shape} and {camera.shape}")
     frames = render_frames(
         states[:, clip_frame_indices(states.shape[1], n_frames)].reshape(-1, states.shape[2]),

@@ -163,10 +163,22 @@ def test_train_rejects_an_impossible_clip_record(tmp_path, config_path, capsys, 
     assert not ckpt.exists()
 
 
+def test_datagen_refuses_overflowing_frames_and_writes_no_file(tmp_path, capsys):
+    """A finite but huge noise overflows the human frames to infinity; the
+    file `train` would refuse is never written."""
+    config, data = tmp_path / "huge.cfg", tmp_path / "data.txt"
+    config.write_text("train_tasks = 4\nheldout_tasks =\nhuman_per_task = 1\n"
+                      "robot_success_per_task = 0\nrobot_failure_per_task = 0\nnoise = 1e308\n")
+    status, out, err = run(capsys, "datagen", "--config", config, "--out", data)
+    assert status == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("rewardlab datagen: error: clip 0 (human success, task 4, seed ")
+    assert not data.exists()
+
+
 def test_ablate_and_grad_check_print_their_reports(config_path, capsys, monkeypatch):
     seen = []
     row = {"seed": 0, "mode": "bce", "k": "-", "source": "both",
-           "auc_train": 0.75, "auc_heldout": 0.5, "planner_success": ""}
+           "auc_train": 0.75, "auc_heldout": 0.5}
     monkeypatch.setattr(evaluation, "run_ablation", lambda config: seen.append(config) or [row])
     assert run(capsys, "ablate", "--config", config_path)[1] == evaluation.ablation_csv([row])
     assert seen == [load_config(config_path)]

@@ -6,7 +6,7 @@ import pytest
 
 from rewardlab import datagen as dg, evaluation, render, simworld as sw
 from rewardlab.config import ExperimentConfig
-from rewardlab.errors import ArchetypeUnsupportedError, BadConfigError
+from rewardlab.errors import ArchetypeUnsupportedError, NonFiniteValueError
 
 SMALL = ExperimentConfig(
     train_tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_POKE_CUP),
@@ -91,8 +91,23 @@ class TestGenDataset:
 
     def test_domain_shift_band(self):
         cfg = ExperimentConfig(train_tasks=sw.ALL_TASKS, heldout_tasks=(), seed=5)
-        cos = dg.domain_shift_cosine(cfg, n_pairs=100)
+        cos = dg.domain_shift_cosine(cfg)  # over DOMAIN_PAIRS = 100 pairs
         assert 0.2 < cos < 0.9
+
+    def test_overflowing_frames_name_the_first_clip(self):
+        """A finite but huge noise overflows the human frames to infinity;
+        generation refuses them instead of returning them."""
+        config = replace(SMALL, human_per_task=2, noise=1e308)
+        first = dg.gen_dataset(replace(config, noise=0.0)).clips[0]
+        with pytest.raises(NonFiniteValueError,
+                           match=rf"^clip 0 \(human success, task {first.task_id}, "
+                                 rf"seed {first.seed}\) has non-finite frames$"):
+            dg.gen_dataset(config)
+
+    def test_a_non_finite_domain_shift_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NonFiniteValueError, match="domain shift cosine is nan"):
+            dg.domain_shift_cosine(replace(SMALL, noise=1e308))
 
     @pytest.mark.parametrize("variant", sorted(set(render.VARIANTS) - {"train"}))
     def test_a_variant_moves_only_the_robot_clips_it_renders(self, small_dataset, variant):
@@ -113,11 +128,6 @@ class TestGenDataset:
         assert [c.seed for c in moved_eval.clips] == [c.seed for c in base_eval.clips]
         for clip, base in zip(moved_eval.clips, base_eval.clips):
             assert not np.array_equal(clip.frames, base.frames)
-
-    @pytest.mark.parametrize("n_pairs", [0, -3])
-    def test_domain_shift_needs_a_pair(self, n_pairs):
-        with pytest.raises(BadConfigError, match="n_pairs"):
-            dg.domain_shift_cosine(SMALL, n_pairs=n_pairs)
 
 
 class TestFailureTrajectories:

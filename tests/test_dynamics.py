@@ -16,19 +16,27 @@ def design(x, model):
     return np.concatenate([np.ones((x.shape[0], 1)), x, feats], axis=1)
 
 
-def one_shot_weights(states, actions, model, ridge=1e-8):
+def one_shot_weights(states, actions, model):
     """Reference fit: the normal equations of the whole design matrix at
     once, with the random features of `model`."""
     x, y = dyn.chunk_transitions(states, actions)
     phi = design(x, model)
     n = phi.shape[0]
-    gram = phi.T @ phi / n + ridge * np.eye(phi.shape[1])
+    gram = phi.T @ phi / n + dyn.RIDGE * np.eye(phi.shape[1])
     return np.linalg.solve(gram, phi.T @ y / n)
+
+
+def random_fit(patch, n_episodes, seed=0):
+    """train_on_random_episodes on n_episodes episodes."""
+    patch.setattr(dyn, "RANDOM_EPISODES", n_episodes)
+    return dyn.train_on_random_episodes(seed=seed)
 
 
 @pytest.fixture(scope="module")
 def learned_model():
-    return dyn.train_on_random_episodes(600, seed=0, n_features=128)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyn, "N_FEATURES", 128)
+        return random_fit(patch, 600)
 
 
 class TestGroundTruth:
@@ -57,7 +65,7 @@ class TestGroundTruth:
 
 
 class TestTrainDynamics:
-    def test_linear_dynamics_fit_exactly(self):
+    def test_linear_dynamics_fit_exactly(self, monkeypatch):
         # noiseless linear system: the affine part can represent it
         rng = np.random.default_rng(1)
         a_mat = np.eye(sw.STATE_DIM) * 0.95
@@ -77,18 +85,20 @@ class TestTrainDynamics:
             return states, actions
 
         states, actions = (np.stack(part) for part in zip(*(episode(i) for i in range(40))))
-        model = dyn.train_dynamics([(states, actions)], seed=0, ridge=1e-12, n_features=32)
+        monkeypatch.setattr(dyn, "RIDGE", 1e-12)
+        monkeypatch.setattr(dyn, "N_FEATURES", 32)
+        model = dyn.train_dynamics([(states, actions)], seed=0)
         states, actions = episode(1234)
         x, y = dyn.chunk_transitions(states[None], actions[None])
         pred = design(x, model) @ model.weights
         assert np.abs(pred - y).mean() < 1e-6
 
-    def test_duplicate_dataset_gives_same_model(self):
+    def test_duplicate_dataset_gives_same_model(self, monkeypatch):
+        monkeypatch.setattr(dyn, "N_FEATURES", 64)
         states, actions = random_episodes(30, seed=5)
-        once = dyn.train_dynamics([(states, actions)], seed=2, n_features=64)
+        once = dyn.train_dynamics([(states, actions)], seed=2)
         twice = dyn.train_dynamics(
-            [(np.concatenate([states, states]), np.concatenate([actions, actions]))],
-            seed=2, n_features=64,
+            [(np.concatenate([states, states]), np.concatenate([actions, actions]))], seed=2
         )
         np.testing.assert_allclose(once.weights, twice.weights, atol=1e-10)
 
@@ -128,10 +138,11 @@ class TestTrainDynamics:
             with pytest.raises(ShapeMismatchError):
                 dyn.chunk_transitions(s, a)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, monkeypatch):
+        monkeypatch.setattr(dyn, "N_FEATURES", 64)
         states, actions = random_episodes(20, seed=3)
-        a = dyn.train_dynamics([(states, actions)], seed=4, n_features=64)
-        b = dyn.train_dynamics([(states, actions)], seed=4, n_features=64)
+        a = dyn.train_dynamics([(states, actions)], seed=4)
+        b = dyn.train_dynamics([(states, actions)], seed=4)
         assert np.array_equal(a.weights, b.weights)
 
 
@@ -177,17 +188,17 @@ class TestRandomEpisodeFit:
     the fit: the same bits as rolling and fitting every episode at once,
     in memory that does not grow with the episode count."""
 
-    # sha256 of the weights of train_on_random_episodes(n, seed) when every
-    # episode was rolled in one rollout_batch call and fitted as one array
-    # (one BLAS thread, as conftest sets)
+    # sha256 of the weights of the fit on (n, seed)'s random episodes when
+    # every episode was rolled in one rollout_batch call and fitted as one
+    # array (one BLAS thread, as conftest sets)
     DIGESTS = {
         (200, 0): "f958c486c79edf93342603543b2d5a8701cb8518ee56118e4183bfbbc6d704f4",
         (130, 3): "5e9ea171c396bb359903546608e60dd89c9d285a8f3428e060f11b5f5360dd3c",
     }
 
     @pytest.mark.parametrize("n_episodes, seed", sorted(DIGESTS))
-    def test_weights_match_the_all_at_once_fit(self, n_episodes, seed):
-        weights = dyn.train_on_random_episodes(n_episodes, seed=seed).weights
+    def test_weights_match_the_all_at_once_fit(self, n_episodes, seed, monkeypatch):
+        weights = random_fit(monkeypatch, n_episodes, seed).weights
         assert hashlib.sha256(weights.tobytes()).hexdigest() == self.DIGESTS[n_episodes, seed]
 
     def test_blocks_are_rolled_rows_of_one_batch(self):
@@ -196,7 +207,7 @@ class TestRandomEpisodeFit:
         states, actions = random_episodes(dyn.ROLL_BLOCK + 44, seed=2)
         assert np.array_equal(states, sw.rollout_batch(states[:, 0], actions))
 
-    def test_peak_memory_is_flat_in_the_episode_count(self):
+    def test_peak_memory_is_flat_in_the_episode_count(self, monkeypatch):
         """Rolling all 2000 episodes at once and fitting them as one array
         peaked at 16 MiB, above the 6.5 MiB of their states alone; the
         stream holds one block of episodes and one block of design rows."""
@@ -204,7 +215,7 @@ class TestRandomEpisodeFit:
         for n_episodes in (500, 2000):
             tracemalloc.start()
             try:
-                dyn.train_on_random_episodes(n_episodes)
+                random_fit(monkeypatch, n_episodes)
                 peaks[n_episodes] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

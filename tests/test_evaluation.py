@@ -101,18 +101,25 @@ def test_kept_plans_do_not_hold_their_candidates():
     assert peaks[8] - peaks[2] <= 2**20
 
 
-def test_ablation_rows_and_csv():
-    grid = {"modes": ("no_failure", "bce", "fvlc"), "k_values": (1, 2), "sources": ("random", "both")}
-    rows = evaluation.run_ablation(CONFIG, n_seeds=1, planning_trials=1, **grid)
-    assert len(rows) == len(evaluation.ablation_cells(*grid.values())) == 8
+def ablation_grid(monkeypatch, modes, k_values, sources):
+    """Shrink run_ablation's grid to one seed of these axes."""
+    for name, value in (("MODES", modes), ("KS", k_values), ("SOURCES", sources), ("SEEDS", 1)):
+        monkeypatch.setattr(evaluation, f"ABLATION_{name}", value)
+
+
+def test_ablation_rows_and_csv(monkeypatch):
+    grid = (("no_failure", "bce", "fvlc"), (1, 2), ("random", "both"))
+    ablation_grid(monkeypatch, *grid)
+    rows = evaluation.run_ablation(CONFIG)
+    assert len(rows) == len(evaluation.ablation_cells(*grid)) == 8
     assert {row["seed"] for row in rows} == {CONFIG.seed}
     lines = evaluation.ablation_csv(rows).splitlines()
-    assert lines[0] == "seed,mode,k,source,auc_train,auc_heldout,planner_success"
+    assert lines[0] == "seed,mode,k,source,auc_train,auc_heldout"
     assert len(lines) == len(rows) + 1
     for row, line in zip(rows, lines[1:]):
         fields = dict(zip(evaluation.ABLATION_COLUMNS, line.split(",")))
         assert fields["k"] == (str(row["k"]) if row["mode"] == "fvlc" else "-")
-        for col in ("auc_train", "auc_heldout", "planner_success"):
+        for col in ("auc_train", "auc_heldout"):
             assert isinstance(row[col], float) and float(fields[col]) == row[col]
     assert {(r["mode"], r["k"]) for r in rows} == {
         ("no_failure", "-"), ("bce", "-"), ("fvlc", 1), ("fvlc", 2)
@@ -125,16 +132,16 @@ def test_mean_auc_of_no_tasks_is_an_error():
         evaluation.mean_auc({})
 
 
-def test_ablation_leaves_the_cell_of_an_empty_split_empty():
+def test_ablation_leaves_the_cell_of_an_empty_split_empty(monkeypatch):
     config = replace(CONFIG, heldout_tasks=())
+    ablation_grid(monkeypatch, ("no_failure",), evaluation.ABLATION_KS, ("random",))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = evaluation.run_ablation(config, modes=("no_failure",), sources=("random",),
-                                       n_seeds=1)
-    assert [(row["auc_heldout"], row["planner_success"]) for row in rows] == [("", "")]
+        rows = evaluation.run_ablation(config)
+    assert [row["auc_heldout"] for row in rows] == [""]
     assert isinstance(rows[0]["auc_train"], float)
     line = evaluation.ablation_csv(rows).splitlines()[1]
-    assert line == f"{CONFIG.seed},no_failure,-,random,{rows[0]['auc_train']!r},,"
+    assert line == f"{CONFIG.seed},no_failure,-,random,{rows[0]['auc_train']!r},"
 
 
 def test_ablation_rejects_k_above_the_failure_clips_before_training(monkeypatch):
@@ -142,9 +149,9 @@ def test_ablation_rejects_k_above_the_failure_clips_before_training(monkeypatch)
     real_train = evaluation.train
     monkeypatch.setattr(evaluation, "train", lambda *args: trained.append(1) or real_train(*args))
     k_too_many = CONFIG.robot_failure_per_task + 1
+    ablation_grid(monkeypatch, ("fvlc",), (1, k_too_many), ("random",))
     with pytest.raises(TooFewSamplesError, match=f"up to {k_too_many} need {k_too_many}"):
-        evaluation.run_ablation(CONFIG, modes=("fvlc",), k_values=(1, k_too_many),
-                                sources=("random",), n_seeds=1)
+        evaluation.run_ablation(CONFIG)
     assert trained == []
 
 

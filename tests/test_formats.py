@@ -1,11 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rewardlab import datagen as dg, formats, simworld as sw, training
 from rewardlab.config import ExperimentConfig
-from rewardlab.errors import CorruptFileError, VersionMismatchError
+from rewardlab.errors import CorruptFileError, NonFiniteValueError, VersionMismatchError
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,17 @@ class TestDatasetFormat:
         with pytest.raises(CorruptFileError, match=rf"clip record 3 \('clip .*{message}"):
             formats.load_dataset(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_frames_are_refused_before_the_file_is_opened(self, dataset, tmp_path, bad):
+        clips = list(dataset.clips)
+        frames = clips[2].frames.copy()
+        frames[1, 3] = bad
+        clips[2] = replace(clips[2], frames=frames)
+        path = tmp_path / "ds.txt"
+        with pytest.raises(NonFiniteValueError, match="clip record 3: non-finite values"):
+            formats.save_dataset(dg.Dataset(clips), path)
+        assert not path.exists()
+
     def test_version_mismatch(self, dataset, tmp_path):
         path = tmp_path / "ds.txt"
         formats.save_dataset(dataset, path)
@@ -143,6 +155,13 @@ class TestCheckpointFormat:
         path.write_text(f"rewardlab-checkpoint v1 {text}\n")
         with pytest.raises(CorruptFileError, match=message):
             formats.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_arrays_are_refused_before_the_file_is_opened(self, tmp_path, bad):
+        path = tmp_path / "ckpt.txt"
+        with pytest.raises(NonFiniteValueError, match="array b: non-finite values"):
+            formats.save_checkpoint({"a": np.ones(2), "b": np.array([[1.0, bad]])}, path)
+        assert not path.exists()
 
     def test_value_count_mismatch(self, tmp_path):
         path = tmp_path / "ckpt.txt"

@@ -23,10 +23,8 @@ from test_golden import CONFIG
 
 PLAN_CONFIG = replace(CONFIG, mode="fvlc", plan_candidates=32, plan_trials=2, plan_seeds=2)
 TASKS = (sw.TASK_CLOSE_DRAWER, sw.TASK_CUP_AWAY)
-MODELS = {
-    "ground_truth": dyn.ground_truth_model,
-    "learned": lambda: dyn.train_on_random_episodes(n_episodes=40),
-}
+MODELS = {"ground_truth": dyn.ground_truth_model, "learned": dyn.train_on_random_episodes}
+LEARNED_EPISODES = 40  # random episodes of the learned model's fit
 
 # (dynamics, reward_kind) -> rows as (task, seed, successes, refined
 # successes), then per plan in call order: vmpc index, vmpc score, CEM score
@@ -78,6 +76,7 @@ def test_planning_rows_and_plans(params, kind, reward_kind, monkeypatch):
             return result
 
         monkeypatch.setattr(pl, name, capture)
+    monkeypatch.setattr(dyn, "RANDOM_EPISODES", LEARNED_EPISODES)
     out = evaluation.evaluate_planning(
         params, MODELS[kind](), PLAN_CONFIG, tasks=TASKS, reward_kind=reward_kind, refine=True
     )

@@ -1,7 +1,8 @@
 """`render.render_clips`, the one path from state sequences to clips,
 against a per-sequence loop of `render.render_frames`: equal bit for bit
 in both domains, with a shared or a per-sequence camera, in every
-environment variant, and for no sequences at all."""
+environment variant, and for no sequences at all. A camera, clip length or
+sequence length that fits no clip is a `ShapeMismatchError`."""
 
 import numpy as np
 import pytest
@@ -61,3 +62,21 @@ def test_default_is_the_robot_domain_with_no_camera_offset(states):
 def test_shape_mismatch(shape, camera):
     with pytest.raises(ShapeMismatchError):
         render.render_clips(np.zeros(shape), N_FRAMES, camera)
+
+
+@pytest.mark.parametrize("camera", [np.zeros((2, 2)), np.zeros(3), np.zeros((3, 3))],
+                         ids=["camera-count", "camera-width", "camera-columns"])
+def test_render_frames_needs_one_camera_or_one_per_state(states, camera):
+    with pytest.raises(ShapeMismatchError, match="camera must be"):
+        render.render_frames(states[0, :3], camera)
+
+
+@pytest.mark.parametrize("n_frames", [0, -1])
+def test_a_clip_needs_a_frame(states, n_frames):
+    with pytest.raises(ShapeMismatchError, match="n_frames >= 1"):
+        render.render_clips(states, n_frames)
+
+
+def test_a_sequence_needs_a_state():
+    with pytest.raises(ShapeMismatchError, match="T\\+1 >= 1"):
+        render.render_clips(np.zeros((2, 0, sw.STATE_DIM)), N_FRAMES)
