@@ -59,6 +59,7 @@ import numpy as np
 from . import render, simworld as sw
 from .errors import (
     ArchetypeUnsupportedError, BadConfigError, GenerationFailedError, NonFiniteValueError,
+    ShapeMismatchError,
 )
 
 ARCHETYPES = ("wander", "revert", "incomplete")
@@ -169,12 +170,13 @@ def _act(cases, default):
 
     Each case is (mask, vx, vy, grip); values are scalars or (n,) arrays.
     """
-    vx, vy, grip = default
+    vx, vy, grip = out = np.empty((sw.ACTION_DIM, cases[0][0].shape[0]))
+    vx[:], vy[:], grip[:] = default
     for mask, cvx, cvy, cgrip in reversed(cases):
-        vx, vy, grip = np.where(mask, cvx, vx), np.where(mask, cvy, vy), np.where(mask, cgrip, grip)
-    out = np.empty((cases[0][0].shape[0], sw.ACTION_DIM))
-    out[:, 0], out[:, 1], out[:, 2] = vx, vy, grip
-    return out
+        np.copyto(vx, cvx, where=mask)
+        np.copyto(vy, cvy, where=mask)
+        np.copyto(grip, cgrip, where=mask)
+    return out.T
 
 
 def _drawer(states, phase, style, closing):
@@ -300,16 +302,25 @@ def run_policy(s0, blocks):
     before clamping, and a block whose controller is None replays its noise
     (rows, H, 3) as its actions, unclamped (wander clips).
     Returns actions (n, H, 3) and states (n, H + 1, 7).
+    Blocks that do not split the rows, or a noise block of another shape,
+    raise ShapeMismatchError.
     """
     cur = np.asarray(s0, dtype=np.float64)
+    sizes = [size for size, _, _ in blocks]
+    if min(sizes, default=0) < 0 or sum(sizes) != cur.shape[0]:
+        raise ShapeMismatchError(f"block sizes {sizes} do not split {cur.shape[0]} rows")
     actions = np.empty((cur.shape[0], sw.HORIZON, sw.ACTION_DIM))
     states = np.empty((cur.shape[0], sw.HORIZON + 1, sw.STATE_DIM))
     states[:, 0] = cur
     controlled, replayed, start = [], [], 0
-    for size, controller, block_noise in blocks:
+    for i, (size, controller, block_noise) in enumerate(blocks):
+        controls = controller is not None  # a controller's noise may be None
+        want = (size, sw.HORIZON, 2 if controls else sw.ACTION_DIM)
+        if np.shape(block_noise) != want and not (controls and block_noise is None):
+            raise ShapeMismatchError(f"block {i} needs {want} noise, got {np.shape(block_noise)}")
         rows = slice(start, start + size)
         start += size
-        if controller is None:
+        if not controls:
             replayed.append((rows, block_noise))
         else:
             controlled.append((rows, controller, block_noise, Phase.start(cur[rows])))
@@ -581,7 +592,8 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
 def domain_shift_cosine(config) -> float:
     """Mean frame cosine between robot clips and their human counterparts,
     over the DOMAIN_PAIRS pairs of the tasks of an `ExperimentConfig`
-    (config.all_tasks); a NaN or infinite mean raises NonFiniteValueError.
+    (config.all_tasks). A frame norm that is not finite (a huge config.noise
+    overflows it) or a NaN mean raises NonFiniteValueError.
 
     Pair i is one success rollout of its task, seeded [seed, 99, task, i],
     rendered in both domains (the human rendering draws from the clip's
@@ -599,8 +611,13 @@ def domain_shift_cosine(config) -> float:
     for _, idx, states, _, rngs in _rolled_groups([(t, "success") for t in pairs], seeds):
         robot = render.render_clips(states, config.clip_frames)
         human = _human_clips(states, rngs, config)
-        num = np.sum(robot * human, axis=2)
-        sims[idx] = num / (np.linalg.norm(robot, axis=2) * np.linalg.norm(human, axis=2))
+        with np.errstate(over="ignore"):  # an overflowing norm raises below
+            norms = np.linalg.norm(robot, axis=2) * np.linalg.norm(human, axis=2)
+        finite = np.isfinite(norms).all(axis=1)
+        if not finite.all():
+            raise NonFiniteValueError(f"domain shift cosine is nan: pair {idx[finite.argmin()]} "
+                                      f"has a frame norm that is not finite")
+        sims[idx] = np.sum(robot * human, axis=2) / norms
     mean = float(np.mean(sims.ravel()))
     if not np.isfinite(mean):
         raise NonFiniteValueError(f"domain shift cosine is {mean!r}")

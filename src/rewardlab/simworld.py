@@ -16,16 +16,23 @@ predicates take (..., T+1, STATE_DIM) state sequences, so one call judges
 one rollout or a whole batch of them. The camera offset is not part of
 the state: the renderer takes it beside the states.
 
-One open-loop core rolls every batch, time-major inside. What depends
-only on the actions and the start state is computed for the whole
-horizon at once: the clamped velocities, the grip latch, the gripper
-path and the faucet's contact and angle (np.cumsum, which adds in step
-order); step loops move only the drawer and the cup. Each value comes
-from the same float operations in the same order as stepping, so batched
-rollouts are bit-identical to stepping states one at a time. (The cup's
-"moving toward" test negates the gripper - cup offset, which is exact.
-The clamps turn a -0.0 at a 0.0 bound into +0.0 where np.clip keeps the
--0.0; only a start holding -0.0 moved by a -0.0 velocity sums to -0.0.)
+Two entry points share the physics. `rollout_batch` (planning, the
+learned-dynamics fit) runs an open-loop core, time-major inside. What
+depends only on the actions and the start state is computed for the
+whole horizon at once: the clamped velocities, the grip latch, the
+gripper path and the faucet's contact and angle (np.cumsum, which adds
+in step order); step loops move only the drawer and the cup.
+`step_batch` (datagen's closed-loop controllers) runs a one-step body
+without the core's latch keys, cumsum, frozen prefix and first-touch
+tests: over the 1,560 ~39-row calls of a seed-0 datagen round, they are
+about a third of a one-step call through the core. Both call the same
+drawer and cup steps. Each value comes from the same float operations in
+the same order as stepping, so batched rollouts are bit-identical to
+stepping states one at a time. (The cup's "moving toward" test negates
+the gripper - cup offset, which is exact. The clamps turn a -0.0 at a
+0.0 bound into +0.0 where np.clip keeps the -0.0; only a start holding
+-0.0 moved by a -0.0 velocity sums to -0.0. Both entry points clamp
+alike.)
 
 The drawer and the cup are frozen until touched. A step moves the drawer
 only when the gripper is within the contact radius of its handle, and the
@@ -153,22 +160,31 @@ def _roll(s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
     near = drawer_dx2 + (gy - (_DRAWER_Y + ext[:h])) ** 2 <= _CONTACT2
     vy = vel[:, 1]
     for t in range(_first_row_of(near), h):
-        # drawer: handle moves with the extension; +y pulls open, -y pushes shut
-        near_drawer = drawer_dx2[t] + (gy[t] - (_DRAWER_Y + ext[t])) ** 2 <= _CONTACT2
-        clamp(ext[t] + np.where(near_drawer, vy[t], _ZERO), _ZERO, _DRAWER_MAX, out=ext[t + 1])
+        _drawer_step(ext[t], drawer_dx2[t], gy[t], vy[t], ext[t + 1])
 
     d2 = gxy[:h] - cup[:h]
     d2 *= d2
     near = d2[:, 0] + d2[:, 1] <= _CONTACT2
     for t in range(_first_row_of(near), h):
-        # cup: carried whenever gripped in contact, pushed only when moving
-        # toward it: v . (cup - gripper) > 0, i.e. v . (gripper - cup) < 0
-        off = gxy[t] - cup[t]
-        sq = off * off
-        push = vel[t] * off
-        moves = (sq[0] + sq[1] <= _CONTACT2) & (gripped[t + 1] | (push[0] + push[1] < _ZERO))
-        clamp(cup[t] + np.where(moves, vel[t], _ZERO), _ZERO, _ONE, out=cup[t + 1])
+        _cup_step(gxy[t], cup[t], vel[t], gripped[t + 1], cup[t + 1])
     return path
+
+
+def _drawer_step(ext, dx2, gy, vy, out):
+    """Drawer step of (n,) rows: the handle moves with the extension; +y
+    pulls open, -y pushes shut. dx2: the gripper's squared x offset."""
+    near = dx2 + (gy - (_DRAWER_Y + ext)) ** 2 <= _CONTACT2
+    clamp(ext + np.where(near, vy, _ZERO), _ZERO, _DRAWER_MAX, out=out)
+
+
+def _cup_step(gxy, cup, vel, gripped, out):
+    """Cup step of (2, n) rows: carried whenever gripped in contact, pushed
+    only when moving toward it: v . (cup - gripper) > 0, i.e. v . (gripper - cup) < 0."""
+    off = gxy - cup
+    sq = off * off
+    push = vel * off
+    moves = (sq[0] + sq[1] <= _CONTACT2) & (gripped | (push[0] + push[1] < _ZERO))
+    clamp(cup + np.where(moves, vel, _ZERO), _ZERO, _ONE, out=out)
 
 
 def _first_row_of(mask: np.ndarray) -> int:
@@ -180,14 +196,26 @@ def _first_row_of(mask: np.ndarray) -> int:
 
 
 def step_batch(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Advance a batch of states one step. states (N,7), actions (N,3)."""
+    """Advance a batch of states one step. states (N,7), actions (N,3);
+    byte for byte rollout_batch(states, actions[:, None])[:, 1]."""
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
         raise ShapeMismatchError(f"states must be (N,{STATE_DIM}), got {states.shape}")
     if actions.shape != (states.shape[0], ACTION_DIM):
         raise ShapeMismatchError(f"actions must be (N,{ACTION_DIM}), got {actions.shape}")
-    return np.ascontiguousarray(_roll(states, actions[:, None])[1].T)
+    # contiguous (7, n) work arrays: ufuncs over strided columns cost far more
+    s, a = np.ascontiguousarray(states.T), np.ascontiguousarray(actions.T)
+    out = np.empty_like(s)
+    vel = clamp(a[:2], -VEL_LIMIT, VEL_LIMIT)
+    out[GRIP] = np.where(a[2] > 0.5, 1.0, np.where(a[2] < -0.5, 0.0, s[GRIP]))
+    gxy, gx, gy = s[GX:GY + 1], s[GX], s[GY]
+    clamp(np.add(gxy, vel, out=out[GX:GY + 1]), _ZERO, _ONE, out=out[GX:GY + 1])
+    near_faucet = (gx - FAUCET_HANDLE[0]) ** 2 + (gy - FAUCET_HANDLE[1]) ** 2 <= CONTACT_RADIUS**2
+    np.add(s[ANGLE], np.where(near_faucet, np.abs(vel[0]), 0.0), out=out[ANGLE])
+    _drawer_step(s[EXT], (gx - DRAWER_BASE[0]) ** 2, gy, vel[1], out[EXT])
+    _cup_step(gxy, s[CUPX:CUPY + 1], vel, out[GRIP] > 0.5, out[CUPX:CUPY + 1])
+    return np.ascontiguousarray(out.T)
 
 
 def rollout_batch(s0: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:

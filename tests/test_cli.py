@@ -175,6 +175,19 @@ def test_datagen_refuses_overflowing_frames_and_writes_no_file(tmp_path, capsys)
     assert not data.exists()
 
 
+def test_datagen_refuses_an_overflowing_frame_norm_and_writes_no_file(tmp_path, capsys):
+    """At noise = 1e160 the frames stay finite but their norms overflow, so
+    the domain shift cosine cannot be computed: no report, no file."""
+    config, data = tmp_path / "huge.cfg", tmp_path / "data.txt"
+    config.write_text("train_tasks = 4\nheldout_tasks =\nhuman_per_task = 1\n"
+                      "robot_success_per_task = 0\nrobot_failure_per_task = 0\nnoise = 1e160\n")
+    status, out, err = run(capsys, "datagen", "--config", config, "--out", data)
+    assert (status, out) == (1, "")
+    assert err == ("rewardlab datagen: error: domain shift cosine is nan: pair 0 has a frame "
+                   "norm that is not finite\n")
+    assert not data.exists()
+
+
 def test_ablate_and_grad_check_print_their_reports(config_path, capsys, monkeypatch):
     seen = []
     row = {"seed": 0, "mode": "bce", "k": "-", "source": "both",

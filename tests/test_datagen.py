@@ -6,7 +6,7 @@ import pytest
 
 from rewardlab import datagen as dg, evaluation, render, simworld as sw
 from rewardlab.config import ExperimentConfig
-from rewardlab.errors import ArchetypeUnsupportedError, NonFiniteValueError
+from rewardlab.errors import ArchetypeUnsupportedError, NonFiniteValueError, ShapeMismatchError
 
 SMALL = ExperimentConfig(
     train_tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_POKE_CUP),
@@ -109,6 +109,17 @@ class TestGenDataset:
                 NonFiniteValueError, match="domain shift cosine is nan"):
             dg.domain_shift_cosine(replace(SMALL, noise=1e308))
 
+    @pytest.mark.parametrize("config", [
+        replace(SMALL, train_tasks=(sw.TASK_OPEN_DRAWER,), noise=1e160),
+        replace(SMALL, noise=1e200),
+    ], ids=["one-task-1e160", "small-1e200"])
+    def test_an_overflowing_frame_norm_raises(self, config):
+        """The human frames stay finite at this noise, but their norms
+        overflow, so each cosine would read num / inf = 0.0."""
+        with pytest.raises(NonFiniteValueError, match=r"^domain shift cosine is nan: pair 0 has "
+                                                      r"a frame norm that is not finite$"):
+            dg.domain_shift_cosine(config)
+
     @pytest.mark.parametrize("variant", sorted(set(render.VARIANTS) - {"train"}))
     def test_a_variant_moves_only_the_robot_clips_it_renders(self, small_dataset, variant):
         """env_variant reaches the eval set's robot clips; the training set
@@ -128,6 +139,31 @@ class TestGenDataset:
         assert [c.seed for c in moved_eval.clips] == [c.seed for c in base_eval.clips]
         for clip, base in zip(moved_eval.clips, base_eval.clips):
             assert not np.array_equal(clip.frames, base.frames)
+
+
+def _policy_blocks(case):
+    """Three task-4 starts and the `run_policy` blocks of one bad case."""
+    rng = np.random.default_rng(3)
+    s0 = np.stack([sw.initial_state_array(sw.TASK_OPEN_DRAWER, rng) for _ in range(3)])
+    policy = dg.make_policy(sw.TASK_OPEN_DRAWER, "success")
+    return s0, {
+        "too_few_rows": [(2, policy, None)],
+        "too_many_rows": [(2, policy, None), (2, policy, None)],
+        "short_controller_noise": [(3, policy, np.zeros((3, 5, 2)))],
+        "replay_without_grip": [(3, None, np.zeros((3, sw.HORIZON, 2)))],
+    }[case]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("too_few_rows", r"block sizes \[2\] do not split 3 rows"),
+    ("too_many_rows", r"block sizes \[2, 2\] do not split 3 rows"),
+    ("short_controller_noise", r"block 0 needs \(3, 60, 2\) noise, got \(3, 5, 2\)"),
+    ("replay_without_grip", r"block 0 needs \(3, 60, 3\) noise, got \(3, 60, 2\)"),
+], ids=["too_few_rows", "too_many_rows", "short_controller_noise", "replay_without_grip"])
+def test_run_policy_rejects_blocks_that_do_not_fit(case, message):
+    s0, blocks = _policy_blocks(case)
+    with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
+        dg.run_policy(s0, blocks)
 
 
 class TestFailureTrajectories:

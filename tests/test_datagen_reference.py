@@ -14,6 +14,11 @@ One known gap: the reference squares distances with the scalar `**`
 the two differ in the last bit for ~0.1% of inputs. That can only flip a
 distance test that lands within an ulp of its threshold; none of the cases
 here does.
+
+The controllers' action selection, `datagen._act`, fills the default once
+and overwrites each case's rows in reverse priority. Its reference is the
+earlier chain of `np.where` calls, three per case; the two must pick the
+same values bit for bit.
 """
 
 import re
@@ -21,6 +26,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rewardlab import datagen as dg, render, simworld as sw
 from rewardlab.config import ExperimentConfig
@@ -645,3 +653,59 @@ def test_a_group_larger_than_the_cap_is_rolled_alone(monkeypatch):
     ]
     assert np.array_equal(dataset.frames_array(), want.frames_array())
     assert dataset.retries == want.retries
+
+
+# --- one-pass action selection ---
+
+def ref_act(cases, default):
+    """The earlier `datagen._act`: per row, the first case whose mask holds,
+    else the default, as three np.where calls per case."""
+    vx, vy, grip = default
+    for mask, cvx, cvy, cgrip in reversed(cases):
+        vx, vy, grip = np.where(mask, cvx, vx), np.where(mask, cvy, vy), np.where(mask, cgrip, grip)
+    out = np.empty((cases[0][0].shape[0], sw.ACTION_DIM))
+    out[:, 0], out[:, 1], out[:, 2] = vx, vy, grip
+    return out
+
+
+def assert_same_actions(cases, default):
+    got = dg._act(cases, default)
+    assert got.shape == (cases[0][0].shape[0], sw.ACTION_DIM)
+    assert got.tobytes() == ref_act(cases, default).tobytes()
+
+
+ROWS = 6
+SPEEDS = np.linspace(-0.05, 0.05, ROWS)
+
+
+@pytest.mark.parametrize("masks", [
+    ([0, 1, 1, 0, 1, 0], [1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 1, 0]),  # overlapping
+    ([0] * ROWS,) * 3,                                               # no mask holds
+    ([1] * ROWS,) * 3,                                               # every mask holds
+], ids=["overlapping", "none", "all"])
+@pytest.mark.parametrize("values", [
+    [(0.03, 0.02, 1.0), (0.05, -0.0, -1.0), (-0.01, 0.0, 0.0)],
+    [(-SPEEDS, SPEEDS * 0.5, 1.0), (0.05, -0.0, -1.0), (SPEEDS[::-1], 0.0, 0.0)],
+], ids=["scalar", "row-valued"])
+def test_act_picks_what_the_where_chain_picks(masks, values):
+    cases = [(np.array(m, dtype=bool), *v) for m, v in zip(masks, values)]
+    assert_same_actions(cases, (SPEEDS, -SPEEDS, 0.0))
+
+
+@st.composite
+def act_calls(draw):
+    """A call of one to four cases on up to five rows: masks of any rows,
+    none or all, values scalar or one per row."""
+    n = draw(st.integers(0, 5))
+    value = st.floats(-0.08, 0.08) | arrays(np.float64, n, elements=st.floats(-0.08, 0.08))
+    mask = (st.sampled_from([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
+            | arrays(np.bool_, n))
+    cases = [(draw(mask), draw(value), draw(value), draw(value))
+             for _ in range(draw(st.integers(1, 4)))]
+    return cases, (draw(value), draw(value), draw(value))
+
+
+@given(act_calls())
+@settings(max_examples=150, deadline=None)
+def test_drawn_act_calls_match_the_where_chain(call):
+    assert_same_actions(*call)

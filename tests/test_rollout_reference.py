@@ -21,6 +21,13 @@ step, one touching row among rows that never touch, starts holding -0.0 or
 out of range (clamped at step 1, which can bring a touch), one step, and
 blocks whose first touches differ. A property test draws starts and
 actions near the handles.
+
+`step_batch` has its own one-step body, which shares the drawer and cup
+steps with the core. It is checked against the reference on the cases
+above, and a second property requires it to equal the core's one-step
+rollout byte for byte. Both clamp alike, so that property also draws
+-0.0 starts, -0.0 velocities and batches of zero rows, where the np.clip
+reference would differ in the sign of a zero.
 """
 
 import numpy as np
@@ -392,20 +399,24 @@ def _starts(draw, n):
                    | st.floats(0.0, sw.DRAWER_MAX))
         cup = [draw(st.sampled_from([0.0, -0.0, 1.0, 1.1]) | st.floats(-0.05, 1.05))
                for _ in range(2)]
-        anchor = draw(st.sampled_from(["drawer", "cup", "faucet", "free"]))
-        handle = {"drawer": drawer_handle(ext), "cup": cup, "faucet": sw.FAUCET_HANDLE,
-                  "free": (draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))}[anchor]
-        gripper = handle[0] + draw(near), handle[1] + draw(near)
+        anchor = draw(st.sampled_from(["drawer", "cup", "faucet", "free", "edge"]))
+        if anchor == "edge":  # only a -0.0 move keeps a -0.0 gripper at -0.0
+            gripper = -0.0, draw(st.floats(0.0, 1.0))
+        else:
+            handle = {"drawer": drawer_handle(ext), "cup": cup, "faucet": sw.FAUCET_HANDLE,
+                      "free": (draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))}[anchor]
+            gripper = handle[0] + draw(near), handle[1] + draw(near)
         rows.append(row(gripper, (0.0, 0.0), ext=ext, cup=cup,
                         grip=draw(st.sampled_from([0.0, 1.0])))[0])
-    return np.stack(rows)
+    return np.reshape(rows, (n, sw.STATE_DIM))
 
 
 @st.composite
-def starts_and_actions(draw, negative_zero_moves=False):
+def starts_and_actions(draw, negative_zero_moves=False, rows=st.integers(1, 5),
+                       steps=st.integers(1, 10)):
     """Starts near the handles, -0.0 and out of range included, and actions
     with every grip code. Velocities hold no -0.0 unless negative_zero_moves."""
-    n, h = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    n, h = draw(rows), draw(steps)
     s0 = _starts(draw, n)
     actions = np.empty((n, h, sw.ACTION_DIM))
     speed = st.sampled_from([0.0, 0.05, -0.05]) | st.floats(-0.08, 0.08)
@@ -423,6 +434,17 @@ def starts_and_actions(draw, negative_zero_moves=False):
 def test_drawn_rollouts_match_the_reference(case):
     s0, actions = case
     assert_same_bytes(sw.rollout_batch(s0, actions), ref_rollout(s0, actions))
+
+
+@given(starts_and_actions(negative_zero_moves=True, rows=st.integers(0, 5), steps=st.just(1)))
+@settings(max_examples=150, deadline=None)
+def test_drawn_steps_match_the_one_step_rollout(case):
+    """step_batch's one-step body and the open-loop core clamp alike, so
+    they agree byte for byte even on -0.0 starts and -0.0 velocities."""
+    s0, actions = case
+    stepped = sw.step_batch(s0, actions[:, 0])
+    assert stepped.flags.c_contiguous
+    assert_same_bytes(stepped, sw.rollout_batch(s0, actions)[:, 1])
 
 
 @given(starts_and_actions(negative_zero_moves=True))
