@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteValueError, ShapeMismatchError, TooFewSamplesError, ZeroVectorError
+from .errors import (
+    BadClusterIndexError, NonFiniteValueError, ShapeMismatchError, TooFewSamplesError,
+    ZeroVectorError,
+)
 
 MAX_ITERS = 100
 N_RESTARTS = 10
@@ -89,6 +92,8 @@ def spherical_kmeans(features: np.ndarray, k: int, seed: int = 0) -> ClusterStat
     objective.
     """
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ShapeMismatchError(f"features of shape {features.shape}, expected (M, D)")
     m = features.shape[0]
     if m < k:
         raise TooFewSamplesError(f"{m} samples < {k} clusters")
@@ -132,6 +137,8 @@ def max_weight_matching(weights: np.ndarray) -> np.ndarray:
     Column K is a virtual start column from which each row's search begins.
     """
     cost = -np.asarray(weights, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ShapeMismatchError(f"weights of shape {cost.shape}, expected a square matrix")
     k = cost.shape[0]
     u = np.zeros(k)                          # row potentials
     v = np.zeros(k + 1)                      # column potentials
@@ -174,7 +181,12 @@ def align_clusters(prev_centers: np.ndarray, new_centers: np.ndarray) -> np.ndar
 
 
 def relabel_state(state: ClusterState, pi: np.ndarray) -> ClusterState:
-    """Apply an alignment permutation to centers and assignments."""
+    """Apply an alignment permutation of range(K) to centers and assignments;
+    any other pi raises BadClusterIndexError."""
+    pi = np.asarray(pi)
+    k = len(state.centers)
+    if pi.shape != (k,) or set(pi.tolist()) != set(range(k)):
+        raise BadClusterIndexError(f"{pi.tolist()} is not a permutation of range({k})")
     inverse = np.empty_like(pi)
     inverse[pi] = np.arange(len(pi))
     return ClusterState(

@@ -25,7 +25,7 @@ from . import datagen as dg, dynamics as dyn, planner as pl, simworld as sw
 from .config import ExperimentConfig
 from .errors import (
     BadConfigError, EmptyReportError, NonFiniteValueError, OneClassOnlyError,
-    RefinementRegressedError, TooFewSamplesError,
+    RefinementRegressedError, ShapeMismatchError, TooFewSamplesError,
 )
 from .training import ModelParams, train
 
@@ -34,10 +34,14 @@ _STREAM_PLAN = 8
 
 
 def auc_from_scores(success_scores, failure_scores) -> float:
-    """Mann-Whitney AUC with average ranks for ties; a NaN or infinite
-    score raises NonFiniteValueError."""
+    """Mann-Whitney AUC with average ranks for ties; scores other than 1-D
+    raise ShapeMismatchError and a NaN or infinite score NonFiniteValueError."""
     success_scores = np.asarray(success_scores, dtype=np.float64)
     failure_scores = np.asarray(failure_scores, dtype=np.float64)
+    if success_scores.ndim != 1 or failure_scores.ndim != 1:
+        raise ShapeMismatchError(
+            f"scores of shapes {success_scores.shape} and {failure_scores.shape}, expected 1-D"
+        )
     n_s, n_f = success_scores.size, failure_scores.size
     if n_s == 0 or n_f == 0:
         raise OneClassOnlyError("need both success and failure scores")

@@ -38,11 +38,12 @@ arrays indexed by task id: texts (T, D), failure features (T, K, D) and a
 summed back into (T, K, D) with np.add.at. Gradients are hand-derived and
 checked against central differences in the test suite.
 
-Each public loss checks its own inputs. `total_loss` checks every label
-array once, at its boundary, and passes the checked rows to the private
-cores of the video-text and failure-prompt terms (`_video_text`,
-`_failure_prompt`), so one train step does not check the same labels
-two or three times.
+There is one path per term. Each public loss checks its own inputs (the
+shapes it indexes, tau, labels and clusters) and raises a typed error,
+ShapeMismatchError for an array of the wrong shape. `total_loss` is their
+composition: it calls each term its mode uses once, through the public
+function, and checks only what no term knows: the mode, the two strata,
+the rows' task texts and, in fvlc mode, one failure block per task.
 """
 
 import math
@@ -82,12 +83,26 @@ class Batch:
     tau: float
 
     def __post_init__(self):
+        """Converts the arrays; ShapeMismatchError unless they have the
+        shapes above. An empty fail_videos becomes (0, D)."""
         self.videos = np.asarray(self.videos, dtype=np.float64)
-        self.fail_videos = np.asarray(self.fail_videos, dtype=np.float64).reshape(-1, self.videos.shape[1])
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.domains = np.asarray(self.domains, dtype=np.int64)
-        self.fail_labels = np.asarray(self.fail_labels, dtype=np.int64)
-        self.fail_clusters = np.asarray(self.fail_clusters, dtype=np.int64)
+        if self.videos.ndim != 2:
+            raise ShapeMismatchError(f"videos of shape {self.videos.shape}, expected (B, D)")
+        b, d = self.videos.shape
+        self.fail_videos = np.asarray(self.fail_videos, dtype=np.float64)
+        if self.fail_videos.size == 0:
+            self.fail_videos = self.fail_videos.reshape(0, d)
+        if self.fail_videos.shape[1:] != (d,):
+            raise ShapeMismatchError(
+                f"fail_videos of shape {self.fail_videos.shape}, expected (Bf, {d})"
+            )
+        n_f = self.fail_videos.shape[0]
+        rows = {"labels": b, "domains": b, "fail_labels": n_f, "fail_clusters": n_f}
+        for name, n in rows.items():
+            array = np.asarray(getattr(self, name), dtype=np.int64)
+            if array.shape != (n,):
+                raise ShapeMismatchError(f"{name} of shape {array.shape}, expected ({n},)")
+            setattr(self, name, array)
         _check_tau(self.tau)
 
     @property
@@ -127,12 +142,6 @@ def _pool_mask(pooled, n_tasks):
     return pooled
 
 
-def _check_clusters(fail_clusters, k) -> None:
-    bad = (fail_clusters < 0) | (fail_clusters >= k)
-    if bad.any():
-        raise BadClusterIndexError(f"k*={fail_clusters[np.argmax(bad)]} outside [0, {k})")
-
-
 def _sum_rows(shape, labels, contrib) -> np.ndarray:
     """Per-row gradients (n, ...) summed into a task-indexed (T, ...) array,
     row by row in order. np.add.at takes one flat index per entry: that
@@ -159,12 +168,15 @@ def _info_nce(logits, target, keep):
 
 
 def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
-    """Supervised contrastive loss over the pooled success batch.
+    """Supervised contrastive loss over the pooled success batch: videos
+    (B, D), labels (B,).
 
     Returns (value, d_videos).
     """
     videos = np.asarray(videos, dtype=np.float64)
     labels = np.asarray(labels)
+    if videos.ndim != 2 or labels.shape != videos.shape[:1]:
+        raise ShapeMismatchError(f"videos {videos.shape}, labels {labels.shape}: need (B, D), (B,)")
     _check_tau(tau)
     logits = (videos @ videos.T) / tau
     pos = labels[:, None] == labels[None, :]
@@ -185,36 +197,32 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, poole
     """Bidirectional clip<->text InfoNCE; failure features join the
     video->text denominators when given.
 
-    texts are the frozen (B, D) task texts of the rows. failure_texts is
-    (T, K, D), indexed by task id; pooled is the (T,) mask of tasks that
-    have a prompt pool (all of them when None; another length raises
-    ShapeMismatchError).
+    videos and texts, the frozen task texts of the rows, are (B, D) and
+    labels (B,). failure_texts is (T, K, D), indexed by task id; pooled is
+    the (T,) mask of tasks that have a prompt pool (all of them when None).
     Returns (value, grads) with grads keys "videos" and (when
     failure_texts is given) "fail_texts" (T, K, D).
     """
     videos = np.asarray(videos, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if videos.shape != texts.shape:
-        raise ShapeMismatchError("one text embedding per video is required")
+    if videos.ndim != 2 or texts.shape != videos.shape or labels.shape != videos.shape[:1]:
+        raise ShapeMismatchError(
+            f"videos {videos.shape}, texts {texts.shape} and labels {labels.shape},"
+            " expected (B, D), (B, D) and (B,)"
+        )
     _check_tau(tau)
-    if failure_texts is None:
-        return _video_text(videos, texts, tau)
-    failure_texts = np.asarray(failure_texts, dtype=np.float64)
-    blocks = _rows(failure_texts, labels, MissingFailureTextsError)
-    has_pool = _pool_mask(pooled, len(failure_texts))[labels]
-    return _video_text(videos, texts, tau, (failure_texts, labels, blocks, has_pool))
-
-
-def _video_text(videos, texts, tau, failures=None):
-    """video_text_loss on checked inputs; failures is None or (failure_texts,
-    labels, blocks, has_pool): the (T, K, D) features, the rows' task ids,
-    each row's (K, D) block and the mask of rows with a prompt pool."""
     b = videos.shape[0]
     logits = (videos @ texts.T) / tau            # [i, j] = v_i . t_j / tau
     v2t, keep = logits, None
-    if failures is not None:
-        failure_texts, labels, blocks, has_pool = failures
+    if failure_texts is not None:
+        failure_texts = np.asarray(failure_texts, dtype=np.float64)
+        if failure_texts.shape[2:] != videos.shape[1:]:
+            raise ShapeMismatchError(
+                f"failure features {failure_texts.shape}, need (T, K, {videos.shape[1]})"
+            )
+        blocks = _rows(failure_texts, labels, MissingFailureTextsError)
+        has_pool = _pool_mask(pooled, len(failure_texts))[labels]
         fail_logits = np.einsum("bd,bkd->bk", videos, blocks) / tau
         v2t = np.concatenate([logits, fail_logits], axis=1)
         keep = np.ones(v2t.shape, dtype=bool)
@@ -226,7 +234,7 @@ def _video_text(videos, texts, tau, failures=None):
     # both targets taken off in one 2I (per direction rounds differently)
     d_sims = (p[:, :b] + q.T - 2.0 * eye) / tau
     grads = {"videos": d_sims @ texts}
-    if failures is not None:
+    if failure_texts is not None:
         d_fail = p[:, b:] / tau
         grads["videos"] += np.einsum("bk,bkd->bd", d_fail, blocks)
         grads["fail_texts"] = _sum_rows(
@@ -241,15 +249,18 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 def bce_loss(videos, texts, outcomes):
     """-sum_i [r log p + (1-r) log(1-p)] with p = sigmoid(v . t) against
-    the frozen texts.
+    the frozen texts; videos and texts are (B, D), outcomes (B,).
 
     Returns (value, d_videos).
     """
     videos = np.asarray(videos, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
     outcomes = np.asarray(outcomes, dtype=np.float64)
-    if videos.shape != texts.shape or outcomes.shape[0] != videos.shape[0]:
-        raise ShapeMismatchError("videos, texts, outcomes must align")
+    if videos.ndim != 2 or texts.shape != videos.shape or outcomes.shape != videos.shape[:1]:
+        raise ShapeMismatchError(
+            f"videos {videos.shape}, texts {texts.shape} and outcomes {outcomes.shape},"
+            " expected (B, D), (B, D) and (B,)"
+        )
     x = (videos * texts).sum(axis=1)
     # -log sigmoid(x) = softplus(-x); -log(1 - sigmoid(x)) = softplus(x)
     value = float(_softplus(np.where(outcomes > 0.5, -x, x)).sum())
@@ -261,11 +272,12 @@ def failure_prompt_loss(
 ):
     """Contrast each failure clip against [success text; K failure features].
 
-    task_texts is the frozen (T, D) text table and failure_texts (T, K, D),
-    both indexed by task id; pooled is the (T,) mask of tasks that have a
-    prompt pool (all of them when None; another length raises
-    ShapeMismatchError), and every failure row's task must have one. The
-    positive is the failure feature at the clip's assigned cluster k*.
+    fail_videos is (Bf, D), fail_labels and fail_clusters (Bf,). task_texts
+    is the frozen (T, D) text table and failure_texts (T, K, D), both
+    indexed by task id; pooled is the (T,) mask of tasks that have a
+    prompt pool (all of them when None), and every failure row's task must
+    have one. The positive is the failure feature at the clip's assigned
+    cluster k*.
     Returns (value, grads) with keys "fail_videos" and "fail_texts" (T, K, D).
     """
     fail_videos = np.asarray(fail_videos, dtype=np.float64)
@@ -273,18 +285,28 @@ def failure_prompt_loss(
     fail_clusters = np.asarray(fail_clusters, dtype=np.int64)
     task_texts = np.asarray(task_texts, dtype=np.float64)
     failure_texts = np.asarray(failure_texts, dtype=np.float64)
+    width = fail_videos.shape[1:]
+    if (fail_videos.ndim != 2 or fail_labels.shape != fail_videos.shape[:1]
+            or fail_clusters.shape != fail_labels.shape
+            or task_texts.shape[1:] != width or failure_texts.shape[2:] != width):
+        raise ShapeMismatchError(
+            f"fail_videos {fail_videos.shape}, fail_labels {fail_labels.shape}, fail_clusters"
+            f" {fail_clusters.shape}, task_texts {task_texts.shape}, failure_texts"
+            f" {failure_texts.shape}, expected (Bf, D), (Bf,), (Bf,), (T, D) and (T, K, D)"
+        )
     _check_tau(tau)
-    blocks = _rows(failure_texts, fail_labels, MissingFailureTextsError)
-    texts = _rows(task_texts, fail_labels, UnknownTaskError)
+    # one range check for both tables; a label outside either raises the
+    # error of the first table it misses, failure features before texts
+    if ((fail_labels < 0) | (fail_labels >= min(len(failure_texts), len(task_texts)))).any():
+        _rows(failure_texts, fail_labels, MissingFailureTextsError)
+        _rows(task_texts, fail_labels, UnknownTaskError)
+    blocks, texts = failure_texts[fail_labels], task_texts[fail_labels]
     if not _pool_mask(pooled, len(task_texts))[fail_labels].all():
         raise MissingFailureTextsError("a failure row's task has no prompt pool")
-    _check_clusters(fail_clusters, failure_texts.shape[1])
-    return _failure_prompt(fail_videos, fail_labels, fail_clusters, texts, failure_texts, blocks, tau)
-
-
-def _failure_prompt(fail_videos, fail_labels, fail_clusters, texts, failure_texts, blocks, tau):
-    """failure_prompt_loss on checked inputs: texts and blocks are the
-    failure rows' (Bf, D) task texts and (Bf, K, D) failure features."""
+    k = failure_texts.shape[1]
+    bad = (fail_clusters < 0) | (fail_clusters >= k)
+    if bad.any():
+        raise BadClusterIndexError(f"k*={fail_clusters[np.argmax(bad)]} outside [0, {k})")
     n = fail_videos.shape[0]
     fail_logits = np.einsum("bd,bkd->bk", fail_videos, blocks)
     z = np.concatenate([(fail_videos * texts).sum(axis=1, keepdims=True), fail_logits], axis=1) / tau
@@ -300,11 +322,6 @@ def _failure_prompt(fail_videos, fail_labels, fail_clusters, texts, failure_text
     }
 
 
-def _accumulate(target: dict, grads: dict) -> None:
-    for key, val in grads.items():
-        target[key] = target[key] + val if key in target else val
-
-
 def total_loss(
     batch: Batch,
     task_texts,
@@ -313,7 +330,8 @@ def total_loss(
     mode: str = "fvlc",
     exclude_anchor: bool = False,
 ):
-    """Combined objective for one batch under the given training mode.
+    """Combined objective for one batch under the given training mode: the
+    sum, with unit weights, of the public terms below, each called once.
 
     no_failure: cross-domain + video-text.
     bce:        adds binary cross-entropy over robot successes + failures.
@@ -322,53 +340,39 @@ def total_loss(
 
     task_texts is (T, D) and failure_texts (T, K, D), indexed by task id;
     each row's text is task_texts[label]. pooled is the (T,) mask of tasks
-    that have a prompt pool. The terms are summed with unit weights.
-    A label outside [0, T) raises UnknownTaskError, a pooled mask of
-    another length ShapeMismatchError, and in fvlc mode failure_texts
-    must hold one (K, D) block per task.
+    that have a prompt pool. A label outside [0, T) raises
+    UnknownTaskError, and in fvlc mode failure_texts must hold one (K, D)
+    block per task; each term checks the rest of its inputs.
     Returns (value, grads, components).
     """
     if mode not in MODES:
         raise BadConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if batch.n_human < 1 or batch.n_robot < 1:
         raise EmptyPositiveSetError("need at least one human and one robot success sample")
-
-    # each label array is checked once, here; the terms below take the
-    # checked rows (the public losses would check them again)
+    # the rows' task texts; a failure label outside [0, T) raises
+    # UnknownTaskError here too in fvlc mode, where the failure-prompt term
+    # would name the failure features
     task_texts = np.asarray(task_texts, dtype=np.float64)
-    n_tasks = len(task_texts)
-    pool = _pool_mask(pooled, n_tasks)
     texts = _rows(task_texts, batch.labels, UnknownTaskError)
-    if texts.shape != batch.videos.shape:
-        raise ShapeMismatchError("task texts and clip embeddings must have the same width")
     if mode != "no_failure":
         fail_texts = _rows(task_texts, batch.fail_labels, UnknownTaskError)
-    failures = None
-    if mode == "fvlc":
-        if failure_texts is None:
-            raise MissingFailureTextsError("fvlc mode needs the (T, K, D) failure features")
-        failure_texts = np.asarray(failure_texts, dtype=np.float64)
-        if len(failure_texts) != n_tasks:
-            raise ShapeMismatchError(
-                f"failure features for {len(failure_texts)} tasks, task texts for {n_tasks}"
-            )
-        if not pool[batch.fail_labels].all():
-            raise MissingFailureTextsError("a failure row's task has no prompt pool")
-        _check_clusters(batch.fail_clusters, failure_texts.shape[1])
-        failures = (failure_texts, batch.labels, failure_texts[batch.labels], pool[batch.labels])
-    grads: dict = {}
-    components: dict = {}
+    if mode != "fvlc":
+        failure_texts = None
+    elif failure_texts is None:
+        raise MissingFailureTextsError("fvlc mode needs the (T, K, D) failure features")
+    elif len(failure_texts) != len(task_texts):
+        raise ShapeMismatchError(
+            f"failure features for {len(failure_texts)} tasks, task texts for {len(task_texts)}"
+        )
 
     cdc_val, cdc_grad = cross_domain_loss(
         batch.videos, batch.labels, batch.tau, exclude_anchor=exclude_anchor
     )
-    components["cross_domain"] = cdc_val
-    _accumulate(grads, {"videos": cdc_grad})
-
-    vlc_val, vlc_grads = _video_text(batch.videos, texts, batch.tau, failures)
-    components["video_text"] = vlc_val
-    _accumulate(grads, vlc_grads)
-
+    vlc_val, grads = video_text_loss(
+        batch.videos, texts, batch.labels, batch.tau, failure_texts, pooled
+    )
+    grads["videos"] = cdc_grad + grads["videos"]
+    components = {"cross_domain": cdc_val, "video_text": vlc_val}
     extra_val = 0.0
     if mode == "bce":
         robot = batch.domains == ROBOT
@@ -379,19 +383,16 @@ def total_loss(
         extra_val, d_bce = bce_loss(videos, bce_texts, outcomes)
         d_videos = np.zeros_like(batch.videos)
         d_videos[robot] = d_bce[:n_r]
-        _accumulate(grads, {"videos": d_videos, "fail_videos": d_bce[n_r:]})
+        grads["videos"] = grads["videos"] + d_videos
+        grads["fail_videos"] = d_bce[n_r:]
         components["bce"] = extra_val
     elif mode == "fvlc":
-        extra_val, fp_grads = _failure_prompt(
-            batch.fail_videos,
-            batch.fail_labels,
-            batch.fail_clusters,
-            fail_texts,
-            failure_texts,
-            failure_texts[batch.fail_labels],
-            batch.tau,
+        extra_val, fp_grads = failure_prompt_loss(
+            batch.fail_videos, batch.fail_labels, batch.fail_clusters,
+            task_texts, failure_texts, batch.tau, pooled,
         )
-        _accumulate(grads, fp_grads)
+        grads["fail_texts"] = grads["fail_texts"] + fp_grads["fail_texts"]
+        grads["fail_videos"] = fp_grads["fail_videos"]
         components["failure_prompt"] = extra_val
 
     value = cdc_val + vlc_val + extra_val

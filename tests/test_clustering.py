@@ -6,7 +6,9 @@ import pytest
 
 import helpers
 from rewardlab import clustering as cl
-from rewardlab.errors import NonFiniteValueError, ShapeMismatchError, TooFewSamplesError
+from rewardlab.errors import (
+    BadClusterIndexError, NonFiniteValueError, ShapeMismatchError, TooFewSamplesError,
+)
 
 
 def brute_force_optimum(features, k):
@@ -108,6 +110,10 @@ class TestSphericalKmeans:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
             cl.spherical_kmeans(np.eye(2), k=3, seed=0)
+
+    def test_features_must_be_a_matrix(self):
+        with pytest.raises(ShapeMismatchError):
+            cl.spherical_kmeans(np.ones(4), k=2, seed=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features(self, bad):
@@ -222,6 +228,11 @@ class TestMaxWeightMatching:
             assert tuple(cols) in argbest
             assert weights[np.arange(k), cols].sum() == pytest.approx(best, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_weights_must_be_square(self, shape):
+        with pytest.raises(ShapeMismatchError):
+            cl.max_weight_matching(np.zeros(shape))
+
     def test_planted_permutation_at_k20_has_no_improving_swap(self):
         k = 20   # the default robot_failure_per_task
         rng = np.random.default_rng(7)
@@ -256,6 +267,13 @@ class TestRelabel:
             assert np.array_equal(
                 moved.centers[moved.assignments[i]], state.centers[state.assignments[i]]
             )
+
+    @pytest.mark.parametrize("pi", [[0, 0, 1], [0, 1], [0, 1, 3], [[2, 0, 1]]])
+    def test_pi_must_be_a_permutation_of_the_clusters(self, pi):
+        # [0, 0, 1] used to leave one inverse entry uninitialised
+        state = cl.spherical_kmeans(np.eye(3), k=3, seed=0)
+        with pytest.raises(BadClusterIndexError):
+            cl.relabel_state(state, np.array(pi))
 
     def test_label_churn(self):
         assert cl.label_churn(np.array([0, 1, 2]), np.array([0, 2, 2])) == pytest.approx(1 / 3)

@@ -16,7 +16,7 @@ from rewardlab import (
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import (
     BadConfigError, EmptyReportError, NonFiniteValueError, OneClassOnlyError,
-    RefinementRegressedError, TooFewSamplesError,
+    RefinementRegressedError, ShapeMismatchError, TooFewSamplesError,
 )
 
 CONFIG = ExperimentConfig(
@@ -179,6 +179,16 @@ def test_auc_edge_cases():
     assert evaluation.auc_from_scores([0.5, 0.5], [0.5]) == 0.5
     with pytest.raises(OneClassOnlyError):
         evaluation.auc_from_scores([], [0.1])
+
+
+@pytest.mark.parametrize("success, failure", [
+    (np.ones((2, 2)), np.zeros((1, 2))),   # read as 4 and 2 scores, AUC 1.375
+    ([1.0, 2.0], np.zeros((1, 2))),
+    (1.0, [0.0]),
+])
+def test_auc_needs_1d_scores(success, failure):
+    with pytest.raises(ShapeMismatchError):
+        evaluation.auc_from_scores(success, failure)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

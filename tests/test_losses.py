@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -319,6 +320,66 @@ class TestPooledMaskLength:
                                        task_texts, failure_texts, batch.tau, pooled)
 
 
+class TestShapes:
+    """Batch and each public loss raise ShapeMismatchError for an array of
+    another shape than they index; such arrays used to be reshaped or
+    broadcast silently, or to fail with numpy's own errors."""
+
+    @staticmethod
+    def case(**changes):
+        """A two-task batch of 2 human and 2 robot rows, 2 failure rows and
+        D = 8, with the texts and failure features for it."""
+        batch, task_texts, failure_texts = helpers.build_random_batch(11, n_human=2, n_robot=2)
+        fields = dataclasses.asdict(batch)
+        fields.update(changes)
+        return fields, task_texts, failure_texts
+
+    @pytest.mark.parametrize("changes", [
+        {"fail_videos": np.zeros((4, 4))},
+        {"fail_videos": np.zeros((2, 5))},
+        {"videos": np.zeros(8)},
+        {"labels": [0, 1, 0, 1, 0]},
+        {"domains": [0, 1, 1]},
+        {"fail_labels": [0, 1, 0]},
+        {"fail_clusters": [0]},
+    ], ids=["fail_videos_4x4", "fail_videos_2x5", "1d_videos", "5_labels", "3_domains",
+            "3_fail_labels", "1_cluster"])
+    def test_batch(self, changes):
+        fields, _, _ = self.case(**changes)
+        with pytest.raises(ShapeMismatchError):
+            losses.Batch(**fields)
+
+    def test_an_empty_batch_of_failures_gets_the_clip_width(self):
+        fields, _, _ = self.case(fail_videos=np.zeros(0), fail_labels=[], fail_clusters=[])
+        assert losses.Batch(**fields).fail_videos.shape == (0, 8)
+
+    # each case takes (batch, task_texts, failure_texts)
+    TERMS = {
+        "cross_domain_1d_videos": lambda b, tt, ft: losses.cross_domain_loss(
+            b.videos[0], b.labels, b.tau),
+        "cross_domain_3_labels": lambda b, tt, ft: losses.cross_domain_loss(
+            b.videos, b.labels[:3], b.tau),
+        "video_text_2_labels": lambda b, tt, ft: losses.video_text_loss(
+            b.videos, tt[b.labels], b.labels[:2], b.tau, ft),
+        "video_text_failure_width_5": lambda b, tt, ft: losses.video_text_loss(
+            b.videos, tt[b.labels], b.labels, b.tau, ft[:, :, :5]),
+        "bce_4x2_outcomes": lambda b, tt, ft: losses.bce_loss(
+            b.videos, tt[b.labels], np.zeros((4, 2))),
+        "failure_prompt_1_cluster": lambda b, tt, ft: losses.failure_prompt_loss(
+            b.fail_videos, b.fail_labels, b.fail_clusters[:1], tt, ft, b.tau),
+        "failure_prompt_videos_width_5": lambda b, tt, ft: losses.failure_prompt_loss(
+            b.fail_videos[:, :5], b.fail_labels, b.fail_clusters, tt, ft, b.tau),
+        "failure_prompt_texts_width_5": lambda b, tt, ft: losses.failure_prompt_loss(
+            b.fail_videos, b.fail_labels, b.fail_clusters, tt[:, :5], ft, b.tau),
+    }
+
+    @pytest.mark.parametrize("term", TERMS)
+    def test_public_loss(self, term):
+        fields, task_texts, failure_texts = self.case()
+        with pytest.raises(ShapeMismatchError):
+            self.TERMS[term](losses.Batch(**fields), task_texts, failure_texts)
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.5])
 def test_nonpositive_temperature_rejected(tau):
     v = np.eye(2)
@@ -387,6 +448,28 @@ class TestTotalLoss:
             assert grads["fail_videos"].shape == batch.fail_videos.shape
         if "fail_texts" in keys:
             assert grads["fail_texts"].shape == failure_texts.shape
+
+    @pytest.mark.parametrize("mode, terms", [
+        ("no_failure", ["cross_domain_loss", "video_text_loss"]),
+        ("bce", ["bce_loss", "cross_domain_loss", "video_text_loss"]),
+        ("fvlc", ["cross_domain_loss", "failure_prompt_loss", "video_text_loss"]),
+    ])
+    def test_calls_each_term_of_its_mode_once(self, monkeypatch, mode, terms):
+        # one path per term: total_loss composes the public losses and
+        # keeps no private copy of a term
+        calls = []
+
+        def counted(name, term):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return term(*args, **kwargs)
+            return wrapper
+
+        for name in ("cross_domain_loss", "video_text_loss", "bce_loss", "failure_prompt_loss"):
+            monkeypatch.setattr(losses, name, counted(name, getattr(losses, name)))
+        batch, task_texts, failure_texts = helpers.build_random_batch(4)
+        losses.total_loss(batch, task_texts, failure_texts, mode=mode)
+        assert sorted(calls) == terms
 
     def test_unknown_mode(self):
         batch, task_texts, failure_texts = helpers.build_random_batch(6)

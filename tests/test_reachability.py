@@ -46,8 +46,6 @@ def test_every_public_definition_is_reached():
 # passes, each kept for the reason given
 UNPASSED_ALLOWED = {
     ("main", "argv"): "the command-line entry point, which tests drive with an argument list",
-    ("video_text_loss", "pooled"): "an input array, which the per-term reference tests pass",
-    ("failure_prompt_loss", "pooled"): "an input array, which the per-term reference tests pass",
     ("evaluate_planning", "reward_kind"): "oracle-reward planning rates (ROADMAP items 4 and 6)",
 }
 
