@@ -38,12 +38,15 @@ arrays indexed by task id: texts (T, D), failure features (T, K, D) and a
 summed back into (T, K, D) with np.add.at. Gradients are hand-derived and
 checked against central differences in the test suite.
 
-There is one path per term. Each public loss checks its own inputs (the
-shapes it indexes, tau, labels and clusters) and raises a typed error,
-ShapeMismatchError for an array of the wrong shape. `total_loss` is their
-composition: it calls each term its mode uses once, through the public
-function, and checks only what no term knows: the mode, the two strata,
-the rows' task texts and, in fvlc mode, one failure block per task.
+There is one path per term and one rule per bad input, whatever the entry
+point: ShapeMismatchError for an array of the wrong shape (a failure table
+of another task count than the text table included), UnknownTaskError for
+a task label outside [0, T), and MissingFailureTextsError only for fvlc
+mode without failure features and for a failure row whose task has no
+prompt pool. Each public loss checks its own inputs; `total_loss` calls
+each term its mode uses once, through the public function, and checks only
+what no term knows: the mode, the two strata, the rows' task texts and, in
+fvlc mode, one failure block per task.
 """
 
 import math
@@ -123,11 +126,12 @@ def _check_tau(tau: float) -> None:
         raise NonPositiveTemperatureError(f"tau must be > 0, got {tau}")
 
 
-def _rows(per_task, labels, error):
+def _rows(per_task, labels):
     """per_task[labels] for a task-indexed array and int labels; a label
-    outside [0, T) raises `error`."""
+    outside [0, T) raises UnknownTaskError."""
     if ((labels < 0) | (labels >= len(per_task))).any():
-        raise error(f"task labels {sorted(set(labels.tolist()))} outside [0, {len(per_task)})")
+        raise UnknownTaskError(
+            f"task labels {sorted(set(labels.tolist()))} outside [0, {len(per_task)})")
     return per_task[labels]
 
 
@@ -198,8 +202,9 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, poole
     video->text denominators when given.
 
     videos and texts, the frozen task texts of the rows, are (B, D) and
-    labels (B,). failure_texts is (T, K, D), indexed by task id; pooled is
-    the (T,) mask of tasks that have a prompt pool (all of them when None).
+    labels (B,). failure_texts is (T, K, D), indexed by task id, and a label
+    outside [0, T) raises UnknownTaskError; pooled is the (T,) mask of tasks
+    that have a prompt pool (all of them when None).
     Returns (value, grads) with grads keys "videos" and (when
     failure_texts is given) "fail_texts" (T, K, D).
     """
@@ -221,7 +226,7 @@ def video_text_loss(videos, texts, labels, tau: float, failure_texts=None, poole
             raise ShapeMismatchError(
                 f"failure features {failure_texts.shape}, need (T, K, {videos.shape[1]})"
             )
-        blocks = _rows(failure_texts, labels, MissingFailureTextsError)
+        blocks = _rows(failure_texts, labels)
         has_pool = _pool_mask(pooled, len(failure_texts))[labels]
         fail_logits = np.einsum("bd,bkd->bk", videos, blocks) / tau
         v2t = np.concatenate([logits, fail_logits], axis=1)
@@ -273,11 +278,12 @@ def failure_prompt_loss(
     """Contrast each failure clip against [success text; K failure features].
 
     fail_videos is (Bf, D), fail_labels and fail_clusters (Bf,). task_texts
-    is the frozen (T, D) text table and failure_texts (T, K, D), both
-    indexed by task id; pooled is the (T,) mask of tasks that have a
-    prompt pool (all of them when None), and every failure row's task must
-    have one. The positive is the failure feature at the clip's assigned
-    cluster k*.
+    is the frozen (T, D) text table and failure_texts (T, K, D), one block
+    per task (else ShapeMismatchError), both indexed by task id; a label
+    outside [0, T) raises UnknownTaskError. pooled is the (T,) mask of tasks
+    that have a prompt pool (all of them when None); a failure row whose
+    task has none raises MissingFailureTextsError. The positive is the
+    failure feature at the clip's assigned cluster k*.
     Returns (value, grads) with keys "fail_videos" and "fail_texts" (T, K, D).
     """
     fail_videos = np.asarray(fail_videos, dtype=np.float64)
@@ -288,19 +294,15 @@ def failure_prompt_loss(
     width = fail_videos.shape[1:]
     if (fail_videos.ndim != 2 or fail_labels.shape != fail_videos.shape[:1]
             or fail_clusters.shape != fail_labels.shape
-            or task_texts.shape[1:] != width or failure_texts.shape[2:] != width):
+            or task_texts.shape[1:] != width or failure_texts.shape[2:] != width
+            or len(failure_texts) != len(task_texts)):
         raise ShapeMismatchError(
             f"fail_videos {fail_videos.shape}, fail_labels {fail_labels.shape}, fail_clusters"
             f" {fail_clusters.shape}, task_texts {task_texts.shape}, failure_texts"
             f" {failure_texts.shape}, expected (Bf, D), (Bf,), (Bf,), (T, D) and (T, K, D)"
         )
     _check_tau(tau)
-    # one range check for both tables; a label outside either raises the
-    # error of the first table it misses, failure features before texts
-    if ((fail_labels < 0) | (fail_labels >= min(len(failure_texts), len(task_texts)))).any():
-        _rows(failure_texts, fail_labels, MissingFailureTextsError)
-        _rows(task_texts, fail_labels, UnknownTaskError)
-    blocks, texts = failure_texts[fail_labels], task_texts[fail_labels]
+    texts, blocks = _rows(task_texts, fail_labels), failure_texts[fail_labels]
     if not _pool_mask(pooled, len(task_texts))[fail_labels].all():
         raise MissingFailureTextsError("a failure row's task has no prompt pool")
     k = failure_texts.shape[1]
@@ -341,21 +343,17 @@ def total_loss(
     task_texts is (T, D) and failure_texts (T, K, D), indexed by task id;
     each row's text is task_texts[label]. pooled is the (T,) mask of tasks
     that have a prompt pool. A label outside [0, T) raises
-    UnknownTaskError, and in fvlc mode failure_texts must hold one (K, D)
-    block per task; each term checks the rest of its inputs.
+    UnknownTaskError. In fvlc mode failure_texts must be given (else
+    MissingFailureTextsError) and hold one (K, D) block per task (else
+    ShapeMismatchError); each term checks the rest of its inputs.
     Returns (value, grads, components).
     """
     if mode not in MODES:
         raise BadConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if batch.n_human < 1 or batch.n_robot < 1:
         raise EmptyPositiveSetError("need at least one human and one robot success sample")
-    # the rows' task texts; a failure label outside [0, T) raises
-    # UnknownTaskError here too in fvlc mode, where the failure-prompt term
-    # would name the failure features
     task_texts = np.asarray(task_texts, dtype=np.float64)
-    texts = _rows(task_texts, batch.labels, UnknownTaskError)
-    if mode != "no_failure":
-        fail_texts = _rows(task_texts, batch.fail_labels, UnknownTaskError)
+    texts = _rows(task_texts, batch.labels)
     if mode != "fvlc":
         failure_texts = None
     elif failure_texts is None:
@@ -378,7 +376,7 @@ def total_loss(
         robot = batch.domains == ROBOT
         n_r = int(robot.sum())
         videos = np.concatenate([batch.videos[robot], batch.fail_videos])
-        bce_texts = np.concatenate([texts[robot], fail_texts])
+        bce_texts = np.concatenate([texts[robot], _rows(task_texts, batch.fail_labels)])
         outcomes = np.concatenate([np.ones(n_r), np.zeros(batch.n_fail)])
         extra_val, d_bce = bce_loss(videos, bce_texts, outcomes)
         d_videos = np.zeros_like(batch.videos)

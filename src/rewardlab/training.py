@@ -328,6 +328,15 @@ def params_to_arrays(params: ModelParams) -> dict:
     return out
 
 
+# the axes of each checkpoint array, one letter per axis; the axes of one
+# letter must have one length across the arrays. Each prompt is (P, D), P
+# the prompt length, and each task text (D,).
+_AXES = {
+    "video.frame_proj": "FH", "video.frame_bias": "H", "video.temporal_logits": "LH",
+    "video.out_proj": "HD", "video.out_bias": "D", "pool.proj": "DD", "pool.bias": "D",
+}
+
+
 def _array(arrays: dict, key: str) -> np.ndarray:
     if key not in arrays:
         raise CorruptFileError(f"checkpoint has no {key!r} array")
@@ -337,7 +346,8 @@ def _array(arrays: dict, key: str) -> np.ndarray:
 def params_from_arrays(arrays: dict) -> ModelParams:
     """Inverse of params_to_arrays. The prompt keys must fill a full
     task x K grid, the task texts must be tasks 0..T-1 and vectors of one
-    width, and every array must be finite."""
+    width, the arrays' shapes must agree as `_AXES` lays them out, and
+    every array must be finite."""
     bad = [key for key, arr in arrays.items() if not np.isfinite(arr).all()]
     if bad:
         raise CorruptFileError(f"checkpoint arrays {bad} hold non-finite values")
@@ -354,6 +364,25 @@ def params_from_arrays(arrays: dict) -> ModelParams:
                 texts[int(parts[1])] = arr
         except (ValueError, IndexError) as exc:
             raise CorruptFileError(f"malformed checkpoint key {key!r}") from exc
+    if sorted(texts) != list(range(len(texts))):
+        raise CorruptFileError(f"task text ids {sorted(texts)} are not 0..T-1")
+    shapes = sorted({np.shape(text) for text in texts.values()})
+    if len(shapes) != 1 or len(shapes[0]) != 1:
+        raise CorruptFileError(f"task texts must be vectors of one width, got shapes {shapes}")
+    dims = {}  # axis -> (its length, the first array that has it)
+    for key, arr in arrays.items():
+        axes = ("PD" if key.startswith("pool.prompt.") else "D" if key.startswith("task.")
+                else _AXES.get(key))
+        if axes is None:  # a key no parameter reads
+            continue
+        shape = np.shape(arr)
+        misfit = f"checkpoint array {key!r} of shape {shape} does not fit ({', '.join(axes)})"
+        if len(shape) != len(axes):
+            raise CorruptFileError(misfit)
+        for a, n in zip(axes, shape):
+            m, first = dims.setdefault(a, (n, key))
+            if m != n:
+                raise CorruptFileError(f"{misfit}: {a} = {m} in {first!r}")
     pool = None
     if prompts:
         tasks = sorted({task for task, _ in prompts})
@@ -368,11 +397,6 @@ def params_from_arrays(arrays: dict) -> ModelParams:
             proj=_array(arrays, "pool.proj"),
             bias=_array(arrays, "pool.bias"),
         )
-    if sorted(texts) != list(range(len(texts))):
-        raise CorruptFileError(f"task text ids {sorted(texts)} are not 0..T-1")
-    shapes = sorted({np.shape(text) for text in texts.values()})
-    if len(shapes) != 1 or len(shapes[0]) != 1:
-        raise CorruptFileError(f"task texts must be vectors of one width, got shapes {shapes}")
     stacked = np.array([texts[task] for task in range(len(texts))], dtype=np.float64)
     stacked.setflags(write=False)
     return ModelParams(video=video, pool=pool, texts=stacked)

@@ -209,3 +209,14 @@ def test_ablate_rejects_the_default_k_axis_before_training(config_path, capsys, 
     status, out, err = run(capsys, "ablate", "--config", config_path)
     assert status == 1 and out == "" and "robot_failure_per_task is 4" in err
     assert trained == []
+
+
+def test_eval_refuses_a_checkpoint_whose_shapes_disagree(tmp_path, config_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    arrays = training.params_to_arrays(training.init_params(load_config(config_path), []))
+    arrays["video.frame_bias"] = np.zeros(5)
+    formats.save_checkpoint(arrays, ckpt)
+    status, out, err = run(capsys, "eval", "--config", config_path, "--checkpoint", ckpt)
+    assert status == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("rewardlab eval: error: checkpoint array ")
+    assert "does not fit" in err and "'video.frame_bias'" in err

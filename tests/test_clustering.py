@@ -8,6 +8,7 @@ import helpers
 from rewardlab import clustering as cl
 from rewardlab.errors import (
     BadClusterIndexError, NonFiniteValueError, ShapeMismatchError, TooFewSamplesError,
+    ZeroVectorError,
 )
 
 
@@ -107,9 +108,43 @@ class TestSphericalKmeans:
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.assignments, b.assignments)
 
+    def test_duplicates_leave_clusters_empty_and_reseed_them(self, monkeypatch):
+        # [a, a, a, b] at k = 4: k-means++ runs out of distinct points and
+        # draws uniformly, two clusters stay empty, and each is reseeded
+        # with a worst-fit point
+        a, b = np.eye(2)
+        feats = np.stack([a, a, a, b])
+        update, calls = cl._update_centers, []
+
+        def spy(features, assignments, centers):
+            calls.append((assignments.copy(), update(features, assignments, centers)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cl, "_update_centers", spy)
+        state = cl.spherical_kmeans(feats, k=4, seed=0)
+        assignments, centers = calls[0]
+        assert assignments.tolist() == [1, 1, 1, 0]
+        assert np.array_equal(centers, np.stack([b, a, a, a]))
+        assert state.assignments.tolist() == [1, 1, 1, 0] and state.objective == -1.0
+
+    def test_empty_clusters_take_distinct_worst_fit_points(self):
+        # one cluster holds all four points; its center is at 33.3 degrees,
+        # so the 90-degree point fits worst and the 0-degree point next
+        feats = unit_circle([0.0, 20.0, 30.0, 90.0])
+        centers = cl._update_centers(feats, np.zeros(4, dtype=np.int64), np.tile(feats[1], (3, 1)))
+        assert np.array_equal(centers[1:], feats[[3, 0]])
+
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
             cl.spherical_kmeans(np.eye(2), k=3, seed=0)
+
+    def test_no_clusters(self):
+        with pytest.raises(TooFewSamplesError, match="k >= 1"):
+            cl.spherical_kmeans(np.eye(2), k=0, seed=0)
+
+    def test_a_zero_feature(self):
+        with pytest.raises(ZeroVectorError):
+            cl.spherical_kmeans(np.array([[1.0, 0.0], [0.0, 0.0]]), k=1, seed=0)
 
     def test_features_must_be_a_matrix(self):
         with pytest.raises(ShapeMismatchError):

@@ -85,6 +85,16 @@ def test_a_value_the_run_cannot_honour_is_rejected_by_name(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("text, message", [
+    ("mode = supcon", "unknown mode 'supcon'"),
+    ("env_variant = upside-down", "unknown env_variant 'upside-down'"),
+    ("plan_horizon = 6", "plan_horizon must be divisible by"),
+])
+def test_a_value_outside_its_choices_is_rejected_by_name(text, message):
+    with pytest.raises(BadConfigError, match=message):
+        parse_config_text(text)
+
+
 def test_a_task_both_trained_on_and_held_out_is_rejected_by_name():
     # the ablation would score the trained task 4 as unseen
     with pytest.raises(BadConfigError, match="share task 4"):

@@ -93,8 +93,9 @@ class TestVideoText:
         assert abs(val - helpers.oracle_video_text(v, v, [0, 1], 1.0, fail)) < 1e-10
 
     def test_missing_failure_texts(self):
+        # a row label past the failure table is an unknown task
         v = np.eye(2)
-        with pytest.raises(MissingFailureTextsError):
+        with pytest.raises(UnknownTaskError):
             losses.video_text_loss(v, v, np.array([0, 5]), 1.0, failure_texts=np.zeros((1, 2, 2)))
 
     def test_shape_mismatch(self):
@@ -209,9 +210,10 @@ class TestFailurePrompt:
             losses.failure_prompt_loss(
                 v, [1], [0], np.eye(4)[:2], np.zeros((2, 2, 4)), 1.0, pooled=[True, False]
             )
-        with pytest.raises(MissingFailureTextsError):
+        # failure and text tables of different task counts
+        with pytest.raises(ShapeMismatchError):
             losses.failure_prompt_loss(v, [2], [0], np.eye(4)[:3], np.zeros((2, 2, 4)), 1.0)
-        with pytest.raises(UnknownTaskError):
+        with pytest.raises(ShapeMismatchError):
             losses.failure_prompt_loss(v, [1], [0], np.eye(4)[:1], np.zeros((2, 2, 4)), 1.0)
 
     def test_push_pull_direction(self):
@@ -246,27 +248,84 @@ class TestFailurePrompt:
         assert finite_diff_grad_check(f, theta, analytic) < 1e-4
 
 
+def _relabel(field, label):
+    """An edit of a loss case that sets the first entry of a label array."""
+    def edit(batch, task_texts, failure_texts, pooled):
+        getattr(batch, field)[0] = label
+        return batch, task_texts, failure_texts, pooled
+    return edit
+
+
+# the entry points that take each kind of bad input
+FAILURE_ROWS = ("failure_prompt", "total_bce", "total_fvlc")
+SUCCESS_ROWS = ("video_text", "total_no_failure", "total_bce", "total_fvlc")
+FAILURE_TABLE = ("failure_prompt", "total_fvlc")
+
+
 class TestOutOfRangeLabels:
-    """Each public loss checks the labels it indexes with, and raises its
-    typed error for a label outside [0, T); total_loss checks each label
-    array once and raises UnknownTaskError. A negative label would
-    otherwise index from the end silently."""
+    """One rule per bad input, whichever entry point takes it: a task label
+    outside [0, T) raises UnknownTaskError (a negative one would otherwise
+    index from the end silently), a failure table whose task count differs
+    from the text table's ShapeMismatchError, and MissingFailureTextsError
+    is only for a failure row whose task has no prompt pool and for fvlc
+    mode without failure features."""
+
+    # entry point -> call on (batch, task_texts, failure_texts, pooled); the
+    # video-text term takes per-row texts, so its rows get any valid text
+    ENTRIES = {
+        "failure_prompt": lambda b, tt, ft, pooled: losses.failure_prompt_loss(
+            b.fail_videos, b.fail_labels, b.fail_clusters, tt, ft, b.tau, pooled),
+        "video_text": lambda b, tt, ft, pooled: losses.video_text_loss(
+            b.videos, tt[b.labels % len(tt)], b.labels, b.tau, ft, pooled),
+        **{f"total_{mode}": lambda b, tt, ft, pooled, mode=mode: losses.total_loss(
+            b, tt, ft, pooled, mode) for mode in losses.MODES},
+    }
+
+    # bad input of the two-task case, whose failure rows are of tasks 0 and
+    # 1 -> (edit of (batch, task_texts, failure_texts, pooled), error class,
+    # entry points that take it)
+    RULES = {
+        "failure_label_-1": (_relabel("fail_labels", -1), UnknownTaskError, FAILURE_ROWS),
+        "failure_label_T": (_relabel("fail_labels", 2), UnknownTaskError, FAILURE_ROWS),
+        "success_label_-1": (_relabel("labels", -1), UnknownTaskError, SUCCESS_ROWS),
+        "success_label_T": (_relabel("labels", 2), UnknownTaskError, SUCCESS_ROWS),
+        "short_failure_table": (lambda b, tt, ft, pooled: (b, tt, ft[:1], pooled),
+                                ShapeMismatchError, FAILURE_TABLE),
+        "long_failure_table": (lambda b, tt, ft, pooled: (b, tt, np.concatenate([ft, ft]), pooled),
+                               ShapeMismatchError, FAILURE_TABLE),
+        "failure_row_without_pool": (lambda b, tt, ft, pooled: (b, tt, ft, [True, False]),
+                                     MissingFailureTextsError, FAILURE_TABLE),
+        "fvlc_without_features": (lambda b, tt, ft, pooled: (b, tt, None, pooled),
+                                  MissingFailureTextsError, ("total_fvlc",)),
+    }
+
+    @pytest.mark.parametrize("bad, entry", [
+        (bad, entry) for bad, (_, _, entries) in RULES.items() for entry in entries
+    ])
+    def test_one_error_class_per_bad_input(self, bad, entry):
+        edit, error, _ = self.RULES[bad]
+        batch, task_texts, failure_texts = helpers.build_random_batch(11)
+        assert batch.fail_labels.tolist() == [0, 1]
+        with pytest.raises(error):
+            self.ENTRIES[entry](*edit(batch, task_texts, failure_texts, None))
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_video_text_loss(self, bad):
         v = np.eye(2)
-        with pytest.raises(MissingFailureTextsError):
+        with pytest.raises(UnknownTaskError):
             losses.video_text_loss(v, v, np.array([0, bad]), 1.0, failure_texts=np.zeros((2, 2, 2)))
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_failure_prompt_loss(self, bad):
         v = np.eye(1, 4)
-        with pytest.raises(MissingFailureTextsError):
-            losses.failure_prompt_loss(v, [bad], [0], np.eye(4)[:3], np.zeros((2, 2, 4)), 1.0)
+        with pytest.raises(UnknownTaskError):
+            losses.failure_prompt_loss(v, [bad], [0], np.eye(4)[:2], np.zeros((2, 2, 4)), 1.0)
 
     def test_failure_prompt_loss_label_past_the_task_texts(self):
+        # beside a failure table of another task count the tables disagree
+        # first, whatever the label
         v = np.eye(1, 4)
-        with pytest.raises(UnknownTaskError):
+        with pytest.raises(ShapeMismatchError):
             losses.failure_prompt_loss(v, [2], [0], np.eye(4)[:2], np.zeros((3, 2, 4)), 1.0)
 
     @pytest.mark.parametrize("mode", losses.MODES)
@@ -470,6 +529,13 @@ class TestTotalLoss:
         batch, task_texts, failure_texts = helpers.build_random_batch(4)
         losses.total_loss(batch, task_texts, failure_texts, mode=mode)
         assert sorted(calls) == terms
+
+    @pytest.mark.parametrize("strata", [{"n_human": 0}, {"n_robot": 0}], ids=["no_human", "no_robot"])
+    @pytest.mark.parametrize("mode", losses.MODES)
+    def test_a_batch_without_one_stratum(self, strata, mode):
+        batch, task_texts, failure_texts = helpers.build_random_batch(3, **strata)
+        with pytest.raises(EmptyPositiveSetError, match="one human and one robot"):
+            losses.total_loss(batch, task_texts, failure_texts, mode=mode)
 
     def test_unknown_mode(self):
         batch, task_texts, failure_texts = helpers.build_random_batch(6)

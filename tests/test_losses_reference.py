@@ -11,7 +11,7 @@ InfoNCE core became one pass: the value from `embeddings.logsumexp`, the
 softmax from `embeddings.softmax`, per-task gradient blocks summed by
 `np.add.at` on the task axis. The one-pass core does the same float
 operations in the same order, so the public losses, and `total_loss`
-with its private cores, must equal the copies bit for bit, masked rows
+composed of them, must equal the copies bit for bit, masked rows
 included.
 """
 
@@ -340,8 +340,8 @@ def two_pass_total(batch, task_texts, failure_texts, pooled, mode):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("mode", losses.MODES)
 def test_total_loss_equals_two_pass_copies(seed, mode):
-    # total_loss checks its labels once and calls private cores, so its
-    # terms are compared with the two-pass copies directly
+    # total_loss calls the public terms, so its sum and gradients are
+    # compared with the same composition of the two-pass copies
     batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k=seed % 2 == 1)
     value, grads, components = losses.total_loss(batch, task_texts, failure_texts, pooled, mode)
     want_value, want_grads, want_components = two_pass_total(

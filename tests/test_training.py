@@ -56,6 +56,17 @@ class TestBatchStrata:
         result = training.train(config, dataset)
         assert np.isfinite(result.metrics[-1]["loss_total"])
 
+    @pytest.mark.parametrize("field, stratum", [
+        ("batch_human", "human"), ("batch_robot", "robot"), ("batch_failure", "fail"),
+    ])
+    def test_a_batch_larger_than_its_stratum(self, dataset, field, stratum):
+        data = training._IndexedData(dataset)
+        size = len(getattr(data, stratum))
+        config = replace(CONFIG, mode="bce", **{field: size + 1})
+        message = rf"need .*\b{size + 1} .*have .*\b{size}\b"
+        with pytest.raises(InsufficientStratumError, match=message):
+            training.train(config, dataset)
+
     def test_k_clusters_above_a_task_failure_count(self, dataset):
         config = replace(CONFIG, mode="fvlc", k_clusters=CONFIG.robot_failure_per_task + 1)
         with pytest.raises(TooFewSamplesError, match="task 4 has 5 failure clips"):
@@ -413,3 +424,24 @@ class TestCheckpoint:
     def test_empty_mapping(self):
         with pytest.raises(CorruptFileError, match="video.frame_proj"):
             training.params_from_arrays({})
+
+    @pytest.mark.parametrize("keys, shape", [
+        (["video.frame_bias"], (5,)),
+        (["video.out_proj"], (32, 7)),
+        ([f"task.{t}.text" for t in range(len(sw.TASK_NAMES))], (5,)),
+        (["pool.proj"], (32, 5)),
+        (["pool.proj"], (32,)),
+        (["pool.bias"], (5,)),
+        (["pool.prompt.4.1"], (CONFIG.prompt_len, 5)),
+    ], ids=["frame_bias_5", "out_proj_32x7", "texts_width_5", "pool_proj_32x5", "pool_proj_1d",
+            "pool_bias_5", "prompt_width_5"])
+    def test_arrays_whose_shapes_disagree(self, fvlc_params, keys, shape):
+        arrays = training.params_to_arrays(fvlc_params)
+        arrays.update({key: np.ones(shape) for key in keys})
+        with pytest.raises(CorruptFileError, match="does not fit"):
+            training.params_from_arrays(arrays)
+
+    def test_an_array_no_parameter_reads_is_ignored(self, fvlc_params):
+        arrays = training.params_to_arrays(fvlc_params)
+        loaded = training.params_from_arrays({**arrays, "notes.scale": np.ones((2, 3))})
+        assert training.params_to_arrays(loaded).keys() == arrays.keys()
