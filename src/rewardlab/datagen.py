@@ -25,21 +25,20 @@ it when called, so one patched module value reaches them all. A human
 clip's camera offset and feature noise come from the same Generator after
 its successful attempt.
 
-Clips are rolled in lockstep: the scripted controllers act on (n, 7) state
-arrays with per-clip phase arrays, and `roll_groups` advances the clips of
-several (task, style) groups together through `simworld.step_batch`.
-Attempt 0 is rolled alone, one row per clip. After it, every remaining
+Clips are rolled in lockstep: `roll_groups` advances the clips of several
+(task, style) groups together, one `simworld.step_batch` call per step.
+Attempt 0 is rolled alone, one row per clip; after it, every remaining
 attempt of one noise band (`BANDS`: attempts 1-7, 8-15, 16-23, then the
-zero-noise band 24-31) is rolled in one batch, one row per (pending clip,
-attempt): each clip makes its draws for every attempt of the band in the
-order above, and its Generator state is saved after each attempt. Every
-group of the batch steps in the same loop, one `step_batch` call per step:
-each group's controller acts on its own rows with its own phase arrays and
-adds its own noise, and wander rows replay their drawn actions. One
-predicate call per group checks its rows. A clip keeps its first passing
-row, counts the attempts up to it, and gets its Generator back in the
-state saved after that attempt, so its later draws follow exactly as if it
-had stopped there. The dynamics and controllers are elementwise, so a
+zero-noise band 24-31) is one batch, one row per (pending clip, attempt).
+Each clip makes its draws for every attempt of the band in the order
+above, saving its Generator state after each. A scripted controller is a
+kind (drawer, faucet, poke, cup carry) plus a row of constants, so a step
+makes one controller call per kind, over the rows of all its groups, with
+per-row phase arrays, constants and noise; wander rows replay their drawn
+actions. One predicate call per group checks its rows. A clip keeps its
+first passing row, counts the attempts up to it, and gets its Generator
+back as saved after that attempt, so its later draws follow exactly as if
+it had stopped there. The dynamics and controllers are elementwise, so a
 clip's rollout does not depend on which other rows share the batch:
 `gen_success_trajectory` and `gen_failure_trajectory` are `roll_groups` of
 one group of one clip.
@@ -52,14 +51,13 @@ loaded clips alike.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import render, simworld as sw
 from .errors import (
     ArchetypeUnsupportedError, BadConfigError, GenerationFailedError, NonFiniteValueError,
-    ShapeMismatchError,
+    ShapeMismatchError, UnknownTaskError,
 )
 
 ARCHETYPES = ("wander", "revert", "incomplete")
@@ -142,27 +140,23 @@ class Phase:
                    s0[:, (sw.CUPX, sw.CUPY)].copy())
 
 
-_SLACK = 0.035    # gripper-to-target distance that counts as at the target
-_RETREAT = 0.09   # a retreating gripper moves until it is this far away
+# squared gripper distances (at the target, retreated, touching the cup to carry it) and
+# other constants as 0-d arrays: a Python float operand costs numpy a conversion per call
+_SLACK2, _RETREAT2, _GRASP2 = (np.array(r**2) for r in (0.035, 0.09, sw.CONTACT_RADIUS - 0.005))
+_VEL_BOX = np.array(-sw.VEL_LIMIT), np.array(sw.VEL_LIMIT)
+_FAUCET, _DRAWER, _UP = (np.array(xy)[:, None] for xy in (sw.FAUCET_HANDLE, sw.DRAWER_BASE, (0.0, 1.0)))
 
 
-def _clamp(v):
+def _clamp(v, out=None):
     """v limited to the velocity box."""
-    return sw.clamp(v, -sw.VEL_LIMIT, sw.VEL_LIMIT)
+    return sw.clamp(v, *_VEL_BOX, out=out)
 
 
-def _approach(states, tx, ty):
-    return _clamp(tx - states[:, sw.GX]), _clamp(ty - states[:, sw.GY])
-
-
-def _dist2(states, tx, ty):
-    """Squared gripper distance to a target point."""
-    return (states[:, sw.GX] - tx) ** 2 + (states[:, sw.GY] - ty) ** 2
-
-
-def _away(states, cup_x):
-    """Retreat velocity along x, away from the side the cup is on."""
-    return np.where(cup_x >= states[:, sw.GX], -0.05, 0.05)
+def _toward(states, target):
+    """(2, n) offsets from the grippers to target, (2, n) or (2, 1), and their squared lengths."""
+    d = target - states[:, sw.GX:sw.GY + 1].T
+    dd = d * d
+    return d, dd[0] + dd[1]
 
 
 def _act(cases, default):
@@ -179,131 +173,131 @@ def _act(cases, default):
     return out.T
 
 
-def _drawer(states, phase, style, closing):
+def _drawer(states, phase, p):
     ext = states[:, sw.EXT]
-    hx, hy = sw.DRAWER_BASE[0], sw.DRAWER_BASE[1] + ext
-    d2 = _dist2(states, hx, hy)
-    do_sign = -1.0 if closing else 1.0
-    if style == "success":
-        phase.mark |= (ext <= 0.02) if closing else (ext >= 0.045)
-        push = do_sign * 0.05
-    elif style == "revert":
-        phase.n[(phase.n == 0) & ((ext <= 0.015) if closing else (ext >= 0.045))] = 1
-        phase.mark |= (phase.n == 1) & ((ext >= 0.06) if closing else (ext <= 0.005))
-        push = np.where(phase.n == 0, do_sign, -do_sign) * 0.05
-    else:  # incomplete: a fractional nudge, so a single step cannot cross the threshold
-        phase.mark |= (ext <= 0.058) if closing else (ext >= 0.012)
-        push = _clamp((0.056 if closing else 0.014) - ext)
+    d, d2 = _toward(states, _DRAWER + ext * _UP)  # the handle moves with ext
+    along = p["sign"] * ext  # negation is exact: closing's ext <= thr is along >= -thr
+    reached = along >= p["reach"]
+    # a revert turns back once reached, and is marked once back past `back`
+    np.copyto(phase.n, 1, where=p["revert"] & reached)
+    phase.mark |= np.where(p["revert"], (phase.n == 1) & (along <= p["back"]), reached)
+    # incomplete: a fractional nudge, so a single step cannot cross the threshold
+    push = np.where(p["nudge"], _clamp(p["target"] - ext), np.where(phase.n == 0, p["fwd"], p["rev"]))
     # once marked: retreat off the handle, then idle
     return _act([
-        (phase.mark & (d2 <= _RETREAT**2), 0.05, 0.0, 0.0),
+        (phase.mark & (d2 <= _RETREAT2), 0.05, 0.0, 0.0),
         (phase.mark, 0.0, 0.0, 0.0),
-        (d2 <= _SLACK**2, 0.0, push, 0.0),
-    ], (*_approach(states, hx, hy), 0.0))
+        (d2 <= _SLACK2, 0.0, push, 0.0),
+    ], (*_clamp(d, out=d), 0.0))
 
 
-def _faucet(states, phase, style):
-    hx, hy = sw.FAUCET_HANDLE
-    d2 = _dist2(states, hx, hy)
-    touching = d2 <= _SLACK**2
-    # incomplete: touch, then back straight off without tangential motion
-    phase.mark |= (states[:, sw.ANGLE] >= 0.08) if style == "success" else touching
+def _faucet(states, phase, p):
+    # a success is marked once the faucet turned; else touch, then back straight off
+    d, d2 = _toward(states, _FAUCET)
+    touching = d2 <= _SLACK2
+    phase.mark |= np.where(p["turns"], states[:, sw.ANGLE] >= 0.08, touching)
     return _act([
-        (phase.mark & (d2 <= _RETREAT**2), 0.0, -0.05, 0.0),
+        (phase.mark & (d2 <= _RETREAT2), 0.0, -0.05, 0.0),
         (phase.mark, 0.0, 0.0, 0.0),
         (touching, 0.05, 0.0, 0.0),
-    ], (*_approach(states, hx, hy), 0.0))
+    ], (*_clamp(d, out=d), 0.0))
 
 
-def _poke(states, phase, style):
-    cx, cy = states[:, sw.CUPX], states[:, sw.CUPY]
-    vx, vy = _approach(states, cx, cy)
-    d2 = _dist2(states, cx, cy)
-    if style == "success":
-        phase.mark |= d2 <= (sw.CONTACT_RADIUS - 0.0005) ** 2
-        shove = np.zeros_like(phase.mark)
-    else:  # revert: gentle touch first, then shove the cup hard for three steps
-        phase.mark |= d2 <= (sw.CONTACT_RADIUS - 0.008) ** 2
-        shove = phase.mark & (phase.n < 3)
-        phase.n += shove
+def _poke(states, phase, p):
+    cup = states[:, sw.CUPX:sw.CUPY + 1].T
+    d, d2 = _toward(states, cup)
+    vx, vy = _clamp(d, out=d)
+    phase.mark |= d2 <= p["reach"]
+    shove = phase.mark & (phase.n < p["shoves"])
+    phase.n += shove
     return _act([
         (shove, np.where(vx >= 0, 0.05, -0.05), vy, 0.0),
-        (phase.mark & (d2 <= _RETREAT**2), _away(states, cx), 0.0, 0.0),
+        # retreat along x, away from the side the cup is on
+        (phase.mark & (d2 <= _RETREAT2), np.where(vx >= 0, -0.05, 0.05), 0.0, 0.0),
         (phase.mark, 0.0, 0.0, 0.0),
     ], (vx, vy, 0.0))
 
 
-def _cup_carry(states, phase, axis, direction, goal, revert_goal=None, grab=True,
-               speed=0.05, release_grip=-1.0):
+def _cup_carry(states, phase, p):
     """Carry or push the cup along one axis by a target displacement.
 
     Legs: phase.n 0 moves the cup until it is `goal` along, 1 (revert only)
-    moves it back to `revert_goal`, 2 releases and retreats.
+    moves it back to `back`, 2 releases and retreats.
     """
-    cx, cy = states[:, sw.CUPX], states[:, sw.CUPY]
-    delta = (states[:, sw.CUPX + axis] - phase.cup0[:, axis]) * direction
-    d2 = _dist2(states, cx, cy)
-    touching = d2 <= (sw.CONTACT_RADIUS - 0.005) ** 2
-    # pushing needs the gripper on the trailing side of the cup
-    stand = [cx, cy]
-    if not grab:
-        stand[axis] = stand[axis] - direction * 0.03
-    hold = 1.0 if grab else 0.0
-    phase.n[(phase.n == 0) & (delta >= goal)] = 1 if revert_goal is not None else 2
-    if revert_goal is not None:
-        phase.n[(phase.n == 1) & (delta <= revert_goal)] = 2
-    push, pull = [0.0, 0.0], [0.0, 0.0]
-    push[axis], pull[axis] = direction * speed, -direction * 0.05
+    cup = states[:, sw.CUPX:sw.CUPY + 1].T
+    delta = (cup - phase.cup0.T)[p["axis"], np.arange(cup.shape[1])] * p["direction"]
+    d, d2 = _toward(states, cup)
+    np.copyto(phase.n, p["leg"], where=(phase.n == 0) & (delta >= p["goal"]))
+    np.copyto(phase.n, 2, where=(phase.n == 1) & (delta <= p["back"]))
+    stand = (cup - p["off"]) - states[:, sw.GX:sw.GY + 1].T  # a pushed cup's stand-off
+    carry = phase.n == 0
     return _act([
-        ((phase.n == 0) & ~touching, *_approach(states, *stand), hold),
-        (phase.n == 0, *push, hold),
-        (phase.n == 1, *pull, 1.0),
-        (d2 <= _RETREAT**2, _away(states, cx), 0.0, release_grip),
+        (carry & (d2 > _GRASP2), *_clamp(stand, out=stand), p["hold"]),
+        (carry, *p["push"], p["hold"]),
+        (phase.n == 1, *p["pull"], 1.0),
+        (d2 <= _RETREAT2, np.where(d[0] >= 0, -0.05, 0.05), 0.0, p["release"]),  # away from the cup
     ], (0.0, 0.0, 0.0))
 
 
 def make_policy(task_id: int, style: str):
-    """Closed-loop lockstep controller: policy(states (n, 7), phase) -> (n, 3)
-    actions (vx, vy, grip). It updates the per-clip `Phase` arrays in place.
-
-    style is "success" or a failure archetype other than "wander".
-    """
+    """A (task, style) group's scripted controller as (kind, params): kind is
+    `_drawer`, `_faucet`, `_poke` or `_cup_carry`, and params, the group's row
+    of the kind's parameter table, maps each constant's name to its value.
+    kind(states (n, 7), phase, table) -> (n, 3) actions (vx, vy, grip) acts on
+    the rows of any groups of the kind, table holding each constant per row,
+    and updates their `Phase` in place. A style with no controller ("wander",
+    an unknown one, or one in UNSUPPORTED) raises ArchetypeUnsupportedError."""
+    if task_id not in sw.TASK_NAMES:
+        raise UnknownTaskError(f"no task with id {task_id}")
+    if style not in ("success", "revert", "incomplete") or (task_id, style) in UNSUPPORTED:
+        raise ArchetypeUnsupportedError(f"no scripted {style!r} controller for task {task_id}")
+    revert = style == "revert"
     if task_id in (sw.TASK_CLOSE_DRAWER, sw.TASK_OPEN_DRAWER):
-        return partial(_drawer, style=style, closing=task_id == sw.TASK_CLOSE_DRAWER)
+        closing = task_id == sw.TASK_CLOSE_DRAWER
+        sign = -1.0 if closing else 1.0
+        # (opening, closing) extensions at which a row is marked, or a revert turns back
+        reach = {"success": (0.045, 0.02), "revert": (0.045, 0.015), "incomplete": (0.012, 0.058)}
+        return _drawer, dict(
+            sign=sign, reach=sign * reach[style][closing], back=sign * (0.005, 0.06)[closing],
+            revert=revert, nudge=style == "incomplete", fwd=sign * 0.05, rev=-sign * 0.05,
+            target=(0.014, 0.056)[closing])
     if task_id == sw.TASK_FAUCET:
-        return partial(_faucet, style=style)
+        return _faucet, dict(turns=style == "success")
     if task_id == sw.TASK_POKE_CUP:
-        return partial(_poke, style=style)
-    revert_goal = None
-    if task_id == sw.TASK_CUP_AWAY:
-        if style == "revert":
-            revert_goal = 0.01
-        goal = {"success": 0.18, "revert": 0.14, "incomplete": 0.03}[style]
-        return partial(_cup_carry, axis=1, direction=1.0, goal=goal, revert_goal=revert_goal)
-    direction = 1.0 if task_id == sw.TASK_CUP_LEFT_TO_RIGHT else -1.0
-    if style == "incomplete":
-        # one gentle nudge well under the threshold
-        return partial(_cup_carry, axis=0, direction=direction, goal=0.015, grab=False,
-                       speed=0.02, release_grip=0.0)
-    if style == "revert":
-        revert_goal = 0.0
-    return partial(_cup_carry, axis=0, direction=direction,
-                   goal={"success": 0.08, "revert": 0.07}[style],
-                   revert_goal=revert_goal, grab=style == "revert")
+        # a revert touches gently first, then shoves the cup hard for three steps
+        return _poke, dict(reach=(sw.CONTACT_RADIUS - (0.008 if revert else 0.0005)) ** 2,
+                           shoves=3 * revert)
+    away = task_id == sw.TASK_CUP_AWAY
+    # displacement to reach, a revert's return goal, grab (else push), speed, release grip
+    goal, back, grab, speed, release = {
+        (True, "success"): (0.18, -np.inf, True, 0.05, -1.0),
+        (True, "revert"): (0.14, 0.01, True, 0.05, -1.0),
+        (True, "incomplete"): (0.03, -np.inf, True, 0.05, -1.0),
+        (False, "success"): (0.08, -np.inf, False, 0.05, -1.0),
+        (False, "revert"): (0.07, 0.0, True, 0.05, -1.0),
+        (False, "incomplete"): (0.015, -np.inf, False, 0.02, 0.0),  # a nudge well under the goal
+    }[away, style]
+    axis, direction = (1, 1.0) if away else (0, 1.0 if task_id == sw.TASK_CUP_LEFT_TO_RIGHT else -1.0)
+    # along the axis: the stand-off behind a pushed cup, the push and the pull
+    off, push, pull = vectors = np.zeros((3, 2))
+    vectors[:, axis] = 0.0 if grab else direction * 0.03, direction * speed, -direction * 0.05
+    return _cup_carry, dict(axis=axis, direction=direction, goal=goal, back=back, leg=1 if revert else 2,
+                            off=off, hold=float(grab), push=push, pull=pull, release=release)
 
 
 def run_policy(s0, blocks):
     """Roll (n, 7) start states in lockstep for HORIZON steps, one
     `step_batch` call per step for every row.
 
-    blocks is a list of (rows, controller, noise) that split the rows in
-    order: each block's controller acts on its own rows with its own
-    `Phase` and adds its noise (rows, H, 2), or None, to the velocities
-    before clamping, and a block whose controller is None replays its noise
-    (rows, H, 3) as its actions, unclamped (wander clips).
-    Returns actions (n, H, 3) and states (n, H + 1, 7).
-    Blocks that do not split the rows, or a noise block of another shape,
-    raise ShapeMismatchError.
+    blocks is a list of (rows, policy, noise) that split the rows in order:
+    a `make_policy` controller adds its noise (rows, H, 2), or None, to the
+    velocities before clamping, and a block whose policy is None replays its
+    noise (rows, H, 3) as its actions, unclamped (wander clips). Each step
+    makes one call per controller kind over the rows of all its blocks (those
+    without noise in a call of their own), with one `Phase` and a parameter
+    table that repeats each block's constants over its rows. Returns actions
+    (n, H, 3) and states (n, H + 1, 7). Blocks that do not split the rows, or
+    a noise block of another shape, raise ShapeMismatchError.
     """
     cur = np.asarray(s0, dtype=np.float64)
     sizes = [size for size, _, _ in blocks]
@@ -312,24 +306,35 @@ def run_policy(s0, blocks):
     actions = np.empty((cur.shape[0], sw.HORIZON, sw.ACTION_DIM))
     states = np.empty((cur.shape[0], sw.HORIZON + 1, sw.STATE_DIM))
     states[:, 0] = cur
-    controlled, replayed, start = [], [], 0
-    for i, (size, controller, block_noise) in enumerate(blocks):
-        controls = controller is not None  # a controller's noise may be None
+    kinds, replayed, start = {}, [], 0
+    for i, (size, policy, block_noise) in enumerate(blocks):
+        controls = policy is not None  # a controller's noise may be None
         want = (size, sw.HORIZON, 2 if controls else sw.ACTION_DIM)
         if np.shape(block_noise) != want and not (controls and block_noise is None):
             raise ShapeMismatchError(f"block {i} needs {want} noise, got {np.shape(block_noise)}")
-        rows = slice(start, start + size)
-        start += size
-        if not controls:
-            replayed.append((rows, block_noise))
+        if controls:
+            member = (np.arange(start, start + size), policy[1], block_noise)
+            kinds.setdefault((policy[0], block_noise is None), []).append(member)
         else:
-            controlled.append((rows, controller, block_noise, Phase.start(cur[rows])))
+            replayed.append((slice(start, start + size), block_noise))
+        start += size
+    controlled = []
+    for (kind, quiet), members in kinds.items():
+        index, params, noise = zip(*members)
+        rows = np.concatenate(index)
+        if rows.size and rows[-1] - rows[0] == rows.size - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        lengths = [len(i) for i in index]
+        table = {name: np.repeat(np.transpose([p[name] for p in params]), lengths, axis=-1)
+                 for name in params[0]}
+        noise = None if quiet else np.concatenate([n.transpose(1, 2, 0) for n in noise], axis=-1)
+        controlled.append((rows, kind, table, noise, Phase.start(cur[rows])))
     for t in range(sw.HORIZON):
         act = actions[:, t]
-        for rows, controller, block_noise, phase in controlled:
-            block = controller(cur[rows], phase)
-            if block_noise is not None:
-                block[:, :2] += block_noise[:, t]
+        for rows, kind, table, noise, phase in controlled:
+            block = kind(cur[rows], phase, table)
+            if noise is not None:
+                block[:, :2] += noise[t].T  # noise is time-major, (H, 2, rows)
             act[rows] = block
         act[:, :2] = _clamp(act[:, :2])
         for rows, replay in replayed:
@@ -440,11 +445,6 @@ def roll_groups(groups):
     (n, H + 1, 7), the attempts each clip took (n,), and the clips'
     Generators, whose next draws follow the successful attempt.
     """
-    for task_id, style, _ in groups:
-        if style != "success" and style not in ARCHETYPES:
-            raise ArchetypeUnsupportedError(f"unknown archetype {style!r}")
-        if (task_id, style) in UNSUPPORTED:
-            raise ArchetypeUnsupportedError(f"{style} cannot occur for task {task_id}")
     rolls = [_GroupRoll(task_id, style, seeds) for task_id, style, seeds in groups]
     for band in BANDS:
         live = [roll for roll in rolls if roll.pending.size]

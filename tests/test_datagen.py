@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from rewardlab import datagen as dg, evaluation, render, simworld as sw
 from rewardlab.config import ExperimentConfig
-from rewardlab.errors import ArchetypeUnsupportedError, NonFiniteValueError, ShapeMismatchError
+from rewardlab.errors import (
+    ArchetypeUnsupportedError, NonFiniteValueError, ShapeMismatchError, UnknownTaskError,
+)
 
 SMALL = ExperimentConfig(
     train_tasks=(sw.TASK_CLOSE_DRAWER, sw.TASK_FAUCET, sw.TASK_POKE_CUP),
@@ -109,6 +112,16 @@ class TestGenDataset:
                 NonFiniteValueError, match="domain shift cosine is nan"):
             dg.domain_shift_cosine(replace(SMALL, noise=1e308))
 
+    def test_a_zero_frame_makes_a_nan_mean(self, monkeypatch):
+        """A zero frame norm passes the per-pair norm check: its cosine is
+        0/0, and the non-finite mean raises."""
+        monkeypatch.setattr(dg, "DOMAIN_PAIRS", 2)
+        monkeypatch.setattr(render, "render_clips",
+                            lambda states, n_frames, *args: np.zeros((len(states), n_frames, 3)))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteValueError, match=r"^domain shift cosine is nan$"):
+            dg.domain_shift_cosine(replace(SMALL, noise=0.0))
+
     @pytest.mark.parametrize("config", [
         replace(SMALL, train_tasks=(sw.TASK_OPEN_DRAWER,), noise=1e160),
         replace(SMALL, noise=1e200),
@@ -164,6 +177,85 @@ def test_run_policy_rejects_blocks_that_do_not_fit(case, message):
     s0, blocks = _policy_blocks(case)
     with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
         dg.run_policy(s0, blocks)
+
+
+# groups of two controller kinds: task 4's three scripted styles with a wander
+# group between them (the drawer rows are not contiguous), and cup tasks 1 and
+# 3, which carry along different axes under one kind
+MERGED_GROUPS = [
+    (sw.TASK_OPEN_DRAWER, "success"), (sw.TASK_OPEN_DRAWER, "wander"),
+    (sw.TASK_OPEN_DRAWER, "revert"), (sw.TASK_OPEN_DRAWER, "incomplete"),
+    (sw.TASK_CUP_AWAY, "revert"), (sw.TASK_CUP_LEFT_TO_RIGHT, "success"),
+    (sw.TASK_CUP_AWAY, "incomplete"), (sw.TASK_CUP_LEFT_TO_RIGHT, "revert"),
+]
+
+
+class TestMergedControllerKinds:
+    """Each step makes one controller call per kind over the rows of all its
+    groups, and a group rolls bit for bit as it does alone."""
+
+    def test_one_call_per_kind_per_step_and_each_block_as_alone(self, monkeypatch):
+        calls = Counter()
+        for name in ("_drawer", "_cup_carry"):  # before make_policy takes them
+            def counted(*args, kind=getattr(dg, name)):
+                calls[kind.__name__] += 1
+                return kind(*args)
+            monkeypatch.setattr(dg, name, counted)
+        rng = np.random.default_rng(21)
+        s0, blocks = [], []
+        for i, (task_id, style) in enumerate(MERGED_GROUPS):
+            n = 2 + i % 3  # blocks of unequal sizes
+            starts = [sw.initial_state_array(task_id, rng) for _ in range(n)]
+            s0 += starts
+            if style == "wander":
+                blocks.append((n, None, np.stack([dg._wander_actions(task_id, s, rng) for s in starts])))
+            else:
+                noise = rng.uniform(-dg.ACTION_NOISE, dg.ACTION_NOISE, (n, sw.HORIZON, 2))
+                blocks.append((n, dg.make_policy(task_id, style), noise))
+        dg.run_policy(np.stack(s0), blocks)
+        assert calls == {"_drawer": sw.HORIZON, "_cup_carry": sw.HORIZON}
+        # and with a noiseless block among the noisy ones of its kind
+        for case in (blocks, [(2, blocks[0][1], None)] + blocks[1:]):
+            actions, states = dg.run_policy(np.stack(s0), case)
+            start = 0
+            for block in case:
+                rows = slice(start, start + block[0])
+                start = rows.stop
+                alone = dg.run_policy(np.stack(s0[rows]), [block])
+                assert actions[rows].tobytes() == alone[0].tobytes()
+                assert states[rows].tobytes() == alone[1].tobytes()
+
+    def test_each_group_rolls_as_alone(self):
+        groups = [(task_id, style, [[task_id, i, 5] for i in range(2 + g % 3)])
+                  for g, (task_id, style) in enumerate(MERGED_GROUPS)]
+        for group, together in zip(groups, dg.roll_groups(groups)):
+            alone = dg.roll_groups([group])[0]
+            for got, want in zip(together[:3], alone[:3]):
+                assert got.tobytes() == want.tobytes()
+            assert ([rng.bit_generator.state for rng in together[3]]
+                    == [rng.bit_generator.state for rng in alone[3]])
+
+
+@pytest.mark.parametrize("task_id, style, error, message", [
+    (sw.TASK_OPEN_DRAWER, "explode", ArchetypeUnsupportedError,
+     "no scripted 'explode' controller for task 4"),
+    (sw.TASK_OPEN_DRAWER, "wander", ArchetypeUnsupportedError,
+     "no scripted 'wander' controller for task 4"),
+    (sw.TASK_FAUCET, "revert", ArchetypeUnsupportedError,
+     "no scripted 'revert' controller for task 2"),
+    (sw.TASK_POKE_CUP, "incomplete", ArchetypeUnsupportedError,
+     "no scripted 'incomplete' controller for task 6"),
+    (99, "success", UnknownTaskError, "no task with id 99"),
+], ids=["unknown-style", "wander", "faucet-revert", "poke-incomplete", "unknown-task"])
+def test_make_policy_raises_typed_errors(task_id, style, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        dg.make_policy(task_id, style)
+
+
+def test_roll_groups_refuses_an_unknown_archetype_before_rolling(monkeypatch):
+    monkeypatch.setattr(dg, "run_policy", None)  # any rollout would fail differently
+    with pytest.raises(ArchetypeUnsupportedError, match="^no scripted 'explode' controller"):
+        dg.roll_groups([(sw.TASK_OPEN_DRAWER, "success", [0]), (sw.TASK_CLOSE_DRAWER, "explode", [1])])
 
 
 class TestFailureTrajectories:

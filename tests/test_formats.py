@@ -128,6 +128,23 @@ class TestDatasetFormat:
             formats.load_dataset(path)
 
 
+@pytest.mark.parametrize("load, text, message", [
+    (formats.load_dataset, "", "is empty"),
+    (formats.load_dataset, "rewardlab-dataset vX clips=0\n", "malformed version token 'vX'"),
+    (formats.load_dataset, "rewardlab-dataset v1 clips=1\nclip domain=robot task=0\n",
+     "malformed clip record"),
+    (formats.load_checkpoint, "rewardlab-checkpoint v1 arrays=1\narray a 1 2 1.0 x\n",
+     "array a: malformed value"),
+    (formats.load_checkpoint, "rewardlab-checkpoint v1 arrays=1\narray a 2 1\n",
+     "malformed array record"),
+], ids=["empty-file", "version-token", "clip-record", "value", "array-record"])
+def test_each_malformed_file_is_corrupt(tmp_path, load, text, message):
+    path = tmp_path / "file.txt"
+    path.write_text(text)
+    with pytest.raises(CorruptFileError, match=message):
+        load(path)
+
+
 class TestCheckpointFormat:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import random_episodes
 from rewardlab import render, simworld as sw
-from rewardlab.errors import ShapeMismatchError
+from rewardlab.errors import BadConfigError, ShapeMismatchError
 
 N_FRAMES = 4
 
@@ -80,3 +80,12 @@ def test_a_clip_needs_a_frame(states, n_frames):
 def test_a_sequence_needs_a_state():
     with pytest.raises(ShapeMismatchError, match="T\\+1 >= 1"):
         render.render_clips(np.zeros((2, 0, sw.STATE_DIM)), N_FRAMES)
+
+
+@pytest.mark.parametrize("states, domain, error, message", [
+    (np.zeros((3, sw.STATE_DIM)), "alien", BadConfigError, "domain must be 'robot' or 'human'"),
+    (np.zeros((3, sw.STATE_DIM - 1)), "robot", ShapeMismatchError, r"states must be \(N,7\)"),
+], ids=["unknown-domain", "state-width"])
+def test_render_frames_refuses_a_bad_domain_or_state_width(states, domain, error, message):
+    with pytest.raises(error, match=message):
+        render.render_frames(states, domain=domain)
