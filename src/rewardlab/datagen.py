@@ -13,35 +13,42 @@ Failure archetypes:
   revert     - achieves the predicate mid-episode, then undoes it
   incomplete - makes contact but the predicate never holds
 
-Every clip has its own seed and its own Generator. An attempt draws the
-initial state from it, then the attempt's uniform action noise in
-[-level, +level] as one (H, 2) block (wander clips draw their random
-actions instead). The clip's label is checked against the simulator's
-predicate; a failed check retries the clip, halving the noise level every
-NOISE_HALVING attempts and dropping it to zero from ZERO_NOISE_ATTEMPT on,
-where the scripted controller is correct by construction. The first
-level is ACTION_NOISE, the only action-noise setting: every rollout reads
-it when called, so one patched module value reaches them all. A human
-clip's camera offset and feature noise come from the same Generator after
-its successful attempt.
+Every clip has its own seed and its own Generator. An attempt draws from
+it the simworld.START_DRAWS `Generator.random` draws of its initial state,
+then the 2H of its uniform action noise in [-level, +level], an (H, 2)
+block in row order; a zero-noise attempt draws its start alone, and a
+wander clip draws its random actions after its start instead of noise.
+Since `uniform(a, b)` is a + (b - a) * random(), mapping the draws
+afterwards gives the values that drawing each range with `uniform` would
+give, bit for bit, and leaves the Generator in the same state. The
+clip's label is checked against the simulator's predicate; a failed check
+retries the clip, halving the noise level every NOISE_HALVING attempts
+and dropping it to zero from ZERO_NOISE_ATTEMPT on, where the scripted
+controller is correct by construction. The first level is ACTION_NOISE,
+the only action-noise setting: every rollout reads it when called, so one
+patched module value reaches them all. A human clip's camera offset and
+feature noise come from the same Generator after its successful attempt.
 
 Clips are rolled in lockstep: `roll_groups` advances the clips of several
 (task, style) groups together, one `simworld.step_batch` call per step.
 Attempt 0 is rolled alone, one row per clip; after it, every remaining
 attempt of one noise band (`BANDS`: attempts 1-7, 8-15, 16-23, then the
 zero-noise band 24-31) is one batch, one row per (pending clip, attempt).
-Each clip makes its draws for every attempt of the band in the order
-above, saving its Generator state after each. A scripted controller is a
-kind (drawer, faucet, poke, cup carry) plus a row of constants, so a step
-makes one controller call per kind, over the rows of all its groups, with
-per-row phase arrays, constants and noise; wander rows replay their drawn
-actions. One predicate call per group checks its rows. A clip keeps its
-first passing row, counts the attempts up to it, and gets its Generator
-back as saved after that attempt, so its later draws follow exactly as if
-it had stopped there. The dynamics and controllers are elementwise, so a
-clip's rollout does not depend on which other rows share the batch:
-`gen_success_trajectory` and `gen_failure_trajectory` are `roll_groups` of
-one group of one clip.
+Each clip makes the draws of every attempt of the band in turn, saving
+its Generator state after each; then one `simworld.initial_states` call
+per group builds the band's starts, and one affine map its noise. A
+scripted controller is a kind (drawer, faucet, poke, cup carry) plus a
+row of constants, so a step makes one controller call per kind, over the
+rows of all its groups, with per-row phase arrays, constants and noise;
+wander rows replay their drawn actions. The loop is state-major: it keeps
+the time-major (H + 1, 7, n) states, so a controller reads each state
+column as one contiguous row. One predicate call per group checks its
+rows. A clip keeps its first passing row, counts the attempts up to it,
+and gets its Generator back as saved after that attempt, so its later
+draws follow exactly as if it had stopped there. The dynamics and
+controllers are elementwise, so a clip's rollout does not depend on which
+other rows share the batch: `gen_success_trajectory` and
+`gen_failure_trajectory` are `roll_groups` of one group of one clip.
 
 `gen_dataset` and `domain_shift_cosine` roll whole groups, in order, in
 batches of at most `BATCH_CLIPS` clips, and render each batch, one
@@ -131,13 +138,14 @@ class Phase:
 
     mark: np.ndarray   # (n,) bool: latched once the controller's trigger event happened
     n: np.ndarray      # (n,) int: leg counter (drawer revert, cup carry) or shoves (poke)
-    cup0: np.ndarray   # (n, 2): the cup position at the start of the rollout
+    cup0: np.ndarray   # (2, n): the cup position at the start of the rollout
 
     @classmethod
     def start(cls, s0: np.ndarray) -> "Phase":
-        n = s0.shape[0]
+        """Fresh memory for state-major (7, n) start states."""
+        n = s0.shape[1]
         return cls(np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64),
-                   s0[:, (sw.CUPX, sw.CUPY)].copy())
+                   s0[sw.CUPX:sw.CUPY + 1].copy())
 
 
 # squared gripper distances (at the target, retreated, touching the cup to carry it) and
@@ -152,9 +160,10 @@ def _clamp(v, out=None):
     return sw.clamp(v, *_VEL_BOX, out=out)
 
 
-def _toward(states, target):
-    """(2, n) offsets from the grippers to target, (2, n) or (2, 1), and their squared lengths."""
-    d = target - states[:, sw.GX:sw.GY + 1].T
+def _toward(s, target):
+    """(2, n) offsets from the grippers of (7, n) states to target, (2, n)
+    or (2, 1), and their squared lengths."""
+    d = target - s[sw.GX:sw.GY + 1]
     dd = d * d
     return d, dd[0] + dd[1]
 
@@ -173,9 +182,9 @@ def _act(cases, default):
     return out.T
 
 
-def _drawer(states, phase, p):
-    ext = states[:, sw.EXT]
-    d, d2 = _toward(states, _DRAWER + ext * _UP)  # the handle moves with ext
+def _drawer(s, phase, p):
+    ext = s[sw.EXT]
+    d, d2 = _toward(s, _DRAWER + ext * _UP)  # the handle moves with ext
     along = p["sign"] * ext  # negation is exact: closing's ext <= thr is along >= -thr
     reached = along >= p["reach"]
     # a revert turns back once reached, and is marked once back past `back`
@@ -191,11 +200,11 @@ def _drawer(states, phase, p):
     ], (*_clamp(d, out=d), 0.0))
 
 
-def _faucet(states, phase, p):
+def _faucet(s, phase, p):
     # a success is marked once the faucet turned; else touch, then back straight off
-    d, d2 = _toward(states, _FAUCET)
+    d, d2 = _toward(s, _FAUCET)
     touching = d2 <= _SLACK2
-    phase.mark |= np.where(p["turns"], states[:, sw.ANGLE] >= 0.08, touching)
+    phase.mark |= np.where(p["turns"], s[sw.ANGLE] >= 0.08, touching)
     return _act([
         (phase.mark & (d2 <= _RETREAT2), 0.0, -0.05, 0.0),
         (phase.mark, 0.0, 0.0, 0.0),
@@ -203,9 +212,8 @@ def _faucet(states, phase, p):
     ], (*_clamp(d, out=d), 0.0))
 
 
-def _poke(states, phase, p):
-    cup = states[:, sw.CUPX:sw.CUPY + 1].T
-    d, d2 = _toward(states, cup)
+def _poke(s, phase, p):
+    d, d2 = _toward(s, s[sw.CUPX:sw.CUPY + 1])
     vx, vy = _clamp(d, out=d)
     phase.mark |= d2 <= p["reach"]
     shove = phase.mark & (phase.n < p["shoves"])
@@ -218,18 +226,18 @@ def _poke(states, phase, p):
     ], (vx, vy, 0.0))
 
 
-def _cup_carry(states, phase, p):
+def _cup_carry(s, phase, p):
     """Carry or push the cup along one axis by a target displacement.
 
     Legs: phase.n 0 moves the cup until it is `goal` along, 1 (revert only)
     moves it back to `back`, 2 releases and retreats.
     """
-    cup = states[:, sw.CUPX:sw.CUPY + 1].T
-    delta = (cup - phase.cup0.T)[p["axis"], np.arange(cup.shape[1])] * p["direction"]
-    d, d2 = _toward(states, cup)
+    cup = s[sw.CUPX:sw.CUPY + 1]
+    delta = (cup - phase.cup0)[p["axis"], np.arange(cup.shape[1])] * p["direction"]
+    d, d2 = _toward(s, cup)
     np.copyto(phase.n, p["leg"], where=(phase.n == 0) & (delta >= p["goal"]))
     np.copyto(phase.n, 2, where=(phase.n == 1) & (delta <= p["back"]))
-    stand = (cup - p["off"]) - states[:, sw.GX:sw.GY + 1].T  # a pushed cup's stand-off
+    stand = (cup - p["off"]) - s[sw.GX:sw.GY + 1]  # a pushed cup's stand-off
     carry = phase.n == 0
     return _act([
         (carry & (d2 > _GRASP2), *_clamp(stand, out=stand), p["hold"]),
@@ -243,10 +251,11 @@ def make_policy(task_id: int, style: str):
     """A (task, style) group's scripted controller as (kind, params): kind is
     `_drawer`, `_faucet`, `_poke` or `_cup_carry`, and params, the group's row
     of the kind's parameter table, maps each constant's name to its value.
-    kind(states (n, 7), phase, table) -> (n, 3) actions (vx, vy, grip) acts on
-    the rows of any groups of the kind, table holding each constant per row,
-    and updates their `Phase` in place. A style with no controller ("wander",
-    an unknown one, or one in UNSUPPORTED) raises ArchetypeUnsupportedError."""
+    kind(s (7, n), phase, table) -> (n, 3) actions (vx, vy, grip) acts on
+    the state-major rows of any groups of the kind, table holding each
+    constant per row, and updates their `Phase` in place. A style with no
+    controller ("wander", an unknown one, or one in UNSUPPORTED) raises
+    ArchetypeUnsupportedError."""
     if task_id not in sw.TASK_NAMES:
         raise UnknownTaskError(f"no task with id {task_id}")
     if style not in ("success", "revert", "incomplete") or (task_id, style) in UNSUPPORTED:
@@ -298,14 +307,21 @@ def run_policy(s0, blocks):
     table that repeats each block's constants over its rows. Returns actions
     (n, H, 3) and states (n, H + 1, 7). Blocks that do not split the rows, or
     a noise block of another shape, raise ShapeMismatchError.
+
+    The loop is state-major: it keeps the time-major (H + 1, 7, n) states and
+    (H, 3, n) actions, so a controller reads contiguous state rows (s[sw.EXT])
+    and `step_batch` gets transposed views of contiguous (7, n) and (3, n)
+    arrays, which it takes without a copy. The results are transposed views
+    of those buffers, not copies.
     """
-    cur = np.asarray(s0, dtype=np.float64)
+    s0 = np.asarray(s0, dtype=np.float64)
+    n = s0.shape[0]
     sizes = [size for size, _, _ in blocks]
-    if min(sizes, default=0) < 0 or sum(sizes) != cur.shape[0]:
-        raise ShapeMismatchError(f"block sizes {sizes} do not split {cur.shape[0]} rows")
-    actions = np.empty((cur.shape[0], sw.HORIZON, sw.ACTION_DIM))
-    states = np.empty((cur.shape[0], sw.HORIZON + 1, sw.STATE_DIM))
-    states[:, 0] = cur
+    if min(sizes, default=0) < 0 or sum(sizes) != n:
+        raise ShapeMismatchError(f"block sizes {sizes} do not split {n} rows")
+    actions = np.empty((sw.HORIZON, sw.ACTION_DIM, n))
+    path = np.empty((sw.HORIZON + 1, sw.STATE_DIM, n))
+    path[0] = s0.T
     kinds, replayed, start = {}, [], 0
     for i, (size, policy, block_noise) in enumerate(blocks):
         controls = policy is not None  # a controller's noise may be None
@@ -315,8 +331,8 @@ def run_policy(s0, blocks):
         if controls:
             member = (np.arange(start, start + size), policy[1], block_noise)
             kinds.setdefault((policy[0], block_noise is None), []).append(member)
-        else:
-            replayed.append((slice(start, start + size), block_noise))
+        else:  # replayed time-major, (H, 3, rows)
+            replayed.append((slice(start, start + size), np.transpose(block_noise, (1, 2, 0))))
         start += size
     controlled = []
     for (kind, quiet), members in kinds.items():
@@ -328,32 +344,38 @@ def run_policy(s0, blocks):
         table = {name: np.repeat(np.transpose([p[name] for p in params]), lengths, axis=-1)
                  for name in params[0]}
         noise = None if quiet else np.concatenate([n.transpose(1, 2, 0) for n in noise], axis=-1)
-        controlled.append((rows, kind, table, noise, Phase.start(cur[rows])))
+        controlled.append((rows, kind, table, noise, Phase.start(path[0][:, rows])))
     for t in range(sw.HORIZON):
-        act = actions[:, t]
+        cur, act = path[t], actions[t]
         for rows, kind, table, noise, phase in controlled:
-            block = kind(cur[rows], phase, table)
+            block = kind(cur[:, rows], phase, table).T  # (3, rows), contiguous
             if noise is not None:
-                block[:, :2] += noise[t].T  # noise is time-major, (H, 2, rows)
-            act[rows] = block
-        act[:, :2] = _clamp(act[:, :2])
+                block[:2] += noise[t]  # noise is time-major, (H, 2, rows)
+            act[:, rows] = block
+        _clamp(act[:2], out=act[:2])
         for rows, replay in replayed:
-            act[rows] = replay[:, t]
-        cur = sw.step_batch(cur, act)
-        states[:, t + 1] = cur
-    return actions, states
+            act[:, rows] = replay[t]
+        path[t + 1] = sw.step_batch(cur.T, act.T).T
+    return actions.transpose(2, 0, 1), path.transpose(2, 0, 1)
+
+
+def _steer_away(task_id, s0, actions):
+    """Bias wander clips' (n, H, 3) random actions away from the task object
+    of their (n, 7) starts for the first few steps, in place; returns them."""
+    away = s0[:, [sw.GX, sw.GY]] - sw.target_points(task_id, s0)
+    # a row's (1, 2) @ (2, 1) product is the dot that np.linalg.norm takes
+    # of a vector, so the norms are its bits
+    norm = np.sqrt((away[:, None] @ away[:, :, None])[:, 0, 0])
+    far = norm > 1e-9
+    away = away[far] / norm[far, None] * sw.VEL_LIMIT
+    actions[far, :8, :2] = _clamp(away[:, None] + actions[far, :8, :2] * 0.3)
+    return actions
 
 
 def _wander_actions(task_id, s0_arr, rng):
-    """Random motion biased away from the object for the first few steps."""
-    actions = sw.random_action_array(rng, 1, sw.HORIZON)[0]
-    away = s0_arr[[sw.GX, sw.GY]] - sw.target_points(task_id, s0_arr)
-    norm = np.linalg.norm(away)
-    if norm > 1e-9:
-        away = away / norm * sw.VEL_LIMIT
-        actions[:8, 0] = _clamp(away[0] + actions[:8, 0] * 0.3)
-        actions[:8, 1] = _clamp(away[1] + actions[:8, 1] * 0.3)
-    return actions
+    """One wander clip's (H, 3) actions from its (7,) start: random motion
+    biased away from the object for the first few steps."""
+    return _steer_away(task_id, s0_arr[None], sw.random_action_array(rng, 1, sw.HORIZON))[0]
 
 
 def _labels_ok(task_id, style, states) -> np.ndarray:
@@ -399,20 +421,41 @@ class _GroupRoll:
 
     def draw(self, band, level):
         """Per pending clip, its draws for each attempt of the band, in
-        order: the start states, the `run_policy` block of these rows, and
-        each row's Generator state after its attempt."""
-        s0, draws, saved = [], [], []
+        order: the start states (rows, 7), the `run_policy` block of these
+        rows, and each row's Generator state after its attempt.
+
+        An attempt draws its START_DRAWS start draws, then its noise (2H
+        draws, at a nonzero level) or, for a wander clip, its
+        `random_action_array`, writing each into its row of a band-wide
+        array, and ends with one state read. After the loop one
+        `initial_states` call builds every start, and one affine map
+        low + (high - low) * r, in place, turns the noise draws into what
+        uniform(low, high) gives for them."""
+        wander = self.policy is None
+        noisy = not wander and level > 0
+        rows = self.pending.size * len(band)
+        starts = np.empty((rows, sw.START_DRAWS))
+        noise = np.empty((rows, sw.HORIZON, 2)) if noisy else None
+        replay = np.empty((rows, sw.HORIZON, sw.ACTION_DIM)) if wander else None
+        saved, row = [], 0
         for i in self.pending:
             rng = self.rngs[i]
             for _ in band:
-                s = sw.initial_state_array(self.task_id, rng)
-                s0.append(s)
-                if self.policy is None:
-                    draws.append(_wander_actions(self.task_id, s, rng))
-                elif level > 0:
-                    draws.append(rng.uniform(-level, level, size=(sw.HORIZON, 2)))
+                rng.random(out=starts[row])
+                if wander:
+                    replay[row] = sw.random_action_array(rng, 1, sw.HORIZON)[0]
+                elif noisy:
+                    rng.random(out=noise[row])
                 saved.append(rng.bit_generator.state)
-        return s0, (len(s0), self.policy, np.stack(draws) if draws else None), saved
+                row += 1
+        s0 = sw.initial_states(self.task_id, starts)
+        if wander:
+            noise = _steer_away(self.task_id, s0, replay)
+        elif noisy:
+            low, high = -level, level
+            noise *= high - low
+            noise += low
+        return s0, (rows, self.policy, noise), saved
 
     def settle(self, band, acts, rolled, saved):
         """Keep each pending clip's first passing row of the band."""
@@ -452,7 +495,7 @@ def roll_groups(groups):
             break
         level = noise_level(ACTION_NOISE, band[0])
         drawn = [roll.draw(band, level) for roll in live]
-        acts, rolled = run_policy(np.stack([s for s0, _, _ in drawn for s in s0]),
+        acts, rolled = run_policy(np.concatenate([s0 for s0, _, _ in drawn]),
                                   [block for _, block, _ in drawn])
         start = 0
         for roll, (s0, _, saved) in zip(live, drawn):

@@ -170,9 +170,10 @@ def random_episode_blocks(n_episodes: int, seed: int):
     episodes do not depend on the block size."""
     rng = np.random.default_rng([seed, 41])
     tasks = sw.ALL_TASKS
+    draws = rng.random((n_episodes, sw.START_DRAWS))
     s0 = np.empty((n_episodes, sw.STATE_DIM))
-    for i in range(n_episodes):
-        s0[i] = sw.initial_state_array(tasks[i % len(tasks)], rng)
+    for k, task_id in enumerate(tasks):  # episode i starts from task i % 7's distribution
+        s0[k::len(tasks)] = sw.initial_states(task_id, draws[k::len(tasks)])
     for i in range(0, n_episodes, ROLL_BLOCK):
         starts = s0[i:i + ROLL_BLOCK]
         actions = np.empty((starts.shape[0], sw.HORIZON, sw.ACTION_DIM))

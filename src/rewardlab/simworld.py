@@ -34,6 +34,11 @@ the gripper - cup offset, which is exact. The clamps turn a -0.0 at a
 -0.0 moved by a -0.0 velocity sums to -0.0. Both entry points clamp
 alike.)
 
+`step_batch` works on contiguous (7, n) state rows and (3, n) action rows.
+Given transposed views of such arrays, as the state-major loop of datagen
+passes them, it takes them without a copy; its (n, 7) result is written
+back transposed by that caller.
+
 The drawer and the cup are frozen until touched. A step moves the drawer
 only when the gripper is within the contact radius of its handle, and the
 cup only when the gripper is within it of the cup. Until some row of a
@@ -44,6 +49,13 @@ stepping does. The core writes those values for the whole horizon, runs
 the loop's own contact test (the same expressions, so rounding cannot
 make it disagree) over them, and starts that object's step loop at the
 first step on which the test holds for some row, or skips the loop.
+
+Start states: `initial_states` builds a task's (n, 7) starts from
+(n, START_DRAWS) `Generator.random` draws, each mapped to its uniform range
+by the task's row of one table of bounds; `initial_state_array` is its
+one-row case, drawing from a Generator. Row i is what four `uniform`
+calls drawing the same numbers would give, so a caller can draw the starts
+of a whole band or episode set first and build them in one call.
 """
 
 import numpy as np
@@ -197,7 +209,8 @@ def _first_row_of(mask: np.ndarray) -> int:
 
 def step_batch(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Advance a batch of states one step. states (N,7), actions (N,3);
-    byte for byte rollout_batch(states, actions[:, None])[:, 1]."""
+    byte for byte rollout_batch(states, actions[:, None])[:, 1]. Transposed
+    views of contiguous (7, N) and (3, N) arrays are taken without a copy."""
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
@@ -309,6 +322,8 @@ def success_states(task_id: int, states: np.ndarray) -> np.ndarray:
 
 # --- initial-state distributions ---
 
+START_DRAWS = 4  # uniform draws per start: cup x, cup y, gripper x, gripper y jitter
+
 _GRIPPER_START = {
     # (anchor, offset, jitter half-width); anchor "drawer"/"faucet"/"cup"
     TASK_CLOSE_DRAWER: ("drawer", (0.15, 0.0), 0.03),
@@ -321,25 +336,48 @@ _GRIPPER_START = {
 }
 
 
-def initial_state_array(task_id: int, rng: np.random.Generator) -> np.ndarray:
-    """Task-specific (7,) start: gripper near the relevant object, objects jittered."""
+def _start_row(task_id: int):
+    """A task's row of the start table: the low bound and width of each
+    start draw (the cup jitters by +/-0.03, the gripper by the task's
+    half-width), the drawer extension, the gripper's offset from the cup or,
+    off a cup task, its fixed anchor plus offset, and whether it is a cup
+    task. A width is high - low, as Generator.uniform takes it, so
+    low + width * random() is uniform(low, high) bit for bit. Anchor plus
+    offset is summed before the jitter is added."""
+    anchor, offset, jitter = _GRIPPER_START[task_id]
+    low, high = np.array([-0.03, -0.03, -jitter, -jitter]), np.array([0.03, 0.03, jitter, jitter])
+    ext = 0.0 if task_id == TASK_OPEN_DRAWER else DRAWER_MAX
+    if anchor == "cup":
+        return low, high - low, ext, np.array(offset), True
+    fixed = (DRAWER_BASE[0], DRAWER_BASE[1] + ext) if anchor == "drawer" else FAUCET_HANDLE
+    return low, high - low, ext, np.array([fixed[0] + offset[0], fixed[1] + offset[1]]), False
+
+
+_START = {task_id: _start_row(task_id) for task_id in _GRIPPER_START}
+_CUP_NOMINAL = np.array(CUP_NOMINAL)
+
+
+def initial_states(task_id: int, draws: np.ndarray) -> np.ndarray:
+    """Task-specific (n, 7) starts from (n, START_DRAWS) `Generator.random`
+    draws: gripper near the relevant object, objects jittered. Row i is the
+    start of four `uniform` calls (cup x, cup y, then the gripper's x and y
+    jitter) whose `random()` draws are draws[i]."""
     _check_task(task_id)
-    cup = (
-        CUP_NOMINAL[0] + rng.uniform(-0.03, 0.03),
-        CUP_NOMINAL[1] + rng.uniform(-0.03, 0.03),
-    )
-    drawer_ext = 0.0 if task_id == TASK_OPEN_DRAWER else DRAWER_MAX
-    anchor_name, offset, jitter = _GRIPPER_START[task_id]
-    if anchor_name == "drawer":
-        anchor = (DRAWER_BASE[0], DRAWER_BASE[1] + drawer_ext)
-    elif anchor_name == "faucet":
-        anchor = FAUCET_HANDLE
-    else:
-        anchor = cup
-    gx = anchor[0] + offset[0] + rng.uniform(-jitter, jitter)
-    gy = anchor[1] + offset[1] + rng.uniform(-jitter, jitter)
-    state = np.zeros(STATE_DIM)
-    state[[GX, GY]] = clamp((gx, gy), 0.0, 1.0)
-    state[EXT] = drawer_ext
-    state[[CUPX, CUPY]] = cup
-    return state
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 2 or draws.shape[1] != START_DRAWS:
+        raise ShapeMismatchError(f"draws must be (n,{START_DRAWS}), got {draws.shape}")
+    low, width, drawer_ext, gripper, on_cup = _START[task_id]
+    u = low + width * draws
+    states = np.zeros((draws.shape[0], STATE_DIM))
+    cup = np.add(_CUP_NOMINAL, u[:, :2], out=states[:, CUPX:CUPY + 1])
+    if on_cup:
+        gripper = cup + gripper
+    gxy = states[:, GX:GY + 1]
+    clamp(np.add(gripper, u[:, 2:], out=gxy), _ZERO, _ONE, out=gxy)
+    states[:, EXT] = drawer_ext
+    return states
+
+
+def initial_state_array(task_id: int, rng: np.random.Generator) -> np.ndarray:
+    """One (7,) start of the task's distribution (`initial_states`), drawn from rng."""
+    return initial_states(task_id, rng.random((1, START_DRAWS)))[0]

@@ -63,6 +63,16 @@ class TestGroundTruth:
         with pytest.raises(BadHorizonError):
             dyn.chunked_predict_batch(dyn.ground_truth_model(), s0[None], np.zeros((1, 0, 3)))
 
+    @pytest.mark.parametrize("s0_shape, actions_shape", [
+        ((2, 7), (3, 8, 3)),   # fewer starts than action rows
+        ((1, 6), (1, 8, 3)),   # a start without the cup's y column
+        ((1, 7), (8, 3)),      # one sequence, not a batch of them
+    ], ids=["rows", "state-width", "unbatched-actions"])
+    def test_mismatched_shapes(self, s0_shape, actions_shape):
+        with pytest.raises(ShapeMismatchError, match=r"^need s0 \(N,7\) and actions \(N,H,3\)"):
+            dyn.chunked_predict_batch(dyn.ground_truth_model(), np.zeros(s0_shape),
+                                      np.zeros(actions_shape))
+
 
 class TestTrainDynamics:
     def test_linear_dynamics_fit_exactly(self, monkeypatch):

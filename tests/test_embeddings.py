@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rewardlab import embeddings as emb
-from rewardlab.errors import NonFiniteValueError, ZeroVectorError
+from rewardlab.errors import NonFiniteValueError, ShapeMismatchError, ZeroVectorError
 
 
 def nce_oracle(sims, pos_index, tau):
@@ -30,6 +30,12 @@ class TestL2Normalize:
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVectorError):
             emb.l2_normalize([0.0, 0.0])
+
+    def test_rows_normalized_and_a_zero_row_raises(self):
+        mat = np.array([[3.0, 4.0], [0.0, -2.0]])
+        np.testing.assert_allclose(emb.l2_normalize_rows(mat), [[0.6, 0.8], [0.0, -1.0]], atol=1e-12)
+        with pytest.raises(ZeroVectorError):
+            emb.l2_normalize_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=16))
     def test_result_is_unit(self, values):
@@ -147,6 +153,10 @@ class TestFiniteDiffGradCheck:
             emb.finite_diff_grad_check(
                 lambda t: float("nan"), np.ones(2), np.zeros(2)
             )
+
+    def test_gradient_of_another_shape_raises(self):
+        with pytest.raises(ShapeMismatchError, match=r"theta shape \(3,\) != grad shape \(2,\)"):
+            emb.finite_diff_grad_check(lambda t: float(np.sum(t)), np.ones(3), np.ones(2))
 
     def test_detects_wrong_gradient(self):
         theta = np.ones(3)

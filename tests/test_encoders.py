@@ -10,6 +10,7 @@ from rewardlab.errors import (
     CorruptFileError,
     ShapeMismatchError,
     UnknownTaskError,
+    ZeroVectorError,
 )
 from rewardlab.simworld import TASK_NAMES
 
@@ -59,6 +60,12 @@ class TestEncodeVideo:
         for clips in (np.zeros((1, 3, 16)), np.zeros((1, 4, 8)), np.zeros((4, 16))):
             with pytest.raises(ShapeMismatchError):
                 enc.encode_clips(clips, params)
+
+    def test_collapsed_embedding_raises(self, params):
+        # a zero output map sends every clip to the zero vector, which has no direction
+        params.out_proj[:] = 0.0
+        with pytest.raises(ZeroVectorError, match="collapsed to zero"):
+            enc.encode_clips(np.ones((2, 4, 16)), params)
 
     def test_param_gradient_matches_central_differences(self, params):
         rng = np.random.default_rng(4)
@@ -233,6 +240,11 @@ class TestFailurePrompts:
                 rows = np.vstack([pool.prompts[i, k], texts[task]])
                 u = rows.mean(axis=0) @ pool.proj + pool.bias
                 np.testing.assert_allclose(feats[i, k], u / np.linalg.norm(u), atol=1e-12)
+
+    def test_collapsed_failure_context_raises(self, pool, texts):
+        pool.proj = np.zeros_like(pool.proj)
+        with pytest.raises(ZeroVectorError, match="failure context collapsed to zero"):
+            features(pool, texts)
 
 
 class TestFlattening:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rewardlab import (
-    dynamics as dyn, evaluation, planner as pl, simworld as sw, training,
+    datagen as dg, dynamics as dyn, evaluation, planner as pl, render, simworld as sw, training,
 )
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import (
@@ -171,6 +171,22 @@ def test_auc_matches_pair_count_with_ties(seed):
     s = rng.integers(0, levels, size=rng.integers(1, 12)) / levels
     f = rng.integers(0, levels, size=rng.integers(1, 12)) / levels
     assert evaluation.auc_from_scores(s, f) == pytest.approx(pair_count_auc(s, f), abs=1e-12)
+
+
+@pytest.mark.parametrize("robot", [(1, 1), (0, 0), ()], ids=["successes", "failures", "no-clips"])
+def test_separation_needs_both_robot_classes_of_each_task(robot):
+    """Checked before any scoring, so no params are needed to reach it. A
+    human clip of the missing class does not count: the AUC is over robot clips."""
+    frames = np.zeros((CONFIG.clip_frames, render.FRAME_WIDTH))
+
+    def clip(domain, success, seed):
+        return dg.LabeledClip(frames, domain, sw.TASK_FAUCET, success,
+                              None if success else "wander", seed)
+
+    missing = 0 if 1 in robot else 1
+    clips = [clip("robot", r, i) for i, r in enumerate(robot)] + [clip("human", missing, 9)]
+    with pytest.raises(OneClassOnlyError, match=f"^task {sw.TASK_FAUCET} evaluation set has one class"):
+        evaluation.evaluate_separation(None, dg.Dataset(clips), [sw.TASK_FAUCET])
 
 
 def test_auc_edge_cases():
