@@ -372,12 +372,6 @@ def _steer_away(task_id, s0, actions):
     return actions
 
 
-def _wander_actions(task_id, s0_arr, rng):
-    """One wander clip's (H, 3) actions from its (7,) start: random motion
-    biased away from the object for the first few steps."""
-    return _steer_away(task_id, s0_arr[None], sw.random_action_array(rng, 1, sw.HORIZON))[0]
-
-
 def _labels_ok(task_id, style, states) -> np.ndarray:
     """(n,) flags: does each rollout of (n, T+1, 7) states realize its label?"""
     flags = sw.prefix_success_flags(task_id, states)

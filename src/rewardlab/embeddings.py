@@ -3,7 +3,8 @@
 Embeddings are plain float64 numpy vectors. Everything here is pure and
 deterministic; all softmax-style terms are computed through a max-subtracted
 log-sum-exp so that small temperatures (0.07 by default elsewhere) do not
-overflow.
+overflow. `finite_diff_grad_check` tests a hand-written gradient on the
+operation's own input arrays.
 """
 
 import numpy as np
@@ -62,31 +63,30 @@ def sigmoid(x) -> np.ndarray:
     return out
 
 
-def finite_diff_grad_check(f, theta, analytic_grad) -> float:
-    """Compare an analytic gradient against central differences of step 1e-5.
+def finite_diff_grad_check(f, arrays, grads) -> float:
+    """Compare hand-written gradients against central differences of step 1e-5.
 
-    f is a scalar function of a flat parameter vector; analytic_grad is the
-    claimed gradient at theta. Returns the max over coordinates of
-    |analytic - central| / max(1, |central|).
+    f(*arrays) returns a float, and grads holds the claimed gradient of each
+    array, of that array's shape. Each entry of each array moves in turn, on
+    copies: the arrays in list order, each in C order. Returns the max over
+    entries of |analytic - central| / max(1, |central|).
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
-    if theta.shape != analytic_grad.shape:
-        raise ShapeMismatchError(
-            f"theta shape {theta.shape} != grad shape {analytic_grad.shape}"
-        )
+    work = [np.array(a, dtype=np.float64) for a in arrays]
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+    shapes = [a.shape for a in work], [g.shape for g in grads]
+    if shapes[0] != shapes[1]:
+        raise ShapeMismatchError(f"arrays of shapes {shapes[0]} != grads of shapes {shapes[1]}")
     eps, worst = 1e-5, 0.0
-    work = theta.copy()
-    for i in range(work.size):
-        orig = work.flat[i]
-        work.flat[i] = orig + eps
-        f_plus = float(f(work))
-        work.flat[i] = orig - eps
-        f_minus = float(f(work))
-        work.flat[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NonFiniteValueError(f"f non-finite at coordinate {i}")
-        central = (f_plus - f_minus) / (2.0 * eps)
-        err = abs(analytic_grad.flat[i] - central) / max(1.0, abs(central))
-        worst = max(worst, err)
+    for j, (a, g) in enumerate(zip(work, grads)):
+        for i in range(a.size):
+            orig = a.flat[i]
+            a.flat[i] = orig + eps
+            f_plus = float(f(*work))
+            a.flat[i] = orig - eps
+            f_minus = float(f(*work))
+            a.flat[i] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise NonFiniteValueError(f"f non-finite at entry {i} of array {j}")
+            central = (f_plus - f_minus) / (2.0 * eps)
+            worst = max(worst, abs(g.flat[i] - central) / max(1.0, abs(central)))
     return worst

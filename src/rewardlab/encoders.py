@@ -210,22 +210,3 @@ def compose_failure_context_backward(cache, d_t: np.ndarray):
     d_row = (d_u @ proj.T) / n_rows
     d_prompts = np.repeat(d_row[..., None, :], n_rows - 1, axis=-2)
     return d_prompts, d_proj, d_bias
-
-
-# --- parameter flattening (finite-difference checks) ---
-
-def flatten_arrays(arrays) -> np.ndarray:
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
-
-def unflatten_like(vec: np.ndarray, arrays):
-    total = sum(a.size for a in arrays)
-    if total != vec.size:
-        raise ShapeMismatchError(
-            f"flat vector has {vec.size} entries, templates need {total}"
-        )
-    out, pos = [], 0
-    for a in arrays:
-        out.append(np.asarray(vec[pos: pos + a.size]).reshape(a.shape))
-        pos += a.size
-    return out

@@ -1,10 +1,12 @@
 """Finite-difference gradient suite over every trainable operation.
 
-Each entry builds seeded random inputs, and `_check` compares the
-hand-written gradient of every trainable input (the frozen task texts get
-none) against central differences. The gradient is computed once per
-batch; the two encoder entries give the differences a value-only function,
-so their backward pass does not run at every difference point.
+Each entry builds seeded random input arrays, and `_check` hands them with
+their hand-written gradients (the frozen task texts get none) to
+`finite_diff_grad_check`, which compares each entry with a central
+difference. The gradient is computed once per batch; the two encoder
+entries give the differences a value-only function, so their backward pass
+does not run at every difference point. The `total_loss.<mode>` entries
+check how each training mode sums and scatters the terms' gradients.
 `run_gradient_suite` runs them all; `python -m rewardlab grad-check`
 prints its result.
 """
@@ -28,8 +30,7 @@ def _check(op, inputs, value=None):
     differences call value(*arrays), the same value without the gradient,
     when given, else op."""
     value = value or (lambda *arrays: op(*arrays)[0])
-    return finite_diff_grad_check(lambda flat: value(*enc.unflatten_like(flat, inputs)),
-                                  enc.flatten_arrays(inputs), enc.flatten_arrays(op(*inputs)[1]))
+    return finite_diff_grad_check(value, inputs, op(*inputs)[1])
 
 
 def _check_cdc(rng):
@@ -116,6 +117,24 @@ def _check_compose(rng):
                   lambda *arrays: float(np.sum(features(*arrays)[0] * probe)))
 
 
+def _check_total(rng, mode):
+    d, k = 8, 3
+    labels, domains = np.array([0, 1, 0, 1, 0, 1]), np.array([0, 0, 0, 1, 1, 1])
+    fail_labels, clusters = np.array([0, 1]), rng.integers(0, k, size=2)
+    task_texts = _unit_rows(rng, 2, d)
+    inputs = [_unit_rows(rng, 6, d), _unit_rows(rng, 2, d),
+              _unit_rows(rng, 2 * k, d).reshape(2, k, d)]
+
+    def op(videos, fail_videos, fail_texts):
+        batch = losses.Batch(videos, labels, domains, fail_videos, fail_labels, clusters, 0.4)
+        loss, grads, _ = losses.total_loss(batch, task_texts, fail_texts, mode=mode)
+        # a mode that does not read an input gives it no gradient
+        return loss, [grads.get(name, np.zeros_like(a)) for name, a in
+                      zip(("videos", "fail_videos", "fail_texts"), (videos, fail_videos, fail_texts))]
+
+    return _check(op, inputs)
+
+
 SUITE = {
     "cross_domain_loss": _check_cdc,
     "video_text_loss": lambda rng: _check_vlc(rng, with_failure=False),
@@ -124,6 +143,8 @@ SUITE = {
     "failure_prompt_loss": _check_fvlc,
     "encode_clips": _check_encoder,
     "failure_text_features": _check_compose,
+    **{f"total_loss.{mode}": lambda rng, mode=mode: _check_total(rng, mode)
+       for mode in losses.MODES},
 }
 
 

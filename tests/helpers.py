@@ -32,6 +32,19 @@ def random_episodes(n_episodes, seed):
     return tuple(np.concatenate(part) for part in zip(*dyn.random_episode_blocks(n_episodes, seed)))
 
 
+def ref_wander_actions(task_id, s0, rng):
+    """One wander clip's (H, 3) random actions from its (7,) start, biased
+    away from the task object for 8 steps."""
+    actions = sw.random_action_array(rng, 1, sw.HORIZON)[0]
+    away = s0[[sw.GX, sw.GY]] - sw.target_points(task_id, s0)
+    norm = np.linalg.norm(away)
+    if norm > 1e-9:
+        away = away / norm * sw.VEL_LIMIT
+        actions[:8, 0] = sw.clamp(away[0] + actions[:8, 0] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
+        actions[:8, 1] = sw.clamp(away[1] + actions[:8, 1] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
+    return actions
+
+
 def random_unit_rows(rng, n, d):
     return l2_normalize_rows(rng.normal(size=(n, d)))
 

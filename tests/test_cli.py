@@ -3,6 +3,8 @@ datagen -> train -> eval through files gives exactly what the in-memory
 pipeline gives, and bad input ends in one line on stderr and status 1."""
 
 import json
+import runpy
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +188,13 @@ def test_datagen_refuses_an_overflowing_frame_norm_and_writes_no_file(tmp_path, 
     assert err == ("rewardlab datagen: error: domain shift cosine is nan: pair 0 has a frame "
                    "norm that is not finite\n")
     assert not data.exists()
+
+
+def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["rewardlab", "-h"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("rewardlab", run_name="__main__")
+    assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage: rewardlab")
 
 
 def test_ablate_and_grad_check_print_their_reports(config_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import helpers
 from rewardlab import datagen as dg, evaluation, render, simworld as sw
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import (
@@ -208,7 +209,8 @@ class TestMergedControllerKinds:
             starts = [sw.initial_state_array(task_id, rng) for _ in range(n)]
             s0 += starts
             if style == "wander":
-                blocks.append((n, None, np.stack([dg._wander_actions(task_id, s, rng) for s in starts])))
+                acts = np.stack([helpers.ref_wander_actions(task_id, s, rng) for s in starts])
+                blocks.append((n, None, acts))
             else:
                 noise = rng.uniform(-dg.ACTION_NOISE, dg.ACTION_NOISE, (n, sw.HORIZON, 2))
                 blocks.append((n, dg.make_policy(task_id, style), noise))

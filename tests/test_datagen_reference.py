@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import helpers
 from rewardlab import datagen as dg, render, simworld as sw
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import GenerationFailedError
@@ -278,7 +279,7 @@ def ref_trajectory(task_id, style, seed, noise=dg.ACTION_NOISE):
         level = 0.0 if attempt >= 24 else noise * 0.5 ** (attempt // 8)
         s0 = sw.initial_state_array(task_id, rng)
         if style == "wander":
-            actions = dg._wander_actions(task_id, s0, rng)
+            actions = helpers.ref_wander_actions(task_id, s0, rng)
             states = sw.rollout_states(s0, actions)
         else:
             actions, states = ref_run_policy(s0, ref_make_policy(task_id, style), rng, level)

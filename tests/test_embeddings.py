@@ -99,7 +99,7 @@ class TestNceTerm:
         tau = 0.3
         grad = emb.softmax(sims / tau)
         grad[2] -= 1.0
-        err = emb.finite_diff_grad_check(lambda s: nce(s, 2, tau), sims, grad / tau)
+        err = emb.finite_diff_grad_check(lambda s: nce(s, 2, tau), [sims], [grad / tau])
         assert err < 1e-7
 
     def test_determinism(self):
@@ -139,28 +139,47 @@ class TestFiniteDiffGradCheck:
         rng = np.random.default_rng(11)
         theta = rng.normal(size=8)
         err = emb.finite_diff_grad_check(
-            lambda t: float(np.sum(t * t)), theta, 2.0 * theta
+            lambda t: float(np.sum(t * t)), [theta], [2.0 * theta]
         )
         assert err < 1e-7
 
     def test_constant_function(self):
         theta = np.ones(4)
-        err = emb.finite_diff_grad_check(lambda t: 1.25, theta, np.zeros(4))
+        err = emb.finite_diff_grad_check(lambda t: 1.25, [theta], [np.zeros(4)])
         assert err == 0.0
 
     def test_nonfinite_raises(self):
         with pytest.raises(NonFiniteValueError):
             emb.finite_diff_grad_check(
-                lambda t: float("nan"), np.ones(2), np.zeros(2)
+                lambda t: float("nan"), [np.ones(2)], [np.zeros(2)]
             )
 
     def test_gradient_of_another_shape_raises(self):
-        with pytest.raises(ShapeMismatchError, match=r"theta shape \(3,\) != grad shape \(2,\)"):
-            emb.finite_diff_grad_check(lambda t: float(np.sum(t)), np.ones(3), np.ones(2))
+        with pytest.raises(ShapeMismatchError, match=r"\[\(3,\)\] != grads of shapes \[\(2,\)\]"):
+            emb.finite_diff_grad_check(lambda t: float(np.sum(t)), [np.ones(3)], [np.ones(2)])
+
+    def test_fewer_grads_than_arrays_raises(self):
+        # a bare zip would check the first array and skip the second
+        with pytest.raises(ShapeMismatchError):
+            emb.finite_diff_grad_check(lambda a, b: float(np.sum(a * b)),
+                                       [np.ones(2), np.ones(2)], [np.ones(2)])
+
+    def test_walks_the_arrays_in_order_each_in_c_order_on_copies(self):
+        a, b = np.arange(4.0).reshape(2, 2), np.arange(3.0)
+        moved = []
+
+        def f(x, y):
+            moved.append(int(np.flatnonzero(np.concatenate([(x - a).ravel(), y - b]))[0]))
+            return float(np.sum(x) + np.sum(y))
+
+        grad_b = np.array([1.0, 1.0, 0.0])  # wrong in the last entry only
+        assert emb.finite_diff_grad_check(f, [a, b], [np.ones((2, 2)), grad_b]) > 0.5
+        assert moved == [i for i in range(7) for _ in range(2)]
+        assert a.tolist() == [[0.0, 1.0], [2.0, 3.0]] and b.tolist() == [0.0, 1.0, 2.0]
 
     def test_detects_wrong_gradient(self):
         theta = np.ones(3)
         err = emb.finite_diff_grad_check(
-            lambda t: float(np.sum(t * t)), theta, np.zeros(3)
+            lambda t: float(np.sum(t * t)), [theta], [np.zeros(3)]
         )
         assert err > 0.5

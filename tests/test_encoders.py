@@ -34,14 +34,6 @@ def encode_one(clip, params):
     return enc.encode_clips(clip[None], params)[0]
 
 
-def flat(params):
-    return enc.flatten_arrays(params.arrays())
-
-
-def unflat(vec, params):
-    return enc.VideoEncoderParams(*enc.unflatten_like(vec, params.arrays()))
-
-
 class TestEncodeVideo:
     def test_deterministic_and_pure(self, params):
         clip = np.random.default_rng(2).normal(size=(4, 16))
@@ -73,13 +65,13 @@ class TestEncodeVideo:
         target = rng.normal(size=32)
         target /= np.linalg.norm(target)
 
-        def loss_of(vec):
-            return float(np.sum((encode_one(clip, unflat(vec, params)) - target) ** 2))
+        def loss_of(*arrays):
+            return float(np.sum((encode_one(clip, enc.VideoEncoderParams(*arrays)) - target) ** 2))
 
         v, cache = enc.encode_clips_cached(clip[None], params)
         d_v = 2.0 * (v - target[None])
         grads = enc.encode_clips_backward(cache, d_v)
-        err = finite_diff_grad_check(loss_of, flat(params), flat(grads))
+        err = finite_diff_grad_check(loss_of, params.arrays(), grads.arrays())
         assert err < 1e-4
 
     @pytest.mark.parametrize("n", [1, 24, 300])
@@ -191,19 +183,16 @@ class TestFailurePrompts:
         rng = np.random.default_rng(7)
         probe = np.zeros((3, 3, 32))
         probe[0, 0] = rng.normal(size=32)
-        block = pool.prompts[0, 0]
 
-        def loss_of(vec):
-            saved = block.copy()
-            block[...] = vec.reshape(block.shape)
-            try:
-                return float(np.sum(features(pool, texts) * probe))
-            finally:
-                block[...] = saved
+        def loss_of(block):
+            prompts = pool.prompts.copy()
+            prompts[0, 0] = block
+            moved = enc.FailurePromptPool(pool.tasks, prompts, pool.proj, pool.bias)
+            return float(np.sum(features(moved, texts) * probe))
 
         _, cache = enc.failure_text_features(pool, texts)
         d_prompts, _, _ = enc.compose_failure_context_backward(cache, probe)
-        err = finite_diff_grad_check(loss_of, block.ravel().copy(), d_prompts[0, 0].ravel())
+        err = finite_diff_grad_check(loss_of, [pool.prompts[0, 0]], [d_prompts[0, 0]])
         assert err < 1e-4
         d_prompts[0, 0] = 0.0
         assert not np.any(d_prompts)
@@ -213,22 +202,13 @@ class TestFailurePrompts:
         probe = np.zeros((3, 3, 32))
         probe[1, 2] = rng.normal(size=32)
 
-        def loss_of(vec):
-            saved = pool.proj.copy(), pool.bias.copy()
-            arrs = enc.unflatten_like(vec, [pool.proj, pool.bias])
-            pool.proj, pool.bias = arrs
-            try:
-                return float(np.sum(features(pool, texts) * probe))
-            finally:
-                pool.proj, pool.bias = saved
+        def loss_of(proj, bias):
+            moved = enc.FailurePromptPool(pool.tasks, pool.prompts, proj, bias)
+            return float(np.sum(features(moved, texts) * probe))
 
         _, cache = enc.failure_text_features(pool, texts)
         _, d_proj, d_bias = enc.compose_failure_context_backward(cache, probe)
-        err = finite_diff_grad_check(
-            loss_of,
-            enc.flatten_arrays([pool.proj, pool.bias]),
-            enc.flatten_arrays([d_proj, d_bias]),
-        )
+        err = finite_diff_grad_check(loss_of, [pool.proj, pool.bias], [d_proj, d_bias])
         assert err < 1e-4
 
     def test_failure_text_features_stacks_all_clusters(self, pool, texts):
@@ -245,14 +225,3 @@ class TestFailurePrompts:
         pool.proj = np.zeros_like(pool.proj)
         with pytest.raises(ZeroVectorError, match="failure context collapsed to zero"):
             features(pool, texts)
-
-
-class TestFlattening:
-    def test_roundtrip(self, params):
-        back = unflat(flat(params), params)
-        for a, b in zip(params.arrays(), back.arrays()):
-            assert np.array_equal(a, b)
-
-    def test_length_mismatch(self, params):
-        with pytest.raises(ShapeMismatchError):
-            unflat(np.zeros(3), params)

@@ -53,22 +53,15 @@ def test_batched_composition_unknown_task(pool, texts):
 
 def test_batched_composition_backward_matches_central_differences(pool, texts):
     probe = np.random.default_rng(3).normal(size=(len(TASKS), 3, D))
-    templates = [pool.prompts, pool.proj, pool.bias]
 
-    def loss_of(vec):
-        saved = [a.copy() for a in templates]
-        for a, new in zip(templates, enc.unflatten_like(vec, templates)):
-            a[...] = new
-        try:
-            return float(np.sum(enc.failure_text_features(pool, texts)[0] * probe))
-        finally:
-            for a, old in zip(templates, saved):
-                a[...] = old
+    def loss_of(*arrays):
+        moved = enc.FailurePromptPool(pool.tasks, *arrays)
+        return float(np.sum(enc.failure_text_features(moved, texts)[0] * probe))
 
     _, cache = enc.failure_text_features(pool, texts)
     d_prompts, d_proj, d_bias = enc.compose_failure_context_backward(cache, probe)
     assert d_prompts.shape == pool.prompts.shape
     err = finite_diff_grad_check(
-        loss_of, enc.flatten_arrays(templates), enc.flatten_arrays([d_prompts, d_proj, d_bias])
+        loss_of, [pool.prompts, pool.proj, pool.bias], [d_prompts, d_proj, d_bias]
     )
     assert err < 1e-6

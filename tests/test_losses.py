@@ -60,9 +60,7 @@ class TestCrossDomain:
         labels = np.array([0, 0, 1, 1, 0])
         _, grad = losses.cross_domain_loss(v, labels, 0.5)
         err = finite_diff_grad_check(
-            lambda flat: losses.cross_domain_loss(flat.reshape(v.shape), labels, 0.5)[0],
-            v.ravel().copy(),
-            grad.ravel(),
+            lambda v: losses.cross_domain_loss(v, labels, 0.5)[0], [v], [grad]
         )
         assert err < 1e-4
 
@@ -132,20 +130,15 @@ class TestVideoText:
         labels = np.array([0, 1, 1, 0])
         fail = helpers.random_unit_rows(rng, 4, 5).reshape(2, 2, 5) if with_fail else None
 
-        def f(flat):
-            ff = flat[20:40].reshape(2, 2, 5) if with_fail else None
-            return losses.video_text_loss(flat[:20].reshape(4, 5), t, labels, 0.4, failure_texts=ff)[0]
+        def f(v, *fail):
+            return losses.video_text_loss(v, t, labels, 0.4, *fail)[0]
 
         _, grads = losses.video_text_loss(v, t, labels, 0.4, failure_texts=fail)
-        parts = [v.ravel()]
-        grad_parts = [grads["videos"].ravel()]
+        arrays, analytic = [v], [grads["videos"]]
         if with_fail:
-            parts.append(fail.ravel())
-            grad_parts.append(grads["fail_texts"].ravel())
-        err = finite_diff_grad_check(
-            f, np.concatenate(parts).copy(), np.concatenate(grad_parts)
-        )
-        assert err < 1e-4
+            arrays.append(fail)
+            analytic.append(grads["fail_texts"])
+        assert finite_diff_grad_check(f, arrays, analytic) < 1e-4
 
 
 class TestBce:
@@ -171,9 +164,7 @@ class TestBce:
         t = helpers.random_unit_rows(rng, 5, 4)
         r = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         _, grad = losses.bce_loss(v, t, r)
-        err = finite_diff_grad_check(
-            lambda flat: losses.bce_loss(flat.reshape(5, 4), t, r)[0], v.ravel().copy(), grad.ravel()
-        )
+        err = finite_diff_grad_check(lambda v: losses.bce_loss(v, t, r)[0], [v], [grad])
         assert err < 1e-4
 
 
@@ -238,14 +229,11 @@ class TestFailurePrompt:
         clusters = [1, 0, 0]
         _, grads = losses.failure_prompt_loss(v, labels, clusters, task_texts, fail, 0.4)
 
-        def f(flat):
-            return losses.failure_prompt_loss(
-                flat[:15].reshape(3, d), labels, clusters, task_texts, flat[15:].reshape(2, 2, d), 0.4,
-            )[0]
+        def f(v, fail):
+            return losses.failure_prompt_loss(v, labels, clusters, task_texts, fail, 0.4)[0]
 
-        theta = np.concatenate([v.ravel(), fail.ravel()])
-        analytic = np.concatenate([grads["fail_videos"].ravel(), grads["fail_texts"].ravel()])
-        assert finite_diff_grad_check(f, theta, analytic) < 1e-4
+        analytic = [grads["fail_videos"], grads["fail_texts"]]
+        assert finite_diff_grad_check(f, [v, fail], analytic) < 1e-4
 
 
 def _relabel(field, label):

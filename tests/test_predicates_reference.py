@@ -16,6 +16,7 @@ import functools
 import numpy as np
 import pytest
 
+import helpers
 from rewardlab import datagen as dg, simworld as sw
 
 N_PER_STYLE = 12
@@ -89,7 +90,7 @@ def rollouts(task_id):
         if style == "random":
             states = sw.rollout_batch(s0, sw.random_action_array(rng, N_PER_STYLE, sw.HORIZON))
         elif style == "wander":
-            acts = np.stack([dg._wander_actions(task_id, s, rng) for s in s0])
+            acts = np.stack([helpers.ref_wander_actions(task_id, s, rng) for s in s0])
             states = sw.rollout_batch(s0, acts)
         else:
             noise = rng.uniform(-0.03, 0.03, size=(N_PER_STYLE, sw.HORIZON, 2))

@@ -1,9 +1,10 @@
-"""Every public top-level function and class of `rewardlab` is reached by the
-program: referenced outside its own definition in `src/rewardlab` or in the
-benchmark (`perfbench/*.py`), not only by tests. The benchmark names the
-functions it traces as strings (`perfbench/layers.py` TARGETS), so a string
-constant there counts as a reference too. In the same way, every defaulted
-parameter of a public top-level function is passed by some call there.
+"""Every top-level function and class of `rewardlab`, public or private, is
+reached by the program: referenced outside its own definition in
+`src/rewardlab` or in the benchmark (`perfbench/*.py`), not only by tests.
+The benchmark names the functions it traces as strings
+(`perfbench/layers.py` TARGETS), so a string constant there counts as a
+reference too. In the same way, every defaulted parameter of a public
+top-level function is passed by some call there.
 """
 
 import ast
@@ -25,21 +26,32 @@ def referenced_names(node, strings=False) -> set:
     return names
 
 
-def test_every_public_definition_is_reached():
-    public, reached = {}, set()
+def unreached_definitions(private: bool) -> list:
+    """module:name of each top-level function and class of `rewardlab`,
+    `_`-prefixed ones when private, that nothing references outside its own
+    definition."""
+    defined, reached = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            if is_def and not node.name.startswith("_"):
-                public[node.name] = path.name
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") == private:
+                    defined.append((path.name, node.name))
                 # a definition's own body does not count as a reference to it
                 reached |= referenced_names(node) - {node.name}
             else:
                 reached |= referenced_names(node)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         reached |= referenced_names(ast.parse(path.read_text()), strings=True)
-    unreached = sorted(f"{module}:{name}" for name, module in public.items() if name not in reached)
-    assert unreached == []
+    return [f"{module}:{name}" for module, name in defined if name not in reached]
+
+
+def test_every_public_definition_is_reached():
+    assert unreached_definitions(private=False) == []
+
+
+def test_no_private_definition_serves_only_tests():
+    # a private helper that only tests call belongs in the tests
+    assert unreached_definitions(private=True) == []
 
 
 # (function, parameter): defaulted parameters that no call in the program

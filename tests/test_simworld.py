@@ -104,6 +104,12 @@ class TestRollout:
             single = sw.rollout_states(s0s[i], acts[i])
             assert np.array_equal(batch[i], single)
 
+    def test_a_zero_step_rollout_returns_the_starts(self):
+        s0 = np.stack([sw.initial_state_array(t, np.random.default_rng(t)) for t in (0, 3)])
+        states = sw.rollout_batch(s0, np.zeros((2, 0, sw.ACTION_DIM)))
+        assert states.shape == (2, 1, sw.STATE_DIM)
+        assert np.array_equal(states[:, 0], s0)
+
     @pytest.mark.parametrize("s0_shape, actions_shape", [
         ((3, sw.STATE_DIM), (4, 60, sw.ACTION_DIM)),   # one start state short
         ((3, sw.STATE_DIM), (3, sw.ACTION_DIM)),       # no horizon axis

@@ -15,6 +15,7 @@ attempt must be equal byte for byte.
 import numpy as np
 import pytest
 
+import helpers
 from rewardlab import datagen as dg, dynamics as dyn, simworld as sw
 from rewardlab.errors import ShapeMismatchError, UnknownTaskError
 
@@ -54,18 +55,6 @@ def ref_initial_state(task_id, rng):
     return state
 
 
-def ref_wander_actions(task_id, s0, rng):
-    """One wander clip's random actions, biased away from the object for 8 steps."""
-    actions = sw.random_action_array(rng, 1, H)[0]
-    away = s0[[sw.GX, sw.GY]] - sw.target_points(task_id, s0)
-    norm = np.linalg.norm(away)
-    if norm > 1e-9:
-        away = away / norm * sw.VEL_LIMIT
-        actions[:8, 0] = sw.clamp(away[0] + actions[:8, 0] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
-        actions[:8, 1] = sw.clamp(away[1] + actions[:8, 1] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
-    return actions
-
-
 def ref_band(task_id, style, seeds, band, level):
     """Starts, noise (or None) and saved Generator states of a band drawn
     one attempt at a time, and the clips' Generators after it."""
@@ -75,7 +64,7 @@ def ref_band(task_id, style, seeds, band, level):
         for _ in band:
             starts.append(ref_initial_state(task_id, rng))
             if style == "wander":
-                noise.append(ref_wander_actions(task_id, starts[-1], rng))
+                noise.append(helpers.ref_wander_actions(task_id, starts[-1], rng))
             elif level > 0:
                 noise.append(rng.uniform(-level, level, size=(H, 2)))
             saved.append(rng.bit_generator.state)
