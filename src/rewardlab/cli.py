@@ -6,7 +6,9 @@ Every setting is an ExperimentConfig key in the `key = value` file given
 by --config (defaults without one); --seed overrides its seed. `ablate`
 sweeps that seed and the next two and prints separation AUCs only, no
 planning rates (`eval` prints those); `grad-check` takes no config. A
-RewardLabError or OSError exits with status 1 and a one-line message.
+RewardLabError or OSError exits with status 1 and a one-line message, and
+so does a gradient suite in which an operation's worst error reaches its
+bound, after the report.
 """
 
 import argparse
@@ -16,7 +18,7 @@ import sys
 from . import datagen as dg, dynamics as dyn, evaluation as ev, formats, training
 from .config import ExperimentConfig, load_config, resolve_seed
 from .errors import RewardLabError
-from .gradcheck import run_gradient_suite
+from .gradcheck import MAX_RELATIVE_ERROR, run_gradient_suite
 
 
 def _config(args) -> ExperimentConfig:
@@ -56,6 +58,16 @@ def _eval(args):
     }))
 
 
+def _grad_check(args) -> int:
+    worst = run_gradient_suite()
+    print(json.dumps(worst))
+    over = [name for name, err in worst.items() if not err < MAX_RELATIVE_ERROR]
+    if over:
+        print(f"rewardlab grad-check: error: the worst relative error of {', '.join(over)}"
+              f" reaches {MAX_RELATIVE_ERROR:g}", file=sys.stderr)
+    return 1 if over else 0
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rewardlab", description=__doc__.split("\n\n")[1])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -77,17 +89,17 @@ def _parser() -> argparse.ArgumentParser:
             ("checkpoint",))
     command("ablate", "print the train and held-out AUC of each seed's mode x K x "
             "failure-source cell as CSV",
-            lambda args: sys.stdout.write(ev.ablation_csv(ev.run_ablation(_config(args)))))
-    command("grad-check", "print the finite-difference gradient suite's worst errors",
-            lambda args: print(json.dumps(run_gradient_suite())), config=False)
+            lambda args: print(ev.ablation_csv(ev.run_ablation(_config(args))), end=""))
+    command("grad-check", "print the finite-difference gradient suite's worst errors; "
+            f"fail if one reaches {MAX_RELATIVE_ERROR:g}", _grad_check, config=False)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        args.run(args)
+        status = args.run(args)
     except (RewardLabError, OSError) as exc:
         print(f"rewardlab {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return status or 0

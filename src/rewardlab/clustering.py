@@ -3,8 +3,8 @@ cross-epoch cluster alignment that keeps pseudo-labels stable.
 
 The objective minimized is mean_i ( -v_i . c_{q_i} ), i.e. negative mean
 cosine to the assigned center; centers are normalized member means. The
-alternation never increases the objective, and the per-iteration history
-is kept on the result so tests can assert that.
+alternation never increases the objective, so each restart scores only
+its converged state.
 
 Alignment between consecutive epochs is an optimal assignment on the
 K x K center-similarity matrix (the Hungarian method, `max_weight_matching`);
@@ -12,7 +12,7 @@ new centers and labels are then relabeled so index k keeps tracking one
 failure theme.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class ClusterState:
     centers: np.ndarray          # (K, D), unit rows
     assignments: np.ndarray      # (M,)
     objective: float             # in [-1, 1]
-    objective_history: list = field(default_factory=list)
 
 
 def assign_pseudo_labels(centers: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -110,19 +109,16 @@ def spherical_kmeans(features: np.ndarray, k: int, seed: int = 0) -> ClusterStat
         rng = np.random.default_rng([seed, restart])
         centers = _kmeanspp_init(features, k, rng)
         labels = assign_pseudo_labels(centers, features)
-        history = [clustering_objective(features, centers, labels)]
         for _ in range(MAX_ITERS):
             centers = _update_centers(features, labels, centers)
             new_labels = assign_pseudo_labels(centers, features)
-            history.append(clustering_objective(features, centers, new_labels))
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
         state = ClusterState(
             centers=centers,
             assignments=labels,
-            objective=history[-1],
-            objective_history=history,
+            objective=clustering_objective(features, centers, labels),
         )
         if best is None or state.objective < best.objective - 1e-15:
             best = state
@@ -193,7 +189,6 @@ def relabel_state(state: ClusterState, pi: np.ndarray) -> ClusterState:
         centers=state.centers[pi],
         assignments=inverse[state.assignments],
         objective=state.objective,
-        objective_history=state.objective_history,
     )
 
 

@@ -172,10 +172,7 @@ def evaluate_planning(
                 row["refined_successes"] = seed_wins[1]
                 row["refined_rate"] = seed_wins[1] / trials
             rows.append(row)
-    summary = {
-        task: float(np.mean([r["rate"] for r in rows if r["task"] == task])) for task in tasks
-    }
-    return {"rows": rows, "mean_rate_per_task": summary}
+    return {"rows": rows}
 
 
 # --- ablation grid ---

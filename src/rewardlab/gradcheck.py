@@ -6,9 +6,10 @@ their hand-written gradients (the frozen task texts get none) to
 difference. The gradient is computed once per batch; the two encoder
 entries give the differences a value-only function, so their backward pass
 does not run at every difference point. The `total_loss.<mode>` entries
-check how each training mode sums and scatters the terms' gradients.
-`run_gradient_suite` runs them all; `python -m rewardlab grad-check`
-prints its result.
+check how each training mode sums the terms' gradients into its one
+gradient of the batch's rows. `run_gradient_suite` runs them all;
+`python -m rewardlab grad-check` prints its result and fails when an
+operation's worst error reaches MAX_RELATIVE_ERROR.
 """
 
 import numpy as np
@@ -18,6 +19,8 @@ from .embeddings import finite_diff_grad_check, l2_normalize_rows
 
 SEED = 0
 N_BATCHES = 20  # seeded random batches per operation
+# an operation whose worst relative error reaches this fails the check
+MAX_RELATIVE_ERROR = 1e-6
 
 
 def _unit_rows(rng, n, d):
@@ -119,18 +122,16 @@ def _check_compose(rng):
 
 def _check_total(rng, mode):
     d, k = 8, 3
-    labels, domains = np.array([0, 1, 0, 1, 0, 1]), np.array([0, 0, 0, 1, 1, 1])
-    fail_labels, clusters = np.array([0, 1]), rng.integers(0, k, size=2)
+    # 3 human, 3 robot and 2 failure rows
+    labels, clusters = np.array([0, 1, 0, 1, 0, 1, 0, 1]), rng.integers(0, k, size=2)
     task_texts = _unit_rows(rng, 2, d)
-    inputs = [_unit_rows(rng, 6, d), _unit_rows(rng, 2, d),
-              _unit_rows(rng, 2 * k, d).reshape(2, k, d)]
+    inputs = [_unit_rows(rng, 8, d), _unit_rows(rng, 2 * k, d).reshape(2, k, d)]
 
-    def op(videos, fail_videos, fail_texts):
-        batch = losses.Batch(videos, labels, domains, fail_videos, fail_labels, clusters, 0.4)
+    def op(videos, fail_texts):
+        batch = losses.Batch(videos, labels, 3, 3, clusters, 0.4)
         loss, grads, _ = losses.total_loss(batch, task_texts, fail_texts, mode=mode)
-        # a mode that does not read an input gives it no gradient
-        return loss, [grads.get(name, np.zeros_like(a)) for name, a in
-                      zip(("videos", "fail_videos", "fail_texts"), (videos, fail_videos, fail_texts))]
+        # a mode that does not read the failure features gives them no gradient
+        return loss, [grads["videos"], grads.get("fail_texts", np.zeros_like(fail_texts))]
 
     return _check(op, inputs)
 

@@ -30,13 +30,15 @@ these small reductions do.
   clip's assigned cluster k*.
 
 Task texts stand in for a frozen language encoder, so no loss returns a
-gradient for them: gradients cover the clip embeddings ("videos",
-"fail_videos") and the failure features ("fail_texts"), which the training
-step backprops into the encoder and the prompt pool. Per-task inputs are
-arrays indexed by task id: texts (T, D), failure features (T, K, D) and a
-(T,) mask of the tasks with a prompt pool; per-row feature gradients are
-summed back into (T, K, D) with np.add.at. Gradients are hand-derived and
-checked against central differences in the test suite.
+gradient for them: gradients cover the clip embeddings and the failure
+features ("fail_texts"), which the training step backprops into the
+encoder and the prompt pool. `total_loss` takes the encoder's rows,
+[human successes | robot successes | robot failures], and returns one
+(N, D) gradient for them. Per-task inputs are arrays indexed by task id:
+texts (T, D), failure features (T, K, D) and a (T,) mask of the tasks
+with a prompt pool; per-row feature gradients are summed back into
+(T, K, D) with np.add.at. Gradients are hand-derived and checked against
+central differences in the test suite.
 
 There is one path per term and one rule per bad input, whatever the entry
 point: ShapeMismatchError for an array of the wrong shape (a failure table
@@ -45,8 +47,8 @@ a task label outside [0, T), and MissingFailureTextsError only for fvlc
 mode without failure features and for a failure row whose task has no
 prompt pool. Each public loss checks its own inputs; `total_loss` calls
 each term its mode uses once, through the public function, and checks only
-what no term knows: the mode, the two strata, the rows' task texts and, in
-fvlc mode, one failure block per task.
+what no term knows: the mode, the two strata, every row's task label and,
+in fvlc mode, one failure block per task.
 """
 
 import math
@@ -70,55 +72,38 @@ from .errors import (
 
 MODES = ("no_failure", "bce", "fvlc")
 
-HUMAN, ROBOT = 0, 1
-
 
 @dataclass
 class Batch:
-    """Embedding-level training batch: human rows first, then robot successes."""
+    """Embedding-level training batch, one row per clip in the encoder's
+    order: n_human human successes, n_robot robot successes, then the
+    robot failures."""
 
-    videos: np.ndarray         # (B, D) success clips
-    labels: np.ndarray         # (B,) task ids
-    domains: np.ndarray        # (B,) HUMAN or ROBOT
-    fail_videos: np.ndarray    # (Bf, D)
-    fail_labels: np.ndarray    # (Bf,)
-    fail_clusters: np.ndarray  # (Bf,) assigned pseudo-label k*
+    videos: np.ndarray         # (N, D) clip embeddings
+    labels: np.ndarray         # (N,) task ids
+    n_human: int
+    n_robot: int
+    fail_clusters: np.ndarray  # (N - n_human - n_robot,) assigned pseudo-label k*
     tau: float
 
     def __post_init__(self):
         """Converts the arrays; ShapeMismatchError unless they have the
-        shapes above. An empty fail_videos becomes (0, D)."""
+        shapes above and the counts are non-negative."""
         self.videos = np.asarray(self.videos, dtype=np.float64)
         if self.videos.ndim != 2:
-            raise ShapeMismatchError(f"videos of shape {self.videos.shape}, expected (B, D)")
-        b, d = self.videos.shape
-        self.fail_videos = np.asarray(self.fail_videos, dtype=np.float64)
-        if self.fail_videos.size == 0:
-            self.fail_videos = self.fail_videos.reshape(0, d)
-        if self.fail_videos.shape[1:] != (d,):
+            raise ShapeMismatchError(f"videos of shape {self.videos.shape}, expected (N, D)")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.fail_clusters = np.asarray(self.fail_clusters, dtype=np.int64)
+        n = self.videos.shape[0]
+        n_fail = n - self.n_human - self.n_robot
+        if (self.labels.shape != (n,) or self.n_human < 0 or self.n_robot < 0
+                or self.fail_clusters.shape != (n_fail,)):
             raise ShapeMismatchError(
-                f"fail_videos of shape {self.fail_videos.shape}, expected (Bf, {d})"
+                f"labels {self.labels.shape}, n_human {self.n_human}, n_robot {self.n_robot}"
+                f" and fail_clusters {self.fail_clusters.shape} for {n} rows, expected"
+                " (N,), two counts >= 0 and (N - n_human - n_robot,)"
             )
-        n_f = self.fail_videos.shape[0]
-        rows = {"labels": b, "domains": b, "fail_labels": n_f, "fail_clusters": n_f}
-        for name, n in rows.items():
-            array = np.asarray(getattr(self, name), dtype=np.int64)
-            if array.shape != (n,):
-                raise ShapeMismatchError(f"{name} of shape {array.shape}, expected ({n},)")
-            setattr(self, name, array)
         _check_tau(self.tau)
-
-    @property
-    def n_human(self) -> int:
-        return int(np.count_nonzero(self.domains == HUMAN))
-
-    @property
-    def n_robot(self) -> int:
-        return int(np.count_nonzero(self.domains == ROBOT))
-
-    @property
-    def n_fail(self) -> int:
-        return self.fail_videos.shape[0]
 
 
 def _check_tau(tau: float) -> None:
@@ -340,17 +325,21 @@ def total_loss(
     fvlc:       adds failure negatives to video->text and the failure
                 prompt contrast term.
 
-    task_texts is (T, D) and failure_texts (T, K, D), indexed by task id;
-    each row's text is task_texts[label]. pooled is the (T,) mask of tasks
-    that have a prompt pool. A label outside [0, T) raises
+    The success terms read rows [0, n_human + n_robot), bce every row from
+    n_human on and the failure-prompt term the failure rows. task_texts is
+    (T, D) and failure_texts (T, K, D), indexed by task id; each row's text
+    is task_texts[label]. pooled is the (T,) mask of tasks that have a
+    prompt pool. A label outside [0, T), on any row in any mode, raises
     UnknownTaskError. In fvlc mode failure_texts must be given (else
     MissingFailureTextsError) and hold one (K, D) block per task (else
     ShapeMismatchError); each term checks the rest of its inputs.
-    Returns (value, grads, components).
+    Returns (value, grads, components); grads["videos"] is (N, D), zero on
+    rows the mode does not read, and fvlc adds grads["fail_texts"].
     """
     if mode not in MODES:
         raise BadConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if batch.n_human < 1 or batch.n_robot < 1:
+    n_human, n_success = batch.n_human, batch.n_human + batch.n_robot
+    if n_human < 1 or batch.n_robot < 1:
         raise EmptyPositiveSetError("need at least one human and one robot success sample")
     task_texts = np.asarray(task_texts, dtype=np.float64)
     texts = _rows(task_texts, batch.labels)
@@ -363,34 +352,28 @@ def total_loss(
             f"failure features for {len(failure_texts)} tasks, task texts for {len(task_texts)}"
         )
 
-    cdc_val, cdc_grad = cross_domain_loss(
-        batch.videos, batch.labels, batch.tau, exclude_anchor=exclude_anchor
-    )
+    videos, labels = batch.videos[:n_success], batch.labels[:n_success]
+    cdc_val, cdc_grad = cross_domain_loss(videos, labels, batch.tau, exclude_anchor=exclude_anchor)
     vlc_val, grads = video_text_loss(
-        batch.videos, texts, batch.labels, batch.tau, failure_texts, pooled
+        videos, texts[:n_success], labels, batch.tau, failure_texts, pooled
     )
-    grads["videos"] = cdc_grad + grads["videos"]
+    d_videos = np.zeros_like(batch.videos)
+    d_videos[:n_success] = cdc_grad + grads["videos"]
+    grads["videos"] = d_videos
     components = {"cross_domain": cdc_val, "video_text": vlc_val}
     extra_val = 0.0
     if mode == "bce":
-        robot = batch.domains == ROBOT
-        n_r = int(robot.sum())
-        videos = np.concatenate([batch.videos[robot], batch.fail_videos])
-        bce_texts = np.concatenate([texts[robot], _rows(task_texts, batch.fail_labels)])
-        outcomes = np.concatenate([np.ones(n_r), np.zeros(batch.n_fail)])
-        extra_val, d_bce = bce_loss(videos, bce_texts, outcomes)
-        d_videos = np.zeros_like(batch.videos)
-        d_videos[robot] = d_bce[:n_r]
-        grads["videos"] = grads["videos"] + d_videos
-        grads["fail_videos"] = d_bce[n_r:]
+        outcomes = np.repeat([1.0, 0.0], [batch.n_robot, len(batch.fail_clusters)])
+        extra_val, d_bce = bce_loss(batch.videos[n_human:], texts[n_human:], outcomes)
+        d_videos[n_human:] += d_bce
         components["bce"] = extra_val
     elif mode == "fvlc":
         extra_val, fp_grads = failure_prompt_loss(
-            batch.fail_videos, batch.fail_labels, batch.fail_clusters,
+            batch.videos[n_success:], batch.labels[n_success:], batch.fail_clusters,
             task_texts, failure_texts, batch.tau, pooled,
         )
         grads["fail_texts"] = grads["fail_texts"] + fp_grads["fail_texts"]
-        grads["fail_videos"] = fp_grads["fail_videos"]
+        d_videos[n_success:] = fp_grads["fail_videos"]
         components["failure_prompt"] = extra_val
 
     value = cdc_val + vlc_val + extra_val

@@ -14,17 +14,19 @@ same-task positive. It tests 32 candidate task make-ups per Generator
 call, then picks each block's rows uniformly; failure rows are a plain
 uniform draw.
 
-Per step: draw rows, gather and encode success and failure frames
-together, compose the (T_p, K, D) failure features of every pooled task
-and cluster in one pass, evaluate the mode's total loss (its gradients
-cover only the trainable inputs: clip embeddings and failure features),
-backprop by hand through the encoders and the prompt composition, clip
-the global gradient norm, and apply plain gradient descent (prompts get
-their own learning rate). A non-finite loss or gradient norm stops
-training with NonFiniteValueError before the update. In failure-prompt
-mode, every epoch ends by re-clustering each task's failure clips under
-the current encoder, aligning the clusters to the previous epoch, and
-writing the task's slice of the pseudo-labels.
+Per step: draw rows, encode the batch's frames as one row array in the
+sampler's order (human successes, robot successes, robot failures),
+compose the (T_p, K, D) failure features of every pooled task and
+cluster in one pass, evaluate the mode's total loss on those rows (one
+(N, D) gradient of the clip embeddings, zero on rows the mode does not
+read, and one of the failure features), backprop by hand through the
+encoders and the prompt composition, clip the global gradient norm, and
+apply plain gradient descent (prompts get their own learning rate). A
+non-finite loss or gradient norm stops training with NonFiniteValueError
+before the update. In failure-prompt mode, every epoch ends by
+re-clustering each task's failure clips under the current encoder,
+aligning the clusters to the previous epoch, and writing the task's
+slice of the pseudo-labels.
 
 Rng streams are separated per concern so, e.g., all modes share the same
 encoder initialization under one seed.
@@ -227,30 +229,23 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
     pooled = np.zeros(len(texts), dtype=bool)
     if params.pool is not None:
         pooled[params.pool.tasks] = True
-    domains = np.repeat([losses.HUMAN, losses.ROBOT], [config.batch_human, config.batch_robot])
 
     metrics = []
     for epoch in range(config.epochs):
         sums = {}
         for _ in range(steps):
             rows, fail_rows, fail_clusters = sample_batch(data, config, sampler_rng, pseudo_labels)
-            # success and failure clips go through the encoder together
-            n_success = len(rows)
-            videos, video_cache = enc.encode_clips_cached(
-                data.frames[np.concatenate([rows, fail_rows])], params.video
-            )
+            # one row array, [human | robot | failure], from the encoder
+            # through the loss and back
+            rows = np.concatenate([rows, fail_rows])
+            videos, video_cache = enc.encode_clips_cached(data.frames[rows], params.video)
             if params.pool is not None:
                 feats, pool_cache = enc.failure_text_features(params.pool, params.texts)
                 fail_texts[params.pool.tasks] = feats
 
             emb_batch = losses.Batch(
-                videos=videos[:n_success],
-                labels=data.tasks[rows],
-                domains=domains,
-                fail_videos=videos[n_success:],
-                fail_labels=data.tasks[fail_rows],
-                fail_clusters=fail_clusters,
-                tau=config.tau,
+                videos, data.tasks[rows], config.batch_human, config.batch_robot,
+                fail_clusters, config.tau,
             )
             value, grads, comps = losses.total_loss(
                 emb_batch, texts, fail_texts, pooled,
@@ -262,11 +257,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
                 sums[key] = sums.get(key, 0.0) + v
 
             # backprop into the trainable parameters
-            d_fail_videos = (grads["fail_videos"] if "fail_videos" in grads
-                             else np.zeros_like(videos[n_success:]))
-            video_grads = enc.encode_clips_backward(
-                video_cache, np.concatenate([grads["videos"], d_fail_videos])
-            )
+            video_grads = enc.encode_clips_backward(video_cache, grads["videos"])
             all_grads = list(video_grads.arrays())
             if params.pool is not None:
                 d_prompts, d_proj, d_bias = enc.compose_failure_context_backward(

@@ -51,26 +51,39 @@ def random_unit_rows(rng, n, d):
 
 def build_random_batch(seed, n_human=3, n_robot=3, n_fail=2, k=3, d=8, n_tasks=2, tau=0.5):
     """Random embedding-level batch with guaranteed nonempty positive sets,
-    plus task texts (n_tasks, d) and failure features (n_tasks, k, d)."""
+    plus task texts (n_tasks, d) and failure features (n_tasks, k, d).
+
+    The batch's rows are in the encoder's order: n_human human and n_robot
+    robot successes, whose tasks come in shuffled pairs, then n_fail
+    failures of tasks 0, 1, ... in turn."""
     rng = np.random.default_rng(seed)
     b = n_human + n_robot
     # assign tasks in pairs so every label appears at least twice
     labels = np.array([(i // 2) % n_tasks for i in range(b)])
     rng.shuffle(labels)
     task_texts = random_unit_rows(rng, n_tasks, d)
-    videos = random_unit_rows(rng, b, d)
-    fail_labels = np.array([i % n_tasks for i in range(n_fail)])
     batch = Batch(
-        videos=videos,
-        labels=labels,
-        domains=np.array([0] * n_human + [1] * n_robot),
-        fail_videos=random_unit_rows(rng, n_fail, d) if n_fail else np.zeros((0, d)),
-        fail_labels=fail_labels,
+        videos=random_unit_rows(rng, b + n_fail, d),
+        labels=np.concatenate([labels, np.arange(n_fail) % n_tasks]),
+        n_human=n_human,
+        n_robot=n_robot,
         fail_clusters=np.array([rng.integers(0, k) for _ in range(n_fail)]),
         tau=tau,
     )
     failure_texts = random_unit_rows(rng, n_tasks * k, d).reshape(n_tasks, k, d)
     return batch, task_texts, failure_texts
+
+
+def successes(batch):
+    """The success rows of a Batch: (videos, labels)."""
+    n = batch.n_human + batch.n_robot
+    return batch.videos[:n], batch.labels[:n]
+
+
+def failures(batch):
+    """The failure rows of a Batch: (videos, labels)."""
+    n = batch.n_human + batch.n_robot
+    return batch.videos[n:], batch.labels[n:]
 
 
 def oracle_cross_domain(videos, labels, tau, exclude_anchor=False):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rewardlab import cli, datagen as dg, dynamics as dyn, evaluation, formats, training
+from rewardlab import cli, datagen as dg, dynamics as dyn, evaluation, formats, gradcheck, training
 from rewardlab.config import load_config
 from test_formats import BAD_RECORDS, write_with_bad_record
 
@@ -207,7 +207,20 @@ def test_ablate_and_grad_check_print_their_reports(config_path, capsys, monkeypa
     run(capsys, "ablate", "--config", config_path, "--seed", 4)
     assert seen[-1] == replace(load_config(config_path), seed=4)
     monkeypatch.setattr(cli, "run_gradient_suite", lambda: {"bce_loss": 1e-10})
-    assert json.loads(run(capsys, "grad-check")[1]) == {"bce_loss": 1e-10}
+    assert run(capsys, "grad-check")[:2] == (0, '{"bce_loss": 1e-10}\n')
+
+
+@pytest.mark.parametrize("err", [1e-6, 1e-3, float("nan")])
+def test_grad_check_fails_when_an_operation_reaches_the_bound(capsys, monkeypatch, err):
+    # the report still prints, then one line names the operation
+    worst = {"bce_loss": 1e-10, "total_loss.fvlc": err}
+    monkeypatch.setattr(cli, "run_gradient_suite", lambda: worst)
+    status, out, stderr = run(capsys, "grad-check")
+    assert status == 1 and out.count("\n") == 1
+    assert json.dumps(json.loads(out)) == json.dumps(worst)
+    assert stderr.count("\n") == 1 and stderr.startswith("rewardlab grad-check: error: ")
+    assert "total_loss.fvlc" in stderr and "bce_loss" not in stderr
+    assert gradcheck.MAX_RELATIVE_ERROR == 1e-6  # the first case is the bound itself
 
 
 def test_ablate_rejects_the_default_k_axis_before_training(config_path, capsys, monkeypatch):

@@ -68,12 +68,28 @@ class TestSphericalKmeans:
         assert labels[0] != labels[2]
 
     def test_objective_history_non_increasing(self):
+        # spherical_kmeans' alternation, run here for every restart with the
+        # objective taken after each step; the result is the best restart's
+        # last objective
         for seed in range(10):
             rng = np.random.default_rng(seed)
             feats = helpers.random_unit_rows(rng, 8, 3)
-            state = cl.spherical_kmeans(feats, k=3, seed=seed)
-            diffs = np.diff(state.objective_history)
-            assert np.all(diffs <= 1e-12)
+            finals = []
+            for restart in range(cl.N_RESTARTS):
+                centers = cl._kmeanspp_init(feats, 3, np.random.default_rng([seed, restart]))
+                labels = cl.assign_pseudo_labels(centers, feats)
+                history = [cl.clustering_objective(feats, centers, labels)]
+                for _ in range(cl.MAX_ITERS):
+                    centers = cl._update_centers(feats, labels, centers)
+                    new_labels = cl.assign_pseudo_labels(centers, feats)
+                    history.append(cl.clustering_objective(feats, centers, new_labels))
+                    if np.array_equal(new_labels, labels):
+                        break
+                    labels = new_labels
+                assert np.all(np.diff(history) <= 1e-12)
+                finals.append(history[-1])
+            best = cl.spherical_kmeans(feats, k=3, seed=seed).objective
+            assert abs(best - min(finals)) <= 1e-15
 
     def test_fixed_point_condition(self):
         for seed in range(6):

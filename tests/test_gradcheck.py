@@ -32,7 +32,7 @@ def test_suite_max_relative_error(monkeypatch):
     worst = gradcheck.run_gradient_suite()
     assert sorted(worst) == sorted(gradcheck.SUITE)
     for name, err in worst.items():
-        assert err < 1e-6, name
+        assert err < gradcheck.MAX_RELATIVE_ERROR, name
 
 
 def test_batched_composition_matches_per_context(pool, texts):

@@ -236,16 +236,26 @@ class TestFailurePrompt:
         assert finite_diff_grad_check(f, [v, fail], analytic) < 1e-4
 
 
-def _relabel(field, label):
-    """An edit of a loss case that sets the first entry of a label array."""
+def _relabel(failure, label):
+    """An edit of a loss case that sets the label of the first failure row,
+    or of the first success row."""
     def edit(batch, task_texts, failure_texts, pooled):
-        getattr(batch, field)[0] = label
+        batch.labels[batch.n_human + batch.n_robot if failure else 0] = label
         return batch, task_texts, failure_texts, pooled
     return edit
 
 
-# the entry points that take each kind of bad input
-FAILURE_ROWS = ("failure_prompt", "total_bce", "total_fvlc")
+def _video_text(batch, task_texts, failure_texts, pooled):
+    """The video-text term on the batch's success rows. It takes per-row
+    texts, so its rows get any valid text."""
+    videos, labels = helpers.successes(batch)
+    texts = task_texts[labels % len(task_texts)]
+    return losses.video_text_loss(videos, texts, labels, batch.tau, failure_texts, pooled)
+
+
+# the entry points that take each kind of bad input; total_loss checks the
+# label of every row, whichever rows its mode reads
+FAILURE_ROWS = ("failure_prompt", "total_no_failure", "total_bce", "total_fvlc")
 SUCCESS_ROWS = ("video_text", "total_no_failure", "total_bce", "total_fvlc")
 FAILURE_TABLE = ("failure_prompt", "total_fvlc")
 
@@ -258,13 +268,11 @@ class TestOutOfRangeLabels:
     is only for a failure row whose task has no prompt pool and for fvlc
     mode without failure features."""
 
-    # entry point -> call on (batch, task_texts, failure_texts, pooled); the
-    # video-text term takes per-row texts, so its rows get any valid text
+    # entry point -> call on (batch, task_texts, failure_texts, pooled)
     ENTRIES = {
         "failure_prompt": lambda b, tt, ft, pooled: losses.failure_prompt_loss(
-            b.fail_videos, b.fail_labels, b.fail_clusters, tt, ft, b.tau, pooled),
-        "video_text": lambda b, tt, ft, pooled: losses.video_text_loss(
-            b.videos, tt[b.labels % len(tt)], b.labels, b.tau, ft, pooled),
+            *helpers.failures(b), b.fail_clusters, tt, ft, b.tau, pooled),
+        "video_text": _video_text,
         **{f"total_{mode}": lambda b, tt, ft, pooled, mode=mode: losses.total_loss(
             b, tt, ft, pooled, mode) for mode in losses.MODES},
     }
@@ -273,10 +281,10 @@ class TestOutOfRangeLabels:
     # 1 -> (edit of (batch, task_texts, failure_texts, pooled), error class,
     # entry points that take it)
     RULES = {
-        "failure_label_-1": (_relabel("fail_labels", -1), UnknownTaskError, FAILURE_ROWS),
-        "failure_label_T": (_relabel("fail_labels", 2), UnknownTaskError, FAILURE_ROWS),
-        "success_label_-1": (_relabel("labels", -1), UnknownTaskError, SUCCESS_ROWS),
-        "success_label_T": (_relabel("labels", 2), UnknownTaskError, SUCCESS_ROWS),
+        "failure_label_-1": (_relabel(True, -1), UnknownTaskError, FAILURE_ROWS),
+        "failure_label_T": (_relabel(True, 2), UnknownTaskError, FAILURE_ROWS),
+        "success_label_-1": (_relabel(False, -1), UnknownTaskError, SUCCESS_ROWS),
+        "success_label_T": (_relabel(False, 2), UnknownTaskError, SUCCESS_ROWS),
         "short_failure_table": (lambda b, tt, ft, pooled: (b, tt, ft[:1], pooled),
                                 ShapeMismatchError, FAILURE_TABLE),
         "long_failure_table": (lambda b, tt, ft, pooled: (b, tt, np.concatenate([ft, ft]), pooled),
@@ -293,7 +301,7 @@ class TestOutOfRangeLabels:
     def test_one_error_class_per_bad_input(self, bad, entry):
         edit, error, _ = self.RULES[bad]
         batch, task_texts, failure_texts = helpers.build_random_batch(11)
-        assert batch.fail_labels.tolist() == [0, 1]
+        assert helpers.failures(batch)[1].tolist() == [0, 1]
         with pytest.raises(error):
             self.ENTRIES[entry](*edit(batch, task_texts, failure_texts, None))
 
@@ -328,7 +336,7 @@ class TestOutOfRangeLabels:
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_total_loss_failure_label(self, mode, bad):
         batch, task_texts, failure_texts = helpers.build_random_batch(11)
-        batch.fail_labels[0] = bad
+        batch.labels[batch.n_human + batch.n_robot] = bad
         with pytest.raises(UnknownTaskError):
             losses.total_loss(batch, task_texts, failure_texts, mode=mode)
 
@@ -355,15 +363,16 @@ class TestPooledMaskLength:
     @MASKS
     def test_video_text_loss(self, pooled):
         batch, task_texts, failure_texts = helpers.build_random_batch(11)
+        videos, labels = helpers.successes(batch)
         with pytest.raises(ShapeMismatchError):
-            losses.video_text_loss(batch.videos, task_texts[batch.labels], batch.labels,
-                                   batch.tau, failure_texts, pooled)
+            losses.video_text_loss(videos, task_texts[labels], labels, batch.tau,
+                                   failure_texts, pooled)
 
     @MASKS
     def test_failure_prompt_loss(self, pooled):
         batch, task_texts, failure_texts = helpers.build_random_batch(11)
         with pytest.raises(ShapeMismatchError):
-            losses.failure_prompt_loss(batch.fail_videos, batch.fail_labels, batch.fail_clusters,
+            losses.failure_prompt_loss(*helpers.failures(batch), batch.fail_clusters,
                                        task_texts, failure_texts, batch.tau, pooled)
 
 
@@ -382,49 +391,45 @@ class TestShapes:
         return fields, task_texts, failure_texts
 
     @pytest.mark.parametrize("changes", [
-        {"fail_videos": np.zeros((4, 4))},
-        {"fail_videos": np.zeros((2, 5))},
         {"videos": np.zeros(8)},
         {"labels": [0, 1, 0, 1, 0]},
-        {"domains": [0, 1, 1]},
-        {"fail_labels": [0, 1, 0]},
         {"fail_clusters": [0]},
-    ], ids=["fail_videos_4x4", "fail_videos_2x5", "1d_videos", "5_labels", "3_domains",
-            "3_fail_labels", "1_cluster"])
+        {"n_human": -1, "n_robot": 5},
+        {"fail_clusters": [[0, 1]]},
+    ], ids=["1d_videos", "5_labels", "1_cluster", "negative_count", "2d_clusters"])
     def test_batch(self, changes):
         fields, _, _ = self.case(**changes)
         with pytest.raises(ShapeMismatchError):
             losses.Batch(**fields)
 
-    def test_an_empty_batch_of_failures_gets_the_clip_width(self):
-        fields, _, _ = self.case(fail_videos=np.zeros(0), fail_labels=[], fail_clusters=[])
-        assert losses.Batch(**fields).fail_videos.shape == (0, 8)
-
-    # each case takes (batch, task_texts, failure_texts)
+    # each case takes (the success rows, the failure rows, the batch,
+    # task_texts, failure_texts); a pair of rows is (videos, labels)
     TERMS = {
-        "cross_domain_1d_videos": lambda b, tt, ft: losses.cross_domain_loss(
-            b.videos[0], b.labels, b.tau),
-        "cross_domain_3_labels": lambda b, tt, ft: losses.cross_domain_loss(
-            b.videos, b.labels[:3], b.tau),
-        "video_text_2_labels": lambda b, tt, ft: losses.video_text_loss(
-            b.videos, tt[b.labels], b.labels[:2], b.tau, ft),
-        "video_text_failure_width_5": lambda b, tt, ft: losses.video_text_loss(
-            b.videos, tt[b.labels], b.labels, b.tau, ft[:, :, :5]),
-        "bce_4x2_outcomes": lambda b, tt, ft: losses.bce_loss(
-            b.videos, tt[b.labels], np.zeros((4, 2))),
-        "failure_prompt_1_cluster": lambda b, tt, ft: losses.failure_prompt_loss(
-            b.fail_videos, b.fail_labels, b.fail_clusters[:1], tt, ft, b.tau),
-        "failure_prompt_videos_width_5": lambda b, tt, ft: losses.failure_prompt_loss(
-            b.fail_videos[:, :5], b.fail_labels, b.fail_clusters, tt, ft, b.tau),
-        "failure_prompt_texts_width_5": lambda b, tt, ft: losses.failure_prompt_loss(
-            b.fail_videos, b.fail_labels, b.fail_clusters, tt[:, :5], ft, b.tau),
+        "cross_domain_1d_videos": lambda s, f, b, tt, ft: losses.cross_domain_loss(
+            s[0][0], s[1], b.tau),
+        "cross_domain_3_labels": lambda s, f, b, tt, ft: losses.cross_domain_loss(
+            s[0], s[1][:3], b.tau),
+        "video_text_2_labels": lambda s, f, b, tt, ft: losses.video_text_loss(
+            s[0], tt[s[1]], s[1][:2], b.tau, ft),
+        "video_text_failure_width_5": lambda s, f, b, tt, ft: losses.video_text_loss(
+            s[0], tt[s[1]], s[1], b.tau, ft[:, :, :5]),
+        "bce_4x2_outcomes": lambda s, f, b, tt, ft: losses.bce_loss(
+            s[0], tt[s[1]], np.zeros((4, 2))),
+        "failure_prompt_1_cluster": lambda s, f, b, tt, ft: losses.failure_prompt_loss(
+            *f, b.fail_clusters[:1], tt, ft, b.tau),
+        "failure_prompt_videos_width_5": lambda s, f, b, tt, ft: losses.failure_prompt_loss(
+            f[0][:, :5], f[1], b.fail_clusters, tt, ft, b.tau),
+        "failure_prompt_texts_width_5": lambda s, f, b, tt, ft: losses.failure_prompt_loss(
+            *f, b.fail_clusters, tt[:, :5], ft, b.tau),
     }
 
     @pytest.mark.parametrize("term", TERMS)
     def test_public_loss(self, term):
         fields, task_texts, failure_texts = self.case()
+        batch = losses.Batch(**fields)
         with pytest.raises(ShapeMismatchError):
-            self.TERMS[term](losses.Batch(**fields), task_texts, failure_texts)
+            self.TERMS[term](helpers.successes(batch), helpers.failures(batch), batch,
+                             task_texts, failure_texts)
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.5])
@@ -452,13 +457,11 @@ class TestTotalLoss:
     def test_fvlc_uniform_case_is_sum_of_uniform_parts(self):
         # identical same-task clips make every similarity group uniform
         d = 12
-        videos = np.stack([np.eye(d)[0], np.eye(d)[0]])
         batch = losses.Batch(
-            videos=videos,
-            labels=np.array([0, 0]),
-            domains=np.array([0, 1]),
-            fail_videos=np.eye(d)[4][None],
-            fail_labels=np.array([0]),
+            videos=np.eye(d)[[0, 0, 4]],
+            labels=np.array([0, 0, 0]),
+            n_human=1,
+            n_robot=1,
             fail_clusters=np.array([2]),
             tau=0.8,
         )
@@ -477,22 +480,24 @@ class TestTotalLoss:
         batch, task_texts, failure_texts = helpers.build_random_batch(5)
         val, grads, comps = losses.total_loss(batch, task_texts, failure_texts, mode="bce")
         assert "bce" in comps and comps["bce"] > 0
-        assert "fail_videos" in grads
+        # bce reads the failure rows, the last two
+        assert np.all(np.any(grads["videos"][-2:] != 0, axis=1))
 
     @pytest.mark.parametrize("mode, keys", [
         ("no_failure", {"videos"}),
-        ("bce", {"videos", "fail_videos"}),
-        ("fvlc", {"videos", "fail_videos", "fail_texts"}),
+        ("bce", {"videos"}),
+        ("fvlc", {"videos", "fail_texts"}),
     ])
     def test_gradients_cover_the_trainable_inputs_only(self, mode, keys):
-        # exactly what the training step backprops: clip embeddings into the
-        # encoder, failure features into the prompt pool; texts are frozen
+        # exactly what the training step backprops: one gradient of the
+        # batch's rows into the encoder, failure features into the prompt
+        # pool; texts are frozen. Rows the mode does not read get zeros.
         batch, task_texts, failure_texts = helpers.build_random_batch(7)
         _, grads, _ = losses.total_loss(batch, task_texts, failure_texts, mode=mode)
         assert set(grads) == keys
         assert grads["videos"].shape == batch.videos.shape
-        if "fail_videos" in keys:
-            assert grads["fail_videos"].shape == batch.fail_videos.shape
+        read = np.any(grads["videos"] != 0, axis=1)
+        assert read.tolist() == [True] * 6 + [mode != "no_failure"] * 2
         if "fail_texts" in keys:
             assert grads["fail_texts"].shape == failure_texts.shape
 
@@ -535,23 +540,25 @@ class TestTotalLoss:
         for seed in range(6):
             batch, task_texts, failure_texts = helpers.build_random_batch(seed + 20)
             val, _, _ = losses.total_loss(batch, task_texts, failure_texts, mode=mode)
-            expected = helpers.oracle_cross_domain(batch.videos, batch.labels, batch.tau)
+            videos, labels = helpers.successes(batch)
+            fail_videos, fail_labels = helpers.failures(batch)
+            expected = helpers.oracle_cross_domain(videos, labels, batch.tau)
             expected += helpers.oracle_video_text(
-                batch.videos, task_texts[batch.labels], batch.labels, batch.tau,
+                videos, task_texts[labels], labels, batch.tau,
                 failure_texts if mode == "fvlc" else None,
             )
             if mode == "bce":
-                robot = batch.domains == 1
-                videos = np.concatenate([batch.videos[robot], batch.fail_videos])
+                robot = slice(batch.n_human, None)
+                videos = np.concatenate([videos[robot], fail_videos])
                 texts = np.concatenate([
-                    task_texts[batch.labels[robot]],
-                    np.stack([task_texts[int(t)] for t in batch.fail_labels]),
+                    task_texts[labels[robot]],
+                    np.stack([task_texts[int(t)] for t in fail_labels]),
                 ])
-                outcomes = [1.0] * int(robot.sum()) + [0.0] * batch.n_fail
+                outcomes = [1.0] * batch.n_robot + [0.0] * len(fail_labels)
                 expected += helpers.oracle_bce(videos, texts, outcomes)
             elif mode == "fvlc":
                 expected += helpers.oracle_failure_prompt(
-                    batch.fail_videos, batch.fail_labels, batch.fail_clusters,
+                    fail_videos, fail_labels, batch.fail_clusters,
                     task_texts, failure_texts, batch.tau,
                 )
             assert abs(val - expected) < 1e-9

@@ -100,7 +100,7 @@ def random_case(seed, uneven_k):
     pooled = np.ones(3, dtype=bool)
     if uneven_k:
         pooled[2] = False
-        batch.fail_labels = np.array([0, 1, 0, 1, 0])
+        batch.labels[8:] = [0, 1, 0, 1, 0]
         batch.fail_clusters = np.array([2, 1, 0, 0, 1])
     return batch, task_texts, failure_texts, pooled
 
@@ -109,8 +109,9 @@ def random_case(seed, uneven_k):
 @pytest.mark.parametrize("exclude_anchor", [False, True])
 def test_cross_domain_matches_loop(seed, exclude_anchor):
     batch, _, _, _ = random_case(seed, uneven_k=False)
-    val, grad = losses.cross_domain_loss(batch.videos, batch.labels, batch.tau, exclude_anchor)
-    want, want_grad = loop_cross_domain(batch.videos, batch.labels, batch.tau, exclude_anchor)
+    videos, labels = helpers.successes(batch)
+    val, grad = losses.cross_domain_loss(videos, labels, batch.tau, exclude_anchor)
+    want, want_grad = loop_cross_domain(videos, labels, batch.tau, exclude_anchor)
     assert val == pytest.approx(want, rel=RTOL)
     assert_close(grad, want_grad)
 
@@ -119,14 +120,11 @@ def test_cross_domain_matches_loop(seed, exclude_anchor):
 @pytest.mark.parametrize("failures", [None, "even", "uneven"])
 def test_video_text_matches_loop(seed, failures):
     batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k=failures == "uneven")
-    texts = task_texts[batch.labels]
+    videos, labels = helpers.successes(batch)
+    texts = task_texts[labels]
     fail = failure_texts if failures else None
-    val, grads = losses.video_text_loss(
-        batch.videos, texts, batch.labels, batch.tau, fail, pooled
-    )
-    want, d_videos, d_fail = loop_video_text(
-        batch.videos, texts, batch.labels, batch.tau, fail, pooled
-    )
+    val, grads = losses.video_text_loss(videos, texts, labels, batch.tau, fail, pooled)
+    want, d_videos, d_fail = loop_video_text(videos, texts, labels, batch.tau, fail, pooled)
     assert val == pytest.approx(want, rel=RTOL)
     assert_close(grads["videos"], d_videos)
     if fail is not None:
@@ -137,7 +135,7 @@ def test_video_text_matches_loop(seed, failures):
 @pytest.mark.parametrize("uneven_k", [False, True])
 def test_failure_prompt_matches_loop(seed, uneven_k):
     batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k)
-    args = (batch.fail_videos, batch.fail_labels, batch.fail_clusters, task_texts, failure_texts, batch.tau)
+    args = (*helpers.failures(batch), batch.fail_clusters, task_texts, failure_texts, batch.tau)
     val, grads = losses.failure_prompt_loss(*args, pooled)
     want, d_videos, d_fail = loop_failure_prompt(*args)
     assert val == pytest.approx(want, rel=RTOL)
@@ -257,7 +255,7 @@ def assert_same(got, want):
 def test_cross_domain_equals_two_pass_copy(seed, exclude_anchor):
     # with exclude_anchor every row's diagonal logit is masked to -inf
     batch, _, _, _ = random_case(seed, uneven_k=False)
-    args = (batch.videos, batch.labels, batch.tau, exclude_anchor)
+    args = (*helpers.successes(batch), batch.tau, exclude_anchor)
     assert_same(losses.cross_domain_loss(*args), two_pass_cross_domain(*args))
 
 
@@ -266,7 +264,8 @@ def test_cross_domain_equals_two_pass_copy(seed, exclude_anchor):
 def test_video_text_equals_two_pass_copy(seed, failures):
     # "uneven": the rows of task 2 mask their failure logits to -inf
     batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k=failures == "uneven")
-    args = (batch.videos, task_texts[batch.labels], batch.labels, batch.tau,
+    videos, labels = helpers.successes(batch)
+    args = (videos, task_texts[labels], labels, batch.tau,
             failure_texts if failures else None, pooled)
     assert_same(losses.video_text_loss(*args), two_pass_video_text(*args))
 
@@ -274,8 +273,9 @@ def test_video_text_equals_two_pass_copy(seed, failures):
 @pytest.mark.parametrize("seed", range(6))
 def test_bce_equals_two_pass_copy(seed):
     batch, task_texts, _, _ = random_case(seed, uneven_k=False)
-    outcomes = np.random.default_rng(seed).integers(0, 2, len(batch.videos)).astype(float)
-    args = (batch.videos, task_texts[batch.labels], outcomes)
+    videos, labels = helpers.successes(batch)
+    outcomes = np.random.default_rng(seed).integers(0, 2, len(videos)).astype(float)
+    args = (videos, task_texts[labels], outcomes)
     assert_same(losses.bce_loss(*args), two_pass_bce(*args))
 
 
@@ -283,7 +283,7 @@ def test_bce_equals_two_pass_copy(seed):
 @pytest.mark.parametrize("uneven_k", [False, True])
 def test_failure_prompt_equals_two_pass_copy(seed, uneven_k):
     batch, task_texts, failure_texts, pooled = random_case(seed, uneven_k)
-    args = (batch.fail_videos, batch.fail_labels, batch.fail_clusters, task_texts,
+    args = (*helpers.failures(batch), batch.fail_clusters, task_texts,
             failure_texts, batch.tau, pooled)
     assert_same(losses.failure_prompt_loss(*args), two_pass_failure_prompt(*args))
 
@@ -304,33 +304,33 @@ def test_rows_that_keep_one_entry_equal_two_pass_copies():
 def two_pass_total(batch, task_texts, failure_texts, pooled, mode):
     """total_loss composed from the two-pass copies of its terms, summed
     in total_loss's order: cross-domain, video-text, then bce or the
-    failure-prompt term."""
-    texts = task_texts[batch.labels]
-    cdc_val, d_videos = two_pass_cross_domain(batch.videos, batch.labels, batch.tau)
+    failure-prompt term. Each term's gradient is added into one (N, D)
+    array of the batch's rows."""
+    videos, labels = helpers.successes(batch)
+    fail_videos, fail_labels = helpers.failures(batch)
+    n_h, n_s = batch.n_human, len(labels)
+    texts = task_texts[labels]
+    cdc_val, d_success = two_pass_cross_domain(videos, labels, batch.tau)
     vlc_val, vlc_grads = two_pass_video_text(
-        batch.videos, texts, batch.labels, batch.tau,
-        failure_texts if mode == "fvlc" else None, pooled)
+        videos, texts, labels, batch.tau, failure_texts if mode == "fvlc" else None, pooled)
     components = {"cross_domain": cdc_val, "video_text": vlc_val}
-    grads = {"videos": d_videos + vlc_grads["videos"]}
+    d_videos = np.zeros_like(batch.videos)
+    d_videos[:n_s] = d_success + vlc_grads["videos"]
+    grads = {"videos": d_videos}
     extra_val = 0.0
     if mode == "bce":
-        robot = batch.domains == losses.ROBOT
-        n_r = int(robot.sum())
         extra_val, d_bce = two_pass_bce(
-            np.concatenate([batch.videos[robot], batch.fail_videos]),
-            np.concatenate([texts[robot], task_texts[batch.fail_labels]]),
-            np.concatenate([np.ones(n_r), np.zeros(batch.n_fail)]))
-        d_success = np.zeros_like(batch.videos)
-        d_success[robot] = d_bce[:n_r]
-        grads["videos"] = grads["videos"] + d_success
-        grads["fail_videos"] = d_bce[n_r:]
+            np.concatenate([videos[n_h:], fail_videos]),
+            np.concatenate([texts[n_h:], task_texts[fail_labels]]),
+            np.concatenate([np.ones(n_s - n_h), np.zeros(len(fail_labels))]))
+        d_videos[n_h:] += d_bce
         components["bce"] = extra_val
     elif mode == "fvlc":
         extra_val, fp_grads = two_pass_failure_prompt(
-            batch.fail_videos, batch.fail_labels, batch.fail_clusters, task_texts,
+            fail_videos, fail_labels, batch.fail_clusters, task_texts,
             failure_texts, batch.tau, pooled)
         grads["fail_texts"] = vlc_grads["fail_texts"] + fp_grads["fail_texts"]
-        grads["fail_videos"] = fp_grads["fail_videos"]
+        d_videos[n_s:] = fp_grads["fail_videos"]
         components["failure_prompt"] = extra_val
     value = cdc_val + vlc_val + extra_val
     components["total"] = value
