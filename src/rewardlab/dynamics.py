@@ -65,7 +65,14 @@ def _check_horizon(n_actions: int) -> int:
 
 
 def chunked_predict_batch(model: DynamicsModel, s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """(N,7) initial states + (N,H,3) actions -> (N, H/4 + 1, 7) states."""
+    """(N,7) initial states + (N,H,3) actions -> (N, H/4 + 1, 7) states.
+
+    A learned prediction of one row is not bit-equal to that row's
+    prediction inside a batch: numpy's one-row matmul takes another BLAS
+    path (at seed 0 they differ by up to ~4e-14). Batches split into parts
+    of two or more rows give the same bits (64 -> 32 + 32, 300 -> 150 + 150,
+    or pairs), so a lockstep reference compares batches of >= 2 rows.
+    """
     s0 = np.asarray(s0, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     if actions.ndim != 3 or s0.shape != (actions.shape[0], sw.STATE_DIM):

@@ -121,9 +121,9 @@ def sample_batch(
     of each block uniformly without replacement.
 
     pseudo_labels holds one cluster per failure row of `data`. Returns
-    (rows, fail_rows, fail_clusters): dataset rows of the human clips then
-    the robot successes, each grouped by task, dataset rows of the failure
-    clips, and their pseudo-labels.
+    (rows, fail_clusters): the batch's dataset rows in the encoder's order
+    [human | robot | failure], the successes of each stratum grouped by
+    task, and the failure rows' pseudo-labels.
     """
     n_h, n_r = len(data.human), len(data.robot)
     if n_h < config.batch_human or n_r < config.batch_robot:
@@ -147,15 +147,18 @@ def sample_batch(
     # block index they sort by (block, key) in one integer sort
     keys = (rng.random(len(data.success)) * 2.0**53).astype(np.int64)
     order = np.argsort(data.success_block_key | keys)
-    rows = data.success[order[data.success_rank < take[data.success_block]]]
-
+    b_s = config.batch_human + config.batch_robot
     b_f = 0 if config.mode == "no_failure" else config.batch_failure
+    rows = np.empty(b_s + b_f, dtype=np.int64)
+    rows[:b_s] = data.success[order[data.success_rank < take[data.success_block]]]
+
     picks = np.zeros(0, dtype=np.int64)
     if b_f:
         if len(data.fail) < b_f:
             raise InsufficientStratumError(f"need {b_f} failure clips, have {len(data.fail)}")
         picks = rng.choice(len(data.fail), size=b_f, replace=False)
-    return rows, data.fail[picks], pseudo_labels[picks]
+        rows[b_s:] = data.fail[picks]
+    return rows, pseudo_labels[picks]
 
 
 def _global_grad_norm(arrays) -> float:
@@ -234,10 +237,9 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
     for epoch in range(config.epochs):
         sums = {}
         for _ in range(steps):
-            rows, fail_rows, fail_clusters = sample_batch(data, config, sampler_rng, pseudo_labels)
-            # one row array, [human | robot | failure], from the encoder
-            # through the loss and back
-            rows = np.concatenate([rows, fail_rows])
+            # one row array, [human | robot | failure], from the sampler
+            # through the encoder and the loss and back
+            rows, fail_clusters = sample_batch(data, config, sampler_rng, pseudo_labels)
             videos, video_cache = enc.encode_clips_cached(data.frames[rows], params.video)
             if params.pool is not None:
                 feats, pool_cache = enc.failure_text_features(params.pool, params.texts)

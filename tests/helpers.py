@@ -32,6 +32,12 @@ def random_episodes(n_episodes, seed):
     return tuple(np.concatenate(part) for part in zip(*dyn.random_episode_blocks(n_episodes, seed)))
 
 
+def ref_clip_seed(master, stream, task_id, index):
+    """A dataset clip's integer seed, from NumPy's SeedSequence itself:
+    [master, stream, task, index] hashed to one uint64."""
+    return int(np.random.SeedSequence([master, stream, task_id, index]).generate_state(1, np.uint64)[0])
+
+
 def ref_wander_actions(task_id, s0, rng):
     """One wander clip's (H, 3) random actions from its (7,) start, biased
     away from the task object for 8 steps."""

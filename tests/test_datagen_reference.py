@@ -306,7 +306,7 @@ def ref_dataset(config):
     frames, attempts = [], {}
 
     def clip(domain, task_id, style, stream, index):
-        seed = dg._clip_seed(config.seed, dg._CLIP_STREAMS[stream], task_id, index)
+        seed = helpers.ref_clip_seed(config.seed, dg._CLIP_STREAMS[stream], task_id, index)
         _, states, n, rng = ref_trajectory(task_id, style, seed, dg.ACTION_NOISE)
         frames.append(ref_render_clip(states, domain, config, rng if domain == "human" else None))
         attempts.setdefault((task_id, style), []).append(n)
@@ -443,7 +443,7 @@ def test_generation_failure_is_typed_and_names_the_clip(monkeypatch):
     monkeypatch.setattr(dg, "_labels_ok", lambda task_id, style, states: np.zeros(len(states), bool))
     config = ExperimentConfig(train_tasks=(sw.TASK_FAUCET,), heldout_tasks=(), human_per_task=1,
                               robot_success_per_task=0, robot_failure_per_task=0, seed=4)
-    seed = dg._clip_seed(config.seed, dg._CLIP_STREAMS["human"], sw.TASK_FAUCET, 0)
+    seed = helpers.ref_clip_seed(config.seed, dg._CLIP_STREAMS["human"], sw.TASK_FAUCET, 0)
     with pytest.raises(GenerationFailedError, match=rf"success for task {sw.TASK_FAUCET}\b.*{seed}"):
         dg.gen_dataset(config)
 
@@ -609,7 +609,7 @@ def _count_batches(monkeypatch):
     roll_groups = dg.roll_groups
 
     def recorded(groups):
-        batches.append([(task_id, style, len(seeds)) for task_id, style, seeds in groups])
+        batches.append([(task_id, style, len(seeds)) for task_id, style, seeds, *_ in groups])
         return roll_groups(groups)
 
     monkeypatch.setattr(dg, "roll_groups", recorded)

@@ -92,7 +92,9 @@ def test_band_draws_equal_the_per_attempt_scalar_draws(task_id, style, level):
     else:
         assert noise.shape == want_noise.shape
         assert noise.tobytes() == want_noise.tobytes()
-    assert saved == want_saved
+    # a clip's Generator keeps its state after its last attempt of the band
+    last = len(band) - 1
+    assert saved == {row: state for row, state in enumerate(want_saved) if row % len(band) != last}
     assert [r.bit_generator.state for r in roll.rngs] == [r.bit_generator.state for r in want_rngs]
 
 

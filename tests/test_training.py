@@ -137,7 +137,8 @@ def loop_sample_batch(data, config, rng, pseudo_labels):
     Makes the same Generator calls: for each CANDIDATES candidates, one
     multivariate hypergeometric draw of per-task counts per success
     stratum; then one random key per success row (human then robot rows,
-    each by task, then dataset order); then the failure picks."""
+    each by task, then dataset order); then the failure picks. Returns the
+    rows [human | robot | failure] and the failure rows' clusters."""
     n_tasks = int(data.tasks.max()) + 1
     strata = [data.human.tolist(), data.robot.tolist()]
     blocks = [[row for row in part if data.tasks[row] == t] for part in strata for t in range(n_tasks)]
@@ -165,7 +166,7 @@ def loop_sample_batch(data, config, rng, pseudo_labels):
         for pick in rng.choice(len(data.fail), size=config.batch_failure, replace=False):
             fail_rows.append(int(data.fail[pick]))
             fail_clusters.append(int(pseudo_labels[pick]))
-    return rows, fail_rows, fail_clusters
+    return rows + fail_rows, fail_clusters
 
 
 @pytest.mark.parametrize("mode", losses.MODES)
@@ -175,12 +176,9 @@ def test_sampler_draws_match_loop_reference(dataset, mode):
     pseudo_labels = np.random.default_rng(9).integers(0, config.k_clusters, size=len(data.fail))
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
     for _ in range(50):
-        rows, fail_rows, fail_clusters = training.sample_batch(data, config, rng, pseudo_labels)
-        want_rows, want_fail_rows, want_clusters = loop_sample_batch(
-            data, config, ref_rng, pseudo_labels
-        )
+        rows, fail_clusters = training.sample_batch(data, config, rng, pseudo_labels)
+        want_rows, want_clusters = loop_sample_batch(data, config, ref_rng, pseudo_labels)
         assert rows.tolist() == want_rows
-        assert fail_rows.tolist() == want_fail_rows
         assert fail_clusters.tolist() == want_clusters
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -208,7 +206,7 @@ def two_stage_sample_batch(data, config, rng, pseudo_labels):
             rows = np.concatenate([human, rng.choice(data.robot, size=config.batch_robot, replace=False)])
             if positive_rule_holds(data.tasks[rows].tolist()):
                 picks = rng.choice(len(data.fail), size=config.batch_failure, replace=False)
-                return rows, data.fail[picks], pseudo_labels[picks]
+                return np.concatenate([rows, data.fail[picks]]), pseudo_labels[picks]
 
 
 def test_sampler_replay_seed_308():
@@ -223,7 +221,7 @@ def test_sampler_replay_seed_308():
     data = training._IndexedData(dataset)
     rng = np.random.default_rng([config.seed, training._STREAM_SAMPLER])
     for _ in range(250):
-        rows, _, _ = training.sample_batch(data, config, rng, np.zeros(0, dtype=np.int64))
+        rows, _ = training.sample_batch(data, config, rng, np.zeros(0, dtype=np.int64))
         assert np.all(np.bincount(data.tasks[rows]) != 1)
 
 
@@ -238,15 +236,18 @@ def test_sampler_rejects_unsatisfiable_positive_rule():
 SMALL = replace(CONFIG, batch_human=2, batch_robot=2, batch_failure=2)
 
 
-def batch_key(rows, fail_rows):
-    """A batch as one int: a bit per success row, then a bit per failure row."""
-    return sum(1 << int(row) for row in rows) + (sum(1 << int(row) for row in fail_rows) << 64)
+def batch_key(rows, n_fail):
+    """A batch as one int: a bit per success row, then a bit per failure row
+    (the last n_fail rows)."""
+    n_success = len(rows) - n_fail
+    return (sum(1 << int(row) for row in rows[:n_success])
+            + (sum(1 << int(row) for row in rows[n_success:]) << 64))
 
 
 def all_valid_batches(data, config):
     """The keys of every batch the sampler may return."""
     return [
-        batch_key(h + r, f)
+        batch_key(h + r + f, len(f))
         for h in itertools.combinations(data.human.tolist(), config.batch_human)
         for r in itertools.combinations(data.robot.tolist(), config.batch_robot)
         if positive_rule_holds(data.tasks[list(h + r)].tolist())
@@ -264,8 +265,8 @@ def chi2_over_valid_batches(sampler, draws):
     rng = np.random.default_rng(2024)
     observed = np.zeros(len(cells))
     for _ in range(draws):
-        rows, fail_rows, _ = sampler(data, SMALL, rng, pseudo_labels)
-        observed[cells[batch_key(rows, fail_rows)]] += 1
+        rows, fail_clusters = sampler(data, SMALL, rng, pseudo_labels)
+        observed[cells[batch_key(rows, len(fail_clusters))]] += 1
     expected = draws / len(cells)
     chi2 = float(np.sum((observed - expected) ** 2) / expected)
     return chi2, chi2_quantile(0.999, len(cells) - 1)
@@ -315,7 +316,9 @@ def test_sampler_batches_are_valid(human_tasks, robot_tasks, failure_tasks, size
     for seed in range(100):
         rng = np.random.default_rng(seed)
         for _ in range(5):
-            rows, fail_rows, fail_clusters = training.sample_batch(data, config, rng, pseudo_labels)
+            rows, fail_clusters = training.sample_batch(data, config, rng, pseudo_labels)
+            n_success = config.batch_human + config.batch_robot
+            rows, fail_rows = rows[:n_success], rows[n_success:]
             human, robot = rows[:config.batch_human].tolist(), rows[config.batch_human:].tolist()
             assert len(human) == config.batch_human and set(human) <= set(data.human.tolist())
             assert len(robot) == config.batch_robot and set(robot) <= set(data.robot.tolist())
