@@ -38,18 +38,21 @@ feature noise come from the same Generator after its successful attempt.
 
 Clips are rolled in lockstep: `roll_groups` advances the clips of several
 (task, style) groups together, one `simworld.step_batch` call per step.
-Attempt 0 is rolled alone, one row per clip; after it, every remaining
-attempt of one noise band (`BANDS`: attempts 1-7, 8-15, 16-23, then the
-zero-noise band 24-31) is one batch, one row per (pending clip, attempt).
+The attempts are cut into three bands (`BANDS`): attempts 0-1, every
+other noisy retry (2-23, at the full, halved and quartered levels) and
+the zero-noise fallback (24-31). Each band is one batch, one row per
+(pending clip, attempt), so a dataset call makes one lockstep loop per
+band that some clip reaches; a band's size does not change the data.
 Each clip makes the draws of every attempt of the band in turn, saving
 its Generator state after each but the last; then one
 `simworld.initial_states` call per group builds the band's starts, and
-one affine map its noise. A scripted controller is a kind (drawer,
-faucet, poke, cup carry) plus a row of constants, so a step makes one
-controller call per kind, over the rows of all its groups, with per-row
-phase arrays, constants and noise; wander rows replay their drawn
-actions. The loop is state-major: it keeps the time-major (H + 1, 7, n)
-states, so a controller reads each state column as one contiguous row.
+one affine map its noise, each row at its own attempt's level. A
+scripted controller is a kind (drawer, faucet, poke, cup carry) plus a
+row of constants, so a step makes one controller call per kind, over the
+rows of all its groups, with per-row phase arrays, constants and noise;
+wander rows replay their drawn actions. The loop is state-major: it
+keeps the time-major (H + 1, 7, n) states, so a controller reads each
+state column as one contiguous row.
 One predicate call per group checks its rows. A clip keeps its first
 passing row, counts the attempts up to it, and gets its Generator back as
 saved after that attempt (after the last, it already holds that state),
@@ -85,7 +88,9 @@ ZERO_NOISE_ATTEMPT = 3 * NOISE_HALVING  # attempts from this index on add no act
 MAX_ATTEMPTS = ZERO_NOISE_ATTEMPT + NOISE_HALVING
 _CLIP_STREAMS = {"human": 11, "robot_success": 12, "robot_failure": 13}
 # clips per lockstep batch of a dataset call: bounds the rolled states held
-# before they are rendered, while filling each step_batch call
+# before they are rendered, while filling each step_batch call. A band rolls
+# up to 22 rows per pending clip (attempts 2-23), so a 128-clip batch could
+# reach 2,816 rows (1,024 with the earlier bands of at most 8 attempts).
 BATCH_CLIPS = 128
 DOMAIN_PAIRS = 100  # robot/human clip pairs that domain_shift_cosine averages over
 
@@ -431,8 +436,9 @@ def run_policy(s0, blocks):
     The loop is state-major: it keeps the time-major (H + 1, 7, n) states and
     (H, 3, n) actions, so a controller reads contiguous state rows (s[sw.EXT])
     and `step_batch` gets transposed views of contiguous (7, n) and (3, n)
-    arrays, which it takes without a copy. The results are transposed views
-    of those buffers, not copies.
+    arrays, which it takes without a copy, and writes each step into the
+    next state rows (`out`). The results are transposed views of those
+    buffers, not copies.
     """
     s0 = np.asarray(s0, dtype=np.float64)
     n = s0.shape[0]
@@ -475,7 +481,7 @@ def run_policy(s0, blocks):
         _clamp(act[:2], out=act[:2])
         for rows, replay in replayed:
             act[:, rows] = replay[t]
-        path[t + 1] = sw.step_batch(cur.T, act.T).T
+        sw.step_batch(cur.T, act.T, out=path[t + 1].T)
     return actions.transpose(2, 0, 1), path.transpose(2, 0, 1)
 
 
@@ -513,10 +519,11 @@ def noise_level(noise: float, attempt: int) -> float:
     return 0.0 if attempt >= ZERO_NOISE_ATTEMPT else noise * 0.5 ** (attempt // NOISE_HALVING)
 
 
-# the attempts rolled as one batch: attempt 0 alone, then the rest of each
-# noise level (1-7, 8-15, 16-23 and the zero-noise 24-31)
-BANDS = (range(1),) + tuple(range(max(a, 1), a + NOISE_HALVING)
-                            for a in range(0, MAX_ATTEMPTS, NOISE_HALVING))
+# the attempts rolled as one batch, each band all noisy or all zero-noise:
+# attempts 0-1 (most clips pass by their second), every other noisy retry
+# (2-23, at the full, halved and quartered levels) and the zero-noise
+# fallback (24-31)
+BANDS = (range(2), range(2, ZERO_NOISE_ATTEMPT), range(ZERO_NOISE_ATTEMPT, MAX_ATTEMPTS))
 
 
 class _GroupRoll:
@@ -533,21 +540,24 @@ class _GroupRoll:
         self.policy = None if style == "wander" else make_policy(task_id, style)
         self.pending = np.arange(n)
 
-    def draw(self, band, level):
+    def draw(self, band):
         """Per pending clip, its draws for each attempt of the band, in
         order: the start states (rows, 7), the `run_policy` block of these
         rows, and {row: Generator state after its attempt} for every row
         but a clip's last of the band, whose state its Generator keeps.
 
-        An attempt draws its START_DRAWS start draws, then its noise (2H
-        draws, at a nonzero level) or, for a wander clip, its
-        `random_action_array`, writing each into its row of a band-wide
-        array, and ends with one state read. After the loop one
-        `initial_states` call builds every start, and one affine map
-        low + (high - low) * r, in place, turns the noise draws into what
+        Each attempt's level is `noise_level(ACTION_NOISE, attempt)`, read
+        when called; a band's levels are all nonzero or all zero. An attempt
+        draws its START_DRAWS start draws, then its noise (2H draws, at a
+        nonzero level) or, for a wander clip, its `random_action_array`,
+        writing each into its row of a band-wide array, and ends with one
+        state read. After the loop one `initial_states` call builds every
+        start, and one affine map low + (high - low) * r, in place, with
+        each row's own level, turns the noise draws into what
         uniform(low, high) gives for them."""
         wander = self.policy is None
-        noisy = not wander and level > 0
+        levels = np.array([noise_level(ACTION_NOISE, attempt) for attempt in band])
+        noisy = not wander and levels.any()
         rows = self.pending.size * len(band)
         starts = np.empty((rows, sw.START_DRAWS))
         noise = np.empty((rows, sw.HORIZON, 2)) if noisy else None
@@ -568,7 +578,8 @@ class _GroupRoll:
         if wander:
             noise = _steer_away(self.task_id, s0, replay)
         elif noisy:
-            low, high = -level, level
+            high = np.tile(levels, self.pending.size)[:, None, None]  # (rows, 1, 1)
+            low = -high
             noise *= high - low
             noise += low
         return s0, (rows, self.policy, noise), saved
@@ -592,11 +603,12 @@ class _GroupRoll:
 
 def roll_groups(groups):
     """Label-checked rollouts of (task, style, seeds) groups, one clip per
-    seed, all groups in one lockstep loop per noise band, at the
-    ACTION_NOISE level read when called.
+    seed, all groups in one lockstep loop per band, each attempt at its
+    `noise_level` of the ACTION_NOISE read when called.
 
     Each band of `BANDS` is one `run_policy` batch over every pending clip
-    of every group and every attempt of the band. A clip keeps its first
+    of every group and every attempt of the band; a band that no clip
+    reaches is not rolled. A clip keeps its first
     passing attempt, and its Generator is set back to the state saved right
     after that attempt (a clip that passes at its band's last attempt
     already holds it).
@@ -615,8 +627,7 @@ def roll_groups(groups):
         live = [roll for roll in rolls if roll.pending.size]
         if not live:
             break
-        level = noise_level(ACTION_NOISE, band[0])
-        drawn = [roll.draw(band, level) for roll in live]
+        drawn = [roll.draw(band) for roll in live]
         acts, rolled = run_policy(np.concatenate([s0 for s0, _, _ in drawn]),
                                   [block for _, block, _ in drawn])
         start = 0

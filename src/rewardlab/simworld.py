@@ -17,15 +17,19 @@ one rollout or a whole batch of them. The camera offset is not part of
 the state: the renderer takes it beside the states.
 
 Two entry points share the physics. `rollout_batch` (planning, the
-learned-dynamics fit) runs an open-loop core, time-major inside. What
+learned-dynamics fit), and `rollout_every`, which keeps every k-th state
+of it (the ground-truth chunk scorer), run an open-loop core, time-major
+inside. What
 depends only on the actions and the start state is computed for the
 whole horizon at once: the clamped velocities, the grip latch, the
 gripper path and the faucet's contact and angle (np.cumsum, which adds
 in step order); step loops move only the drawer and the cup.
 `step_batch` (datagen's closed-loop controllers) runs a one-step body
 without the core's latch keys, cumsum, frozen prefix and first-touch
-tests: over the 1,560 ~39-row calls of a seed-0 datagen round, they are
-about a third of a one-step call through the core. Both call the same
+tests: over the 1,560 ~39-row calls that a seed-0 datagen round made
+with five attempt bands, they were about a third of a one-step call
+through the core (with three bands it makes 1,080 calls of ~102 rows).
+Both call the same
 drawer and cup steps. Each value comes from the same float operations in
 the same order as stepping, so batched rollouts are bit-identical to
 stepping states one at a time. (The cup's "moving toward" test negates
@@ -36,8 +40,8 @@ alike.)
 
 `step_batch` works on contiguous (7, n) state rows and (3, n) action rows.
 Given transposed views of such arrays, as the state-major loop of datagen
-passes them, it takes them without a copy; its (n, 7) result is written
-back transposed by that caller.
+passes them, it takes them without a copy, and it writes its step straight
+into that loop's next (7, n) state rows (`out`).
 
 The drawer and the cup are frozen until touched. A step moves the drawer
 only when the gripper is within the contact radius of its handle, and the
@@ -60,7 +64,7 @@ of a whole band or episode set first and build them in one call.
 
 import numpy as np
 
-from .errors import ShapeMismatchError, UnknownTaskError
+from .errors import OverlappingOutputError, ShapeMismatchError, UnknownTaskError
 
 # --- table constants ---
 CONTACT_RADIUS = 0.04
@@ -207,33 +211,54 @@ def _first_row_of(mask: np.ndarray) -> int:
     return first // mask.shape[1] if mask.flat[first] else mask.shape[0]
 
 
-def step_batch(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+def step_batch(states: np.ndarray, actions: np.ndarray, out=None) -> np.ndarray:
     """Advance a batch of states one step. states (N,7), actions (N,3);
     byte for byte rollout_batch(states, actions[:, None])[:, 1]. Transposed
-    views of contiguous (7, N) and (3, N) arrays are taken without a copy."""
+    views of contiguous (7, N) and (3, N) arrays are taken without a copy.
+
+    out: an (N,7) float64 array that receives the step and is returned, else
+    a new (N,7) array is. A transposed view of a contiguous (7, N) array is
+    written without a copy. The step reads its states after it has written
+    some rows of out, so an out that may share memory with states raises
+    OverlappingOutputError; one of another shape or dtype raises
+    ShapeMismatchError."""
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
         raise ShapeMismatchError(f"states must be (N,{STATE_DIM}), got {states.shape}")
     if actions.shape != (states.shape[0], ACTION_DIM):
         raise ShapeMismatchError(f"actions must be (N,{ACTION_DIM}), got {actions.shape}")
+    if out is not None:
+        if not isinstance(out, np.ndarray) or out.shape != states.shape or out.dtype != np.float64:
+            raise ShapeMismatchError(f"out must be a float64 {states.shape} array, got "
+                                     f"{np.shape(out)} {getattr(out, 'dtype', type(out).__name__)}")
+        if np.may_share_memory(out, states):
+            raise OverlappingOutputError("out may share memory with states: a step cannot run in place")
     # contiguous (7, n) work arrays: ufuncs over strided columns cost far more
     s, a = np.ascontiguousarray(states.T), np.ascontiguousarray(actions.T)
-    out = np.empty_like(s)
+    new = np.empty_like(s) if out is None else out.T
     vel = clamp(a[:2], -VEL_LIMIT, VEL_LIMIT)
-    out[GRIP] = np.where(a[2] > 0.5, 1.0, np.where(a[2] < -0.5, 0.0, s[GRIP]))
+    new[GRIP] = np.where(a[2] > 0.5, 1.0, np.where(a[2] < -0.5, 0.0, s[GRIP]))
     gxy, gx, gy = s[GX:GY + 1], s[GX], s[GY]
-    clamp(np.add(gxy, vel, out=out[GX:GY + 1]), _ZERO, _ONE, out=out[GX:GY + 1])
+    clamp(np.add(gxy, vel, out=new[GX:GY + 1]), _ZERO, _ONE, out=new[GX:GY + 1])
     near_faucet = (gx - FAUCET_HANDLE[0]) ** 2 + (gy - FAUCET_HANDLE[1]) ** 2 <= CONTACT_RADIUS**2
-    np.add(s[ANGLE], np.where(near_faucet, np.abs(vel[0]), 0.0), out=out[ANGLE])
-    _drawer_step(s[EXT], (gx - DRAWER_BASE[0]) ** 2, gy, vel[1], out[EXT])
-    _cup_step(gxy, s[CUPX:CUPY + 1], vel, out[GRIP] > 0.5, out[CUPX:CUPY + 1])
-    return np.ascontiguousarray(out.T)
+    np.add(s[ANGLE], np.where(near_faucet, np.abs(vel[0]), 0.0), out=new[ANGLE])
+    _drawer_step(s[EXT], (gx - DRAWER_BASE[0]) ** 2, gy, vel[1], new[EXT])
+    _cup_step(gxy, s[CUPX:CUPY + 1], vel, new[GRIP] > 0.5, new[CUPX:CUPY + 1])
+    return np.ascontiguousarray(new.T) if out is None else out
 
 
 def rollout_batch(s0: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:
     """Roll (N,7) states through (N,H,3) actions -> (N,H+1,7) states, in
     blocks of ROLLOUT_BLOCK rows."""
+    return rollout_every(s0, action_seqs, 1)
+
+
+def rollout_every(s0: np.ndarray, action_seqs: np.ndarray, stride: int) -> np.ndarray:
+    """Every stride-th state of `rollout_batch`: (N,7) states through (N,H,3)
+    actions -> (N, H // stride + 1, 7) states, those at steps 0, stride,
+    2 * stride, ... of the rollout. Only those are transposed out of each
+    block's time-major path, so no (N,H+1,7) array is built."""
     s0 = np.asarray(s0, dtype=np.float64)
     action_seqs = np.asarray(action_seqs, dtype=np.float64)
     if s0.ndim != 2 or s0.shape[1] != STATE_DIM:
@@ -242,10 +267,10 @@ def rollout_batch(s0: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"action_seqs must be ({s0.shape[0]},H,{ACTION_DIM}), got {action_seqs.shape}")
     n, h = action_seqs.shape[:2]
-    states = np.empty((n, h + 1, STATE_DIM))
+    states = np.empty((n, h // stride + 1, STATE_DIM))
     for i in range(0, n, ROLLOUT_BLOCK):
         rows = slice(i, i + ROLLOUT_BLOCK)
-        states[rows] = _roll(s0[rows], action_seqs[rows]).transpose(2, 0, 1)
+        states[rows] = _roll(s0[rows], action_seqs[rows])[::stride].transpose(2, 0, 1)
     return states
 
 

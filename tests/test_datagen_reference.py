@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import helpers
-from rewardlab import datagen as dg, render, simworld as sw
+from rewardlab import datagen as dg, evaluation, render, simworld as sw
 from rewardlab.config import ExperimentConfig
 from rewardlab.errors import GenerationFailedError
 
@@ -478,11 +478,11 @@ def test_retry_report_counts_fallback_from_attempt_24(monkeypatch, passing_attem
 
 # --- batching by noise band ---
 
-def test_bands_cover_every_attempt_once_at_one_noise_level_each():
+def test_bands_cover_every_attempt_once_all_noisy_or_all_zero_noise():
     assert [a for band in dg.BANDS for a in band] == list(range(dg.MAX_ATTEMPTS))
-    assert dg.BANDS[0] == range(1)
+    assert dg.BANDS[0] == range(2)
     for band in dg.BANDS:
-        assert len({dg.noise_level(dg.ACTION_NOISE, a) for a in band}) == 1
+        assert len({dg.noise_level(dg.ACTION_NOISE, a) > 0 for a in band}) == 1
     assert dg.noise_level(dg.ACTION_NOISE, dg.ZERO_NOISE_ATTEMPT - 1) > 0
     assert dg.noise_level(dg.ACTION_NOISE, dg.ZERO_NOISE_ATTEMPT) == 0
 
@@ -490,7 +490,10 @@ def test_bands_cover_every_attempt_once_at_one_noise_level_each():
 @pytest.mark.parametrize("bands", [
     tuple(range(a, a + 1) for a in range(dg.MAX_ATTEMPTS)),
     tuple(range(a, a + dg.NOISE_HALVING) for a in range(0, dg.MAX_ATTEMPTS, dg.NOISE_HALVING)),
-], ids=["one-attempt-per-band", "one-band-per-noise-level"])
+    # the earlier default: attempt 0 alone, then 1-7, 8-15, 16-23 and 24-31
+    (range(1),) + tuple(range(max(a, 1), a + dg.NOISE_HALVING)
+                        for a in range(0, dg.MAX_ATTEMPTS, dg.NOISE_HALVING)),
+], ids=["one-attempt-per-band", "one-band-per-noise-level", "five-bands"])
 def test_the_data_does_not_depend_on_the_band_layout(monkeypatch, bands):
     """A clip's Generator goes back to its state after its first passing
     attempt, so its human camera and noise draws do not depend on how the
@@ -508,23 +511,29 @@ def test_the_data_does_not_depend_on_the_band_layout(monkeypatch, bands):
     assert got.retries == want.retries
 
 
+def _count_steps(monkeypatch):
+    """Count `simworld.step_batch` calls (one-element list)."""
+    calls = [0]
+    step_batch = sw.step_batch
+
+    def counted(states, actions, out=None):
+        calls[0] += 1
+        return step_batch(states, actions, out=out)
+
+    monkeypatch.setattr(sw, "step_batch", counted)
+    return calls
+
+
 @pytest.mark.parametrize("task_id, style", [(sw.TASK_FAUCET, "incomplete"),
                                             (sw.TASK_POKE_CUP, "wander")])
 def test_a_group_makes_one_step_loop_per_band(monkeypatch, task_id, style):
     """Clips that first pass at attempt 25 need one step loop per band:
-    five, where rolling one attempt at a time needed 25."""
-    calls = [0]
-    step_batch = sw.step_batch
-
-    def counted(states, actions):
-        calls[0] += 1
-        return step_batch(states, actions)
-
-    monkeypatch.setattr(sw, "step_batch", counted)
+    three, where rolling one attempt at a time needed 25."""
+    calls = _count_steps(monkeypatch)
     monkeypatch.setattr(dg, "_labels_ok", _pass_from(25, group_size=3))
     _, _, attempts, _ = dg.roll_groups([(task_id, style, [[task_id, i] for i in range(3)])])[0]
     assert attempts.tolist() == [25, 25, 25]
-    assert calls[0] <= len(dg.BANDS) * sw.HORIZON == 5 * sw.HORIZON
+    assert calls[0] <= len(dg.BANDS) * sw.HORIZON == 3 * sw.HORIZON
 
 
 # --- lockstep across groups ---
@@ -537,8 +546,8 @@ def _fake_labels(monkeypatch, groups):
                         lambda task_id, style, states: fakes[task_id, style](task_id, style, states))
 
 
-# controller groups and a wander group that retire at attempt 0, inside a
-# noisy band, at the end of another, and only in the zero-noise band
+# controller groups and a wander group that retire at attempt 0, inside the
+# noisy band (at two levels) and only in the zero-noise band
 MIXED = [
     (sw.TASK_FAUCET, "incomplete", 3, 25),
     (sw.TASK_POKE_CUP, "wander", 2, 1),
@@ -617,24 +626,55 @@ def _count_batches(monkeypatch):
 
 
 def test_a_dataset_batch_makes_one_step_loop_per_band(monkeypatch):
-    """Every group of the batch needs all five bands; they share each
-    band's step loop, where rolling group by group made five per group."""
+    """Every group of the batch needs all three bands; they share each
+    band's step loop, where rolling group by group made three per group."""
     groups = _dataset_groups(BATCHED)
     assert len(groups) == 6
-    calls = [0]
-    step_batch = sw.step_batch
-
-    def counted(states, actions):
-        calls[0] += 1
-        return step_batch(states, actions)
-
-    monkeypatch.setattr(sw, "step_batch", counted)
+    calls = _count_steps(monkeypatch)
     _fake_labels(monkeypatch, groups)
     batches = _count_batches(monkeypatch)
     retries = dg.gen_dataset(BATCHED).retries
     assert len(batches) == 1
     assert all(row["attempts"] == 25 * row["clips"] for row in retries.values())
     assert calls[0] <= len(dg.BANDS) * sw.HORIZON
+
+
+@pytest.mark.parametrize("passing_attempt, loops", [(1, 1), (2, 1), (3, 2), (24, 2), (25, 3)])
+def test_step_loops_follow_the_first_passing_attempt(monkeypatch, passing_attempt, loops):
+    """Attempts 0 and 1 (passing attempts 1-2, counted from 1) share the
+    first loop, every noisy retry (3-24) the second and the zero-noise
+    fallback (25-32) the third; a band no clip reaches is not rolled."""
+    calls = _count_steps(monkeypatch)
+    groups = [(sw.TASK_FAUCET, "incomplete", 3, passing_attempt),
+              (sw.TASK_POKE_CUP, "wander", 2, passing_attempt)]
+    _fake_labels(monkeypatch, groups)
+    rolled = dg.roll_groups([(task_id, style, [[task_id, i] for i in range(n)])
+                             for task_id, style, n, _ in groups])
+    assert [attempts.tolist() for _, _, attempts, _ in rolled] == [[passing_attempt] * 3,
+                                                                   [passing_attempt] * 2]
+    assert calls[0] == loops * sw.HORIZON
+
+
+def test_a_default_datagen_round_makes_18_step_loops(monkeypatch):
+    """The 14 per-task dataset calls of a seed-0 datagen round (a train and
+    an eval dataset per task, as the benchmark makes them): only drawer and
+    faucet `incomplete` clips retry past attempt 1, so every call rolls one
+    loop and four roll a second (26 loops with the earlier five bands)."""
+    loops = []
+    run_policy = dg.run_policy
+
+    def counted(s0, blocks):
+        loops.append(len(s0))
+        return run_policy(s0, blocks)
+
+    monkeypatch.setattr(dg, "run_policy", counted)
+    config = ExperimentConfig(seed=0)
+    for task_id in config.all_tasks:
+        only = replace(config, train_tasks=tuple(t for t in config.train_tasks if t == task_id),
+                       heldout_tasks=tuple(t for t in config.heldout_tasks if t == task_id))
+        evaluation.train_dataset_for(only)
+        evaluation.eval_dataset_for(config, tasks=(task_id,))
+    assert len(loops) == 18
 
 
 def test_a_group_larger_than_the_cap_is_rolled_alone(monkeypatch):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from helpers import sim_state
 from rewardlab import render, simworld as sw
-from rewardlab.errors import BadConfigError, ShapeMismatchError, UnknownTaskError
+from rewardlab.errors import (
+    BadConfigError, OverlappingOutputError, ShapeMismatchError, UnknownTaskError,
+)
 
 
 OPEN, HOLD, CLOSE = -1.0, 0.0, 1.0
@@ -85,6 +87,46 @@ class TestStep:
         assert out[sw.GX] == s[sw.GX] + 0.05 and out[sw.GY] == s[sw.GY] - 0.05
 
 
+class TestStepInto:
+    """`step_batch(states, actions, out=...)` writes the step into out."""
+
+    @staticmethod
+    def batch(n=9):
+        rng = np.random.default_rng(12)
+        states = np.stack([sw.initial_state_array(t, rng) for t in sw.ALL_TASKS] * 2)[:n]
+        return states, sw.random_action_array(rng, n, 1)[:, 0]
+
+    @pytest.mark.parametrize("layout", ["transposed", "plain"])
+    def test_out_holds_the_step_and_is_returned(self, layout):
+        states, actions = self.batch()
+        out = np.empty(states.shape) if layout == "plain" else np.empty((sw.STATE_DIM, len(states))).T
+        got = sw.step_batch(states, actions, out=out)
+        assert got is out
+        assert got.tobytes() == sw.step_batch(states, actions).tobytes()
+
+    def test_transposed_views_step_into_the_next_state_rows(self):
+        """The state-major layout of datagen's loop: (T, 7, n) rows."""
+        states, actions = self.batch()
+        path = np.empty((2, sw.STATE_DIM, len(states)))
+        path[0] = states.T
+        sw.step_batch(path[0].T, np.ascontiguousarray(actions.T).T, out=path[1].T)
+        assert path[1].T.tobytes() == sw.step_batch(states, actions).tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty((9, 6)), np.empty((8, 7)), np.empty((9, 7), np.float32),
+                                     [[0.0] * 7] * 9], ids=["columns", "rows", "float32", "list"])
+    def test_an_out_of_another_shape_or_dtype_is_refused(self, out):
+        states, actions = self.batch()
+        with pytest.raises(ShapeMismatchError, match="out must be a float64"):
+            sw.step_batch(states, actions, out=out)
+
+    @pytest.mark.parametrize("alias", ["same", "reversed"])
+    def test_an_out_that_may_share_memory_with_the_states_is_refused(self, alias):
+        states, actions = self.batch()
+        out = states if alias == "same" else states[::-1]
+        with pytest.raises(OverlappingOutputError, match="in place"):
+            sw.step_batch(states, actions, out=out)
+
+
 class TestRollout:
     def test_replay_determinism_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -120,6 +162,18 @@ class TestRollout:
     def test_mismatched_shapes_are_typed(self, s0_shape, actions_shape):
         with pytest.raises(ShapeMismatchError):
             sw.rollout_batch(np.zeros(s0_shape), np.zeros(actions_shape))
+
+    @pytest.mark.parametrize("stride, block", [(1, 640), (4, 640), (3, 2), (7, 4)])
+    def test_rollout_every_keeps_every_stride_th_state(self, monkeypatch, stride, block):
+        """Bit for bit the strided full rollout, in one block or several."""
+        rng = np.random.default_rng(3)
+        s0s = np.stack([sw.initial_state_array(t, rng) for t in sw.ALL_TASKS])
+        acts = sw.random_action_array(rng, len(s0s), 20)
+        want = sw.rollout_batch(s0s, acts)[:, ::stride]
+        monkeypatch.setattr(sw, "ROLLOUT_BLOCK", block)
+        got = sw.rollout_every(s0s, acts, stride)
+        assert got.shape == (len(s0s), 20 // stride + 1, sw.STATE_DIM)
+        assert got.tobytes() == want.tobytes()
 
     def test_clamping_over_many_random_steps(self):
         rng = np.random.default_rng(77)

@@ -55,13 +55,15 @@ def ref_initial_state(task_id, rng):
     return state
 
 
-def ref_band(task_id, style, seeds, band, level):
+def ref_band(task_id, style, seeds, band):
     """Starts, noise (or None) and saved Generator states of a band drawn
-    one attempt at a time, and the clips' Generators after it."""
+    one attempt at a time, each at its own noise level, and the clips'
+    Generators after it."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     starts, noise, saved = [], [], []
     for rng in rngs:
-        for _ in band:
+        for attempt in band:
+            level = dg.noise_level(dg.ACTION_NOISE, attempt)
             starts.append(ref_initial_state(task_id, rng))
             if style == "wander":
                 noise.append(helpers.ref_wander_actions(task_id, starts[-1], rng))
@@ -71,19 +73,21 @@ def ref_band(task_id, style, seeds, band, level):
     return np.stack(starts), np.stack(noise) if noise else None, saved, rngs
 
 
-# a controller style at the first, a halved and the zero level; a wander group
-DRAWS = [("success", dg.ACTION_NOISE), ("success", dg.noise_level(dg.ACTION_NOISE, 16)),
-         ("success", 0.0), ("wander", dg.ACTION_NOISE)]
+# (style, index into BANDS): a controller style in the first band (the full
+# level), in the retry band (the full, halved and quartered levels) and in
+# the zero-noise band, so every level is reached; a wander group in each band
+DRAWS = [("success", 0), ("success", 1), ("success", 2), ("wander", 0), ("wander", 1), ("wander", 2)]
 
 
-@pytest.mark.parametrize("style, level", DRAWS, ids=["noisy", "halved", "zero", "wander"])
+@pytest.mark.parametrize("style, band", DRAWS,
+                         ids=["noisy", "halved", "zero", "wander", "wander-retries", "wander-fallback"])
 @pytest.mark.parametrize("task_id", sw.ALL_TASKS)
-def test_band_draws_equal_the_per_attempt_scalar_draws(task_id, style, level):
+def test_band_draws_equal_the_per_attempt_scalar_draws(task_id, style, band):
     seeds = [[task_id, 70 + i] for i in range(3)]
-    band = dg.BANDS[1]
+    band = dg.BANDS[band]
     roll = dg._GroupRoll(task_id, style, seeds)
-    s0, (rows, policy, noise), saved = roll.draw(band, level)
-    want_s0, want_noise, want_saved, want_rngs = ref_band(task_id, style, seeds, band, level)
+    s0, (rows, policy, noise), saved = roll.draw(band)
+    want_s0, want_noise, want_saved, want_rngs = ref_band(task_id, style, seeds, band)
     assert rows == len(seeds) * len(band) == s0.shape[0]
     assert (policy is None) == (style == "wander")
     assert s0.tobytes() == want_s0.tobytes()
