@@ -87,10 +87,11 @@ NOISE_HALVING = 8                      # attempts per action-noise level
 ZERO_NOISE_ATTEMPT = 3 * NOISE_HALVING  # attempts from this index on add no action noise
 MAX_ATTEMPTS = ZERO_NOISE_ATTEMPT + NOISE_HALVING
 _CLIP_STREAMS = {"human": 11, "robot_success": 12, "robot_failure": 13}
+_DOMAIN_PAIR_STREAM = 99  # rng stream tag of domain_shift_cosine's pairs
 # clips per lockstep batch of a dataset call: bounds the rolled states held
 # before they are rendered, while filling each step_batch call. A band rolls
 # up to 22 rows per pending clip (attempts 2-23), so a 128-clip batch could
-# reach 2,816 rows (1,024 with the earlier bands of at most 8 attempts).
+# reach 2,816 rows.
 BATCH_CLIPS = 128
 DOMAIN_PAIRS = 100  # robot/human clip pairs that domain_shift_cosine averages over
 
@@ -797,8 +798,9 @@ def domain_shift_cosine(config) -> float:
     if not tasks:
         raise BadConfigError("domain_shift_cosine needs at least one task")
     pairs = [t for t in tasks for _ in range((DOMAIN_PAIRS // len(tasks)) + 1)][:DOMAIN_PAIRS]
-    seeds = [[config.seed, 99, task_id, i] for i, task_id in enumerate(pairs)]
-    words = _pcg64_words(_entropy(config.seed, [99] * len(pairs), pairs, range(len(pairs))))
+    seeds = [[config.seed, _DOMAIN_PAIR_STREAM, task_id, i] for i, task_id in enumerate(pairs)]
+    words = _pcg64_words(_entropy(config.seed, [_DOMAIN_PAIR_STREAM] * len(pairs), pairs,
+                                  range(len(pairs))))
     sims = np.empty((len(pairs), config.clip_frames))
     for _, idx, states, _, rngs in _rolled_groups([(t, "success") for t in pairs], seeds, words):
         robot = render.render_clips(states, config.clip_frames)

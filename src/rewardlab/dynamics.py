@@ -35,6 +35,7 @@ RIDGE = 1e-8  # ridge added to the sample-normalized Gram matrix
 RANDOM_EPISODES = 2000  # random-policy episodes train_on_random_episodes fits on
 EPISODE_BLOCK = 64  # episodes per block of the normal-equation sums (960 rows)
 ROLL_BLOCK = 4 * EPISODE_BLOCK  # random episodes per rollout_batch call of the fit
+_EPISODE_STREAM = 41  # rng stream tag of the random-policy episodes
 
 GROUND_TRUTH = "ground_truth"
 LEARNED = "learned"
@@ -174,7 +175,7 @@ def random_episode_blocks(n_episodes: int, seed: int):
     ROLL_BLOCK episodes, each rolled by one rollout_batch call. Every start
     state is drawn first, then each episode's actions in order, so the
     episodes do not depend on the block size."""
-    rng = np.random.default_rng([seed, 41])
+    rng = np.random.default_rng([seed, _EPISODE_STREAM])
     tasks = sw.ALL_TASKS
     draws = rng.random((n_episodes, sw.START_DRAWS))
     s0 = np.empty((n_episodes, sw.STATE_DIM))

@@ -88,7 +88,3 @@ class EmptyReportError(RewardLabError):
 
 class GenerationFailedError(RewardLabError):
     """A scripted rollout did not realize its requested label in any attempt."""
-
-
-class RefinementRegressedError(RewardLabError):
-    """CEM refinement returned a plan scoring below the one it started from."""

@@ -17,6 +17,8 @@ ABLATION_MODES x ABLATION_KS x ABLATION_SOURCES for ABLATION_SEEDS seeds
 and reports the cells' separation AUCs; it runs no planning.
 """
 
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +27,7 @@ from . import datagen as dg, dynamics as dyn, planner as pl, simworld as sw
 from .config import ExperimentConfig
 from .errors import (
     BadConfigError, EmptyReportError, NonFiniteValueError, OneClassOnlyError,
-    RefinementRegressedError, ShapeMismatchError, TooFewSamplesError,
+    ShapeMismatchError, TooFewSamplesError,
 )
 from .training import ModelParams, train
 
@@ -92,8 +94,7 @@ def eval_dataset_for(config: ExperimentConfig, tasks=None) -> dg.Dataset:
         robot_success_per_task=config.eval_success_per_task,
         robot_failure_per_task=config.eval_failure_per_task,
         failure_sources=dg.FAILURE_SOURCES,
-        seed=int(np.random.SeedSequence(
-            [config.seed, _STREAM_EVAL_DATA]).generate_state(1, np.uint64)[0] % (2**31)),
+        seed=config.derived_seed(_STREAM_EVAL_DATA),
     ), variant=config.env_variant)
 
 
@@ -101,12 +102,6 @@ def train_dataset_for(config: ExperimentConfig) -> dg.Dataset:
     """The training set, rendered in the `train` environment whatever
     config.env_variant names."""
     return dg.gen_dataset(config)
-
-
-def _plan_seed(config: ExperimentConfig, arm: int, seed_idx: int, task: int, trial: int) -> int:
-    return int(np.random.SeedSequence(
-        [config.seed, _STREAM_PLAN, arm, seed_idx, task, trial]
-    ).generate_state(1, np.uint64)[0] % (2**31))
 
 
 def evaluate_planning(
@@ -139,23 +134,15 @@ def evaluate_planning(
         starts, plans = [], []   # per (seed, trial): the vmpc plan, then the CEM one
         for seed_idx in range(config.plan_seeds):
             for trial in range(trials):
-                s0 = sw.initial_state_array(
-                    task, np.random.default_rng(_plan_seed(config, 0, seed_idx, task, trial))
-                )
+                arm_seeds = [config.derived_seed(_STREAM_PLAN, arm, seed_idx, task, trial)
+                             for arm in range(3)]
+                s0 = sw.initial_state_array(task, np.random.default_rng(arm_seeds[0]))
                 scorer = pl.make_sequence_scorer(reward, model, s0)
                 result = pl.vmpc_plan(scorer, config.plan_candidates, config.plan_horizon,
-                                      _plan_seed(config, 1, seed_idx, task, trial))
+                                      arm_seeds[1])
                 chosen = [result.actions]
                 if refine:
-                    refined = pl.cem_refine(
-                        result, scorer, _plan_seed(config, 2, seed_idx, task, trial)
-                    )
-                    if refined.score < result.score - 1e-12:
-                        raise RefinementRegressedError(
-                            f"task {task}: CEM refinement scored {refined.score!r}, "
-                            f"below the plan it started from ({result.score!r})"
-                        )
-                    chosen.append(refined.actions)
+                    chosen.append(pl.cem_refine(result, scorer, arm_seeds[2]).actions)
                 starts += [s0] * len(chosen)
                 plans += chosen
         executed = sw.rollout_batch(np.stack(starts), np.stack(plans))
@@ -240,11 +227,8 @@ def run_ablation(base_config: ExperimentConfig):
 
 
 def ablation_csv(rows) -> str:
-    lines = [",".join(ABLATION_COLUMNS)]
-    for row in rows:
-        fields = []
-        for col in ABLATION_COLUMNS:
-            val = row[col]
-            fields.append(repr(val) if isinstance(val, float) else str(val))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, ABLATION_COLUMNS, lineterminator="\n", extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -56,9 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# logsumexp and softmax are no longer called here (`_info_nce` fuses
-# them), but they stay importable as `losses.logsumexp`/`losses.softmax`:
-# the benchmark's layer table traces those names.
+# logsumexp and softmax stay importable here: the benchmark's layer table
+# traces `losses.logsumexp` and `losses.softmax`.
 from .embeddings import logsumexp, sigmoid, softmax
 from .errors import (
     BadClusterIndexError,

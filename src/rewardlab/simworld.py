@@ -19,24 +19,20 @@ the state: the renderer takes it beside the states.
 Two entry points share the physics. `rollout_batch` (planning, the
 learned-dynamics fit), and `rollout_every`, which keeps every k-th state
 of it (the ground-truth chunk scorer), run an open-loop core, time-major
-inside. What
-depends only on the actions and the start state is computed for the
-whole horizon at once: the clamped velocities, the grip latch, the
-gripper path and the faucet's contact and angle (np.cumsum, which adds
-in step order); step loops move only the drawer and the cup.
+inside. What depends only on the actions and the start state is computed
+for the whole horizon at once: the clamped velocities, the grip latch,
+the gripper path and the faucet's contact and angle (np.cumsum, which
+adds in step order); step loops move only the drawer and the cup.
 `step_batch` (datagen's closed-loop controllers) runs a one-step body
 without the core's latch keys, cumsum, frozen prefix and first-touch
-tests: over the 1,560 ~39-row calls that a seed-0 datagen round made
-with five attempt bands, they were about a third of a one-step call
-through the core (with three bands it makes 1,080 calls of ~102 rows).
-Both call the same
-drawer and cup steps. Each value comes from the same float operations in
-the same order as stepping, so batched rollouts are bit-identical to
-stepping states one at a time. (The cup's "moving toward" test negates
-the gripper - cup offset, which is exact. The clamps turn a -0.0 at a
-0.0 bound into +0.0 where np.clip keeps the -0.0; only a start holding
--0.0 moved by a -0.0 velocity sums to -0.0. Both entry points clamp
-alike.)
+tests, which cost about a third of a one-step call through the core.
+Both call the same drawer and cup steps. Each value comes from the same
+float operations in the same order as stepping, so batched rollouts are
+bit-identical to stepping states one at a time. (The cup's "moving
+toward" test negates the gripper - cup offset, which is exact. The clamps
+turn a -0.0 at a 0.0 bound into +0.0 where np.clip keeps the -0.0; only a
+start holding -0.0 moved by a -0.0 velocity sums to -0.0. Both entry
+points clamp alike.)
 
 `step_batch` works on contiguous (7, n) state rows and (3, n) action rows.
 Given transposed views of such arrays, as the state-major loop of datagen

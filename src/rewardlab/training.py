@@ -195,9 +195,7 @@ def _cluster_failures(params: ModelParams, data: _IndexedData, config: Experimen
     states = {}
     for task, part in data.fail_slices.items():
         feats = enc.encode_clips(data.frames[data.fail[part]], params.video)
-        seed = int(np.random.SeedSequence(
-            [config.seed, _STREAM_CLUSTER, epoch + 1, task]
-        ).generate_state(1, np.uint64)[0] % (2**31))
+        seed = config.derived_seed(_STREAM_CLUSTER, epoch + 1, task)
         states[task] = cl.spherical_kmeans(feats, k=config.k_clusters, seed=seed)
     return states
 

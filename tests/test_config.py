@@ -1,10 +1,14 @@
 """The `key = value` config format, its line-numbered errors, the range
 checks at construction, and the seed precedence flag > config file; the
-environment does not set the seed."""
+environment does not set the seed. Seeds derived from the config's seed
+are NumPy's SeedSequence words, and each random stream has its own tag."""
 
+import numpy as np
 import pytest
 
-from rewardlab import simworld as sw
+from rewardlab import (
+    datagen as dg, dynamics as dyn, encoders as enc, evaluation, simworld as sw, training,
+)
 from rewardlab.config import ExperimentConfig, load_config, parse_config_text, resolve_seed
 from rewardlab.errors import BadConfigError
 
@@ -147,3 +151,24 @@ class TestSeedPrecedence:
     def test_flag_beats_env_and_file(self, monkeypatch):
         monkeypatch.setenv("REWARD_SEED", "11")
         assert resolve_seed(self.FILE, flag_seed=5).seed == 5
+
+
+@pytest.mark.parametrize("master", [0, 2**31 - 1, 2**32 + 5])
+def test_derived_seed_is_numpys_seed_sequence_word(master):
+    config = ExperimentConfig(seed=master)
+    for n_words in range(1, 6):
+        words = (8, 2, 1, 6, 49)[:n_words]
+        seed = config.derived_seed(*words)
+        want = np.random.SeedSequence([master, *words]).generate_state(1, np.uint64)[0]
+        assert seed == int(want % 2**31)
+        assert 0 <= seed < 2**31
+
+
+def test_random_stream_tags_are_pairwise_distinct():
+    tags = [
+        training._STREAM_VIDEO, training._STREAM_POOL, training._STREAM_SAMPLER,
+        training._STREAM_CLUSTER, evaluation._STREAM_EVAL_DATA, evaluation._STREAM_PLAN,
+        *dg._CLIP_STREAMS.values(), dg._DOMAIN_PAIR_STREAM, dyn._EPISODE_STREAM, enc._TEXT_STREAM,
+    ]
+    assert len(tags) == 12
+    assert len(set(tags)) == len(tags)

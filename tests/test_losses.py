@@ -305,18 +305,6 @@ class TestOutOfRangeLabels:
         with pytest.raises(error):
             self.ENTRIES[entry](*edit(batch, task_texts, failure_texts, None))
 
-    @pytest.mark.parametrize("bad", [-1, 2])
-    def test_video_text_loss(self, bad):
-        v = np.eye(2)
-        with pytest.raises(UnknownTaskError):
-            losses.video_text_loss(v, v, np.array([0, bad]), 1.0, failure_texts=np.zeros((2, 2, 2)))
-
-    @pytest.mark.parametrize("bad", [-1, 2])
-    def test_failure_prompt_loss(self, bad):
-        v = np.eye(1, 4)
-        with pytest.raises(UnknownTaskError):
-            losses.failure_prompt_loss(v, [bad], [0], np.eye(4)[:2], np.zeros((2, 2, 4)), 1.0)
-
     def test_failure_prompt_loss_label_past_the_task_texts(self):
         # beside a failure table of another task count the tables disagree
         # first, whatever the label
