@@ -16,9 +16,11 @@ state plus 15 post-chunk states out. Two kinds:
   of one block gives the same bits as the one-shot product.
 
 The fit streams its episodes: `train_dynamics` takes an iterable of
-(states, actions) blocks and keeps only the running sums and one block's
-design rows, and `random_episode_blocks` rolls the random-policy episodes
-ROLL_BLOCK at a time, so the whole episode set is never held at once.
+(states, actions) blocks and keeps only the running sums and one block at
+a time. A block's design rows exist only while that block is summed, so
+the next block is never made next to them. `random_episode_blocks` rolls
+the random-policy episodes ROLL_BLOCK at a time, so the whole episode set
+is never held at once.
 """
 
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ N_FEATURES = 256
 RIDGE = 1e-8  # ridge added to the sample-normalized Gram matrix
 RANDOM_EPISODES = 2000  # random-policy episodes train_on_random_episodes fits on
 EPISODE_BLOCK = 64  # episodes per block of the normal-equation sums (960 rows)
-ROLL_BLOCK = 4 * EPISODE_BLOCK  # random episodes per rollout_batch call of the fit
+ROLL_BLOCK = 2 * EPISODE_BLOCK  # random episodes per rollout_batch call of the fit
 _EPISODE_STREAM = 41  # rng stream tag of the random-policy episodes
 
 GROUND_TRUTH = "ground_truth"
@@ -133,7 +135,8 @@ def train_dynamics(episodes, seed: int = 0) -> DynamicsModel:
     """Fit the chunk regressor on an iterable of episode blocks, each
     (N, H+1, 7) states and their (N, H, 3) actions, in closed form from
     normal equations (N_FEATURES, RIDGE) summed over EPISODE_BLOCK episodes
-    at a time from each block's start. One design buffer serves every block."""
+    at a time from each block's start. Only one block is held at a time,
+    and its design rows only while `_add_sums` sums it."""
     rng = np.random.default_rng(seed)
     model = DynamicsModel(
         kind=LEARNED,
@@ -143,30 +146,36 @@ def train_dynamics(episodes, seed: int = 0) -> DynamicsModel:
     width = 1 + INPUT_DIM + N_FEATURES
     gram = np.zeros((width, width))
     moment = np.zeros((width, sw.STATE_DIM))
-    buffer = np.empty((0, width))
     n = 0
     for states, actions in episodes:
-        states, actions, _ = _check_episodes(states, actions)
-        for i in range(0, actions.shape[0], EPISODE_BLOCK):
-            x, y = chunk_transitions(states[i:i + EPISODE_BLOCK], actions[i:i + EPISODE_BLOCK])
-            if buffer.shape[0] < x.shape[0]:
-                buffer = np.empty((x.shape[0], width))
-            # design rows [1, x, tanh(x W + b)]
-            phi = buffer[:x.shape[0]]
-            feats = phi[:, 1 + INPUT_DIM:]
-            phi[:, 0] = 1.0
-            phi[:, 1:1 + INPUT_DIM] = x
-            np.matmul(x, model.feature_w, out=feats)
-            feats += model.feature_b
-            np.tanh(feats, out=feats)
-            gram += phi.T @ phi
-            moment += phi.T @ y
-            n += x.shape[0]
+        n += _add_sums(model, states, actions, gram, moment)
         del states, actions  # not held while the next block is made
     if n < 100:
         raise InsufficientDataError(f"{n} chunk transitions < 100")
     model.weights = np.linalg.solve(gram / n + RIDGE * np.eye(width), moment / n)
     return model
+
+
+def _add_sums(model: DynamicsModel, states, actions, gram: np.ndarray, moment: np.ndarray) -> int:
+    """Add one block's Phi^T Phi to gram and Phi^T Y to moment, EPISODE_BLOCK
+    episodes at a time, and return its number of transitions. The design
+    buffer is this call's own, so it is freed before the next block is made."""
+    states, actions, n_chunks = _check_episodes(states, actions)
+    rows = min(actions.shape[0], EPISODE_BLOCK) * n_chunks
+    buffer = np.empty((rows, gram.shape[0]))
+    buffer[:, 0] = 1.0
+    for i in range(0, actions.shape[0], EPISODE_BLOCK):
+        x, y = chunk_transitions(states[i:i + EPISODE_BLOCK], actions[i:i + EPISODE_BLOCK])
+        # design rows [1, x, tanh(x W + b)]
+        phi = buffer[:x.shape[0]]
+        feats = phi[:, 1 + INPUT_DIM:]
+        phi[:, 1:1 + INPUT_DIM] = x
+        np.matmul(x, model.feature_w, out=feats)
+        feats += model.feature_b
+        np.tanh(feats, out=feats)
+        gram += phi.T @ phi
+        moment += phi.T @ y
+    return actions.shape[0] * n_chunks
 
 
 def random_episode_blocks(n_episodes: int, seed: int):

@@ -121,8 +121,10 @@ ROLLOUT_BLOCK = 640  # rows per block of one rollout_batch call
 
 # the step loops' constants as 0-d float64 arrays: the same values, but a
 # Python float operand costs numpy a conversion on every call (~0.5 us)
-_ZERO, _ONE, _DRAWER_MAX, _DRAWER_Y, _CONTACT2 = (
-    np.array(v) for v in (0.0, 1.0, DRAWER_MAX, DRAWER_BASE[1], CONTACT_RADIUS**2))
+_ZERO, _ONE, _HALF, _NEG_HALF, _VEL_LOW, _VEL_HIGH, _CONTACT2 = (
+    np.array(v) for v in (0.0, 1.0, 0.5, -0.5, -VEL_LIMIT, VEL_LIMIT, CONTACT_RADIUS**2))
+_DRAWER_MAX, _DRAWER_X, _DRAWER_Y, _FAUCET_X, _FAUCET_Y = (
+    np.array(v) for v in (DRAWER_MAX, *DRAWER_BASE, *FAUCET_HANDLE))
 
 
 def clamp(v, low, high, out=None):
@@ -185,7 +187,8 @@ def _roll(s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
 def _drawer_step(ext, dx2, gy, vy, out):
     """Drawer step of (n,) rows: the handle moves with the extension; +y
     pulls open, -y pushes shut. dx2: the gripper's squared x offset."""
-    near = dx2 + (gy - (_DRAWER_Y + ext)) ** 2 <= _CONTACT2
+    dy = gy - (_DRAWER_Y + ext)
+    near = dx2 + dy * dy <= _CONTACT2
     clamp(ext + np.where(near, vy, _ZERO), _ZERO, _DRAWER_MAX, out=out)
 
 
@@ -233,14 +236,15 @@ def step_batch(states: np.ndarray, actions: np.ndarray, out=None) -> np.ndarray:
     # contiguous (7, n) work arrays: ufuncs over strided columns cost far more
     s, a = np.ascontiguousarray(states.T), np.ascontiguousarray(actions.T)
     new = np.empty_like(s) if out is None else out.T
-    vel = clamp(a[:2], -VEL_LIMIT, VEL_LIMIT)
-    new[GRIP] = np.where(a[2] > 0.5, 1.0, np.where(a[2] < -0.5, 0.0, s[GRIP]))
+    vel = clamp(a[:2], _VEL_LOW, _VEL_HIGH)
+    new[GRIP] = np.where(a[2] > _HALF, _ONE, np.where(a[2] < _NEG_HALF, _ZERO, s[GRIP]))
     gxy, gx, gy = s[GX:GY + 1], s[GX], s[GY]
     clamp(np.add(gxy, vel, out=new[GX:GY + 1]), _ZERO, _ONE, out=new[GX:GY + 1])
-    near_faucet = (gx - FAUCET_HANDLE[0]) ** 2 + (gy - FAUCET_HANDLE[1]) ** 2 <= CONTACT_RADIUS**2
-    np.add(s[ANGLE], np.where(near_faucet, np.abs(vel[0]), 0.0), out=new[ANGLE])
-    _drawer_step(s[EXT], (gx - DRAWER_BASE[0]) ** 2, gy, vel[1], new[EXT])
-    _cup_step(gxy, s[CUPX:CUPY + 1], vel, new[GRIP] > 0.5, new[CUPX:CUPY + 1])
+    fx, fy, dx = gx - _FAUCET_X, gy - _FAUCET_Y, gx - _DRAWER_X
+    near_faucet = fx * fx + fy * fy <= _CONTACT2
+    np.add(s[ANGLE], np.where(near_faucet, np.abs(vel[0]), _ZERO), out=new[ANGLE])
+    _drawer_step(s[EXT], dx * dx, gy, vel[1], new[EXT])
+    _cup_step(gxy, s[CUPX:CUPY + 1], vel, new[GRIP] > _HALF, new[CUPX:CUPY + 1])
     return np.ascontiguousarray(new.T) if out is None else out
 
 

@@ -217,21 +217,39 @@ class TestRandomEpisodeFit:
         states, actions = random_episodes(dyn.ROLL_BLOCK + 44, seed=2)
         assert np.array_equal(states, sw.rollout_batch(states[:, 0], actions))
 
+    @staticmethod
+    def fit_peak(patch, n_episodes):
+        """tracemalloc peak of train_on_random_episodes on n_episodes."""
+        tracemalloc.start()
+        try:
+            random_fit(patch, n_episodes)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_is_flat_in_the_episode_count(self, monkeypatch):
         """Rolling all 2000 episodes at once and fitting them as one array
         peaked at 16 MiB, above the 6.5 MiB of their states alone; the
-        stream holds one block of episodes and one block of design rows."""
-        peaks = {}
-        for n_episodes in (500, 2000):
-            tracemalloc.start()
-            try:
-                random_fit(monkeypatch, n_episodes)
-                peaks[n_episodes] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        stream holds one rolled block of episodes at a time, and that
+        block's design rows only while it is summed."""
+        peaks = {n: self.fit_peak(monkeypatch, n) for n in (500, 2000)}
         states_bytes = 2000 * (sw.HORIZON + 1) * sw.STATE_DIM * 8
         assert peaks[2000] < states_bytes
         assert peaks[2000] <= 1.1 * peaks[500]
+
+    def test_peak_memory_is_one_block_beside_the_sums(self, monkeypatch):
+        """The next block is rolled only after the last one's design rows
+        are freed, so the peak is at most one design buffer, three
+        Gram-sized arrays (the sum, a block's product and room for the
+        small rest: a block's x and y, the episode starts) and one rolled
+        block's states and actions: 4.36 MiB. Rolling 256 episodes a call
+        next to a kept design buffer peaked at 6.03 MiB."""
+        width = 1 + dyn.INPUT_DIM + dyn.N_FEATURES
+        buffer_bytes = dyn.EPISODE_BLOCK * (sw.HORIZON // dyn.CHUNK) * width * 8
+        block_bytes = dyn.ROLL_BLOCK * ((sw.HORIZON + 1) * sw.STATE_DIM
+                                        + sw.HORIZON * sw.ACTION_DIM) * 8
+        bound = buffer_bytes + 3 * width * width * 8 + block_bytes
+        assert self.fit_peak(monkeypatch, 2000) <= bound
 
 
 class TestLearnedAccuracy:

@@ -51,13 +51,6 @@ def test_clip_frames_honoured_end_to_end():
     assert all(0.0 <= entry["auc"] <= 1.0 for entry in report.values())
 
 
-def test_unpatched_refinement_passes_the_check():
-    out = evaluation.evaluate_planning(
-        None, dyn.ground_truth_model(), CONFIG, reward_kind="oracle", refine=True
-    )
-    assert all(0.0 <= row["refined_rate"] <= 1.0 for row in out["rows"])
-
-
 def test_planning_rejects_an_unknown_reward_kind():
     with pytest.raises(BadConfigError, match="orcale"):
         evaluation.evaluate_planning(

@@ -312,29 +312,6 @@ class TestOutOfRangeLabels:
         with pytest.raises(ShapeMismatchError):
             losses.failure_prompt_loss(v, [2], [0], np.eye(4)[:2], np.zeros((3, 2, 4)), 1.0)
 
-    @pytest.mark.parametrize("mode", losses.MODES)
-    @pytest.mark.parametrize("bad", [-1, 2])
-    def test_total_loss_success_label(self, mode, bad):
-        batch, task_texts, failure_texts = helpers.build_random_batch(11)
-        batch.labels[1] = bad
-        with pytest.raises(UnknownTaskError):
-            losses.total_loss(batch, task_texts, failure_texts, mode=mode)
-
-    @pytest.mark.parametrize("mode", ["bce", "fvlc"])
-    @pytest.mark.parametrize("bad", [-1, 2])
-    def test_total_loss_failure_label(self, mode, bad):
-        batch, task_texts, failure_texts = helpers.build_random_batch(11)
-        batch.labels[batch.n_human + batch.n_robot] = bad
-        with pytest.raises(UnknownTaskError):
-            losses.total_loss(batch, task_texts, failure_texts, mode=mode)
-
-    def test_total_loss_needs_one_failure_block_per_task(self):
-        batch, task_texts, failure_texts = helpers.build_random_batch(11)
-        with pytest.raises(ShapeMismatchError):
-            losses.total_loss(batch, task_texts, failure_texts[:1], mode="fvlc")
-        with pytest.raises(MissingFailureTextsError):
-            losses.total_loss(batch, task_texts, None, mode="fvlc")
-
 
 class TestPooledMaskLength:
     """The pooled mask has one entry per task: a shorter one used to raise a

@@ -139,7 +139,7 @@ def test_a_wander_start_on_its_target_keeps_its_random_actions():
     assert not np.array_equal(got[1], raw[1])
 
 
-@pytest.mark.parametrize("n_episodes", [23, 2 * dyn.ROLL_BLOCK + 5])
+@pytest.mark.parametrize("n_episodes", [23, 4 * dyn.ROLL_BLOCK + 5])
 def test_random_episode_starts_are_the_per_episode_draws(n_episodes):
     """Every start is drawn first, task i % 7 for episode i, then each
     episode's actions from the Generator state the starts left."""
