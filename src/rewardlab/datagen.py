@@ -277,13 +277,12 @@ class Phase:
 # squared gripper distances (at the target, retreated, touching the cup to carry it) and
 # other constants as 0-d arrays: a Python float operand costs numpy a conversion per call
 _SLACK2, _RETREAT2, _GRASP2 = (np.array(r**2) for r in (0.035, 0.09, sw.CONTACT_RADIUS - 0.005))
-_VEL_BOX = np.array(-sw.VEL_LIMIT), np.array(sw.VEL_LIMIT)
 _FAUCET, _DRAWER, _UP = (np.array(xy)[:, None] for xy in (sw.FAUCET_HANDLE, sw.DRAWER_BASE, (0.0, 1.0)))
 
 
 def _clamp(v, out=None):
     """v limited to the velocity box."""
-    return sw.clamp(v, *_VEL_BOX, out=out)
+    return sw.clamp(v, *sw.VEL_BOX, out=out)
 
 
 def _toward(s, target):

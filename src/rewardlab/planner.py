@@ -133,7 +133,7 @@ def cem_refine(plan: PlanResult, scorer, seed: int) -> CemResult:
 
     for _ in range(CEM_ITERATIONS):
         vel = mean + rng.normal(size=(CEM_POPULATION, horizon, 2)) * std
-        vel = sw.clamp(vel, -sw.VEL_LIMIT, sw.VEL_LIMIT)
+        vel = sw.clamp(vel, *sw.VEL_BOX)
         population = np.concatenate([vel, grips], axis=2)
         scores = _scores(scorer, population)
         order = np.argsort(-scores, kind="stable")

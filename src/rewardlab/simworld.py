@@ -29,10 +29,8 @@ tests, which cost about a third of a one-step call through the core.
 Both call the same drawer and cup steps. Each value comes from the same
 float operations in the same order as stepping, so batched rollouts are
 bit-identical to stepping states one at a time. (The cup's "moving
-toward" test negates the gripper - cup offset, which is exact. The clamps
-turn a -0.0 at a 0.0 bound into +0.0 where np.clip keeps the -0.0; only a
-start holding -0.0 moved by a -0.0 velocity sums to -0.0. Both entry
-points clamp alike.)
+toward" test negates the gripper - cup offset, which is exact, and
+`clamp` returns np.clip's bytes, a -0.0 included.)
 
 `step_batch` works on contiguous (7, n) state rows and (3, n) action rows.
 Given transposed views of such arrays, as the state-major loop of datagen
@@ -121,16 +119,16 @@ ROLLOUT_BLOCK = 640  # rows per block of one rollout_batch call
 
 # the step loops' constants as 0-d float64 arrays: the same values, but a
 # Python float operand costs numpy a conversion on every call (~0.5 us)
-_ZERO, _ONE, _HALF, _NEG_HALF, _VEL_LOW, _VEL_HIGH, _CONTACT2 = (
-    np.array(v) for v in (0.0, 1.0, 0.5, -0.5, -VEL_LIMIT, VEL_LIMIT, CONTACT_RADIUS**2))
+_ZERO, _ONE, _HALF, _NEG_HALF, _CONTACT2 = (np.array(v) for v in (0.0, 1.0, 0.5, -0.5, CONTACT_RADIUS**2))
 _DRAWER_MAX, _DRAWER_X, _DRAWER_Y, _FAUCET_X, _FAUCET_Y = (
     np.array(v) for v in (DRAWER_MAX, *DRAWER_BASE, *FAUCET_HANDLE))
+VEL_BOX = np.array(-VEL_LIMIT), np.array(VEL_LIMIT)  # (low, high) of every velocity clamp
 
 
 def clamp(v, low, high, out=None):
-    """v limited to [low, high] elementwise: np.clip's result (except that a
-    -0.0 at a 0.0 bound comes out +0.0) without its per-call overhead."""
-    return np.minimum(np.maximum(v, low, out=out), high, out=out)
+    """v limited to [low, high]: np.clip's bytes without its per-call overhead.
+    v goes second: on a +0.0/-0.0 tie, np.maximum and np.minimum return it."""
+    return np.minimum(high, np.maximum(low, v, out=out), out=out)
 
 
 def _roll(s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -138,7 +136,7 @@ def _roll(s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
     time-major (h+1, 7, n) states of their rollout."""
     n, h = actions.shape[:2]
     vel = np.empty((h, 2, n))
-    clamp(actions[:, :, :2].transpose(1, 2, 0), -VEL_LIMIT, VEL_LIMIT, out=vel)
+    clamp(actions[:, :, :2].transpose(1, 2, 0), *VEL_BOX, out=vel)
     code = actions[:, :, 2].T
     path = np.empty((h + 1, STATE_DIM, n))
     path[0] = s0.T
@@ -167,8 +165,8 @@ def _roll(s0: np.ndarray, actions: np.ndarray) -> np.ndarray:
     # drawer and cup: until some row touches one, it holds its step-1 value
     # clamp(start + 0.0) (see the module docstring); its step loop starts at
     # that first touch, found by the loop's own contact test over the horizon
-    ext[1:] = clamp(ext[0] + 0.0, 0.0, DRAWER_MAX)
-    cup[1:] = clamp(cup[0] + 0.0, 0.0, 1.0)
+    ext[1:] = clamp(ext[0] + 0.0, _ZERO, _DRAWER_MAX)
+    cup[1:] = clamp(cup[0] + 0.0, _ZERO, _ONE)
 
     drawer_dx2 = (gx - DRAWER_BASE[0]) ** 2
     near = drawer_dx2 + (gy - (_DRAWER_Y + ext[:h])) ** 2 <= _CONTACT2
@@ -212,8 +210,9 @@ def _first_row_of(mask: np.ndarray) -> int:
 
 def step_batch(states: np.ndarray, actions: np.ndarray, out=None) -> np.ndarray:
     """Advance a batch of states one step. states (N,7), actions (N,3);
-    byte for byte rollout_batch(states, actions[:, None])[:, 1]. Transposed
-    views of contiguous (7, N) and (3, N) arrays are taken without a copy.
+    byte for byte the core's rollout_batch(states, actions[:, None])[:, 1]
+    and a per-step np.clip simulator's step. Transposed views of contiguous
+    (7, N) and (3, N) arrays are taken without a copy.
 
     out: an (N,7) float64 array that receives the step and is returned, else
     a new (N,7) array is. A transposed view of a contiguous (7, N) array is
@@ -236,7 +235,7 @@ def step_batch(states: np.ndarray, actions: np.ndarray, out=None) -> np.ndarray:
     # contiguous (7, n) work arrays: ufuncs over strided columns cost far more
     s, a = np.ascontiguousarray(states.T), np.ascontiguousarray(actions.T)
     new = np.empty_like(s) if out is None else out.T
-    vel = clamp(a[:2], _VEL_LOW, _VEL_HIGH)
+    vel = clamp(a[:2], *VEL_BOX)
     new[GRIP] = np.where(a[2] > _HALF, _ONE, np.where(a[2] < _NEG_HALF, _ZERO, s[GRIP]))
     gxy, gx, gy = s[GX:GY + 1], s[GX], s[GY]
     clamp(np.add(gxy, vel, out=new[GX:GY + 1]), _ZERO, _ONE, out=new[GX:GY + 1])
@@ -266,6 +265,8 @@ def rollout_every(s0: np.ndarray, action_seqs: np.ndarray, stride: int) -> np.nd
     if action_seqs.ndim != 3 or action_seqs.shape[::2] != (s0.shape[0], ACTION_DIM):
         raise ShapeMismatchError(
             f"action_seqs must be ({s0.shape[0]},H,{ACTION_DIM}), got {action_seqs.shape}")
+    if stride < 1:
+        raise ShapeMismatchError(f"stride must be at least 1, got {stride}")
     n, h = action_seqs.shape[:2]
     states = np.empty((n, h // stride + 1, STATE_DIM))
     for i in range(0, n, ROLLOUT_BLOCK):

@@ -46,8 +46,8 @@ def ref_wander_actions(task_id, s0, rng):
     norm = np.linalg.norm(away)
     if norm > 1e-9:
         away = away / norm * sw.VEL_LIMIT
-        actions[:8, 0] = sw.clamp(away[0] + actions[:8, 0] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
-        actions[:8, 1] = sw.clamp(away[1] + actions[:8, 1] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
+        actions[:8, 0] = np.clip(away[0] + actions[:8, 0] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
+        actions[:8, 1] = np.clip(away[1] + actions[:8, 1] * 0.3, -sw.VEL_LIMIT, sw.VEL_LIMIT)
     return actions
 
 

@@ -33,6 +33,33 @@ def make_states(first_overrides=None, last_overrides=None, n=3):
     return states
 
 
+EDGES = (1.0, sw.DRAWER_MAX, sw.VEL_LIMIT, -sw.VEL_LIMIT)
+
+
+@pytest.mark.parametrize("v", [
+    pytest.param(0.0, id="+0.0"),
+    pytest.param(-0.0, id="-0.0"),
+    pytest.param([np.inf, -np.inf], id="inf"),
+    pytest.param([5e-324, -5e-324, 1e-310, -1e-310], id="subnormal"),
+    pytest.param(EDGES, id="at_a_bound"),
+    pytest.param(np.nextafter(EDGES, np.multiply(EDGES, 2)), id="just_past_a_bound"),
+    pytest.param([1.5, -0.3, 0.2, 0.03, -0.01], id="inside_and_far_past"),
+    pytest.param([np.nan, -np.nan], id="nan"),
+])
+def test_clamp_returns_np_clip_bytes(v):
+    """clamp is np.clip byte for byte under each box the simulator clamps
+    with, its bounds as Python floats and as 0-d arrays, into a new array
+    and into v itself."""
+    v = np.array(v, dtype=np.float64, ndmin=1)
+    for box in ((-sw.VEL_LIMIT, sw.VEL_LIMIT), (0.0, 1.0), (0.0, sw.DRAWER_MAX)):
+        for low, high in (box, (np.array(box[0]), np.array(box[1]))):
+            want = np.clip(v, low, high).tobytes()
+            assert sw.clamp(v, low, high).tobytes() == want
+            aliased = v.copy()
+            assert sw.clamp(aliased, low, high, out=aliased) is aliased
+            assert aliased.tobytes() == want
+
+
 class TestStep:
     def test_zero_velocity_hold_keeps_state(self):
         s = sim_state(gripper=(0.3, 0.3))
@@ -174,6 +201,11 @@ class TestRollout:
         got = sw.rollout_every(s0s, acts, stride)
         assert got.shape == (len(s0s), 20 // stride + 1, sw.STATE_DIM)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_rollout_every_rejects_a_stride_below_one(self, stride):
+        with pytest.raises(ShapeMismatchError):
+            sw.rollout_every(np.zeros((2, sw.STATE_DIM)), np.zeros((2, 4, sw.ACTION_DIM)), stride)
 
     def test_clamping_over_many_random_steps(self):
         rng = np.random.default_rng(77)

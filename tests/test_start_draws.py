@@ -49,7 +49,7 @@ def ref_initial_state(task_id, rng):
     gx = anchor[0] + offset[0] + rng.uniform(-jitter, jitter)
     gy = anchor[1] + offset[1] + rng.uniform(-jitter, jitter)
     state = np.zeros(sw.STATE_DIM)
-    state[[sw.GX, sw.GY]] = sw.clamp((gx, gy), 0.0, 1.0)
+    state[[sw.GX, sw.GY]] = np.clip((gx, gy), 0.0, 1.0)
     state[sw.EXT] = drawer_ext
     state[[sw.CUPX, sw.CUPY]] = cup
     return state
