@@ -14,12 +14,8 @@ Failure archetypes:
   incomplete - makes contact but the predicate never holds
 
 Every clip has its own seed and its own Generator: the integer seed is
-SeedSequence([master seed, stream, task, index]) as one uint64, and the
-Generator is `default_rng(seed)`. Both are fixed 32-bit integer hashes
-(numpy's SeedSequence, which PCG64 seeds from), so `gen_dataset` derives
-every clip's seed, then every clip's PCG64 seed words, in one vectorized
-pass each and builds no SeedSequence; the bits are numpy's
-(`domain_shift_cosine` does the same for its pairs). An attempt draws
+what one SeedSequence([master seed, stream, task, index]) gives as one
+uint64, and the Generator is `default_rng(seed)`. An attempt draws
 from the Generator the simworld.START_DRAWS `Generator.random` draws of
 its initial state, then the 2H of its uniform action noise in
 [-level, +level], an (H, 2) block in row order; a zero-noise attempt
@@ -68,11 +64,9 @@ batches of at most `BATCH_CLIPS` clips, and render each batch, one
 loaded clips alike.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import render, simworld as sw
 from .errors import (
@@ -142,118 +136,9 @@ class Dataset:
         return np.stack([c.frames for c in self.clips])
 
 
-# --- clip seeds and Generators, every clip of a dataset at once ---
-
-# numpy's SeedSequence hash (after O'Neill's seed_seq_fe): a pool of four
-# 32-bit words. The constants are Python ints below 2**32, so uint32 array
-# arithmetic with them stays uint32 (and wraps) under numpy 1.x's
-# value-based casting and NEP 50 alike.
-_POOL_WORDS, _M32 = 4, 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# per pool word, the others in order: the words its cross-mix step updates
-_OTHER_POOL_WORDS = [np.delete(np.arange(_POOL_WORDS), i) for i in range(_POOL_WORDS)]
-
-
-@functools.lru_cache
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """(count, 1) uint32: a SeedSequence hash constant's first count values,
-    init * mult**i mod 2**32. They do not depend on the data; read only."""
-    consts = [init]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & _M32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values, consts):
-    """SeedSequence's hashmix of each row of (m, n) values (or of (n,)
-    values m times), row i at the hash constant's steps i and i + 1 of
-    (m + 1, 1) consts."""
-    values = values ^ consts[:-1]
-    values *= consts[1:]
-    values ^= values >> 16
-    return values
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool words x with hashed words y."""
-    out = x * _MIX_L
-    out -= y * _MIX_R
-    out ^= out >> 16
-    return out
-
-
-def _seed_sequence_state(entropy, n_words: int) -> np.ndarray:
-    """`np.random.SeedSequence(column).generate_state(n_words)` of every
-    column of (L, n) uint32 entropy words, as (n_words, n) uint32.
-
-    Each hash step is one array operation over all columns, and over the
-    pool words that the step updates independently: the pool fill, one
-    cross-mix step per source word, one step per entropy word past the
-    pool (L > 4), and the output words."""
-    entropy = np.asarray(entropy, dtype=np.uint32)
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_WORDS * max(len(entropy), _POOL_WORDS) + 1)
-    pool = np.zeros((_POOL_WORDS, entropy.shape[1]), dtype=np.uint32)
-    pool[:len(entropy)] = entropy[:_POOL_WORDS]  # missing words hash as 0
-    pool = _hashmix(pool, consts[:_POOL_WORDS + 1])
-    step = _POOL_WORDS
-    for src, dst in enumerate(_OTHER_POOL_WORDS):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[step:step + len(dst) + 1]))
-        step += len(dst)
-    for word in entropy[_POOL_WORDS:]:
-        pool = _mix(pool, _hashmix(word, consts[step:step + _POOL_WORDS + 1]))
-        step += _POOL_WORDS
-    return _hashmix(pool[np.arange(n_words) % _POOL_WORDS],
-                    _hash_consts(_INIT_B, _MULT_B, n_words + 1))
-
-
-def _uint64(words: np.ndarray) -> np.ndarray:
-    """(2k, n) uint32 words -> (k, n) uint64, each pair low word first, as
-    `generate_state(k, np.uint64)` joins them."""
-    return words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << np.uint64(32)
-
-
-def _entropy(master: int, *columns) -> np.ndarray:
-    """(L, n) uint32 entropy words of the SeedSequences [master, *column
-    entries]: master's words as SeedSequence splits an int (least
-    significant first, one word for 0), then one row per column, whose
-    entries must be below 2**32."""
-    words = [master & _M32]
-    while master > _M32:
-        master >>= 32
-        words.append(master & _M32)
-    n = len(columns[0])
-    return np.array([np.full(n, w) for w in words] + list(columns), dtype=np.uint32)
-
-
-def _pcg64_words(entropy) -> np.ndarray:
-    """(n, 4) uint64: the PCG64 seed that `np.random.default_rng` derives
-    from each column of (L, n) uint32 entropy words."""
-    return np.ascontiguousarray(_uint64(_seed_sequence_state(entropy, 8)).T)
-
-
-def _seed_pcg64_words(seeds: np.ndarray) -> np.ndarray:
-    """`_pcg64_words` of (n,) uint64 integer seeds: `default_rng(seed)`
-    hashes seed's [low, high] words (a zero high word, which SeedSequence
-    drops, hashes as no word)."""
-    return _pcg64_words(np.stack([seeds & _M32, seeds >> np.uint64(32)]))
-
-
-class _PCG64Seed(ISeedSequence):
-    """A seed sequence whose PCG64 seed is already known: PCG64 asks its
-    seed sequence once for generate_state(4, np.uint64), and gets these
-    (4,) uint64 words."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _generator(words) -> np.random.Generator:
-    """The Generator of one row of `_pcg64_words`, without a SeedSequence."""
-    return np.random.Generator(np.random.PCG64(_PCG64Seed(words)))
+def _clip_seed(master: int, *words) -> int:
+    """The integer seed that SeedSequence([master, *words]) gives as one uint64."""
+    return int(np.random.SeedSequence([master, *words]).generate_state(1, np.uint64)[0])
 
 
 # --- scripted controllers ---
@@ -530,9 +415,9 @@ class _GroupRoll:
     """Rolling state of one (task, style) group: its clips' Generators, the
     rollouts kept so far, the attempts taken and the clips still pending."""
 
-    def __init__(self, task_id: int, style: str, seeds, rngs=None):
+    def __init__(self, task_id: int, style: str, seeds):
         self.task_id, self.style, self.seeds = task_id, style, seeds
-        self.rngs = [np.random.default_rng(seed) for seed in seeds] if rngs is None else rngs
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
         n = len(self.rngs)
         self.actions = np.empty((n, sw.HORIZON, sw.ACTION_DIM))
         self.states = np.empty((n, sw.HORIZON + 1, sw.STATE_DIM))
@@ -613,11 +498,8 @@ def roll_groups(groups):
     after that attempt (a clip that passes at its band's last attempt
     already holds it).
 
-    seeds: anything `np.random.default_rng` takes; a Generator is used (and
-    advanced) in place. A group may add its clips' Generators as a fourth
-    item: each clip then rolls from its Generator, and its seed only names
-    it in a GenerationFailedError. `gen_dataset` and `domain_shift_cosine`
-    pass the Generators they derive in one pass. Returns, per group,
+    seeds: anything `np.random.default_rng` takes, one clip's Generator
+    each; a Generator is used (and advanced) in place. Returns, per group,
     actions (n, H, 3), states (n, H + 1, 7), the attempts each clip took
     (n,), and the clips' Generators, whose next draws follow the successful
     attempt.
@@ -684,14 +566,13 @@ def _failure_archetype_plan(task_id: int, count: int, sources) -> list:
     return plan
 
 
-def _rolled_groups(keys, seeds, words):
-    """Roll clip i of (task, style) group keys[i] from the Generator of
-    words[i], its `_pcg64_words` row, seeds[i] naming it; whole groups in
-    order packed into lockstep batches of at most BATCH_CLIPS clips (a
-    larger group is a batch alone). Yields each group's key, members (clip
-    indices), states (n, H + 1, 7), attempts (n,) and Generators, one batch
-    at a time, so a batch's states and Generators can go before the next is
-    rolled."""
+def _rolled_groups(keys, seeds):
+    """Roll clip i of (task, style) group keys[i] from
+    `default_rng(seeds[i])`; whole groups in order packed into lockstep
+    batches of at most BATCH_CLIPS clips (a larger group is a batch alone).
+    Yields each group's key, members (clip indices), states (n, H + 1, 7),
+    attempts (n,) and Generators, one batch at a time, so a batch's states
+    and Generators can go before the next is rolled."""
     groups, batches = {}, []
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
@@ -700,8 +581,7 @@ def _rolled_groups(keys, seeds, words):
             batches.append([])
         batches[-1].append((key, members))
     for batch in batches:
-        rolls = roll_groups([(*key, [seeds[i] for i in members], [_generator(words[i]) for i in members])
-                             for key, members in batch])
+        rolls = roll_groups([(*key, [seeds[i] for i in members]) for key, members in batch])
         for key, members in batch:
             # popped and yielded unnamed, so a group's rollouts go once its
             # caller is done with them
@@ -724,10 +604,8 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
 
     Clip i of a stream ("human", "robot_success", "robot_failure") and task
     has the integer seed that SeedSequence([config.seed, stream, task, i])
-    gives as one uint64, and the Generator `np.random.default_rng(seed)`.
-    One vectorized pass of SeedSequence's hash (`_seed_sequence_state`)
-    over every clip gives the seeds, and one more their Generators' PCG64
-    seeds: numpy's bits, and no SeedSequence object.
+    gives as one uint64 (`_clip_seed`), and the Generator
+    `np.random.default_rng(seed)`.
     """
     # (domain, task, style) and (stream, task, index) per clip, in dataset order
     specs, entropy = [], []
@@ -744,15 +622,11 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
         for i, archetype in enumerate(plan):
             specs.append(("robot", task_id, archetype))
             entropy.append((_CLIP_STREAMS["robot_failure"], task_id, i))
-    entropy = _entropy(config.seed, *np.reshape(entropy, (-1, 3)).T)
-    seeds = _uint64(_seed_sequence_state(entropy, 2))[0]
-    words = _seed_pcg64_words(seeds)
-    seeds = seeds.tolist()
+    seeds = [_clip_seed(config.seed, *e) for e in entropy]
 
     frames = np.empty((len(specs), config.clip_frames, render.FRAME_WIDTH))
     retries = {}
-    for key, members, states, attempts, rngs in _rolled_groups(
-            [spec[1:] for spec in specs], seeds, words):
+    for key, members, states, attempts, rngs in _rolled_groups([spec[1:] for spec in specs], seeds):
         # a success group lists its human clips first; no render call is empty
         n_human = sum(specs[i][0] == "human" for i in members)
         if n_human:
@@ -785,23 +659,20 @@ def domain_shift_cosine(config) -> float:
     (config.all_tasks). A frame norm that is not finite (a huge config.noise
     overflows it) or a NaN mean raises NonFiniteValueError.
 
-    Pair i is one success rollout of its task, seeded [seed, 99, task, i]
-    (every pair's Generator from one `_pcg64_words` pass), rendered in both
-    domains (the human rendering draws from the clip's Generator after its
-    rollout). Each task's pairs are one lockstep group,
-    the groups are rolled in `gen_dataset`'s batches, and each group is
-    rendered in one call per domain. The mean runs over the pairs in index
-    order.
+    Pair i is one success rollout of its task from the Generator
+    `default_rng([seed, 99, task, i])`, rendered in both domains (the human
+    rendering draws from the clip's Generator after its rollout). Each
+    task's pairs are one lockstep group, the groups are rolled in
+    `gen_dataset`'s batches, and each group is rendered in one call per
+    domain. The mean runs over the pairs in index order.
     """
     tasks = config.all_tasks
     if not tasks:
         raise BadConfigError("domain_shift_cosine needs at least one task")
     pairs = [t for t in tasks for _ in range((DOMAIN_PAIRS // len(tasks)) + 1)][:DOMAIN_PAIRS]
     seeds = [[config.seed, _DOMAIN_PAIR_STREAM, task_id, i] for i, task_id in enumerate(pairs)]
-    words = _pcg64_words(_entropy(config.seed, [_DOMAIN_PAIR_STREAM] * len(pairs), pairs,
-                                  range(len(pairs))))
     sims = np.empty((len(pairs), config.clip_frames))
-    for _, idx, states, _, rngs in _rolled_groups([(t, "success") for t in pairs], seeds, words):
+    for _, idx, states, _, rngs in _rolled_groups([(t, "success") for t in pairs], seeds):
         robot = render.render_clips(states, config.clip_frames)
         human = _human_clips(states, rngs, config)
         with np.errstate(over="ignore"):  # an overflowing norm raises below

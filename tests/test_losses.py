@@ -245,6 +245,13 @@ def _relabel(failure, label):
     return edit
 
 
+def _cluster_k(batch, task_texts, failure_texts, pooled):
+    """An edit of a loss case that sets the cluster label of the first
+    failure row to K, one past the last failure prompt."""
+    batch.fail_clusters[0] = failure_texts.shape[1]
+    return batch, task_texts, failure_texts, pooled
+
+
 def _video_text(batch, task_texts, failure_texts, pooled):
     """The video-text term on the batch's success rows. It takes per-row
     texts, so its rows get any valid text."""
@@ -289,6 +296,7 @@ class TestOutOfRangeLabels:
                                 ShapeMismatchError, FAILURE_TABLE),
         "long_failure_table": (lambda b, tt, ft, pooled: (b, tt, np.concatenate([ft, ft]), pooled),
                                ShapeMismatchError, FAILURE_TABLE),
+        "failure_cluster_K": (_cluster_k, BadClusterIndexError, FAILURE_TABLE),
         "failure_row_without_pool": (lambda b, tt, ft, pooled: (b, tt, ft, [True, False]),
                                      MissingFailureTextsError, FAILURE_TABLE),
         "fvlc_without_features": (lambda b, tt, ft, pooled: (b, tt, None, pooled),

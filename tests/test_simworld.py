@@ -250,6 +250,33 @@ class TestSuccessPredicates:
         assert sw.success_states(sw.TASK_CUP_AWAY, ok)
         assert not sw.success_states(sw.TASK_CUP_AWAY, bad)
 
+    # name -> (task, state column, its sign, threshold, flags one ulp below,
+    # exactly at and one ulp above the threshold). The second state writes
+    # sign * value to the column of a first state whose cup is at 0.0, so
+    # the compared quantity is the threshold's own float. Right to left
+    # moves the cup to -value: the predicate reads positions unclamped.
+    BOUNDARIES = {
+        "cup_away": (sw.TASK_CUP_AWAY, sw.CUPY, 1.0, sw.CUP_AWAY_DIST, (False, True, True)),
+        "cup_left_to_right": (sw.TASK_CUP_LEFT_TO_RIGHT, sw.CUPX, 1.0, sw.CUP_PUSH_DIST,
+                              (False, True, True)),
+        "cup_right_to_left": (sw.TASK_CUP_RIGHT_TO_LEFT, sw.CUPX, -1.0, sw.CUP_PUSH_DIST,
+                              (False, True, True)),
+        "open_drawer": (sw.TASK_OPEN_DRAWER, sw.EXT, 1.0, sw.DRAWER_OPEN_ABOVE, (False, False, True)),
+        # the gripper starts on the cup, so the poke has touched it
+        "poke": (sw.TASK_POKE_CUP, sw.CUPX, 1.0, sw.POKE_MAX_MOVE, (True, True, False)),
+    }
+
+    @pytest.mark.parametrize("name", BOUNDARIES)
+    def test_threshold_and_one_ulp_either_side(self, name):
+        task, column, sign, threshold, want = self.BOUNDARIES[name]
+        first = sim_state(gripper=(0.0, 0.0), cup=(0.0, 0.0))
+        got = []
+        for value in (np.nextafter(threshold, -np.inf), threshold, np.nextafter(threshold, np.inf)):
+            last = first.copy()
+            last[column] = sign * value
+            got.append(bool(sw.success_states(task, np.stack([first, last]))))
+        assert tuple(got) == want
+
     def test_poke_requires_contact_and_stillness(self):
         quiet = make_states()
         assert not sw.success_states(sw.TASK_POKE_CUP, quiet)  # never touched
