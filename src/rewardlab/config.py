@@ -9,10 +9,9 @@ changes it.
 import math
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from . import dynamics as dyn, simworld as sw
 from .datagen import FAILURE_SOURCES
+from .embeddings import stream_seed
 from .errors import BadConfigError
 from .losses import MODES
 from .render import VARIANTS
@@ -91,9 +90,9 @@ class ExperimentConfig:
         return tuple(sorted(set(self.train_tasks) | set(self.heldout_tasks)))
 
     def derived_seed(self, *words) -> int:
-        """The seed in [0, 2**31) of the stream [self.seed, *words]: the
-        first uint64 word of its SeedSequence, modulo 2**31."""
-        return int(np.random.SeedSequence([self.seed, *words]).generate_state(1, np.uint64)[0] % 2**31)
+        """The seed in [0, 2**31) of the stream [self.seed, *words]: its
+        `embeddings.stream_seed`, modulo 2**31."""
+        return stream_seed(self.seed, *words) % 2**31
 
 
 # lower bounds of the numeric fields; the _POSITIVE ones must exceed theirs

@@ -14,13 +14,13 @@ Failure archetypes:
   incomplete - makes contact but the predicate never holds
 
 Every clip has its own seed and its own Generator: the integer seed is
-what one SeedSequence([master seed, stream, task, index]) gives as one
-uint64, and the Generator is `default_rng(seed)`. An attempt draws
-from the Generator the simworld.START_DRAWS `Generator.random` draws of
-its initial state, then the 2H of its uniform action noise in
-[-level, +level], an (H, 2) block in row order; a zero-noise attempt
-draws its start alone, and a wander clip draws its random actions after
-its start instead of noise.
+`embeddings.stream_seed(master seed, stream, task, index)`, the first
+uint64 word of that SeedSequence, and the Generator is
+`default_rng(seed)`. An attempt draws from the Generator the
+simworld.START_DRAWS `Generator.random` draws of its initial state, then
+the 2H of its uniform action noise in [-level, +level], an (H, 2) block
+in row order; a zero-noise attempt draws its start alone, and a wander
+clip draws its random actions after its start instead of noise.
 Since `uniform(a, b)` is a + (b - a) * random(), mapping the draws
 afterwards gives the values that drawing each range with `uniform` would
 give, bit for bit, and leaves the Generator in the same state. The
@@ -69,6 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import render, simworld as sw
+from .embeddings import stream_seed
 from .errors import (
     ArchetypeUnsupportedError, BadConfigError, GenerationFailedError, NonFiniteValueError,
     ShapeMismatchError, UnknownTaskError,
@@ -134,11 +135,6 @@ class Dataset:
 
     def frames_array(self) -> np.ndarray:
         return np.stack([c.frames for c in self.clips])
-
-
-def _clip_seed(master: int, *words) -> int:
-    """The integer seed that SeedSequence([master, *words]) gives as one uint64."""
-    return int(np.random.SeedSequence([master, *words]).generate_state(1, np.uint64)[0])
 
 
 # --- scripted controllers ---
@@ -321,8 +317,8 @@ def run_policy(s0, blocks):
     The loop is state-major: it keeps the time-major (H + 1, 7, n) states and
     (H, 3, n) actions, so a controller reads contiguous state rows (s[sw.EXT])
     and `step_batch` gets transposed views of contiguous (7, n) and (3, n)
-    arrays, which it takes without a copy, and writes each step into the
-    next state rows (`out`). The results are transposed views of those
+    arrays, which it takes without a copy; each step it returns is copied
+    into the next state rows. The results are transposed views of those
     buffers, not copies.
     """
     s0 = np.asarray(s0, dtype=np.float64)
@@ -366,7 +362,7 @@ def run_policy(s0, blocks):
         _clamp(act[:2], out=act[:2])
         for rows, replay in replayed:
             act[:, rows] = replay[t]
-        sw.step_batch(cur.T, act.T, out=path[t + 1].T)
+        path[t + 1] = sw.step_batch(cur.T, act.T).T
     return actions.transpose(2, 0, 1), path.transpose(2, 0, 1)
 
 
@@ -603,8 +599,8 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
     raises NonFiniteValueError naming the first clip that holds one.
 
     Clip i of a stream ("human", "robot_success", "robot_failure") and task
-    has the integer seed that SeedSequence([config.seed, stream, task, i])
-    gives as one uint64 (`_clip_seed`), and the Generator
+    has the integer seed `embeddings.stream_seed(config.seed, stream, task,
+    i)`, the first uint64 word of that SeedSequence, and the Generator
     `np.random.default_rng(seed)`.
     """
     # (domain, task, style) and (stream, task, index) per clip, in dataset order
@@ -622,7 +618,7 @@ def gen_dataset(config, variant: str = "train") -> Dataset:
         for i, archetype in enumerate(plan):
             specs.append(("robot", task_id, archetype))
             entropy.append((_CLIP_STREAMS["robot_failure"], task_id, i))
-    seeds = [_clip_seed(config.seed, *e) for e in entropy]
+    seeds = [stream_seed(config.seed, *e) for e in entropy]
 
     frames = np.empty((len(specs), config.clip_frames, render.FRAME_WIDTH))
     retries = {}

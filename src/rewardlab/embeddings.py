@@ -4,7 +4,8 @@ Embeddings are plain float64 numpy vectors. Everything here is pure and
 deterministic; all softmax-style terms are computed through a max-subtracted
 log-sum-exp so that small temperatures (0.07 by default elsewhere) do not
 overflow. `finite_diff_grad_check` tests a hand-written gradient on the
-operation's own input arrays.
+operation's own input arrays. `stream_seed` is the one rule that turns a
+master seed and a stream's tag words into an integer seed.
 """
 
 import numpy as np
@@ -61,6 +62,12 @@ def sigmoid(x) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def stream_seed(master: int, *words) -> int:
+    """The integer seed of the stream [master, *words]: the first uint64
+    word of SeedSequence([master, *words])."""
+    return int(np.random.SeedSequence([master, *words]).generate_state(1, np.uint64)[0])
 
 
 def finite_diff_grad_check(f, arrays, grads) -> float:

@@ -26,10 +26,6 @@ class ShapeMismatchError(RewardLabError):
     """Array shape does not match the declared layout."""
 
 
-class OverlappingOutputError(RewardLabError):
-    """An output array may share memory with an input it must not overwrite."""
-
-
 class UnknownTaskError(RewardLabError):
     """Task id is not registered."""
 

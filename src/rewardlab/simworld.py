@@ -34,8 +34,8 @@ toward" test negates the gripper - cup offset, which is exact, and
 
 `step_batch` works on contiguous (7, n) state rows and (3, n) action rows.
 Given transposed views of such arrays, as the state-major loop of datagen
-passes them, it takes them without a copy, and it writes its step straight
-into that loop's next (7, n) state rows (`out`).
+passes them, it takes them without a copy; that loop copies each returned
+step into its next (7, n) state rows.
 
 The drawer and the cup are frozen until touched. A step moves the drawer
 only when the gripper is within the contact radius of its handle, and the
@@ -58,7 +58,7 @@ of a whole band or episode set first and build them in one call.
 
 import numpy as np
 
-from .errors import OverlappingOutputError, ShapeMismatchError, UnknownTaskError
+from .errors import ShapeMismatchError, UnknownTaskError
 
 # --- table constants ---
 CONTACT_RADIUS = 0.04
@@ -208,33 +208,21 @@ def _first_row_of(mask: np.ndarray) -> int:
     return first // mask.shape[1] if mask.flat[first] else mask.shape[0]
 
 
-def step_batch(states: np.ndarray, actions: np.ndarray, out=None) -> np.ndarray:
-    """Advance a batch of states one step. states (N,7), actions (N,3);
-    byte for byte the core's rollout_batch(states, actions[:, None])[:, 1]
-    and a per-step np.clip simulator's step. Transposed views of contiguous
-    (7, N) and (3, N) arrays are taken without a copy.
-
-    out: an (N,7) float64 array that receives the step and is returned, else
-    a new (N,7) array is. A transposed view of a contiguous (7, N) array is
-    written without a copy. The step reads its states after it has written
-    some rows of out, so an out that may share memory with states raises
-    OverlappingOutputError; one of another shape or dtype raises
-    ShapeMismatchError."""
+def step_batch(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Advance a batch of states one step. states (N,7), actions (N,3) ->
+    a new C-contiguous (N,7) array; byte for byte the core's
+    rollout_batch(states, actions[:, None])[:, 1] and a per-step np.clip
+    simulator's step. Transposed views of contiguous (7, N) and (3, N)
+    arrays are taken without a copy."""
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
         raise ShapeMismatchError(f"states must be (N,{STATE_DIM}), got {states.shape}")
     if actions.shape != (states.shape[0], ACTION_DIM):
         raise ShapeMismatchError(f"actions must be (N,{ACTION_DIM}), got {actions.shape}")
-    if out is not None:
-        if not isinstance(out, np.ndarray) or out.shape != states.shape or out.dtype != np.float64:
-            raise ShapeMismatchError(f"out must be a float64 {states.shape} array, got "
-                                     f"{np.shape(out)} {getattr(out, 'dtype', type(out).__name__)}")
-        if np.may_share_memory(out, states):
-            raise OverlappingOutputError("out may share memory with states: a step cannot run in place")
     # contiguous (7, n) work arrays: ufuncs over strided columns cost far more
     s, a = np.ascontiguousarray(states.T), np.ascontiguousarray(actions.T)
-    new = np.empty_like(s) if out is None else out.T
+    new = np.empty_like(s)
     vel = clamp(a[:2], *VEL_BOX)
     new[GRIP] = np.where(a[2] > _HALF, _ONE, np.where(a[2] < _NEG_HALF, _ZERO, s[GRIP]))
     gxy, gx, gy = s[GX:GY + 1], s[GX], s[GY]
@@ -244,7 +232,7 @@ def step_batch(states: np.ndarray, actions: np.ndarray, out=None) -> np.ndarray:
     np.add(s[ANGLE], np.where(near_faucet, np.abs(vel[0]), _ZERO), out=new[ANGLE])
     _drawer_step(s[EXT], dx * dx, gy, vel[1], new[EXT])
     _cup_step(gxy, s[CUPX:CUPY + 1], vel, new[GRIP] > _HALF, new[CUPX:CUPY + 1])
-    return np.ascontiguousarray(new.T) if out is None else out
+    return np.ascontiguousarray(new.T)
 
 
 def rollout_batch(s0: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:

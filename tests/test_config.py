@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rewardlab import (
-    datagen as dg, dynamics as dyn, encoders as enc, evaluation, simworld as sw, training,
+    datagen as dg, dynamics as dyn, encoders as enc, evaluation, gradcheck, simworld as sw, training,
 )
 from rewardlab.config import ExperimentConfig, load_config, parse_config_text, resolve_seed
 from rewardlab.errors import BadConfigError
@@ -169,6 +169,7 @@ def test_random_stream_tags_are_pairwise_distinct():
         training._STREAM_VIDEO, training._STREAM_POOL, training._STREAM_SAMPLER,
         training._STREAM_CLUSTER, evaluation._STREAM_EVAL_DATA, evaluation._STREAM_PLAN,
         *dg._CLIP_STREAMS.values(), dg._DOMAIN_PAIR_STREAM, dyn._EPISODE_STREAM, enc._TEXT_STREAM,
+        gradcheck._SUITE_STREAM,
     ]
-    assert len(tags) == 12
+    assert len(tags) == 13
     assert len(set(tags)) == len(tags)

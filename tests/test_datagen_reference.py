@@ -516,9 +516,9 @@ def _count_steps(monkeypatch):
     calls = [0]
     step_batch = sw.step_batch
 
-    def counted(states, actions, out=None):
+    def counted(states, actions):
         calls[0] += 1
-        return step_batch(states, actions, out=out)
+        return step_batch(states, actions)
 
     monkeypatch.setattr(sw, "step_batch", counted)
     return calls

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import sim_state
 from rewardlab import render, simworld as sw
-from rewardlab.errors import (
-    BadConfigError, OverlappingOutputError, ShapeMismatchError, UnknownTaskError,
-)
+from rewardlab.errors import BadConfigError, ShapeMismatchError, UnknownTaskError
 
 
 OPEN, HOLD, CLOSE = -1.0, 0.0, 1.0
@@ -114,44 +112,16 @@ class TestStep:
         assert out[sw.GX] == s[sw.GX] + 0.05 and out[sw.GY] == s[sw.GY] - 0.05
 
 
-class TestStepInto:
-    """`step_batch(states, actions, out=...)` writes the step into out."""
-
-    @staticmethod
-    def batch(n=9):
-        rng = np.random.default_rng(12)
-        states = np.stack([sw.initial_state_array(t, rng) for t in sw.ALL_TASKS] * 2)[:n]
-        return states, sw.random_action_array(rng, n, 1)[:, 0]
-
-    @pytest.mark.parametrize("layout", ["transposed", "plain"])
-    def test_out_holds_the_step_and_is_returned(self, layout):
-        states, actions = self.batch()
-        out = np.empty(states.shape) if layout == "plain" else np.empty((sw.STATE_DIM, len(states))).T
-        got = sw.step_batch(states, actions, out=out)
-        assert got is out
-        assert got.tobytes() == sw.step_batch(states, actions).tobytes()
-
-    def test_transposed_views_step_into_the_next_state_rows(self):
-        """The state-major layout of datagen's loop: (T, 7, n) rows."""
-        states, actions = self.batch()
-        path = np.empty((2, sw.STATE_DIM, len(states)))
-        path[0] = states.T
-        sw.step_batch(path[0].T, np.ascontiguousarray(actions.T).T, out=path[1].T)
-        assert path[1].T.tobytes() == sw.step_batch(states, actions).tobytes()
-
-    @pytest.mark.parametrize("out", [np.empty((9, 6)), np.empty((8, 7)), np.empty((9, 7), np.float32),
-                                     [[0.0] * 7] * 9], ids=["columns", "rows", "float32", "list"])
-    def test_an_out_of_another_shape_or_dtype_is_refused(self, out):
-        states, actions = self.batch()
-        with pytest.raises(ShapeMismatchError, match="out must be a float64"):
-            sw.step_batch(states, actions, out=out)
-
-    @pytest.mark.parametrize("alias", ["same", "reversed"])
-    def test_an_out_that_may_share_memory_with_the_states_is_refused(self, alias):
-        states, actions = self.batch()
-        out = states if alias == "same" else states[::-1]
-        with pytest.raises(OverlappingOutputError, match="in place"):
-            sw.step_batch(states, actions, out=out)
+def test_step_batch_takes_transposed_views_of_state_major_rows():
+    """The state-major layout of datagen's loop: transposed views of
+    contiguous (7, n) states and (3, n) actions step to the plain call's
+    C-contiguous (n, 7) bytes."""
+    rng = np.random.default_rng(12)
+    states = np.stack([sw.initial_state_array(t, rng) for t in sw.ALL_TASKS] * 2)[:9]
+    actions = sw.random_action_array(rng, 9, 1)[:, 0]
+    got = sw.step_batch(np.ascontiguousarray(states.T).T, np.ascontiguousarray(actions.T).T)
+    assert got.flags.c_contiguous and got.shape == states.shape
+    assert got.tobytes() == sw.step_batch(states, actions).tobytes()
 
 
 class TestRollout:
