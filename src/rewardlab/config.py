@@ -24,7 +24,6 @@ class ExperimentConfig:
     k_clusters: int = 3
     prompt_len: int = 2
     tau: float = 0.07
-    exclude_anchor: bool = False        # supcon-style self-exclusion
     # batch strata
     batch_human: int = 8
     batch_robot: int = 8
@@ -120,12 +119,6 @@ def _parse_value(name: str, text: str):
         return int(text)
     if kind == "float":
         return float(text)
-    if kind == "bool":
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
     if kind == "tuple":
         if not text:
             return ()

@@ -394,10 +394,10 @@ def _labels_ok(task_id, style, states) -> np.ndarray:
     return ok & ~flags[:, -1]
 
 
-def noise_level(noise: float, attempt: int) -> float:
-    """Action-noise level of an attempt: halved every NOISE_HALVING
-    attempts, zero from ZERO_NOISE_ATTEMPT on."""
-    return 0.0 if attempt >= ZERO_NOISE_ATTEMPT else noise * 0.5 ** (attempt // NOISE_HALVING)
+def noise_level(attempt: int) -> float:
+    """Action-noise level of an attempt: ACTION_NOISE, read when called,
+    halved every NOISE_HALVING attempts, zero from ZERO_NOISE_ATTEMPT on."""
+    return 0.0 if attempt >= ZERO_NOISE_ATTEMPT else ACTION_NOISE * 0.5 ** (attempt // NOISE_HALVING)
 
 
 # the attempts rolled as one batch, each band all noisy or all zero-noise:
@@ -427,7 +427,7 @@ class _GroupRoll:
         rows, and {row: Generator state after its attempt} for every row
         but a clip's last of the band, whose state its Generator keeps.
 
-        Each attempt's level is `noise_level(ACTION_NOISE, attempt)`, read
+        Each attempt's level is `noise_level(attempt)`, ACTION_NOISE read
         when called; a band's levels are all nonzero or all zero. An attempt
         draws its START_DRAWS start draws, then its noise (2H draws, at a
         nonzero level) or, for a wander clip, its `random_action_array`,
@@ -437,7 +437,7 @@ class _GroupRoll:
         each row's own level, turns the noise draws into what
         uniform(low, high) gives for them."""
         wander = self.policy is None
-        levels = np.array([noise_level(ACTION_NOISE, attempt) for attempt in band])
+        levels = np.array([noise_level(attempt) for attempt in band])
         noisy = not wander and levels.any()
         rows = self.pending.size * len(band)
         starts = np.empty((rows, sw.START_DRAWS))

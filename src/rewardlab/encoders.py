@@ -96,7 +96,7 @@ def encode_clips_cached(clips: np.ndarray, params: VideoEncoderParams):
     if (norms <= 1e-12).any():
         raise ZeroVectorError("pre-normalization embedding collapsed to zero")
     v = z / norms[:, None]
-    cache = (clips, hidden, w, pooled, z, norms, v, params)
+    cache = (clips, hidden, w, pooled, norms, v, params)
     return v, cache
 
 
@@ -106,7 +106,7 @@ def encode_clips(clips: np.ndarray, params: VideoEncoderParams) -> np.ndarray:
 
 def encode_clips_backward(cache, d_v: np.ndarray) -> VideoEncoderParams:
     """Accumulate d(loss)/d(params) given d(loss)/d(embeddings)."""
-    clips, hidden, w, pooled, z, norms, v, params = cache
+    clips, hidden, w, pooled, norms, v, params = cache
     d_v = np.asarray(d_v, dtype=np.float64)
     # through z / ||z||
     inner = (v * d_v).sum(axis=1, keepdims=True)

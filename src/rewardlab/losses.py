@@ -15,10 +15,11 @@ for bit; the hot path also calls array methods (`.sum()`, `.any()`)
 rather than the `np.sum`-style wrappers, which cost more per call than
 these small reductions do.
 
-* cross_domain_loss: supervised contrastive (SupCon) pull between same-task
-  clips across the human and robot domains, the target spread over each
-  row's same-task positives. The anchor is one of its own positives by
-  default; supcon-style self-exclusion masks the diagonal.
+* cross_domain_loss: supervised contrastive pull between same-task clips
+  across the human and robot domains, the target spread over each row's
+  same-task positives. It has one form: each anchor counts among its own
+  positives and in its denominator (SupCon, arXiv 2004.11362, excludes it
+  from both).
 * video_text_loss: bidirectional clip<->text InfoNCE, target on the
   diagonal. With failure features, video->text logits are [B, B + K]: the
   last K columns hold the row task's failure features, masked when that
@@ -155,9 +156,11 @@ def _info_nce(logits, target, keep):
     return value, e / s
 
 
-def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
+def cross_domain_loss(videos, labels, tau: float):
     """Supervised contrastive loss over the pooled success batch: videos
-    (B, D), labels (B,).
+    (B, D), labels (B,). Each anchor is one of its own positives, so only a
+    label unequal to itself (NaN) leaves a row without one, which raises
+    EmptyPositiveSetError.
 
     Returns (value, d_videos).
     """
@@ -168,15 +171,11 @@ def cross_domain_loss(videos, labels, tau: float, exclude_anchor: bool = False):
     _check_tau(tau)
     logits = (videos @ videos.T) / tau
     pos = labels[:, None] == labels[None, :]
-    keep = None
-    if exclude_anchor:
-        keep = ~np.eye(len(labels), dtype=bool)
-        pos &= keep
     n_pos = pos.sum(axis=1)
     if (n_pos == 0).any():
         raise EmptyPositiveSetError(f"anchor {int(np.argmin(n_pos))} has no positive sample")
     target = pos / n_pos[:, None]
-    total, p = _info_nce(logits, target, keep)
+    total, p = _info_nce(logits, target, None)
     grad_s = (p - target) / tau
     return total, (grad_s + grad_s.T) @ videos
 
@@ -252,7 +251,7 @@ def bce_loss(videos, texts, outcomes):
         )
     x = (videos * texts).sum(axis=1)
     # -log sigmoid(x) = softplus(-x); -log(1 - sigmoid(x)) = softplus(x)
-    value = float(_softplus(np.where(outcomes > 0.5, -x, x)).sum())
+    value = float((outcomes * _softplus(-x) + (1.0 - outcomes) * _softplus(x)).sum())
     return value, (sigmoid(x) - outcomes)[:, None] * texts
 
 
@@ -308,14 +307,7 @@ def failure_prompt_loss(
     }
 
 
-def total_loss(
-    batch: Batch,
-    task_texts,
-    failure_texts=None,
-    pooled=None,
-    mode: str = "fvlc",
-    exclude_anchor: bool = False,
-):
+def total_loss(batch: Batch, task_texts, failure_texts=None, pooled=None, mode: str = "fvlc"):
     """Combined objective for one batch under the given training mode: the
     sum, with unit weights, of the public terms below, each called once.
 
@@ -352,7 +344,7 @@ def total_loss(
         )
 
     videos, labels = batch.videos[:n_success], batch.labels[:n_success]
-    cdc_val, cdc_grad = cross_domain_loss(videos, labels, batch.tau, exclude_anchor=exclude_anchor)
+    cdc_val, cdc_grad = cross_domain_loss(videos, labels, batch.tau)
     vlc_val, grads = video_text_loss(
         videos, texts[:n_success], labels, batch.tau, failure_texts, pooled
     )

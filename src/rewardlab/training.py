@@ -248,8 +248,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
                 fail_clusters, config.tau,
             )
             value, grads, comps = losses.total_loss(
-                emb_batch, texts, fail_texts, pooled,
-                mode=config.mode, exclude_anchor=config.exclude_anchor,
+                emb_batch, texts, fail_texts, pooled, mode=config.mode
             )
             if not math.isfinite(value):
                 raise NonFiniteValueError(f"epoch {epoch}: total loss is {value}")

@@ -92,18 +92,14 @@ def failures(batch):
     return batch.videos[n:], batch.labels[n:]
 
 
-def oracle_cross_domain(videos, labels, tau, exclude_anchor=False):
+def oracle_cross_domain(videos, labels, tau):
     b = len(videos)
     total = mpmath.mpf(0)
     for i in range(b):
-        positives = [
-            p for p in range(b)
-            if labels[p] == labels[i] and not (exclude_anchor and p == i)
-        ]
-        denom_idx = [j for j in range(b) if not (exclude_anchor and j == i)]
+        positives = [p for p in range(b) if labels[p] == labels[i]]
         denom = mpmath.fsum(
             mpmath.e ** (_mp(np.dot(videos[i], videos[j])) / _mp(tau))
-            for j in denom_idx
+            for j in range(b)
         )
         anchor = mpmath.mpf(0)
         for p in positives:

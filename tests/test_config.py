@@ -18,7 +18,6 @@ EVERY_KIND = """
 mode = bce            # str, with a trailing comment
 k_clusters = 4        # int
 tau = 0.25            # float
-exclude_anchor = yes  # bool
 train_tasks = 4, 6    # int tuple
 failure_sources = near_success, random
 heldout_tasks =       # empty tuple
@@ -30,7 +29,6 @@ def test_every_field_kind():
     assert config.mode == "bce"
     assert config.k_clusters == 4
     assert config.tau == 0.25
-    assert config.exclude_anchor is True
     assert config.train_tasks == (sw.TASK_OPEN_DRAWER, sw.TASK_POKE_CUP)
     assert config.failure_sources == ("near_success", "random")
     assert config.heldout_tasks == ()
@@ -41,20 +39,12 @@ def test_empty_text_gives_the_defaults():
     assert parse_config_text("\n# nothing\n") == ExperimentConfig()
 
 
-@pytest.mark.parametrize("text, value", [
-    ("true", True), ("True", True), ("1", True), ("yes", True),
-    ("false", False), ("0", False), ("no", False), ("NO", False),
-])
-def test_bool_spellings(text, value):
-    assert parse_config_text(f"exclude_anchor = {text}").exclude_anchor is value
-
-
 @pytest.mark.parametrize("text, message", [
     ("mode = bce\nbogus = 3", "line 2: unknown key 'bogus'"),
     ("\n\nk_clusters 3", "line 3: expected 'key = value'"),
     ("k_clusters = three", "line 1: bad value for k_clusters"),
     ("tau = 0.1\ntrain_tasks = 4, x", "line 2: bad value for train_tasks"),
-    ("# c\nexclude_anchor = maybe", "line 2: bad value for exclude_anchor: expected a boolean"),
+    ("# c\nexclude_anchor = yes", "line 2: unknown key 'exclude_anchor'"),
     ("mode = fvlc\ntau = 0.1\nmode = bce", "line 3: mode is already set on line 1"),
 ])
 def test_errors_name_the_line(text, message):

@@ -482,9 +482,9 @@ def test_bands_cover_every_attempt_once_all_noisy_or_all_zero_noise():
     assert [a for band in dg.BANDS for a in band] == list(range(dg.MAX_ATTEMPTS))
     assert dg.BANDS[0] == range(2)
     for band in dg.BANDS:
-        assert len({dg.noise_level(dg.ACTION_NOISE, a) > 0 for a in band}) == 1
-    assert dg.noise_level(dg.ACTION_NOISE, dg.ZERO_NOISE_ATTEMPT - 1) > 0
-    assert dg.noise_level(dg.ACTION_NOISE, dg.ZERO_NOISE_ATTEMPT) == 0
+        assert len({dg.noise_level(a) > 0 for a in band}) == 1
+    assert dg.noise_level(dg.ZERO_NOISE_ATTEMPT - 1) > 0
+    assert dg.noise_level(dg.ZERO_NOISE_ATTEMPT) == 0
 
 
 @pytest.mark.parametrize("bands", [

@@ -40,18 +40,12 @@ class TestCrossDomain:
         expected = helpers.oracle_cross_domain(v, labels, 0.5)
         assert abs(val - expected) < 1e-10
 
-    def test_self_exclusion_variant_matches_oracle(self):
-        rng = np.random.default_rng(1)
-        v = helpers.random_unit_rows(rng, 4, 3)
-        labels = np.array([0, 0, 1, 1])
-        val, _ = losses.cross_domain_loss(v, labels, 0.3, exclude_anchor=True)
-        expected = helpers.oracle_cross_domain(v, labels, 0.3, exclude_anchor=True)
-        assert abs(val - expected) < 1e-10
-
     def test_empty_positive_set_with_exclusion(self):
+        # each anchor is its own positive: only a NaN label, unequal to
+        # itself, excludes its row from every positive set
         v = np.eye(2)
-        with pytest.raises(EmptyPositiveSetError):
-            losses.cross_domain_loss(v, np.array([0, 1]), 1.0, exclude_anchor=True)
+        with pytest.raises(EmptyPositiveSetError, match="anchor 1"):
+            losses.cross_domain_loss(v, np.array([0.0, np.nan]), 1.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_matches_central_differences(self, seed):
@@ -164,6 +158,18 @@ class TestBce:
         t = helpers.random_unit_rows(rng, 5, 4)
         r = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         _, grad = losses.bce_loss(v, t, r)
+        err = finite_diff_grad_check(lambda v: losses.bce_loss(v, t, r)[0], [v], [grad])
+        assert err < 1e-4
+
+    def test_soft_outcomes_weigh_both_terms(self):
+        # soft outcomes: the value is the docstring's r-weighted sum, the
+        # function whose gradient bce_loss returns
+        rng = np.random.default_rng(3)
+        v = helpers.random_unit_rows(rng, 4, 4)
+        t = helpers.random_unit_rows(rng, 4, 4)
+        r = np.array([0.5, 0.25, 0.5, 0.75])
+        val, grad = losses.bce_loss(v, t, r)
+        assert abs(val - helpers.oracle_bce(v, t, r)) < 1e-10
         err = finite_diff_grad_check(lambda v: losses.bce_loss(v, t, r)[0], [v], [grad])
         assert err < 1e-4
 

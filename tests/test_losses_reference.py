@@ -25,21 +25,16 @@ from rewardlab.embeddings import logsumexp, sigmoid, softmax
 RTOL = 1e-12
 
 
-def loop_cross_domain(videos, labels, tau, exclude_anchor=False):
+def loop_cross_domain(videos, labels, tau):
     b = videos.shape[0]
     logits = (videos @ videos.T) / tau
     grad_s = np.zeros((b, b))
     total = 0.0
     for i in range(b):
-        same = labels == labels[i]
-        keep = np.ones(b, dtype=bool)
-        if exclude_anchor:
-            same[i] = False
-            keep[i] = False
-        pos = np.flatnonzero(same)
-        z = logits[i, keep]
+        pos = np.flatnonzero(labels == labels[i])
+        z = logits[i]
         total += logsumexp(z) - float(np.mean(logits[i, pos]))
-        grad_s[i, keep] += softmax(z) / tau
+        grad_s[i] += softmax(z) / tau
         grad_s[i, pos] -= 1.0 / (tau * pos.size)
     return total, (grad_s + grad_s.T) @ videos
 
@@ -106,12 +101,11 @@ def random_case(seed, uneven_k):
 
 
 @pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("exclude_anchor", [False, True])
-def test_cross_domain_matches_loop(seed, exclude_anchor):
+def test_cross_domain_matches_loop(seed):
     batch, _, _, _ = random_case(seed, uneven_k=False)
     videos, labels = helpers.successes(batch)
-    val, grad = losses.cross_domain_loss(videos, labels, batch.tau, exclude_anchor)
-    want, want_grad = loop_cross_domain(videos, labels, batch.tau, exclude_anchor)
+    val, grad = losses.cross_domain_loss(videos, labels, batch.tau)
+    want, want_grad = loop_cross_domain(videos, labels, batch.tau)
     assert val == pytest.approx(want, rel=RTOL)
     assert_close(grad, want_grad)
 
@@ -168,15 +162,11 @@ def block_sum_rows(shape, labels, contrib):
     return out
 
 
-def two_pass_cross_domain(videos, labels, tau, exclude_anchor=False):
+def two_pass_cross_domain(videos, labels, tau):
     logits = (videos @ videos.T) / tau
     pos = labels[:, None] == labels[None, :]
-    keep = None
-    if exclude_anchor:
-        keep = ~np.eye(len(labels), dtype=bool)
-        pos &= keep
     target = pos / pos.sum(axis=1)[:, None]
-    total, p = two_pass_info_nce(logits, target, keep)
+    total, p = two_pass_info_nce(logits, target, None)
     grad_s = (p - target) / tau
     return total, (grad_s + grad_s.T) @ videos
 
@@ -251,11 +241,9 @@ def assert_same(got, want):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("exclude_anchor", [False, True])
-def test_cross_domain_equals_two_pass_copy(seed, exclude_anchor):
-    # with exclude_anchor every row's diagonal logit is masked to -inf
+def test_cross_domain_equals_two_pass_copy(seed):
     batch, _, _, _ = random_case(seed, uneven_k=False)
-    args = (*helpers.successes(batch), batch.tau, exclude_anchor)
+    args = (*helpers.successes(batch), batch.tau)
     assert_same(losses.cross_domain_loss(*args), two_pass_cross_domain(*args))
 
 
@@ -290,14 +278,11 @@ def test_failure_prompt_equals_two_pass_copy(seed, uneven_k):
 
 def test_rows_that_keep_one_entry_equal_two_pass_copies():
     batch, task_texts, failure_texts, _ = random_case(0, uneven_k=False)
-    # two same-task anchors without themselves: each row keeps one logit
-    videos, labels = batch.videos[:2], np.array([1, 1])
-    args = (videos, labels, batch.tau, True)
-    assert_same(losses.cross_domain_loss(*args), two_pass_cross_domain(*args))
     # one video whose task has no prompt pool: its video->text row keeps
     # only its own text, every failure logit masked
+    videos, labels = batch.videos[:1], np.array([1])
     pooled = np.array([True, False, True])
-    args = (videos[:1], task_texts[labels[:1]], labels[:1], batch.tau, failure_texts, pooled)
+    args = (videos, task_texts[labels], labels, batch.tau, failure_texts, pooled)
     assert_same(losses.video_text_loss(*args), two_pass_video_text(*args))
 
 

@@ -63,7 +63,7 @@ def ref_band(task_id, style, seeds, band):
     starts, noise, saved = [], [], []
     for rng in rngs:
         for attempt in band:
-            level = dg.noise_level(dg.ACTION_NOISE, attempt)
+            level = dg.noise_level(attempt)
             starts.append(ref_initial_state(task_id, rng))
             if style == "wander":
                 noise.append(helpers.ref_wander_actions(task_id, starts[-1], rng))
