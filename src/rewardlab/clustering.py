@@ -73,13 +73,12 @@ def _update_centers(features, assignments, centers):
         if norm > 1e-12:
             new[j] = mean / norm
         # antipodal members cancel out; keep the previous center then
-    taken = set()
-    for j in np.flatnonzero(counts == 0):
+    # no point sits in an empty cluster, so one worst-fit order serves them
+    # all: the empty clusters, ascending, take its first rows in turn
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
         fit = np.sum(features * new[assignments], axis=1)
-        order = np.argsort(fit, kind="stable")
-        pick = next(int(i) for i in order if int(i) not in taken)
-        taken.add(pick)
-        new[j] = features[pick]
+        new[empty] = features[np.argsort(fit, kind="stable")[:len(empty)]]
     return new
 
 

@@ -549,17 +549,16 @@ def _human_clips(states: np.ndarray, rngs, config) -> np.ndarray:
 
 
 def _failure_archetype_plan(task_id: int, count: int, sources) -> list:
-    """Deterministic per-index archetype assignment honoring the sources."""
+    """Deterministic per-index archetype assignment honoring the sources: one
+    cycle of "wander", the task's near-success archetypes, or both interleaved."""
     near = [a for a in ("revert", "incomplete") if (task_id, a) not in UNSUPPORTED]
-    plan = []
-    for i in range(count):
-        if sources == ("random",):
-            plan.append("wander")
-        elif sources == ("near_success",):
-            plan.append(near[i % len(near)])
-        else:
-            plan.append("wander" if i % 2 == 0 else near[(i // 2) % len(near)])
-    return plan
+    if sources == ("random",):
+        cycle = ["wander"]
+    elif sources == ("near_success",):
+        cycle = near
+    else:
+        cycle = [a for archetype in near for a in ("wander", archetype)]
+    return [cycle[i % len(cycle)] for i in range(count)]
 
 
 def _rolled_groups(keys, seeds):

@@ -184,18 +184,16 @@ def failure_text_features(pool: FailurePromptPool, texts: np.ndarray):
     """
     if ((pool.tasks < 0) | (pool.tasks >= len(texts))).any():
         raise UnknownTaskError(f"pool tasks {pool.tasks.tolist()} are not all task texts")
-    prompts = pool.prompts
-    texts = texts[pool.tasks][:, None, None, :]
-    rows = np.concatenate(
-        [prompts, np.broadcast_to(texts, prompts.shape[:2] + (1, prompts.shape[-1]))], axis=-2
-    )
-    mean = rows.mean(axis=-2)
+    # the token mean of [prompt; text]: the prompt rows summed in order,
+    # then the text, the additions np.mean makes over the stacked rows
+    n_rows = pool.prompts.shape[-2] + 1
+    mean = (pool.prompts.sum(axis=-2) + texts[pool.tasks][:, None, :]) / n_rows
     u = mean @ pool.proj + pool.bias
     norm = np.linalg.norm(u, axis=-1)
     if (norm <= 1e-12).any():
         raise ZeroVectorError("failure context collapsed to zero")
     t_f = u / norm[..., None]
-    return t_f, (rows.shape[-2], mean, norm, t_f, pool.proj)
+    return t_f, (n_rows, mean, norm, t_f, pool.proj)
 
 
 def compose_failure_context_backward(cache, d_t: np.ndarray):

@@ -20,13 +20,14 @@ compose the (T_p, K, D) failure features of every pooled task and
 cluster in one pass, evaluate the mode's total loss on those rows (one
 (N, D) gradient of the clip embeddings, zero on rows the mode does not
 read, and one of the failure features), backprop by hand through the
-encoders and the prompt composition, clip the global gradient norm, and
+encoders and the prompt composition into one list of (parameter,
+gradient, learning rate) triples, clip its global gradient norm, and
 apply plain gradient descent (prompts get their own learning rate). A
 non-finite loss or gradient norm stops training with NonFiniteValueError
-before the update. In failure-prompt mode, every epoch ends by
-re-clustering each task's failure clips under the current encoder,
-aligning the clusters to the previous epoch, and writing the task's
-slice of the pseudo-labels.
+before the update. In failure-prompt mode, `_recluster` clusters each
+task's failure clips under the current encoder before the first epoch
+and at every epoch's end, aligns the clusters to the task's previous
+ones if any, and writes the task's slice of the pseudo-labels.
 
 Rng streams are separated per concern so, e.g., all modes share the same
 encoder initialization under one seed.
@@ -161,10 +162,6 @@ def sample_batch(
     return rows, pseudo_labels[picks]
 
 
-def _global_grad_norm(arrays) -> float:
-    return math.sqrt(sum(float((a * a).sum()) for a in arrays))
-
-
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -190,14 +187,28 @@ def init_params(config: ExperimentConfig, pooled_tasks) -> ModelParams:
     return ModelParams(video=video, pool=pool, texts=texts)
 
 
-def _cluster_failures(params: ModelParams, data: _IndexedData, config: ExperimentConfig, epoch: int):
-    """Re-embed failure clips per task and run spherical k-means."""
-    states = {}
+def _recluster(params: ModelParams, data: _IndexedData, config: ExperimentConfig, epoch: int,
+               states: dict, pseudo_labels: np.ndarray) -> list:
+    """Re-embed each task's failure clips and run spherical k-means, aligned
+    to the task's state in `states` when it has one so label k keeps one
+    failure theme. Updates `states` and `pseudo_labels` in place; returns
+    one record per task, in `data.fail_slices` order."""
+    records = []
     for task, part in data.fail_slices.items():
         feats = enc.encode_clips(data.frames[data.fail[part]], params.video)
         seed = config.derived_seed(_STREAM_CLUSTER, epoch + 1, task)
-        states[task] = cl.spherical_kmeans(feats, k=config.k_clusters, seed=seed)
-    return states
+        state = cl.spherical_kmeans(feats, k=config.k_clusters, seed=seed)
+        if task in states:
+            state = cl.relabel_state(state, cl.align_clusters(states[task].centers, state.centers))
+        records.append({
+            "task": task,
+            "objective": state.objective,
+            "churn": cl.label_churn(pseudo_labels[part], state.assignments),
+            "sizes": np.bincount(state.assignments, minlength=config.k_clusters).tolist(),
+        })
+        states[task] = state
+        pseudo_labels[part] = state.assignments
+    return records
 
 
 def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
@@ -218,9 +229,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
     cluster_states = {}
     pseudo_labels = np.zeros(len(data.fail), dtype=np.int64)
     if fvlc:
-        cluster_states = _cluster_failures(params, data, config, epoch=-1)
-        for task, part in data.fail_slices.items():
-            pseudo_labels[part] = cluster_states[task].assignments
+        _recluster(params, data, config, -1, cluster_states, pseudo_labels)
 
     steps = config.steps_per_epoch or max(1, math.ceil(2 * len(data.human) / config.batch_human))
     texts = params.texts
@@ -255,47 +264,32 @@ def train(config: ExperimentConfig, dataset: Dataset) -> TrainResult:
             for key, v in comps.items():
                 sums[key] = sums.get(key, 0.0) + v
 
-            # backprop into the trainable parameters
+            # backprop into (parameter, gradient, learning rate) triples; the
+            # list's order is the order the norm sums in
             video_grads = enc.encode_clips_backward(video_cache, grads["videos"])
-            all_grads = list(video_grads.arrays())
+            update = [(param, grad, config.lr_encoder)
+                      for param, grad in zip(params.video.arrays(), video_grads.arrays())]
             if params.pool is not None:
                 d_prompts, d_proj, d_bias = enc.compose_failure_context_backward(
                     pool_cache, grads["fail_texts"][params.pool.tasks]
                 )
-                all_grads += [d_proj, d_bias, d_prompts]
+                update += [(params.pool.proj, d_proj, config.lr_encoder),
+                           (params.pool.bias, d_bias, config.lr_encoder),
+                           (params.pool.prompts, d_prompts, config.lr_prompts)]
 
-            # global norm clip, then per-group step
-            norm = _global_grad_norm(all_grads)
+            # global norm clip, then one plain gradient step
+            norm = math.sqrt(sum(float((grad * grad).sum()) for _, grad, _ in update))
             if not math.isfinite(norm):
                 raise NonFiniteValueError(f"epoch {epoch}: gradient norm is {norm}")
             scale = min(1.0, config.grad_clip / norm) if norm > 0 else 1.0
-            for param, grad in zip(params.video.arrays(), video_grads.arrays()):
-                param[...] -= config.lr_encoder * scale * grad
-            if params.pool is not None:
-                params.pool.proj[...] -= config.lr_encoder * scale * d_proj
-                params.pool.bias[...] -= config.lr_encoder * scale * d_bias
-                params.pool.prompts -= config.lr_prompts * scale * d_prompts
+            for param, grad, lr in update:
+                param -= lr * scale * grad
 
         record = {"epoch": epoch, "steps": steps}
         for key in sorted(sums):
             record[f"loss_{key}"] = sums[key] / steps
         if fvlc:
-            new_states = _cluster_failures(params, data, config, epoch=epoch)
-            cluster_info = []
-            for task, part in data.fail_slices.items():
-                state = new_states[task]
-                pi = cl.align_clusters(cluster_states[task].centers, state.centers)
-                state = cl.relabel_state(state, pi)
-                sizes = np.bincount(state.assignments, minlength=config.k_clusters)
-                cluster_info.append({
-                    "task": task,
-                    "objective": state.objective,
-                    "churn": cl.label_churn(pseudo_labels[part], state.assignments),
-                    "sizes": sizes.tolist(),
-                })
-                cluster_states[task] = state
-                pseudo_labels[part] = state.assignments
-            record["clusters"] = cluster_info
+            record["clusters"] = _recluster(params, data, config, epoch, cluster_states, pseudo_labels)
         metrics.append(record)
 
     return TrainResult(params=params, metrics=metrics, cluster_states=cluster_states)

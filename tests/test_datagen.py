@@ -311,18 +311,21 @@ class TestLabelsMatchPredicates:
 
 class TestSourceMixtures:
     def test_single_source_plans(self):
-        plan_r = dg._failure_archetype_plan(0, 6, ("random",))
-        assert plan_r == ["wander"] * 6
-        plan_n = dg._failure_archetype_plan(0, 6, ("near_success",))
-        assert set(plan_n) == {"revert", "incomplete"} and "wander" not in plan_n
+        assert dg._failure_archetype_plan(0, 6, ("random",)) == ["wander"] * 6
+        assert dg._failure_archetype_plan(0, 5, ("near_success",)) == [
+            "revert", "incomplete", "revert", "incomplete", "revert"]
 
     def test_both_sources_half_random(self):
-        plan = dg._failure_archetype_plan(0, 8, dg.FAILURE_SOURCES)
-        assert plan.count("wander") == 4
-        assert {a for a in plan if a != "wander"} == {"revert", "incomplete"}
+        # the tuple's order does not matter: a mixture starts with "wander"
+        plan = ["wander", "revert", "wander", "incomplete", "wander", "revert", "wander"]
+        assert dg._failure_archetype_plan(0, 7, dg.FAILURE_SOURCES) == plan
+        assert dg._failure_archetype_plan(0, 7, ("near_success", "random")) == plan
 
     def test_unsupported_archetypes_redistributed(self):
-        plan_f = dg._failure_archetype_plan(sw.TASK_FAUCET, 6, ("near_success",))
-        assert set(plan_f) == {"incomplete"}
-        plan_p = dg._failure_archetype_plan(sw.TASK_POKE_CUP, 6, ("near_success",))
-        assert set(plan_p) == {"revert"}
+        assert dg._failure_archetype_plan(sw.TASK_FAUCET, 6, ("near_success",)) == ["incomplete"] * 6
+        assert dg._failure_archetype_plan(sw.TASK_POKE_CUP, 6, ("near_success",)) == ["revert"] * 6
+        for sources in (dg.FAILURE_SOURCES, ("near_success", "random")):
+            assert dg._failure_archetype_plan(sw.TASK_FAUCET, 5, sources) == [
+                "wander", "incomplete", "wander", "incomplete", "wander"]
+            assert dg._failure_archetype_plan(sw.TASK_POKE_CUP, 5, sources) == [
+                "wander", "revert", "wander", "revert", "wander"]

@@ -149,6 +149,20 @@ def features(pool, texts):
     return enc.failure_text_features(pool, texts)[0]
 
 
+def concatenated_mean_features(pool, texts):
+    """(token means, features) with each context stacked as a [prompt; text]
+    array and averaged over its rows: the reference the copy-free sum in
+    `failure_text_features` must match bit for bit."""
+    prompts = pool.prompts
+    text = texts[pool.tasks][:, None, None, :]
+    rows = np.concatenate(
+        [prompts, np.broadcast_to(text, prompts.shape[:2] + (1, prompts.shape[-1]))], axis=-2
+    )
+    mean = rows.mean(axis=-2)
+    u = mean @ pool.proj + pool.bias
+    return mean, u / np.linalg.norm(u, axis=-1)[..., None]
+
+
 class TestFailurePrompts:
     def test_one_draw_equals_per_task_draws(self):
         pool = enc.init_prompt_pool([6, 4, 5], np.random.default_rng(1), k=3, prompt_len=2,
@@ -220,6 +234,17 @@ class TestFailurePrompts:
                 rows = np.vstack([pool.prompts[i, k], texts[task]])
                 u = rows.mean(axis=0) @ pool.proj + pool.bias
                 np.testing.assert_allclose(feats[i, k], u / np.linalg.norm(u), atol=1e-12)
+
+    @pytest.mark.parametrize("prompt_len", [1, 2, 3])
+    def test_copy_free_mean_equals_concatenated_mean(self, texts, prompt_len):
+        pool = enc.init_prompt_pool([4, 5, 6], np.random.default_rng(1), k=3,
+                                    prompt_len=prompt_len, embed_dim=32)
+        pool.proj = pool.proj + 0.2 * np.random.default_rng(9).normal(size=(32, 32))
+        feats, (n_rows, mean, *_) = enc.failure_text_features(pool, texts)
+        ref_mean, ref_feats = concatenated_mean_features(pool, texts)
+        assert n_rows == prompt_len + 1
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(feats, ref_feats)
 
     def test_collapsed_failure_context_raises(self, pool, texts):
         pool.proj = np.zeros_like(pool.proj)

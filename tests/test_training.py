@@ -1,8 +1,8 @@
 """Batch-strata validation, typed non-finite failures, the stacked
 training-data view, the sampler (its row draws against a one-candidate,
 one-row loop reference, uniformity over every valid batch of a tiny
-dataset, batch validity and Generator calls per batch), and the
-checkpoint mapping."""
+dataset, batch validity and Generator calls per batch), the per-epoch
+cluster records, and the checkpoint mapping."""
 
 import itertools
 import math
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from rewardlab import (
-    encoders as enc, evaluation, formats, losses, planner as pl, render, simworld as sw, training,
+    clustering as cl, encoders as enc, evaluation, formats, losses, planner as pl, render,
+    simworld as sw, training,
 )
 from rewardlab.config import ExperimentConfig
 from rewardlab.datagen import Dataset, LabeledClip
@@ -360,6 +361,26 @@ def test_sampler_generator_calls_per_batch():
     for _ in range(batches):
         training.sample_batch(data, config, rng, np.zeros(len(data.fail), dtype=np.int64))
     assert rng.calls / batches <= 6
+
+
+def test_epoch_cluster_records(dataset):
+    # steps this large move one of task 5's failure clips to another
+    # cluster in the second epoch, so the churn compared below is not zero
+    config = replace(CONFIG, mode="fvlc", lr_encoder=1.0, steps_per_epoch=4, k_clusters=3)
+    one = training.train(config, dataset)
+    two = training.train(replace(config, epochs=2), dataset)
+    order = list(training._IndexedData(dataset).fail_slices)
+    for run in (one, two):
+        for record in run.metrics:
+            assert [c["task"] for c in record["clusters"]] == order
+        for c in run.metrics[-1]["clusters"]:
+            state = run.cluster_states[c["task"]]
+            assert c["sizes"] == np.bincount(state.assignments, minlength=3).tolist()
+            assert c["objective"] == state.objective
+    churn = [cl.label_churn(one.cluster_states[task].assignments,
+                            two.cluster_states[task].assignments) for task in order]
+    assert [c["churn"] for c in two.metrics[1]["clusters"]] == churn
+    assert churn == [0.0, 0.2, 0.0]
 
 
 @pytest.fixture(scope="module")
